@@ -125,10 +125,6 @@ class ConjugatorNotFoundError(PeriodLabError):
     """No verified permutation conjugator was found (internal error)."""
 
 
-class ExactnessError(PeriodLabError):
-    """An exact-arithmetic path received data it cannot represent exactly."""
-
-
 # -- realization and oracles --------------------------------------------------
 
 class TwistedSegmentError(PeriodLabError):

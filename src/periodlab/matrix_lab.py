@@ -11,14 +11,19 @@ Two arithmetic paths coexist:
 
 A :class:`Matrix` records which path produced it; mixing paths silently
 downgrades to floats.  Null spaces are computed by a sparse row-reduction
-over QQi on the exact path and by SVD on the float path.
+over QQi on the exact path and by SVD on the float path.  Invertibility,
+and so nondegeneracy of forms, is decided on the exact path by fraction-free
+elimination over the Gaussian integers (Bareiss 1968) once denominators are
+cleared, and on the float path by the SVD rank rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from fractions import Fraction
+from functools import cache
+from math import comb, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
@@ -200,12 +205,17 @@ class Matrix:
         return self.equals(Matrix.identity(self.rows, self.exact), tol)
 
     def is_invertible(self, tol: float = FLOAT_TOL) -> bool:
+        """Decided exactly on the exact path, by the SVD rank rule on the
+        float path."""
         if not self.is_square:
             return False
         if self.rows == 0:
             return True
-        s = np.linalg.svd(self.as_complex(), compute_uv=False)
-        return bool(s[-1] > tol * max(1.0, s[0]))
+        if self.exact:
+            (re,), (im,), _ = _gaussian_integers([self.data])
+            return _gaussian_nonsingular(re, im)
+        s = np.linalg.svd(self.data, compute_uv=False)
+        return bool(_full_rank(s, tol))
 
     def rank(self, tol: float = FLOAT_TOL) -> int:
         if self.exact:
@@ -328,6 +338,64 @@ def nullspace_exact(rows: Sequence[dict[int, QQi]], ncols: int) -> list[list[QQi
     return _Rref(ncols, rows).nullspace()
 
 
+def _full_rank(s: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the rank rule of :meth:`Matrix.rank` keeps every singular
+    value, for singular values sorted descending along the last axis."""
+    return s[..., -1] > tol * np.maximum(1.0, s[..., 0])
+
+
+def _gaussian_integers(arrays: Sequence[np.ndarray]):
+    """Integer parts of ``den * a`` for equally shaped QQi arrays ``a``.
+
+    ``den`` is the least common denominator of all entries.  Returns the
+    real and imaginary parts as integer object arrays stacked along a new
+    first axis, and ``den``.
+    """
+    stack = np.stack(arrays)
+    den = lcm(*(x.denominator for v in stack.flat for x in (v.re, v.im)))
+
+    def scaled(x):
+        return x.numerator * (den // x.denominator)
+
+    re = np.frompyfunc(lambda v: scaled(v.re), 1, 1)(stack)
+    im = np.frompyfunc(lambda v: scaled(v.im), 1, 1)(stack)
+    return re, im, den
+
+
+def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
+    """Whether the square Gaussian-integer matrix ``re + i*im`` is
+    invertible.
+
+    Fraction-free elimination (Bareiss 1968): after step k each entry of the
+    trailing block is a minor of the input, so dividing by the previous
+    pivot is exact in Z[i].  The matrix is singular exactly when a column
+    has no pivot left.
+    """
+    re, im = re.tolist(), im.tolist()
+    n = len(re)
+    pr, pi = 1, 0  # the previous pivot
+    for k in range(n):
+        p = next((r for r in range(k, n) if re[r][k] or im[r][k]), None)
+        if p is None:
+            return False
+        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
+        ar, ai, rk, ik = re[k][k], im[k][k], re[k], im[k]
+        norm = pr * pr + pi * pi
+        for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            br, bi = ri[k], ii[k]
+            if not (br or bi) and ar == pr and ai == pi:
+                continue  # the update would leave this row unchanged
+            for j in range(k + 1, n):
+                # (a * m_ij - b * m_kj) / previous pivot
+                xr = ar * ri[j] - ai * ii[j] - br * rk[j] + bi * ik[j]
+                xi = ar * ii[j] + ai * ri[j] - br * ik[j] - bi * rk[j]
+                ri[j] = (xr * pr + xi * pi) // norm
+                ii[j] = (xi * pr - xr * pi) // norm
+        pr, pi = ar, ai
+    return True
+
+
 def nullspace_float(a: np.ndarray, ncols: int, tol: float = FLOAT_TOL) -> np.ndarray:
     """Columns spanning the null space of ``a`` (shape ``(*, ncols)``)."""
     m = np.asarray(a, dtype=complex).reshape(-1, ncols)
@@ -368,8 +436,7 @@ def classify_form(gram: Matrix, tol: float = FLOAT_TOL) -> BilinearForm:
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    nondeg = gram.rank(tol) == gram.rows
-    return BilinearForm(gram, sym, nondeg)
+    return BilinearForm(gram, sym, gram.is_invertible(tol))
 
 
 def _gram_of(j: Union[BilinearForm, Matrix]) -> Matrix:
@@ -777,9 +844,16 @@ def find_nondegenerate_skew(forms: Sequence[BilinearForm],
 
     Tries each skew basis element, then deterministic integer combinations
     (all-ones, moment curves over small integers, and a seeded random
-    family).  Nondegenerate combinations form a Zariski-open set, so when
-    one exists these families find it; returns None when every attempt is
-    degenerate.
+    family) in that order.  Nondegenerate combinations form a Zariski-open
+    set, so when one exists these families find it; returns None when every
+    candidate is degenerate.
+
+    The combinations are decided in one pass and only the first
+    nondegenerate one is built as a :class:`Matrix` and classified.  On the
+    exact path the grams are scaled by one common denominator, every
+    candidate is formed in Gaussian integers and tested by fraction-free
+    elimination.  On the float path the candidates are stacked and share one
+    batched SVD under the rank rule of :meth:`Matrix.is_invertible`.
     """
     skews = [f for f in forms if f.symmetry is Symmetry.SKEW]
     if not skews:
@@ -787,31 +861,45 @@ def find_nondegenerate_skew(forms: Sequence[BilinearForm],
     for f in skews:
         if f.nondegenerate:
             return f
-    d = len(skews)
-    combos: list[tuple[int, ...]] = [(1,) * d]
-    for t in range(-6, 7):
-        if t in (0,):
-            continue
-        combos.append(tuple(t ** i for i in range(d)))
+    grams = [f.gram for f in skews]
+    combos = _skew_combinations(len(grams))
+    if all(g.exact for g in grams):
+        re, im, den = _gaussian_integers([g.data for g in grams])
+        coeffs = np.array(combos, dtype=object)
+        re = np.tensordot(coeffs, re, axes=1)
+        im = np.tensordot(coeffs, im, axes=1)
+        win = next((c for c in range(len(combos))
+                    if _gaussian_nonsingular(re[c], im[c])), None)
+        if win is None:
+            return None
+        entry = np.frompyfunc(
+            lambda a, b: QQi(Fraction(a, den), Fraction(b, den)), 2, 1)
+        gram = Matrix(entry(re[win], im[win]), True)
+    else:
+        coeffs = np.array([[complex(c) for c in row] for row in combos])
+        stack = [g.as_complex() for g in grams]
+        # the same operations, in the same order, as scaling and adding
+        # one candidate at a time, so each candidate is bit-identical
+        acc = coeffs[:, 0, None, None] * stack[0]
+        for i in range(1, len(stack)):
+            acc = acc + coeffs[:, i, None, None] * stack[i]
+        hits = np.flatnonzero(
+            _full_rank(np.linalg.svd(acc, compute_uv=False), tol))
+        if not hits.size:
+            return None
+        gram = Matrix.from_array(acc[hits[0]].copy())
+    return classify_form(gram, tol)
+
+
+@cache
+def _skew_combinations(d: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficient vectors tried by :func:`find_nondegenerate_skew`."""
+    combos = [(1,) * d]
+    combos.extend(tuple(t ** i for i in range(d))
+                  for t in range(-6, 7) if t != 0)
     rng = np.random.default_rng(20851)
-    for _ in range(50):
-        combos.append(tuple(int(c) for c in rng.integers(-9, 10, size=d)))
-    for coeffs in combos:
-        if not any(coeffs):
-            continue
-        gram = _integer_combination([f.gram for f in skews], coeffs)
-        candidate = classify_form(gram, tol)
-        if candidate.nondegenerate:
-            return candidate
-    return None
-
-
-def _integer_combination(grams: Sequence[Matrix],
-                         coeffs: Sequence[int]) -> Matrix:
-    acc = grams[0].scale(coeffs[0])
-    for g, c in zip(grams[1:], coeffs[1:]):
-        acc = acc + g.scale(c)
-    return acc
+    combos.extend(map(tuple, rng.integers(-9, 10, size=(50, d)).tolist()))
+    return tuple(c for c in combos if any(c))
 
 
 # ---------------------------------------------------------------------------

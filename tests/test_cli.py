@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import periodlab
 from periodlab.cli import (
     CATALOG_ENV,
     main,
@@ -28,6 +33,18 @@ USER_CATALOG = textwrap.dedent("""\
 
 
 # -- classify ------------------------------------------------------------------
+
+
+def test_python_dash_m_periodlab_runs_without_warnings():
+    src = str(Path(periodlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "periodlab",
+         "classify", "q8 (+) q8b"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert "exit code: 0" in result.stdout
 
 
 def test_classify_elliptic_parameter_exits_zero(capsys):

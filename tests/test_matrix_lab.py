@@ -38,7 +38,12 @@ from periodlab.errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
-from periodlab.matrix_lab import blockdiag, nullspace_exact, nullspace_float
+from periodlab.matrix_lab import (
+    FLOAT_TOL,
+    blockdiag,
+    nullspace_exact,
+    nullspace_float,
+)
 
 CAT = builtin_catalog()
 
@@ -79,6 +84,42 @@ def test_rank_and_invertibility():
     assert not singular.is_invertible()
     assert Matrix.identity(3).rank() == 3
     assert singular.to_float().rank() == 1
+    i = QQi(0, 1)
+    assert not Matrix.from_rows([[1, i], [i, -1]]).is_invertible()
+    assert Matrix.from_rows([[Fraction(1, 3), 1], [0, i / 2]]).is_invertible()
+
+
+def test_sl2_exponentials_are_invertible():
+    # unipotent, but the binomial entries make the condition number so
+    # large that a float SVD calls them singular from k = 18 on
+    for k in range(1, 25):
+        assert sl2_exp_e(k).is_invertible()
+        assert sl2_exp_f(k).is_invertible()
+
+
+gaussian_rationals = st.builds(
+    QQi, st.fractions(-3, 3, max_denominator=4),
+    st.fractions(-3, 3, max_denominator=4))
+
+
+def _square_gaussian(n):
+    return st.lists(
+        st.lists(gaussian_rationals | st.just(QQi(0)), min_size=n,
+                 max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    _square_gaussian(n), _square_gaussian(n), st.integers(0, n))))
+def test_exact_invertibility_matches_exact_rank(drawn):
+    """Products through a rank-r projection, so singular matrices with
+    dense Gaussian entries come up as often as invertible ones."""
+    a, b, r = drawn
+    n = len(a)
+    keep = Matrix.from_rows(
+        [[int(i == j < r) for j in range(n)] for i in range(n)])
+    m = Matrix.from_rows(a) @ keep @ Matrix.from_rows(b)
+    assert m.is_invertible() == (m.rank() == n)
 
 
 def test_blockdiag_mixed_exactness():
@@ -302,17 +343,113 @@ def test_invariant_forms_float_path():
         assert is_in_sp(g, skew)
 
 
-def test_find_nondegenerate_skew_needs_a_combination():
+def _two_degenerate_blocks(eps):
+    """eps times a 2x2 skew block at the top and one at the bottom of 4x4."""
     top = Matrix.zeros(4, 4)
-    top.data[0, 1], top.data[1, 0] = QQi(1), QQi(-1)
+    top.data[0, 1], top.data[1, 0] = QQi(eps), QQi(-eps)
     bottom = Matrix.zeros(4, 4)
     bottom.data[2, 3], bottom.data[3, 2] = QQi(1), QQi(-1)
     forms = [BilinearForm(top, Symmetry.SKEW, False),
              BilinearForm(bottom, Symmetry.SKEW, False)]
+    return forms, top + bottom
+
+
+def test_find_nondegenerate_skew_needs_a_combination():
+    forms, _ = _two_degenerate_blocks(1)
     found = find_nondegenerate_skew(forms)
     assert found is not None
     assert found.nondegenerate
     assert find_nondegenerate_skew([]) is None
+
+
+def test_find_nondegenerate_skew_decides_exactly():
+    # every combination has singular values eps below FLOAT_TOL, so a
+    # float decision would call all of them singular
+    forms, both = _two_degenerate_blocks(Fraction(1, 10**12))
+    found = find_nondegenerate_skew(forms)
+    assert found is not None
+    assert found.nondegenerate
+    assert found.gram.equals(both, tol=0)
+
+
+def _reference_skew_search(forms, tol=FLOAT_TOL):
+    """The search one candidate at a time, as a full Matrix each, deciding
+    nondegeneracy by rank."""
+    skews = [f for f in forms if f.symmetry is Symmetry.SKEW]
+    if not skews:
+        return None
+    for f in skews:
+        if f.nondegenerate:
+            return f
+    d = len(skews)
+    combos = [(1,) * d]
+    for t in range(-6, 7):
+        if t != 0:
+            combos.append(tuple(t ** i for i in range(d)))
+    rng = np.random.default_rng(20851)
+    for _ in range(50):
+        combos.append(tuple(int(c) for c in rng.integers(-9, 10, size=d)))
+    for coeffs in combos:
+        if not any(coeffs):
+            continue
+        acc = skews[0].gram.scale(coeffs[0])
+        for f, c in zip(skews[1:], coeffs[1:]):
+            acc = acc + f.gram.scale(c)
+        if acc.rank(tol) == acc.rows:
+            return classify_form(acc, tol)
+    return None
+
+
+def _low_rank_skew(n, pairs):
+    """sum of u v^T - v u^T over the given (u, v), rank at most 2*len."""
+    m = np.zeros((n, n), dtype=object)
+    for u, v in pairs:
+        outer = np.outer(np.array(u, dtype=object), np.array(v, dtype=object))
+        m = m + outer - outer.T
+    return m
+
+
+def _skew_basis(n):
+    """Two or three skew forms, each of rank at most n - 2.  With ``shift``
+    the last one becomes itself minus the others, so the all-ones
+    combination is degenerate and a later candidate has to win."""
+    vec = st.lists(st.sampled_from([1, -1, 2, -2, 0]), min_size=n,
+                   max_size=n)
+    pairs = st.lists(st.tuples(vec, vec), min_size=n // 2 - 1,
+                     max_size=n // 2 - 1)
+
+    def build(forms, shift):
+        grams = [_low_rank_skew(n, f) for f in forms]
+        if shift:
+            grams[-1] = grams[-1] - sum(grams[:-1])
+        return grams
+
+    return st.builds(build, st.lists(pairs, min_size=2, max_size=3),
+                     st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6]).flatmap(_skew_basis),
+       st.sampled_from(
+           [None, Fraction(1, 6), QQi(1, 2), 3.0, 0.37, 1e-6, 4e-10]))
+def test_find_nondegenerate_skew_matches_sequential_search(grams, scale):
+    """Integer skew bases, exact (scaled by a Gaussian rational) or float
+    (scaled by a float, down to where singular values straddle the rank
+    cutoff), against the one-at-a-time search."""
+    mats = [Matrix.from_rows(g.tolist()) for g in grams]
+    if isinstance(scale, float):
+        mats = [m.to_float().scale(scale) for m in mats]
+    elif scale is not None:
+        mats = [m.scale(scale) for m in mats]
+    forms = [classify_form(m) for m in mats]
+    found = find_nondegenerate_skew(forms)
+    expected = _reference_skew_search(forms)
+    assert (found is None) == (expected is None)
+    if expected is not None:
+        assert found.gram.exact == expected.gram.exact
+        assert found.gram.equals(expected.gram, tol=0)
+        assert found.symmetry is expected.symmetry
+        assert found.nondegenerate
 
 
 # -- realizations -----------------------------------------------------------
