@@ -3,42 +3,27 @@
 Exit codes are a total function of the emitted report: 0 all checks pass,
 1 some check failed, 2 expression syntax error, 3 catalog problem,
 4 oracle disagreement (which signals an implementation bug, never a
-mathematical outcome).  ``--json`` switches to a schema-stable JSON
-rendering of the same report.
+mathematical outcome).  A command-line bound out of range emits no report
+and also exits 2.  ``--json`` switches to a schema-stable JSON rendering of
+the same report.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from pathlib import Path
 
 from .distinction import (
     TAG_DISTINGUISHED,
-    TAG_ELLIPTIC,
     TAG_RDS,
-    TAG_SP,
     TAG_TEMPERED,
-    RDSSpec,
-    attach_oracle_checks,
-    check_conjecture_instance,
-    factors_through_sp_symbolic,
+    add_sp_checks,
     is_linear_distinguished,
-    is_x_elliptic_symbolic,
-    oracle_verdicts,
 )
-from .errors import (
-    CatalogError,
-    DimensionMismatchError,
-    DuplicateSegmentError,
-    NotDistinguishedError,
-    OddBlockError,
-    ParseError,
-    PeriodLabError,
-)
-from .group_models import Catalog, builtin_catalog
+from .errors import CatalogError, ParseError, PeriodLabError
+from .group_models import ISOTROPY_DIM_BOUND, Catalog, builtin_catalog
 from .matrix_lab import (
     Symmetry,
     conjugator_for_partition,
@@ -47,14 +32,9 @@ from .matrix_lab import (
     w_plus,
 )
 from .notation import load_catalog, parse_param, print_param
-from .param_core import (
-    Segment,
-    SelfDualityType,
-    WDParameter,
-    is_tempered,
-    segment_self_duality,
-)
+from .param_core import WDParameter, is_tempered, segment_self_duality
 from .reporting import CATALOG_CHECK, ERROR, PARSE_CHECK, PASS, Report
+from .sweep import conjecture_sweep
 
 CATALOG_ENV = "PERIODLAB_CATALOG"
 
@@ -64,6 +44,10 @@ TAG_J_FORM = "identity:symplectic-form"
 TAG_CONJUGATOR = "identity:partition-conjugator"
 TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
+
+
+class UsageError(ValueError):
+    """A command-line bound out of range; ``main`` maps it to exit code 2."""
 
 
 def _resolve_catalog(path: str | None) -> tuple[Catalog, str]:
@@ -115,16 +99,7 @@ def run_classify(expr: str, catalog_path: str | None = None,
             note = f"not linearly distinguished ({exc})"
         report.add_outcome(f"segment[{i}]", ok, TAG_DISTINGUISHED,
                            f"{text}: {sd.value} type; {note}")
-    factors = factors_through_sp_symbolic(p)
-    report.add_outcome("sp-image", factors, TAG_SP,
-                       "symplectic pairing exists" if factors
-                       else "no symplectic pairing exists")
-    elliptic = is_x_elliptic_symbolic(p)
-    report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
-                       "multiplicity-free symplectic-type decomposition"
-                       if elliptic else "parameter is not elliptic")
-    if use_oracle:
-        attach_oracle_checks(report, p, catalog, factors, elliptic)
+    add_sp_checks(report, p, catalog, use_oracle)
     return report
 
 
@@ -150,7 +125,7 @@ def _even_partitions(total: int, max_part: int | None = None):
 def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
     """Run the exact matrix identity suites and report counts."""
     if max_n < 1 or max_k < 1:
-        raise ValueError("max_n and max_k must be positive")
+        raise UsageError("max_n and max_k must be positive")
     report = Report(input=f"verify-matrices max_n={max_n} max_k={max_k}")
 
     def suite(name, tag, fn):
@@ -207,248 +182,20 @@ def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
 # sweep
 
 
-def _segment_sort_key(s: Segment):
-    return (s.dim, s.k, s.cuspidal.name, s.twist)
-
-
-def _segment_pool(catalog: Catalog,
-                  max_dim: int) -> tuple[list[Segment], list[str]]:
-    """Distinguished even-dimensional segments buildable from the catalog.
-
-    Labels without a matrix model cannot face the oracle and are skipped
-    with a note.
-    """
-    pool: list[Segment] = []
-    skipped: list[str] = []
-    for label in sorted(catalog.labels(), key=lambda l: l.name):
-        for k in range(1, max_dim // label.dim + 1):
-            seg = Segment(label, k)
-            if seg.dim % 2 == 1:
-                continue
-            try:
-                if not is_linear_distinguished(seg):
-                    continue
-            except PeriodLabError:
-                continue
-            if catalog.entries[label.name].model is None:
-                skipped.append(f"St({k},{label.name}): no matrix model")
-                continue
-            pool.append(seg)
-    pool.sort(key=_segment_sort_key)
-    return pool, skipped
-
-
-def _first_failure(report: Report) -> str:
-    for c in report.checks:
-        if c.verdict != PASS:
-            return f"{c.name}: {c.details}"
-    return ""
-
-
 def run_conjecture_sweep(catalog_path: str | None = None,
                          max_dim: int = 8) -> Report:
-    """Exhaustively check every regular discrete sum up to a dimension cap.
-
-    Every valid spec must pass symbolically and agree with the matrix
-    oracle; specs containing blocks beyond the SL(2) surrogate range get
-    the invariant-form oracle only.  Negative controls (duplicates,
-    undistinguished blocks, odd blocks, dual pairs) must be rejected or
-    classified non-elliptic, and the oracle must agree throughout.
-    """
-    if not 2 <= max_dim <= 12:
-        raise ValueError("max_dim must be between 2 and 12")
-    report = Report(input=f"sweep max_dim={max_dim}")
+    """Check every regular discrete sum up to ``max_dim``; see
+    :func:`periodlab.sweep.conjecture_sweep`."""
+    if not 2 <= max_dim <= ISOTROPY_DIM_BOUND:
+        raise UsageError(
+            f"max_dim must be between 2 and {ISOTROPY_DIM_BOUND}")
     try:
         catalog, source = _resolve_catalog(catalog_path)
     except (OSError, PeriodLabError) as exc:
+        report = Report(input=f"sweep max_dim={max_dim}")
         report.add(CATALOG_CHECK, ERROR, TAG_CATALOG, str(exc))
         return report
-
-    bound = catalog.sl2_surrogate_bound
-    pool, skipped = _segment_pool(catalog, max_dim)
-    combos = []
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if sum(s.dim for s in combo) <= max_dim:
-                combos.append(combo)
-    note = f"{len(combos)} valid specs from {len(pool)} blocks ({source})"
-    if skipped:
-        note += "; skipped: " + ", ".join(skipped)
-    report.add("enumeration", PASS, TAG_RDS, note)
-
-    agreement = True
-    for combo in combos:
-        p = WDParameter.of(combo)
-        text = print_param(p)
-        total = sum(s.dim for s in combo)
-        spec = RDSSpec(total // 2, combo)
-        full_oracle = all(s.k <= bound for s in combo)
-        try:
-            if full_oracle:
-                rep = check_conjecture_instance(spec, use_oracle=True,
-                                                catalog=catalog)
-                ok = rep.exit_code == 0
-                if rep.oracle_agreement is False:
-                    agreement = False
-                details = (f"{len(rep.checks)} checks pass" if ok
-                           else _first_failure(rep))
-            else:
-                rep = check_conjecture_instance(spec, use_oracle=False,
-                                                catalog=catalog)
-                verdicts = oracle_verdicts(p, catalog, with_isotropy=False)
-                if not verdicts.skew_found:
-                    agreement = False
-                ok = rep.exit_code == 0 and verdicts.skew_found
-                details = (f"symbolic + form oracle; isotropy oracle "
-                           f"limited to k <= {bound}")
-                if not ok:
-                    details = _first_failure(rep) or details
-        except PeriodLabError as exc:
-            ok = False
-            details = str(exc)
-        report.add_outcome(f"rds {text}", ok, TAG_RDS, details)
-
-    agreement = _run_validation_controls(report, catalog, pool) and agreement
-    agreement = _run_parameter_controls(report, catalog, pool, bound,
-                                        agreement)
-    report.oracle_agreement = agreement
-    return report
-
-
-def _run_validation_controls(report: Report, catalog: Catalog,
-                             pool: list[Segment]) -> bool:
-    controls: list[tuple[str, RDSSpec, type]] = []
-    if pool:
-        s = pool[0]
-        controls.append(("duplicate-blocks", RDSSpec(s.dim, (s, s)),
-                         DuplicateSegmentError))
-        controls.append(("dimension-mismatch", RDSSpec(s.dim, (s,)),
-                         DimensionMismatchError))
-    bad = _first_undistinguished(catalog)
-    if bad is not None:
-        controls.append(("undistinguished-block",
-                         RDSSpec(bad.dim // 2, (bad,)),
-                         NotDistinguishedError))
-    nsd = _first_dual_pair(catalog)
-    if nsd is not None and nsd[0].dim % 2 == 1:
-        total = nsd[0].dim + nsd[1].dim
-        controls.append(("odd-blocks",
-                         RDSSpec(total // 2, (Segment(nsd[0], 1),
-                                              Segment(nsd[1], 1))),
-                         OddBlockError))
-    ok_all = True
-    for name, spec, expected in controls:
-        try:
-            check_conjecture_instance(spec, use_oracle=True, catalog=catalog)
-            report.add_outcome(f"control {name}", False, TAG_RDS,
-                               "expected rejection, got a report")
-            ok_all = False
-        except expected as exc:
-            report.add_outcome(f"control {name}", True, TAG_RDS,
-                               f"rejected: {exc}")
-        except PeriodLabError as exc:
-            report.add_outcome(f"control {name}", False, TAG_RDS,
-                               f"wrong error: {exc!r}")
-            ok_all = False
-    return ok_all
-
-
-def _first_undistinguished(catalog: Catalog) -> Segment | None:
-    """An even-dimensional untwisted segment failing linear distinction."""
-    for label in sorted(catalog.labels(), key=lambda l: l.name):
-        if catalog.entries[label.name].model is None:
-            continue
-        for k in (1, 2):
-            seg = Segment(label, k)
-            if seg.dim % 2 == 1 or seg.k > catalog.sl2_surrogate_bound:
-                continue
-            try:
-                if not is_linear_distinguished(seg):
-                    return seg
-            except PeriodLabError:
-                continue
-    return None
-
-
-def _first_dual_pair(catalog: Catalog) -> tuple | None:
-    for label in sorted(catalog.labels(), key=lambda l: l.name):
-        if label.sd_type is not SelfDualityType.NOT_SELF_DUAL:
-            continue
-        if label.name >= label.dual_name:
-            continue
-        if catalog.entries[label.name].model is None:
-            continue
-        if catalog.entries[label.dual_name].model is None:
-            continue
-        return label, catalog.label(label.dual_name)
-    return None
-
-
-def _first_orthogonal_type(catalog: Catalog) -> Segment | None:
-    """An even-dimensional orthogonal-type segment (never distinguished
-    as a single symplectic block)."""
-    for label in sorted(catalog.labels(), key=lambda l: l.name):
-        if catalog.entries[label.name].model is None:
-            continue
-        for k in (1, 2):
-            seg = Segment(label, k)
-            if seg.dim % 2 == 1 or seg.k > catalog.sl2_surrogate_bound:
-                continue
-            if segment_self_duality(seg) is SelfDualityType.ORTHOGONAL:
-                try:
-                    if not is_linear_distinguished(seg):
-                        return seg
-                except PeriodLabError:
-                    continue
-    return None
-
-
-def _run_parameter_controls(report: Report, catalog: Catalog,
-                            pool: list[Segment], bound: int,
-                            agreement: bool) -> bool:
-    """Parameters that factor but are not elliptic (or do not factor at
-    all); the rules and the oracle must agree on each."""
-    controls: list[tuple[str, tuple[Segment, ...], bool, bool]] = []
-    dup = next((s for s in pool
-                if segment_self_duality(s) is SelfDualityType.SYMPLECTIC
-                and s.k <= bound and 2 * s.dim <= 12), None)
-    if dup is not None:
-        controls.append(("duplicate-parameter", (dup, dup), True, False))
-    nsd = _first_dual_pair(catalog)
-    if nsd is not None and 2 * nsd[0].dim <= 12:
-        controls.append(("dual-pair-parameter",
-                         (Segment(nsd[0], 1), Segment(nsd[1], 1)),
-                         True, False))
-    bad = _first_orthogonal_type(catalog)
-    if bad is not None:
-        if bad.dim <= 12:
-            controls.append(("orthogonal-single", (bad,), False, False))
-        if 2 * bad.dim <= 12:
-            controls.append(("orthogonal-double", (bad, bad), True, False))
-    for name, segments, want_factors, want_elliptic in controls:
-        p = WDParameter.of(segments)
-        factors = factors_through_sp_symbolic(p)
-        elliptic = is_x_elliptic_symbolic(p)
-        sym_ok = factors == want_factors and elliptic == want_elliptic
-        try:
-            verdicts = oracle_verdicts(p, catalog)
-        except PeriodLabError as exc:
-            report.add_outcome(f"control {name}", False, TAG_SP,
-                               f"oracle error: {exc}")
-            agreement = False
-            continue
-        oracle_ok = verdicts.skew_found == factors
-        if verdicts.skew_found:
-            oracle_ok = oracle_ok and verdicts.elliptic == elliptic
-        if not oracle_ok:
-            agreement = False
-        outcome = []
-        outcome.append("factors" if factors else "does not factor")
-        outcome.append("elliptic" if elliptic else "not elliptic")
-        outcome.append("oracle agrees" if oracle_ok else "oracle disagrees")
-        report.add_outcome(f"control {name}", sym_ok and oracle_ok, TAG_SP,
-                           f"{print_param(p)}: " + ", ".join(outcome))
-    return agreement
+    return conjecture_sweep(catalog, source, max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +232,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("--catalog", metavar="PATH",
                    help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
     s.add_argument("--max-dim", type=int, default=8, metavar="D",
-                   help="total dimension cap, 2..12 (default 8)")
+                   help=f"total dimension cap, 2..{ISOTROPY_DIM_BOUND} "
+                        f"(default 8)")
     s.add_argument("--json", action="store_true", help="JSON output")
     return ap
 
@@ -499,7 +247,7 @@ def main(argv=None) -> int:
             report = run_verify_matrices(args.max_n, args.max_k)
         else:
             report = run_conjecture_sweep(args.catalog, args.max_dim)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"periodlab: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.render())

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
+    DimBoundExceededError,
     DimensionMismatchError,
     DuplicateSegmentError,
     NonTemperedError,
@@ -57,6 +56,11 @@ TAG_SP = "rule:sp-image"
 TAG_ELLIPTIC = "rule:elliptic-multiplicity-free"
 TAG_ORACLE_FORM = "oracle:invariant-form"
 TAG_ORACLE_ISOTROPY = "oracle:isotropy"
+
+# The largest dimension the matrix oracle realizes.  The invariant-form
+# solve grows as dim^4; at dim 24 a 2-vCPU VM needs up to about 9 s and
+# 200 MB of peak RSS per built-in parameter.
+FORM_ORACLE_DIM_BOUND = 24
 
 
 # ---------------------------------------------------------------------------
@@ -244,49 +248,56 @@ class OracleVerdicts:
     """Matrix-level answers for one parameter.
 
     ``form`` is a nondegenerate skew invariant form when one exists in the
-    invariant-form space, else None; ``elliptic`` is the oracle's
-    ellipticity verdict (no invariant isotropic subspace), or None when it
-    was not computed.  ``max_residue`` is the worst |g^T J g - J| entry
-    over the generators, 0.0 when no form was found.
+    invariant-form space, else None.  ``elliptic`` is the isotropy oracle's
+    verdict (no invariant isotropic subspace), or None when no form was
+    found or the isotropy search refused; ``isotropy_refusal`` is that
+    refusal.  ``max_residue`` is the worst |g^T J g - J| entry that
+    ``is_in_sp`` decided on over the generators: exactly 0.0 on the exact
+    path, and 0.0 when no form was found.
     """
 
     gens: GeneratorSet
     form: BilinearForm | None
     elliptic: bool | None
     max_residue: float
+    isotropy_refusal: PeriodLabError | None = None
 
     @property
     def skew_found(self) -> bool:
         return self.form is not None
 
 
-def oracle_verdicts(p: WDParameter, catalog: Catalog | None = None,
-                    dim_bound: int = 12,
-                    with_isotropy: bool = True) -> OracleVerdicts:
+def oracle_verdicts(p: WDParameter,
+                    catalog: Catalog | None = None) -> OracleVerdicts:
     """Realize a parameter and answer the conjecture questions in matrices.
 
-    The form layer (does an invariant nondegenerate skew form exist, and do
-    all generators preserve it) always runs; the isotropy layer can be
-    switched off for parameters outside the isotropy oracle's range.
-    Propagates realization and oracle errors.
+    The pipeline: realize, solve for the invariant forms, search them for a
+    nondegenerate skew form, check it with one ``is_in_sp`` per generator,
+    then search for an invariant isotropic subspace.  Parameters above
+    ``FORM_ORACLE_DIM_BOUND`` are refused before anything is built.  A
+    refusal of the isotropy search is returned in ``isotropy_refusal``;
+    every other error propagates.
     """
+    if p.dim > FORM_ORACLE_DIM_BOUND:
+        raise DimBoundExceededError(
+            f"form oracle bound is {FORM_ORACLE_DIM_BOUND}, parameter has "
+            f"dimension {p.dim}")
     cat = builtin_catalog() if catalog is None else catalog
     gens = realize(p, cat)
-    forms = invariant_forms(gens)
-    j = find_nondegenerate_skew(forms)
+    j = find_nondegenerate_skew(invariant_forms(gens))
     if j is None:
         return OracleVerdicts(gens, None, None, 0.0)
     residue = 0.0
-    jc = j.gram.as_complex()
     for g in gens.generators:
-        gc = g.as_complex()
-        residue = max(residue, float(np.abs(gc.T @ jc @ gc - jc).max()))
-        if not is_in_sp(g, j.gram, tol=1e-9):
+        check = is_in_sp(g, j)
+        if not check:
             raise PeriodLabError(
                 "internal: invariant_forms returned a non-invariant form")
-    if not with_isotropy:
-        return OracleVerdicts(gens, j, None, residue)
-    isotropic = invariant_isotropic_exists(gens, j, dim_bound=dim_bound)
+        residue = max(residue, check.residue)
+    try:
+        isotropic = invariant_isotropic_exists(gens, j)
+    except PeriodLabError as exc:
+        return OracleVerdicts(gens, j, None, residue, exc)
     return OracleVerdicts(gens, j, not isotropic, residue)
 
 
@@ -295,12 +306,12 @@ def attach_oracle_checks(report: Report, p: WDParameter,
                          factors: bool, elliptic: bool) -> None:
     """Run the matrix oracle and record agreement with the rule verdicts.
 
-    The two layers fail independently: an error in the isotropy search
+    The two layers fail independently: a refused isotropy search
     (multiplicity or surrogate range) still leaves the form-layer verdict
     on record, with agreement downgraded to None rather than False.
     """
     try:
-        verdicts = oracle_verdicts(p, catalog, with_isotropy=False)
+        verdicts = oracle_verdicts(p, catalog)
     except PeriodLabError as exc:
         report.add("oracle-form", ERROR, TAG_ORACLE_FORM, str(exc))
         report.oracle_agreement = None
@@ -313,18 +324,33 @@ def attach_oracle_checks(report: Report, p: WDParameter,
     if not verdicts.skew_found:
         report.oracle_agreement = form_agrees
         return
-    try:
-        isotropic = invariant_isotropic_exists(verdicts.gens, verdicts.form)
-    except PeriodLabError as exc:
-        report.add("oracle-isotropy", ERROR, TAG_ORACLE_ISOTROPY, str(exc))
+    if verdicts.isotropy_refusal is not None:
+        report.add("oracle-isotropy", ERROR, TAG_ORACLE_ISOTROPY,
+                   str(verdicts.isotropy_refusal))
         report.oracle_agreement = None
         return
-    isotropy_agrees = (not isotropic) == elliptic
+    isotropy_agrees = verdicts.elliptic == elliptic
     report.add_outcome(
         "oracle-isotropy", isotropy_agrees, TAG_ORACLE_ISOTROPY,
-        "found an invariant isotropic subspace" if isotropic
-        else "no invariant isotropic subspace")
+        "no invariant isotropic subspace" if verdicts.elliptic
+        else "found an invariant isotropic subspace")
     report.oracle_agreement = form_agrees and isotropy_agrees
+
+
+def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
+                  use_oracle: bool) -> None:
+    """Record the symplectic-image and ellipticity rule checks, and with
+    ``use_oracle`` the matrix oracle's verdicts on them."""
+    factors = factors_through_sp_symbolic(p)
+    report.add_outcome("sp-image", factors, TAG_SP,
+                       "symplectic pairing exists" if factors
+                       else "no symplectic pairing exists")
+    elliptic = is_x_elliptic_symbolic(p)
+    report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
+                       "multiplicity-free symplectic-type decomposition"
+                       if elliptic else "parameter is not elliptic")
+    if use_oracle:
+        attach_oracle_checks(report, p, catalog, factors, elliptic)
 
 
 def check_conjecture_instance(spec: RDSSpec, use_oracle: bool = False,
@@ -346,14 +372,5 @@ def check_conjecture_instance(spec: RDSSpec, use_oracle: bool = False,
                        f"dim = {p.dim} = 2n")
     report.add_outcome("tempered", is_tempered(p), TAG_TEMPERED,
                        "all twists zero")
-    factors = factors_through_sp_symbolic(p)
-    report.add_outcome("sp-image", factors, TAG_SP,
-                       "all blocks of symplectic type" if factors
-                       else "no symplectic pairing exists")
-    elliptic = is_x_elliptic_symbolic(p)
-    report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
-                       "multiplicity-free symplectic-type decomposition"
-                       if elliptic else "parameter is not elliptic")
-    if use_oracle:
-        attach_oracle_checks(report, p, catalog, factors, elliptic)
+    add_sp_checks(report, p, catalog, use_oracle)
     return report

@@ -49,6 +49,8 @@ from .matrix_lab import (
 from .param_core import CuspidalLabel, SelfDualityType, Segment
 
 SL2_SURROGATE_BOUND = 6
+# The largest realized dimension the invariant-isotropy search accepts.
+ISOTROPY_DIM_BOUND = 12
 
 _CHAR_TOL = 1e-6
 
@@ -299,12 +301,6 @@ def _icosian_group() -> FiniteGroup:
     return group
 
 
-@cache
-def _spin_model() -> IrrepModel:
-    group = _icosian_group()
-    return _make_model("spin", group, group.elements, exact=False)
-
-
 @lru_cache(maxsize=None)
 def sl2_surrogate(k: int) -> IrrepModel:
     """Sym^{k-1} of the spin model: the finite stand-in for S(k).
@@ -364,7 +360,6 @@ class Catalog:
     """Named cuspidal labels with optional matrix models."""
 
     entries: dict[str, CatalogEntry]
-    sl2_surrogate_bound: int = SL2_SURROGATE_BOUND
 
     def label(self, name: str) -> CuspidalLabel:
         entry = self.entries.get(name)
@@ -486,13 +481,11 @@ class _OracleContext:
         self.models = [self.catalog.model_for(s.cuspidal)
                        for s in self.segments]
         self.icosian = _icosian_group()
-        bound = getattr(self.catalog, "sl2_surrogate_bound",
-                        SL2_SURROGATE_BOUND)
         for s in self.segments:
-            if s.k > bound:
+            if s.k > SL2_SURROGATE_BOUND:
                 raise SurrogateBoundExceededError(
                     f"segment St({s.k},{s.cuspidal.name}) exceeds the "
-                    f"SL(2) surrogate bound {bound}")
+                    f"SL(2) surrogate bound {SL2_SURROGATE_BOUND}")
         self.surrogates = {s.k: sl2_surrogate(s.k) for s in self.segments}
         self.factors: list[FiniteGroup] = []
         for m in self.models:
@@ -608,7 +601,7 @@ def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
 
 def invariant_isotropic_exists(gens: GeneratorSet,
                                j: Union[BilinearForm, Matrix],
-                               dim_bound: int = 12,
+                               dim_bound: int = ISOTROPY_DIM_BOUND,
                                tol: float = FLOAT_TOL) -> bool:
     """Whether a nonzero invariant J-isotropic subspace exists.
 

@@ -195,10 +195,6 @@ class Matrix:
         d = self.as_complex() - other.as_complex()
         return float(np.abs(d).max()) if d.size else 0.0
 
-    def max_abs(self) -> float:
-        a = self.as_complex()
-        return float(np.abs(a).max()) if a.size else 0.0
-
     def is_identity(self, tol: float = FLOAT_TOL) -> bool:
         if not self.is_square:
             return False
@@ -224,9 +220,7 @@ class Matrix:
         if self.data.size == 0:
             return 0
         s = np.linalg.svd(self.data, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int((s > tol * max(1.0, s[0])).sum())
+        return int((s > _rank_cutoff(s, tol)).sum())
 
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "float"
@@ -338,10 +332,15 @@ def nullspace_exact(rows: Sequence[dict[int, QQi]], ncols: int) -> list[list[QQi
     return _Rref(ncols, rows).nullspace()
 
 
+def _rank_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
+    """The float rank rule: singular values above ``tol * max(1, largest)``
+    count.  ``s`` is sorted descending along its last axis; the cutoff keeps
+    that axis with length 1, so it broadcasts against ``s``."""
+    return tol * np.maximum(1.0, s[..., :1])
+
+
 def _full_rank(s: np.ndarray, tol: float) -> np.ndarray:
-    """Whether the rank rule of :meth:`Matrix.rank` keeps every singular
-    value, for singular values sorted descending along the last axis."""
-    return s[..., -1] > tol * np.maximum(1.0, s[..., 0])
+    return (s > _rank_cutoff(s, tol)).all(axis=-1)
 
 
 def _gaussian_integers(arrays: Sequence[np.ndarray]):
@@ -402,8 +401,7 @@ def nullspace_float(a: np.ndarray, ncols: int, tol: float = FLOAT_TOL) -> np.nda
     if m.shape[0] == 0 or not np.any(np.abs(m) > 0):
         return np.eye(ncols, dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    cutoff = tol * max(1.0, float(s[0]))
-    rank = int((s > cutoff).sum())
+    rank = int((s > _rank_cutoff(s, tol)).sum())
     return vh[rank:].conj().T
 
 
@@ -685,8 +683,24 @@ def kron_form(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
     return BilinearForm(gram, sym, b1.nondegenerate and b2.nondegenerate)
 
 
+@dataclass(frozen=True)
+class SpCheck:
+    """What :func:`is_in_sp` decided, and on which residue.
+
+    Truthy exactly when g^T J g = J holds.  ``residue`` is the largest entry
+    of |g^T J g - J|: exactly 0.0 when an exact check holds, the float value
+    the tolerance was applied to otherwise.
+    """
+
+    holds: bool
+    residue: float
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
 def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix],
-             tol: float = FLOAT_TOL) -> bool:
+             tol: float = FLOAT_TOL) -> SpCheck:
     """Whether g preserves the form: g^T J g = J.
 
     Exact equality when both sides are exact; max-entry tolerance otherwise.
@@ -697,8 +711,10 @@ def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix],
             f"generator {g.shape} does not match form {gram.shape}")
     moved = g.T @ gram @ g
     if moved.exact and gram.exact:
-        return moved.equals(gram, tol=0)
-    return moved.max_abs_diff(gram) <= tol
+        holds = moved.equals(gram, tol=0)
+        return SpCheck(holds, 0.0 if holds else moved.max_abs_diff(gram))
+    residue = moved.max_abs_diff(gram)
+    return SpCheck(residue <= tol, residue)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +845,7 @@ def _row_space_basis(rows: np.ndarray, tol: float) -> list[np.ndarray]:
     if rows.size == 0 or not np.any(np.abs(rows) > tol):
         return []
     _, s, vh = np.linalg.svd(rows)
-    cutoff = tol * max(1.0, float(s[0]))
+    cutoff = _rank_cutoff(s, tol)[0]
     rank = int((s > cutoff).sum())
     out = []
     for row in vh[:rank]:

@@ -1,0 +1,227 @@
+"""The conjecture sweep over regular discrete sums, with negative controls."""
+
+from __future__ import annotations
+
+import itertools
+
+from .distinction import (
+    TAG_RDS,
+    TAG_SP,
+    RDSSpec,
+    attach_oracle_checks,
+    check_conjecture_instance,
+    factors_through_sp_symbolic,
+    is_linear_distinguished,
+    is_x_elliptic_symbolic,
+)
+from .errors import (
+    DimensionMismatchError,
+    DuplicateSegmentError,
+    NotDistinguishedError,
+    OddBlockError,
+    PeriodLabError,
+)
+from .group_models import ISOTROPY_DIM_BOUND, SL2_SURROGATE_BOUND, Catalog
+from .notation import print_param
+from .param_core import (
+    CuspidalLabel,
+    Segment,
+    SelfDualityType,
+    WDParameter,
+    segment_self_duality,
+)
+from .reporting import ERROR, PASS, Report
+
+
+def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
+    """Exhaustively check every regular discrete sum up to ``max_dim``.
+
+    Every valid spec must pass symbolically and agree with the matrix
+    oracle; specs containing blocks beyond the SL(2) surrogate range get
+    the invariant-form oracle only.  Invalid specs (duplicate,
+    undistinguished or odd blocks, a dimension mismatch) must be rejected,
+    and parameters that factor without being elliptic, or do not factor at
+    all, must be classified alike by the rules and the oracle.  ``source``
+    names the catalog in the enumeration note.
+    """
+    report = Report(input=f"sweep max_dim={max_dim}")
+    pool, skipped = _segment_pool(catalog, max_dim)
+    combos = [combo for size in range(1, len(pool) + 1)
+              for combo in itertools.combinations(pool, size)
+              if sum(s.dim for s in combo) <= max_dim]
+    note = f"{len(combos)} valid specs from {len(pool)} blocks ({source})"
+    if skipped:
+        note += "; skipped: " + ", ".join(skipped)
+    report.add("enumeration", PASS, TAG_RDS, note)
+
+    agreement = True
+    for combo in combos:
+        text = print_param(WDParameter.of(combo))
+        spec = RDSSpec(sum(s.dim for s in combo) // 2, combo)
+        full_oracle = all(s.k <= SL2_SURROGATE_BOUND for s in combo)
+        try:
+            rep = check_conjecture_instance(spec, use_oracle=True,
+                                            catalog=catalog)
+        except PeriodLabError as exc:
+            report.add_outcome(f"rds {text}", False, TAG_RDS, str(exc))
+            continue
+        if rep.oracle_agreement is False:
+            agreement = False
+        # beyond the surrogate range the isotropy search refuses by design
+        failure = next((f"{c.name}: {c.details}" for c in rep.checks
+                        if c.verdict != PASS
+                        and (full_oracle or c.name != "oracle-isotropy")), "")
+        if failure:
+            details = failure
+        elif full_oracle:
+            details = f"{len(rep.checks)} checks pass"
+        else:
+            details = (f"symbolic + form oracle; isotropy oracle limited to "
+                       f"k <= {SL2_SURROGATE_BOUND}")
+        report.add_outcome(f"rds {text}", not failure, TAG_RDS, details)
+
+    agreement = _run_validation_controls(report, catalog, pool) and agreement
+    agreement = _run_parameter_controls(report, catalog, pool) and agreement
+    report.oracle_agreement = agreement
+    return report
+
+
+def _modeled_labels(catalog: Catalog) -> list[CuspidalLabel]:
+    """Labels with a matrix model, in name order."""
+    return [label for label in sorted(catalog.labels(), key=lambda l: l.name)
+            if catalog.entries[label.name].model is not None]
+
+
+def _segment_pool(catalog: Catalog,
+                  max_dim: int) -> tuple[list[Segment], list[str]]:
+    """Distinguished even-dimensional segments buildable from the catalog.
+
+    Labels without a matrix model cannot face the oracle and are skipped
+    with a note.
+    """
+    pool: list[Segment] = []
+    skipped: list[str] = []
+    for label in sorted(catalog.labels(), key=lambda l: l.name):
+        for k in range(1, max_dim // label.dim + 1):
+            seg = Segment(label, k)
+            if seg.dim % 2 == 1 or not is_linear_distinguished(seg):
+                continue
+            if catalog.entries[label.name].model is None:
+                skipped.append(f"St({k},{label.name}): no matrix model")
+                continue
+            pool.append(seg)
+    pool.sort(key=lambda s: (s.dim, s.k, s.cuspidal.name, s.twist))
+    return pool, skipped
+
+
+def _run_validation_controls(report: Report, catalog: Catalog,
+                             pool: list[Segment]) -> bool:
+    controls: list[tuple[str, RDSSpec, type]] = []
+    if pool:
+        s = pool[0]
+        controls.append(("duplicate-blocks", RDSSpec(s.dim, (s, s)),
+                         DuplicateSegmentError))
+        controls.append(("dimension-mismatch", RDSSpec(s.dim, (s,)),
+                         DimensionMismatchError))
+    bad = _first_undistinguished(catalog)
+    if bad is not None:
+        controls.append(("undistinguished-block",
+                         RDSSpec(bad.dim // 2, (bad,)),
+                         NotDistinguishedError))
+    pair = _first_dual_pair(catalog)
+    if pair is not None and pair[0].dim % 2 == 1:
+        controls.append(("odd-blocks", RDSSpec(pair[0].dim, pair),
+                         OddBlockError))
+    ok_all = True
+    for name, spec, expected in controls:
+        try:
+            check_conjecture_instance(spec, use_oracle=True, catalog=catalog)
+            report.add_outcome(f"control {name}", False, TAG_RDS,
+                               "expected rejection, got a report")
+            ok_all = False
+        except expected as exc:
+            report.add_outcome(f"control {name}", True, TAG_RDS,
+                               f"rejected: {exc}")
+        except PeriodLabError as exc:
+            report.add_outcome(f"control {name}", False, TAG_RDS,
+                               f"wrong error: {exc!r}")
+            ok_all = False
+    return ok_all
+
+
+def _first_undistinguished(
+        catalog: Catalog,
+        sd_type: SelfDualityType | None = None) -> Segment | None:
+    """An even-dimensional segment St(k, rho), k = 1 or 2, of a modeled
+    label that fails linear distinction, optionally of one self-duality
+    type."""
+    for label in _modeled_labels(catalog):
+        for k in (1, 2):
+            seg = Segment(label, k)
+            if seg.dim % 2 == 1:
+                continue
+            if sd_type is not None and segment_self_duality(seg) is not sd_type:
+                continue
+            if not is_linear_distinguished(seg):
+                return seg
+    return None
+
+
+def _first_dual_pair(catalog: Catalog) -> tuple[Segment, Segment] | None:
+    """St(1, rho) and St(1, dual of rho) for the first non-self-dual
+    modeled label whose dual is modeled too."""
+    modeled = _modeled_labels(catalog)
+    for label in modeled:
+        if label.sd_type is not SelfDualityType.NOT_SELF_DUAL:
+            continue
+        if label.name >= label.dual_name:
+            continue
+        dual = catalog.label(label.dual_name)
+        if dual in modeled:
+            return Segment(label, 1), Segment(dual, 1)
+    return None
+
+
+def _run_parameter_controls(report: Report, catalog: Catalog,
+                            pool: list[Segment]) -> bool:
+    """Parameters that factor without being elliptic, or do not factor at
+    all; the rules and the oracle must agree on each."""
+    bound = ISOTROPY_DIM_BOUND  # every control faces the isotropy search
+    controls: list[tuple[str, tuple[Segment, ...], bool]] = []
+    dup = next((s for s in pool
+                if segment_self_duality(s) is SelfDualityType.SYMPLECTIC
+                and s.k <= SL2_SURROGATE_BOUND and 2 * s.dim <= bound), None)
+    if dup is not None:
+        controls.append(("duplicate-parameter", (dup, dup), True))
+    pair = _first_dual_pair(catalog)
+    if pair is not None and 2 * pair[0].dim <= bound:
+        controls.append(("dual-pair-parameter", pair, True))
+    bad = _first_undistinguished(catalog, SelfDualityType.ORTHOGONAL)
+    if bad is not None:
+        if bad.dim <= bound:
+            controls.append(("orthogonal-single", (bad,), False))
+        if 2 * bad.dim <= bound:
+            controls.append(("orthogonal-double", (bad, bad), True))
+    agreement = True
+    for name, segments, want_factors in controls:
+        p = WDParameter.of(segments)
+        factors = factors_through_sp_symbolic(p)
+        elliptic = is_x_elliptic_symbolic(p)
+        oracle = Report(input=print_param(p))
+        attach_oracle_checks(oracle, p, catalog, factors, elliptic)
+        oracle_ok = oracle.oracle_agreement is True
+        agreement = agreement and oracle_ok
+        if oracle.oracle_agreement is None:  # an oracle stage refused
+            error = next(c.details for c in oracle.checks
+                         if c.verdict == ERROR)
+            report.add_outcome(f"control {name}", False, TAG_SP,
+                               f"oracle error: {error}")
+            continue
+        outcome = ["factors" if factors else "does not factor",
+                   "elliptic" if elliptic else "not elliptic",
+                   "oracle agrees" if oracle_ok else "oracle disagrees"]
+        report.add_outcome(
+            f"control {name}",
+            oracle_ok and factors == want_factors and not elliptic, TAG_SP,
+            f"{oracle.input}: " + ", ".join(outcome))
+    return agreement

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import periodlab
+from periodlab import distinction
 from periodlab.cli import (
     CATALOG_ENV,
     main,
@@ -17,6 +18,7 @@ from periodlab.cli import (
     run_conjecture_sweep,
     run_verify_matrices,
 )
+from periodlab.distinction import FORM_ORACLE_DIM_BOUND
 from periodlab.reporting import ERROR, PASS
 
 USER_CATALOG = textwrap.dedent("""\
@@ -35,11 +37,12 @@ USER_CATALOG = textwrap.dedent("""\
 # -- classify ------------------------------------------------------------------
 
 
-def test_python_dash_m_periodlab_runs_without_warnings():
+@pytest.mark.parametrize("module", ["periodlab", "periodlab.cli"])
+def test_python_dash_m_periodlab_runs_without_warnings(module):
     src = str(Path(periodlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "periodlab",
+        [sys.executable, "-W", "error", "-m", module,
          "classify", "q8 (+) q8b"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path})
@@ -148,6 +151,21 @@ def test_classify_golden_json(capsys):
     }
 
 
+def test_classify_exact_residue_is_exactly_zero(capsys):
+    assert main(["classify", "q8 (+) St(6,trivial)", "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "max |g^T J g - J| = 0.00e+00" in out
+
+
+def test_classify_refuses_oversized_oracle_input(capsys):
+    assert main(["classify", "St(1000000,q8)", "--oracle", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    form = next(c for c in data["checks"] if c["name"] == "oracle-form")
+    assert form["verdict"] == "error"
+    assert f"bound is {FORM_ORACLE_DIM_BOUND}" in form["details"]
+    assert data["oracle_agreement"] is None
+
+
 # -- verify-matrices --------------------------------------------------------------
 
 
@@ -190,6 +208,12 @@ def test_sweep_small_cap():
     assert all(c.verdict == PASS for c in controls)
 
 
+def test_sweep_json_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "sweep_max_dim_6.json"
+    assert main(["sweep", "--max-dim", "6", "--json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_sweep_rejects_out_of_range_cap(capsys):
     assert main(["sweep", "--max-dim", "13"]) == 2
     assert "between 2 and 12" in capsys.readouterr().err
@@ -220,3 +244,12 @@ def test_sweep_bad_catalog_exits_three(tmp_path):
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(gens):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(distinction, "invariant_forms", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["classify", "q8", "--oracle"])

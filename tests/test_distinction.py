@@ -7,6 +7,7 @@ import pytest
 from periodlab import (
     AParameter,
     ASummand,
+    SL2_SURROGATE_BOUND,
     RDSSpec,
     Segment,
     Symmetry,
@@ -30,6 +31,7 @@ from periodlab.errors import (
     NotDistinguishedError,
     OddBlockError,
     OddDimensionError,
+    SurrogateBoundExceededError,
 )
 from periodlab.reporting import ERROR, PASS
 
@@ -214,10 +216,13 @@ def test_oracle_verdicts_no_skew_for_orthogonal_single():
     assert v.elliptic is None
 
 
-def test_oracle_verdicts_isotropy_optional():
-    v = oracle_verdicts(param(seg("q8")), with_isotropy=False)
+def test_oracle_verdicts_refused_isotropy_keeps_form_verdict():
+    v = oracle_verdicts(param(seg("trivial", 8)))
     assert v.skew_found
+    assert v.max_residue == 0.0
     assert v.elliptic is None
+    assert isinstance(v.isotropy_refusal, SurrogateBoundExceededError)
+    assert f"bound {SL2_SURROGATE_BOUND}" in str(v.isotropy_refusal)
 
 
 def test_oracle_verdicts_non_elliptic_case():

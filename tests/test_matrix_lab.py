@@ -158,6 +158,17 @@ def test_nullspace_float_matches_rank():
     assert np.abs(a @ basis).max() < 1e-9
 
 
+@pytest.mark.parametrize("top, low, rank", [
+    (3.0, 3.03e-9, 2), (3.0, 2.97e-9, 1),    # cutoff tol * s_max
+    (0.5, 1.01e-9, 2), (0.5, 0.99e-9, 1),    # cutoff tol * 1
+])
+def test_float_rank_rule_is_shared(top, low, rank):
+    m = Matrix.from_array(np.diag([top, low]).astype(complex))
+    assert m.rank() == rank
+    assert m.is_invertible() == (rank == 2)
+    assert nullspace_float(m.data, 2).shape == (2, 2 - rank)
+
+
 small_exact = st.integers(-5, 5)
 
 
