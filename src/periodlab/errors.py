@@ -152,4 +152,4 @@ class NonIntegralIndicatorError(PeriodLabError):
 
 
 class CommutantMismatchError(PeriodLabError):
-    """Numeric commutant dimension disagrees with character-theoretic count."""
+    """Generator blocks or commutant dimension disagree with the recipe."""

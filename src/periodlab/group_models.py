@@ -1,11 +1,12 @@
-"""Finite-group stand-ins for cuspidal labels and the SL(2) surrogate.
+"""Finite-group stand-ins for cuspidal labels, and the isotropy oracle.
 
-The matrix oracles need honest finite sums, so every label with a model is
-backed by a concrete finite group given as explicit matrices with a verified
-multiplication table, and the k-dimensional SL(2) factor is replaced by the
-symmetric powers of the binary icosahedral group 2I.  Those powers stay
-irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``), which is enforced,
-never silently exceeded.
+Every label with a model is backed by a concrete finite group given as
+explicit matrices with a verified multiplication table.  The isotropy oracle
+reads the isotypic structure of a realization from its recipe and certifies
+it by the commutant dimension, for every block length k.  The symmetric
+powers of the binary icosahedral group 2I (``sl2_surrogate``) are a finite
+stand-in for S(k), irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``);
+the oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -46,7 +47,7 @@ from .matrix_lab import (
     nullspace_float,
     sym_power,
 )
-from .param_core import CuspidalLabel, SelfDualityType, Segment
+from .param_core import CuspidalLabel, SelfDualityType
 
 SL2_SURROGATE_BOUND = 6
 # The largest realized dimension the invariant-isotropy search accepts.
@@ -191,9 +192,6 @@ class IrrepModel:
     matrices: tuple[Matrix, ...]
     character: np.ndarray
     exact: bool
-
-    def stack(self) -> np.ndarray:
-        return np.stack([m.as_complex() for m in self.matrices])
 
 
 def commutant_dimension(mats: Sequence[Matrix], dim: int,
@@ -458,145 +456,56 @@ def builtin_catalog() -> Catalog:
 # isotypic structure of realized parameters
 
 
-class _OracleContext:
-    """Factorized character data for the product group behind a realization.
+def _isotypic_components(
+        gens: GeneratorSet) -> dict[str, list[tuple[int, int]]]:
+    """The block spans of each isotypic component, read from the recipe.
 
-    The realized group is a product: one factor per distinct model group,
-    plus the icosian surrogate standing in for the SL(2) factor.  Characters
-    of both the realized blocks and the candidate irreducible classes
-    factor over this product, so all inner products are small per-factor
-    sums.
+    Every block rho (x) S(k) of a realization is irreducible: label models
+    are checked irreducible when they are built, and exp(E), exp(F) are
+    Zariski-dense in SL(2).  Blocks with equal (label, k) are identical, so
+    grouping them gives the isotypic decomposition exactly when the
+    generators act block-diagonally on the recipe's spans and the commutant
+    has dimension sum m^2, i.e. blocks of distinct classes are not
+    isomorphic.  Both are checked; components keep first-appearance order.
     """
-
-    def __init__(self, gens: GeneratorSet):
-        if gens.recipe is None:
-            raise ValueError(
-                "generator set carries no realization recipe; build it "
-                "with realize()")
-        recipe = gens.recipe
-        self.gens = gens
-        self.segments = recipe.segments
-        self.spans = recipe.spans
-        self.catalog = recipe.catalog
-        self.models = [self.catalog.model_for(s.cuspidal)
-                       for s in self.segments]
-        self.icosian = _icosian_group()
-        for s in self.segments:
-            if s.k > SL2_SURROGATE_BOUND:
-                raise SurrogateBoundExceededError(
-                    f"segment St({s.k},{s.cuspidal.name}) exceeds the "
-                    f"SL(2) surrogate bound {SL2_SURROGATE_BOUND}")
-        self.surrogates = {s.k: sl2_surrogate(s.k) for s in self.segments}
-        self.factors: list[FiniteGroup] = []
-        for m in self.models:
-            if m.group is self.icosian:
-                raise ConsistencyError(
-                    "label models may not reuse the SL(2) surrogate group")
-            if not any(f is m.group for f in self.factors):
-                self.factors.append(m.group)
-        # class representatives: distinct (label, k) in canonical order
-        self.classes: list[tuple[Segment, IrrepModel]] = []
-        seen = set()
-        for seg, model in zip(self.segments, self.models):
-            key = (seg.cuspidal.name, seg.k)
-            if key not in seen:
-                seen.add(key)
-                self.classes.append((seg, model))
-        self.class_ids = [f"{seg.cuspidal.name}⊗S({seg.k})"
-                          for seg, _ in self.classes]
-
-    # -- factorized characters -------------------------------------------
-    def _factor_chars(self, seg: Segment, model: IrrepModel) -> list[np.ndarray]:
-        chars = []
-        for f in self.factors:
-            if f is model.group:
-                chars.append(model.character)
-            else:
-                chars.append(np.ones(f.order, dtype=complex))
-        chars.append(self.surrogates[seg.k].character)
-        return chars
-
-    def multiplicity(self, class_index: int) -> int:
-        cseg, cmodel = self.classes[class_index]
-        cchars = self._factor_chars(cseg, cmodel)
-        total = 0.0 + 0j
-        for seg, model in zip(self.segments, self.models):
-            schars = self._factor_chars(seg, model)
-            term = 1.0 + 0j
-            for a, b in zip(schars, cchars):
-                term *= np.mean(a * b.conj())
-            total += term
-        nearest = round(total.real)
-        if abs(total - nearest) > _CHAR_TOL or nearest < 0:
-            raise NonIntegralIndicatorError(
-                f"multiplicity of {self.class_ids[class_index]} came out "
-                f"as {total}")
-        return int(nearest)
-
-    def multiplicities(self) -> list[tuple[str, int]]:
-        out = [(cid, self.multiplicity(i))
-               for i, cid in enumerate(self.class_ids)]
-        dim_total = sum(
-            mult * cseg.dim
-            for (cseg, _), (_, mult) in zip(self.classes, out))
-        if dim_total != self.gens.dim:
-            raise CommutantMismatchError(
-                f"isotypic dimensions sum to {dim_total}, expected "
-                f"{self.gens.dim}")
-        commutant = commutant_dimension(self.gens.generators, self.gens.dim)
-        expected = sum(mult * mult for _, mult in out)
-        if commutant != expected:
-            raise CommutantMismatchError(
-                f"commutant dimension {commutant} disagrees with character "
-                f"count {expected}")
-        return out
-
-    def projector(self, class_index: int) -> np.ndarray:
-        """Isotypic projector for a class, verified to be one."""
-        cseg, cmodel = self.classes[class_index]
-        n = self.gens.dim
-        proj = np.zeros((n, n), dtype=complex)
-        csur = self.surrogates[cseg.k]
-        for seg, model, (lo, hi) in zip(self.segments, self.models,
-                                        self.spans):
-            if model.group is not cmodel.group:
-                # the class character is nontrivial on its own group factor,
-                # which acts trivially here: the average over that factor
-                # vanishes, so this block contributes zero
-                continue
-            g_part = (cmodel.dim / cmodel.group.order) * np.einsum(
-                "g,gij->ij", cmodel.character.conj(), model.stack())
-            ssur = self.surrogates[seg.k]
-            s_part = (csur.dim / self.icosian.order) * np.einsum(
-                "g,gij->ij", csur.character.conj(), ssur.stack())
-            proj[lo:hi, lo:hi] = np.kron(g_part, s_part)
-        if np.abs(proj @ proj - proj).max() > 1e-7:
-            raise CommutantMismatchError(
-                f"projector for {self.class_ids[class_index]} is not "
-                f"idempotent")
-        for g in self.gens.generators:
-            gc = g.as_complex()
-            if np.abs(gc @ proj - proj @ gc).max() > 1e-7:
-                raise CommutantMismatchError(
-                    f"projector for {self.class_ids[class_index]} does not "
-                    f"commute with the generators")
-        return proj
-
-    def component_spans(self, class_index: int) -> list[tuple[int, int]]:
-        cseg, _ = self.classes[class_index]
-        key = (cseg.cuspidal.name, cseg.k)
-        return [span for seg, span in zip(self.segments, self.spans)
-                if (seg.cuspidal.name, seg.k) == key]
+    recipe = gens.recipe
+    if recipe is None:
+        raise ValueError(
+            "generator set carries no realization recipe; build it "
+            "with realize()")
+    n = gens.dim
+    dim_total = sum(hi - lo for lo, hi in recipe.spans)
+    if dim_total != n:
+        raise CommutantMismatchError(
+            f"isotypic dimensions sum to {dim_total}, expected {n}")
+    components: dict[str, list[tuple[int, int]]] = {}
+    for seg, span in zip(recipe.segments, recipe.spans):
+        components.setdefault(f"{seg.cuspidal.name}⊗S({seg.k})",
+                              []).append(span)
+    off_blocks = np.ones((n, n), dtype=bool)
+    for lo, hi in recipe.spans:
+        off_blocks[lo:hi, lo:hi] = False
+    if any(any(g.data[off_blocks]) for g in gens.generators):
+        raise CommutantMismatchError(
+            "generators do not act block-diagonally on the recipe's blocks")
+    commutant = commutant_dimension(gens.generators, n)
+    expected = sum(len(spans) ** 2 for spans in components.values())
+    if commutant != expected:
+        raise CommutantMismatchError(
+            f"commutant dimension {commutant} disagrees with block count "
+            f"{expected}")
+    return components
 
 
 def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
     """Multiplicities of the distinct irreducible classes of a realization.
 
-    Computed by factorized character inner products over the finite product
-    group behind the realization and cross-checked against the numeric
+    Read from the realization recipe by grouping blocks by (label, k), and
+    certified by block-diagonality of the generators and the numeric
     commutant dimension (which must equal the sum of squares).
     """
-    return _OracleContext(gens).multiplicities()
+    return [(cid, len(spans))
+            for cid, spans in _isotypic_components(gens).items()]
 
 
 def invariant_isotropic_exists(gens: GeneratorSet,
@@ -606,8 +515,10 @@ def invariant_isotropic_exists(gens: GeneratorSet,
     """Whether a nonzero invariant J-isotropic subspace exists.
 
     ``j`` must be skew, nondegenerate, and invariant under the generators.
-    The search is structural and fully verified: isotypic projectors are
-    computed and checked, then (a) every union of isotypic components is
+    The search is structural and fully verified: the isotypic components
+    are read from the realization recipe and certified (block-diagonal
+    generators, commutant dimension sum m^2), then (a) every union of
+    isotypic components is
     tested for isotropy directly, and (b) inside each multiplicity-2
     component the irreducible graph submodules are parameterized by a
     projective scalar and the (at most quadratic) isotropy equation is
@@ -633,18 +544,15 @@ def invariant_isotropic_exists(gens: GeneratorSet,
         if np.abs(gc.T @ jc @ gc - jc).max() > tol * scale:
             raise ValueError("the form must be invariant under the generators")
 
-    ctx = _OracleContext(gens)
-    mults = ctx.multiplicities()
-    for cid, mult in mults:
-        if mult > 2:
+    components = _isotypic_components(gens)
+    for cid, spans in components.items():
+        if len(spans) > 2:
             raise MultiplicityTooHighError(
-                f"component {cid} has multiplicity {mult}; the isotropy "
-                f"search handles at most 2")
-    for i in range(len(ctx.classes)):
-        ctx.projector(i)  # verified structural decomposition
+                f"component {cid} has multiplicity {len(spans)}; the "
+                f"isotropy search handles at most 2")
 
     iso_tol = tol * scale
-    comp_spans = [ctx.component_spans(i) for i in range(len(ctx.classes))]
+    comp_spans = list(components.values())
 
     # (a) unions of full isotypic components
     indices = range(len(comp_spans))

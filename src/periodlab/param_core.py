@@ -286,16 +286,6 @@ def arthur_to_l(a: AParameter) -> WDParameter:
     return WDParameter.of(segments)
 
 
-def segment_atom(s: Segment) -> str:
-    """Compact display form of a segment without its twist.
-
-    ``St(1, rho)`` collapses to the bare label name.
-    """
-    if s.k == 1:
-        return s.cuspidal.name
-    return f"St({s.k},{s.cuspidal.name})"
-
-
 def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:
     """Distinct segments of ``p`` with multiplicities, in canonical order.
 

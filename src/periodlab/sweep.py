@@ -21,7 +21,7 @@ from .errors import (
     OddBlockError,
     PeriodLabError,
 )
-from .group_models import ISOTROPY_DIM_BOUND, SL2_SURROGATE_BOUND, Catalog
+from .group_models import ISOTROPY_DIM_BOUND, Catalog
 from .notation import print_param
 from .param_core import (
     CuspidalLabel,
@@ -37,12 +37,11 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
     """Exhaustively check every regular discrete sum up to ``max_dim``.
 
     Every valid spec must pass symbolically and agree with the matrix
-    oracle; specs containing blocks beyond the SL(2) surrogate range get
-    the invariant-form oracle only.  Invalid specs (duplicate,
-    undistinguished or odd blocks, a dimension mismatch) must be rejected,
-    and parameters that factor without being elliptic, or do not factor at
-    all, must be classified alike by the rules and the oracle.  ``source``
-    names the catalog in the enumeration note.
+    oracle.  Invalid specs (duplicate, undistinguished or odd blocks, a
+    dimension mismatch) must be rejected, and parameters that factor
+    without being elliptic, or do not factor at all, must be classified
+    alike by the rules and the oracle.  ``source`` names the catalog in the
+    enumeration note.
     """
     report = Report(input=f"sweep max_dim={max_dim}")
     pool, skipped = _segment_pool(catalog, max_dim)
@@ -58,7 +57,6 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
     for combo in combos:
         text = print_param(WDParameter.of(combo))
         spec = RDSSpec(sum(s.dim for s in combo) // 2, combo)
-        full_oracle = all(s.k <= SL2_SURROGATE_BOUND for s in combo)
         try:
             rep = check_conjecture_instance(spec, use_oracle=True,
                                             catalog=catalog)
@@ -67,18 +65,10 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
             continue
         if rep.oracle_agreement is False:
             agreement = False
-        # beyond the surrogate range the isotropy search refuses by design
         failure = next((f"{c.name}: {c.details}" for c in rep.checks
-                        if c.verdict != PASS
-                        and (full_oracle or c.name != "oracle-isotropy")), "")
-        if failure:
-            details = failure
-        elif full_oracle:
-            details = f"{len(rep.checks)} checks pass"
-        else:
-            details = (f"symbolic + form oracle; isotropy oracle limited to "
-                       f"k <= {SL2_SURROGATE_BOUND}")
-        report.add_outcome(f"rds {text}", not failure, TAG_RDS, details)
+                        if c.verdict != PASS), "")
+        report.add_outcome(f"rds {text}", not failure, TAG_RDS,
+                           failure or f"{len(rep.checks)} checks pass")
 
     agreement = _run_validation_controls(report, catalog, pool) and agreement
     agreement = _run_parameter_controls(report, catalog, pool) and agreement
@@ -190,7 +180,7 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
     controls: list[tuple[str, tuple[Segment, ...], bool]] = []
     dup = next((s for s in pool
                 if segment_self_duality(s) is SelfDualityType.SYMPLECTIC
-                and s.k <= SL2_SURROGATE_BOUND and 2 * s.dim <= bound), None)
+                and 2 * s.dim <= bound), None)
     if dup is not None:
         controls.append(("duplicate-parameter", (dup, dup), True))
     pair = _first_dual_pair(catalog)

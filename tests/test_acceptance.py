@@ -50,7 +50,6 @@ from periodlab.errors import (
     ConsistencyError,
     ParseError,
     PeriodLabError,
-    SurrogateBoundExceededError,
 )
 
 CAT = builtin_catalog()
@@ -127,19 +126,18 @@ def test_criterion_1_discrete_sum_sweep(emit):
         try:
             if invariant_isotropic_exists(gens, j):
                 problems.append(f"{text}: invariant isotropic subspace found")
-        except SurrogateBoundExceededError:
+        except PeriodLabError:
             outside.append(text)
     elapsed = time.monotonic() - start
-    counts_ok = (len(specs) == 46 and outside == ["St(8,trivial)"]
-                 and elapsed < 60)
+    counts_ok = len(specs) == 46 and outside == [] and elapsed < 60
     ok = not problems and counts_ok
     emit("criterion 1 (discrete-sum sweep)", ok,
           f"{len(specs)} specs at dim <= 8, residues <= {RESIDUE_TOL:.0e}, "
-          f"no isotropic subspaces; isotropy out of surrogate range for "
+          f"no isotropic subspaces; isotropy refused for "
           f"{outside or 'none'}; {elapsed:.1f}s")
     assert not problems, problems[:5]
     assert len(specs) == 46
-    assert outside == ["St(8,trivial)"]
+    assert outside == []
     assert elapsed < 60
 
 
@@ -287,7 +285,7 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
             continue
         try:
             isotropic = invariant_isotropic_exists(gens, j)
-        except SurrogateBoundExceededError:
+        except PeriodLabError:
             outside.append(text)
             continue
         checked += 1
@@ -296,15 +294,14 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
                 f"{text}: symbolic elliptic={elliptic}, "
                 f"oracle isotropic={isotropic}")
     elapsed = time.monotonic() - start
-    ok = (not disagreements and checked >= 50
-          and outside == ["St(8,trivial)"])
+    ok = not disagreements and checked >= 50 and outside == []
     emit("criterion 5 (oracle-symbolic equivalence)", ok,
           f"{checked} factoring multiplicity-<=2 parameters at dim <= 8, "
-          f"zero disagreements; isotropy out of surrogate range for "
+          f"zero disagreements; isotropy refused for "
           f"{outside or 'none'}; {elapsed:.1f}s")
     assert not disagreements, disagreements[:5]
     assert checked >= 50
-    assert outside == ["St(8,trivial)"]
+    assert outside == []
 
 
 def test_criterion_6_indicator_ground_truth(emit):

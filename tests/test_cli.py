@@ -208,9 +208,10 @@ def test_sweep_small_cap():
     assert all(c.verdict == PASS for c in controls)
 
 
-def test_sweep_json_matches_golden(capsys):
-    golden = Path(__file__).parent / "golden" / "sweep_max_dim_6.json"
-    assert main(["sweep", "--max-dim", "6", "--json"]) == 0
+@pytest.mark.parametrize("max_dim", [6, 8])
+def test_sweep_json_matches_golden(capsys, max_dim):
+    golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
+    assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

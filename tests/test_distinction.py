@@ -7,7 +7,6 @@ import pytest
 from periodlab import (
     AParameter,
     ASummand,
-    SL2_SURROGATE_BOUND,
     RDSSpec,
     Segment,
     Symmetry,
@@ -25,14 +24,15 @@ from periodlab import (
     validate_rds,
 )
 from periodlab.errors import (
+    DimBoundExceededError,
     DimensionMismatchError,
     DuplicateSegmentError,
     NonTemperedError,
     NotDistinguishedError,
     OddBlockError,
     OddDimensionError,
-    SurrogateBoundExceededError,
 )
+from periodlab.group_models import ISOTROPY_DIM_BOUND
 from periodlab.reporting import ERROR, PASS
 
 CAT = builtin_catalog()
@@ -217,12 +217,12 @@ def test_oracle_verdicts_no_skew_for_orthogonal_single():
 
 
 def test_oracle_verdicts_refused_isotropy_keeps_form_verdict():
-    v = oracle_verdicts(param(seg("trivial", 8)))
+    v = oracle_verdicts(param(seg("trivial", 14)))
     assert v.skew_found
     assert v.max_residue == 0.0
     assert v.elliptic is None
-    assert isinstance(v.isotropy_refusal, SurrogateBoundExceededError)
-    assert f"bound {SL2_SURROGATE_BOUND}" in str(v.isotropy_refusal)
+    assert isinstance(v.isotropy_refusal, DimBoundExceededError)
+    assert f"bound is {ISOTROPY_DIM_BOUND}" in str(v.isotropy_refusal)
 
 
 def test_oracle_verdicts_non_elliptic_case():
@@ -262,9 +262,11 @@ def test_check_conjecture_instance_invalid_spec_raises():
 
 def test_oracle_isotropy_out_of_range_reports_error_not_disagreement():
     report = check_conjecture_instance(
-        RDSSpec(4, (seg("trivial", 8),)), use_oracle=True)
+        RDSSpec(7, (seg("trivial", 14),)), use_oracle=True)
     by_name = {c.name: c for c in report.checks}
     assert by_name["oracle-form"].verdict == PASS
+    assert by_name["oracle-form"].details.endswith("= 0.00e+00")
     assert by_name["oracle-isotropy"].verdict == ERROR
+    assert f"bound is {ISOTROPY_DIM_BOUND}" in by_name["oracle-isotropy"].details
     assert report.oracle_agreement is None
     assert report.exit_code == 1

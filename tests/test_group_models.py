@@ -1,5 +1,6 @@
 """Tests for finite-group models, indicators, catalogs, and the isotropy oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +23,14 @@ from periodlab import (
     invariant_forms,
     invariant_isotropic_exists,
     isotypic_multiplicities,
+    oracle_verdicts,
     realize,
     sl2_surrogate,
     symplectic_J,
 )
 from periodlab.errors import (
     CatalogError,
+    CommutantMismatchError,
     ConsistencyError,
     DimBoundExceededError,
     MissingModelError,
@@ -194,8 +197,36 @@ def test_multiplicities_mixed_groups():
 
 
 def test_multiplicities_beyond_surrogate_range():
-    with pytest.raises(SurrogateBoundExceededError):
-        isotypic_multiplicities(oracle_gens(seg("trivial", 8)))
+    gens = oracle_gens(seg("trivial", 8))
+    assert isotypic_multiplicities(gens) == [("trivial⊗S(8)", 1)]
+    assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
+
+
+def _foreign_generators(case):
+    """q8 (+) q8b's recipe on generators that do not match it, and a form
+    those generators preserve."""
+    base = oracle_gens(seg("q8"), seg("q8b"))
+    if case == "mixed-blocks":
+        # swapping coordinates 1 and 2 mixes the two blocks
+        p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],
+                              [0, 1, 0, 0], [0, 0, 0, 1]])
+        mixed = tuple(p @ g @ p.T for g in base.generators)
+        return (replace(base, generators=mixed),
+                p @ skew_of(base).gram @ p.T)
+    same = oracle_gens(seg("q8"), seg("q8"))
+    return replace(same, recipe=base.recipe), skew_of(same)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("mixed-blocks", "block-diagonally"),
+    ("extra-commutant", "commutant dimension 4 disagrees with block count 2"),
+])
+def test_isotypic_certificate_rejects_foreign_generators(case, message):
+    gens, j = _foreign_generators(case)
+    with pytest.raises(CommutantMismatchError, match=message):
+        isotypic_multiplicities(gens)
+    with pytest.raises(CommutantMismatchError, match=message):
+        invariant_isotropic_exists(gens, j)
 
 
 # -- the isotropy oracle --------------------------------------------------------
