@@ -307,7 +307,7 @@ def attach_oracle_checks(report: Report, p: WDParameter,
     """Run the matrix oracle and record agreement with the rule verdicts.
 
     The two layers fail independently: a refused isotropy search
-    (multiplicity or dimension bound) still leaves the form-layer verdict
+    (its dimension bound) still leaves the form-layer verdict
     on record, with agreement downgraded to None rather than False.
     """
     try:

@@ -139,10 +139,6 @@ class SurrogateBoundExceededError(PeriodLabError):
     """A finite stand-in for SL(2) was requested beyond its faithful range."""
 
 
-class MultiplicityTooHighError(PeriodLabError):
-    """The isotropy search only handles isotypic multiplicities up to two."""
-
-
 class DimBoundExceededError(PeriodLabError):
     """An oracle search was requested above its configured dimension bound."""
 

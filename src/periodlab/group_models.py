@@ -3,10 +3,12 @@
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a verified multiplication table.  The isotropy oracle
 reads the isotypic structure of a realization from its recipe and certifies
-it by the commutant dimension, for every block length k.  The symmetric
-powers of the binary icosahedral group 2I (``sl2_surrogate``) are a finite
-stand-in for S(k), irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``);
-the oracle does not use them.
+it by the commutant dimension, for every block length k and multiplicity.
+It checks its form with the form oracle's own checks (``classify_form``,
+``is_in_sp``) and tests one irreducible submodule per component.  The
+symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``) are
+a finite stand-in for S(k), irreducible exactly for k <= 6
+(``SL2_SURROGATE_BOUND``); the oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -32,7 +34,6 @@ from .errors import (
     ConsistencyError,
     DimBoundExceededError,
     MissingModelError,
-    MultiplicityTooHighError,
     NonIntegralIndicatorError,
     PeriodLabError,
     SurrogateBoundExceededError,
@@ -44,6 +45,9 @@ from .matrix_lab import (
     BilinearForm,
     GeneratorSet,
     Matrix,
+    Symmetry,
+    classify_form,
+    is_in_sp,
     nullspace_float,
     sym_power,
 )
@@ -225,7 +229,7 @@ def _make_model(name: str, group: FiniteGroup,
     for i, j in pairs:
         lhs = matrices[int(i)] @ matrices[int(j)]
         rhs = matrices[int(group.table[int(i), int(j)])]
-        if lhs.max_abs_diff(rhs) > 1e-8:
+        if not lhs.equals(rhs, 1e-8):
             raise ConsistencyError(
                 f"model {name}: matrices do not respect the group table")
     gen_mats = [matrices[i] for i in group.generator_idxs]
@@ -510,66 +514,41 @@ def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
 
 def invariant_isotropic_exists(gens: GeneratorSet,
                                j: Union[BilinearForm, Matrix],
-                               dim_bound: int = ISOTROPY_DIM_BOUND,
                                tol: float = FLOAT_TOL) -> bool:
     """Whether a nonzero invariant J-isotropic subspace exists.
 
-    ``j`` must be skew, nondegenerate, and invariant under the generators.
-    The search is structural and fully verified: the isotypic components
-    are read from the realization recipe and certified (block-diagonal
-    generators, commutant dimension sum m^2), then (a) every union of
-    isotypic components is
-    tested for isotropy directly, and (b) inside each multiplicity-2
-    component the irreducible graph submodules are parameterized by a
-    projective scalar and the (at most quadratic) isotropy equation is
-    solved and re-verified on the candidate subspace.  Multiplicities above
-    two are refused.
+    ``j`` must be skew, nondegenerate, and invariant under the generators,
+    as decided by :func:`classify_form` and :func:`is_in_sp` (exactly when
+    the generators and the form are exact).  A nonzero invariant subspace
+    contains an irreducible one, and a subspace of an isotropic space is
+    isotropic, so only irreducible invariant subspaces are searched.  Each
+    lies in one isotypic component, read from the realization recipe and
+    certified (block-diagonal generators, commutant dimension sum m^2).
+    With multiplicity 1 it is the block itself, isotropic when J vanishes
+    on it: exactly on the exact path, within ``tol * max(1, max|J|)`` on
+    the float path.  With multiplicity m >= 2 an isotropic graph of two
+    copies always exists; it is solved for and verified.
     """
     gram = j.gram if isinstance(j, BilinearForm) else j
-    n = gens.dim
-    if n > dim_bound:
+    if gens.dim > ISOTROPY_DIM_BOUND:
         raise DimBoundExceededError(
-            f"isotropy search bound is {dim_bound}, parameter has "
-            f"dimension {n}")
+            f"isotropy search bound is {ISOTROPY_DIM_BOUND}, parameter has "
+            f"dimension {gens.dim}")
+    form = classify_form(gram, tol)
+    if form.symmetry is not Symmetry.SKEW or not form.nondegenerate:
+        raise ValueError("the form must be skew-symmetric and nondegenerate")
+    if not all(is_in_sp(g, gram, tol) for g in gens.generators):
+        raise ValueError("the form must be invariant under the generators")
+
     jc = gram.as_complex()
-    if jc.shape != (n, n):
-        raise ValueError("form size does not match the generator set")
-    scale = max(1.0, float(np.abs(jc).max()))
-    if np.abs(jc + jc.T).max() > tol * scale:
-        raise ValueError("the form must be skew-symmetric")
-    if Matrix.from_array(jc).rank(tol) != n:
-        raise ValueError("the form must be nondegenerate")
-    for g in gens.generators:
-        gc = g.as_complex()
-        if np.abs(gc.T @ jc @ gc - jc).max() > tol * scale:
-            raise ValueError("the form must be invariant under the generators")
-
-    components = _isotypic_components(gens)
-    for cid, spans in components.items():
-        if len(spans) > 2:
-            raise MultiplicityTooHighError(
-                f"component {cid} has multiplicity {len(spans)}; the "
-                f"isotropy search handles at most 2")
-
-    iso_tol = tol * scale
-    comp_spans = list(components.values())
-
-    # (a) unions of full isotypic components
-    indices = range(len(comp_spans))
-    for size in range(1, len(comp_spans) + 1):
-        for subset in itertools.combinations(indices, size):
-            cols = np.concatenate([
-                np.arange(lo, hi) for i in subset for (lo, hi) in comp_spans[i]
-            ])
-            sub = jc[np.ix_(cols, cols)]
-            if np.abs(sub).max() <= iso_tol:
-                return True
-
-    # (b) graphs inside multiplicity-2 components
-    for i, spans in enumerate(comp_spans):
-        if len(spans) != 2:
-            continue
-        if _isotropic_graph_exists(jc, spans[0], spans[1], iso_tol):
+    iso_tol = tol * max(1.0, float(np.abs(jc).max()))
+    for spans in _isotypic_components(gens).values():
+        if len(spans) > 1:
+            return _isotropic_graph_exists(jc, spans[0], spans[1], iso_tol)
+        (lo, hi), = spans
+        block = gram.data[lo:hi, lo:hi]
+        if (not any(block.flat) if gram.exact
+                else np.abs(block).max() <= iso_tol):
             return True
     return False
 
@@ -580,42 +559,27 @@ def _isotropic_graph_exists(jc: np.ndarray, span1: tuple[int, int],
 
     The two copies are identical matrix representations (same model, same
     basis), so the identity map is a valid intertwiner and every irreducible
-    submodule of the component is such a graph.  The pairing blocks are
-    scalar multiples of one invariant pairing, making the isotropy condition
-    a single homogeneous quadratic in (a : b).
+    submodule of their sum is such a graph.  The pairing blocks are scalar
+    multiples of one invariant pairing, making the isotropy condition a
+    single homogeneous quadratic in (a : b), which always has a root over
+    the complex numbers.  Tries (1 : 0), then the roots (t : 1).
     """
     r1 = np.arange(*span1)
     r2 = np.arange(*span2)
     b11 = jc[np.ix_(r1, r1)]
-    b12 = jc[np.ix_(r1, r2)]
-    b21 = jc[np.ix_(r2, r1)]
+    cross = jc[np.ix_(r1, r2)] + jc[np.ix_(r2, r1)]
     b22 = jc[np.ix_(r2, r2)]
-    cross = b12 + b21
     profile = np.abs(b11) + np.abs(cross) + np.abs(b22)
     p, q = np.unravel_index(int(profile.argmax()), profile.shape)
-    alpha, beta, gamma = b11[p, q], cross[p, q], b22[p, q]
-
-    candidates: list[tuple[complex, complex]] = []
-    if abs(alpha) <= iso_tol:
-        candidates.append((1.0 + 0j, 0.0 + 0j))
-    if abs(gamma) <= iso_tol:
-        candidates.append((0.0 + 0j, 1.0 + 0j))
-    coeffs = [alpha, beta, gamma]
-    # roots of alpha t^2 + beta t + gamma, t = a/b
-    if abs(alpha) > iso_tol:
-        for t in np.roots(coeffs):
-            candidates.append((complex(t), 1.0 + 0j))
-    elif abs(beta) > iso_tol:
-        candidates.append((complex(-gamma / beta), 1.0 + 0j))
-
-    for a, b in candidates:
+    # roots of alpha t^2 + beta t + gamma, t = a/b; np.roots drops leading
+    # zero coefficients
+    roots = np.roots([b11[p, q], cross[p, q], b22[p, q]])
+    for a, b in [(1.0, 0.0), *((t, 1.0) for t in roots)]:
         norm = max(abs(a), abs(b))
-        if norm == 0:
-            continue
         a, b = a / norm, b / norm
-        residue = (a * a * b11 + a * b * cross + b * b * b22)
+        residue = a * a * b11 + a * b * cross + b * b * b22
         if np.abs(residue).max() <= 10 * iso_tol:
             return True
     raise PeriodLabError(
-        "internal: a multiplicity-2 component admitted no isotropic graph, "
-        "contradicting the pairing structure")
+        "internal: a component of multiplicity >= 2 admitted no isotropic "
+        "graph, contradicting the pairing structure")

@@ -10,11 +10,13 @@ Two arithmetic paths coexist:
   as soon as a construction needs other roots of unity or quaternion entries.
 
 A :class:`Matrix` records which path produced it; mixing paths silently
-downgrades to floats.  Null spaces are computed by a sparse row-reduction
-over QQi on the exact path and by SVD on the float path.  Invertibility,
-and so nondegeneracy of forms, is decided on the exact path by fraction-free
-elimination over the Gaussian integers (Bareiss 1968) once denominators are
-cleared, and on the float path by the SVD rank rule.
+downgrades to floats.  Each path has one comparison rule,
+:meth:`Matrix.equals`, and exact products are formed in Gaussian integers.
+Null spaces are computed by a sparse row-reduction over QQi on the exact
+path and by SVD on the float path.  Invertibility, and so nondegeneracy of
+forms, is decided on the exact path by fraction-free elimination over the
+Gaussian integers (Bareiss 1968) once denominators are cleared, and on the
+float path by the SVD rank rule.
 """
 
 from __future__ import annotations
@@ -134,7 +136,10 @@ class Matrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}")
         if self.exact and other.exact:
-            return Matrix(np.dot(self.data, other.data), True)
+            (ar,), (ai,), da = _gaussian_integers([self.data])
+            (br,), (bi,), db = _gaussian_integers([other.data])
+            return Matrix(_from_gaussian_integers(
+                ar @ br - ai @ bi, ar @ bi + ai @ br, da * db), True)
         return Matrix(self.as_complex() @ other.as_complex(), False)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -185,11 +190,15 @@ class Matrix:
 
     # -- predicates --------------------------------------------------------
     def equals(self, other: "Matrix", tol: float = FLOAT_TOL) -> bool:
+        """Exact equality when both matrices are exact, else
+        max|a - b| <= tol * max(1, max|a|, max|b|), the rank rule's scale."""
         if self.shape != other.shape:
             return False
         if self.exact and other.exact:
             return bool((self.data == other.data).all())
-        return self.max_abs_diff(other) <= tol
+        a, b = self.as_complex(), other.as_complex()
+        scale = max(np.abs(a).max(initial=1.0), np.abs(b).max(initial=1.0))
+        return bool(np.abs(a - b).max(initial=0.0) <= tol * scale)
 
     def max_abs_diff(self, other: "Matrix") -> float:
         d = self.as_complex() - other.as_complex()
@@ -361,6 +370,12 @@ def _gaussian_integers(arrays: Sequence[np.ndarray]):
     return re, im, den
 
 
+def _from_gaussian_integers(re, im, den: int) -> np.ndarray:
+    """The QQi array ``(re + i*im) / den``; undoes _gaussian_integers."""
+    return np.frompyfunc(
+        lambda a, b: QQi(Fraction(a, den), Fraction(b, den)), 2, 1)(re, im)
+
+
 def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
     """Whether the square Gaussian-integer matrix ``re + i*im`` is
     invertible.
@@ -435,10 +450,6 @@ def classify_form(gram: Matrix, tol: float = FLOAT_TOL) -> BilinearForm:
     else:
         sym = Symmetry.NEITHER
     return BilinearForm(gram, sym, gram.is_invertible(tol))
-
-
-def _gram_of(j: Union[BilinearForm, Matrix]) -> Matrix:
-    return j.gram if isinstance(j, BilinearForm) else j
 
 
 # ---------------------------------------------------------------------------
@@ -703,18 +714,17 @@ def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix],
              tol: float = FLOAT_TOL) -> SpCheck:
     """Whether g preserves the form: g^T J g = J.
 
-    Exact equality when both sides are exact; max-entry tolerance otherwise.
+    Decided by :meth:`Matrix.equals`: exactly when g and J are exact, else
+    within ``tol * max(1, max|g^T J g|, max|J|)``.
     """
-    gram = _gram_of(j)
+    gram = j.gram if isinstance(j, BilinearForm) else j
     if not g.is_square or g.shape != gram.shape:
         raise ShapeMismatchError(
             f"generator {g.shape} does not match form {gram.shape}")
     moved = g.T @ gram @ g
-    if moved.exact and gram.exact:
-        holds = moved.equals(gram, tol=0)
-        return SpCheck(holds, 0.0 if holds else moved.max_abs_diff(gram))
-    residue = moved.max_abs_diff(gram)
-    return SpCheck(residue <= tol, residue)
+    holds = moved.equals(gram, tol)
+    return SpCheck(holds, 0.0 if holds and moved.exact
+                   else moved.max_abs_diff(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +898,7 @@ def find_nondegenerate_skew(forms: Sequence[BilinearForm],
                     if _gaussian_nonsingular(re[c], im[c])), None)
         if win is None:
             return None
-        entry = np.frompyfunc(
-            lambda a, b: QQi(Fraction(a, den), Fraction(b, den)), 2, 1)
-        gram = Matrix(entry(re[win], im[win]), True)
+        gram = Matrix(_from_gaussian_integers(re[win], im[win], den), True)
     else:
         coeffs = np.array([[complex(c) for c in row] for row in combos])
         stack = [g.as_complex() for g in grams]

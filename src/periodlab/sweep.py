@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 from .distinction import (
     TAG_RDS,
     TAG_SP,
@@ -45,9 +43,7 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
     """
     report = Report(input=f"sweep max_dim={max_dim}")
     pool, skipped = _segment_pool(catalog, max_dim)
-    combos = [combo for size in range(1, len(pool) + 1)
-              for combo in itertools.combinations(pool, size)
-              if sum(s.dim for s in combo) <= max_dim]
+    combos = _bounded_combinations(pool, max_dim)
     note = f"{len(combos)} valid specs from {len(pool)} blocks ({source})"
     if skipped:
         note += "; skipped: " + ", ".join(skipped)
@@ -74,6 +70,24 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
     agreement = _run_parameter_controls(report, catalog, pool) and agreement
     report.oracle_agreement = agreement
     return report
+
+
+def _bounded_combinations(pool: list[Segment],
+                          max_dim: int) -> list[tuple[Segment, ...]]:
+    """The combinations of pool entries with total dimension at most
+    ``max_dim``, in ``itertools.combinations`` order size by size: a
+    recursion that stops at the bound lists them lexicographically, and a
+    stable sort by size finishes."""
+    found: list[tuple[Segment, ...]] = []
+
+    def extend(combo: tuple[Segment, ...], start: int, room: int) -> None:
+        for i in range(start, len(pool)):
+            if pool[i].dim <= room:
+                found.append(combo + (pool[i],))
+                extend(found[-1], i + 1, room - pool[i].dim)
+
+    extend((), 0, max_dim)
+    return sorted(found, key=len)
 
 
 def _modeled_labels(catalog: Catalog) -> list[CuspidalLabel]:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import periodlab
-from periodlab import distinction
+from periodlab import builtin_catalog, distinction, sweep
 from periodlab.cli import (
     CATALOG_ENV,
     main,
@@ -157,6 +158,17 @@ def test_classify_exact_residue_is_exactly_zero(capsys):
     assert "max |g^T J g - J| = 0.00e+00" in out
 
 
+def test_classify_large_float_form_passes_relative_tolerance(capsys):
+    # the skew form has entries up to 6^9, so its float residue (2.7e-09)
+    # is within 1e-9 times its scale but not within 1e-9 absolutely
+    expr = ("chi3 (+) chi3 (+) chi3bar (+) chi3bar (+) "
+            "trivial (+) trivial (+) trivial (+) trivial")
+    assert main(["classify", expr, "--oracle", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert all(c["verdict"] != "error" for c in data["checks"])
+    assert data["oracle_agreement"] is True
+
+
 def test_classify_refuses_oversized_oracle_input(capsys):
     assert main(["classify", "St(1000000,q8)", "--oracle", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -213,6 +225,16 @@ def test_sweep_json_matches_golden(capsys, max_dim):
     golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
     assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("max_dim, count", [(4, 9), (8, 46), (12, 161)])
+def test_sweep_specs_match_the_subset_filter(max_dim, count):
+    pool, _ = sweep._segment_pool(builtin_catalog(), max_dim)
+    expected = [combo for size in range(1, len(pool) + 1)
+                for combo in itertools.combinations(pool, size)
+                if sum(s.dim for s in combo) <= max_dim]
+    assert len(expected) == count
+    assert sweep._bounded_combinations(pool, max_dim) == expected
 
 
 def test_sweep_rejects_out_of_range_cap(capsys):

@@ -32,8 +32,9 @@ from periodlab.errors import (
     OddBlockError,
     OddDimensionError,
 )
+from periodlab.distinction import add_sp_checks
 from periodlab.group_models import ISOTROPY_DIM_BOUND
-from periodlab.reporting import ERROR, PASS
+from periodlab.reporting import ERROR, PASS, Report
 
 CAT = builtin_catalog()
 
@@ -229,6 +230,43 @@ def test_oracle_verdicts_non_elliptic_case():
     v = oracle_verdicts(param(seg("q8"), seg("q8")))
     assert v.skew_found
     assert v.elliptic is False
+
+
+def _multisets(pool, max_mult, max_dim):
+    """Every nonempty multiset of pool entries with multiplicity at most
+    ``max_mult`` and total dimension at most ``max_dim``."""
+    out = []
+
+    def extend(i, room, acc):
+        if i == len(pool):
+            if acc:
+                out.append(acc)
+            return
+        for copies in range(max_mult + 1):
+            if copies * pool[i].dim > room:
+                break
+            extend(i + 1, room - copies * pool[i].dim,
+                   acc + (pool[i],) * copies)
+
+    extend(0, max_dim, ())
+    return out
+
+
+def test_oracle_agrees_with_rules_at_multiplicity_three_and_four():
+    pool = [seg(label.name, k) for label in CAT.labels()
+            for k in range(1, 6 // label.dim + 1)]
+    high = [m for m in _multisets(pool, 4, 6)
+            if max(m.count(s) for s in m) >= 3]
+    assert len(high) == 145
+    reached_isotropy = 0
+    for m in high:
+        report = Report(input="")
+        add_sp_checks(report, param(*m), CAT, use_oracle=True)
+        assert all(c.verdict != ERROR for c in report.checks), m
+        assert report.oracle_agreement is True, m
+        reached_isotropy += any(c.name == "oracle-isotropy"
+                                for c in report.checks)
+    assert reached_isotropy == 9
 
 
 # -- full conjecture instances -----------------------------------------------

@@ -34,9 +34,9 @@ from periodlab.errors import (
     ConsistencyError,
     DimBoundExceededError,
     MissingModelError,
-    MultiplicityTooHighError,
     SurrogateBoundExceededError,
 )
+from periodlab.group_models import ISOTROPY_DIM_BOUND
 
 CAT = builtin_catalog()
 MODELS = builtin_models()
@@ -272,15 +272,24 @@ def test_isotropy_rejects_bad_forms():
 
 
 def test_isotropy_dim_bound():
-    gens = oracle_gens(seg("q8"))
-    with pytest.raises(DimBoundExceededError):
-        invariant_isotropic_exists(gens, skew_of(gens), dim_bound=1)
-
-
-def test_isotropy_multiplicity_cap():
-    gens = oracle_gens(seg("q8"), seg("q8"), seg("q8"))
-    with pytest.raises(MultiplicityTooHighError):
+    gens = oracle_gens(seg("trivial", 14))
+    with pytest.raises(DimBoundExceededError,
+                       match=f"bound is {ISOTROPY_DIM_BOUND}"):
         invariant_isotropic_exists(gens, skew_of(gens))
+
+
+def test_isotropy_found_for_triple_class():
+    gens = oracle_gens(seg("q8"), seg("q8"), seg("q8"))
+    assert invariant_isotropic_exists(gens, skew_of(gens))
+
+
+def test_isotropy_checks_a_tiny_exact_form_exactly():
+    # J / 10^12 is skew, nondegenerate and invariant; a float rank of it
+    # would call it zero
+    gens = oracle_gens(seg("q8"))
+    j = skew_of(gens).gram.scale(Fraction(1, 10 ** 12))
+    assert j.exact
+    assert not invariant_isotropic_exists(gens, j)
 
 
 def test_character_orthogonality_within_groups():

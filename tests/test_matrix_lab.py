@@ -122,6 +122,31 @@ def test_exact_invertibility_matches_exact_rank(drawn):
     assert m.is_invertible() == (m.rank() == n)
 
 
+def _reference_product(a, b):
+    """The exact product as the entrywise QQi sum of products."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), QQi(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _gaussian_rows(rows, cols):
+    return st.lists(st.lists(gaussian_rationals | st.just(QQi(0)),
+                             min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=60)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+       .flatmap(lambda s: st.tuples(_gaussian_rows(s[0], s[1]),
+                                    _gaussian_rows(s[1], s[2]))))
+def test_exact_product_matches_entrywise_sums(drawn):
+    a, b = drawn
+    product = Matrix.from_rows(a) @ Matrix.from_rows(b)
+    assert product.exact
+    assert product.shape == (len(a), len(b[0]))
+    assert product.data.tolist() == _reference_product(a, b)
+    assert all(type(v) is QQi for v in product.data.flat)
+
+
 def test_blockdiag_mixed_exactness():
     a = Matrix.identity(2)
     b = Matrix.identity(1).to_float()
@@ -167,6 +192,22 @@ def test_float_rank_rule_is_shared(top, low, rank):
     assert m.rank() == rank
     assert m.is_invertible() == (rank == 2)
     assert nullspace_float(m.data, 2).shape == (2, 2 - rank)
+
+
+@pytest.mark.parametrize("top, error, equal", [
+    (3.0, 2.9e-9, True), (3.0, 3.1e-9, False),    # tol * max entry
+    (0.5, 0.9e-9, True), (0.5, 1.1e-9, False),    # tol * 1
+])
+def test_float_comparison_rule_is_shared(top, error, equal):
+    """``equals`` and ``is_in_sp`` accept a difference up to the scale the
+    rank rule uses, and ``is_in_sp`` reports the unscaled residue."""
+    j = Matrix.from_array(np.array([[0, top], [-top, 0]], dtype=complex))
+    moved = Matrix.from_array(j.data + np.array([[0, error], [0, 0]]))
+    assert moved.equals(j) == equal
+    g = Matrix.from_array(np.array([[1, 0], [0, 1 + error / top]]))
+    check = is_in_sp(g, j)
+    assert bool(check) == equal
+    assert check.residue == pytest.approx(error, rel=1e-6)
 
 
 small_exact = st.integers(-5, 5)
