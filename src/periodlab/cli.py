@@ -69,7 +69,7 @@ def run_classify(expr: str, catalog_path: str | None = None,
     report = Report(input=expr)
     try:
         catalog, source = _resolve_catalog(catalog_path)
-    except (OSError, PeriodLabError) as exc:
+    except (OSError, UnicodeDecodeError, PeriodLabError) as exc:
         report.add(CATALOG_CHECK, ERROR, TAG_CATALOG, str(exc))
         return report
     try:
@@ -191,7 +191,7 @@ def run_conjecture_sweep(catalog_path: str | None = None,
             f"max_dim must be between 2 and {ISOTROPY_DIM_BOUND}")
     try:
         catalog, source = _resolve_catalog(catalog_path)
-    except (OSError, PeriodLabError) as exc:
+    except (OSError, UnicodeDecodeError, PeriodLabError) as exc:
         report = Report(input=f"sweep max_dim={max_dim}")
         report.add(CATALOG_CHECK, ERROR, TAG_CATALOG, str(exc))
         return report

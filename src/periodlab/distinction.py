@@ -18,16 +18,25 @@ from .errors import (
     DimBoundExceededError,
     DimensionMismatchError,
     DuplicateSegmentError,
+    FormVerificationError,
     NonTemperedError,
     NotDistinguishedError,
     OddBlockError,
     OddDimensionError,
     PeriodLabError,
 )
-from .group_models import Catalog, builtin_catalog, invariant_isotropic_exists
+from .group_models import (
+    Catalog,
+    VerifiedForm,
+    builtin_catalog,
+    invariant_isotropic_exists,
+)
 from .matrix_lab import (
     BilinearForm,
     GeneratorSet,
+    Matrix,
+    Symmetry,
+    classify_form,
     find_nondegenerate_skew,
     invariant_forms,
     is_in_sp,
@@ -267,13 +276,32 @@ class OracleVerdicts:
         return self.form is not None
 
 
+def verify_form(gens: GeneratorSet, gram: Matrix) -> VerifiedForm:
+    """Check once, by ``classify_form`` and one ``is_in_sp`` per generator,
+    that ``gram`` is skew, nondegenerate and invariant (exactly when the
+    generators and the form are exact); else raise
+    :class:`FormVerificationError`."""
+    form = classify_form(gram)
+    if form.symmetry is not Symmetry.SKEW or not form.nondegenerate:
+        raise FormVerificationError(
+            "the form must be skew-symmetric and nondegenerate")
+    residue = 0.0
+    for g in gens.generators:
+        check = is_in_sp(g, form)
+        if not check:
+            raise FormVerificationError(
+                "the form must be invariant under the generators")
+        residue = max(residue, check.residue)
+    return VerifiedForm(gens, form, residue)
+
+
 def oracle_verdicts(p: WDParameter,
                     catalog: Catalog | None = None) -> OracleVerdicts:
     """Realize a parameter and answer the conjecture questions in matrices.
 
     The pipeline: realize, solve for the invariant forms, search them for a
-    nondegenerate skew form, check it with one ``is_in_sp`` per generator,
-    then search for an invariant isotropic subspace.  Parameters above
+    nondegenerate skew form, check it once with :func:`verify_form`, then
+    search for an invariant isotropic subspace.  Parameters above
     ``FORM_ORACLE_DIM_BOUND`` are refused before anything is built.  A
     refusal of the isotropy search is returned in ``isotropy_refusal``;
     every other error propagates.
@@ -287,18 +315,12 @@ def oracle_verdicts(p: WDParameter,
     j = find_nondegenerate_skew(invariant_forms(gens))
     if j is None:
         return OracleVerdicts(gens, None, None, 0.0)
-    residue = 0.0
-    for g in gens.generators:
-        check = is_in_sp(g, j)
-        if not check:
-            raise PeriodLabError(
-                "internal: invariant_forms returned a non-invariant form")
-        residue = max(residue, check.residue)
+    verified = verify_form(gens, j.gram)
     try:
-        isotropic = invariant_isotropic_exists(gens, j)
+        isotropic = invariant_isotropic_exists(verified)
     except PeriodLabError as exc:
-        return OracleVerdicts(gens, j, None, residue, exc)
-    return OracleVerdicts(gens, j, not isotropic, residue)
+        return OracleVerdicts(gens, j, None, verified.residue, exc)
+    return OracleVerdicts(gens, j, not isotropic, verified.residue)
 
 
 def attach_oracle_checks(report: Report, p: WDParameter,

@@ -149,3 +149,7 @@ class NonIntegralIndicatorError(PeriodLabError):
 
 class CommutantMismatchError(PeriodLabError):
     """Generator blocks or commutant dimension disagree with the recipe."""
+
+
+class FormVerificationError(PeriodLabError, ValueError):
+    """A form is not skew, nondegenerate and invariant under the generators."""

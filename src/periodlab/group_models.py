@@ -4,8 +4,10 @@ Every label with a model is backed by a concrete finite group given as
 explicit matrices with a verified multiplication table.  The isotropy oracle
 reads the isotypic structure of a realization from its recipe and certifies
 it by the commutant dimension, for every block length k and multiplicity.
-It checks its form with the form oracle's own checks (``classify_form``,
-``is_in_sp``) and tests one irreducible submodule per component.  The
+It takes its form as a :class:`VerifiedForm`, checked once by
+``distinction.verify_form`` with the form oracle's own checks, and tests one
+irreducible submodule per component; on the exact path no entry of the form
+is converted to a float.  The
 symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``) are
 a finite stand-in for S(k), irreducible exactly for k <= 6
 (``SL2_SURROGATE_BOUND``); the oracle does not use them.
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import sqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,9 +47,6 @@ from .matrix_lab import (
     BilinearForm,
     GeneratorSet,
     Matrix,
-    Symmetry,
-    classify_form,
-    is_in_sp,
     nullspace_float,
     sym_power,
 )
@@ -94,8 +93,9 @@ def _element_key(m: Matrix, exact: bool):
 
 
 def _generate_elements(name: str, generators: Sequence[Matrix],
-                       exact: bool, limit: int = 1000) -> list[Matrix]:
-    """BFS closure of a generating set, identity first."""
+                       exact: bool) -> list[Matrix]:
+    """BFS closure of a generating set, identity first, of at most 1000
+    elements."""
     if not generators:
         dim = 1
     else:
@@ -114,9 +114,9 @@ def _generate_elements(name: str, generators: Sequence[Matrix],
                     keys[key] = len(elements)
                     elements.append(prod)
                     new_frontier.append(prod)
-                    if len(elements) > limit:
+                    if len(elements) > 1000:
                         raise ConsistencyError(
-                            f"group {name} exceeded closure limit {limit}")
+                            f"group {name} exceeded closure limit 1000")
         frontier = new_frontier
     return elements
 
@@ -198,22 +198,16 @@ class IrrepModel:
     exact: bool
 
 
-def commutant_dimension(mats: Sequence[Matrix], dim: int,
-                        tol: float = FLOAT_TOL) -> int:
+def commutant_dimension(mats: Sequence[Matrix], dim: int) -> int:
     """Dimension of {X : XA = AX for all A}, via a float null space."""
     eye = np.eye(dim, dtype=complex)
-    blocks = []
-    for a in mats:
-        ac = a.as_complex()
-        blocks.append(np.kron(eye, ac.T) - np.kron(ac, eye))
-    stacked = (np.vstack(blocks) if blocks
-               else np.zeros((0, dim * dim), dtype=complex))
-    return nullspace_float(stacked, dim * dim, tol).shape[1]
+    acs = [a.as_complex() for a in mats]
+    return nullspace_float([np.kron(eye, ac.T) - np.kron(ac, eye)
+                            for ac in acs], dim * dim).shape[1]
 
 
 def _make_model(name: str, group: FiniteGroup,
-                matrices: Sequence[Matrix], exact: bool,
-                spot_checks: int = 200) -> IrrepModel:
+                matrices: Sequence[Matrix], exact: bool) -> IrrepModel:
     n = group.order
     if len(matrices) != n:
         raise ConsistencyError(f"model {name}: need one matrix per element")
@@ -224,12 +218,11 @@ def _make_model(name: str, group: FiniteGroup,
         pairs: Iterable[tuple[int, int]] = itertools.product(range(n), range(n))
     else:
         rng = np.random.default_rng(7)
-        pairs = zip(rng.integers(0, n, spot_checks),
-                    rng.integers(0, n, spot_checks))
+        pairs = zip(rng.integers(0, n, 200), rng.integers(0, n, 200))
     for i, j in pairs:
         lhs = matrices[int(i)] @ matrices[int(j)]
         rhs = matrices[int(group.table[int(i), int(j)])]
-        if not lhs.equals(rhs, 1e-8):
+        if not lhs.equals(rhs):
             raise ConsistencyError(
                 f"model {name}: matrices do not respect the group table")
     gen_mats = [matrices[i] for i in group.generator_idxs]
@@ -512,74 +505,66 @@ def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
             for cid, spans in _isotypic_components(gens).items()]
 
 
-def invariant_isotropic_exists(gens: GeneratorSet,
-                               j: Union[BilinearForm, Matrix],
-                               tol: float = FLOAT_TOL) -> bool:
-    """Whether a nonzero invariant J-isotropic subspace exists.
+@dataclass(frozen=True)
+class VerifiedForm:
+    """A skew, nondegenerate form preserved by every generator of ``gens``,
+    as checked once by :func:`periodlab.distinction.verify_form`; ``residue``
+    is the largest |g^T J g - J| entry those checks decided on."""
 
-    ``j`` must be skew, nondegenerate, and invariant under the generators,
-    as decided by :func:`classify_form` and :func:`is_in_sp` (exactly when
-    the generators and the form are exact).  A nonzero invariant subspace
-    contains an irreducible one, and a subspace of an isotropic space is
-    isotropic, so only irreducible invariant subspaces are searched.  Each
-    lies in one isotypic component, read from the realization recipe and
-    certified (block-diagonal generators, commutant dimension sum m^2).
-    With multiplicity 1 it is the block itself, isotropic when J vanishes
-    on it: exactly on the exact path, within ``tol * max(1, max|J|)`` on
-    the float path.  With multiplicity m >= 2 an isotropic graph of two
-    copies always exists; it is solved for and verified.
+    gens: GeneratorSet
+    form: BilinearForm
+    residue: float
+
+
+def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
+    """Whether a nonzero invariant subspace is isotropic for the form.
+
+    The form was checked when ``verified`` was built; nothing is checked
+    again.  A nonzero invariant subspace contains an irreducible one, and a
+    subspace of an isotropic space is isotropic, so only irreducible
+    invariant subspaces are searched.  Each lies in one isotypic component,
+    read from the realization recipe and certified (block-diagonal
+    generators, commutant dimension sum m^2).  With multiplicity 1 it is the
+    block itself, isotropic when J vanishes on it: exactly on the exact
+    path, within ``FLOAT_TOL * max(1, max|J|)`` on the float path.  With
+    multiplicity m >= 2 an isotropic graph of two copies always exists.
     """
-    gram = j.gram if isinstance(j, BilinearForm) else j
+    gens, gram = verified.gens, verified.form.gram
     if gens.dim > ISOTROPY_DIM_BOUND:
         raise DimBoundExceededError(
             f"isotropy search bound is {ISOTROPY_DIM_BOUND}, parameter has "
             f"dimension {gens.dim}")
-    form = classify_form(gram, tol)
-    if form.symmetry is not Symmetry.SKEW or not form.nondegenerate:
-        raise ValueError("the form must be skew-symmetric and nondegenerate")
-    if not all(is_in_sp(g, gram, tol) for g in gens.generators):
-        raise ValueError("the form must be invariant under the generators")
-
-    jc = gram.as_complex()
-    iso_tol = tol * max(1.0, float(np.abs(jc).max()))
     for spans in _isotypic_components(gens).values():
         if len(spans) > 1:
-            return _isotropic_graph_exists(jc, spans[0], spans[1], iso_tol)
+            return _isotropic_graph_exists(gram, spans[0], spans[1])
         (lo, hi), = spans
         block = gram.data[lo:hi, lo:hi]
-        if (not any(block.flat) if gram.exact
-                else np.abs(block).max() <= iso_tol):
+        if (not any(block.flat) if gram.exact else np.abs(block).max()
+                <= FLOAT_TOL * max(1.0, np.abs(gram.data).max())):
             return True
     return False
 
 
-def _isotropic_graph_exists(jc: np.ndarray, span1: tuple[int, int],
-                            span2: tuple[int, int], iso_tol: float) -> bool:
-    """Solve for a*iota1 + b*iota2 with isotropic image, then verify it.
+def _isotropic_graph_exists(gram: Matrix, span1: tuple[int, int],
+                            span2: tuple[int, int]) -> bool:
+    """Whether some graph of a*iota1 + b*iota2 is isotropic: checked exactly
+    on the exact path, by the SVD rank rule on the float path.
 
     The two copies are identical matrix representations (same model, same
     basis), so the identity map is a valid intertwiner and every irreducible
-    submodule of their sum is such a graph.  The pairing blocks are scalar
-    multiples of one invariant pairing, making the isotropy condition a
-    single homogeneous quadratic in (a : b), which always has a root over
-    the complex numbers.  Tries (1 : 0), then the roots (t : 1).
+    submodule of their sum is such a graph, isotropic when
+    a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.  The three pairing blocks are
+    invariant pairings of one irreducible with itself, so they have rank
+    <= 1 as vectors: multiples of one P.  The condition is then one
+    homogeneous quadratic in (a : b), which always has a complex root.
     """
-    r1 = np.arange(*span1)
-    r2 = np.arange(*span2)
-    b11 = jc[np.ix_(r1, r1)]
-    cross = jc[np.ix_(r1, r2)] + jc[np.ix_(r2, r1)]
-    b22 = jc[np.ix_(r2, r2)]
-    profile = np.abs(b11) + np.abs(cross) + np.abs(b22)
-    p, q = np.unravel_index(int(profile.argmax()), profile.shape)
-    # roots of alpha t^2 + beta t + gamma, t = a/b; np.roots drops leading
-    # zero coefficients
-    roots = np.roots([b11[p, q], cross[p, q], b22[p, q]])
-    for a, b in [(1.0, 0.0), *((t, 1.0) for t in roots)]:
-        norm = max(abs(a), abs(b))
-        a, b = a / norm, b / norm
-        residue = a * a * b11 + a * b * cross + b * b * b22
-        if np.abs(residue).max() <= 10 * iso_tol:
-            return True
+    (a, b), (c, d) = span1, span2
+    j = gram.data
+    blocks = np.stack([j[a:b, a:b].ravel(),
+                       (j[a:b, c:d] + j[c:d, a:b]).ravel(),
+                       j[c:d, c:d].ravel()])
+    if Matrix(blocks, gram.exact).rank() <= 1:
+        return True
     raise PeriodLabError(
-        "internal: a component of multiplicity >= 2 admitted no isotropic "
-        "graph, contradicting the pairing structure")
+        "internal: the pairing blocks of a repeated component are not "
+        "multiples of one pairing")

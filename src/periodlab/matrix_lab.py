@@ -6,8 +6,9 @@ Two arithmetic paths coexist:
   used for everything built from integers and fourth roots of unity — the J
   matrices, permutations, sl2 symmetric-power data, and integer-entry group
   models.  Identities on this path hold with zero tolerance.
-* a float path over ``complex128`` with tolerance ``FLOAT_TOL = 1e-9``, used
-  as soon as a construction needs other roots of unity or quaternion entries.
+* a float path over ``complex128`` with the one tolerance
+  ``FLOAT_TOL = 1e-9``, used as soon as a construction needs other roots of
+  unity or quaternion entries.
 
 A :class:`Matrix` records which path produced it; mixing paths silently
 downgrades to floats.  Each path has one comparison rule,
@@ -189,27 +190,28 @@ class Matrix:
         return Matrix(np.kron(self.as_complex(), other.as_complex()), False)
 
     # -- predicates --------------------------------------------------------
-    def equals(self, other: "Matrix", tol: float = FLOAT_TOL) -> bool:
+    def equals(self, other: "Matrix") -> bool:
         """Exact equality when both matrices are exact, else
-        max|a - b| <= tol * max(1, max|a|, max|b|), the rank rule's scale."""
+        max|a - b| <= FLOAT_TOL * max(1, max|a|, max|b|), the rank rule's
+        scale."""
         if self.shape != other.shape:
             return False
         if self.exact and other.exact:
             return bool((self.data == other.data).all())
         a, b = self.as_complex(), other.as_complex()
         scale = max(np.abs(a).max(initial=1.0), np.abs(b).max(initial=1.0))
-        return bool(np.abs(a - b).max(initial=0.0) <= tol * scale)
+        return bool(np.abs(a - b).max(initial=0.0) <= FLOAT_TOL * scale)
 
     def max_abs_diff(self, other: "Matrix") -> float:
         d = self.as_complex() - other.as_complex()
         return float(np.abs(d).max()) if d.size else 0.0
 
-    def is_identity(self, tol: float = FLOAT_TOL) -> bool:
+    def is_identity(self) -> bool:
         if not self.is_square:
             return False
-        return self.equals(Matrix.identity(self.rows, self.exact), tol)
+        return self.equals(Matrix.identity(self.rows, self.exact))
 
-    def is_invertible(self, tol: float = FLOAT_TOL) -> bool:
+    def is_invertible(self) -> bool:
         """Decided exactly on the exact path, by the SVD rank rule on the
         float path."""
         if not self.is_square:
@@ -220,16 +222,16 @@ class Matrix:
             (re,), (im,), _ = _gaussian_integers([self.data])
             return _gaussian_nonsingular(re, im)
         s = np.linalg.svd(self.data, compute_uv=False)
-        return bool(_full_rank(s, tol))
+        return bool(_full_rank(s))
 
-    def rank(self, tol: float = FLOAT_TOL) -> int:
+    def rank(self) -> int:
         if self.exact:
             rows = [_dense_to_sparse_row(self.data[i]) for i in range(self.rows)]
             return len(_Rref(self.cols, rows).pivots)
         if self.data.size == 0:
             return 0
         s = np.linalg.svd(self.data, compute_uv=False)
-        return int((s > _rank_cutoff(s, tol)).sum())
+        return int((s > _rank_cutoff(s)).sum())
 
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "float"
@@ -341,15 +343,16 @@ def nullspace_exact(rows: Sequence[dict[int, QQi]], ncols: int) -> list[list[QQi
     return _Rref(ncols, rows).nullspace()
 
 
-def _rank_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
-    """The float rank rule: singular values above ``tol * max(1, largest)``
-    count.  ``s`` is sorted descending along its last axis; the cutoff keeps
-    that axis with length 1, so it broadcasts against ``s``."""
-    return tol * np.maximum(1.0, s[..., :1])
+def _rank_cutoff(s: np.ndarray) -> np.ndarray:
+    """The float rank rule: singular values above
+    ``FLOAT_TOL * max(1, largest)`` count.  ``s`` is sorted descending along
+    its last axis; the cutoff keeps that axis with length 1, so it
+    broadcasts against ``s``."""
+    return FLOAT_TOL * np.maximum(1.0, s[..., :1])
 
 
-def _full_rank(s: np.ndarray, tol: float) -> np.ndarray:
-    return (s > _rank_cutoff(s, tol)).all(axis=-1)
+def _full_rank(s: np.ndarray) -> np.ndarray:
+    return (s > _rank_cutoff(s)).all(axis=-1)
 
 
 def _gaussian_integers(arrays: Sequence[np.ndarray]):
@@ -410,13 +413,14 @@ def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
     return True
 
 
-def nullspace_float(a: np.ndarray, ncols: int, tol: float = FLOAT_TOL) -> np.ndarray:
-    """Columns spanning the null space of ``a`` (shape ``(*, ncols)``)."""
+def nullspace_float(a: np.ndarray, ncols: int) -> np.ndarray:
+    """Columns spanning the null space of ``a``: an array of shape
+    ``(*, ncols)``, or a list of equally shaped such blocks, stacked."""
     m = np.asarray(a, dtype=complex).reshape(-1, ncols)
     if m.shape[0] == 0 or not np.any(np.abs(m) > 0):
         return np.eye(ncols, dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    rank = int((s > _rank_cutoff(s, tol)).sum())
+    rank = int((s > _rank_cutoff(s)).sum())
     return vh[rank:].conj().T
 
 
@@ -439,17 +443,17 @@ class BilinearForm:
     nondegenerate: bool
 
 
-def classify_form(gram: Matrix, tol: float = FLOAT_TOL) -> BilinearForm:
+def classify_form(gram: Matrix) -> BilinearForm:
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
     gt = gram.T
-    if gt.equals(gram, tol):
+    if gt.equals(gram):
         sym = Symmetry.SYMMETRIC
-    elif gt.equals(-gram, tol):
+    elif gt.equals(-gram):
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    return BilinearForm(gram, sym, gram.is_invertible(tol))
+    return BilinearForm(gram, sym, gram.is_invertible())
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +559,7 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
     perm = PermutationMap(tuple(images))
     p = perm.matrix()
     conjugated = p.T @ symplectic_J(m).gram @ p
-    if not conjugated.equals(target, tol=0):
+    if not conjugated.equals(target):
         raise ConjugatorNotFoundError(
             f"pairing algorithm failed for partition {tuple(partition)}")
     return perm
@@ -630,7 +634,7 @@ def invariant_form_sl2(k: int) -> BilinearForm:
             f"internal: sl2 invariant-form space has dimension {len(basis)}, "
             f"expected 1 (k={k})")
     gram = _vec_to_matrix_exact(_normalize_exact(basis[0]), k)
-    form = classify_form(gram, tol=0)
+    form = classify_form(gram)
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
@@ -710,19 +714,18 @@ class SpCheck:
         return self.holds
 
 
-def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix],
-             tol: float = FLOAT_TOL) -> SpCheck:
+def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix]) -> SpCheck:
     """Whether g preserves the form: g^T J g = J.
 
     Decided by :meth:`Matrix.equals`: exactly when g and J are exact, else
-    within ``tol * max(1, max|g^T J g|, max|J|)``.
+    within ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.
     """
     gram = j.gram if isinstance(j, BilinearForm) else j
     if not g.is_square or g.shape != gram.shape:
         raise ShapeMismatchError(
             f"generator {g.shape} does not match form {gram.shape}")
     moved = g.T @ gram @ g
-    holds = moved.equals(gram, tol)
+    holds = moved.equals(gram)
     return SpCheck(holds, 0.0 if holds and moved.exact
                    else moved.max_abs_diff(gram))
 
@@ -737,7 +740,7 @@ def _generator_matrices(gens) -> list[Matrix]:
     return list(gens)
 
 
-def invariant_forms(gens, tol: float = FLOAT_TOL) -> list[BilinearForm]:
+def invariant_forms(gens) -> list[BilinearForm]:
     """Basis of the space of forms B with g^T B g = B for all generators.
 
     Returns classified forms, symmetric basis elements first, each normalized
@@ -752,7 +755,7 @@ def invariant_forms(gens, tol: float = FLOAT_TOL) -> list[BilinearForm]:
     for m in mats:
         if not m.is_square or m.rows != n:
             raise ShapeMismatchError("generators must be square of equal size")
-    working = [m for m in mats if not m.is_identity(tol)]
+    working = [m for m in mats if not m.is_identity()]
     exact = all(m.exact for m in working)
 
     if exact:
@@ -762,27 +765,17 @@ def invariant_forms(gens, tol: float = FLOAT_TOL) -> list[BilinearForm]:
                 rref.insert(row)
         vecs = rref.nullspace()
         sym_vecs, skew_vecs = _split_transpose_exact(vecs, n)
-        out = [
-            classify_form(_vec_to_matrix_exact(v, n), tol=0)
-            for v in sym_vecs + skew_vecs
-        ]
-        return out
+        return [classify_form(_vec_to_matrix_exact(v, n))
+                for v in sym_vecs + skew_vecs]
 
-    blocks = []
+    gts = [g.as_complex().T for g in working]
     eye = np.eye(n * n, dtype=complex)
-    for g in working:
-        gt = g.as_complex().T
-        blocks.append(np.kron(gt, gt) - eye)
-    if blocks:
-        stacked = np.vstack(blocks)
-    else:
-        stacked = np.zeros((0, n * n), dtype=complex)
-    basis = nullspace_float(stacked, n * n, tol)  # columns
-    sym_vecs, skew_vecs = _split_transpose_float(basis, n, tol)
-    out = []
-    for v in sym_vecs + skew_vecs:
-        out.append(classify_form(Matrix.from_array(v.reshape(n, n)), tol))
-    return out
+    vecs = nullspace_float([np.kron(gt, gt) - eye for gt in gts], n * n).T
+    # vec(B^T) permutes vec(B); split into symmetric and skew parts
+    perm = np.array([[j * n + i for j in range(n)] for i in range(n)]).ravel()
+    return [classify_form(Matrix.from_array(v.reshape(n, n)))
+            for rows in (vecs + vecs[:, perm], vecs - vecs[:, perm])
+            for v in _row_space_basis(rows)]
 
 
 def _form_invariance_rows_exact(g: Matrix) -> list[dict[int, QQi]]:
@@ -841,21 +834,11 @@ def _pivot_row_dense(rref: _Rref, col: int) -> list[QQi]:
     return vec
 
 
-def _split_transpose_float(basis: np.ndarray, n: int, tol: float):
-    if basis.size == 0:
-        return [], []
-    perm = np.array([[j * n + i for j in range(n)] for i in range(n)]).ravel()
-    vecs = basis.T  # rows
-    sym_rows = vecs + vecs[:, perm]
-    skew_rows = vecs - vecs[:, perm]
-    return (_row_space_basis(sym_rows, tol), _row_space_basis(skew_rows, tol))
-
-
-def _row_space_basis(rows: np.ndarray, tol: float) -> list[np.ndarray]:
-    if rows.size == 0 or not np.any(np.abs(rows) > tol):
+def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
+    if rows.size == 0 or not np.any(np.abs(rows) > FLOAT_TOL):
         return []
     _, s, vh = np.linalg.svd(rows)
-    cutoff = _rank_cutoff(s, tol)[0]
+    cutoff = _rank_cutoff(s)[0]
     rank = int((s > cutoff).sum())
     out = []
     for row in vh[:rank]:
@@ -864,8 +847,8 @@ def _row_space_basis(rows: np.ndarray, tol: float) -> list[np.ndarray]:
     return out
 
 
-def find_nondegenerate_skew(forms: Sequence[BilinearForm],
-                            tol: float = FLOAT_TOL) -> BilinearForm | None:
+def find_nondegenerate_skew(
+        forms: Sequence[BilinearForm]) -> BilinearForm | None:
     """A nondegenerate skew form in the span of the given basis, if any.
 
     Tries each skew basis element, then deterministic integer combinations
@@ -908,11 +891,11 @@ def find_nondegenerate_skew(forms: Sequence[BilinearForm],
         for i in range(1, len(stack)):
             acc = acc + coeffs[:, i, None, None] * stack[i]
         hits = np.flatnonzero(
-            _full_rank(np.linalg.svd(acc, compute_uv=False), tol))
+            _full_rank(np.linalg.svd(acc, compute_uv=False)))
         if not hits.size:
             return None
         gram = Matrix.from_array(acc[hits[0]].copy())
-    return classify_form(gram, tol)
+    return classify_form(gram)
 
 
 @cache

@@ -44,6 +44,7 @@ from periodlab import (
     sl2_exp_f,
     sl2_surrogate,
     symplectic_J,
+    verify_form,
     w_plus,
 )
 from periodlab.errors import (
@@ -124,7 +125,7 @@ def test_criterion_1_discrete_sum_sweep(emit):
         if residue > RESIDUE_TOL:
             problems.append(f"{text}: residue {residue:.2e}")
         try:
-            if invariant_isotropic_exists(gens, j):
+            if invariant_isotropic_exists(verify_form(gens, j.gram)):
                 problems.append(f"{text}: invariant isotropic subspace found")
         except PeriodLabError:
             outside.append(text)
@@ -189,11 +190,11 @@ def test_criterion_3_form_parity(emit):
             problems.append(f"k={k}: {f.symmetry.value}")
             continue
         flipped = f.gram.T if k % 2 else -f.gram.T
-        if not flipped.equals(f.gram, tol=0):
+        if not flipped.equals(f.gram):
             problems.append(f"k={k}: parity fails exactly")
         group_forms = invariant_forms([sl2_exp_e(k), sl2_exp_f(k)])
         if len(group_forms) != 1 or not group_forms[0].gram.equals(
-                f.gram, tol=0):
+                f.gram):
             problems.append(f"k={k}: solution space is not one-dimensional")
     ok = not problems
     emit("criterion 3 (form parity)", ok,
@@ -225,12 +226,12 @@ def test_criterion_4_conjugator_suite(emit):
         for part in _even_partitions(m):
             count += 1
             p = conjugator_for_partition(part).matrix()
-            if not (p.T @ j_prime @ p).equals(partition_J(part).gram, tol=0):
+            if not (p.T @ j_prime @ p).equals(partition_J(part).gram):
                 problems.append(f"partition {part}")
     for n in range(1, 7):
         w = w_plus(n).matrix()
         target = partition_J((2,) * n).gram
-        if not (w.T @ symplectic_J(2 * n).gram @ w).equals(target, tol=0):
+        if not (w.T @ symplectic_J(2 * n).gram @ w).equals(target):
             problems.append(f"w_plus({n})")
         if conjugator_for_partition((2,) * n) != w_plus(n):
             problems.append(f"w_plus({n}) != conjugator")
@@ -284,7 +285,7 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
             disagreements.append(f"{text}: factors but no skew form")
             continue
         try:
-            isotropic = invariant_isotropic_exists(gens, j)
+            isotropic = invariant_isotropic_exists(verify_form(gens, j.gram))
         except PeriodLabError:
             outside.append(text)
             continue

@@ -261,6 +261,26 @@ def test_sweep_bad_catalog_exits_three(tmp_path):
     assert report.checks[0].verdict == ERROR
 
 
+@pytest.mark.parametrize("argv, via_env", [
+    (["classify", "q8"], False),
+    (["sweep", "--max-dim", "4"], False),
+    (["classify", "q8"], True),
+])
+def test_non_utf8_catalog_exits_three(tmp_path, monkeypatch, capsys, argv,
+                                      via_env):
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe[\x00c\x00")
+    if via_env:
+        monkeypatch.setenv(CATALOG_ENV, str(path))
+    else:
+        argv = [*argv, "--catalog", str(path)]
+    assert main([*argv, "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["verdict"]) for c in data["checks"]] == [
+        ("catalog", ERROR)]
+    assert "utf-8" in data["checks"][0]["details"]
+
+
 # -- argument handling ------------------------------------------------------------
 
 

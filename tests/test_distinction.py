@@ -1,5 +1,6 @@
 """Tests for distinction rules, discrete-sum validation, and the oracle bridge."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from periodlab import (
     check_conjecture_instance,
     distinguished_morphism,
     factors_through_sp_symbolic,
+    is_in_sp,
     is_linear_distinguished,
     is_tempered,
     is_x_distinguished,
@@ -230,6 +232,25 @@ def test_oracle_verdicts_non_elliptic_case():
     v = oracle_verdicts(param(seg("q8"), seg("q8")))
     assert v.skew_found
     assert v.elliptic is False
+
+
+@pytest.mark.parametrize("segments", [
+    (("q8", 3),), (("q8", 1), ("q8", 1)), (("chi3", 2), ("chi3bar", 2))])
+def test_oracle_verdicts_checks_each_generator_once(monkeypatch, segments):
+    calls = []
+
+    def counted(g, *rest):
+        calls.append(g)
+        return is_in_sp(g, *rest)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("periodlab") and \
+                getattr(module, "is_in_sp", None) is is_in_sp:
+            monkeypatch.setattr(module, "is_in_sp", counted)
+    v = oracle_verdicts(param(*(seg(name, k) for name, k in segments)))
+    assert v.skew_found and v.elliptic is not None
+    assert len(calls) == len(v.gens.generators)
+    assert {id(g) for g in calls} == {id(g) for g in v.gens.generators}
 
 
 def _multisets(pool, max_mult, max_dim):

@@ -27,6 +27,7 @@ from periodlab import (
     realize,
     sl2_surrogate,
     symplectic_J,
+    verify_form,
 )
 from periodlab.errors import (
     CatalogError,
@@ -51,9 +52,10 @@ def oracle_gens(*segments):
 
 
 def skew_of(gens):
+    """The oracle's skew form of ``gens``, through the one verifier."""
     j = find_nondegenerate_skew(invariant_forms(gens))
     assert j is not None
-    return j
+    return verify_form(gens, j.gram)
 
 
 # -- groups and models --------------------------------------------------------
@@ -212,9 +214,9 @@ def _foreign_generators(case):
                               [0, 1, 0, 0], [0, 0, 0, 1]])
         mixed = tuple(p @ g @ p.T for g in base.generators)
         return (replace(base, generators=mixed),
-                p @ skew_of(base).gram @ p.T)
+                p @ skew_of(base).form.gram @ p.T)
     same = oracle_gens(seg("q8"), seg("q8"))
-    return replace(same, recipe=base.recipe), skew_of(same)
+    return replace(same, recipe=base.recipe), skew_of(same).form.gram
 
 
 @pytest.mark.parametrize("case, message", [
@@ -226,7 +228,7 @@ def test_isotypic_certificate_rejects_foreign_generators(case, message):
     with pytest.raises(CommutantMismatchError, match=message):
         isotypic_multiplicities(gens)
     with pytest.raises(CommutantMismatchError, match=message):
-        invariant_isotropic_exists(gens, j)
+        invariant_isotropic_exists(verify_form(gens, j))
 
 
 # -- the isotropy oracle --------------------------------------------------------
@@ -238,58 +240,62 @@ def test_isotropy_verdicts():
                  oracle_gens(seg("q8", 3)),
                  oracle_gens(seg("q8"), seg("q8b")),
                  oracle_gens(seg("q8"), seg("trivial", 2))):
-        assert not invariant_isotropic_exists(gens, skew_of(gens))
+        assert not invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_found_for_repeated_class():
     gens = oracle_gens(seg("q8"), seg("q8"))
-    assert invariant_isotropic_exists(gens, skew_of(gens))
+    assert invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_found_for_dual_pair():
     gens = oracle_gens(seg("chi3"), seg("chi3bar"))
-    assert invariant_isotropic_exists(gens, skew_of(gens))
+    assert invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_found_for_orthogonal_double():
     # two copies of an orthogonal-type class pair skewly across the copies
     gens = oracle_gens(seg("d4"), seg("d4"))
-    assert invariant_isotropic_exists(gens, skew_of(gens))
+    assert invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_rejects_bad_forms():
     gens = oracle_gens(seg("q8"))
     sym = Matrix.identity(2)
-    with pytest.raises(ValueError):
-        invariant_isotropic_exists(gens, sym)  # not skew
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        verify_form(gens, sym)  # not skew
     degenerate = Matrix.zeros(2, 2)
-    with pytest.raises(ValueError):
-        invariant_isotropic_exists(gens, degenerate)
+    with pytest.raises(ValueError, match="nondegenerate"):
+        verify_form(gens, degenerate)
     # skew and nondegenerate but pairing across distinct classes: not invariant
     pair = oracle_gens(seg("q8"), seg("q8b"))
-    with pytest.raises(ValueError):
-        invariant_isotropic_exists(pair, symplectic_J(4))
+    with pytest.raises(ValueError, match="invariant"):
+        verify_form(pair, symplectic_J(4).gram)
 
 
 def test_isotropy_dim_bound():
     gens = oracle_gens(seg("trivial", 14))
     with pytest.raises(DimBoundExceededError,
                        match=f"bound is {ISOTROPY_DIM_BOUND}"):
-        invariant_isotropic_exists(gens, skew_of(gens))
+        invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_found_for_triple_class():
     gens = oracle_gens(seg("q8"), seg("q8"), seg("q8"))
-    assert invariant_isotropic_exists(gens, skew_of(gens))
+    assert invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_checks_a_tiny_exact_form_exactly():
-    # J / 10^12 is skew, nondegenerate and invariant; a float rank of it
-    # would call it zero
-    gens = oracle_gens(seg("q8"))
-    j = skew_of(gens).gram.scale(Fraction(1, 10 ** 12))
-    assert j.exact
-    assert not invariant_isotropic_exists(gens, j)
+    # J / 10^12 and J * 10^400 are skew, nondegenerate and invariant; a
+    # float rank would call the first zero, and the second overflows floats
+    for names, isotropic in [(("q8",), False), (("q8", "q8"), True),
+                             (("d4", "d4"), True)]:
+        gens = oracle_gens(*(seg(name) for name in names))
+        for scale in (Fraction(1, 10 ** 12), 10 ** 400):
+            j = skew_of(gens).form.gram.scale(scale)
+            assert j.exact
+            assert invariant_isotropic_exists(
+                verify_form(gens, j)) is isotropic, (names, scale)
 
 
 def test_character_orthogonality_within_groups():

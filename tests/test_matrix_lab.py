@@ -39,7 +39,6 @@ from periodlab.errors import (
     TwistedSegmentError,
 )
 from periodlab.matrix_lab import (
-    FLOAT_TOL,
     blockdiag,
     nullspace_exact,
     nullspace_float,
@@ -69,7 +68,7 @@ def test_matmul_and_kron_exactness():
     b = Matrix.from_rows([[1, 0], [1, 1]])
     assert (a @ b).exact
     assert (a @ b.to_float()).exact is False
-    assert (a @ b).equals(Matrix.from_rows([[2, 1], [1, 1]]), tol=0)
+    assert (a @ b).equals(Matrix.from_rows([[2, 1], [1, 1]]))
     k = a.kron(b)
     assert k.shape == (4, 4)
     assert k.data[1, 0] == QQi(1)
@@ -160,7 +159,7 @@ def test_trace_and_transpose():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m.trace() == QQi(5)
     assert m.T.data[0, 1] == QQi(3)
-    assert m.conj().equals(m, tol=0)
+    assert m.conj().equals(m)
 
 
 # -- null spaces -------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_conjugator_postcondition_exact(partition):
     m = sum(partition)
     p = conjugator_for_partition(partition).matrix()
     moved = p.T @ symplectic_J(m).gram @ p
-    assert moved.equals(partition_J(partition).gram, tol=0)
+    assert moved.equals(partition_J(partition).gram)
 
 
 def test_conjugator_matches_w_plus_on_all_two_partitions():
@@ -309,15 +308,15 @@ def test_sl2_action_bracket():
     for k in (1, 2, 3, 5):
         act = sl2_sym_power_action(k)
         bracket = act.e @ act.f - act.f @ act.e
-        assert bracket.equals(act.h, tol=0)
+        assert bracket.equals(act.h)
 
 
 def test_sl2_exponentials_match_sym_power():
     upper = Matrix.from_rows([[1, 1], [0, 1]])
     lower = Matrix.from_rows([[1, 0], [1, 1]])
     for k in range(1, 7):
-        assert sl2_exp_e(k).equals(sym_power(upper, k), tol=0)
-        assert sl2_exp_f(k).equals(sym_power(lower, k), tol=0)
+        assert sl2_exp_e(k).equals(sym_power(upper, k))
+        assert sl2_exp_f(k).equals(sym_power(lower, k))
 
 
 def test_invariant_form_sl2_parity_and_uniqueness():
@@ -330,7 +329,7 @@ def test_invariant_form_sl2_parity_and_uniqueness():
         # the group-level solution space agrees and is one-dimensional
         forms = invariant_forms([sl2_exp_e(k), sl2_exp_f(k)])
         assert len(forms) == 1
-        assert forms[0].gram.equals(f.gram, tol=0)
+        assert forms[0].gram.equals(f.gram)
 
 
 @settings(max_examples=25)
@@ -342,7 +341,7 @@ def test_invariant_form_sl2_parity_and_uniqueness():
 def test_sym_power_is_multiplicative(a_rows, b_rows, k):
     a = Matrix.from_rows(a_rows)
     b = Matrix.from_rows(b_rows)
-    assert sym_power(a @ b, k).equals(sym_power(a, k) @ sym_power(b, k), tol=0)
+    assert sym_power(a @ b, k).equals(sym_power(a, k) @ sym_power(b, k))
 
 
 # -- membership and invariant forms ---------------------------------------------
@@ -421,10 +420,10 @@ def test_find_nondegenerate_skew_decides_exactly():
     found = find_nondegenerate_skew(forms)
     assert found is not None
     assert found.nondegenerate
-    assert found.gram.equals(both, tol=0)
+    assert found.gram.equals(both)
 
 
-def _reference_skew_search(forms, tol=FLOAT_TOL):
+def _reference_skew_search(forms):
     """The search one candidate at a time, as a full Matrix each, deciding
     nondegeneracy by rank."""
     skews = [f for f in forms if f.symmetry is Symmetry.SKEW]
@@ -447,8 +446,8 @@ def _reference_skew_search(forms, tol=FLOAT_TOL):
         acc = skews[0].gram.scale(coeffs[0])
         for f, c in zip(skews[1:], coeffs[1:]):
             acc = acc + f.gram.scale(c)
-        if acc.rank(tol) == acc.rows:
-            return classify_form(acc, tol)
+        if acc.rank() == acc.rows:
+            return classify_form(acc)
     return None
 
 
@@ -499,7 +498,7 @@ def test_find_nondegenerate_skew_matches_sequential_search(grams, scale):
     assert (found is None) == (expected is None)
     if expected is not None:
         assert found.gram.exact == expected.gram.exact
-        assert found.gram.equals(expected.gram, tol=0)
+        assert np.array_equal(found.gram.data, expected.gram.data)
         assert found.symmetry is expected.symmetry
         assert found.nondegenerate
 
