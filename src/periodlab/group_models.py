@@ -4,6 +4,9 @@ Every label with a model is backed by a concrete finite group given as
 explicit matrices with a verified multiplication table.  The isotropy oracle
 reads the isotypic structure of a realization from its recipe and certifies
 it by the commutant dimension, for every block length k and multiplicity.
+The commutant dimension is the sum over block pairs of
+dim Hom(A_j, A_i) * dim Hom(U_j, U_i) (see ``matrix_lab.tensor_factors``),
+exact on the exact path.
 It takes its form as a :class:`VerifiedForm`, checked once by
 ``distinction.verify_form`` with the form oracle's own checks, and tests one
 irreducible submodule per component; on the exact path no entry of the form
@@ -47,8 +50,10 @@ from .matrix_lab import (
     BilinearForm,
     GeneratorSet,
     Matrix,
-    nullspace_float,
+    block_diagonal,
+    intertwiners,
     sym_power,
+    tensor_factors,
 )
 from .param_core import CuspidalLabel, SelfDualityType
 
@@ -198,12 +203,19 @@ class IrrepModel:
     exact: bool
 
 
-def commutant_dimension(mats: Sequence[Matrix], dim: int) -> int:
-    """Dimension of {X : XA = AX for all A}, via a float null space."""
-    eye = np.eye(dim, dtype=complex)
-    acs = [a.as_complex() for a in mats]
-    return nullspace_float([np.kron(eye, ac.T) - np.kron(ac, eye)
-                            for ac in acs], dim * dim).shape[1]
+def commutant_dimension(gens) -> int:
+    """Dimension of {X : Xg = gX for every generator g} of a generator set
+    or a bare list of generators.
+
+    The sum over the block pairs (i, j) of :func:`tensor_factors` of
+    dim Hom(A_j, A_i) * dim Hom(U_j, U_i); exact on the exact path.
+    """
+    total = 0
+    for *_, rho_args, sl2_args in tensor_factors(gens).block_pairs():
+        hom = len(intertwiners(*rho_args))
+        if hom:
+            total += hom * len(intertwiners(*sl2_args))
+    return total
 
 
 def _make_model(name: str, group: FiniteGroup,
@@ -225,8 +237,8 @@ def _make_model(name: str, group: FiniteGroup,
         if not lhs.equals(rhs):
             raise ConsistencyError(
                 f"model {name}: matrices do not respect the group table")
-    gen_mats = [matrices[i] for i in group.generator_idxs]
-    if commutant_dimension(gen_mats, dim) != 1:
+    gen_mats = [matrices[i] for i in group.generator_idxs] or matrices[:1]
+    if commutant_dimension(gen_mats) != 1:
         raise ConsistencyError(f"model {name} is not irreducible")
     return IrrepModel(name, group, dim, tuple(matrices), character, exact)
 
@@ -479,13 +491,11 @@ def _isotypic_components(
     for seg, span in zip(recipe.segments, recipe.spans):
         components.setdefault(f"{seg.cuspidal.name}⊗S({seg.k})",
                               []).append(span)
-    off_blocks = np.ones((n, n), dtype=bool)
-    for lo, hi in recipe.spans:
-        off_blocks[lo:hi, lo:hi] = False
-    if any(any(g.data[off_blocks]) for g in gens.generators):
+    if not all(block_diagonal(g.data, recipe.spans)
+               for g in gens.generators):
         raise CommutantMismatchError(
             "generators do not act block-diagonally on the recipe's blocks")
-    commutant = commutant_dimension(gens.generators, n)
+    commutant = commutant_dimension(gens)
     expected = sum(len(spans) ** 2 for spans in components.values())
     if commutant != expected:
         raise CommutantMismatchError(
@@ -498,8 +508,8 @@ def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
     """Multiplicities of the distinct irreducible classes of a realization.
 
     Read from the realization recipe by grouping blocks by (label, k), and
-    certified by block-diagonality of the generators and the numeric
-    commutant dimension (which must equal the sum of squares).
+    certified by block-diagonality of the generators and the commutant
+    dimension (which must equal the sum of squares).
     """
     return [(cid, len(spans))
             for cid, spans in _isotypic_components(gens).items()]

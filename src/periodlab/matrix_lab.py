@@ -13,11 +13,20 @@ Two arithmetic paths coexist:
 A :class:`Matrix` records which path produced it; mixing paths silently
 downgrades to floats.  Each path has one comparison rule,
 :meth:`Matrix.equals`, and exact products are formed in Gaussian integers.
-Null spaces are computed by a sparse row-reduction over QQi on the exact
-path and by SVD on the float path.  Invertibility, and so nondegeneracy of
-forms, is decided on the exact path by fraction-free elimination over the
-Gaussian integers (Bareiss 1968) once denominators are cleared, and on the
-float path by the SVD rank rule.
+Null spaces are computed on the exact path by a sparse reduced row echelon
+form kept fraction-free in Gaussian integers, and by SVD on the float path.
+Invertibility, and so nondegeneracy of forms, is decided on the exact path
+by fraction-free elimination over the Gaussian integers (Bareiss 1968) once
+denominators are cleared, and on the float path by the SVD rank rule.
+
+A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
+generators acts on every block as A_i (x) I or as I (x) U_i.  So
+:func:`invariant_forms` solves the forms of each block pair as products
+X (x) Y of a rho factor (at most 4 unknowns) and an S(k) factor (k k'
+unknowns), each solve cached on its factor entries; ``group_models`` solves
+the commutant the same way.  :func:`tensor_factors` checks this structure
+exactly first; a set that fails the check, or a bare list of generators, is
+solved as one block.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
-from math import comb, lcm
+from functools import cache, cached_property, lru_cache
+from itertools import accumulate
+from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
@@ -227,7 +237,7 @@ class Matrix:
     def rank(self) -> int:
         if self.exact:
             rows = [_dense_to_sparse_row(self.data[i]) for i in range(self.rows)]
-            return len(_Rref(self.cols, rows).pivots)
+            return _Rref(self.cols, rows).rank
         if self.data.size == 0:
             return 0
         s = np.linalg.svd(self.data, compute_uv=False)
@@ -260,83 +270,88 @@ def _dense_to_sparse_row(row) -> dict[int, QQi]:
 
 
 class _Rref:
-    """Incremental reduced row echelon form over QQi with sparse rows."""
+    """Incremental reduced row echelon form over QQi with sparse rows.
+
+    Rows are kept fraction-free: a row is a dict ``col -> (re, im)`` of
+    Gaussian integers, meaningful only up to a nonzero scale, and is divided
+    by the integer gcd of its parts after each update.  A pivot row stands
+    for itself divided by its leading entry; :attr:`pivots` gives those
+    normalized rows over QQi.  The reduced row echelon form is unique, so
+    it does not depend on how the rows are scaled or ordered.
+    """
 
     def __init__(self, ncols: int, rows: Iterable[dict[int, QQi]] = ()):
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, QQi]] = {}
+        self._rows: dict[int, dict[int, tuple[int, int]]] = {}
         for row in rows:
-            self.insert(dict(row))
+            self.insert(row)
 
     def insert(self, row: dict[int, QQi]) -> None:
-        while row:
-            c = min(row)
-            if not row[c]:
-                row.pop(c)
-                continue
-            piv = self.pivots.get(c)
-            if piv is None:
-                lead = row.pop(c)
-                new_row = {c: ONE}
-                new_row.update(
-                    (cc, vv / lead) for cc, vv in row.items() if vv)
-                # pivot columns in the tail must be eliminated too; existing
-                # pivot rows only touch free columns, so one pass suffices
-                for cc in [col for col in new_row if col != c
-                           and col in self.pivots]:
-                    factor = new_row.pop(cc)
-                    for c2, v2 in self.pivots[cc].items():
-                        if c2 == cc:
-                            continue
-                        cur = new_row.get(c2, ZERO) - factor * v2
-                        if cur:
-                            new_row[c2] = cur
-                        else:
-                            new_row.pop(c2, None)
-                self.pivots[c] = new_row
-                self._eliminate(c)
-                return
-            factor = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                cur = row.get(cc, ZERO) - factor * vv
-                if cur:
-                    row[cc] = cur
-                else:
-                    row.pop(cc, None)
+        den = lcm(*(x.denominator for v in row.values() for x in (v.re, v.im)))
+        row = {c: (v.re.numerator * (den // v.re.denominator),
+                   v.im.numerator * (den // v.im.denominator))
+               for c, v in row.items() if v}
+        # pivot rows vanish on every other pivot column, so one pass over
+        # the pivot columns of the row reduces it
+        for c in [c for c in row if c in self._rows]:
+            piv = self._rows[c]
+            row = _combine(piv[c], row, row[c], piv)
+        if not row:
+            return
+        lead = min(row)
+        for c, piv in self._rows.items():
+            if lead in piv:
+                self._rows[c] = _combine(row[lead], piv, piv[lead], row)
+        self._rows[lead] = row
+        self.__dict__.pop("pivots", None)
 
-    def _eliminate(self, new_col: int) -> None:
-        new_row = self.pivots[new_col]
-        for c, row in self.pivots.items():
-            if c == new_col:
-                continue
-            factor = row.get(new_col)
-            if not factor:
-                continue
-            row.pop(new_col)
-            for cc, vv in new_row.items():
-                if cc == new_col:
-                    continue
-                cur = row.get(cc, ZERO) - factor * vv
-                if cur:
-                    row[cc] = cur
-                else:
-                    row.pop(cc, None)
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @cached_property
+    def pivots(self) -> dict[int, dict[int, QQi]]:
+        """Pivot column -> the normalized pivot row, its leading entry 1."""
+        out = {}
+        for c, row in self._rows.items():
+            gr, gi = row[c]
+            norm = gr * gr + gi * gi
+            out[c] = {col: QQi(Fraction(xr * gr + xi * gi, norm),
+                               Fraction(xi * gr - xr * gi, norm))
+                      for col, (xr, xi) in row.items()}
+        return out
 
     def nullspace(self) -> list[list[QQi]]:
         """Basis of the solution space, one dense vector per free column."""
-        free = [c for c in range(self.ncols) if c not in self.pivots]
+        pivots = self.pivots
+        free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
         for f in free:
             vec = [ZERO] * self.ncols
             vec[f] = ONE
-            for c, row in self.pivots.items():
+            for c, row in pivots.items():
                 coeff = row.get(f)
                 if coeff:
                     vec[c] = -coeff
             basis.append(vec)
         return basis
+
+
+def _combine(a, x, b, y) -> dict[int, tuple[int, int]]:
+    """The Gaussian-integer row a*x - b*y, divided by the gcd of its parts."""
+    (ar, ai), (br, bi) = a, b
+    out = {}
+    for c in x.keys() | y.keys():
+        xr, xi = x.get(c, (0, 0))
+        yr, yi = y.get(c, (0, 0))
+        re = ar * xr - ai * xi - br * yr + bi * yi
+        im = ar * xi + ai * xr - br * yi - bi * yr
+        if re or im:
+            out[c] = (re, im)
+    g = gcd(*(t for v in out.values() for t in v))
+    if g > 1:
+        out = {c: (re // g, im // g) for c, (re, im) in out.items()}
+    return out
 
 
 def nullspace_exact(rows: Sequence[dict[int, QQi]], ncols: int) -> list[list[QQi]]:
@@ -627,7 +642,8 @@ def invariant_form_sl2(k: int) -> BilinearForm:
     action = sl2_sym_power_action(k)
     rows = []
     for x in (action.e, action.f, action.h):
-        rows.extend(_lie_invariance_rows(x))
+        # X^T B + B X = 0 is (-X^T) B = B X
+        rows.extend(_intertwining_rows(-x.data.T, x.data))
     basis = nullspace_exact(rows, k * k)
     if len(basis) != 1:
         raise PeriodLabError(
@@ -638,31 +654,6 @@ def invariant_form_sl2(k: int) -> BilinearForm:
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
-
-
-def _lie_invariance_rows(x: Matrix) -> list[dict[int, QQi]]:
-    """Sparse rows of the condition X^T B + B X = 0 on vec(B), row-major."""
-    n = x.rows
-    entries = [(p, q, x.data[p, q]) for p in range(n) for q in range(n)
-               if x.data[p, q]]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, QQi] = {}
-            for p, ii, v in entries:
-                # term (X^T B)[i, j] = sum_p X[p, i] B[p, j]
-                if ii == i:
-                    col = p * n + j
-                    row[col] = row.get(col, ZERO) + v
-            for q, jj, v in entries:
-                # term (B X)[i, j] = sum_q B[i, q] X[q, j]
-                if jj == j:
-                    col = i * n + q
-                    row[col] = row.get(col, ZERO) + v
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
 
 
 def _normalize_exact(vec: list[QQi]) -> list[QQi]:
@@ -731,13 +722,224 @@ def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix]) -> SpCheck:
 
 
 # ---------------------------------------------------------------------------
-# invariant forms of a generator set
+# invariant forms and intertwiners, one tensor factor at a time
+
+
+def _pairing_rows(l: np.ndarray, r: np.ndarray) -> list[dict[int, QQi]]:
+    """Sparse rows of L^T X R - X = 0 on the row-major vec of X."""
+    a, b = len(l), len(r)
+    l_cols = [[(p, l[p, i]) for p in range(a) if l[p, i]] for i in range(a)]
+    r_cols = [[(q, r[q, j]) for q in range(b) if r[q, j]] for j in range(b)]
+    rows = []
+    for i in range(a):
+        for j in range(b):
+            row: dict[int, QQi] = {i * b + j: -ONE}
+            for p, lpi in l_cols[i]:
+                for q, rqj in r_cols[j]:
+                    col = p * b + q
+                    row[col] = row.get(col, ZERO) + lpi * rqj
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _intertwining_rows(l: np.ndarray, r: np.ndarray) -> list[dict[int, QQi]]:
+    """Sparse rows of L X - X R = 0 on the row-major vec of X; every
+    coefficient is an entry of L or R, or one difference of two."""
+    a, b = len(l), len(r)
+    l_rows = [[(p, l[i, p]) for p in range(a) if l[i, p]] for i in range(a)]
+    r_cols = [[(q, r[q, j]) for q in range(b) if r[q, j]] for j in range(b)]
+    rows = []
+    for i in range(a):
+        for j in range(b):
+            row = {p * b + j: lip for p, lip in l_rows[i]}
+            for q, rqj in r_cols[j]:
+                col = i * b + q
+                row[col] = row.get(col, ZERO) - rqj
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _unipotent_log(m: np.ndarray) -> np.ndarray | None:
+    """log m, exactly, when m - I is strictly triangular (m is unipotent):
+    the finite series sum_t (-1)^(t+1) (m - I)^t / t, summed in Gaussian
+    integers over one denominator.  None for any other m."""
+    s = len(m)
+    nil = m - np.eye(s, dtype=int)
+    if any(np.tril(nil).flat) and any(np.triu(nil).flat):
+        return None
+    (br,), (bi,), d = _gaussian_integers([nil])
+    den = lcm(*range(1, s)) * d ** max(s - 1, 1)
+    pr, pi = br, bi
+    lr, li = br * (den // d), bi * (den // d)
+    for t in range(2, s):
+        pr, pi = pr @ br - pi @ bi, pr @ bi + pi @ br
+        c = (-1) ** (t + 1) * (den // (t * d ** t))
+        lr, li = lr + c * pr, li + c * pi
+    return _from_gaussian_integers(lr, li, den)
+
+
+def _factor_pairs(pairs, a, b, exact):
+    """The (L, R) arrays of ``pairs`` and, on the exact path, their
+    logarithms when both are unipotent, else None."""
+    dtype = object if exact else complex
+    for l, r in pairs:
+        l = np.array(l, dtype=dtype).reshape(a, a)
+        r = np.array(r, dtype=dtype).reshape(b, b)
+        log_l = _unipotent_log(l) if exact else None
+        log_r = None if log_l is None else _unipotent_log(r)
+        yield l, r, (None if log_r is None else (log_l, log_r))
+
+
+@lru_cache(maxsize=512)
+def invariant_pairings(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
+    """Basis of {X (a x b) : L^T X R = X for every (L, R) in ``pairs``}.
+
+    Each L (a x a) and R (b x b) is given as the row-major tuple of its
+    entries, so solves are cached on the entries themselves.  Exact row
+    reduction when ``exact``, else the float rank rule; the basis vectors
+    are row-major.  A unipotent pair gives the equivalent rows
+    (log L)^T X + X log R = 0, a few entries each.
+    """
+    factors = _factor_pairs(pairs, a, b, exact)
+    if not exact:
+        return tuple(map(tuple, nullspace_float(
+            [np.kron(l.T, r.T) - np.eye(a * b) for l, r, _ in factors],
+            a * b).T))
+    rows = []
+    for l, r, logs in factors:
+        rows += (_pairing_rows(l, r) if logs is None
+                 else _intertwining_rows(-logs[0].T, logs[1]))
+    return tuple(map(tuple, nullspace_exact(rows, a * b)))
+
+
+@lru_cache(maxsize=512)
+def intertwiners(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
+    """Basis of {X (a x b) : L X = X R for every (L, R) in ``pairs``}, with
+    arguments and result as for :func:`invariant_pairings`.  The rows hold
+    entries of L and R, never their products; a unipotent pair gives
+    (log L) X = X log R instead."""
+    factors = _factor_pairs(pairs, a, b, exact)
+    if not exact:
+        return tuple(map(tuple, nullspace_float(
+            [np.kron(l, np.eye(b)) - np.kron(np.eye(a), r.T)
+             for l, r, _ in factors], a * b).T))
+    rows = []
+    for l, r, logs in factors:
+        rows += _intertwining_rows(*(logs or (l, r)))
+    return tuple(map(tuple, nullspace_exact(rows, a * b)))
+
+
+def block_diagonal(data: np.ndarray, spans: Sequence[tuple[int, int]]) -> bool:
+    """Whether ``data`` vanishes off the diagonal blocks ``spans``."""
+    off = np.ones(data.shape, dtype=bool)
+    for lo, hi in spans:
+        off[lo:hi, lo:hi] = False
+    return not any(data[off])
+
+
+def _kron_factor(block: np.ndarray, r: int, k: int, rho: bool):
+    """A with ``block == kron(A, I_k)`` when ``rho``, else U with
+    ``block == kron(I_r, U)``, as a row-major tuple; None when the block
+    has no such form.  Compares slices of the block; builds no product."""
+    tiles = block.reshape(r, k, r, k).transpose(0, 2, 1, 3)
+    if rho:  # every k x k tile is a multiple of I_k
+        factor = tiles[:, :, 0, 0]
+        diag = np.eye(k, dtype=bool)
+        holds = (not any(tiles[:, :, ~diag].flat)
+                 and (tiles[:, :, diag] == factor[..., None]).all())
+    else:  # the r x r tiling is I_r (x) U
+        factor = tiles[0, 0]
+        diag = np.eye(r, dtype=bool)
+        holds = (not any(tiles[~diag].flat)
+                 and (tiles[diag] == factor).all())
+    return tuple(factor.flat) if holds else None
+
+
+@dataclass(frozen=True)
+class TensorFactors:
+    """Generators split block by block as g = (+)_i A_i (x) I_(k_i) (a rho
+    generator) or g = (+)_i I_(r_i) (x) U_i (an S(k) generator).
+
+    ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
+    generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
+    order, each as a row-major tuple.
+    """
+
+    n: int
+    blocks: tuple[tuple[int, int, int], ...]
+    rho: tuple[tuple[tuple, ...], ...]
+    sl2: tuple[tuple[tuple, ...], ...]
+    exact: bool
+
+    def block_pairs(self):
+        """Per ordered block pair (i, j): where blocks i and j start, and the
+        arguments of the solves for its rho factor and its S(k) factor."""
+        for (lo, r, k), rho_i, sl2_i in zip(self.blocks, self.rho, self.sl2):
+            for (lo2, r2, k2), rho_j, sl2_j in zip(
+                    self.blocks, self.rho, self.sl2):
+                yield (lo, lo2, (tuple(zip(rho_i, rho_j)), r, r2, self.exact),
+                       (tuple(zip(sl2_i, sl2_j)), k, k2, self.exact))
 
 
 def _generator_matrices(gens) -> list[Matrix]:
     if hasattr(gens, "generators"):
         return list(gens.generators)
     return list(gens)
+
+
+def tensor_factors(gens) -> TensorFactors:
+    """The generators of ``gens``, factored on its blocks.
+
+    A realized set is factored on its recipe's blocks rho_i (x) S(k_i) when
+    an exact check passes: every generator vanishes off the blocks and acts
+    on all of them either as kron(A_i, I_k) or as kron(I_r, U_i).  A bare
+    list of generators, or a set that fails the check, is one block with
+    r = n and k = 1, on which every generator is its own A.
+    """
+    mats = _generator_matrices(gens)
+    if not mats:
+        raise ValueError("at least one generator is needed")
+    n = mats[0].rows
+    for m in mats:
+        if not m.is_square or m.rows != n:
+            raise ShapeMismatchError("generators must be square of equal size")
+    exact = all(m.exact for m in mats)
+    datas = [m.data if exact else m.as_complex() for m in mats]
+    recipe = getattr(gens, "recipe", None)
+    if recipe is not None:
+        shapes = [(s.cuspidal.dim, s.k) for s in recipe.segments]
+        split = _split_blocks(datas, recipe.spans, shapes, n)
+        if split is not None:
+            blocks = tuple((lo, r, k)
+                           for (lo, _), (r, k) in zip(recipe.spans, shapes))
+            return TensorFactors(n, blocks, *split, exact)
+    one_block = tuple(tuple(d.flat) for d in datas)
+    return TensorFactors(n, ((0, n, 1),), (one_block,), ((),), exact)
+
+
+def _split_blocks(datas, spans, shapes, n):
+    """(rho, sl2) factors of ``datas`` on the blocks, or None."""
+    ends = list(accumulate(r * k for r, k in shapes))
+    if (tuple(spans) != tuple(zip([0, *ends], ends)) or ends[-1:] != [n]
+            or not all(block_diagonal(d, spans) for d in datas)):
+        return None
+    rho = tuple([] for _ in spans)
+    sl2 = tuple([] for _ in spans)
+    for d in datas:
+        for is_rho, out in ((True, rho), (False, sl2)):
+            factors = [_kron_factor(d[lo:hi, lo:hi], r, k, is_rho)
+                       for (lo, hi), (r, k) in zip(spans, shapes)]
+            if None not in factors:
+                for acc, f in zip(out, factors):
+                    acc.append(f)
+                break
+        else:
+            return None
+    return tuple(map(tuple, rho)), tuple(map(tuple, sl2))
 
 
 def invariant_forms(gens) -> list[BilinearForm]:
@@ -747,91 +949,71 @@ def invariant_forms(gens) -> list[BilinearForm]:
     so its first nonzero entry in row-major order is 1.  The solution space
     is closed under transposition, so it always splits into symmetric and
     skew parts.
-    """
-    mats = _generator_matrices(gens)
-    if not mats:
-        raise ValueError("invariant_forms needs at least one generator")
-    n = mats[0].rows
-    for m in mats:
-        if not m.is_square or m.rows != n:
-            raise ShapeMismatchError("generators must be square of equal size")
-    working = [m for m in mats if not m.is_identity()]
-    exact = all(m.exact for m in working)
 
-    if exact:
-        rref = _Rref(n * n)
-        for g in working:
-            for row in _form_invariance_rows_exact(g):
-                rref.insert(row)
-        vecs = rref.nullspace()
+    The space is solved per block pair (i, j) of :func:`tensor_factors`: its
+    forms there are X (x) Y, with X in :func:`invariant_pairings` of the
+    A_i, A_j and Y in that of the U_i, U_j.  On the exact path the symmetric
+    and skew parts are reduced row echelon forms, unique whatever the
+    spanning vectors, so they do not depend on the factorization.
+    """
+    tf = tensor_factors(gens)
+    n = tf.n
+    vecs: list[dict[int, object]] = []  # row-major index -> entry
+    for lo, lo2, rho_args, sl2_args in tf.block_pairs():
+        xs = invariant_pairings(*rho_args)
+        ys = invariant_pairings(*sl2_args) if xs else ()
+        r2, (k, k2) = rho_args[2], sl2_args[1:3]
+        for x in xs:
+            for y in ys:
+                vecs.append({
+                    (lo + a * k + s) * n + lo2 + b * k2 + t: xv * yv
+                    for (a, b), xv in _nonzero_entries(x, r2)
+                    for (s, t), yv in _nonzero_entries(y, k2)})
+
+    if tf.exact:
         sym_vecs, skew_vecs = _split_transpose_exact(vecs, n)
         return [classify_form(_vec_to_matrix_exact(v, n))
                 for v in sym_vecs + skew_vecs]
 
-    gts = [g.as_complex().T for g in working]
-    eye = np.eye(n * n, dtype=complex)
-    vecs = nullspace_float([np.kron(gt, gt) - eye for gt in gts], n * n).T
+    dense = np.zeros((len(vecs), n * n), dtype=complex)
+    for row, v in zip(dense, vecs):
+        row[list(v)] = list(v.values())
     # vec(B^T) permutes vec(B); split into symmetric and skew parts
     perm = np.array([[j * n + i for j in range(n)] for i in range(n)]).ravel()
     return [classify_form(Matrix.from_array(v.reshape(n, n)))
-            for rows in (vecs + vecs[:, perm], vecs - vecs[:, perm])
+            for rows in (dense + dense[:, perm], dense - dense[:, perm])
             for v in _row_space_basis(rows)]
 
 
-def _form_invariance_rows_exact(g: Matrix) -> list[dict[int, QQi]]:
-    """Sparse rows of (g^T (x) g^T - I) vec(B) = 0, row-major vec."""
-    n = g.rows
-    cols_by_index = [
-        [(p, g.data[p, i]) for p in range(n) if g.data[p, i]]
-        for i in range(n)
-    ]
-    rows = []
-    for i in range(n):
-        col_i = cols_by_index[i]
-        for j in range(n):
-            row: dict[int, QQi] = {}
-            for p, gpi in col_i:
-                for q, gqj in cols_by_index[j]:
-                    col = p * n + q
-                    val = row.get(col, ZERO) + gpi * gqj
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
-            diag = i * n + j
-            val = row.get(diag, ZERO) - ONE
-            if val:
-                row[diag] = val
-            else:
-                row.pop(diag, None)
-            if row:
-                rows.append(row)
-    return rows
+def _nonzero_entries(vec: tuple, cols: int):
+    """((row, col), entry) for the nonzero entries of a row-major matrix."""
+    return [(divmod(i, cols), v) for i, v in enumerate(vec) if v]
 
 
-def _transpose_vec_exact(vec: list[QQi], n: int) -> list[QQi]:
-    return [vec[j * n + i] for i in range(n) for j in range(n)]
-
-
-def _split_transpose_exact(vecs: list[list[QQi]], n: int):
+def _split_transpose_exact(vecs: list[dict[int, QQi]], n: int):
+    """The reduced row echelon bases of the symmetric parts v + v^T and of
+    the skew parts v - v^T of sparse row-major vectors, as dense vectors."""
     sym_rref = _Rref(n * n)
     skew_rref = _Rref(n * n)
     for v in vecs:
-        vt = _transpose_vec_exact(v, n)
-        sym_rref.insert(_dense_to_sparse_row(
-            [a + b for a, b in zip(v, vt)]))
-        skew_rref.insert(_dense_to_sparse_row(
-            [a - b for a, b in zip(v, vt)]))
-    sym = [_pivot_row_dense(sym_rref, c) for c in sorted(sym_rref.pivots)]
-    skew = [_pivot_row_dense(skew_rref, c) for c in sorted(skew_rref.pivots)]
-    return sym, skew
+        sym, skew = dict(v), dict(v)
+        for c, val in v.items():
+            ct = (c % n) * n + c // n
+            sym[ct] = sym.get(ct, ZERO) + val
+            skew[ct] = skew.get(ct, ZERO) - val
+        sym_rref.insert(sym)
+        skew_rref.insert(skew)
+    return _pivot_rows_dense(sym_rref), _pivot_rows_dense(skew_rref)
 
 
-def _pivot_row_dense(rref: _Rref, col: int) -> list[QQi]:
-    vec = [ZERO] * rref.ncols
-    for c, v in rref.pivots[col].items():
-        vec[c] = v
-    return vec
+def _pivot_rows_dense(rref: _Rref) -> list[list[QQi]]:
+    out = []
+    for col, row in sorted(rref.pivots.items()):
+        vec = [ZERO] * rref.ncols
+        for c, v in row.items():
+            vec[c] = v
+        out.append(vec)
+    return out
 
 
 def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:

@@ -14,6 +14,8 @@ import periodlab
 from periodlab import builtin_catalog, distinction, sweep
 from periodlab.cli import (
     CATALOG_ENV,
+    VERIFY_MAX_K,
+    VERIFY_MAX_N,
     main,
     run_classify,
     run_conjecture_sweep,
@@ -202,6 +204,15 @@ def test_verify_matrices_rejects_bad_bounds(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--max-n", str(VERIFY_MAX_N + 1)],
+                                  ["--max-k", str(VERIFY_MAX_K + 1)]])
+def test_verify_matrices_refuses_bounds_above_its_caps(capsys, argv):
+    assert main(["verify-matrices", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"max_n must be at most {VERIFY_MAX_N}" in err
+    assert f"max_k at most {VERIFY_MAX_K}" in err
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -220,7 +231,7 @@ def test_sweep_small_cap():
     assert all(c.verdict == PASS for c in controls)
 
 
-@pytest.mark.parametrize("max_dim", [6, 8])
+@pytest.mark.parametrize("max_dim", [6, 8, 10])
 def test_sweep_json_matches_golden(capsys, max_dim):
     golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
     assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0

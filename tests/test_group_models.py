@@ -1,10 +1,12 @@
 """Tests for finite-group models, indicators, catalogs, and the isotropy oracle."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodlab import (
     Catalog,
@@ -14,6 +16,7 @@ from periodlab import (
     SL2_SURROGATE_BOUND,
     Segment,
     SelfDualityType,
+    Symmetry,
     WDParameter,
     builtin_catalog,
     builtin_models,
@@ -38,6 +41,7 @@ from periodlab.errors import (
     SurrogateBoundExceededError,
 )
 from periodlab.group_models import ISOTROPY_DIM_BOUND
+from periodlab.matrix_lab import tensor_factors
 
 CAT = builtin_catalog()
 MODELS = builtin_models()
@@ -83,9 +87,9 @@ def test_model_matrices_close_under_inverse():
 
 def test_commutant_dimension_detects_reducibility():
     q8 = MODELS["q8"]
-    assert commutant_dimension(q8.matrices, 2) == 1
+    assert commutant_dimension(q8.matrices) == 1
     doubled = [m.kron(Matrix.identity(2)) for m in q8.matrices]
-    assert commutant_dimension(doubled, 4) == 4
+    assert commutant_dimension(doubled) == 4
 
 
 # -- indicators ----------------------------------------------------------------
@@ -229,6 +233,74 @@ def test_isotypic_certificate_rejects_foreign_generators(case, message):
         isotypic_multiplicities(gens)
     with pytest.raises(CommutantMismatchError, match=message):
         invariant_isotropic_exists(verify_form(gens, j))
+
+
+# -- the tensor-factored oracle -------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [24, 25, 26])
+def test_commutant_of_a_long_block_is_exact(k):
+    # a float SVD certificate gave 5, 6 and 13 here
+    assert commutant_dimension(oracle_gens(seg("trivial", k))) == 1
+
+
+def test_commutant_counts_the_squares_of_multiplicities():
+    gens = oracle_gens(seg("q8"), seg("q8"), seg("q8b", 2))
+    assert commutant_dimension(gens) == 2 ** 2 + 1 ** 2
+
+
+@st.composite
+def small_parameters(draw, max_dim=8):
+    """A multiset of built-in segments of total dimension <= max_dim."""
+    segments, room = [], max_dim
+    while room and (not segments or draw(st.booleans())):
+        name = draw(st.sampled_from(
+            sorted(n for n in MODELS if CAT.label(n).dim <= room)))
+        dim = CAT.label(name).dim
+        k = draw(st.integers(1, room // dim))
+        segments.append(seg(name, k))
+        room -= dim * k
+    return WDParameter.of(segments)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_parameters())
+def test_factored_oracle_matches_the_one_block_solve(p):
+    gens = realize(p, CAT)
+    one_block = list(gens.generators)
+    assert len(tensor_factors(gens).blocks) == len(p.segments)
+    assert len(tensor_factors(one_block).blocks) == 1
+    factored, single = invariant_forms(gens), invariant_forms(one_block)
+    if gens.exact:
+        assert len(factored) == len(single)
+        for f, g in zip(factored, single):
+            assert f.gram.equals(g.gram)
+            assert (f.symmetry, f.nondegenerate) == (g.symmetry,
+                                                     g.nondegenerate)
+    else:
+        assert Counter(f.symmetry for f in factored) == Counter(
+            f.symmetry for f in single)
+    assert commutant_dimension(gens) == commutant_dimension(one_block)
+
+
+def test_generators_off_the_tensor_structure_get_the_one_block_solve():
+    base = oracle_gens(seg("q8", 2))
+    # a change of basis inside the one block that is no Kronecker product
+    p = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0],
+                          [0, 0, 1, 0], [0, 0, 0, 1]])
+    p_inv = Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0],
+                              [0, 0, 1, 0], [0, 0, 0, 1]])
+    moved = replace(base, generators=tuple(
+        p @ g @ p_inv for g in base.generators))
+    assert tensor_factors(moved).blocks == ((0, 4, 1),)
+    # B is invariant under the g exactly when p^-T B p^-1 is under p g p^-1
+    (want,) = [p_inv.T @ f.gram @ p_inv for f in invariant_forms(base)]
+    (form,) = invariant_forms(moved)
+    assert form.symmetry is Symmetry.SYMMETRIC
+    assert Matrix(np.stack([form.gram.data.ravel(), want.data.ravel()]),
+                  True).rank() == 1
+    assert commutant_dimension(moved) == 1
+    assert isotypic_multiplicities(moved) == [("q8⊗S(2)", 1)]
 
 
 # -- the isotropy oracle --------------------------------------------------------
