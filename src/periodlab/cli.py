@@ -23,7 +23,7 @@ from .distinction import (
     is_linear_distinguished,
 )
 from .errors import CatalogError, ParseError, PeriodLabError
-from .group_models import ISOTROPY_DIM_BOUND, Catalog, builtin_catalog
+from .group_models import Catalog, builtin_catalog
 from .matrix_lab import (
     Symmetry,
     conjugator_for_partition,
@@ -49,6 +49,9 @@ TAG_FORM_PARITY = "identity:form-parity"
 # step of n; a run at both caps takes about 3 s on a 2-vCPU VM.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
+# The largest --max-dim of sweep: a cold run there takes about 21 s on a
+# 2-vCPU VM.
+SWEEP_MAX_DIM = 16
 
 
 class UsageError(ValueError):
@@ -194,9 +197,8 @@ def run_conjecture_sweep(catalog_path: str | None = None,
                          max_dim: int = 8) -> Report:
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`."""
-    if not 2 <= max_dim <= ISOTROPY_DIM_BOUND:
-        raise UsageError(
-            f"max_dim must be between 2 and {ISOTROPY_DIM_BOUND}")
+    if not 2 <= max_dim <= SWEEP_MAX_DIM:
+        raise UsageError(f"max_dim must be between 2 and {SWEEP_MAX_DIM}")
     try:
         catalog, source = _resolve_catalog(catalog_path)
     except (OSError, UnicodeDecodeError, PeriodLabError) as exc:
@@ -241,7 +243,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("--catalog", metavar="PATH",
                    help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
     s.add_argument("--max-dim", type=int, default=8, metavar="D",
-                   help=f"total dimension cap, 2..{ISOTROPY_DIM_BOUND} "
+                   help=f"total dimension cap, 2..{SWEEP_MAX_DIM} "
                         f"(default 8)")
     s.add_argument("--json", action="store_true", help="JSON output")
     return ap

@@ -68,7 +68,7 @@ TAG_ORACLE_ISOTROPY = "oracle:isotropy"
 
 # The largest dimension the matrix oracle realizes.  The invariant forms are
 # solved per block pair; of the built-in parameters of dim 24 measured, the
-# costliest (24 trivial blocks, 576 independent forms) takes about 4 s and
+# costliest (24 trivial blocks, 576 independent forms) takes about 1.1 s and
 # 45 MB of peak RSS on a 2-vCPU VM.
 FORM_ORACLE_DIM_BOUND = 24
 
@@ -260,17 +260,17 @@ class OracleVerdicts:
     ``form`` is a nondegenerate skew invariant form when one exists in the
     invariant-form space, else None.  ``elliptic`` is the isotropy oracle's
     verdict (no invariant isotropic subspace), or None when no form was
-    found or the isotropy search refused; ``isotropy_refusal`` is that
-    refusal.  ``max_residue`` is the worst |g^T J g - J| entry that
-    ``is_in_sp`` decided on over the generators: exactly 0.0 on the exact
-    path, and 0.0 when no form was found.
+    found or the isotropy stage hit an internal fault, ``isotropy_error``.
+    ``max_residue`` is the worst |g^T J g - J| entry that ``is_in_sp``
+    decided on over the generators: exactly 0.0 on the exact path, and 0.0
+    when no form was found.
     """
 
     gens: GeneratorSet
     form: BilinearForm | None
     elliptic: bool | None
     max_residue: float
-    isotropy_refusal: PeriodLabError | None = None
+    isotropy_error: PeriodLabError | None = None
 
     @property
     def skew_found(self) -> bool:
@@ -302,10 +302,10 @@ def oracle_verdicts(p: WDParameter,
 
     The pipeline: realize, solve for the invariant forms, search them for a
     nondegenerate skew form, check it once with :func:`verify_form`, then
-    search for an invariant isotropic subspace.  Parameters above
-    ``FORM_ORACLE_DIM_BOUND`` are refused before anything is built.  A
-    refusal of the isotropy search is returned in ``isotropy_refusal``;
-    every other error propagates.
+    search for an invariant isotropic subspace.  ``FORM_ORACLE_DIM_BOUND``
+    is the one dimension bound, checked before anything is built.  A fault
+    of the isotropy stage is returned in ``isotropy_error``; every other
+    error propagates.
     """
     if p.dim > FORM_ORACLE_DIM_BOUND:
         raise DimBoundExceededError(
@@ -329,9 +329,9 @@ def attach_oracle_checks(report: Report, p: WDParameter,
                          factors: bool, elliptic: bool) -> None:
     """Run the matrix oracle and record agreement with the rule verdicts.
 
-    The two layers fail independently: a refused isotropy search
-    (its dimension bound) still leaves the form-layer verdict
-    on record, with agreement downgraded to None rather than False.
+    The two oracle stages fail independently: a fault of the isotropy stage
+    is an ``oracle-isotropy`` ERROR that leaves the form verdict on record,
+    with agreement downgraded to None rather than False.
     """
     try:
         verdicts = oracle_verdicts(p, catalog)
@@ -347,9 +347,9 @@ def attach_oracle_checks(report: Report, p: WDParameter,
     if not verdicts.skew_found:
         report.oracle_agreement = form_agrees
         return
-    if verdicts.isotropy_refusal is not None:
+    if verdicts.isotropy_error is not None:
         report.add("oracle-isotropy", ERROR, TAG_ORACLE_ISOTROPY,
-                   str(verdicts.isotropy_refusal))
+                   str(verdicts.isotropy_error))
         report.oracle_agreement = None
         return
     isotropy_agrees = verdicts.elliptic == elliptic

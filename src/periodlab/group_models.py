@@ -3,7 +3,8 @@
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a verified multiplication table.  The isotropy oracle
 reads the isotypic structure of a realization from its recipe and certifies
-it by the commutant dimension, for every block length k and multiplicity.
+it by the commutant dimension, for every block length k and multiplicity,
+with no dimension bound of its own.
 The commutant dimension is the sum over block pairs of
 dim Hom(A_j, A_i) * dim Hom(U_j, U_i) (see ``matrix_lab.tensor_factors``),
 exact on the exact path.
@@ -37,7 +38,6 @@ from .errors import (
     CatalogError,
     CommutantMismatchError,
     ConsistencyError,
-    DimBoundExceededError,
     MissingModelError,
     NonIntegralIndicatorError,
     PeriodLabError,
@@ -58,8 +58,6 @@ from .matrix_lab import (
 from .param_core import CuspidalLabel, SelfDualityType
 
 SL2_SURROGATE_BOUND = 6
-# The largest realized dimension the invariant-isotropy search accepts.
-ISOTROPY_DIM_BOUND = 12
 
 _CHAR_TOL = 1e-6
 
@@ -538,12 +536,9 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     block itself, isotropic when J vanishes on it: exactly on the exact
     path, within ``FLOAT_TOL * max(1, max|J|)`` on the float path.  With
     multiplicity m >= 2 an isotropic graph of two copies always exists.
+    No dimension is refused; a failed certificate raises.
     """
     gens, gram = verified.gens, verified.form.gram
-    if gens.dim > ISOTROPY_DIM_BOUND:
-        raise DimBoundExceededError(
-            f"isotropy search bound is {ISOTROPY_DIM_BOUND}, parameter has "
-            f"dimension {gens.dim}")
     for spans in _isotypic_components(gens).values():
         if len(spans) > 1:
             return _isotropic_graph_exists(gram, spans[0], spans[1])

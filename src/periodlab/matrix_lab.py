@@ -866,14 +866,17 @@ class TensorFactors:
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order, each as a row-major tuple.
+    order, each as a row-major tuple.  Each side is exact when all of its
+    generators are, and is solved on its own path: the integer exp(E),
+    exp(F) stay exact next to a float label.
     """
 
     n: int
     blocks: tuple[tuple[int, int, int], ...]
     rho: tuple[tuple[tuple, ...], ...]
     sl2: tuple[tuple[tuple, ...], ...]
-    exact: bool
+    rho_exact: bool
+    sl2_exact: bool
 
     def block_pairs(self):
         """Per ordered block pair (i, j): where blocks i and j start, and the
@@ -881,8 +884,9 @@ class TensorFactors:
         for (lo, r, k), rho_i, sl2_i in zip(self.blocks, self.rho, self.sl2):
             for (lo2, r2, k2), rho_j, sl2_j in zip(
                     self.blocks, self.rho, self.sl2):
-                yield (lo, lo2, (tuple(zip(rho_i, rho_j)), r, r2, self.exact),
-                       (tuple(zip(sl2_i, sl2_j)), k, k2, self.exact))
+                yield (lo, lo2,
+                       (tuple(zip(rho_i, rho_j)), r, r2, self.rho_exact),
+                       (tuple(zip(sl2_i, sl2_j)), k, k2, self.sl2_exact))
 
 
 def _generator_matrices(gens) -> list[Matrix]:
@@ -907,61 +911,73 @@ def tensor_factors(gens) -> TensorFactors:
     for m in mats:
         if not m.is_square or m.rows != n:
             raise ShapeMismatchError("generators must be square of equal size")
-    exact = all(m.exact for m in mats)
-    datas = [m.data if exact else m.as_complex() for m in mats]
     recipe = getattr(gens, "recipe", None)
     if recipe is not None:
         shapes = [(s.cuspidal.dim, s.k) for s in recipe.segments]
-        split = _split_blocks(datas, recipe.spans, shapes, n)
+        split = _split_blocks(mats, recipe.spans, shapes, n)
         if split is not None:
             blocks = tuple((lo, r, k)
                            for (lo, _), (r, k) in zip(recipe.spans, shapes))
-            return TensorFactors(n, blocks, *split, exact)
-    one_block = tuple(tuple(d.flat) for d in datas)
-    return TensorFactors(n, ((0, n, 1),), (one_block,), ((),), exact)
+            return TensorFactors(n, blocks, *split)
+    rho, exact = _side_factors([(m, [tuple(m.data.flat)]) for m in mats], 1)
+    return TensorFactors(n, ((0, n, 1),), rho, ((),), exact, True)
 
 
-def _split_blocks(datas, spans, shapes, n):
-    """(rho, sl2) factors of ``datas`` on the blocks, or None."""
+def _split_blocks(mats, spans, shapes, n):
+    """(rho, sl2, rho_exact, sl2_exact) of ``mats`` on the blocks, or
+    None."""
     ends = list(accumulate(r * k for r, k in shapes))
     if (tuple(spans) != tuple(zip([0, *ends], ends)) or ends[-1:] != [n]
-            or not all(block_diagonal(d, spans) for d in datas)):
+            or not all(block_diagonal(m.data, spans) for m in mats)):
         return None
-    rho = tuple([] for _ in spans)
-    sl2 = tuple([] for _ in spans)
-    for d in datas:
-        for is_rho, out in ((True, rho), (False, sl2)):
-            factors = [_kron_factor(d[lo:hi, lo:hi], r, k, is_rho)
+    sides = ([], [])  # (generator, its factor per block) for rho, for sl2
+    for m in mats:
+        for is_rho, side in zip((True, False), sides):
+            factors = [_kron_factor(m.data[lo:hi, lo:hi], r, k, is_rho)
                        for (lo, hi), (r, k) in zip(spans, shapes)]
             if None not in factors:
-                for acc, f in zip(out, factors):
-                    acc.append(f)
+                side.append((m, factors))
                 break
         else:
             return None
-    return tuple(map(tuple, rho)), tuple(map(tuple, sl2))
+    (rho, rho_exact), (sl2, sl2_exact) = (_side_factors(side, len(spans))
+                                          for side in sides)
+    return rho, sl2, rho_exact, sl2_exact
+
+
+def _side_factors(side, nblocks):
+    """Per block, the factors of one side's generators, and whether the
+    side is exact; a side with a float generator is all complex."""
+    exact = all(m.exact for m, _ in side)
+    factors = tuple(tuple(fs[i] if exact else tuple(map(complex, fs[i]))
+                          for _, fs in side) for i in range(nblocks))
+    return factors, exact
 
 
 def invariant_forms(gens) -> list[BilinearForm]:
     """Basis of the space of forms B with g^T B g = B for all generators.
 
-    Returns classified forms, symmetric basis elements first, each normalized
+    Returns symmetric basis elements first, then skew ones, each normalized
     so its first nonzero entry in row-major order is 1.  The solution space
     is closed under transposition, so it always splits into symmetric and
-    skew parts.
+    skew parts; each form is labelled by the part it came from.
 
     The space is solved per block pair (i, j) of :func:`tensor_factors`: its
     forms there are X (x) Y, with X in :func:`invariant_pairings` of the
-    A_i, A_j and Y in that of the U_i, U_j.  On the exact path the symmetric
-    and skew parts are reduced row echelon forms, unique whatever the
-    spanning vectors, so they do not depend on the factorization.
+    A_i, A_j and Y in that of the U_i, U_j; each factor is solved on its
+    side's path, and X (x) Y is complex unless both are exact.  On the exact
+    path the symmetric and skew parts are reduced row echelon forms, unique
+    whatever the spanning vectors, so they do not depend on the
+    factorization.
     """
     tf = tensor_factors(gens)
-    n = tf.n
+    n, exact = tf.n, tf.rho_exact and tf.sl2_exact
     vecs: list[dict[int, object]] = []  # row-major index -> entry
     for lo, lo2, rho_args, sl2_args in tf.block_pairs():
         xs = invariant_pairings(*rho_args)
         ys = invariant_pairings(*sl2_args) if xs else ()
+        if not exact:
+            xs, ys = ([tuple(map(complex, v)) for v in vs] for vs in (xs, ys))
         r2, (k, k2) = rho_args[2], sl2_args[1:3]
         for x in xs:
             for y in ys:
@@ -970,19 +986,22 @@ def invariant_forms(gens) -> list[BilinearForm]:
                     for (a, b), xv in _nonzero_entries(x, r2)
                     for (s, t), yv in _nonzero_entries(y, k2)})
 
-    if tf.exact:
-        sym_vecs, skew_vecs = _split_transpose_exact(vecs, n)
-        return [classify_form(_vec_to_matrix_exact(v, n))
-                for v in sym_vecs + skew_vecs]
-
-    dense = np.zeros((len(vecs), n * n), dtype=complex)
-    for row, v in zip(dense, vecs):
-        row[list(v)] = list(v.values())
-    # vec(B^T) permutes vec(B); split into symmetric and skew parts
-    perm = np.array([[j * n + i for j in range(n)] for i in range(n)]).ravel()
-    return [classify_form(Matrix.from_array(v.reshape(n, n)))
-            for rows in (dense + dense[:, perm], dense - dense[:, perm])
-            for v in _row_space_basis(rows)]
+    if exact:
+        parts = [[_vec_to_matrix_exact(v, n) for v in vs]
+                 for vs in _split_transpose_exact(vecs, n)]
+    else:
+        dense = np.zeros((len(vecs), n * n), dtype=complex)
+        for row, v in zip(dense, vecs):
+            row[list(v)] = list(v.values())
+        # vec(B^T) permutes vec(B); split into symmetric and skew parts
+        perm = np.arange(n * n).reshape(n, n).T.ravel()
+        parts = [[Matrix.from_array(v.reshape(n, n))
+                  for v in _row_space_basis(rows)]
+                 for rows in (dense + dense[:, perm], dense - dense[:, perm])]
+    return [BilinearForm(gram, symmetry, gram.is_invertible())
+            for symmetry, grams in zip((Symmetry.SYMMETRIC, Symmetry.SKEW),
+                                       parts)
+            for gram in grams]
 
 
 def _nonzero_entries(vec: tuple, cols: int):
@@ -1151,7 +1170,11 @@ class RealizationRecipe:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Square invertible generators of a realized parameter."""
+    """Square invertible generators of a realized parameter.
+
+    ``exact`` says whether every label model is exact; the label generators
+    follow it, and the integer exp(E), exp(F) are exact on both paths.
+    """
 
     dim: int
     generators: tuple[Matrix, ...]
@@ -1176,8 +1199,8 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     Each segment St(k, rho) contributes a block rho (x) S(k); a group
     element gamma acts as gamma (x) I_k simultaneously in every block whose
     label is modeled on gamma's group, and the unipotent pair exp(E), exp(F)
-    acts as I_r (x) exp on every block at once.  Distinct model groups give
-    independent generator families.
+    acts as I_r (x) exp on every block at once, exactly whatever the labels'
+    path.  Distinct model groups give independent generator families.
     """
     segs = p.segments
     if not segs:
@@ -1223,8 +1246,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
             blocks = [
                 Matrix.identity(s.cuspidal.dim).kron(exp(s.k)) for s in segs
             ]
-            g = blockdiag(blocks)
-            generators.append(g if exact else g.to_float())
+            generators.append(blockdiag(blocks))
             provenance.append(tag)
     if not generators:
         generators = [Matrix.identity(n, exact)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .distinction import (
+    FORM_ORACLE_DIM_BOUND,
     TAG_RDS,
     TAG_SP,
     RDSSpec,
@@ -19,7 +20,7 @@ from .errors import (
     OddBlockError,
     PeriodLabError,
 )
-from .group_models import ISOTROPY_DIM_BOUND, Catalog
+from .group_models import Catalog
 from .notation import print_param
 from .param_core import (
     CuspidalLabel,
@@ -190,7 +191,7 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
                             pool: list[Segment]) -> bool:
     """Parameters that factor without being elliptic, or do not factor at
     all; the rules and the oracle must agree on each."""
-    bound = ISOTROPY_DIM_BOUND  # every control faces the isotropy search
+    bound = FORM_ORACLE_DIM_BOUND  # every control faces the oracle
     controls: list[tuple[str, tuple[Segment, ...], bool]] = []
     dup = next((s for s in pool
                 if segment_self_duality(s) is SelfDualityType.SYMPLECTIC
@@ -215,7 +216,7 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
         attach_oracle_checks(oracle, p, catalog, factors, elliptic)
         oracle_ok = oracle.oracle_agreement is True
         agreement = agreement and oracle_ok
-        if oracle.oracle_agreement is None:  # an oracle stage refused
+        if oracle.oracle_agreement is None:  # an oracle stage failed
             error = next(c.details for c in oracle.checks
                          if c.verdict == ERROR)
             report.add_outcome(f"control {name}", False, TAG_SP,

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -9,11 +11,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import periodlab
 from periodlab import builtin_catalog, distinction, sweep
 from periodlab.cli import (
     CATALOG_ENV,
+    SWEEP_MAX_DIM,
     VERIFY_MAX_K,
     VERIFY_MAX_N,
     main,
@@ -180,6 +184,45 @@ def test_classify_refuses_oversized_oracle_input(capsys):
     assert data["oracle_agreement"] is None
 
 
+@st.composite
+def builtin_expressions(draw, max_dim=FORM_ORACLE_DIM_BOUND):
+    """A multiset of built-in segments St(k, label), k <= 24, each at most
+    twice, of total dimension <= ``max_dim``, as classify text.  A drawn
+    segment may bring its dual segment along, so that parameters factoring
+    through Sp are common."""
+    catalog = builtin_catalog()
+    counts, room = {}, max_dim
+    while room and (not counts or draw(st.booleans())):
+        label = catalog.label(draw(st.sampled_from(
+            sorted(l.name for l in catalog.labels() if l.dim <= room))))
+        k = draw(st.integers(1, min(24, room // label.dim)))
+        names = [label.name]
+        if 2 * label.dim * k <= room and draw(st.booleans()):
+            names.append(label.dual_name)
+        for name in names:
+            if counts.get((name, k), 0) < 2:
+                counts[name, k] = counts.get((name, k), 0) + 1
+                room -= label.dim * k
+    return " (+) ".join(name if k == 1 else f"St({k},{name})"
+                        for (name, k), m in counts.items() for _ in range(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(builtin_expressions())
+@example("St(18,chi3)")
+@example("chi3 (+) chi3bar (+) St(14,trivial)")
+@example("St(14,trivial)")
+@example("St(6,q8) (+) St(6,q8)")
+def test_oracle_agrees_with_the_rules_up_to_the_form_bound(expr):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", expr, "--oracle", "--json"])
+    data = json.loads(out.getvalue())
+    assert code in (0, 1), data
+    assert data["oracle_agreement"] is True, data
+    assert all(c["verdict"] != "error" for c in data["checks"]), data
+
+
 # -- verify-matrices --------------------------------------------------------------
 
 
@@ -231,7 +274,7 @@ def test_sweep_small_cap():
     assert all(c.verdict == PASS for c in controls)
 
 
-@pytest.mark.parametrize("max_dim", [6, 8, 10])
+@pytest.mark.parametrize("max_dim", [6, 8, 10, 12])
 def test_sweep_json_matches_golden(capsys, max_dim):
     golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
     assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0
@@ -249,8 +292,8 @@ def test_sweep_specs_match_the_subset_filter(max_dim, count):
 
 
 def test_sweep_rejects_out_of_range_cap(capsys):
-    assert main(["sweep", "--max-dim", "13"]) == 2
-    assert "between 2 and 12" in capsys.readouterr().err
+    assert main(["sweep", "--max-dim", str(SWEEP_MAX_DIM + 1)]) == 2
+    assert "between 2 and 16" in capsys.readouterr().err
 
 
 def test_sweep_with_user_catalog(tmp_path):

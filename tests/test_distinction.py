@@ -25,8 +25,9 @@ from periodlab import (
     pole_profile,
     validate_rds,
 )
+from periodlab import distinction
 from periodlab.errors import (
-    DimBoundExceededError,
+    CommutantMismatchError,
     DimensionMismatchError,
     DuplicateSegmentError,
     NonTemperedError,
@@ -35,7 +36,6 @@ from periodlab.errors import (
     OddDimensionError,
 )
 from periodlab.distinction import add_sp_checks
-from periodlab.group_models import ISOTROPY_DIM_BOUND
 from periodlab.reporting import ERROR, PASS, Report
 
 CAT = builtin_catalog()
@@ -219,13 +219,17 @@ def test_oracle_verdicts_no_skew_for_orthogonal_single():
     assert v.elliptic is None
 
 
-def test_oracle_verdicts_refused_isotropy_keeps_form_verdict():
+def test_oracle_verdicts_above_dim_12_get_both_verdicts():
+    # the isotropy stage has no dimension bound of its own
     v = oracle_verdicts(param(seg("trivial", 14)))
     assert v.skew_found
     assert v.max_residue == 0.0
-    assert v.elliptic is None
-    assert isinstance(v.isotropy_refusal, DimBoundExceededError)
-    assert f"bound is {ISOTROPY_DIM_BOUND}" in str(v.isotropy_refusal)
+    assert v.elliptic is True
+    assert v.isotropy_error is None
+    report = check_conjecture_instance(
+        RDSSpec(7, (seg("trivial", 14),)), use_oracle=True)
+    assert report.oracle_agreement is True
+    assert report.exit_code == 0
 
 
 def test_oracle_verdicts_non_elliptic_case():
@@ -319,13 +323,17 @@ def test_check_conjecture_instance_invalid_spec_raises():
         check_conjecture_instance(RDSSpec(2, (seg("q8"), seg("q8"))))
 
 
-def test_oracle_isotropy_out_of_range_reports_error_not_disagreement():
+def test_oracle_isotropy_fault_reports_error_not_disagreement(monkeypatch):
+    def faulty(verified):
+        raise CommutantMismatchError("injected isotropy fault")
+
+    monkeypatch.setattr(distinction, "invariant_isotropic_exists", faulty)
     report = check_conjecture_instance(
         RDSSpec(7, (seg("trivial", 14),)), use_oracle=True)
     by_name = {c.name: c for c in report.checks}
     assert by_name["oracle-form"].verdict == PASS
     assert by_name["oracle-form"].details.endswith("= 0.00e+00")
     assert by_name["oracle-isotropy"].verdict == ERROR
-    assert f"bound is {ISOTROPY_DIM_BOUND}" in by_name["oracle-isotropy"].details
+    assert by_name["oracle-isotropy"].details == "injected isotropy fault"
     assert report.oracle_agreement is None
     assert report.exit_code == 1

@@ -36,11 +36,9 @@ from periodlab.errors import (
     CatalogError,
     CommutantMismatchError,
     ConsistencyError,
-    DimBoundExceededError,
     MissingModelError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import ISOTROPY_DIM_BOUND
 from periodlab.matrix_lab import tensor_factors
 
 CAT = builtin_catalog()
@@ -343,13 +341,6 @@ def test_isotropy_rejects_bad_forms():
     pair = oracle_gens(seg("q8"), seg("q8b"))
     with pytest.raises(ValueError, match="invariant"):
         verify_form(pair, symplectic_J(4).gram)
-
-
-def test_isotropy_dim_bound():
-    gens = oracle_gens(seg("trivial", 14))
-    with pytest.raises(DimBoundExceededError,
-                       match=f"bound is {ISOTROPY_DIM_BOUND}"):
-        invariant_isotropic_exists(skew_of(gens))
 
 
 def test_isotropy_found_for_triple_class():
