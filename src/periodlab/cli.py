@@ -18,8 +18,8 @@ from pathlib import Path
 from .distinction import (
     TAG_DISTINGUISHED,
     TAG_RDS,
-    TAG_TEMPERED,
     add_sp_checks,
+    add_tempered_check,
     is_linear_distinguished,
 )
 from .errors import CatalogError, ParseError, PeriodLabError
@@ -32,7 +32,7 @@ from .matrix_lab import (
     w_plus,
 )
 from .notation import load_catalog, parse_param, print_param
-from .param_core import WDParameter, is_tempered, segment_self_duality
+from .param_core import WDParameter, segment_self_duality
 from .reporting import CATALOG_CHECK, ERROR, PARSE_CHECK, PASS, Report
 from .sweep import conjecture_sweep
 
@@ -91,10 +91,7 @@ def run_classify(expr: str, catalog_path: str | None = None,
     report.add(PARSE_CHECK, PASS, TAG_GRAMMAR,
                f"{len(p.segments)} segment(s); catalog: {source}")
     report.add("dimension", PASS, TAG_RDS, f"dim = {p.dim}")
-    tempered = is_tempered(p)
-    report.add_outcome("tempered", tempered, TAG_TEMPERED,
-                       "all twists zero" if tempered
-                       else "twisted segments present")
+    add_tempered_check(report, p)
     for i, s in enumerate(p.segments):
         text = print_param(WDParameter.of([s]))
         sd = segment_self_duality(s)

@@ -140,7 +140,8 @@ def validate_rds(spec: RDSSpec) -> WDParameter:
 
     Checks, in order: total dimension 2n, every block of even dimension,
     pairwise inequivalent blocks, every block linearly distinguished.  The
-    returned parameter is tempered by construction.
+    returned parameter has no twists (a twisted block is not linearly
+    distinguished), but it is tempered only when its labels are unitary.
     """
     total = sum(s.dim for s in spec.segments)
     if total != 2 * spec.n:
@@ -190,6 +191,19 @@ def distinguished_morphism(n: int) -> DistinguishedMorphismRecord:
                   "antidiagonal-block form; trivial on the auxiliary "
                   "SL(2) factor"),
     )
+
+
+def add_tempered_check(report: Report, p: WDParameter) -> None:
+    """Record whether ``p`` is tempered, naming what keeps it from being so:
+    its twisted segments and its non-unitary labels."""
+    found = {"twisted segments present": [print_param(WDParameter.of([s]))
+                                          for s in p.segments if s.twist],
+             "non-unitary labels": [s.cuspidal.name for s in p.segments
+                                    if not s.cuspidal.unitary]}
+    detail = "; ".join(f"{what}: {', '.join(dict.fromkeys(names))}"
+                       for what, names in found.items() if names)
+    report.add_outcome("tempered", is_tempered(p), TAG_TEMPERED,
+                       detail or "all twists zero")
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +316,14 @@ def oracle_verdicts(p: WDParameter,
 
     The pipeline: realize, solve for the invariant forms, search them for a
     nondegenerate skew form, check it once with :func:`verify_form`, then
-    search for an invariant isotropic subspace.  ``FORM_ORACLE_DIM_BOUND``
-    is the one dimension bound, checked before anything is built.  A fault
-    of the isotropy stage is returned in ``isotropy_error``; every other
-    error propagates.
+    search for an invariant isotropic subspace.  The empty parameter and
+    parameters above ``FORM_ORACLE_DIM_BOUND`` are refused before anything
+    is built.  A fault of the isotropy stage is returned in
+    ``isotropy_error``; every other error propagates.
     """
+    if not p.segments:
+        raise PeriodLabError("the form oracle needs a nonempty parameter; "
+                             "0 has no realization")
     if p.dim > FORM_ORACLE_DIM_BOUND:
         raise DimBoundExceededError(
             f"form oracle bound is {FORM_ORACLE_DIM_BOUND}, parameter has "
@@ -393,7 +410,6 @@ def check_conjecture_instance(spec: RDSSpec, use_oracle: bool = False,
         f"distinguished blocks")
     report.add_outcome("dimension", p.dim == 2 * spec.n, TAG_RDS,
                        f"dim = {p.dim} = 2n")
-    report.add_outcome("tempered", is_tempered(p), TAG_TEMPERED,
-                       "all twists zero")
+    add_tempered_check(report, p)
     add_sp_checks(report, p, catalog, use_oracle)
     return report

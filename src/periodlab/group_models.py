@@ -6,9 +6,10 @@ reads the isotypic structure of a realization from its recipe and certifies
 it by the commutant dimension, for every block length k and multiplicity,
 with no dimension bound of its own.
 The commutant dimension is the sum over block pairs of
-dim Hom(A_j, A_i) * dim Hom(U_j, U_i) (see ``matrix_lab.tensor_factors``),
-exact on the exact path.
-It takes its form as a :class:`VerifiedForm`, checked once by
+dim Hom(A_j, A_i) * dim Hom(U_j, U_i), read from the tensor factors a
+realization is stored as (``matrix_lab.TensorFactors``), exact on the exact
+path; only the block-diagonality certificate looks at the dense generators.
+The isotropy oracle takes its form as a :class:`VerifiedForm`, checked once by
 ``distinction.verify_form`` with the form oracle's own checks, and tests one
 irreducible submodule per component; on the exact path no entry of the form
 is converted to a float.  The

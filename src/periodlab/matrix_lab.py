@@ -20,13 +20,14 @@ by fraction-free elimination over the Gaussian integers (Bareiss 1968) once
 denominators are cleared, and on the float path by the SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
-generators acts on every block as A_i (x) I or as I (x) U_i.  So
-:func:`invariant_forms` solves the forms of each block pair as products
-X (x) Y of a rho factor (at most 4 unknowns) and an S(k) factor (k k'
-unknowns), each solve cached on its factor entries; ``group_models`` solves
-the commutant the same way.  :func:`tensor_factors` checks this structure
-exactly first; a set that fails the check, or a bare list of generators, is
-solved as one block.
+generators acts on every block as A_i (x) I or as I (x) U_i.
+:func:`realize` stores the generators as these factors
+(:class:`TensorFactors`); the dense matrices are assembled from them on
+demand and never split again.  :func:`invariant_forms` solves the forms of
+each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
+and an S(k) factor (k k' unknowns), each solve cached on its factor
+entries; ``group_models`` solves the commutant the same way.  A bare list
+of generators is solved as one block.
 """
 
 from __future__ import annotations
@@ -785,10 +786,8 @@ def _unipotent_log(m: np.ndarray) -> np.ndarray | None:
 def _factor_pairs(pairs, a, b, exact):
     """The (L, R) arrays of ``pairs`` and, on the exact path, their
     logarithms when both are unipotent, else None."""
-    dtype = object if exact else complex
     for l, r in pairs:
-        l = np.array(l, dtype=dtype).reshape(a, a)
-        r = np.array(r, dtype=dtype).reshape(b, b)
+        l, r = _square(l, a, exact), _square(r, b, exact)
         log_l = _unipotent_log(l) if exact else None
         log_r = None if log_l is None else _unipotent_log(r)
         yield l, r, (None if log_r is None else (log_l, log_r))
@@ -841,34 +840,17 @@ def block_diagonal(data: np.ndarray, spans: Sequence[tuple[int, int]]) -> bool:
     return not any(data[off])
 
 
-def _kron_factor(block: np.ndarray, r: int, k: int, rho: bool):
-    """A with ``block == kron(A, I_k)`` when ``rho``, else U with
-    ``block == kron(I_r, U)``, as a row-major tuple; None when the block
-    has no such form.  Compares slices of the block; builds no product."""
-    tiles = block.reshape(r, k, r, k).transpose(0, 2, 1, 3)
-    if rho:  # every k x k tile is a multiple of I_k
-        factor = tiles[:, :, 0, 0]
-        diag = np.eye(k, dtype=bool)
-        holds = (not any(tiles[:, :, ~diag].flat)
-                 and (tiles[:, :, diag] == factor[..., None]).all())
-    else:  # the r x r tiling is I_r (x) U
-        factor = tiles[0, 0]
-        diag = np.eye(r, dtype=bool)
-        holds = (not any(tiles[~diag].flat)
-                 and (tiles[diag] == factor).all())
-    return tuple(factor.flat) if holds else None
-
-
 @dataclass(frozen=True)
 class TensorFactors:
-    """Generators split block by block as g = (+)_i A_i (x) I_(k_i) (a rho
+    """Generators given block by block as g = (+)_i A_i (x) I_(k_i) (a rho
     generator) or g = (+)_i I_(r_i) (x) U_i (an S(k) generator).
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order, each as a row-major tuple.  Each side is exact when all of its
-    generators are, and is solved on its own path: the integer exp(E),
-    exp(F) stay exact next to a float label.
+    order (rho generators first), each as a row-major tuple.  Each side is
+    exact or complex as a whole, and is solved on its own path: the integer
+    exp(E), exp(F) stay exact next to a float label.  A
+    :class:`GeneratorSet` is stored as its factors.
     """
 
     n: int
@@ -888,70 +870,61 @@ class TensorFactors:
                        (tuple(zip(rho_i, rho_j)), r, r2, self.rho_exact),
                        (tuple(zip(sl2_i, sl2_j)), k, k2, self.sl2_exact))
 
+    def sides(self):
+        """(per block factors, exact, is_rho) of the rho and S(k) sides."""
+        return ((self.rho, self.rho_exact, True),
+                (self.sl2, self.sl2_exact, False))
 
-def _generator_matrices(gens) -> list[Matrix]:
-    if hasattr(gens, "generators"):
-        return list(gens.generators)
-    return list(gens)
+    def dense(self) -> list[Matrix]:
+        """The generators as n x n matrices, in generator order.  On a block
+        (lo, r, k), A is placed on the diagonal of every k x k tile and U on
+        every diagonal tile, so nothing is multiplied."""
+        out = []
+        for side, exact, is_rho in self.sides():
+            for g in range(len(side[0])):
+                m = Matrix.zeros(self.n, self.n, exact)
+                for (lo, r, k), factors in zip(self.blocks, side):
+                    f = _square(factors[g], r if is_rho else k, exact)
+                    for c in range(k if is_rho else r):
+                        at = (slice(lo + c, lo + r * k, k) if is_rho
+                              else slice(lo + c * k, lo + c * k + k))
+                        m.data[at, at] = f
+                out.append(m)
+        return out
+
+
+def _square(entries: tuple, size: int, exact: bool) -> np.ndarray:
+    """The size x size array of row-major ``entries`` on a path."""
+    return np.array(entries, dtype=object if exact else complex).reshape(
+        size, size)
+
+
+@lru_cache(maxsize=512)
+def _invertible(entries: tuple, size: int, exact: bool) -> bool:
+    """Whether a factor is invertible, cached on its entries."""
+    return Matrix(_square(entries, size, exact), exact).is_invertible()
 
 
 def tensor_factors(gens) -> TensorFactors:
-    """The generators of ``gens``, factored on its blocks.
-
-    A realized set is factored on its recipe's blocks rho_i (x) S(k_i) when
-    an exact check passes: every generator vanishes off the blocks and acts
-    on all of them either as kron(A_i, I_k) or as kron(I_r, U_i).  A bare
-    list of generators, or a set that fails the check, is one block with
-    r = n and k = 1, on which every generator is its own A.
-    """
-    mats = _generator_matrices(gens)
+    """The factors of a :class:`GeneratorSet`; a bare list of generators is
+    one block with r = n and k = 1, on which every generator is its own A."""
+    if isinstance(gens, GeneratorSet):
+        return gens.factors
+    mats = list(gens)
     if not mats:
         raise ValueError("at least one generator is needed")
     n = mats[0].rows
     for m in mats:
         if not m.is_square or m.rows != n:
             raise ShapeMismatchError("generators must be square of equal size")
-    recipe = getattr(gens, "recipe", None)
-    if recipe is not None:
-        shapes = [(s.cuspidal.dim, s.k) for s in recipe.segments]
-        split = _split_blocks(mats, recipe.spans, shapes, n)
-        if split is not None:
-            blocks = tuple((lo, r, k)
-                           for (lo, _), (r, k) in zip(recipe.spans, shapes))
-            return TensorFactors(n, blocks, *split)
-    rho, exact = _side_factors([(m, [tuple(m.data.flat)]) for m in mats], 1)
-    return TensorFactors(n, ((0, n, 1),), rho, ((),), exact, True)
+    exact = all(m.exact for m in mats)
+    rho = tuple(_entries(m, exact) for m in mats)
+    return TensorFactors(n, ((0, n, 1),), (rho,), ((),), exact, True)
 
 
-def _split_blocks(mats, spans, shapes, n):
-    """(rho, sl2, rho_exact, sl2_exact) of ``mats`` on the blocks, or
-    None."""
-    ends = list(accumulate(r * k for r, k in shapes))
-    if (tuple(spans) != tuple(zip([0, *ends], ends)) or ends[-1:] != [n]
-            or not all(block_diagonal(m.data, spans) for m in mats)):
-        return None
-    sides = ([], [])  # (generator, its factor per block) for rho, for sl2
-    for m in mats:
-        for is_rho, side in zip((True, False), sides):
-            factors = [_kron_factor(m.data[lo:hi, lo:hi], r, k, is_rho)
-                       for (lo, hi), (r, k) in zip(spans, shapes)]
-            if None not in factors:
-                side.append((m, factors))
-                break
-        else:
-            return None
-    (rho, rho_exact), (sl2, sl2_exact) = (_side_factors(side, len(spans))
-                                          for side in sides)
-    return rho, sl2, rho_exact, sl2_exact
-
-
-def _side_factors(side, nblocks):
-    """Per block, the factors of one side's generators, and whether the
-    side is exact; a side with a float generator is all complex."""
-    exact = all(m.exact for m, _ in side)
-    factors = tuple(tuple(fs[i] if exact else tuple(map(complex, fs[i]))
-                          for _, fs in side) for i in range(nblocks))
-    return factors, exact
+def _entries(m: Matrix, exact: bool) -> tuple:
+    """The row-major entries of ``m``, as complex numbers unless ``exact``."""
+    return tuple(m.data.flat) if exact else tuple(map(complex, m.data.flat))
 
 
 def invariant_forms(gens) -> list[BilinearForm]:
@@ -962,8 +935,9 @@ def invariant_forms(gens) -> list[BilinearForm]:
     is closed under transposition, so it always splits into symmetric and
     skew parts; each form is labelled by the part it came from.
 
-    The space is solved per block pair (i, j) of :func:`tensor_factors`: its
-    forms there are X (x) Y, with X in :func:`invariant_pairings` of the
+    The space is solved per block pair (i, j) of :func:`tensor_factors`
+    (the realization's blocks, or one block for a bare list of generators):
+    its forms there are X (x) Y, with X in :func:`invariant_pairings` of the
     A_i, A_j and Y in that of the U_i, U_j; each factor is solved on its
     side's path, and X (x) Y is complex unless both are exact.  On the exact
     path the symmetric and skew parts are reduced row echelon forms, unique
@@ -1161,46 +1135,64 @@ def _binomial_poly(x, y, power: int, zero):
 
 @dataclass(frozen=True)
 class RealizationRecipe:
-    """How a generator set was assembled: segments, block spans, catalog."""
+    """How a generator set was assembled: one block per segment, in order."""
 
     segments: tuple[Segment, ...]
-    spans: tuple[tuple[int, int], ...]
-    catalog: "Catalog"
+
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        ends = list(accumulate(s.dim for s in self.segments))
+        return tuple(zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Square invertible generators of a realized parameter.
+    """Invertible generators of a realized parameter, stored as their
+    :class:`TensorFactors`, one provenance tag per generator.
 
-    ``exact`` says whether every label model is exact; the label generators
-    follow it, and the integer exp(E), exp(F) are exact on both paths.
+    ``exact`` says whether every factor is exact: the label factors follow
+    the label models, and the integer exp(E), exp(F) are exact on both
+    paths.  ``generators`` assembles the dense matrices once, on demand.
     """
 
-    dim: int
-    generators: tuple[Matrix, ...]
+    factors: TensorFactors
     provenance: tuple[str, ...]
-    exact: bool
     recipe: RealizationRecipe | None = None
 
     def __post_init__(self):
-        if len(self.generators) != len(self.provenance):
+        tf = self.factors
+        if len(tf.rho[0]) + len(tf.sl2[0]) != len(self.provenance):
             raise ValueError("one provenance tag per generator")
-        for g in self.generators:
-            if not g.is_square or g.rows != self.dim:
-                raise ShapeMismatchError(
-                    f"generator of shape {g.shape} in dimension {self.dim}")
-            if not g.is_invertible():
-                raise ValueError("generators must be invertible")
+        # A (x) I and I (x) U are invertible exactly when A and U are
+        if not all(_invertible(f, r if is_rho else k, exact)
+                   for side, exact, is_rho in tf.sides()
+                   for (_, r, k), factors in zip(tf.blocks, side)
+                   for f in factors):
+            raise ValueError("generators must be invertible")
+
+    @property
+    def dim(self) -> int:
+        return self.factors.n
+
+    @property
+    def exact(self) -> bool:
+        return self.factors.rho_exact and self.factors.sl2_exact
+
+    @cached_property
+    def generators(self) -> tuple[Matrix, ...]:
+        return tuple(self.factors.dense())
 
 
 def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
-    """Matrix generators for the image of an untwisted parameter.
+    """Generators for the image of an untwisted parameter, built as their
+    tensor factors.
 
     Each segment St(k, rho) contributes a block rho (x) S(k); a group
-    element gamma acts as gamma (x) I_k simultaneously in every block whose
-    label is modeled on gamma's group, and the unipotent pair exp(E), exp(F)
-    acts as I_r (x) exp on every block at once, exactly whatever the labels'
-    path.  Distinct model groups give independent generator families.
+    element gamma acts as gamma (x) I_k in every block whose label is
+    modeled on gamma's group and as the identity elsewhere (skipped when
+    that is the identity everywhere), and the unipotent pair exp(E), exp(F)
+    acts as I_r (x) exp on every block at once, exactly whatever the
+    labels' path.  With no such generator the identity is the generator.
     """
     segs = p.segments
     if not segs:
@@ -1212,45 +1204,34 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
                 f"segment {s.cuspidal.name} has twist {s.twist}; "
                 f"realizations are defined for twist zero")
         models.append(catalog.model_for(s.cuspidal))
-    spans = []
-    at = 0
-    for s in segs:
-        spans.append((at, at + s.dim))
-        at += s.dim
-    n = at
     exact = all(m.exact for m in models)
 
-    groups = []
-    for m in models:
-        if not any(g is m.group for g in groups):
-            groups.append(m.group)
-
-    generators: list[Matrix] = []
+    groups = dict.fromkeys(m.group for m in models)  # hashed by identity
+    rho, sl2 = [[] for _ in segs], [[] for _ in segs]
     provenance: list[str] = []
     for group in groups:
         for pos, element_index in enumerate(group.generator_idxs):
-            blocks = []
-            for s, m in zip(segs, models):
-                if m.group is group:
-                    blocks.append(
-                        m.matrices[element_index].kron(
-                            Matrix.identity(s.k, m.matrices[0].exact)))
-                else:
-                    blocks.append(Matrix.identity(s.dim, exact))
-            g = blockdiag(blocks)
-            if not g.is_identity():
-                generators.append(g if g.exact == exact else g.to_float())
-                provenance.append(f"group:{group.name}:{pos}")
+            acts = [m.matrices[element_index] if m.group is group
+                    else Matrix.identity(m.dim, exact) for m in models]
+            if all(a.is_identity() for a in acts):
+                continue
+            for block, a in zip(rho, acts):
+                block.append(_entries(a, exact))
+            provenance.append(f"group:{group.name}:{pos}")
     if any(s.k > 1 for s in segs):
         for tag, exp in (("sl2:exp_e", sl2_exp_e), ("sl2:exp_f", sl2_exp_f)):
-            blocks = [
-                Matrix.identity(s.cuspidal.dim).kron(exp(s.k)) for s in segs
-            ]
-            generators.append(blockdiag(blocks))
+            for block, s in zip(sl2, segs):
+                block.append(tuple(exp(s.k).data.flat))
             provenance.append(tag)
-    if not generators:
-        generators = [Matrix.identity(n, exact)]
+    if not provenance:
+        rho = [[_entries(Matrix.identity(m.dim, exact), exact)]
+               for m in models]
         provenance = ["identity"]
 
-    recipe = RealizationRecipe(tuple(segs), tuple(spans), catalog)
-    return GeneratorSet(n, tuple(generators), tuple(provenance), exact, recipe)
+    recipe = RealizationRecipe(tuple(segs))
+    blocks = tuple((lo, s.cuspidal.dim, s.k)
+                   for (lo, _), s in zip(recipe.spans, segs))
+    factors = TensorFactors(p.dim, blocks,
+                            tuple(map(tuple, rho)), tuple(map(tuple, sl2)),
+                            exact, True)
+    return GeneratorSet(factors, tuple(provenance), recipe)

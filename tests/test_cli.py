@@ -96,6 +96,25 @@ def test_classify_twisted_parameter_fails_tempered(capsys):
     assert report.exit_code == 1
 
 
+def test_tempered_details_name_what_is_not_tempered(tmp_path, capsys):
+    path = tmp_path / "nonunitary.ini"
+    path.write_text(USER_CATALOG.replace("model = q8", "model = q8\n"
+                                         "unitary = no"), encoding="utf-8")
+    report = run_classify("tau (+) St(2,one) * nu^1/2", str(path))
+    tempered = next(c for c in report.checks if c.name == "tempered")
+    assert tempered.verdict == "fail"
+    assert tempered.details == ("twisted segments present: St(2,one) * "
+                                "nu^1/2; non-unitary labels: tau")
+    # the sweep's blocks are untwisted, so only the label is named
+    assert main(["sweep", "--max-dim", "4", "--catalog", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL ] rds tau: tempered: non-unitary labels: tau" in out
+    assert "all twists zero" not in out
+    tempered = next(c for c in run_classify("q8 (+) q8b").checks
+                    if c.name == "tempered")
+    assert (tempered.verdict, tempered.details) == ("pass", "all twists zero")
+
+
 def test_classify_undistinguishable_segment_is_a_failure_with_reason():
     report = run_classify("St(3,trivial) (+) trivial")
     segment_checks = [c for c in report.checks
@@ -182,6 +201,16 @@ def test_classify_refuses_oversized_oracle_input(capsys):
     assert form["verdict"] == "error"
     assert f"bound is {FORM_ORACLE_DIM_BOUND}" in form["details"]
     assert data["oracle_agreement"] is None
+
+
+def test_classify_refuses_the_empty_parameter_in_the_oracle(capsys):
+    assert main(["classify", "0", "--oracle", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    form = next(c for c in data["checks"] if c["name"] == "oracle-form")
+    assert form["verdict"] == "error"
+    assert "nonempty parameter" in form["details"]
+    assert data["oracle_agreement"] is None
+    assert main(["classify", "0"]) == 0
 
 
 @st.composite

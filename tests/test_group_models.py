@@ -1,7 +1,6 @@
 """Tests for finite-group models, indicators, catalogs, and the isotropy oracle."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,7 @@ from periodlab import (
     Catalog,
     CatalogEntry,
     CuspidalLabel,
+    GeneratorSet,
     Matrix,
     SL2_SURROGATE_BOUND,
     Segment,
@@ -206,6 +206,12 @@ def test_multiplicities_beyond_surrogate_range():
     assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
 
 
+def _one_block_set(mats, like, recipe):
+    """The generators ``mats`` as one block, tagged like the set ``like``,
+    carrying ``recipe``."""
+    return GeneratorSet(tensor_factors(mats), like.provenance, recipe)
+
+
 def _foreign_generators(case):
     """q8 (+) q8b's recipe on generators that do not match it, and a form
     those generators preserve."""
@@ -214,11 +220,12 @@ def _foreign_generators(case):
         # swapping coordinates 1 and 2 mixes the two blocks
         p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],
                               [0, 1, 0, 0], [0, 0, 0, 1]])
-        mixed = tuple(p @ g @ p.T for g in base.generators)
-        return (replace(base, generators=mixed),
+        mixed = [p @ g @ p.T for g in base.generators]
+        return (_one_block_set(mixed, base, base.recipe),
                 p @ skew_of(base).form.gram @ p.T)
     same = oracle_gens(seg("q8"), seg("q8"))
-    return replace(same, recipe=base.recipe), skew_of(same).form.gram
+    return (_one_block_set(same.generators, same, base.recipe),
+            skew_of(same).form.gram)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -288,8 +295,8 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
                           [0, 0, 1, 0], [0, 0, 0, 1]])
     p_inv = Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0],
                               [0, 0, 1, 0], [0, 0, 0, 1]])
-    moved = replace(base, generators=tuple(
-        p @ g @ p_inv for g in base.generators))
+    moved = _one_block_set([p @ g @ p_inv for g in base.generators], base,
+                           base.recipe)
     assert tensor_factors(moved).blocks == ((0, 4, 1),)
     # B is invariant under the g exactly when p^-T B p^-1 is under p g p^-1
     (want,) = [p_inv.T @ f.gram @ p_inv for f in invariant_forms(base)]

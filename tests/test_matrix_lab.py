@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodlab import (
     BilinearForm,
+    GeneratorSet,
     Matrix,
     PermutationMap,
     QQi,
@@ -39,9 +40,11 @@ from periodlab.errors import (
     TwistedSegmentError,
 )
 from periodlab.matrix_lab import (
+    TensorFactors,
     blockdiag,
     nullspace_exact,
     nullspace_float,
+    tensor_factors,
 )
 
 CAT = builtin_catalog()
@@ -528,6 +531,75 @@ def test_realize_shares_group_action_across_blocks():
     # one q8 generator acts simultaneously in both blocks
     g = gens.generators[0]
     assert not g.data[0, 0] or g.data[0, 0] != QQi(1)
+
+
+def _dense_reference(p):
+    """The generators of ``realize(p)`` assembled densely, in provenance
+    order: per group generator the blockdiag of kron(A, I_k) on the blocks
+    of its group and the identity elsewhere (skipped when it is the
+    identity), then the blockdiag of kron(I_r, exp) for exp(E) and exp(F)
+    when some k > 1, else the identity."""
+    segs = p.segments
+    models = [CAT.model_for(s.cuspidal) for s in segs]
+    exact = all(m.exact for m in models)
+    groups = []
+    for m in models:
+        if not any(g is m.group for g in groups):
+            groups.append(m.group)
+    out = []
+    for group in groups:
+        for idx in group.generator_idxs:
+            g = blockdiag([
+                m.matrices[idx].kron(Matrix.identity(s.k, m.exact))
+                if m.group is group else Matrix.identity(s.dim, exact)
+                for s, m in zip(segs, models)])
+            if not g.is_identity():
+                out.append(g if g.exact == exact else g.to_float())
+    if any(s.k > 1 for s in segs):
+        for exp in (sl2_exp_e, sl2_exp_f):
+            out.append(blockdiag([Matrix.identity(s.cuspidal.dim).kron(
+                exp(s.k)) for s in segs]))
+    return out or [Matrix.identity(p.dim, exact)]
+
+
+@pytest.mark.parametrize("segments", [
+    (("q8", 2), ("s3", 1)),  # exact
+    (("chi3", 1), ("chi3bar", 2)),  # float
+    (("chi3", 2), ("q8", 1)),  # an exact label next to a float one
+    (("q8", 1), ("q8", 3)),  # one group shared across blocks
+    (("q8", 1), ("q8b", 1), ("d4", 2), ("trivial", 3)),  # mixed groups
+    (("q8", 1), ("s3", 1), ("trivial", 1)),  # only k = 1
+    (("trivial", 1), ("trivial", 1)),  # the identity fallback
+])
+def test_realize_matches_the_dense_kronecker_assembly(segments):
+    p = WDParameter.of([seg(name, k) for name, k in segments])
+    gens = realize(p, CAT)
+    want = _dense_reference(p)
+    assert len(gens.provenance) == len(gens.generators) == len(want)
+    assert gens.dim == p.dim
+    assert gens.exact == all(CAT.model_for(s.cuspidal).exact
+                             for s in p.segments)
+    for got, ref in zip(gens.generators, want):
+        assert got.exact == ref.exact
+        assert np.array_equal(got.data, ref.data)
+
+
+def test_generator_set_rejects_singular_factors():
+    singular = Matrix.from_rows([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="invertible"):
+        GeneratorSet(tensor_factors([singular]), ("one",))
+    with pytest.raises(ValueError, match="invertible"):
+        GeneratorSet(tensor_factors([singular.to_float()]), ("one",))
+    one, zero = QQi(1), QQi(0)
+    ident, bad = (one, zero, zero, one), (one, one, zero, zero)
+    for rho, sl2 in [(bad, ident), (ident, bad)]:
+        # A (x) I_2 or I_2 (x) U is singular exactly when its factor is
+        factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),),
+                                True, True)
+        with pytest.raises(ValueError, match="invertible"):
+            GeneratorSet(factors, ("rho", "sl2"))
+    with pytest.raises(ValueError, match="provenance"):
+        GeneratorSet(tensor_factors([Matrix.identity(2)]), ("a", "b"))
 
 
 def test_realize_rejects_twists_and_empty():
