@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .distinction import (
@@ -209,7 +210,9 @@ def run_conjecture_sweep(catalog_path: str | None = None,
 # entry point
 
 
+@cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="periodlab",
         description=("Rules and matrix oracles for symplectic-period "

@@ -12,7 +12,10 @@ Two arithmetic paths coexist:
 
 A :class:`Matrix` records which path produced it; mixing paths silently
 downgrades to floats.  Each path has one comparison rule,
-:meth:`Matrix.equals`, and exact products are formed in Gaussian integers.
+:meth:`Matrix.equals`.  The exact path computes on the Gaussian-integer
+image ``(re, im, den)`` of its QQi entries: products are integer matmuls,
+and :func:`classify_form` and :func:`is_in_sp` compare integer arrays, so
+no QQi product is formed or compared there.
 Null spaces are computed on the exact path by a sparse reduced row echelon
 form kept fraction-free in Gaussian integers, and by SVD on the float path.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
@@ -148,8 +151,8 @@ class Matrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}")
         if self.exact and other.exact:
-            (ar,), (ai,), da = _gaussian_integers([self.data])
-            (br,), (bi,), db = _gaussian_integers([other.data])
+            ar, ai, da = _gaussian_image(self)
+            br, bi, db = _gaussian_image(other)
             return Matrix(_from_gaussian_integers(
                 ar @ br - ai @ bi, ar @ bi + ai @ br, da * db), True)
         return Matrix(self.as_complex() @ other.as_complex(), False)
@@ -230,7 +233,7 @@ class Matrix:
         if self.rows == 0:
             return True
         if self.exact:
-            (re,), (im,), _ = _gaussian_integers([self.data])
+            re, im, _ = _gaussian_image(self)
             return _gaussian_nonsingular(re, im)
         s = np.linalg.svd(self.data, compute_uv=False)
         return bool(_full_rank(s))
@@ -379,13 +382,17 @@ def _gaussian_integers(arrays: Sequence[np.ndarray]):
     first axis, and ``den``.
     """
     stack = np.stack(arrays)
-    den = lcm(*(x.denominator for v in stack.flat for x in (v.re, v.im)))
+    parts = [x for v in stack.flat for x in (v.re, v.im)]
+    den = lcm(*{x.denominator for x in parts})
+    ints = np.array([x.numerator for x in parts] if den == 1 else
+                    [x.numerator * (den // x.denominator) for x in parts],
+                    dtype=object).reshape(*stack.shape, 2)
+    return ints[..., 0], ints[..., 1], den
 
-    def scaled(x):
-        return x.numerator * (den // x.denominator)
 
-    re = np.frompyfunc(lambda v: scaled(v.re), 1, 1)(stack)
-    im = np.frompyfunc(lambda v: scaled(v.im), 1, 1)(stack)
+def _gaussian_image(m: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(re, im, den)`` with ``re + i*im = den * m`` for an exact m."""
+    (re,), (im,), den = _gaussian_integers([m.data])
     return re, im, den
 
 
@@ -458,18 +465,43 @@ class BilinearForm:
     symmetry: Symmetry
     nondegenerate: bool
 
+    @cached_property
+    def gaussian(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The Gaussian-integer image ``(re, im, den)`` of an exact gram,
+        ``re + i*im = den * gram``; converted once per form."""
+        return _gaussian_image(self.gram)
+
 
 def classify_form(gram: Matrix) -> BilinearForm:
+    """Symmetry and nondegeneracy of ``gram``.
+
+    On the exact path both are read off the Gaussian-integer image: the
+    symmetry from ``re`` and ``im`` against their transposes, nondegeneracy
+    by fraction-free elimination.  The image is kept on the returned form
+    for :func:`is_in_sp`.  On the float path they follow
+    :meth:`Matrix.equals` and the SVD rank rule.
+    """
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
-    gt = gram.T
-    if gt.equals(gram):
+    if not gram.exact:
+        gt = gram.T
+        if gt.equals(gram):
+            sym = Symmetry.SYMMETRIC
+        elif gt.equals(-gram):
+            sym = Symmetry.SKEW
+        else:
+            sym = Symmetry.NEITHER
+        return BilinearForm(gram, sym, gram.is_invertible())
+    re, im, den = _gaussian_image(gram)
+    if np.array_equal(re.T, re) and np.array_equal(im.T, im):
         sym = Symmetry.SYMMETRIC
-    elif gt.equals(-gram):
+    elif np.array_equal(re.T, -re) and np.array_equal(im.T, -im):
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    return BilinearForm(gram, sym, gram.is_invertible())
+    form = BilinearForm(gram, sym, _gaussian_nonsingular(re, im))
+    form.__dict__["gaussian"] = re, im, den  # fills the cached property
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -709,17 +741,28 @@ class SpCheck:
 def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix]) -> SpCheck:
     """Whether g preserves the form: g^T J g = J.
 
-    Decided by :meth:`Matrix.equals`: exactly when g and J are exact, else
+    When g and J are exact it is decided in Gaussian integers: with
+    g = G / d and J = K / e, it holds iff G^T K G = d^2 K, four integer
+    matmuls per product.  J's image is taken from the form when it is a
+    :class:`BilinearForm`.  Otherwise it is decided by :meth:`Matrix.equals`,
     within ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.
     """
     gram = j.gram if isinstance(j, BilinearForm) else j
     if not g.is_square or g.shape != gram.shape:
         raise ShapeMismatchError(
             f"generator {g.shape} does not match form {gram.shape}")
-    moved = g.T @ gram @ g
-    holds = moved.equals(gram)
-    return SpCheck(holds, 0.0 if holds and moved.exact
-                   else moved.max_abs_diff(gram))
+    if not (g.exact and gram.exact):
+        moved = g.T @ gram @ g
+        return SpCheck(moved.equals(gram), moved.max_abs_diff(gram))
+    gr, gi, d = _gaussian_image(g)
+    kr, ki, e = (j.gaussian if isinstance(j, BilinearForm)
+                 else _gaussian_image(gram))
+    mr, mi = kr @ gr - ki @ gi, kr @ gi + ki @ gr
+    pr, pi = gr.T @ mr - gi.T @ mi, gr.T @ mi + gi.T @ mr
+    if np.array_equal(pr, d * d * kr) and np.array_equal(pi, d * d * ki):
+        return SpCheck(True, 0.0)
+    moved = Matrix(_from_gaussian_integers(pr, pi, d * d * e), True)
+    return SpCheck(False, moved.max_abs_diff(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,17 @@ def test_non_utf8_catalog_exits_three(tmp_path, monkeypatch, capsys, argv,
 # -- argument handling ------------------------------------------------------------
 
 
+def test_repeated_calls_in_one_process_match_the_first(capsys):
+    argv = ["classify", "q8 (+) q8b", "--json"]
+    first = main(argv), capsys.readouterr().out
+    assert main(["sweep", "--max-dim", str(SWEEP_MAX_DIM + 1)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr().out) == first
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -25,6 +25,7 @@ from periodlab import (
     fs_indicator,
     invariant_forms,
     invariant_isotropic_exists,
+    is_in_sp,
     isotypic_multiplicities,
     oracle_verdicts,
     realize,
@@ -36,6 +37,7 @@ from periodlab.errors import (
     CatalogError,
     CommutantMismatchError,
     ConsistencyError,
+    FormVerificationError,
     MissingModelError,
     SurrogateBoundExceededError,
 )
@@ -348,6 +350,20 @@ def test_isotropy_rejects_bad_forms():
     pair = oracle_gens(seg("q8"), seg("q8b"))
     with pytest.raises(ValueError, match="invariant"):
         verify_form(pair, symplectic_J(4).gram)
+
+
+def test_verify_form_catches_a_near_miss():
+    # the exact form of q8 (+) q8b, off by 10^-12 in one cross-block pair:
+    # still skew and nondegenerate, but no longer invariant
+    gens = oracle_gens(seg("q8"), seg("q8b"))
+    near = Matrix(skew_of(gens).form.gram.data.copy(), True)
+    eps = Fraction(1, 10 ** 12)
+    near.data[0, 2] = near.data[0, 2] + eps
+    near.data[2, 0] = near.data[2, 0] - eps
+    with pytest.raises(FormVerificationError, match="invariant"):
+        verify_form(gens, near)
+    check = is_in_sp(gens.generators[0], near)
+    assert not check and check.residue > 0
 
 
 def test_isotropy_found_for_triple_class():

@@ -242,6 +242,45 @@ def test_classify_form_symmetries():
     assert not degenerate.nondegenerate
 
 
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+@st.composite
+def _forms_of_every_kind(draw):
+    """A^T P C P A for a symmetric, skew or unconstrained C and a rank-r
+    projection P: the symmetry of C is kept and the rank is at most r."""
+    n = draw(st.integers(1, 5))
+    dense = st.lists(st.lists(gaussian_rationals, min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    x, a = draw(dense), draw(dense)
+    sign = draw(st.sampled_from([1, -1, None]))
+    core = x if sign is None else [
+        [x[r][s] + sign * x[s][r] for s in range(n)] for r in range(n)]
+    rank = draw(st.just(n) | st.integers(0, n))
+    keep = [[QQi(int(i == j < rank)) for j in range(n)] for i in range(n)]
+    m = _transpose(a)
+    for right in (keep, core, keep, a):
+        m = _reference_product(m, right)
+    return m
+
+
+@settings(max_examples=80)
+@given(_forms_of_every_kind())
+def test_exact_classify_form_matches_the_definitions(rows):
+    n = len(rows)
+    gram, transposed = Matrix.from_rows(rows), _transpose(rows)
+    if transposed == rows:
+        expected = Symmetry.SYMMETRIC
+    elif transposed == [[-v for v in row] for row in rows]:
+        expected = Symmetry.SKEW
+    else:
+        expected = Symmetry.NEITHER
+    form = classify_form(gram)
+    assert form.symmetry is expected
+    assert form.nondegenerate == (gram.rank() == n)
+
+
 def test_standard_forms():
     j = symplectic_J(4)
     assert j.symmetry is Symmetry.SKEW and j.nondegenerate
@@ -359,6 +398,57 @@ def test_is_in_sp_exact_and_float():
     assert not is_in_sp(stretch, j)
     with pytest.raises(ShapeMismatchError):
         is_in_sp(Matrix.identity(3), j)
+
+
+def _transvection(v, c, j):
+    """I + c v v^T J, which preserves every skew J since v^T J v = 0."""
+    n = len(v)
+    vj = [sum((v[t] * j[t][s] for t in range(n)), QQi(0)) for s in range(n)]
+    return [[QQi(int(r == s)) + c * v[r] * vj[s] for s in range(n)]
+            for r in range(n)]
+
+
+@st.composite
+def _generator_and_form(draw):
+    """J standard, skew or unconstrained, scaled by a rational; g a
+    product of transvections for J, perturbed in one entry or not."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["standard", "skew", "any"]))
+    x = draw(_square_gaussian(n))
+    if kind == "standard" and n % 2 == 0:
+        j = symplectic_J(n).gram.data.tolist()
+    elif kind == "any":
+        j = x
+    else:
+        j = [[x[r][s] - x[s][r] for s in range(n)] for r in range(n)]
+    scale = draw(st.fractions(1, 9, max_denominator=7))
+    j = [[v * scale for v in row] for row in j]
+    g = [[QQi(int(r == s)) for s in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.lists(gaussian_rationals, min_size=n, max_size=n))
+        g = _reference_product(g, _transvection(v, draw(gaussian_rationals),
+                                                j))
+    if draw(st.booleans()):
+        r, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g[r][s] = g[r][s] + draw(gaussian_rationals.filter(bool))
+    return g, j
+
+
+@settings(max_examples=80)
+@given(_generator_and_form())
+def test_exact_is_in_sp_matches_entrywise_reference(drawn):
+    g, j = drawn
+    moved = _reference_product(_reference_product(_transpose(g), j), g)
+    holds = moved == j
+    gram = Matrix.from_rows(j)
+    for form in (gram, classify_form(gram)):
+        check = is_in_sp(Matrix.from_rows(g), form)
+        assert bool(check) == holds
+        assert (check.residue == 0.0) == holds
+        if not holds:  # max |g^T J g - J| over the entries, in floats
+            assert check.residue == np.abs(
+                np.array(moved, dtype=complex) - np.array(j, dtype=complex)
+            ).max()
 
 
 def test_invariant_forms_symplectic_irreducible():
