@@ -17,6 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .distinction import (
+    FORM_ORACLE_DIM_BOUND,
     TAG_DISTINGUISHED,
     TAG_RDS,
     add_sp_checks,
@@ -46,13 +47,10 @@ TAG_CONJUGATOR = "identity:partition-conjugator"
 TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
-# The largest bounds verify-matrices accepts.  Its time grows about 2.2x per
-# step of n; a run at both caps takes about 3 s on a 2-vCPU VM.
+# The largest bounds verify-matrices accepts.  A run at both caps takes
+# about 0.5 s on a 2-vCPU VM.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
-# The largest --max-dim of sweep: a cold run there takes about 21 s on a
-# 2-vCPU VM.
-SWEEP_MAX_DIM = 16
 
 
 class UsageError(ValueError):
@@ -194,9 +192,12 @@ def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
 def run_conjecture_sweep(catalog_path: str | None = None,
                          max_dim: int = 8) -> Report:
     """Check every regular discrete sum up to ``max_dim``; see
-    :func:`periodlab.sweep.conjecture_sweep`."""
-    if not 2 <= max_dim <= SWEEP_MAX_DIM:
-        raise UsageError(f"max_dim must be between 2 and {SWEEP_MAX_DIM}")
+    :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
+    the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
+    takes about 35 s on a 2-vCPU VM."""
+    if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
+        raise UsageError(
+            f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")
     try:
         catalog, source = _resolve_catalog(catalog_path)
     except (OSError, UnicodeDecodeError, PeriodLabError) as exc:
@@ -243,7 +244,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("--catalog", metavar="PATH",
                    help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
     s.add_argument("--max-dim", type=int, default=8, metavar="D",
-                   help=f"total dimension cap, 2..{SWEEP_MAX_DIM} "
+                   help=f"total dimension cap, 2..{FORM_ORACLE_DIM_BOUND} "
                         f"(default 8)")
     s.add_argument("--json", action="store_true", help="JSON output")
     return ap

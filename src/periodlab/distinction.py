@@ -295,9 +295,8 @@ def verify_form(gens: GeneratorSet, gram: Matrix) -> VerifiedForm:
     """Check once, by ``classify_form`` and one ``is_in_sp`` per generator,
     that ``gram`` is skew, nondegenerate and invariant (exactly when the
     generators and the form are exact); else raise
-    :class:`FormVerificationError`.  On the exact path the form is turned
-    into Gaussian integers once, by ``classify_form``, and each generator
-    once, by its ``is_in_sp``."""
+    :class:`FormVerificationError`.  On the exact path every check
+    compares the stored integers."""
     form = classify_form(gram)
     if form.symmetry is not Symmetry.SKEW or not form.nondegenerate:
         raise FormVerificationError(

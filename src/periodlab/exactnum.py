@@ -97,10 +97,6 @@ class QQi:
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- comparison and hashing ----------------------------------------
     def __eq__(self, other):
         if isinstance(other, QQi):

@@ -92,7 +92,7 @@ class FiniteGroup:
 
 def _element_key(m: Matrix, exact: bool):
     if exact:
-        return tuple(m.data.ravel())
+        return m.den, tuple(m.re.flat), tuple(m.im.flat)
     return tuple(np.round(m.as_complex(), 6).ravel().tolist())
 
 
@@ -385,9 +385,6 @@ class Catalog:
                 f"label {label.name!r} has no finite-group model")
         return entry.model
 
-    def dual_of(self, label: CuspidalLabel) -> CuspidalLabel:
-        return self.label(label.dual_name)
-
     def labels(self) -> list[CuspidalLabel]:
         return [e.label for e in self.entries.values()]
 
@@ -490,7 +487,7 @@ def _isotypic_components(
     for seg, span in zip(recipe.segments, recipe.spans):
         components.setdefault(f"{seg.cuspidal.name}⊗S({seg.k})",
                               []).append(span)
-    if not all(block_diagonal(g.data, recipe.spans)
+    if not all(block_diagonal(g, recipe.spans)
                for g in gens.generators):
         raise CommutantMismatchError(
             "generators do not act block-diagonally on the recipe's blocks")
@@ -544,8 +541,9 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
         if len(spans) > 1:
             return _isotropic_graph_exists(gram, spans[0], spans[1])
         (lo, hi), = spans
-        block = gram.data[lo:hi, lo:hi]
-        if (not any(block.flat) if gram.exact else np.abs(block).max()
+        block = gram.apply(lambda a: a[lo:hi, lo:hi])
+        if (block.equals(Matrix.zeros(hi - lo, hi - lo)) if gram.exact
+                else np.abs(block.data).max()
                 <= FLOAT_TOL * max(1.0, np.abs(gram.data).max())):
             return True
     return False
@@ -565,11 +563,10 @@ def _isotropic_graph_exists(gram: Matrix, span1: tuple[int, int],
     homogeneous quadratic in (a : b), which always has a complex root.
     """
     (a, b), (c, d) = span1, span2
-    j = gram.data
-    blocks = np.stack([j[a:b, a:b].ravel(),
-                       (j[a:b, c:d] + j[c:d, a:b]).ravel(),
-                       j[c:d, c:d].ravel()])
-    if Matrix(blocks, gram.exact).rank() <= 1:
+    blocks = gram.apply(lambda j: np.stack([
+        j[a:b, a:b].ravel(), (j[a:b, c:d] + j[c:d, a:b]).ravel(),
+        j[c:d, c:d].ravel()]))
+    if blocks.rank() <= 1:
         return True
     raise PeriodLabError(
         "internal: the pairing blocks of a repeated component are not "

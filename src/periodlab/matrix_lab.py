@@ -2,25 +2,28 @@
 
 Two arithmetic paths coexist:
 
-* an exact path over Gaussian rationals (:class:`~periodlab.exactnum.QQi`),
-  used for everything built from integers and fourth roots of unity — the J
-  matrices, permutations, sl2 symmetric-power data, and integer-entry group
-  models.  Identities on this path hold with zero tolerance.
+* an exact path over the Gaussian rationals, used for everything built from
+  integers and fourth roots of unity — the J matrices, permutations, sl2
+  symmetric-power data, and integer-entry group models.  Identities on this
+  path hold with zero tolerance.
 * a float path over ``complex128`` with the one tolerance
   ``FLOAT_TOL = 1e-9``, used as soon as a construction needs other roots of
   unity or quaternion entries.
 
 A :class:`Matrix` records which path produced it; mixing paths silently
 downgrades to floats.  Each path has one comparison rule,
-:meth:`Matrix.equals`.  The exact path computes on the Gaussian-integer
-image ``(re, im, den)`` of its QQi entries: products are integer matmuls,
-and :func:`classify_form` and :func:`is_in_sp` compare integer arrays, so
-no QQi product is formed or compared there.
+:meth:`Matrix.equals`.  An exact matrix is stored only as its
+Gaussian-integer image ``(re, im, den)``: the matrix is ``(re + i*im)/den``
+with ``re`` and ``im`` object arrays of Python ints and ``den`` a positive
+int, reduced so that gcd(re, im, den) = 1.  The reduced image is unique, so
+equality compares integers, and products are integer matmuls.
+:class:`~periodlab.exactnum.QQi` scalars appear only at the edges: as input
+to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
 Null spaces are computed on the exact path by a sparse reduced row echelon
 form kept fraction-free in Gaussian integers, and by SVD on the float path.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
-by fraction-free elimination over the Gaussian integers (Bareiss 1968) once
-denominators are cleared, and on the float path by the SVD rank rule.
+by fraction-free elimination over the Gaussian integers (Bareiss 1968), and
+on the float path by the SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
@@ -28,8 +31,8 @@ generators acts on every block as A_i (x) I or as I (x) U_i.
 (:class:`TensorFactors`); the dense matrices are assembled from them on
 demand and never split again.  :func:`invariant_forms` solves the forms of
 each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
-and an S(k) factor (k k' unknowns), each solve cached on its factor
-entries; ``group_models`` solves the commutant the same way.  A bare list
+and an S(k) factor (k k' unknowns), each solve cached on its factor's
+integers; ``group_models`` solves the commutant the same way.  A bare list
 of generators is solved as one block.
 """
 
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from .errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
-from .exactnum import ONE, ZERO, QQi, qqi
+from .exactnum import ZERO, QQi, qqi
 from .param_core import Segment, WDParameter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -67,64 +70,86 @@ FLOAT_TOL = 1e-9
 
 
 class Matrix:
-    """A dense matrix on either the exact (QQi) or the float path.
+    """A dense matrix on either the exact or the float path.
 
+    On the exact path ``data`` is None and the matrix is
+    ``(re + i*im) / den``, reduced (see the module docstring); on the float
+    path ``data`` is the ``complex128`` array and the other slots are unset.
     Instances are treated as immutable; all operations return new objects.
     """
 
-    __slots__ = ("data", "exact")
+    __slots__ = ("data", "re", "im", "den")
 
-    def __init__(self, data: np.ndarray, exact: bool):
-        self.data = data
-        self.exact = exact
+    def __init__(self, data: np.ndarray | None, re: np.ndarray | None = None,
+                 im: np.ndarray | None = None, den: int = 1):
+        """Stores the slots as given; :meth:`gaussian` and
+        :meth:`from_array` are the checked ways in."""
+        self.data, self.re, self.im, self.den = data, re, im, den
 
     # -- construction ---------------------------------------------------
     @staticmethod
+    def gaussian(re: np.ndarray, im: np.ndarray | None = None,
+                 den: int = 1) -> "Matrix":
+        """The exact matrix ``(re + i*im) / den`` of Python-int object arrays
+        and a positive ``den``, reduced."""
+        if im is None:
+            im = np.zeros_like(re)
+        if den != 1:
+            g = gcd(den, *re.flat, *im.flat)
+            if g > 1:
+                re, im, den = re // g, im // g, den // g
+        return Matrix(None, re, im, den)
+
+    @staticmethod
     def from_rows(rows: Sequence[Sequence], exact: bool = True) -> "Matrix":
+        """A matrix from rows of ints, Fractions or QQi (or complex numbers
+        when not ``exact``)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeMismatchError("ragged rows")
-        if exact:
-            data = np.empty((nrows, ncols), dtype=object)
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    data[i, j] = qqi(v)
-        else:
-            data = np.array(rows, dtype=complex).reshape(nrows, ncols)
-        return Matrix(data, exact)
+        if not exact:
+            return Matrix.from_array(
+                np.array(rows, dtype=complex).reshape(nrows, ncols))
+        vals = [qqi(v) for row in rows for v in row]
+        parts = [x for v in vals for x in (v.re, v.im)]
+        den = lcm(*(x.denominator for x in parts))
+        ints = np.array([x.numerator * (den // x.denominator) for x in parts],
+                        dtype=object).reshape(nrows, ncols, 2)
+        return Matrix.gaussian(ints[..., 0], ints[..., 1], den)
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Matrix":
-        return Matrix(np.asarray(arr, dtype=complex), exact=False)
+        return Matrix(np.asarray(arr, dtype=complex))
 
     @staticmethod
     def zeros(rows: int, cols: int, exact: bool = True) -> "Matrix":
         if exact:
-            data = np.empty((rows, cols), dtype=object)
-            data[...] = ZERO
-            return Matrix(data, True)
-        return Matrix(np.zeros((rows, cols), dtype=complex), False)
+            return Matrix.gaussian(np.zeros((rows, cols), dtype=object))
+        return Matrix(np.zeros((rows, cols), dtype=complex))
 
     @staticmethod
     def identity(n: int, exact: bool = True) -> "Matrix":
-        m = Matrix.zeros(n, n, exact)
-        for i in range(n):
-            m.data[i, i] = ONE if exact else 1.0 + 0j
-        return m
+        if exact:
+            return Matrix.gaussian(np.eye(n, dtype=object))
+        return Matrix(np.eye(n, dtype=complex))
 
     # -- basic shape ------------------------------------------------------
     @property
+    def exact(self) -> bool:
+        return self.data is None
+
+    @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        return self.re.shape if self.data is None else self.data.shape
 
     @property
     def is_square(self) -> bool:
@@ -134,16 +159,33 @@ class Matrix:
     def to_float(self) -> "Matrix":
         if not self.exact:
             return self
-        return Matrix(self.as_complex(), exact=False)
+        return Matrix(self.as_complex())
 
     def as_complex(self) -> np.ndarray:
+        """The entries as ``complex128``, each part correctly rounded."""
+        if not self.exact:
+            return self.data
+        out = np.empty(self.shape, dtype=complex)
+        out.real = self.re / self.den
+        out.imag = self.im / self.den
+        return out
+
+    def tolist(self) -> list[list]:
+        """The entries as nested lists: QQi on the exact path, complex on the
+        float path."""
+        if not self.exact:
+            return self.data.tolist()
+        d = self.den
+        return [[QQi(Fraction(a, d), Fraction(b, d)) for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.re.tolist(), self.im.tolist())]
+
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Matrix":
+        """The matrix ``fn(self)`` for an ``fn`` that moves, stacks or adds
+        entries without scaling them (a slice, a transpose, a sum of
+        slices): on the exact path it is applied to ``re`` and ``im``."""
         if self.exact:
-            out = np.empty(self.shape, dtype=complex)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    out[i, j] = complex(self.data[i, j])
-            return out
-        return self.data
+            return Matrix.gaussian(fn(self.re), fn(self.im), self.den)
+        return Matrix.from_array(fn(self.data))
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -151,57 +193,70 @@ class Matrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}")
         if self.exact and other.exact:
-            ar, ai, da = _gaussian_image(self)
-            br, bi, db = _gaussian_image(other)
-            return Matrix(_from_gaussian_integers(
-                ar @ br - ai @ bi, ar @ bi + ai @ br, da * db), True)
-        return Matrix(self.as_complex() @ other.as_complex(), False)
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            return Matrix.gaussian(ar @ br - ai @ bi, ar @ bi + ai @ br,
+                                   self.den * other.den)
+        return Matrix(self.as_complex() @ other.as_complex())
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeMismatchError(f"{self.shape} + {other.shape}")
         if self.exact and other.exact:
-            return Matrix(self.data + other.data, True)
-        return Matrix(self.as_complex() + other.as_complex(), False)
+            den = lcm(self.den, other.den)
+            a, b = den // self.den, den // other.den
+            return Matrix.gaussian(self.re * a + other.re * b,
+                                   self.im * a + other.im * b, den)
+        return Matrix(self.as_complex() + other.as_complex())
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(-self.data if not self.exact else
-                      np.vectorize(lambda v: -v, otypes=[object])(self.data),
-                      self.exact)
+        if self.exact:
+            return Matrix(None, -self.re, -self.im, self.den)
+        return Matrix(-self.data)
 
     def scale(self, s) -> "Matrix":
+        """``s`` times the matrix; exact when the matrix is and ``s`` is an
+        int, Fraction or QQi."""
         if self.exact:
             try:
-                factor = qqi(s)
+                s = qqi(s)
             except TypeError:
                 pass
             else:
-                return Matrix(
-                    np.vectorize(lambda v: v * factor, otypes=[object])(
-                        self.data), True)
-        return Matrix(self.as_complex() * complex(s), False)
+                d = lcm(s.re.denominator, s.im.denominator)
+                p, q = int(s.re * d), int(s.im * d)
+                return Matrix.gaussian(self.re * p - self.im * q,
+                                       self.re * q + self.im * p,
+                                       self.den * d)
+        return Matrix(self.as_complex() * complex(s))
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.data.T.copy(), self.exact)
+        if self.exact:
+            return Matrix(None, self.re.T, self.im.T, self.den)
+        return Matrix(self.data.T.copy())
 
     def conj(self) -> "Matrix":
         if self.exact:
-            return Matrix(
-                np.vectorize(lambda v: v.conjugate(), otypes=[object])(
-                    self.data), True)
-        return Matrix(self.data.conj(), False)
+            return Matrix(None, self.re, -self.im, self.den)
+        return Matrix(self.data.conj())
 
     def trace(self):
-        return sum(self.data[i, i] for i in range(min(self.shape)))
+        """The trace: a QQi on the exact path, complex on the float path."""
+        if self.exact:
+            return QQi(Fraction(sum(self.re.diagonal()), self.den),
+                       Fraction(sum(self.im.diagonal()), self.den))
+        return sum(self.data.diagonal())
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.exact and other.exact:
-            return Matrix(np.kron(self.data, other.data), True)
-        return Matrix(np.kron(self.as_complex(), other.as_complex()), False)
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            return Matrix.gaussian(np.kron(ar, br) - np.kron(ai, bi),
+                                   np.kron(ar, bi) + np.kron(ai, br),
+                                   self.den * other.den)
+        return Matrix(np.kron(self.as_complex(), other.as_complex()))
 
     # -- predicates --------------------------------------------------------
     def equals(self, other: "Matrix") -> bool:
@@ -211,7 +266,9 @@ class Matrix:
         if self.shape != other.shape:
             return False
         if self.exact and other.exact:
-            return bool((self.data == other.data).all())
+            return (self.den == other.den
+                    and np.array_equal(self.re, other.re)
+                    and np.array_equal(self.im, other.im))
         a, b = self.as_complex(), other.as_complex()
         scale = max(np.abs(a).max(initial=1.0), np.abs(b).max(initial=1.0))
         return bool(np.abs(a - b).max(initial=0.0) <= FLOAT_TOL * scale)
@@ -233,15 +290,14 @@ class Matrix:
         if self.rows == 0:
             return True
         if self.exact:
-            re, im, _ = _gaussian_image(self)
-            return _gaussian_nonsingular(re, im)
+            return _gaussian_nonsingular(self.re, self.im)
         s = np.linalg.svd(self.data, compute_uv=False)
         return bool(_full_rank(s))
 
     def rank(self) -> int:
         if self.exact:
-            rows = [_dense_to_sparse_row(self.data[i]) for i in range(self.rows)]
-            return _Rref(self.cols, rows).rank
+            return _Rref(self.cols, map(_sparse_row, self.re.tolist(),
+                                        self.im.tolist())).rank
         if self.data.size == 0:
             return 0
         s = np.linalg.svd(self.data, compute_uv=False)
@@ -254,90 +310,92 @@ class Matrix:
 
 def blockdiag(blocks: Sequence[Matrix]) -> Matrix:
     """Direct sum of square blocks; exact iff every block is."""
-    exact = all(b.exact for b in blocks)
-    n = sum(b.rows for b in blocks)
-    out = Matrix.zeros(n, n, exact)
-    at = 0
-    for b in blocks:
-        bb = b if exact else b.to_float()
-        out.data[at:at + b.rows, at:at + b.cols] = bb.data
-        at += b.rows
-    return out
+    ends = list(accumulate(b.rows for b in blocks))
+    return _placed(ends[-1] if ends else 0,
+                   [(slice(hi - b.rows, hi), b) for hi, b in zip(ends, blocks)])
+
+
+def _placed(n: int, tiles: Sequence[tuple[slice, Matrix]]) -> Matrix:
+    """The n x n matrix with each square ``m`` of ``tiles`` written at
+    ``[at, at]`` and zeros elsewhere; exact iff every tile is."""
+    exact = all(m.exact for _, m in tiles)
+    den = lcm(*(m.den for _, m in tiles)) if exact else 1
+    parts = ([np.zeros((n, n), dtype=object) for _ in range(2)] if exact
+             else [np.zeros((n, n), dtype=complex)])
+    for at, m in tiles:
+        values = ((m.re * (den // m.den), m.im * (den // m.den)) if exact
+                  else (m.as_complex(),))
+        for part, v in zip(parts, values):
+            part[at, at] = v
+    return Matrix.gaussian(*parts, den) if exact else Matrix(parts[0])
 
 
 # ---------------------------------------------------------------------------
 # null spaces
 
 
-def _dense_to_sparse_row(row) -> dict[int, QQi]:
-    return {j: v for j, v in enumerate(row) if v}
+def _sparse_row(re: Sequence[int], im: Sequence[int]) -> dict:
+    """The nonzero entries ``col -> (re, im)`` of one Gaussian-integer row."""
+    return {j: (a, b) for j, (a, b) in enumerate(zip(re, im)) if a or b}
 
 
 class _Rref:
-    """Incremental reduced row echelon form over QQi with sparse rows.
+    """Incremental reduced row echelon form over the Gaussian rationals with
+    sparse rows.
 
-    Rows are kept fraction-free: a row is a dict ``col -> (re, im)`` of
-    Gaussian integers, meaningful only up to a nonzero scale, and is divided
-    by the integer gcd of its parts after each update.  A pivot row stands
-    for itself divided by its leading entry; :attr:`pivots` gives those
-    normalized rows over QQi.  The reduced row echelon form is unique, so
-    it does not depend on how the rows are scaled or ordered.
+    Rows are Gaussian-integer dicts ``col -> (re, im)``, meaningful only up
+    to a nonzero scale: a row is inserted at any scale and divided by the
+    integer gcd of its parts after each update.  ``rows`` maps each pivot
+    column to its row, which stands for itself divided by its entry there.
+    The reduced row echelon form is unique, so it does not depend on how
+    the rows are scaled or ordered.
     """
 
-    def __init__(self, ncols: int, rows: Iterable[dict[int, QQi]] = ()):
+    def __init__(self, ncols: int, rows: Iterable[dict] = ()):
         self.ncols = ncols
-        self._rows: dict[int, dict[int, tuple[int, int]]] = {}
+        self.rows: dict[int, dict[int, tuple[int, int]]] = {}
         for row in rows:
             self.insert(row)
 
-    def insert(self, row: dict[int, QQi]) -> None:
-        den = lcm(*(x.denominator for v in row.values() for x in (v.re, v.im)))
-        row = {c: (v.re.numerator * (den // v.re.denominator),
-                   v.im.numerator * (den // v.im.denominator))
-               for c, v in row.items() if v}
+    def insert(self, row: dict[int, tuple[int, int]]) -> None:
+        row = {c: v for c, v in row.items() if v[0] or v[1]}
         # pivot rows vanish on every other pivot column, so one pass over
         # the pivot columns of the row reduces it
-        for c in [c for c in row if c in self._rows]:
-            piv = self._rows[c]
+        for c in [c for c in row if c in self.rows]:
+            piv = self.rows[c]
             row = _combine(piv[c], row, row[c], piv)
         if not row:
             return
         lead = min(row)
-        for c, piv in self._rows.items():
+        for c, piv in self.rows.items():
             if lead in piv:
-                self._rows[c] = _combine(row[lead], piv, piv[lead], row)
-        self._rows[lead] = row
-        self.__dict__.pop("pivots", None)
+                self.rows[c] = _combine(row[lead], piv, piv[lead], row)
+        self.rows[lead] = row
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
-    @cached_property
-    def pivots(self) -> dict[int, dict[int, QQi]]:
-        """Pivot column -> the normalized pivot row, its leading entry 1."""
-        out = {}
-        for c, row in self._rows.items():
-            gr, gi = row[c]
-            norm = gr * gr + gi * gi
-            out[c] = {col: QQi(Fraction(xr * gr + xi * gi, norm),
-                               Fraction(xi * gr - xr * gi, norm))
-                      for col, (xr, xi) in row.items()}
-        return out
-
-    def nullspace(self) -> list[list[QQi]]:
-        """Basis of the solution space, one dense vector per free column."""
-        pivots = self.pivots
-        free = [c for c in range(self.ncols) if c not in pivots]
+    def nullspace(self) -> list[Matrix]:
+        """Basis of the solution space as exact 1 x ncols rows, one per free
+        column f: 1 at f and -x_f / x_c at the pivot column c of each pivot
+        row x."""
         basis = []
-        for f in free:
-            vec = [ZERO] * self.ncols
-            vec[f] = ONE
-            for c, row in pivots.items():
-                coeff = row.get(f)
-                if coeff:
-                    vec[c] = -coeff
-            basis.append(vec)
+        for f in range(self.ncols):
+            if f in self.rows:
+                continue
+            hits = [(c, row[c], row[f]) for c, row in self.rows.items()
+                    if f in row]
+            den = lcm(*(gr * gr + gi * gi for _, (gr, gi), _ in hits))
+            re = np.zeros((1, self.ncols), dtype=object)
+            im = np.zeros((1, self.ncols), dtype=object)
+            re[0, f] = den
+            for c, (gr, gi), (xr, xi) in hits:
+                # -x / g = -x * conj(g) / |g|^2
+                s = den // (gr * gr + gi * gi)
+                re[0, c] = -(xr * gr + xi * gi) * s
+                im[0, c] = (xr * gi - xi * gr) * s
+            basis.append(Matrix.gaussian(re, im, den))
         return basis
 
 
@@ -358,8 +416,22 @@ def _combine(a, x, b, y) -> dict[int, tuple[int, int]]:
     return out
 
 
-def nullspace_exact(rows: Sequence[dict[int, QQi]], ncols: int) -> list[list[QQi]]:
+def nullspace_exact(rows: Sequence[dict], ncols: int) -> list[Matrix]:
+    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``."""
     return _Rref(ncols, rows).nullspace()
+
+
+def _normalized(row: dict[int, tuple[int, int]], lead: int,
+                n: int) -> Matrix:
+    """The n x n matrix whose row-major entries are the sparse
+    Gaussian-integer ``row`` divided by its entry at ``lead``."""
+    gr, gi = row[lead]
+    re, im = np.zeros(n * n, dtype=object), np.zeros(n * n, dtype=object)
+    for c, (xr, xi) in row.items():
+        # x / g = x * conj(g) / |g|^2
+        re[c], im[c] = xr * gr + xi * gi, xi * gr - xr * gi
+    return Matrix.gaussian(re.reshape(n, n), im.reshape(n, n),
+                           gr * gr + gi * gi)
 
 
 def _rank_cutoff(s: np.ndarray) -> np.ndarray:
@@ -372,34 +444,6 @@ def _rank_cutoff(s: np.ndarray) -> np.ndarray:
 
 def _full_rank(s: np.ndarray) -> np.ndarray:
     return (s > _rank_cutoff(s)).all(axis=-1)
-
-
-def _gaussian_integers(arrays: Sequence[np.ndarray]):
-    """Integer parts of ``den * a`` for equally shaped QQi arrays ``a``.
-
-    ``den`` is the least common denominator of all entries.  Returns the
-    real and imaginary parts as integer object arrays stacked along a new
-    first axis, and ``den``.
-    """
-    stack = np.stack(arrays)
-    parts = [x for v in stack.flat for x in (v.re, v.im)]
-    den = lcm(*{x.denominator for x in parts})
-    ints = np.array([x.numerator for x in parts] if den == 1 else
-                    [x.numerator * (den // x.denominator) for x in parts],
-                    dtype=object).reshape(*stack.shape, 2)
-    return ints[..., 0], ints[..., 1], den
-
-
-def _gaussian_image(m: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(re, im, den)`` with ``re + i*im = den * m`` for an exact m."""
-    (re,), (im,), den = _gaussian_integers([m.data])
-    return re, im, den
-
-
-def _from_gaussian_integers(re, im, den: int) -> np.ndarray:
-    """The QQi array ``(re + i*im) / den``; undoes _gaussian_integers."""
-    return np.frompyfunc(
-        lambda a, b: QQi(Fraction(a, den), Fraction(b, den)), 2, 1)(re, im)
 
 
 def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
@@ -465,20 +509,13 @@ class BilinearForm:
     symmetry: Symmetry
     nondegenerate: bool
 
-    @cached_property
-    def gaussian(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The Gaussian-integer image ``(re, im, den)`` of an exact gram,
-        ``re + i*im = den * gram``; converted once per form."""
-        return _gaussian_image(self.gram)
-
 
 def classify_form(gram: Matrix) -> BilinearForm:
     """Symmetry and nondegeneracy of ``gram``.
 
-    On the exact path both are read off the Gaussian-integer image: the
-    symmetry from ``re`` and ``im`` against their transposes, nondegeneracy
-    by fraction-free elimination.  The image is kept on the returned form
-    for :func:`is_in_sp`.  On the float path they follow
+    On the exact path both are read off the stored integers: the symmetry
+    from ``re`` and ``im`` against their transposes, nondegeneracy by
+    fraction-free elimination.  On the float path they follow
     :meth:`Matrix.equals` and the SVD rank rule.
     """
     if not gram.is_square:
@@ -492,16 +529,14 @@ def classify_form(gram: Matrix) -> BilinearForm:
         else:
             sym = Symmetry.NEITHER
         return BilinearForm(gram, sym, gram.is_invertible())
-    re, im, den = _gaussian_image(gram)
+    re, im = gram.re, gram.im
     if np.array_equal(re.T, re) and np.array_equal(im.T, im):
         sym = Symmetry.SYMMETRIC
     elif np.array_equal(re.T, -re) and np.array_equal(im.T, -im):
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    form = BilinearForm(gram, sym, _gaussian_nonsingular(re, im))
-    form.__dict__["gaussian"] = re, im, den  # fills the cached property
-    return form
+    return BilinearForm(gram, sym, _gaussian_nonsingular(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +547,7 @@ def antidiag_J(k: int) -> Matrix:
     """The k-by-k matrix with ones on the antidiagonal."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = Matrix.zeros(k, k)
-    for i in range(k):
-        m.data[i, k - 1 - i] = ONE
-    return m
+    return Matrix.gaussian(np.fliplr(np.eye(k, dtype=object)))
 
 
 def symplectic_J(m: int) -> BilinearForm:
@@ -523,11 +555,10 @@ def symplectic_J(m: int) -> BilinearForm:
     if m < 2 or m % 2:
         raise OddSizeError(f"symplectic form needs even size >= 2, got {m}")
     h = m // 2
-    g = Matrix.zeros(m, m)
+    g = np.zeros((m, m), dtype=object)
     for i in range(h):
-        g.data[i, m - 1 - i] = ONE
-        g.data[m - 1 - i, i] = -ONE
-    return BilinearForm(g, Symmetry.SKEW, True)
+        g[i, m - 1 - i], g[m - 1 - i, i] = 1, -1
+    return BilinearForm(Matrix.gaussian(g), Symmetry.SKEW, True)
 
 
 def partition_J(partition: Sequence[int]) -> BilinearForm:
@@ -565,10 +596,10 @@ class PermutationMap:
 
     def matrix(self) -> Matrix:
         """Exact permutation matrix under the convention P[sigma(j), j] = 1."""
-        m = Matrix.zeros(self.n, self.n)
+        m = np.zeros((self.n, self.n), dtype=object)
         for j, img in enumerate(self.images, start=1):
-            m.data[img - 1, j - 1] = ONE
-        return m
+            m[img - 1, j - 1] = 1
+        return Matrix.gaussian(m)
 
 
 def w_plus(n: int) -> PermutationMap:
@@ -596,7 +627,7 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
     pairs = []
     for u in range(m):
         for v in range(u + 1, m):
-            if target.data[u, v] == 1:
+            if target.re[u, v] == 1:
                 pairs.append((u + 1, v + 1))
     pairs.sort()
     n = m // 2
@@ -635,34 +666,32 @@ def sl2_sym_power_action(k: int) -> Sl2Action:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    e = Matrix.zeros(k, k)
-    f = Matrix.zeros(k, k)
-    h = Matrix.zeros(k, k)
+    e, f, h = (np.zeros((k, k), dtype=object) for _ in range(3))
     for j in range(k):
         if j > 0:
-            e.data[j - 1, j] = QQi(j)
+            e[j - 1, j] = j
         if j < k - 1:
-            f.data[j + 1, j] = QQi(k - 1 - j)
-        h.data[j, j] = QQi(k - 1 - 2 * j)
-    return Sl2Action(k, e, f, h)
+            f[j + 1, j] = k - 1 - j
+        h[j, j] = k - 1 - 2 * j
+    return Sl2Action(k, *map(Matrix.gaussian, (e, f, h)))
 
 
 def sl2_exp_e(k: int) -> Matrix:
     """exp(E) on the k-dimensional symmetric power; integer entries."""
-    m = Matrix.identity(k)
+    m = np.eye(k, dtype=object)
     for j in range(k):
         for t in range(1, j + 1):
-            m.data[j - t, j] = QQi(comb(j, t))
-    return m
+            m[j - t, j] = comb(j, t)
+    return Matrix.gaussian(m)
 
 
 def sl2_exp_f(k: int) -> Matrix:
     """exp(F) on the k-dimensional symmetric power; integer entries."""
-    m = Matrix.identity(k)
+    m = np.eye(k, dtype=object)
     for j in range(k):
         for t in range(1, k - j):
-            m.data[j + t, j] = QQi(comb(k - 1 - j, t))
-    return m
+            m[j + t, j] = comb(k - 1 - j, t)
+    return Matrix.gaussian(m)
 
 
 def invariant_form_sl2(k: int) -> BilinearForm:
@@ -676,32 +705,17 @@ def invariant_form_sl2(k: int) -> BilinearForm:
     rows = []
     for x in (action.e, action.f, action.h):
         # X^T B + B X = 0 is (-X^T) B = B X
-        rows.extend(_intertwining_rows(-x.data.T, x.data))
+        rows.extend(_intertwining_rows(-x.T, x))
     basis = nullspace_exact(rows, k * k)
     if len(basis) != 1:
         raise PeriodLabError(
             f"internal: sl2 invariant-form space has dimension {len(basis)}, "
             f"expected 1 (k={k})")
-    gram = _vec_to_matrix_exact(_normalize_exact(basis[0]), k)
-    form = classify_form(gram)
+    vec = _sparse_row(basis[0].re[0], basis[0].im[0])
+    form = classify_form(_normalized(vec, min(vec), k))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
-
-
-def _normalize_exact(vec: list[QQi]) -> list[QQi]:
-    lead = next((v for v in vec if v), None)
-    if lead is None:
-        return vec
-    return [v / lead for v in vec]
-
-
-def _vec_to_matrix_exact(vec: list[QQi], n: int) -> Matrix:
-    m = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            m.data[i, j] = vec[i * n + j]
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -741,81 +755,77 @@ class SpCheck:
 def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix]) -> SpCheck:
     """Whether g preserves the form: g^T J g = J.
 
-    When g and J are exact it is decided in Gaussian integers: with
-    g = G / d and J = K / e, it holds iff G^T K G = d^2 K, four integer
-    matmuls per product.  J's image is taken from the form when it is a
-    :class:`BilinearForm`.  Otherwise it is decided by :meth:`Matrix.equals`,
-    within ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.
+    When g and J are exact, g^T J g is formed by integer matmuls and
+    compared with J by :meth:`Matrix.equals`, on reduced integers.  Otherwise
+    it is decided by :meth:`Matrix.equals`, within
+    ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.
     """
     gram = j.gram if isinstance(j, BilinearForm) else j
     if not g.is_square or g.shape != gram.shape:
         raise ShapeMismatchError(
             f"generator {g.shape} does not match form {gram.shape}")
-    if not (g.exact and gram.exact):
-        moved = g.T @ gram @ g
-        return SpCheck(moved.equals(gram), moved.max_abs_diff(gram))
-    gr, gi, d = _gaussian_image(g)
-    kr, ki, e = (j.gaussian if isinstance(j, BilinearForm)
-                 else _gaussian_image(gram))
-    mr, mi = kr @ gr - ki @ gi, kr @ gi + ki @ gr
-    pr, pi = gr.T @ mr - gi.T @ mi, gr.T @ mi + gi.T @ mr
-    if np.array_equal(pr, d * d * kr) and np.array_equal(pi, d * d * ki):
-        return SpCheck(True, 0.0)
-    moved = Matrix(_from_gaussian_integers(pr, pi, d * d * e), True)
-    return SpCheck(False, moved.max_abs_diff(gram))
+    moved = g.T @ gram @ g
+    holds = moved.equals(gram)
+    return SpCheck(holds, 0.0 if holds and moved.exact
+                   else moved.max_abs_diff(gram))
 
 
 # ---------------------------------------------------------------------------
 # invariant forms and intertwiners, one tensor factor at a time
 
 
-def _pairing_rows(l: np.ndarray, r: np.ndarray) -> list[dict[int, QQi]]:
-    """Sparse rows of L^T X R - X = 0 on the row-major vec of X."""
-    a, b = len(l), len(r)
-    l_cols = [[(p, l[p, i]) for p in range(a) if l[p, i]] for i in range(a)]
-    r_cols = [[(q, r[q, j]) for q in range(b) if r[q, j]] for j in range(b)]
+def _sparse_columns(m: Matrix) -> list[list[tuple[int, tuple[int, int]]]]:
+    """Per column of an exact ``m``, its nonzero entries (row, (re, im))."""
+    return [list(_sparse_row(re, im).items())
+            for re, im in zip(m.re.T.tolist(), m.im.T.tolist())]
+
+
+def _pairing_rows(l: Matrix, r: Matrix) -> list[dict]:
+    """Gaussian-integer rows of L^T X R - X = 0 on the row-major vec of X,
+    multiplied by the denominators of L and R."""
+    a, b = l.rows, r.rows
+    l_cols, r_cols = _sparse_columns(l), _sparse_columns(r)
     rows = []
     for i in range(a):
         for j in range(b):
-            row: dict[int, QQi] = {i * b + j: -ONE}
-            for p, lpi in l_cols[i]:
-                for q, rqj in r_cols[j]:
-                    col = p * b + q
-                    row[col] = row.get(col, ZERO) + lpi * rqj
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
+            row = {i * b + j: (-l.den * r.den, 0)}
+            for p, (lr, li) in l_cols[i]:
+                for q, (rr, ri) in r_cols[j]:
+                    xr, xi = row.get(p * b + q, (0, 0))
+                    row[p * b + q] = (xr + lr * rr - li * ri,
+                                      xi + lr * ri + li * rr)
+            rows.append(row)
     return rows
 
 
-def _intertwining_rows(l: np.ndarray, r: np.ndarray) -> list[dict[int, QQi]]:
-    """Sparse rows of L X - X R = 0 on the row-major vec of X; every
-    coefficient is an entry of L or R, or one difference of two."""
-    a, b = len(l), len(r)
-    l_rows = [[(p, l[i, p]) for p in range(a) if l[i, p]] for i in range(a)]
-    r_cols = [[(q, r[q, j]) for q in range(b) if r[q, j]] for j in range(b)]
+def _intertwining_rows(l: Matrix, r: Matrix) -> list[dict]:
+    """Gaussian-integer rows of L X - X R = 0 on the row-major vec of X,
+    multiplied by the denominators of L and R; every coefficient is an
+    entry of L or R, or one difference of two."""
+    a, b = l.rows, r.rows
+    l_rows, r_cols = _sparse_columns(l.T), _sparse_columns(r)
     rows = []
     for i in range(a):
         for j in range(b):
-            row = {p * b + j: lip for p, lip in l_rows[i]}
-            for q, rqj in r_cols[j]:
-                col = i * b + q
-                row[col] = row.get(col, ZERO) - rqj
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
+            row = {p * b + j: (lr * r.den, li * r.den)
+                   for p, (lr, li) in l_rows[i]}
+            for q, (rr, ri) in r_cols[j]:
+                xr, xi = row.get(i * b + q, (0, 0))
+                row[i * b + q] = (xr - rr * l.den, xi - ri * l.den)
+            rows.append(row)
     return rows
 
 
-def _unipotent_log(m: np.ndarray) -> np.ndarray | None:
+def _unipotent_log(m: Matrix) -> Matrix | None:
     """log m, exactly, when m - I is strictly triangular (m is unipotent):
     the finite series sum_t (-1)^(t+1) (m - I)^t / t, summed in Gaussian
     integers over one denominator.  None for any other m."""
-    s = len(m)
-    nil = m - np.eye(s, dtype=int)
-    if any(np.tril(nil).flat) and any(np.triu(nil).flat):
+    s, d = m.rows, m.den
+    # m - I = (br + i*bi) / d
+    br, bi = m.re - d * np.eye(s, dtype=object), m.im
+    nonzero = (br != 0) | (bi != 0)
+    if np.tril(nonzero).any() and np.triu(nonzero).any():
         return None
-    (br,), (bi,), d = _gaussian_integers([nil])
     den = lcm(*range(1, s)) * d ** max(s - 1, 1)
     pr, pi = br, bi
     lr, li = br * (den // d), bi * (den // d)
@@ -823,11 +833,11 @@ def _unipotent_log(m: np.ndarray) -> np.ndarray | None:
         pr, pi = pr @ br - pi @ bi, pr @ bi + pi @ br
         c = (-1) ** (t + 1) * (den // (t * d ** t))
         lr, li = lr + c * pr, li + c * pi
-    return _from_gaussian_integers(lr, li, den)
+    return Matrix.gaussian(lr, li, den)
 
 
 def _factor_pairs(pairs, a, b, exact):
-    """The (L, R) arrays of ``pairs`` and, on the exact path, their
+    """The (L, R) matrices of ``pairs`` and, on the exact path, their
     logarithms when both are unipotent, else None."""
     for l, r in pairs:
         l, r = _square(l, a, exact), _square(r, b, exact)
@@ -840,22 +850,24 @@ def _factor_pairs(pairs, a, b, exact):
 def invariant_pairings(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
     """Basis of {X (a x b) : L^T X R = X for every (L, R) in ``pairs``}.
 
-    Each L (a x a) and R (b x b) is given as the row-major tuple of its
-    entries, so solves are cached on the entries themselves.  Exact row
-    reduction when ``exact``, else the float rank rule; the basis vectors
-    are row-major.  A unipotent pair gives the equivalent rows
-    (log L)^T X + X log R = 0, a few entries each.
+    Each L (a x a) and R (b x b) is given as a factor of
+    :class:`TensorFactors`, so solves are cached on the factors' integers
+    (or complex entries).  Exact row reduction when ``exact``, each basis
+    vector an exact 1 x ab :class:`Matrix`; else the float rank rule, each
+    a tuple of complex entries.  The vectors are row-major.  A
+    unipotent pair gives the equivalent rows (log L)^T X + X log R = 0, a
+    few entries each.
     """
     factors = _factor_pairs(pairs, a, b, exact)
     if not exact:
         return tuple(map(tuple, nullspace_float(
-            [np.kron(l.T, r.T) - np.eye(a * b) for l, r, _ in factors],
-            a * b).T))
+            [np.kron(l.data.T, r.data.T) - np.eye(a * b)
+             for l, r, _ in factors], a * b).T))
     rows = []
     for l, r, logs in factors:
         rows += (_pairing_rows(l, r) if logs is None
                  else _intertwining_rows(-logs[0].T, logs[1]))
-    return tuple(map(tuple, nullspace_exact(rows, a * b)))
+    return tuple(nullspace_exact(rows, a * b))
 
 
 @lru_cache(maxsize=512)
@@ -867,20 +879,21 @@ def intertwiners(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
     factors = _factor_pairs(pairs, a, b, exact)
     if not exact:
         return tuple(map(tuple, nullspace_float(
-            [np.kron(l, np.eye(b)) - np.kron(np.eye(a), r.T)
+            [np.kron(l.data, np.eye(b)) - np.kron(np.eye(a), r.data.T)
              for l, r, _ in factors], a * b).T))
     rows = []
     for l, r, logs in factors:
         rows += _intertwining_rows(*(logs or (l, r)))
-    return tuple(map(tuple, nullspace_exact(rows, a * b)))
+    return tuple(nullspace_exact(rows, a * b))
 
 
-def block_diagonal(data: np.ndarray, spans: Sequence[tuple[int, int]]) -> bool:
-    """Whether ``data`` vanishes off the diagonal blocks ``spans``."""
-    off = np.ones(data.shape, dtype=bool)
+def block_diagonal(m: Matrix, spans: Sequence[tuple[int, int]]) -> bool:
+    """Whether ``m`` vanishes off the diagonal blocks ``spans``."""
+    off = np.ones(m.shape, dtype=bool)
     for lo, hi in spans:
         off[lo:hi, lo:hi] = False
-    return not any(data[off])
+    return not any(any(part[off])
+                   for part in ((m.re, m.im) if m.exact else (m.data,)))
 
 
 @dataclass(frozen=True)
@@ -890,9 +903,11 @@ class TensorFactors:
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order (rho generators first), each as a row-major tuple.  Each side is
-    exact or complex as a whole, and is solved on its own path: the integer
-    exp(E), exp(F) stay exact next to a float label.  A
+    order (rho generators first).  An exact factor is the reduced triple
+    ``(re, im, den)`` of its row-major entries, ``re`` and ``im`` tuples of
+    ints; a float factor is the tuple of its complex entries.  The rho side
+    is exact or float as a whole; the S(k) side, the integer exp(E) and
+    exp(F), is always exact, also next to a float label.  A
     :class:`GeneratorSet` is stored as its factors.
     """
 
@@ -901,7 +916,6 @@ class TensorFactors:
     rho: tuple[tuple[tuple, ...], ...]
     sl2: tuple[tuple[tuple, ...], ...]
     rho_exact: bool
-    sl2_exact: bool
 
     def block_pairs(self):
         """Per ordered block pair (i, j): where blocks i and j start, and the
@@ -911,41 +925,48 @@ class TensorFactors:
                     self.blocks, self.rho, self.sl2):
                 yield (lo, lo2,
                        (tuple(zip(rho_i, rho_j)), r, r2, self.rho_exact),
-                       (tuple(zip(sl2_i, sl2_j)), k, k2, self.sl2_exact))
+                       (tuple(zip(sl2_i, sl2_j)), k, k2, True))
 
     def sides(self):
         """(per block factors, exact, is_rho) of the rho and S(k) sides."""
-        return ((self.rho, self.rho_exact, True),
-                (self.sl2, self.sl2_exact, False))
+        return ((self.rho, self.rho_exact, True), (self.sl2, True, False))
 
     def dense(self) -> list[Matrix]:
         """The generators as n x n matrices, in generator order.  On a block
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
-        out = []
-        for side, exact, is_rho in self.sides():
-            for g in range(len(side[0])):
-                m = Matrix.zeros(self.n, self.n, exact)
-                for (lo, r, k), factors in zip(self.blocks, side):
-                    f = _square(factors[g], r if is_rho else k, exact)
-                    for c in range(k if is_rho else r):
-                        at = (slice(lo + c, lo + r * k, k) if is_rho
-                              else slice(lo + c * k, lo + c * k + k))
-                        m.data[at, at] = f
-                out.append(m)
-        return out
+        return [_placed(self.n, [
+            ((slice(lo + c, lo + r * k, k) if is_rho
+              else slice(lo + c * k, lo + c * k + k)),
+             _square(f[g], r if is_rho else k, exact))
+            for (lo, r, k), f in zip(self.blocks, side)
+            for c in range(k if is_rho else r)])
+            for side, exact, is_rho in self.sides()
+            for g in range(len(side[0]))]
 
 
-def _square(entries: tuple, size: int, exact: bool) -> np.ndarray:
-    """The size x size array of row-major ``entries`` on a path."""
-    return np.array(entries, dtype=object if exact else complex).reshape(
-        size, size)
+def _square(factor: tuple, size: int, exact: bool) -> Matrix:
+    """The size x size matrix of a factor of :class:`TensorFactors`."""
+    if not exact:
+        return Matrix.from_array(
+            np.array(factor, dtype=complex).reshape(size, size))
+    re, im, den = factor
+    return Matrix(None, np.array(re, dtype=object).reshape(size, size),
+                  np.array(im, dtype=object).reshape(size, size), den)
+
+
+def _factor(m: Matrix, exact: bool) -> tuple:
+    """``m`` as a factor of :class:`TensorFactors`, on the exact path when
+    ``exact``."""
+    if exact:
+        return tuple(m.re.flat), tuple(m.im.flat), m.den
+    return tuple(map(complex, m.as_complex().flat))
 
 
 @lru_cache(maxsize=512)
-def _invertible(entries: tuple, size: int, exact: bool) -> bool:
-    """Whether a factor is invertible, cached on its entries."""
-    return Matrix(_square(entries, size, exact), exact).is_invertible()
+def _invertible(factor: tuple, size: int, exact: bool) -> bool:
+    """Whether a factor is invertible, cached on the factor."""
+    return _square(factor, size, exact).is_invertible()
 
 
 def tensor_factors(gens) -> TensorFactors:
@@ -961,13 +982,8 @@ def tensor_factors(gens) -> TensorFactors:
         if not m.is_square or m.rows != n:
             raise ShapeMismatchError("generators must be square of equal size")
     exact = all(m.exact for m in mats)
-    rho = tuple(_entries(m, exact) for m in mats)
-    return TensorFactors(n, ((0, n, 1),), (rho,), ((),), exact, True)
-
-
-def _entries(m: Matrix, exact: bool) -> tuple:
-    """The row-major entries of ``m``, as complex numbers unless ``exact``."""
-    return tuple(m.data.flat) if exact else tuple(map(complex, m.data.flat))
+    rho = tuple(_factor(m, exact) for m in mats)
+    return TensorFactors(n, ((0, n, 1),), (rho,), ((),), exact)
 
 
 def invariant_forms(gens) -> list[BilinearForm]:
@@ -983,29 +999,30 @@ def invariant_forms(gens) -> list[BilinearForm]:
     its forms there are X (x) Y, with X in :func:`invariant_pairings` of the
     A_i, A_j and Y in that of the U_i, U_j; each factor is solved on its
     side's path, and X (x) Y is complex unless both are exact.  On the exact
-    path the symmetric and skew parts are reduced row echelon forms, unique
-    whatever the spanning vectors, so they do not depend on the
-    factorization.
+    path X (x) Y is formed in Gaussian integers, up to scale, and the
+    symmetric and skew parts are reduced row echelon forms, unique whatever
+    the spanning vectors, so they do not depend on the factorization.
     """
     tf = tensor_factors(gens)
-    n, exact = tf.n, tf.rho_exact and tf.sl2_exact
+    n, exact = tf.n, tf.rho_exact
     vecs: list[dict[int, object]] = []  # row-major index -> entry
     for lo, lo2, rho_args, sl2_args in tf.block_pairs():
         xs = invariant_pairings(*rho_args)
         ys = invariant_pairings(*sl2_args) if xs else ()
-        if not exact:
-            xs, ys = ([tuple(map(complex, v)) for v in vs] for vs in (xs, ys))
+        if not exact:  # the S(k) side is exact
+            xs = [tuple(map(complex, x)) for x in xs]
+            ys = [y.as_complex()[0].tolist() for y in ys]
         r2, (k, k2) = rho_args[2], sl2_args[1:3]
         for x in xs:
             for y in ys:
                 vecs.append({
-                    (lo + a * k + s) * n + lo2 + b * k2 + t: xv * yv
-                    for (a, b), xv in _nonzero_entries(x, r2)
-                    for (s, t), yv in _nonzero_entries(y, k2)})
+                    (lo + a * k + s) * n + lo2 + b * k2 + t:
+                        _gaussian_product(xv, yv) if exact else xv * yv
+                    for (a, b), xv in _nonzero_entries(x, r2, exact)
+                    for (s, t), yv in _nonzero_entries(y, k2, exact)})
 
     if exact:
-        parts = [[_vec_to_matrix_exact(v, n) for v in vs]
-                 for vs in _split_transpose_exact(vecs, n)]
+        parts = _split_transpose_exact(vecs, n)
     else:
         dense = np.zeros((len(vecs), n * n), dtype=complex)
         for row, v in zip(dense, vecs):
@@ -1021,35 +1038,36 @@ def invariant_forms(gens) -> list[BilinearForm]:
             for gram in grams]
 
 
-def _nonzero_entries(vec: tuple, cols: int):
-    """((row, col), entry) for the nonzero entries of a row-major matrix."""
-    return [(divmod(i, cols), v) for i, v in enumerate(vec) if v]
+def _nonzero_entries(vec, cols: int, exact: bool):
+    """((row, col), entry) for the nonzero entries of a row-major basis
+    vector: (re, im) of an exact 1 x n row, whose ``den`` is dropped, when
+    ``exact``, else a complex entry of a tuple."""
+    entries = (_sparse_row(vec.re[0], vec.im[0]).items() if exact
+               else ((i, v) for i, v in enumerate(vec) if v))
+    return [(divmod(i, cols), v) for i, v in entries]
 
 
-def _split_transpose_exact(vecs: list[dict[int, QQi]], n: int):
+def _gaussian_product(x: tuple[int, int], y: tuple[int, int]):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _split_transpose_exact(vecs: list[dict], n: int) -> list[list[Matrix]]:
     """The reduced row echelon bases of the symmetric parts v + v^T and of
-    the skew parts v - v^T of sparse row-major vectors, as dense vectors."""
+    the skew parts v - v^T of sparse Gaussian-integer row-major vectors, as
+    n x n matrices with leading entry 1."""
     sym_rref = _Rref(n * n)
     skew_rref = _Rref(n * n)
     for v in vecs:
         sym, skew = dict(v), dict(v)
-        for c, val in v.items():
+        for c, (vr, vi) in v.items():
             ct = (c % n) * n + c // n
-            sym[ct] = sym.get(ct, ZERO) + val
-            skew[ct] = skew.get(ct, ZERO) - val
+            sr, si = sym.get(ct, (0, 0))
+            kr, ki = skew.get(ct, (0, 0))
+            sym[ct], skew[ct] = (sr + vr, si + vi), (kr - vr, ki - vi)
         sym_rref.insert(sym)
         skew_rref.insert(skew)
-    return _pivot_rows_dense(sym_rref), _pivot_rows_dense(skew_rref)
-
-
-def _pivot_rows_dense(rref: _Rref) -> list[list[QQi]]:
-    out = []
-    for col, row in sorted(rref.pivots.items()):
-        vec = [ZERO] * rref.ncols
-        for c, v in row.items():
-            vec[c] = v
-        out.append(vec)
-    return out
+    return [[_normalized(row, c, n) for c, row in sorted(rref.rows.items())]
+            for rref in (sym_rref, skew_rref)]
 
 
 def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
@@ -1091,15 +1109,17 @@ def find_nondegenerate_skew(
     grams = [f.gram for f in skews]
     combos = _skew_combinations(len(grams))
     if all(g.exact for g in grams):
-        re, im, den = _gaussian_integers([g.data for g in grams])
+        den = lcm(*(g.den for g in grams))
         coeffs = np.array(combos, dtype=object)
-        re = np.tensordot(coeffs, re, axes=1)
-        im = np.tensordot(coeffs, im, axes=1)
+        re = np.tensordot(coeffs, np.stack(
+            [g.re * (den // g.den) for g in grams]), axes=1)
+        im = np.tensordot(coeffs, np.stack(
+            [g.im * (den // g.den) for g in grams]), axes=1)
         win = next((c for c in range(len(combos))
                     if _gaussian_nonsingular(re[c], im[c])), None)
         if win is None:
             return None
-        gram = Matrix(_from_gaussian_integers(re[win], im[win], den), True)
+        gram = Matrix.gaussian(re[win], im[win], den)
     else:
         coeffs = np.array([[complex(c) for c in row] for row in combos])
         stack = [g.as_complex() for g in grams]
@@ -1141,10 +1161,9 @@ def sym_power(m: Matrix, k: int) -> Matrix:
         raise ShapeMismatchError("sym_power expects a 2x2 matrix")
     if k < 1:
         raise ValueError("k must be >= 1")
-    a, b = m.data[0, 0], m.data[0, 1]
-    c, d = m.data[1, 0], m.data[1, 1]
+    (a, b), (c, d) = m.tolist()
     zero = ZERO if m.exact else 0j
-    out = Matrix.zeros(k, k, m.exact)
+    cols = []
     for j in range(k):
         left = _binomial_poly(a, c, k - 1 - j, zero)
         right = _binomial_poly(b, d, j, zero)
@@ -1154,9 +1173,8 @@ def sym_power(m: Matrix, k: int) -> Matrix:
                 continue
             for t, rv in enumerate(right):
                 col[s + t] = col[s + t] + lv * rv
-        for i in range(k):
-            out.data[i, j] = col[i]
-    return out
+        cols.append(col)
+    return Matrix.from_rows(list(zip(*cols)), m.exact)
 
 
 def _binomial_poly(x, y, power: int, zero):
@@ -1219,7 +1237,7 @@ class GeneratorSet:
 
     @property
     def exact(self) -> bool:
-        return self.factors.rho_exact and self.factors.sl2_exact
+        return self.factors.rho_exact
 
     @cached_property
     def generators(self) -> tuple[Matrix, ...]:
@@ -1259,15 +1277,15 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
             if all(a.is_identity() for a in acts):
                 continue
             for block, a in zip(rho, acts):
-                block.append(_entries(a, exact))
+                block.append(_factor(a, exact))
             provenance.append(f"group:{group.name}:{pos}")
     if any(s.k > 1 for s in segs):
         for tag, exp in (("sl2:exp_e", sl2_exp_e), ("sl2:exp_f", sl2_exp_f)):
             for block, s in zip(sl2, segs):
-                block.append(tuple(exp(s.k).data.flat))
+                block.append(_factor(exp(s.k), True))
             provenance.append(tag)
     if not provenance:
-        rho = [[_entries(Matrix.identity(m.dim, exact), exact)]
+        rho = [[_factor(Matrix.identity(m.dim, exact), exact)]
                for m in models]
         provenance = ["identity"]
 
@@ -1276,5 +1294,5 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
                    for (lo, _), s in zip(recipe.spans, segs))
     factors = TensorFactors(p.dim, blocks,
                             tuple(map(tuple, rho)), tuple(map(tuple, sl2)),
-                            exact, True)
+                            exact)
     return GeneratorSet(factors, tuple(provenance), recipe)

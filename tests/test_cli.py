@@ -17,7 +17,6 @@ import periodlab
 from periodlab import builtin_catalog, distinction, sweep
 from periodlab.cli import (
     CATALOG_ENV,
-    SWEEP_MAX_DIM,
     VERIFY_MAX_K,
     VERIFY_MAX_N,
     main,
@@ -321,8 +320,8 @@ def test_sweep_specs_match_the_subset_filter(max_dim, count):
 
 
 def test_sweep_rejects_out_of_range_cap(capsys):
-    assert main(["sweep", "--max-dim", str(SWEEP_MAX_DIM + 1)]) == 2
-    assert "between 2 and 16" in capsys.readouterr().err
+    assert main(["sweep", "--max-dim", str(FORM_ORACLE_DIM_BOUND + 1)]) == 2
+    assert "between 2 and 24" in capsys.readouterr().err
 
 
 def test_sweep_with_user_catalog(tmp_path):
@@ -370,7 +369,7 @@ def test_non_utf8_catalog_exits_three(tmp_path, monkeypatch, capsys, argv,
 def test_repeated_calls_in_one_process_match_the_first(capsys):
     argv = ["classify", "q8 (+) q8b", "--json"]
     first = main(argv), capsys.readouterr().out
-    assert main(["sweep", "--max-dim", str(SWEEP_MAX_DIM + 1)]) == 2
+    assert main(["sweep", "--max-dim", str(FORM_ORACLE_DIM_BOUND + 1)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--no-such-option"])
     assert exc.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 from periodlab import (
     AParameter,
     ASummand,
+    QQi,
     RDSSpec,
     Segment,
     Symmetry,
@@ -22,6 +23,7 @@ from periodlab import (
     is_x_distinguished,
     is_x_elliptic_symbolic,
     oracle_verdicts,
+    parse_param,
     pole_profile,
     validate_rds,
 )
@@ -146,8 +148,9 @@ def test_distinguished_morphism_record():
     assert rec.sl2_factor == "trivial"
     g = rec.embedding_form.gram
     assert rec.embedding_form.symmetry is Symmetry.SKEW
-    assert g.data[0, 3] == 1 and g.data[1, 2] == 1
-    assert g.data[2, 1] == -1 and g.data[3, 0] == -1
+    rows = g.tolist()
+    assert rows[0][3] == 1 and rows[1][2] == 1
+    assert rows[2][1] == -1 and rows[3][0] == -1
     with pytest.raises(ValueError):
         distinguished_morphism(0)
 
@@ -255,6 +258,24 @@ def test_oracle_verdicts_checks_each_generator_once(monkeypatch, segments):
     assert v.skew_found and v.elliptic is not None
     assert len(calls) == len(v.gens.generators)
     assert {id(g) for g in calls} == {id(g) for g in v.gens.generators}
+
+
+def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):
+    """Exact matrices are stored as Gaussian integers, so once the factor
+    solves are cached the oracle builds no Gaussian-rational scalar."""
+    p = parse_param("St(3,q8) (+) q8b (+) q8b (+) St(2,d4)", CAT)
+    oracle_verdicts(p)
+    constructed = []
+    init = QQi.__init__
+
+    def counted(self, *args):
+        constructed.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QQi, "__init__", counted)
+    v = oracle_verdicts(p)
+    assert v.gens.exact and v.skew_found and v.elliptic is False
+    assert constructed == []
 
 
 def _multisets(pool, max_mult, max_dim):

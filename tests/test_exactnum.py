@@ -17,8 +17,8 @@ def test_construction_and_parts():
     z = QQi(Fraction(1, 2), Fraction(-3, 4))
     assert z.re == Fraction(1, 2)
     assert z.im == Fraction(-3, 4)
-    assert not z.is_real
-    assert QQi(7).is_real
+    assert z.im != 0
+    assert QQi(7).im == 0
 
 
 def test_of_accepts_ints_fractions_and_rejects_floats():
@@ -80,6 +80,6 @@ def test_multiplicative_inverse(a):
 @given(scalars)
 def test_conjugation_norm(a):
     n = a * a.conjugate()
-    assert n.is_real
+    assert n.im == 0
     assert n.re >= 0
     assert (n.re == 0) == (not a)

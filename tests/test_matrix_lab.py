@@ -1,6 +1,7 @@
 """Tests for the exact/float matrix layer, forms, and realizations."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from periodlab.errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
+from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
     TensorFactors,
     blockdiag,
@@ -60,8 +62,8 @@ def seg(name, k=1, twist=0):
 def test_from_rows_exact_entries():
     m = Matrix.from_rows([[1, Fraction(1, 2)], [QQi(0, 1), 0]])
     assert m.exact
-    assert m.data[0, 1] == QQi(Fraction(1, 2))
-    assert m.data[1, 0] == QQi(0, 1)
+    assert m.tolist()[0][1] == QQi(Fraction(1, 2))
+    assert m.tolist()[1][0] == QQi(0, 1)
     with pytest.raises(ShapeMismatchError):
         Matrix.from_rows([[1, 2], [3]])
 
@@ -74,8 +76,8 @@ def test_matmul_and_kron_exactness():
     assert (a @ b).equals(Matrix.from_rows([[2, 1], [1, 1]]))
     k = a.kron(b)
     assert k.shape == (4, 4)
-    assert k.data[1, 0] == QQi(1)
-    assert k.data[2, 2] == QQi(1)
+    assert k.tolist()[1][0] == QQi(1)
+    assert k.tolist()[2][2] == QQi(1)
     with pytest.raises(ShapeMismatchError):
         a @ Matrix.zeros(3, 3)
 
@@ -145,8 +147,42 @@ def test_exact_product_matches_entrywise_sums(drawn):
     product = Matrix.from_rows(a) @ Matrix.from_rows(b)
     assert product.exact
     assert product.shape == (len(a), len(b[0]))
-    assert product.data.tolist() == _reference_product(a, b)
-    assert all(type(v) is QQi for v in product.data.flat)
+    assert product.tolist() == _reference_product(a, b)
+    assert _is_reduced(product)
+
+
+def _is_reduced(m):
+    """Whether the stored image (re, im, den) of an exact matrix is reduced:
+    a positive den, and gcd(re, im, den) = 1."""
+    return m.den > 0 and gcd(m.den, *m.re.flat, *m.im.flat) == 1
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_exact_operations_match_entrywise_references(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = data.draw(_gaussian_rows(rows, cols))
+    b = data.draw(st.just(a) | _gaussian_rows(rows, cols))
+    c = data.draw(_gaussian_rows(cols, rows))
+    s = data.draw(gaussian_rationals | st.integers(-3, 3))
+    ma, mb, mc = Matrix.from_rows(a), Matrix.from_rows(b), Matrix.from_rows(c)
+    kron = [[a[i][j] * c[k][l] for j in range(cols) for l in range(rows)]
+            for i in range(rows) for k in range(cols)]
+    for got, want in [
+            (ma + mb, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+            (-ma, [[-x for x in row] for row in a]),
+            (ma.T, _transpose(a)),
+            (ma.kron(mc), kron),
+            (ma.scale(s), [[x * s for x in row] for row in a]),
+            (ma.conj(), [[x.conjugate() for x in row] for row in a])]:
+        assert got.exact and _is_reduced(got)
+        assert got.tolist() == want
+    assert ma.equals(mb) == (a == b)
+    assert (_element_key(ma, True) == _element_key(mb, True)) == (a == b)
+    # the same matrix reached through another scaling
+    back = ma.scale(Fraction(1, 6)).scale(6)
+    assert back.equals(ma)
+    assert _element_key(back, True) == _element_key(ma, True)
 
 
 def test_blockdiag_mixed_exactness():
@@ -161,7 +197,7 @@ def test_blockdiag_mixed_exactness():
 def test_trace_and_transpose():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m.trace() == QQi(5)
-    assert m.T.data[0, 1] == QQi(3)
+    assert m.T.tolist()[0][1] == QQi(3)
     assert m.conj().equals(m)
 
 
@@ -170,10 +206,10 @@ def test_trace_and_transpose():
 
 def test_nullspace_exact_simple_kernel():
     # x0 - x1 = 0, x1 - x2 = 0  ->  kernel spanned by (1, 1, 1)
-    rows = [{0: QQi(1), 1: QQi(-1)}, {1: QQi(1), 2: QQi(-1)}]
+    rows = [{0: (1, 0), 1: (-1, 0)}, {1: (1, 0), 2: (-1, 0)}]
     basis = nullspace_exact(rows, 3)
     assert len(basis) == 1
-    v = basis[0]
+    (v,) = basis[0].tolist()
     assert v[0] == v[1] == v[2]
     assert v[0] != QQi(0)
 
@@ -218,12 +254,13 @@ small_exact = st.integers(-5, 5)
 @given(st.lists(st.lists(small_exact, min_size=4, max_size=4),
                 min_size=2, max_size=4))
 def test_nullspace_exact_annihilates(rows):
-    sparse = [{j: QQi(v) for j, v in enumerate(row) if v} for row in rows]
+    sparse = [{j: (v, 0) for j, v in enumerate(row) if v} for row in rows]
     sparse = [r for r in sparse if r]
-    basis = nullspace_exact(sparse, 4)
+    basis = [v.tolist()[0] for v in nullspace_exact(sparse, 4)]
+    assert len(basis) == 4 - Matrix.from_rows(rows).rank()
     for vec in basis:
         for row in sparse:
-            assert sum((QQi(0), *(c * vec[j] for j, c in row.items())),
+            assert sum((QQi(0), *(c[0] * vec[j] for j, c in row.items())),
                        QQi(0)) == QQi(0)
 
 
@@ -284,10 +321,10 @@ def test_exact_classify_form_matches_the_definitions(rows):
 def test_standard_forms():
     j = symplectic_J(4)
     assert j.symmetry is Symmetry.SKEW and j.nondegenerate
-    assert j.gram.data[0, 3] == QQi(1)
-    assert j.gram.data[3, 0] == QQi(-1)
-    assert j.gram.data[1, 2] == QQi(1)
-    assert antidiag_J(3).data[0, 2] == QQi(1)
+    assert j.gram.tolist()[0][3] == QQi(1)
+    assert j.gram.tolist()[3][0] == QQi(-1)
+    assert j.gram.tolist()[1][2] == QQi(1)
+    assert antidiag_J(3).tolist()[0][2] == QQi(1)
     with pytest.raises(OddSizeError):
         symplectic_J(3)
     with pytest.raises(OddPartError):
@@ -297,9 +334,9 @@ def test_standard_forms():
 def test_partition_J_is_blockwise():
     f = partition_J([2, 4])
     assert f.symmetry is Symmetry.SKEW and f.nondegenerate
-    assert f.gram.data[0, 1] == QQi(1)   # first 2x2 block
-    assert f.gram.data[2, 5] == QQi(1)   # second block starts at index 2
-    assert f.gram.data[5, 2] == QQi(-1)
+    assert f.gram.tolist()[0][1] == QQi(1)   # first 2x2 block
+    assert f.gram.tolist()[2][5] == QQi(1)   # second block starts at index 2
+    assert f.gram.tolist()[5][2] == QQi(-1)
 
 
 def test_kron_form_sign_rule():
@@ -318,7 +355,7 @@ def test_permutation_map_basics():
     assert p(1) == 2 and p(3) == 1
     assert p.inverse()(2) == 1
     m = p.matrix()
-    assert m.data[1, 0] == QQi(1)  # column j holds e_{sigma(j)}
+    assert m.tolist()[1][0] == QQi(1)  # column j holds e_{sigma(j)}
     with pytest.raises(ValueError):
         PermutationMap((1, 1, 2))
 
@@ -416,7 +453,7 @@ def _generator_and_form(draw):
     kind = draw(st.sampled_from(["standard", "skew", "any"]))
     x = draw(_square_gaussian(n))
     if kind == "standard" and n % 2 == 0:
-        j = symplectic_J(n).gram.data.tolist()
+        j = symplectic_J(n).gram.tolist()
     elif kind == "any":
         j = x
     else:
@@ -489,10 +526,10 @@ def test_invariant_forms_float_path():
 
 def _two_degenerate_blocks(eps):
     """eps times a 2x2 skew block at the top and one at the bottom of 4x4."""
-    top = Matrix.zeros(4, 4)
-    top.data[0, 1], top.data[1, 0] = QQi(eps), QQi(-eps)
-    bottom = Matrix.zeros(4, 4)
-    bottom.data[2, 3], bottom.data[3, 2] = QQi(1), QQi(-1)
+    top = Matrix.from_rows([[0, eps, 0, 0], [-eps, 0, 0, 0],
+                            [0, 0, 0, 0], [0, 0, 0, 0]])
+    bottom = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0],
+                               [0, 0, 0, 1], [0, 0, -1, 0]])
     forms = [BilinearForm(top, Symmetry.SKEW, False),
              BilinearForm(bottom, Symmetry.SKEW, False)]
     return forms, top + bottom
@@ -591,7 +628,7 @@ def test_find_nondegenerate_skew_matches_sequential_search(grams, scale):
     assert (found is None) == (expected is None)
     if expected is not None:
         assert found.gram.exact == expected.gram.exact
-        assert np.array_equal(found.gram.data, expected.gram.data)
+        assert found.gram.tolist() == expected.gram.tolist()
         assert found.symmetry is expected.symmetry
         assert found.nondegenerate
 
@@ -620,7 +657,7 @@ def test_realize_shares_group_action_across_blocks():
     assert gens.dim == 8
     # one q8 generator acts simultaneously in both blocks
     g = gens.generators[0]
-    assert not g.data[0, 0] or g.data[0, 0] != QQi(1)
+    assert not g.tolist()[0][0] or g.tolist()[0][0] != QQi(1)
 
 
 def _dense_reference(p):
@@ -671,7 +708,7 @@ def test_realize_matches_the_dense_kronecker_assembly(segments):
                              for s in p.segments)
     for got, ref in zip(gens.generators, want):
         assert got.exact == ref.exact
-        assert np.array_equal(got.data, ref.data)
+        assert got.tolist() == ref.tolist()
 
 
 def test_generator_set_rejects_singular_factors():
@@ -680,12 +717,11 @@ def test_generator_set_rejects_singular_factors():
         GeneratorSet(tensor_factors([singular]), ("one",))
     with pytest.raises(ValueError, match="invertible"):
         GeneratorSet(tensor_factors([singular.to_float()]), ("one",))
-    one, zero = QQi(1), QQi(0)
-    ident, bad = (one, zero, zero, one), (one, one, zero, zero)
+    ident = ((1, 0, 0, 1), (0, 0, 0, 0), 1)
+    bad = ((1, 1, 0, 0), (0, 0, 0, 0), 1)
     for rho, sl2 in [(bad, ident), (ident, bad)]:
         # A (x) I_2 or I_2 (x) U is singular exactly when its factor is
-        factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),),
-                                True, True)
+        factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
         with pytest.raises(ValueError, match="invertible"):
             GeneratorSet(factors, ("rho", "sl2"))
     with pytest.raises(ValueError, match="provenance"):

@@ -198,7 +198,7 @@ def test_load_catalog_happy_path():
     assert tau.sd_type is SelfDualityType.SYMPLECTIC
     assert cat.model_for(tau).name == "q8"
     assert cat.label("one").unitary
-    assert cat.dual_of(cat.label("eta")).name == "etabar"
+    assert cat.label(cat.label("eta").dual_name).name == "etabar"
     p = parse_param("tau (+) St(2,one)", cat)
     assert p.dim == 4
 
