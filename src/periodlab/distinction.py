@@ -38,7 +38,6 @@ from .matrix_lab import (
     Symmetry,
     classify_form,
     find_nondegenerate_skew,
-    invariant_forms,
     is_in_sp,
     realize,
     symplectic_J,
@@ -66,10 +65,10 @@ TAG_ELLIPTIC = "rule:elliptic-multiplicity-free"
 TAG_ORACLE_FORM = "oracle:invariant-form"
 TAG_ORACLE_ISOTROPY = "oracle:isotropy"
 
-# The largest dimension the matrix oracle realizes.  The invariant forms are
-# solved per block pair; of the built-in parameters of dim 24 measured, the
-# costliest (24 trivial blocks, 576 independent forms) takes about 1.1 s and
-# 45 MB of peak RSS on a 2-vCPU VM.
+# The largest dimension the matrix oracle realizes.  Of the built-in
+# parameters of dim 24 measured, the costliest, St(22,trivial) (+)
+# St(2,trivial), takes about 0.18 s (its long S(k) factors dominate) and
+# 32 MB of peak RSS on a 2-vCPU VM once the catalog is built.
 FORM_ORACLE_DIM_BOUND = 24
 
 
@@ -271,13 +270,13 @@ def is_x_distinguished(a: AParameter) -> bool:
 class OracleVerdicts:
     """Matrix-level answers for one parameter.
 
-    ``form`` is a nondegenerate skew invariant form when one exists in the
-    invariant-form space, else None.  ``elliptic`` is the isotropy oracle's
-    verdict (no invariant isotropic subspace), or None when no form was
-    found or the isotropy stage hit an internal fault, ``isotropy_error``.
-    ``max_residue`` is the worst |g^T J g - J| entry that ``is_in_sp``
-    decided on over the generators: exactly 0.0 on the exact path, and 0.0
-    when no form was found.
+    ``form`` is the nondegenerate skew invariant form built class by class,
+    or None when a certificate rules one out.  ``elliptic`` is the isotropy
+    oracle's verdict (no invariant isotropic subspace), or None when no
+    form was found or the isotropy stage hit an internal fault,
+    ``isotropy_error``.  ``max_residue`` is the worst |g^T J g - J| entry
+    that ``is_in_sp`` decided on over the generators: exactly 0.0 on the
+    exact path, and 0.0 when no form was found.
     """
 
     gens: GeneratorSet
@@ -315,11 +314,11 @@ def oracle_verdicts(p: WDParameter,
                     catalog: Catalog | None = None) -> OracleVerdicts:
     """Realize a parameter and answer the conjecture questions in matrices.
 
-    The pipeline: realize, solve for the invariant forms, search them for a
-    nondegenerate skew form, check it once with :func:`verify_form`, then
-    search for an invariant isotropic subspace.  The empty parameter and
-    parameters above ``FORM_ORACLE_DIM_BOUND`` are refused before anything
-    is built.  A fault of the isotropy stage is returned in
+    The pipeline: realize, build a nondegenerate skew form class by class
+    or certify that there is none, check it once with :func:`verify_form`,
+    then search for an invariant isotropic subspace.  The empty parameter
+    and parameters above ``FORM_ORACLE_DIM_BOUND`` are refused before
+    anything is built.  A fault of the isotropy stage is returned in
     ``isotropy_error``; every other error propagates.
     """
     if not p.segments:
@@ -331,7 +330,7 @@ def oracle_verdicts(p: WDParameter,
             f"dimension {p.dim}")
     cat = builtin_catalog() if catalog is None else catalog
     gens = realize(p, cat)
-    j = find_nondegenerate_skew(invariant_forms(gens))
+    j = find_nondegenerate_skew(gens)
     if j is None:
         return OracleVerdicts(gens, None, None, 0.0)
     verified = verify_form(gens, j.gram)

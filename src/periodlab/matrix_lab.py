@@ -32,8 +32,9 @@ generators acts on every block as A_i (x) I or as I (x) U_i.
 demand and never split again.  :func:`invariant_forms` solves the forms of
 each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
 and an S(k) factor (k k' unknowns), each solve cached on its factor's
-integers; ``group_models`` solves the commutant the same way.  A bare list
-of generators is solved as one block.
+integers; :func:`find_nondegenerate_skew` builds its form from the same
+solves, one per pair of block classes, and ``group_models`` solves the
+commutant the same way.  A bare list of generators is solved as one block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
@@ -292,7 +293,7 @@ class Matrix:
         if self.exact:
             return _gaussian_nonsingular(self.re, self.im)
         s = np.linalg.svd(self.data, compute_uv=False)
-        return bool(_full_rank(s))
+        return bool((s > _rank_cutoff(s)).all())
 
     def rank(self) -> int:
         if self.exact:
@@ -311,22 +312,22 @@ class Matrix:
 def blockdiag(blocks: Sequence[Matrix]) -> Matrix:
     """Direct sum of square blocks; exact iff every block is."""
     ends = list(accumulate(b.rows for b in blocks))
-    return _placed(ends[-1] if ends else 0,
-                   [(slice(hi - b.rows, hi), b) for hi, b in zip(ends, blocks)])
+    at = [slice(hi - b.rows, hi) for hi, b in zip(ends, blocks)]
+    return _placed(ends[-1] if ends else 0, list(zip(at, at, blocks)))
 
 
-def _placed(n: int, tiles: Sequence[tuple[slice, Matrix]]) -> Matrix:
-    """The n x n matrix with each square ``m`` of ``tiles`` written at
-    ``[at, at]`` and zeros elsewhere; exact iff every tile is."""
-    exact = all(m.exact for _, m in tiles)
-    den = lcm(*(m.den for _, m in tiles)) if exact else 1
+def _placed(n: int, tiles: Sequence[tuple[slice, slice, Matrix]]) -> Matrix:
+    """The n x n matrix with each ``m`` of ``tiles`` (rows, cols, m) written
+    at ``[rows, cols]`` and zeros elsewhere; exact iff every tile is."""
+    exact = all(m.exact for *_, m in tiles)
+    den = lcm(*(m.den for *_, m in tiles)) if exact else 1
     parts = ([np.zeros((n, n), dtype=object) for _ in range(2)] if exact
              else [np.zeros((n, n), dtype=complex)])
-    for at, m in tiles:
+    for rows, cols, m in tiles:
         values = ((m.re * (den // m.den), m.im * (den // m.den)) if exact
                   else (m.as_complex(),))
         for part, v in zip(parts, values):
-            part[at, at] = v
+            part[rows, cols] = v
     return Matrix.gaussian(*parts, den) if exact else Matrix(parts[0])
 
 
@@ -434,16 +435,10 @@ def _normalized(row: dict[int, tuple[int, int]], lead: int,
                            gr * gr + gi * gi)
 
 
-def _rank_cutoff(s: np.ndarray) -> np.ndarray:
-    """The float rank rule: singular values above
-    ``FLOAT_TOL * max(1, largest)`` count.  ``s`` is sorted descending along
-    its last axis; the cutoff keeps that axis with length 1, so it
-    broadcasts against ``s``."""
-    return FLOAT_TOL * np.maximum(1.0, s[..., :1])
-
-
-def _full_rank(s: np.ndarray) -> np.ndarray:
-    return (s > _rank_cutoff(s)).all(axis=-1)
+def _rank_cutoff(s: np.ndarray) -> float:
+    """The float rank rule: singular values ``s`` above
+    ``FLOAT_TOL * max(1, largest)`` count."""
+    return FLOAT_TOL * s.max(initial=1.0)
 
 
 def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
@@ -917,15 +912,17 @@ class TensorFactors:
     sl2: tuple[tuple[tuple, ...], ...]
     rho_exact: bool
 
+    def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
+        """The rho and S(k) factor solve arguments of block pair (i, j)."""
+        (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
+        return ((tuple(zip(self.rho[i], self.rho[j])), r, r2, self.rho_exact),
+                (tuple(zip(self.sl2[i], self.sl2[j])), k, k2, True))
+
     def block_pairs(self):
-        """Per ordered block pair (i, j): where blocks i and j start, and the
-        arguments of the solves for its rho factor and its S(k) factor."""
-        for (lo, r, k), rho_i, sl2_i in zip(self.blocks, self.rho, self.sl2):
-            for (lo2, r2, k2), rho_j, sl2_j in zip(
-                    self.blocks, self.rho, self.sl2):
-                yield (lo, lo2,
-                       (tuple(zip(rho_i, rho_j)), r, r2, self.rho_exact),
-                       (tuple(zip(sl2_i, sl2_j)), k, k2, True))
+        """Per block pair (i, j): where i and j start, and :meth:`pair`."""
+        for i, (lo, _, _) in enumerate(self.blocks):
+            for j, (lo2, _, _) in enumerate(self.blocks):
+                yield (lo, lo2, *self.pair(i, j))
 
     def sides(self):
         """(per block factors, exact, is_rho) of the rho and S(k) sides."""
@@ -936,11 +933,11 @@ class TensorFactors:
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
         return [_placed(self.n, [
-            ((slice(lo + c, lo + r * k, k) if is_rho
-              else slice(lo + c * k, lo + c * k + k)),
-             _square(f[g], r if is_rho else k, exact))
+            (at, at, _square(f[g], r if is_rho else k, exact))
             for (lo, r, k), f in zip(self.blocks, side)
-            for c in range(k if is_rho else r)])
+            for c in range(k if is_rho else r)
+            for at in [slice(lo + c, lo + r * k, k) if is_rho
+                       else slice(lo + c * k, lo + c * k + k)]])
             for side, exact, is_rho in self.sides()
             for g in range(len(side[0]))]
 
@@ -1074,7 +1071,7 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
     if rows.size == 0 or not np.any(np.abs(rows) > FLOAT_TOL):
         return []
     _, s, vh = np.linalg.svd(rows)
-    cutoff = _rank_cutoff(s)[0]
+    cutoff = _rank_cutoff(s)
     rank = int((s > cutoff).sum())
     out = []
     for row in vh[:rank]:
@@ -1083,68 +1080,69 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def find_nondegenerate_skew(
-        forms: Sequence[BilinearForm]) -> BilinearForm | None:
-    """A nondegenerate skew form in the span of the given basis, if any.
-
-    Tries each skew basis element, then deterministic integer combinations
-    (all-ones, moment curves over small integers, and a seeded random
-    family) in that order.  Nondegenerate combinations form a Zariski-open
-    set, so when one exists these families find it; returns None when every
-    candidate is degenerate.
-
-    The combinations are decided in one pass and only the first
-    nondegenerate one is built as a :class:`Matrix` and classified.  On the
-    exact path the grams are scaled by one common denominator, every
-    candidate is formed in Gaussian integers and tested by fraction-free
-    elimination.  On the float path the candidates are stacked and share one
-    batched SVD under the rank rule of :meth:`Matrix.is_invertible`.
-    """
-    skews = [f for f in forms if f.symmetry is Symmetry.SKEW]
-    if not skews:
+@lru_cache(maxsize=512)
+def _block_pairing(rho_args: tuple, sl2_args: tuple) -> Matrix | None:
+    """The invariant pairing X (x) Y of a block pair, from the solves of its
+    factors (:meth:`TensorFactors.pair`), or None when there is none."""
+    xs = invariant_pairings(*rho_args)
+    ys = invariant_pairings(*sl2_args) if xs else ()
+    if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
+        raise PeriodLabError(f"internal: a block pair has {len(xs) * len(ys)}"
+                             f" independent invariant pairings, not 0 or 1")
+    if not ys:
         return None
-    for f in skews:
-        if f.nondegenerate:
-            return f
-    grams = [f.gram for f in skews]
-    combos = _skew_combinations(len(grams))
-    if all(g.exact for g in grams):
-        den = lcm(*(g.den for g in grams))
-        coeffs = np.array(combos, dtype=object)
-        re = np.tensordot(coeffs, np.stack(
-            [g.re * (den // g.den) for g in grams]), axes=1)
-        im = np.tensordot(coeffs, np.stack(
-            [g.im * (den // g.den) for g in grams]), axes=1)
-        win = next((c for c in range(len(combos))
-                    if _gaussian_nonsingular(re[c], im[c])), None)
-        if win is None:
-            return None
-        gram = Matrix.gaussian(re[win], im[win], den)
-    else:
-        coeffs = np.array([[complex(c) for c in row] for row in combos])
-        stack = [g.as_complex() for g in grams]
-        # the same operations, in the same order, as scaling and adding
-        # one candidate at a time, so each candidate is bit-identical
-        acc = coeffs[:, 0, None, None] * stack[0]
-        for i in range(1, len(stack)):
-            acc = acc + coeffs[:, i, None, None] * stack[i]
-        hits = np.flatnonzero(
-            _full_rank(np.linalg.svd(acc, compute_uv=False)))
-        if not hits.size:
-            return None
-        gram = Matrix.from_array(acc[hits[0]].copy())
-    return classify_form(gram)
+    (_, r, r2, exact), (_, k, k2, _) = rho_args, sl2_args
+    x = (xs[0].apply(lambda a: a.reshape(r, r2)) if exact
+         else Matrix.from_array(np.reshape(xs[0], (r, r2))))
+    return x.kron(ys[0].apply(lambda a: a.reshape(k, k2)))
 
 
-@cache
-def _skew_combinations(d: int) -> tuple[tuple[int, ...], ...]:
-    """The coefficient vectors tried by :func:`find_nondegenerate_skew`."""
-    combos = [(1,) * d]
-    combos.extend(tuple(t ** i for i in range(d))
-                  for t in range(-6, 7) if t != 0)
-    rng = np.random.default_rng(20851)
-    combos.extend(map(tuple, rng.integers(-9, 10, size=(50, d)).tolist()))
-    return tuple(c for c in combos if any(c))
+def find_nondegenerate_skew(gens) -> BilinearForm | None:
+    """A nondegenerate skew invariant form J of a generator set, built class
+    by class, or None when a certificate shows that there is none.
+
+    Blocks of :func:`tensor_factors` with equal factors form a class C of
+    multiplicity m_C.  By Schur's lemma C pairs with exactly one class C',
+    through one pairing P solved from one block of each
+    (:func:`_block_pairing`); a second such class is an internal error.  J
+    pairs copy i of C with copy i of C' by P and -P^T.  When C = C', P^T
+    pairs C with itself too, so P is symmetric or skew: as
+    :func:`classify_form` reads it, a symmetric P pairs copy 2i with copy
+    2i + 1, and a skew P each copy with itself.  Each None has a
+    certificate that every invariant (skew) form is degenerate:
+
+    * C pairs with no class: the form vanishes on the rows of C;
+    * m_C != m_C': it maps the rows of one class into fewer columns;
+    * P symmetric, m_C odd: on C it is M (x) P, M skew of odd size.
+    """
+    tf = tensor_factors(gens)
+    classes: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(tf.rho, tf.sl2)):
+        classes.setdefault(key, []).append(i)
+    at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
+    tiles = []
+    for copies in classes.values():
+        pairings = [(duals, p) for duals in classes.values()
+                    for p in [_block_pairing(*tf.pair(copies[0], duals[0]))]
+                    if p is not None]
+        if not pairings:
+            return None
+        if len(pairings) > 1:
+            raise PeriodLabError("internal: a class of blocks pairs with "
+                                 f"{len(pairings)} classes, not 1")
+        ((duals, p),) = pairings
+        if duals[0] < copies[0]:
+            continue  # placed with its dual class
+        if (duals is copies
+                and classify_form(p).symmetry is Symmetry.SYMMETRIC):
+            copies, duals = copies[::2], copies[1::2]
+        if len(copies) != len(duals):
+            return None
+        # a copy paired with itself gets P over -P^T; they agree when P is
+        # skew, and any other P fails verify_form
+        tiles += [t for i, j in zip(copies, duals)
+                  for t in ((at[j], at[i], -p.T), (at[i], at[j], p))]
+    return classify_form(_placed(tf.n, tiles))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_criterion_1_discrete_sum_sweep(emit):
             problems.append(f"{text}: symbolic checks failed")
             continue
         gens = realize(p, CAT)
-        j = find_nondegenerate_skew(invariant_forms(gens))
+        j = find_nondegenerate_skew(gens)
         if j is None:
             problems.append(f"{text}: no invariant nondegenerate skew form")
             continue
@@ -166,11 +166,12 @@ def test_criterion_2_unique_skew_form_on_distinguished_blocks(emit):
                 problems.append(f"{tag}: form is {f.symmetry.value}")
             if not f.gram.exact:
                 problems.append(f"{tag}: expected the exact path")
-    control = invariant_forms(realize(WDParameter.of([seg("q8", 2)]), CAT))
+    control_gens = realize(WDParameter.of([seg("q8", 2)]), CAT)
+    control = invariant_forms(control_gens)
     control_ok = (
         any(f.symmetry is Symmetry.SYMMETRIC and f.nondegenerate
             for f in control)
-        and find_nondegenerate_skew(control) is None)
+        and find_nondegenerate_skew(control_gens) is None)
     if not control_ok:
         problems.append("St(2,q8): expected symmetric-only invariant forms")
     ok = not problems and cases == 10
@@ -280,7 +281,7 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
         text = print_param(p)
         elliptic = is_x_elliptic_symbolic(p)
         gens = realize(p, CAT)
-        j = find_nondegenerate_skew(invariant_forms(gens))
+        j = find_nondegenerate_skew(gens)
         if j is None:
             disagreements.append(f"{text}: factors but no skew form")
             continue

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -183,8 +184,11 @@ def test_classify_exact_residue_is_exactly_zero(capsys):
 
 
 def test_classify_large_float_form_passes_relative_tolerance(capsys):
-    # the skew form has entries up to 6^9, so its float residue (2.7e-09)
-    # is within 1e-9 times its scale but not within 1e-9 absolutely
+    # an all-float mix of dual pairs and symmetric pairs.  A combination
+    # search once built a form with entries up to 6^9 here, whose residue
+    # (2.7e-09) passed only by the relative rule; the per-class form has
+    # entries of size 1, and test_float_comparison_rule_is_shared pins the
+    # rule itself
     expr = ("chi3 (+) chi3 (+) chi3bar (+) chi3bar (+) "
             "trivial (+) trivial (+) trivial (+) trivial")
     assert main(["classify", expr, "--oracle", "--json"]) == 1
@@ -249,6 +253,23 @@ def test_oracle_agrees_with_the_rules_up_to_the_form_bound(expr):
     assert code in (0, 1), data
     assert data["oracle_agreement"] is True, data
     assert all(c["verdict"] != "error" for c in data["checks"]), data
+
+
+@pytest.mark.parametrize("label, copies", [("trivial", 48), ("q8", 24)])
+def test_high_multiplicity_oracle_stays_fast_above_the_bound(
+        monkeypatch, capsys, label, copies):
+    # the skew form is built per class, so its cost does not grow with the
+    # square of the multiplicity; a guard for raising the bound
+    monkeypatch.setattr(distinction, "FORM_ORACLE_DIM_BOUND", 48)
+    start = time.perf_counter()
+    code = main(["classify", " (+) ".join([label] * copies), "--oracle",
+                 "--json"])
+    elapsed = time.perf_counter() - start
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1, data  # factors through Sp, but is not elliptic
+    assert data["oracle_agreement"] is True, data
+    assert all(c["verdict"] != "error" for c in data["checks"]), data
+    assert elapsed < 2.0
 
 
 # -- verify-matrices --------------------------------------------------------------
@@ -386,6 +407,6 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(gens):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(distinction, "invariant_forms", broken)
+    monkeypatch.setattr(distinction, "find_nondegenerate_skew", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["classify", "q8", "--oracle"])

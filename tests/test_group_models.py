@@ -21,6 +21,7 @@ from periodlab import (
     builtin_catalog,
     builtin_models,
     commutant_dimension,
+    factors_through_sp_symbolic,
     find_nondegenerate_skew,
     fs_indicator,
     invariant_forms,
@@ -57,7 +58,7 @@ def oracle_gens(*segments):
 
 def skew_of(gens):
     """The oracle's skew form of ``gens``, through the one verifier."""
-    j = find_nondegenerate_skew(invariant_forms(gens))
+    j = find_nondegenerate_skew(gens)
     assert j is not None
     return verify_form(gens, j.gram)
 
@@ -288,6 +289,23 @@ def test_factored_oracle_matches_the_one_block_solve(p):
         assert Counter(f.symmetry for f in factored) == Counter(
             f.symmetry for f in single)
     assert commutant_dimension(gens) == commutant_dimension(one_block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_parameters())
+def test_skew_form_exists_exactly_when_the_rules_say_it_factors(p):
+    gens = realize(p, CAT)
+    j = find_nondegenerate_skew(gens)
+    assert (j is not None) == factors_through_sp_symbolic(p)
+    if j is None:
+        return
+    verify_form(gens, j.gram)
+    if j.gram.exact:  # J lies in the span of the reference's skew forms
+        skews = [f.gram for f in invariant_forms(gens)
+                 if f.symmetry is Symmetry.SKEW]
+        flat = [sum(m.tolist(), []) for m in skews]
+        assert Matrix.from_rows(flat + [sum(j.gram.tolist(), [])]).rank() \
+            == len(skews)
 
 
 def test_generators_off_the_tensor_structure_get_the_one_block_solve():

@@ -36,12 +36,14 @@ from periodlab import (
 )
 from periodlab.errors import (
     OddPartError,
+    PeriodLabError,
     OddSizeError,
     ShapeMismatchError,
     TwistedSegmentError,
 )
 from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
+    FLOAT_TOL,
     TensorFactors,
     blockdiag,
     nullspace_exact,
@@ -501,14 +503,14 @@ def test_invariant_forms_orthogonal_irreducible():
     forms = invariant_forms(gens)
     assert len(forms) == 1
     assert forms[0].symmetry is Symmetry.SYMMETRIC
-    assert find_nondegenerate_skew(forms) is None
+    assert find_nondegenerate_skew(gens) is None
 
 
 def test_invariant_forms_double_block():
     gens = realize(WDParameter.of([seg("q8"), seg("q8")]), CAT)
     forms = invariant_forms(gens)
     assert len(forms) == 4  # Hom space of two identical copies is 2x2
-    skew = find_nondegenerate_skew(forms)
+    skew = find_nondegenerate_skew(gens)
     assert skew is not None
     for g in gens.generators:
         assert is_in_sp(g, skew)
@@ -518,119 +520,127 @@ def test_invariant_forms_float_path():
     gens = realize(WDParameter.of([seg("chi3"), seg("chi3bar")]), CAT)
     assert not gens.exact
     forms = invariant_forms(gens)
-    skew = find_nondegenerate_skew(forms)
+    assert sorted(f.symmetry.value for f in forms) == ["skew", "symmetric"]
+    skew = find_nondegenerate_skew(gens)
     assert skew is not None
     for g in gens.generators:
         assert is_in_sp(g, skew)
 
 
-def _two_degenerate_blocks(eps):
-    """eps times a 2x2 skew block at the top and one at the bottom of 4x4."""
-    top = Matrix.from_rows([[0, eps, 0, 0], [-eps, 0, 0, 0],
-                            [0, 0, 0, 0], [0, 0, 0, 0]])
-    bottom = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0],
-                               [0, 0, 0, 1], [0, 0, -1, 0]])
-    forms = [BilinearForm(top, Symmetry.SKEW, False),
-             BilinearForm(bottom, Symmetry.SKEW, False)]
-    return forms, top + bottom
+# -- the skew form, class by class ------------------------------------------
 
 
-def test_find_nondegenerate_skew_needs_a_combination():
-    forms, _ = _two_degenerate_blocks(1)
-    found = find_nondegenerate_skew(forms)
-    assert found is not None
-    assert found.nondegenerate
-    assert find_nondegenerate_skew([]) is None
+def _gens(*segments):
+    return realize(WDParameter.of(segments), CAT)
 
 
-def test_find_nondegenerate_skew_decides_exactly():
-    # every combination has singular values eps below FLOAT_TOL, so a
-    # float decision would call all of them singular
-    forms, both = _two_degenerate_blocks(Fraction(1, 10**12))
-    found = find_nondegenerate_skew(forms)
-    assert found is not None
-    assert found.nondegenerate
-    assert found.gram.equals(both)
+def _rows(gens, name):
+    """The rows of the blocks labelled ``name`` in a realization."""
+    return [i for s, (lo, hi) in zip(gens.recipe.segments, gens.recipe.spans)
+            if s.cuspidal.name == name for i in range(lo, hi)]
 
 
-def _reference_skew_search(forms):
-    """The search one candidate at a time, as a full Matrix each, deciding
-    nondegeneracy by rank."""
-    skews = [f for f in forms if f.symmetry is Symmetry.SKEW]
-    if not skews:
-        return None
-    for f in skews:
-        if f.nondegenerate:
-            return f
-    d = len(skews)
-    combos = [(1,) * d]
-    for t in range(-6, 7):
-        if t != 0:
-            combos.append(tuple(t ** i for i in range(d)))
-    rng = np.random.default_rng(20851)
-    for _ in range(50):
-        combos.append(tuple(int(c) for c in rng.integers(-9, 10, size=d)))
-    for coeffs in combos:
-        if not any(coeffs):
-            continue
-        acc = skews[0].gram.scale(coeffs[0])
-        for f, c in zip(skews[1:], coeffs[1:]):
-            acc = acc + f.gram.scale(c)
-        if acc.rank() == acc.rows:
-            return classify_form(acc)
-    return None
+def _vanishes(form, rows, cols):
+    """Whether every entry of the form at (rows, cols) is zero, within
+    FLOAT_TOL on the float path; the reference forms have leading entry 1."""
+    return bool(np.all(np.abs(form.gram.as_complex()[np.ix_(rows, cols)])
+                       <= FLOAT_TOL))
 
 
-def _low_rank_skew(n, pairs):
-    """sum of u v^T - v u^T over the given (u, v), rank at most 2*len."""
-    m = np.zeros((n, n), dtype=object)
-    for u, v in pairs:
-        outer = np.outer(np.array(u, dtype=object), np.array(v, dtype=object))
-        m = m + outer - outer.T
+@pytest.mark.parametrize("segments, lonely", [
+    (["chi3"], "chi3"), (["chi3", "q8"], "chi3"),
+    (["chi3bar", "trivial", "trivial"], "chi3bar")])
+def test_no_pairing_certificate(segments, lonely):
+    # a class that pairs with no class: every invariant form vanishes on
+    # its rows
+    gens = _gens(*map(seg, segments))
+    assert find_nondegenerate_skew(gens) is None
+    rows, every = _rows(gens, lonely), list(range(gens.dim))
+    assert all(_vanishes(f, rows, every) for f in invariant_forms(gens))
+
+
+@pytest.mark.parametrize("segments, larger, smaller", [
+    (["chi3", "chi3", "chi3bar"], "chi3", "chi3bar"),
+    (["q8", "chi3bar", "chi3", "chi3bar"], "chi3bar", "chi3"),
+])
+def test_unequal_multiplicity_certificate(segments, larger, smaller):
+    # every invariant form maps the rows of the larger class into the
+    # columns of the smaller, so every form in the span has rank below n
+    gens = _gens(*map(seg, segments))
+    assert find_nondegenerate_skew(gens) is None
+    rows = _rows(gens, larger)
+    outside = sorted(set(range(gens.dim)) - set(_rows(gens, smaller)))
+    assert len(rows) > len(_rows(gens, smaller))
+    assert all(_vanishes(f, rows, outside) for f in invariant_forms(gens))
+
+
+def _kron_quotient(b: Matrix, p: Matrix) -> Matrix:
+    """The M with b = M (x) p, read off at p's first nonzero entry;
+    asserts that b is that product."""
+    d = p.rows
+    a, c = next((a, c) for a in range(d) for c in range(d)
+                if p.re[a, c] or p.im[a, c])
+    m = b.apply(lambda x: x[a::d, c::d]).scale(1 / p.tolist()[a][c])
+    assert m.kron(p).equals(b)
     return m
 
 
-def _skew_basis(n):
-    """Two or three skew forms, each of rank at most n - 2.  With ``shift``
-    the last one becomes itself minus the others, so the all-ones
-    combination is degenerate and a later candidate has to win."""
-    vec = st.lists(st.sampled_from([1, -1, 2, -2, 0]), min_size=n,
-                   max_size=n)
-    pairs = st.lists(st.tuples(vec, vec), min_size=n // 2 - 1,
-                     max_size=n // 2 - 1)
-
-    def build(forms, shift):
-        grams = [_low_rank_skew(n, f) for f in forms]
-        if shift:
-            grams[-1] = grams[-1] - sum(grams[:-1])
-        return grams
-
-    return st.builds(build, st.lists(pairs, min_size=2, max_size=3),
-                     st.booleans())
+@pytest.mark.parametrize("name, k, copies", [
+    ("trivial", 1, 3), ("q8", 2, 1), ("q8", 2, 3)])
+def test_symmetric_pairing_at_odd_multiplicity_certificate(name, k, copies):
+    # every invariant skew form is M (x) P with M skew of odd size, so every
+    # form in their span is degenerate
+    (p,) = invariant_forms(_gens(seg(name, k)))
+    assert p.symmetry is Symmetry.SYMMETRIC
+    gens = _gens(*[seg(name, k)] * copies)
+    assert find_nondegenerate_skew(gens) is None
+    skews = [f for f in invariant_forms(gens) if f.symmetry is Symmetry.SKEW]
+    assert len(skews) == copies * (copies - 1) // 2
+    for f in skews:
+        m = _kron_quotient(f.gram, p.gram)
+        assert m.rows % 2 and (-m.T).equals(m)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 4, 6]).flatmap(_skew_basis),
-       st.sampled_from(
-           [None, Fraction(1, 6), QQi(1, 2), 3.0, 0.37, 1e-6, 4e-10]))
-def test_find_nondegenerate_skew_matches_sequential_search(grams, scale):
-    """Integer skew bases, exact (scaled by a Gaussian rational) or float
-    (scaled by a float, down to where singular values straddle the rank
-    cutoff), against the one-at-a-time search."""
-    mats = [Matrix.from_rows(g.tolist()) for g in grams]
-    if isinstance(scale, float):
-        mats = [m.to_float().scale(scale) for m in mats]
-    elif scale is not None:
-        mats = [m.scale(scale) for m in mats]
-    forms = [classify_form(m) for m in mats]
-    found = find_nondegenerate_skew(forms)
-    expected = _reference_skew_search(forms)
-    assert (found is None) == (expected is None)
-    if expected is not None:
-        assert found.gram.exact == expected.gram.exact
-        assert found.gram.tolist() == expected.gram.tolist()
-        assert found.symmetry is expected.symmetry
-        assert found.nondegenerate
+@pytest.mark.parametrize("segments, exact", [
+    (["q8"], True),                  # skew P on every copy
+    (["q8", "q8", "q8"], True),
+    (["trivial", "trivial"], True),  # symmetric P on pairs of copies
+    (["chi3", "chi3bar"], False),    # P and -P^T on a dual pair
+    (["chi3bar", "q8", "chi3"], False),
+])
+def test_skew_form_constructions(segments, exact):
+    gens = _gens(*map(seg, segments))
+    j = find_nondegenerate_skew(gens)
+    assert j.symmetry is Symmetry.SKEW and j.nondegenerate
+    assert j.gram.exact is exact
+    assert all(is_in_sp(g, j) for g in gens.generators)
+
+
+def test_symmetric_pairs_are_placed_off_the_diagonal():
+    j = find_nondegenerate_skew(_gens(*[seg("trivial")] * 4))
+    assert j.gram.equals(partition_J((2, 2)).gram)
+
+
+def test_a_reducible_block_is_an_internal_error():
+    # one block holding two copies of a rotation pairs with itself too often
+    gens = [Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                              [0, 0, 0, 1], [0, 0, -1, 0]])]
+    with pytest.raises(PeriodLabError, match="independent invariant pairings"):
+        find_nondegenerate_skew(gens)
+
+
+def test_a_class_pairing_with_two_classes_is_an_internal_error():
+    # q8 and a conjugate of it: isomorphic blocks with unequal factors
+    q8 = _gens(seg("q8")).generators
+    s, s_inv = Matrix.from_rows([[1, 1], [0, 1]]), Matrix.from_rows(
+        [[1, -1], [0, 1]])
+    rho = tuple(tuple((tuple(m.re.flat), tuple(m.im.flat), m.den)
+                      for m in mats)
+                for mats in (q8, [s @ g @ s_inv for g in q8]))
+    tf = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
+    gens = GeneratorSet(tf, ("a",) * len(q8))
+    with pytest.raises(PeriodLabError, match="pairs with 2 classes"):
+        find_nondegenerate_skew(gens)
 
 
 # -- realizations -----------------------------------------------------------
