@@ -33,12 +33,10 @@ from .group_models import (
 )
 from .matrix_lab import (
     BilinearForm,
+    FactoredForm,
     GeneratorSet,
-    Matrix,
-    Symmetry,
-    classify_form,
     find_nondegenerate_skew,
-    is_in_sp,
+    is_in_sp,  # noqa: F401  the dense reference, read here by periodbench
     realize,
     symplectic_J,
 )
@@ -271,16 +269,18 @@ class OracleVerdicts:
     """Matrix-level answers for one parameter.
 
     ``form`` is the nondegenerate skew invariant form built class by class,
-    or None when a certificate rules one out.  ``elliptic`` is the isotropy
-    oracle's verdict (no invariant isotropic subspace), or None when no
-    form was found or the isotropy stage hit an internal fault,
-    ``isotropy_error``.  ``max_residue`` is the worst |g^T J g - J| entry
-    that ``is_in_sp`` decided on over the generators: exactly 0.0 on the
-    exact path, and 0.0 when no form was found.
+    kept as its tiles, or None when a certificate rules one out.
+    ``elliptic`` is the isotropy oracle's verdict (no invariant isotropic
+    subspace), or None when no form was found or the isotropy stage hit an
+    internal fault, ``isotropy_error``.  ``max_residue`` is the worst
+    |g^T J g - J| entry as :func:`verify_form` computes it on the factors
+    (per tile, the largest |Delta| of one factor times the largest entry of
+    the other): exactly 0.0 on the exact path, and 0.0 when no form was
+    found.
     """
 
     gens: GeneratorSet
-    form: BilinearForm | None
+    form: FactoredForm | None
     elliptic: bool | None
     max_residue: float
     isotropy_error: PeriodLabError | None = None
@@ -290,23 +290,22 @@ class OracleVerdicts:
         return self.form is not None
 
 
-def verify_form(gens: GeneratorSet, gram: Matrix) -> VerifiedForm:
-    """Check once, by ``classify_form`` and one ``is_in_sp`` per generator,
-    that ``gram`` is skew, nondegenerate and invariant (exactly when the
-    generators and the form are exact); else raise
-    :class:`FormVerificationError`.  On the exact path every check
-    compares the stored integers."""
-    form = classify_form(gram)
-    if form.symmetry is not Symmetry.SKEW or not form.nondegenerate:
+def verify_form(gens: GeneratorSet, form: FactoredForm) -> VerifiedForm:
+    """Check once, on the form's tiles and the generators' factors, that
+    ``form`` is skew, nondegenerate and invariant; else raise
+    :class:`FormVerificationError`.  Exact when the generators and the form
+    are; on the float path the rho side follows ``Matrix.equals``.  No
+    dense generator or dense form is built."""
+    if not form.is_skew():
+        raise FormVerificationError("the form must be skew-symmetric")
+    if not form.is_nondegenerate():
         raise FormVerificationError(
-            "the form must be skew-symmetric and nondegenerate")
-    residue = 0.0
-    for g in gens.generators:
-        check = is_in_sp(g, form)
-        if not check:
-            raise FormVerificationError(
-                "the form must be invariant under the generators")
-        residue = max(residue, check.residue)
+            "the form must be nondegenerate: its tiles must pair the blocks "
+            "one to one by invertible factors")
+    residue = form.invariance_residue(gens.factors)
+    if residue is None:
+        raise FormVerificationError(
+            "the form must be invariant under the generators")
     return VerifiedForm(gens, form, residue)
 
 
@@ -333,7 +332,7 @@ def oracle_verdicts(p: WDParameter,
     j = find_nondegenerate_skew(gens)
     if j is None:
         return OracleVerdicts(gens, None, None, 0.0)
-    verified = verify_form(gens, j.gram)
+    verified = verify_form(gens, j)
     try:
         isotropic = invariant_isotropic_exists(verified)
     except PeriodLabError as exc:

@@ -8,11 +8,12 @@ with no dimension bound of its own.
 The commutant dimension is the sum over block pairs of
 dim Hom(A_j, A_i) * dim Hom(U_j, U_i), read from the tensor factors a
 realization is stored as (``matrix_lab.TensorFactors``), exact on the exact
-path; only the block-diagonality certificate looks at the dense generators.
+path, and the block-diagonality certificate compares those factors' blocks
+with the recipe's; no certificate looks at the dense generators.
 The isotropy oracle takes its form as a :class:`VerifiedForm`, checked once by
-``distinction.verify_form`` with the form oracle's own checks, and tests one
-irreducible submodule per component; on the exact path no entry of the form
-is converted to a float.  The
+``distinction.verify_form`` on its tiles, and tests one irreducible submodule
+per component on those tiles; on the exact path no entry of the form is
+converted to a float.  The
 symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``) are
 a finite stand-in for S(k), irreducible exactly for k <= 6
 (``SL2_SURROGATE_BOUND``); the oracle does not use them.
@@ -47,11 +48,9 @@ from .errors import (
 from .exactnum import I as QI
 from .exactnum import QQi
 from .matrix_lab import (
-    FLOAT_TOL,
-    BilinearForm,
+    FactoredForm,
     GeneratorSet,
     Matrix,
-    block_diagonal,
     intertwiners,
     sym_power,
     tensor_factors,
@@ -461,9 +460,8 @@ def builtin_catalog() -> Catalog:
 # isotypic structure of realized parameters
 
 
-def _isotypic_components(
-        gens: GeneratorSet) -> dict[str, list[tuple[int, int]]]:
-    """The block spans of each isotypic component, read from the recipe.
+def _isotypic_components(gens: GeneratorSet) -> dict[str, list[int]]:
+    """The blocks of each isotypic component, read from the recipe.
 
     Every block rho (x) S(k) of a realization is irreducible: label models
     are checked irreducible when they are built, and exp(E), exp(F) are
@@ -471,7 +469,10 @@ def _isotypic_components(
     grouping them gives the isotypic decomposition exactly when the
     generators act block-diagonally on the recipe's spans and the commutant
     has dimension sum m^2, i.e. blocks of distinct classes are not
-    isomorphic.  Both are checked; components keep first-appearance order.
+    isomorphic.  Both are checked, the first by comparing the blocks of the
+    generators' tensor factors, on which they act by construction, with
+    the spans.  Blocks are numbered as the recipe's segments; components
+    keep first-appearance order.
     """
     recipe = gens.recipe
     if recipe is None:
@@ -483,16 +484,17 @@ def _isotypic_components(
     if dim_total != n:
         raise CommutantMismatchError(
             f"isotypic dimensions sum to {dim_total}, expected {n}")
-    components: dict[str, list[tuple[int, int]]] = {}
-    for seg, span in zip(recipe.segments, recipe.spans):
+    components: dict[str, list[int]] = {}
+    for i, seg in enumerate(recipe.segments):
         components.setdefault(f"{seg.cuspidal.name}⊗S({seg.k})",
-                              []).append(span)
-    if not all(block_diagonal(g, recipe.spans)
-               for g in gens.generators):
+                              []).append(i)
+    if tuple((lo, lo + r * k)
+             for lo, r, k in gens.factors.blocks) != recipe.spans:
         raise CommutantMismatchError(
-            "generators do not act block-diagonally on the recipe's blocks")
+            "generators are not known to act block-diagonally on the "
+            "recipe's blocks: their tensor blocks differ from the spans")
     commutant = commutant_dimension(gens)
-    expected = sum(len(spans) ** 2 for spans in components.values())
+    expected = sum(len(blocks) ** 2 for blocks in components.values())
     if commutant != expected:
         raise CommutantMismatchError(
             f"commutant dimension {commutant} disagrees with block count "
@@ -507,18 +509,19 @@ def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
     certified by block-diagonality of the generators and the commutant
     dimension (which must equal the sum of squares).
     """
-    return [(cid, len(spans))
-            for cid, spans in _isotypic_components(gens).items()]
+    return [(cid, len(blocks))
+            for cid, blocks in _isotypic_components(gens).items()]
 
 
 @dataclass(frozen=True)
 class VerifiedForm:
     """A skew, nondegenerate form preserved by every generator of ``gens``,
-    as checked once by :func:`periodlab.distinction.verify_form`; ``residue``
-    is the largest |g^T J g - J| entry those checks decided on."""
+    as checked once on its tiles by
+    :func:`periodlab.distinction.verify_form`; ``residue`` is the largest
+    |g^T J g - J| entry those checks computed."""
 
     gens: GeneratorSet
-    form: BilinearForm
+    form: FactoredForm
     residue: float
 
 
@@ -531,28 +534,26 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     invariant subspaces are searched.  Each lies in one isotypic component,
     read from the realization recipe and certified (block-diagonal
     generators, commutant dimension sum m^2).  With multiplicity 1 it is the
-    block itself, isotropic when J vanishes on it: exactly on the exact
-    path, within ``FLOAT_TOL * max(1, max|J|)`` on the float path.  With
-    multiplicity m >= 2 an isotropic graph of two copies always exists.
-    No dimension is refused; a failed certificate raises.
+    block itself, isotropic when the form has no tile on it: a verified
+    form's tiles are nonzero.  With multiplicity m >= 2 an isotropic graph
+    of two copies always exists.  The form is read from its tiles, densely
+    only on the two copies of a repeated component.  No dimension is
+    refused; a failed certificate raises.
     """
-    gens, gram = verified.gens, verified.form.gram
-    for spans in _isotypic_components(gens).values():
-        if len(spans) > 1:
-            return _isotropic_graph_exists(gram, spans[0], spans[1])
-        (lo, hi), = spans
-        block = gram.apply(lambda a: a[lo:hi, lo:hi])
-        if (block.equals(Matrix.zeros(hi - lo, hi - lo)) if gram.exact
-                else np.abs(block.data).max()
-                <= FLOAT_TOL * max(1.0, np.abs(gram.data).max())):
+    form = verified.form
+    for blocks in _isotypic_components(verified.gens).values():
+        if len(blocks) > 1:
+            return _isotropic_graph_exists(form.restricted(blocks[:2]))
+        (i,) = blocks
+        if all(tile[:2] != (i, i) for tile in form.tiles):
             return True
     return False
 
 
-def _isotropic_graph_exists(gram: Matrix, span1: tuple[int, int],
-                            span2: tuple[int, int]) -> bool:
-    """Whether some graph of a*iota1 + b*iota2 is isotropic: checked exactly
-    on the exact path, by the SVD rank rule on the float path.
+def _isotropic_graph_exists(pair: Matrix) -> bool:
+    """Whether some graph of a*iota1 + b*iota2 is isotropic for ``pair``,
+    the form on two copies of one block: checked exactly on the exact path,
+    by the SVD rank rule on the float path.
 
     The two copies are identical matrix representations (same model, same
     basis), so the identity map is a valid intertwiner and every irreducible
@@ -562,10 +563,10 @@ def _isotropic_graph_exists(gram: Matrix, span1: tuple[int, int],
     <= 1 as vectors: multiples of one P.  The condition is then one
     homogeneous quadratic in (a : b), which always has a complex root.
     """
-    (a, b), (c, d) = span1, span2
-    blocks = gram.apply(lambda j: np.stack([
-        j[a:b, a:b].ravel(), (j[a:b, c:d] + j[c:d, a:b]).ravel(),
-        j[c:d, c:d].ravel()]))
+    d = pair.rows // 2
+    blocks = pair.apply(lambda j: np.stack([
+        j[:d, :d].ravel(), (j[:d, d:] + j[d:, :d]).ravel(),
+        j[d:, d:].ravel()]))
     if blocks.rank() <= 1:
         return True
     raise PeriodLabError(

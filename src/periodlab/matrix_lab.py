@@ -33,8 +33,10 @@ demand and never split again.  :func:`invariant_forms` solves the forms of
 each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
 and an S(k) factor (k k' unknowns), each solve cached on its factor's
 integers; :func:`find_nondegenerate_skew` builds its form from the same
-solves, one per pair of block classes, and ``group_models`` solves the
-commutant the same way.  A bare list of generators is solved as one block.
+solves, one per pair of block classes, and keeps it as tiles c X (x) Y
+(:class:`FactoredForm`), which are checked factor by factor, and
+``group_models`` solves the commutant the same way.  A bare list of
+generators is solved as one block.
 """
 
 from __future__ import annotations
@@ -220,6 +222,8 @@ class Matrix:
     def scale(self, s) -> "Matrix":
         """``s`` times the matrix; exact when the matrix is and ``s`` is an
         int, Fraction or QQi."""
+        if self.exact and isinstance(s, int):
+            return Matrix.gaussian(self.re * s, self.im * s, self.den)
         if self.exact:
             try:
                 s = qqi(s)
@@ -747,15 +751,18 @@ class SpCheck:
         return self.holds
 
 
-def is_in_sp(g: Matrix, j: Union[BilinearForm, Matrix]) -> SpCheck:
-    """Whether g preserves the form: g^T J g = J.
+def is_in_sp(g: Matrix,
+             j: Union[BilinearForm, "FactoredForm", Matrix]) -> SpCheck:
+    """Whether g preserves the form: g^T J g = J, on the dense matrices.
 
     When g and J are exact, g^T J g is formed by integer matmuls and
     compared with J by :meth:`Matrix.equals`, on reduced integers.  Otherwise
     it is decided by :meth:`Matrix.equals`, within
-    ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.
+    ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.  The oracle checks its
+    form on the factors instead (:meth:`FactoredForm.invariance_residue`);
+    this is the reference.
     """
-    gram = j.gram if isinstance(j, BilinearForm) else j
+    gram = j if isinstance(j, Matrix) else j.gram
     if not g.is_square or g.shape != gram.shape:
         raise ShapeMismatchError(
             f"generator {g.shape} does not match form {gram.shape}")
@@ -835,7 +842,8 @@ def _factor_pairs(pairs, a, b, exact):
     """The (L, R) matrices of ``pairs`` and, on the exact path, their
     logarithms when both are unipotent, else None."""
     for l, r in pairs:
-        l, r = _square(l, a, exact), _square(r, b, exact)
+        l, r = (_factor_matrix(l, a, a, exact),
+                _factor_matrix(r, b, b, exact))
         log_l = _unipotent_log(l) if exact else None
         log_r = None if log_l is None else _unipotent_log(r)
         yield l, r, (None if log_r is None else (log_l, log_r))
@@ -882,15 +890,6 @@ def intertwiners(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
     return tuple(nullspace_exact(rows, a * b))
 
 
-def block_diagonal(m: Matrix, spans: Sequence[tuple[int, int]]) -> bool:
-    """Whether ``m`` vanishes off the diagonal blocks ``spans``."""
-    off = np.ones(m.shape, dtype=bool)
-    for lo, hi in spans:
-        off[lo:hi, lo:hi] = False
-    return not any(any(part[off])
-                   for part in ((m.re, m.im) if m.exact else (m.data,)))
-
-
 @dataclass(frozen=True)
 class TensorFactors:
     """Generators given block by block as g = (+)_i A_i (x) I_(k_i) (a rho
@@ -933,8 +932,9 @@ class TensorFactors:
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
         return [_placed(self.n, [
-            (at, at, _square(f[g], r if is_rho else k, exact))
+            (at, at, _factor_matrix(f[g], size, size, exact))
             for (lo, r, k), f in zip(self.blocks, side)
+            for size in [r if is_rho else k]
             for c in range(k if is_rho else r)
             for at in [slice(lo + c, lo + r * k, k) if is_rho
                        else slice(lo + c * k, lo + c * k + k)]])
@@ -942,14 +942,16 @@ class TensorFactors:
             for g in range(len(side[0]))]
 
 
-def _square(factor: tuple, size: int, exact: bool) -> Matrix:
-    """The size x size matrix of a factor of :class:`TensorFactors`."""
+def _factor_matrix(factor: tuple, rows: int, cols: int,
+                   exact: bool) -> Matrix:
+    """The rows x cols matrix of a factor of :class:`TensorFactors` or
+    :class:`FactoredForm`."""
     if not exact:
         return Matrix.from_array(
-            np.array(factor, dtype=complex).reshape(size, size))
+            np.array(factor, dtype=complex).reshape(rows, cols))
     re, im, den = factor
-    return Matrix(None, np.array(re, dtype=object).reshape(size, size),
-                  np.array(im, dtype=object).reshape(size, size), den)
+    return Matrix(None, np.array(re, dtype=object).reshape(rows, cols),
+                  np.array(im, dtype=object).reshape(rows, cols), den)
 
 
 def _factor(m: Matrix, exact: bool) -> tuple:
@@ -960,10 +962,23 @@ def _factor(m: Matrix, exact: bool) -> tuple:
     return tuple(map(complex, m.as_complex().flat))
 
 
+@lru_cache(maxsize=None)
+def _identity(size: int, exact: bool) -> tuple[Matrix, tuple]:
+    """The size x size identity and its factor, built once."""
+    m = Matrix.identity(size, exact)
+    return m, _factor(m, exact)
+
+
+@lru_cache(maxsize=512)
+def _exp_factor(exp: Callable[[int], Matrix], k: int) -> tuple:
+    """The factor of ``sl2_exp_e(k)`` or ``sl2_exp_f(k)``, built once."""
+    return _factor(exp(k), True)
+
+
 @lru_cache(maxsize=512)
 def _invertible(factor: tuple, size: int, exact: bool) -> bool:
     """Whether a factor is invertible, cached on the factor."""
-    return _square(factor, size, exact).is_invertible()
+    return _factor_matrix(factor, size, size, exact).is_invertible()
 
 
 def tensor_factors(gens) -> TensorFactors:
@@ -1081,9 +1096,10 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=512)
-def _block_pairing(rho_args: tuple, sl2_args: tuple) -> Matrix | None:
+def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
     """The invariant pairing X (x) Y of a block pair, from the solves of its
-    factors (:meth:`TensorFactors.pair`), or None when there is none."""
+    factors (:meth:`TensorFactors.pair`), as the factors (X, Y, X^T, Y^T)
+    of a :class:`FactoredForm`, or None when there is none."""
     xs = invariant_pairings(*rho_args)
     ys = invariant_pairings(*sl2_args) if xs else ()
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
@@ -1094,32 +1110,212 @@ def _block_pairing(rho_args: tuple, sl2_args: tuple) -> Matrix | None:
     (_, r, r2, exact), (_, k, k2, _) = rho_args, sl2_args
     x = (xs[0].apply(lambda a: a.reshape(r, r2)) if exact
          else Matrix.from_array(np.reshape(xs[0], (r, r2))))
-    return x.kron(ys[0].apply(lambda a: a.reshape(k, k2)))
+    y = ys[0].apply(lambda a: a.reshape(k, k2))
+    return (_factor(x, exact), _factor(y, True), _factor(x.T, exact),
+            _factor(y.T, True))
 
 
-def find_nondegenerate_skew(gens) -> BilinearForm | None:
+def _self_pairing_symmetry(x: tuple, y: tuple, r: int, k: int,
+                           rho_exact: bool) -> Symmetry:
+    """The symmetry of a block's pairing X (x) Y with itself: the product of
+    the signs of X and Y as :func:`classify_form` reads them."""
+    signs = [_SIGN_OF_SYMMETRY.get(classify_form(m).symmetry)
+             for m in (_factor_matrix(x, r, r, rho_exact),
+                       _factor_matrix(y, k, k, True))]
+    if None in signs:
+        return Symmetry.NEITHER
+    return Symmetry.SYMMETRIC if signs[0] == signs[1] else Symmetry.SKEW
+
+
+@dataclass(frozen=True)
+class FactoredForm:
+    """A bilinear form on the blocks of a :class:`TensorFactors`, given by
+    its tiles.
+
+    Tile (i, j, c, X, Y) is c * X (x) Y on the rows of block i and the
+    columns of block j, at most one per block pair; the form is zero off
+    its tiles.  X (r_i x r_j) and Y (k_i x k_j) are factors in the layout
+    of :class:`TensorFactors`: X on the rho side's path (``rho_exact``), Y
+    always exact.  c is a scalar that :meth:`Matrix.scale` takes.  The
+    checks below read the factors; ``gram`` places the dense matrix on
+    demand.
+    """
+
+    n: int
+    blocks: tuple[tuple[int, int, int], ...]
+    tiles: tuple[tuple, ...]
+    rho_exact: bool
+
+    def __post_init__(self):
+        if len({(i, j) for i, j, *_ in self.tiles}) != len(self.tiles):
+            raise ValueError("a form has at most one tile per block pair")
+        for i, j, _, x, y in self.tiles:
+            (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
+            if (len(x[0] if self.rho_exact else x), len(y[0])) != (
+                    r * r2, k * k2):
+                raise ShapeMismatchError(
+                    f"tile ({i}, {j}) does not fit its blocks")
+
+    def _matrices(self, i: int, j: int, x: tuple,
+                  y: tuple) -> tuple[Matrix, Matrix]:
+        (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
+        return (_factor_matrix(x, r, r2, self.rho_exact),
+                _factor_matrix(y, k, k2, True))
+
+    @cached_property
+    def gram(self) -> Matrix:
+        """The dense n x n form."""
+        return self.restricted(range(len(self.blocks)))
+
+    def restricted(self, blocks: Iterable[int]) -> Matrix:
+        """The dense form on the rows and columns of ``blocks``, placed one
+        after another in the order given."""
+        at: dict[int, slice] = {}
+        lo = 0
+        for b in blocks:
+            _, r, k = self.blocks[b]
+            at[b] = slice(lo, lo + r * k)
+            lo += r * k
+        return _placed(lo, [
+            (at[i], at[j], xm.kron(ym).scale(c))
+            for i, j, c, x, y in self.tiles if i in at and j in at
+            for xm, ym in [self._matrices(i, j, x, y)]])
+
+    def is_skew(self) -> bool:
+        """Whether J_ji = -J_ij^T for every block pair, decided on the
+        factors: exactly on the exact path, by :meth:`Matrix.equals` on the
+        float rho side.  A tile paired with itself must be skew."""
+        tiles = {(i, j): (c, x, y) for i, j, c, x, y in self.tiles}
+        return all(_opposite_tiles(tile, tiles.get((j, i)),
+                                   *self.blocks[i][1:], *self.blocks[j][1:],
+                                   self.rho_exact)
+                   for (i, j), tile in tiles.items())
+
+    def is_nondegenerate(self) -> bool:
+        """Whether the tiles pair the blocks one to one (one tile in each
+        block row and each block column) by a nonzero c and invertible X and
+        Y.  The form is then a block permutation of invertible blocks, so
+        nondegenerate; no elimination runs on the dense form."""
+        every = list(range(len(self.blocks)))
+        if (sorted(i for i, *_ in self.tiles) != every
+                or sorted(j for _, j, *_ in self.tiles) != every):
+            return False
+        for i, j, c, x, y in self.tiles:
+            (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
+            if ((r, k) != (r2, k2) or c == 0
+                    or not _invertible(x, r, self.rho_exact)
+                    or not _invertible(y, k, True)):
+                return False
+        return True
+
+    def invariance_residue(self, tf: TensorFactors) -> float | None:
+        """Whether every generator of ``tf`` preserves the form: None when
+        one does not, else the largest |g^T J g - J| entry.
+
+        The generators are block-diagonal, so g^T J g = J holds tile by
+        tile, and on a tile c X (x) Y it holds exactly when A_i^T X A_j = X
+        for every rho generator and U_i^T Y U_j = Y for every S(k)
+        generator.  Each such check is cached on its factors' integers; the
+        residue of a tile is |c| times max|A_i^T X A_j - X| times max|Y|
+        (or the same on the S(k) side), exactly 0.0 on the exact path.
+        """
+        if (self.n, self.blocks, self.rho_exact) != (tf.n, tf.blocks,
+                                                     tf.rho_exact):
+            raise ShapeMismatchError(
+                "the form does not lie on the generators' blocks and path")
+        residue = 0.0
+        for i, j, c, x, y in self.tiles:
+            rho_args, sl2_args = tf.pair(i, j)
+            dx = _pairing_residue(*rho_args, x)
+            dy = _pairing_residue(*sl2_args, y)
+            if dx is None or dy is None:
+                return None
+            worst = max(dx[0] * dy[1], dx[1] * dy[0])
+            if worst:
+                residue = max(residue, abs(complex(c)) * worst)
+        return residue
+
+
+@lru_cache(maxsize=512)
+def _pairing_residue(pairs: tuple, a: int, b: int, exact: bool,
+                     x: tuple) -> tuple[float, float] | None:
+    """Whether L^T X R = X for every (L, R) in ``pairs``, with the arguments
+    of :func:`invariant_pairings` and an a x b factor X: None when not,
+    else (the largest |L^T X R - X| entry, the largest |X| entry).  Decided
+    by :meth:`Matrix.equals`, so exactly on the exact path, where the first
+    is 0.0."""
+    xm = _factor_matrix(x, a, b, exact)
+    worst = 0.0
+    for l, r in pairs:
+        moved = (_factor_matrix(l, a, a, exact).T @ xm
+                 @ _factor_matrix(r, b, b, exact))
+        if not moved.equals(xm):
+            return None
+        if not exact:
+            worst = max(worst, moved.max_abs_diff(xm))
+    return worst, float(np.abs(xm.as_complex()).max(initial=0.0))
+
+
+@lru_cache(maxsize=512)
+def _opposite_tiles(tile: tuple, other: tuple | None, r: int, k: int,
+                    r2: int, k2: int, rho_exact: bool) -> bool:
+    """Whether ``other`` = (c', X', Y') at block pair (j, i) is minus the
+    transpose of ``tile`` = (c, X, Y) at (i, j), block i being r (x) k and
+    block j r2 (x) k2: c' X' (x) Y' = -c X^T (x) Y^T.  None stands for no
+    tile, so ``tile`` must vanish."""
+    c, x, y = tile
+    lhs = (_factor_matrix(x, r, r2, rho_exact).T.scale(-c),
+           _factor_matrix(y, k, k2, True).T)
+    if other is None:
+        return any(map(_is_zero, lhs))
+    c2, x2, y2 = other
+    return _tensor_equal(*lhs, _factor_matrix(x2, r2, r, rho_exact).scale(c2),
+                         _factor_matrix(y2, k2, k, True))
+
+
+def _is_zero(m: Matrix) -> bool:
+    return m.equals(Matrix.zeros(m.rows, m.cols, m.exact))
+
+
+def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
+    """Whether a (x) y = b (x) z for exact y and z, without forming either:
+    y = u z for the ratio u at z's first nonzero entry, and then u a = b."""
+    if _is_zero(a) or _is_zero(y):
+        return _is_zero(b) or _is_zero(z)
+    if _is_zero(b) or _is_zero(z):
+        return False
+    p = next(p for p, (re, im) in enumerate(zip(z.re.flat, z.im.flat))
+             if re or im)
+    u = (QQi(Fraction(y.re.flat[p], y.den), Fraction(y.im.flat[p], y.den))
+         / QQi(Fraction(z.re.flat[p], z.den), Fraction(z.im.flat[p], z.den)))
+    return z.scale(u).equals(y) and a.scale(u).equals(b)
+
+
+def find_nondegenerate_skew(gens) -> FactoredForm | None:
     """A nondegenerate skew invariant form J of a generator set, built class
-    by class, or None when a certificate shows that there is none.
+    by class as tiles, or None when a certificate shows that there is none.
 
     Blocks of :func:`tensor_factors` with equal factors form a class C of
     multiplicity m_C.  By Schur's lemma C pairs with exactly one class C',
-    through one pairing P solved from one block of each
+    through one pairing P = X (x) Y solved from one block of each
     (:func:`_block_pairing`); a second such class is an internal error.  J
     pairs copy i of C with copy i of C' by P and -P^T.  When C = C', P^T
     pairs C with itself too, so P is symmetric or skew: as
-    :func:`classify_form` reads it, a symmetric P pairs copy 2i with copy
-    2i + 1, and a skew P each copy with itself.  Each None has a
-    certificate that every invariant (skew) form is degenerate:
+    :func:`classify_form` reads X and Y on each call, a symmetric P pairs
+    copy 2i with copy 2i + 1, and a skew P each copy with itself.  Each
+    None has a certificate that every invariant (skew) form is degenerate:
 
     * C pairs with no class: the form vanishes on the rows of C;
     * m_C != m_C': it maps the rows of one class into fewer columns;
     * P symmetric, m_C odd: on C it is M (x) P, M skew of odd size.
+
+    J itself is not classified; :func:`periodlab.distinction.verify_form`
+    checks it on its tiles.
     """
     tf = tensor_factors(gens)
     classes: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(tf.rho, tf.sl2)):
         classes.setdefault(key, []).append(i)
-    at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
     tiles = []
     for copies in classes.values():
         pairings = [(duals, p) for duals in classes.values()
@@ -1130,19 +1326,22 @@ def find_nondegenerate_skew(gens) -> BilinearForm | None:
         if len(pairings) > 1:
             raise PeriodLabError("internal: a class of blocks pairs with "
                                  f"{len(pairings)} classes, not 1")
-        ((duals, p),) = pairings
+        ((duals, (x, y, xt, yt)),) = pairings
         if duals[0] < copies[0]:
             continue  # placed with its dual class
-        if (duals is copies
-                and classify_form(p).symmetry is Symmetry.SYMMETRIC):
+        if duals is copies and _self_pairing_symmetry(
+                x, y, *tf.blocks[copies[0]][1:],
+                tf.rho_exact) is Symmetry.SYMMETRIC:
             copies, duals = copies[::2], copies[1::2]
         if len(copies) != len(duals):
             return None
-        # a copy paired with itself gets P over -P^T; they agree when P is
-        # skew, and any other P fails verify_form
-        tiles += [t for i, j in zip(copies, duals)
-                  for t in ((at[j], at[i], -p.T), (at[i], at[j], p))]
-    return classify_form(_placed(tf.n, tiles))
+        # a copy paired with itself gets P alone, which is skew unless P is
+        # neither symmetric nor skew, and then fails verify_form
+        for i, j in zip(copies, duals):
+            tiles.append((i, j, 1, x, y))
+            if i != j:
+                tiles.append((j, i, -1, xt, yt))
+    return FactoredForm(tf.n, tf.blocks, tuple(tiles), tf.rho_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -1270,21 +1469,23 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     provenance: list[str] = []
     for group in groups:
         for pos, element_index in enumerate(group.generator_idxs):
-            acts = [m.matrices[element_index] if m.group is group
-                    else Matrix.identity(m.dim, exact) for m in models]
-            if all(a.is_identity() for a in acts):
+            # only the models of the generator's group can move
+            if all(m.matrices[element_index].equals(
+                    _identity(m.dim, m.exact)[0])
+                   for m in models if m.group is group):
                 continue
-            for block, a in zip(rho, acts):
-                block.append(_factor(a, exact))
+            for block, m in zip(rho, models):
+                block.append(_factor(m.matrices[element_index], exact)
+                             if m.group is group
+                             else _identity(m.dim, exact)[1])
             provenance.append(f"group:{group.name}:{pos}")
     if any(s.k > 1 for s in segs):
         for tag, exp in (("sl2:exp_e", sl2_exp_e), ("sl2:exp_f", sl2_exp_f)):
             for block, s in zip(sl2, segs):
-                block.append(_factor(exp(s.k), True))
+                block.append(_exp_factor(exp, s.k))
             provenance.append(tag)
     if not provenance:
-        rho = [[_factor(Matrix.identity(m.dim, exact), exact)]
-               for m in models]
+        rho = [[_identity(m.dim, exact)[1]] for m in models]
         provenance = ["identity"]
 
     recipe = RealizationRecipe(tuple(segs))

@@ -125,7 +125,7 @@ def test_criterion_1_discrete_sum_sweep(emit):
         if residue > RESIDUE_TOL:
             problems.append(f"{text}: residue {residue:.2e}")
         try:
-            if invariant_isotropic_exists(verify_form(gens, j.gram)):
+            if invariant_isotropic_exists(verify_form(gens, j)):
                 problems.append(f"{text}: invariant isotropic subspace found")
         except PeriodLabError:
             outside.append(text)
@@ -286,7 +286,7 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
             disagreements.append(f"{text}: factors but no skew form")
             continue
         try:
-            isotropic = invariant_isotropic_exists(verify_form(gens, j.gram))
+            isotropic = invariant_isotropic_exists(verify_form(gens, j))
         except PeriodLabError:
             outside.append(text)
             continue

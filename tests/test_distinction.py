@@ -15,6 +15,7 @@ from periodlab import (
     WDParameter,
     builtin_catalog,
     check_conjecture_instance,
+    classify_form,
     distinguished_morphism,
     factors_through_sp_symbolic,
     is_in_sp,
@@ -27,7 +28,7 @@ from periodlab import (
     pole_profile,
     validate_rds,
 )
-from periodlab import distinction
+from periodlab import distinction, matrix_lab
 from periodlab.errors import (
     CommutantMismatchError,
     DimensionMismatchError,
@@ -213,7 +214,7 @@ def test_oracle_verdicts_elliptic_exact():
     assert v.skew_found
     assert v.elliptic is True
     assert v.max_residue == 0.0
-    assert v.form.symmetry is Symmetry.SKEW
+    assert classify_form(v.form.gram).symmetry is Symmetry.SKEW
 
 
 def test_oracle_verdicts_no_skew_for_orthogonal_single():
@@ -242,22 +243,38 @@ def test_oracle_verdicts_non_elliptic_case():
 
 
 @pytest.mark.parametrize("segments", [
-    (("q8", 3),), (("q8", 1), ("q8", 1)), (("chi3", 2), ("chi3bar", 2))])
-def test_oracle_verdicts_checks_each_generator_once(monkeypatch, segments):
-    calls = []
+    (("q8", 3),), (("q8", 1), ("q8", 1)), (("chi3", 2), ("chi3bar", 2)),
+    (("d4", 1), ("d4", 1), ("trivial", 2))])
+def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
+                                                          segments):
+    """The oracle checks its form on the factors: every placed block pair
+    is checked on both sides, and no dense generator is built or given to
+    ``is_in_sp``."""
+    dense, checked = [], set()
 
-    def counted(g, *rest):
-        calls.append(g)
-        return is_in_sp(g, *rest)
+    def counted(*args):
+        dense.append(args)
+        return is_in_sp(*args)
+
+    def recorded(*args):
+        checked.add(args)
+        return pairing_residue(*args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("periodlab") and \
                 getattr(module, "is_in_sp", None) is is_in_sp:
             monkeypatch.setattr(module, "is_in_sp", counted)
+    pairing_residue = matrix_lab._pairing_residue
+    monkeypatch.setattr(matrix_lab, "_pairing_residue", recorded)
     v = oracle_verdicts(param(*(seg(name, k) for name, k in segments)))
     assert v.skew_found and v.elliptic is not None
-    assert len(calls) == len(v.gens.generators)
-    assert {id(g) for g in calls} == {id(g) for g in v.gens.generators}
+    assert "generators" not in vars(v.gens)
+    assert dense == []
+    blocks = len(v.gens.factors.blocks)
+    assert sorted(i for i, *_ in v.form.tiles) == list(range(blocks))
+    for i, j, _, x, y in v.form.tiles:
+        rho_args, sl2_args = v.gens.factors.pair(i, j)
+        assert (*rho_args, x) in checked and (*sl2_args, y) in checked
 
 
 def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):

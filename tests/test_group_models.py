@@ -1,6 +1,7 @@
 """Tests for finite-group models, indicators, catalogs, and the isotropy oracle."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from periodlab import (
     Catalog,
     CatalogEntry,
     CuspidalLabel,
+    FLOAT_TOL,
+    FactoredForm,
     GeneratorSet,
     Matrix,
     SL2_SURROGATE_BOUND,
@@ -20,6 +23,7 @@ from periodlab import (
     WDParameter,
     builtin_catalog,
     builtin_models,
+    classify_form,
     commutant_dimension,
     factors_through_sp_symbolic,
     find_nondegenerate_skew,
@@ -31,7 +35,6 @@ from periodlab import (
     oracle_verdicts,
     realize,
     sl2_surrogate,
-    symplectic_J,
     verify_form,
 )
 from periodlab.errors import (
@@ -42,7 +45,7 @@ from periodlab.errors import (
     MissingModelError,
     SurrogateBoundExceededError,
 )
-from periodlab.matrix_lab import tensor_factors
+from periodlab.matrix_lab import _factor, _factor_matrix, tensor_factors
 
 CAT = builtin_catalog()
 MODELS = builtin_models()
@@ -60,7 +63,25 @@ def skew_of(gens):
     """The oracle's skew form of ``gens``, through the one verifier."""
     j = find_nondegenerate_skew(gens)
     assert j is not None
-    return verify_form(gens, j.gram)
+    return verify_form(gens, j)
+
+
+ONE = Matrix.identity(1)
+
+
+def form_of(gens, *tiles):
+    """The factored form on the blocks of ``gens`` with exact ``tiles``
+    (i, j, c, X, Y) of matrices."""
+    tf = gens.factors
+    return FactoredForm(tf.n, tf.blocks, tuple(
+        (i, j, c, _factor(x, True), _factor(y, True))
+        for i, j, c, x, y in tiles), True)
+
+
+def scaled(form, s):
+    """``form`` with every tile's coefficient times ``s``."""
+    return replace(form, tiles=tuple((i, j, c * s, x, y)
+                                     for i, j, c, x, y in form.tiles))
 
 
 # -- groups and models --------------------------------------------------------
@@ -223,12 +244,13 @@ def _foreign_generators(case):
         # swapping coordinates 1 and 2 mixes the two blocks
         p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],
                               [0, 1, 0, 0], [0, 0, 0, 1]])
-        mixed = [p @ g @ p.T for g in base.generators]
-        return (_one_block_set(mixed, base, base.recipe),
-                p @ skew_of(base).form.gram @ p.T)
+        mixed = _one_block_set([p @ g @ p.T for g in base.generators], base,
+                               base.recipe)
+        return mixed, form_of(
+            mixed, (0, 0, 1, p @ skew_of(base).form.gram @ p.T, ONE))
     same = oracle_gens(seg("q8"), seg("q8"))
-    return (_one_block_set(same.generators, same, base.recipe),
-            skew_of(same).form.gram)
+    return (GeneratorSet(same.factors, same.provenance, base.recipe),
+            skew_of(same).form)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -299,13 +321,81 @@ def test_skew_form_exists_exactly_when_the_rules_say_it_factors(p):
     assert (j is not None) == factors_through_sp_symbolic(p)
     if j is None:
         return
-    verify_form(gens, j.gram)
+    verify_form(gens, j)
     if j.gram.exact:  # J lies in the span of the reference's skew forms
         skews = [f.gram for f in invariant_forms(gens)
                  if f.symmetry is Symmetry.SKEW]
         flat = [sum(m.tolist(), []) for m in skews]
         assert Matrix.from_rows(flat + [sum(j.gram.tolist(), [])]).rank() \
             == len(skews)
+
+
+def _dense_accepts(gens, form):
+    """The dense reference: the placed form is skew and nondegenerate as
+    ``classify_form`` reads it, and ``is_in_sp`` holds for every dense
+    generator."""
+    dense = classify_form(form.gram)
+    return (dense.symmetry is Symmetry.SKEW and dense.nondegenerate
+            and all(is_in_sp(g, dense) for g in gens.generators))
+
+
+def _factored_accepts(gens, form):
+    try:
+        verify_form(gens, form)
+    except FormVerificationError:
+        return False
+    return True
+
+
+def _perturbed(form, tile, part, entry, delta):
+    """``form`` with ``delta`` added to one entry of X or Y of one tile, or
+    to its coefficient c."""
+    i, j, c, x, y = form.tiles[tile]
+    (_, r, k), (_, r2, k2) = form.blocks[i], form.blocks[j]
+    if part == "c":
+        c += delta
+    else:
+        exact = form.rho_exact or part == "y"
+        shape = (r, r2) if part == "x" else (k, k2)
+        m = _factor_matrix(x if part == "x" else y, *shape, exact)
+        bump = np.zeros(shape, dtype=object)
+        bump.flat[entry % bump.size] = 1
+        new = _factor(m + Matrix.gaussian(bump).scale(delta), exact)
+        x, y = (new, y) if part == "x" else (x, new)
+    tiles = list(form.tiles)
+    tiles[tile] = (i, j, c, x, y)
+    return replace(form, tiles=tuple(tiles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_parameters(), small_parameters(max_dim=4).map(
+    lambda p: WDParameter.of(p.segments * 2))), st.data())
+def test_factored_check_matches_the_dense_reference(p, data):
+    # doubled parameters always factor, with tiles across copies
+    gens = realize(p, CAT)
+    j = find_nondegenerate_skew(gens)
+    if j is None:
+        return
+    assert _factored_accepts(gens, j) and _dense_accepts(gens, j)
+    entry = data.draw(st.integers(0, 63))
+    delta = data.draw(st.sampled_from(
+        [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]))
+    for tile in range(len(j.tiles)):
+        for part in ("x", "y", "c"):
+            bad = _perturbed(j, tile, part, entry, delta)
+            assert _factored_accepts(gens, bad) == _dense_accepts(
+                gens, bad), (tile, part)
+
+
+@pytest.mark.parametrize("k", [28, 40])
+def test_a_long_dual_pair_on_the_float_path_verifies(k):
+    # the dense float check of g^T J g called this form not invariant
+    # (k = 28) or degenerate (k = 40); exp(E), exp(F) have entries up to
+    # C(k - 1, (k - 1) / 2), and the S(k) factor is checked exactly
+    gens = oracle_gens(seg("chi3", k), seg("chi3bar", k))
+    assert not gens.exact
+    verified = verify_form(gens, find_nondegenerate_skew(gens))
+    assert verified.residue <= FLOAT_TOL
 
 
 def test_generators_off_the_tensor_structure_get_the_one_block_solve():
@@ -356,27 +446,38 @@ def test_isotropy_found_for_orthogonal_double():
     assert invariant_isotropic_exists(skew_of(gens))
 
 
+J2 = Matrix.from_rows([[0, 1], [-1, 0]])
+
+
 def test_isotropy_rejects_bad_forms():
     gens = oracle_gens(seg("q8"))
-    sym = Matrix.identity(2)
-    with pytest.raises(ValueError, match="skew-symmetric"):
-        verify_form(gens, sym)  # not skew
-    degenerate = Matrix.zeros(2, 2)
-    with pytest.raises(ValueError, match="nondegenerate"):
-        verify_form(gens, degenerate)
+    with pytest.raises(FormVerificationError, match="skew-symmetric"):
+        verify_form(gens, form_of(gens, (0, 0, 1, Matrix.identity(2), ONE)))
+    for degenerate in (form_of(gens),
+                       form_of(gens, (0, 0, 1, Matrix.zeros(2, 2), ONE)),
+                       form_of(gens, (0, 0, 1, J2, Matrix.zeros(1, 1)))):
+        assert degenerate.is_skew()
+        with pytest.raises(FormVerificationError, match="nondegenerate"):
+            verify_form(gens, degenerate)
     # skew and nondegenerate but pairing across distinct classes: not invariant
     pair = oracle_gens(seg("q8"), seg("q8b"))
-    with pytest.raises(ValueError, match="invariant"):
-        verify_form(pair, symplectic_J(4).gram)
+    across = form_of(pair, (0, 1, 1, J2, ONE), (1, 0, -1, J2.T, ONE))
+    assert classify_form(across.gram).nondegenerate
+    with pytest.raises(FormVerificationError, match="invariant"):
+        verify_form(pair, across)
 
 
 def test_verify_form_catches_a_near_miss():
-    # the exact form of q8 (+) q8b, off by 10^-12 in one cross-block pair:
-    # still skew and nondegenerate, but no longer invariant
-    gens = oracle_gens(seg("q8"), seg("q8b"))
-    eps = Fraction(1, 10 ** 12)
-    near = skew_of(gens).form.gram + Matrix.from_rows(
-        [[0, 0, eps, 0], [0, 0, 0, 0], [-eps, 0, 0, 0], [0, 0, 0, 0]])
+    # the exact form of d4 (+) d4 pairs the copies by X = I (x) 1; X off by
+    # 10^-12 in one entry, in both tiles: still skew and nondegenerate, but
+    # no longer invariant
+    gens = oracle_gens(seg("d4"), seg("d4"))
+    eps = Matrix.from_rows([[0, Fraction(1, 10 ** 12)], [0, 0]])
+    near = form_of(gens, (0, 1, 1, Matrix.identity(2) + eps, ONE),
+                   (1, 0, -1, Matrix.identity(2) + eps.T, ONE))
+    verify_form(gens, form_of(gens, (0, 1, 1, Matrix.identity(2), ONE),
+                              (1, 0, -1, Matrix.identity(2), ONE)))
+    assert near.is_skew() and near.is_nondegenerate()
     with pytest.raises(FormVerificationError, match="invariant"):
         verify_form(gens, near)
     check = is_in_sp(gens.generators[0], near)
@@ -395,10 +496,12 @@ def test_isotropy_checks_a_tiny_exact_form_exactly():
                              (("d4", "d4"), True)]:
         gens = oracle_gens(*(seg(name) for name in names))
         for scale in (Fraction(1, 10 ** 12), 10 ** 400):
-            j = skew_of(gens).form.gram.scale(scale)
-            assert j.exact
-            assert invariant_isotropic_exists(
-                verify_form(gens, j)) is isotropic, (names, scale)
+            j = scaled(skew_of(gens).form, scale)
+            assert j.gram.exact
+            verified = verify_form(gens, j)
+            assert verified.residue == 0.0
+            assert invariant_isotropic_exists(verified) is isotropic, (
+                names, scale)
 
 
 def test_character_orthogonality_within_groups():

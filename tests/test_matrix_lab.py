@@ -611,7 +611,9 @@ def test_symmetric_pairing_at_odd_multiplicity_certificate(name, k, copies):
 def test_skew_form_constructions(segments, exact):
     gens = _gens(*map(seg, segments))
     j = find_nondegenerate_skew(gens)
-    assert j.symmetry is Symmetry.SKEW and j.nondegenerate
+    dense = classify_form(j.gram)
+    assert dense.symmetry is Symmetry.SKEW and dense.nondegenerate
+    assert j.is_skew() and j.is_nondegenerate()
     assert j.gram.exact is exact
     assert all(is_in_sp(g, j) for g in gens.generators)
 
