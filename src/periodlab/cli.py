@@ -47,8 +47,8 @@ TAG_CONJUGATOR = "identity:partition-conjugator"
 TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
-# The largest bounds verify-matrices accepts.  A run at both caps takes
-# about 0.5 s on a 2-vCPU VM.
+# The largest bounds verify-matrices accepts.  At both caps the suites take
+# about 0.2 s on a 2-vCPU VM, and the whole command about 0.6 s.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
 
@@ -194,7 +194,7 @@ def run_conjecture_sweep(catalog_path: str | None = None,
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
     the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
-    takes about 35 s on a 2-vCPU VM."""
+    takes about 6 s on a 2-vCPU VM."""
     if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
         raise UsageError(
             f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")

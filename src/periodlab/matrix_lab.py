@@ -21,6 +21,11 @@ equality compares integers, and products are integer matmuls.
 to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
 Null spaces are computed on the exact path by a sparse reduced row echelon
 form kept fraction-free in Gaussian integers, and by SVD on the float path.
+An exact row with one nonzero entry pins its unknown to 0; such unknowns
+are dropped from the other rows before those are reduced, so a system like
+the sl2 form's, whose weight rows pin all but k of its k^2 unknowns,
+reduces only what is left.  Identities of permutation matrices are decided
+by reindexing, with no product formed.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
 by fraction-free elimination over the Gaussian integers (Bareiss 1968), and
 on the float path by the SVD rank rule.
@@ -258,10 +263,10 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         if self.exact and other.exact:
             ar, ai, br, bi = self.re, self.im, other.re, other.im
-            return Matrix.gaussian(np.kron(ar, br) - np.kron(ai, bi),
-                                   np.kron(ar, bi) + np.kron(ai, br),
+            return Matrix.gaussian(_kron(ar, br) - _kron(ai, bi),
+                                   _kron(ar, bi) + _kron(ai, br),
                                    self.den * other.den)
-        return Matrix(np.kron(self.as_complex(), other.as_complex()))
+        return Matrix(_kron(self.as_complex(), other.as_complex()))
 
     # -- predicates --------------------------------------------------------
     def equals(self, other: "Matrix") -> bool:
@@ -311,6 +316,13 @@ class Matrix:
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "float"
         return f"Matrix({self.rows}x{self.cols}, {tag})"
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-d arrays as one broadcast product, without its
+    shape handling (which dominates on small object arrays)."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def blockdiag(blocks: Sequence[Matrix]) -> Matrix:
@@ -381,13 +393,15 @@ class _Rref:
     def rank(self) -> int:
         return len(self.rows)
 
-    def nullspace(self) -> list[Matrix]:
+    def nullspace(self, pinned: Iterable[int] = ()) -> list[Matrix]:
         """Basis of the solution space as exact 1 x ncols rows, one per free
         column f: 1 at f and -x_f / x_c at the pivot column c of each pivot
-        row x."""
+        row x.  A ``pinned`` column, one that the rows do not touch, counts
+        as a pivot column whose row is its unit row."""
         basis = []
+        bound = self.rows.keys() | set(pinned)
         for f in range(self.ncols):
-            if f in self.rows:
+            if f in bound:
                 continue
             hits = [(c, row[c], row[f]) for c, row in self.rows.items()
                     if f in row]
@@ -422,8 +436,18 @@ def _combine(a, x, b, y) -> dict[int, tuple[int, int]]:
 
 
 def nullspace_exact(rows: Sequence[dict], ncols: int) -> list[Matrix]:
-    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``."""
-    return _Rref(ncols, rows).nullspace()
+    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``.
+
+    A row with one nonzero entry pins its column to 0.  Those columns are
+    dropped from the other rows before they are reduced, and their unit rows
+    join the reduced form as they are: it stays reduced, and it is unique,
+    so the basis is the one of all rows reduced in the order given.
+    """
+    rows = [{c: v for c, v in row.items() if v[0] or v[1]} for row in rows]
+    pinned = {c for row in rows if len(row) == 1 for c in row}
+    rest = [{c: v for c, v in row.items() if c not in pinned}
+            for row in rows if len(row) > 1]
+    return _Rref(ncols, filter(None, rest)).nullspace(pinned)
 
 
 def _normalized(row: dict[int, tuple[int, int]], lead: int,
@@ -617,9 +641,9 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
 
     The pairing algorithm walks the positive entries (u, v), u < v, of the
     block form in order of u and sends the t-th pair to (t, 2n+1-t), the t-th
-    symplectic pair of the single-block form.  The identity is verified by
-    exact multiplication before returning; under the fixed convention
-    P[sigma(j), j] = 1 it reduces to P^T J' P = J''.
+    symplectic pair of the single-block form.  The identity, under the fixed
+    convention P[sigma(j), j] = 1 the identity P^T J' P = J'', is checked
+    exactly by :func:`check_conjugator` before returning.
     """
     target = partition_J(partition).gram
     m = target.rows
@@ -634,12 +658,22 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
     for t, (u, v) in enumerate(pairs, start=1):
         images[u - 1] = t
         images[v - 1] = m + 1 - t
-    perm = PermutationMap(tuple(images))
-    p = perm.matrix()
-    conjugated = p.T @ symplectic_J(m).gram @ p
+    return check_conjugator(PermutationMap(tuple(images)), target)
+
+
+def check_conjugator(perm: PermutationMap, target: Matrix) -> PermutationMap:
+    """``perm`` when its matrix P satisfies P^T J' P = ``target`` exactly,
+    J' the standard form of its size; else ConjugatorNotFoundError.
+
+    With P[sigma(j), j] = 1, (P^T J' P)[a, b] = J'[sigma(a), sigma(b)], so
+    the product is J' reindexed, and no matrix is multiplied.
+    """
+    s = [img - 1 for img in perm.images]
+    conjugated = symplectic_J(perm.n).gram.apply(lambda a: a[np.ix_(s, s)])
     if not conjugated.equals(target):
         raise ConjugatorNotFoundError(
-            f"pairing algorithm failed for partition {tuple(partition)}")
+            f"the permutation {perm.images} does not conjugate J'_{perm.n} "
+            f"onto the target form")
     return perm
 
 

@@ -291,6 +291,12 @@ def test_verify_matrices_default_counts():
     assert "n = 1 .. 6" in by_name["w-plus"].details
 
 
+def test_verify_matrices_json_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "verify_matrices_default.json"
+    assert main(["verify-matrices", "--json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_matrices_rejects_bad_bounds(capsys):
     assert main(["verify-matrices", "--max-n", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err

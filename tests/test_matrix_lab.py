@@ -1,6 +1,7 @@
 """Tests for the exact/float matrix layer, forms, and realizations."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -34,7 +35,9 @@ from periodlab import (
     symplectic_J,
     w_plus,
 )
+from periodlab.cli import _even_partitions
 from periodlab.errors import (
+    ConjugatorNotFoundError,
     OddPartError,
     PeriodLabError,
     OddSizeError,
@@ -45,7 +48,9 @@ from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
     FLOAT_TOL,
     TensorFactors,
+    _Rref,
     blockdiag,
+    check_conjugator,
     nullspace_exact,
     nullspace_float,
     tensor_factors,
@@ -187,6 +192,29 @@ def test_exact_operations_match_entrywise_references(data):
     assert _element_key(back, True) == _element_key(ma, True)
 
 
+finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                    allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_kron_matches_numpy_kron(data):
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    (r, c), (r2, c2) = data.draw(shape), data.draw(shape)
+    a, b = data.draw(_gaussian_rows(r, c)), data.draw(_gaussian_rows(r2, c2))
+    exact = Matrix.from_rows(a).kron(Matrix.from_rows(b))
+    assert exact.exact and _is_reduced(exact)
+    assert exact.tolist() == np.kron(np.array(a, dtype=object),
+                                     np.array(b, dtype=object)).tolist()
+    fa = np.array(data.draw(st.lists(finite_complex, min_size=r * c,
+                                     max_size=r * c))).reshape(r, c)
+    fb = np.array(data.draw(st.lists(finite_complex, min_size=r2 * c2,
+                                     max_size=r2 * c2))).reshape(r2, c2)
+    floats = Matrix.from_array(fa).kron(Matrix.from_array(fb))
+    assert not floats.exact
+    assert np.array_equal(floats.data, np.kron(fa, fb))
+
+
 def test_blockdiag_mixed_exactness():
     a = Matrix.identity(2)
     b = Matrix.identity(1).to_float()
@@ -264,6 +292,36 @@ def test_nullspace_exact_annihilates(rows):
         for row in sparse:
             assert sum((QQi(0), *(c[0] * vec[j] for j, c in row.items())),
                        QQi(0)) == QQi(0)
+
+
+gaussian_ints = st.just((0, 0)) | st.tuples(st.integers(-3, 3),
+                                            st.integers(-3, 3))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Sparse Gaussian-integer rows on up to 6 columns, among them rows with
+    one entry, repeats of them, and explicit (0, 0) entries."""
+    ncols = draw(st.integers(1, 6))
+    col = st.integers(0, ncols - 1)
+    row = (st.dictionaries(col, gaussian_ints, max_size=4)
+           | st.builds(lambda c, v: {c: v}, col, gaussian_ints))
+    rows = draw(st.lists(row, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150)
+@given(_sparse_systems())
+def test_nullspace_exact_matches_the_plain_reduction(system):
+    """Eliminating single-entry rows first gives the basis of reducing every
+    row in the order given."""
+    rows, ncols = system
+    got = nullspace_exact(rows, ncols)
+    want = _Rref(ncols, rows).nullspace()
+    assert len(got) == len(want)
+    assert all(g.equals(w) for g, w in zip(got, want))
 
 
 # -- forms -------------------------------------------------------------------
@@ -380,6 +438,46 @@ def test_conjugator_postcondition_exact(partition):
 def test_conjugator_matches_w_plus_on_all_two_partitions():
     for n in range(1, 5):
         assert conjugator_for_partition((2,) * n) == w_plus(n)
+
+
+def test_reindexed_conjugator_check_agrees_with_the_dense_product():
+    """Every conjugator found up to 2n = 24 is checked by reindexing J'; its
+    P^T J' P, multiplied out, is the partition form too."""
+    count = 0
+    for m in range(2, 25, 2):
+        j_prime = symplectic_J(m).gram
+        for part in _even_partitions(m):
+            p = conjugator_for_partition(part).matrix()
+            assert (p.T @ j_prime @ p).equals(partition_J(part).gram), part
+            count += 1
+    assert count == 271
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, 2 * n + 1)),
+    st.sampled_from(list(_even_partitions(2 * n))))))
+def test_check_conjugator_decides_the_dense_identity(drawn):
+    images, partition = drawn
+    perm = PermutationMap(tuple(images))
+    target = partition_J(partition).gram
+    p = perm.matrix()
+    if (p.T @ symplectic_J(perm.n).gram @ p).equals(target):
+        assert check_conjugator(perm, target) is perm
+    else:
+        with pytest.raises(ConjugatorNotFoundError):
+            check_conjugator(perm, target)
+
+
+@pytest.mark.parametrize("partition", [(2,), (4,), (2, 2), (6, 2), (4, 4, 2)])
+def test_conjugator_with_two_images_swapped_is_refused(partition):
+    target = partition_J(partition).gram
+    images = conjugator_for_partition(partition).images
+    for a, b in combinations(range(len(images)), 2):
+        swapped = list(images)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        with pytest.raises(ConjugatorNotFoundError):
+            check_conjugator(PermutationMap(tuple(swapped)), target)
 
 
 # -- sl2 symmetric powers ------------------------------------------------------
