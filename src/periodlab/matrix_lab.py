@@ -22,10 +22,13 @@ to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
 Null spaces are computed on the exact path by a sparse reduced row echelon
 form kept fraction-free in Gaussian integers, and by SVD on the float path.
 An exact row with one nonzero entry pins its unknown to 0; such unknowns
-are dropped from the other rows before those are reduced, so a system like
-the sl2 form's, whose weight rows pin all but k of its k^2 unknowns,
-reduces only what is left.  Identities of permutation matrices are decided
-by reindexing, with no product formed.
+are dropped from the other rows before those are reduced, so a system whose
+weight rows pin most of its unknowns reduces only what is left.  The sl2
+form reads those pins off its weights and builds rows on its k antidiagonal
+unknowns alone.  The J forms have one entry +-1 in every row, so the
+conjugator identities are decided on these signed pairings, with no matrix
+placed, and a form with one nonzero entry in every row and column is
+classified off those entries.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
 by fraction-free elimination over the Gaussian integers (Bareiss 1968), and
 on the float path by the SVD rank rule.
@@ -562,6 +565,31 @@ def classify_form(gram: Matrix) -> BilinearForm:
     return BilinearForm(gram, sym, _gaussian_nonsingular(re, im))
 
 
+def classify_monomial_form(gram: Matrix) -> BilinearForm:
+    """:func:`classify_form` of ``gram``, read off its n nonzero entries when
+    it is exact with one nonzero entry in every row and column (a monomial
+    matrix, such as the J forms and the sl2 forms).  Such a form is
+    nondegenerate, and it is symmetric or skew iff each entry g[a, b] is read
+    back at g[b, a] as g[a, b] or -g[a, b].  Any other gram goes to
+    :func:`classify_form`."""
+    cols, vals = [], []
+    if gram.exact:
+        for re, im in zip(gram.re.tolist(), gram.im.tolist()):
+            entries = _sparse_row(re, im)
+            if len(entries) != 1:
+                break
+            (col, val), = entries.items()
+            cols.append(col)
+            vals.append(val)
+    if not gram.is_square or len(set(cols)) != gram.rows:
+        return classify_form(gram)
+    for sym, sign in _SIGN_OF_SYMMETRY.items():
+        if all(cols[b] == a and vals[b] == (sign * re, sign * im)
+               for a, (b, (re, im)) in enumerate(zip(cols, vals))):
+            return BilinearForm(gram, sym, True)
+    return BilinearForm(gram, Symmetry.NEITHER, True)
+
+
 # ---------------------------------------------------------------------------
 # the J matrices and the pairing permutation
 
@@ -636,45 +664,61 @@ def w_plus(n: int) -> PermutationMap:
     return PermutationMap(tuple(images))
 
 
+def _signed_pairs(partition: Sequence[int]) -> list[tuple[int, int]]:
+    """Per row a of the partition form, the column b and the sign of its one
+    nonzero entry: a block of size p at offset o pairs o+i with o+p-1-i, with
+    +1 in the first p/2 rows of the block and -1 in the rest."""
+    pairs, o = [], 0
+    for p in partition:
+        if p % 2 or p < 2:
+            raise OddPartError(f"all parts must be even and >= 2, got {p}")
+        pairs += [(o + p - 1 - i, 1 if 2 * i < p else -1) for i in range(p)]
+        o += p
+    return pairs
+
+
 def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
     """A permutation P with P^-1 * J'_{2n} * P equal to the partition form.
 
     The pairing algorithm walks the positive entries (u, v), u < v, of the
     block form in order of u and sends the t-th pair to (t, 2n+1-t), the t-th
-    symplectic pair of the single-block form.  The identity, under the fixed
-    convention P[sigma(j), j] = 1 the identity P^T J' P = J'', is checked
-    exactly by :func:`check_conjugator` before returning.
+    symplectic pair of the single-block form.  The pairs are read off the
+    partition, and the identity, under the fixed convention
+    P[sigma(j), j] = 1 the identity P^T J' P = J'', is checked exactly by
+    :func:`check_conjugator` before returning.
     """
-    target = partition_J(partition).gram
-    m = target.rows
-    pairs = []
-    for u in range(m):
-        for v in range(u + 1, m):
-            if target.re[u, v] == 1:
-                pairs.append((u + 1, v + 1))
-    pairs.sort()
-    n = m // 2
+    pairs = _signed_pairs(partition)
+    m = len(pairs)
     images = [0] * m
-    for t, (u, v) in enumerate(pairs, start=1):
-        images[u - 1] = t
-        images[v - 1] = m + 1 - t
-    return check_conjugator(PermutationMap(tuple(images)), target)
+    t = 0
+    for u, (v, sign) in enumerate(pairs):
+        if sign == 1:
+            t += 1
+            images[u], images[v] = t, m + 1 - t
+    return check_conjugator(PermutationMap(tuple(images)), partition)
 
 
-def check_conjugator(perm: PermutationMap, target: Matrix) -> PermutationMap:
-    """``perm`` when its matrix P satisfies P^T J' P = ``target`` exactly,
-    J' the standard form of its size; else ConjugatorNotFoundError.
+def check_conjugator(perm: PermutationMap,
+                     partition: Sequence[int]) -> PermutationMap:
+    """``perm`` when its matrix P satisfies P^T J' P = J'' exactly, J' the
+    standard form of its size and J'' the form of ``partition``; else
+    ConjugatorNotFoundError.
 
-    With P[sigma(j), j] = 1, (P^T J' P)[a, b] = J'[sigma(a), sigma(b)], so
-    the product is J' reindexed, and no matrix is multiplied.
+    With P[sigma(j), j] = 1, (P^T J' P)[a, b] = J'[sigma(a), sigma(b)].  J'
+    and J'' have one entry +-1 in every row, so the identity holds iff, for
+    every a, sigma sends the J''-partner of a to the J'-partner of sigma(a),
+    with the same sign; no matrix is placed.
     """
-    s = [img - 1 for img in perm.images]
-    conjugated = symplectic_J(perm.n).gram.apply(lambda a: a[np.ix_(s, s)])
-    if not conjugated.equals(target):
-        raise ConjugatorNotFoundError(
-            f"the permutation {perm.images} does not conjugate J'_{perm.n} "
-            f"onto the target form")
-    return perm
+    target = _signed_pairs(partition)
+    if len(target) == perm.n:
+        standard = _signed_pairs((perm.n,))
+        s = [img - 1 for img in perm.images]
+        if all(standard[s[a]] == (s[b], sign)
+               for a, (b, sign) in enumerate(target)):
+            return perm
+    raise ConjugatorNotFoundError(
+        f"the permutation {perm.images} does not conjugate J'_{perm.n} "
+        f"onto the target form")
 
 
 # ---------------------------------------------------------------------------
@@ -691,22 +735,30 @@ class Sl2Action:
     h: Matrix
 
 
-def sl2_sym_power_action(k: int) -> Sl2Action:
-    """E, F, H on the basis x^{k-1}, x^{k-2}y, ..., y^{k-1}.
+def _sl2_triple(k: int) -> tuple[list[tuple[int, int, int]], ...]:
+    """The entries (row, col, value) of E, F and H on the basis
+    x^{k-1}, x^{k-2}y, ..., y^{k-1}, zeros left out of E and F.
 
     With v_j = x^{k-1-j} y^j: E v_j = j v_{j-1}, F v_j = (k-1-j) v_{j+1},
-    H v_j = (k-1-2j) v_j; [E, F] = H holds exactly.
+    H v_j = (k-1-2j) v_j.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    e, f, h = (np.zeros((k, k), dtype=object) for _ in range(3))
-    for j in range(k):
-        if j > 0:
-            e[j - 1, j] = j
-        if j < k - 1:
-            f[j + 1, j] = k - 1 - j
-        h[j, j] = k - 1 - 2 * j
-    return Sl2Action(k, *map(Matrix.gaussian, (e, f, h)))
+    return ([(j - 1, j, j) for j in range(1, k)],
+            [(j + 1, j, k - 1 - j) for j in range(k - 1)],
+            [(j, j, k - 1 - 2 * j) for j in range(k)])
+
+
+def sl2_sym_power_action(k: int) -> Sl2Action:
+    """E, F, H of :func:`_sl2_triple` as matrices; [E, F] = H holds
+    exactly."""
+    mats = []
+    for entries in _sl2_triple(k):
+        m = np.zeros((k, k), dtype=object)
+        for r, c, v in entries:
+            m[r, c] = v
+        mats.append(Matrix.gaussian(m))
+    return Sl2Action(k, *mats)
 
 
 def sl2_exp_e(k: int) -> Matrix:
@@ -730,22 +782,38 @@ def sl2_exp_f(k: int) -> Matrix:
 def invariant_form_sl2(k: int) -> BilinearForm:
     """The invariant form of the k-dimensional sl2 module, exactly.
 
-    Solves X^T B + B X = 0 for X in {E, F, H}; the solution space is one
-    dimensional, and the result is normalized so its first nonzero entry in
-    row-major order is 1.  Symmetric for k odd, skew for k even.
+    Solves X^T B + B X = 0 for X in {E, F, H}.  H is diagonal, so its rows
+    (h_i + h_j) b_ij = 0 pin every b_ij with h_j != -h_i; the weights
+    h_j = k-1-2j leave the antidiagonal c_i = b_{i, k-1-i}, one unknown per
+    row.  The E and F rows are built on those k unknowns and solved exactly;
+    the solution space is one dimensional, and the result is normalized so
+    its first nonzero entry in row-major order is 1.  It is classified off
+    the antidiagonal (:func:`classify_monomial_form`): symmetric for k odd,
+    skew for k even.
     """
-    action = sl2_sym_power_action(k)
+    e, f, h = _sl2_triple(k)
+    weights = [w for *_, w in h]
+    partner = [weights.index(-w) for w in weights]
     rows = []
-    for x in (action.e, action.f, action.h):
-        # X^T B + B X = 0 is (-X^T) B = B X
-        rows.extend(_intertwining_rows(-x.T, x))
-    basis = nullspace_exact(rows, k * k)
+    for x in (e, f):
+        # X[c, a] enters X^T B at (a, b) as X[c, a] b_cb and B X at (b, a)
+        # as b_bc X[c, a].  b_cb is unknown c iff b = partner[c], and b_bc is
+        # unknown b iff c = partner[b], the same b as partner is an involution
+        eq: dict[tuple[int, int], dict[int, int]] = {}
+        for c, a, v in x:
+            b = partner[c]
+            for at, u in (((a, b), c), ((b, a), b)):
+                row = eq.setdefault(at, {})
+                row[u] = row.get(u, 0) + v
+        rows += [{u: (v, 0) for u, v in row.items()} for row in eq.values()]
+    basis = nullspace_exact(rows, k)
     if len(basis) != 1:
         raise PeriodLabError(
             f"internal: sl2 invariant-form space has dimension {len(basis)}, "
             f"expected 1 (k={k})")
-    vec = _sparse_row(basis[0].re[0], basis[0].im[0])
-    form = classify_form(_normalized(vec, min(vec), k))
+    vec = {i * k + partner[i]: ci for i, ci
+           in _sparse_row(basis[0].re[0], basis[0].im[0]).items()}
+    form = classify_monomial_form(_normalized(vec, min(vec), k))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form

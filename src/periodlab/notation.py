@@ -60,6 +60,8 @@ class _Token:
 
 
 _PUNCT = set("(),*^/+-")
+# ASCII only: str.isdigit also holds for superscripts, which int() refuses
+_DIGITS = set("0123456789")
 
 
 def _lex(text: str) -> list[_Token]:
@@ -81,9 +83,9 @@ def _lex(text: str) -> list[_Token]:
             i += 3
             col += 3
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -139,6 +141,14 @@ class _Parser:
             raise self.fail(f"expected {what}, got {got}", tok, (kind,))
         return self.advance()
 
+    def integer(self, what: str) -> tuple[_Token, int]:
+        tok = self.expect("INT", what)
+        try:
+            return tok, int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.fail(f"{what} of {len(tok.text)} digits is too long",
+                            tok) from None
+
     def param(self) -> tuple[Segment, ...]:
         if (self.peek().kind == "INT" and self.peek().text == "0"
                 and self.peek(1).kind == "EOF"):
@@ -163,8 +173,7 @@ class _Parser:
         if tok.text == "St":
             self.advance()
             self.expect("(", "'('")
-            k_tok = self.expect("INT", "a block length")
-            k = int(k_tok.text)
+            k_tok, k = self.integer("a block length")
             if k < 1:
                 raise self.fail("block length must be at least 1", k_tok)
             self.expect(",", "','")
@@ -202,15 +211,14 @@ class _Parser:
             self.advance()
             if tok.kind == "-":
                 sign = -1
-        num_tok = self.expect("INT", "an integer")
-        numerator = sign * int(num_tok.text)
+        numerator = sign * self.integer("an integer")[1]
         if self.peek().kind != "/":
             return Fraction(numerator)
         self.advance()
-        den_tok = self.expect("INT", "a denominator")
-        if int(den_tok.text) == 0:
+        den_tok, den = self.integer("a denominator")
+        if den == 0:
             raise self.fail("zero denominator", den_tok)
-        return Fraction(numerator, int(den_tok.text))
+        return Fraction(numerator, den)
 
 
 def parse_param(text: str, catalog: Catalog) -> WDParameter:

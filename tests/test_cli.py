@@ -15,7 +15,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import periodlab
-from periodlab import builtin_catalog, distinction, sweep
+from periodlab import (
+    BilinearForm,
+    Matrix,
+    Symmetry,
+    builtin_catalog,
+    cli,
+    distinction,
+    sweep,
+    symplectic_J,
+)
 from periodlab.cli import (
     CATALOG_ENV,
     VERIFY_MAX_K,
@@ -255,6 +264,37 @@ def test_oracle_agrees_with_the_rules_up_to_the_form_bound(expr):
     assert all(c["verdict"] != "error" for c in data["checks"]), data
 
 
+# pieces of the classify grammar, so that drawn text often comes near a valid
+# expression: every built-in label, the segment syntax, numbers at and far
+# beyond the oracle's bound, and the leading '-' that argparse reads as an
+# option
+CLASSIFY_TOKENS = st.sampled_from(
+    sorted(l.name for l in builtin_catalog().labels())
+    + ["St(", "(+)", ")", ",", " ", "-", "--", "0", "1", "2", "7", "12",
+       "24", "25", "1000000000", "1/2", "x"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text() | st.lists(CLASSIFY_TOKENS | st.text(max_size=2),
+                            max_size=14).map("".join),
+       st.booleans())
+@example("St(\u00b2,q8)", False)  # a digit to str.isdigit, not to int()
+@example("St(" + "9" * 5000 + ",q8)", True)  # beyond int()'s 4300 digits
+def test_classify_exits_with_a_documented_code_on_any_text(expr, oracle):
+    """Any text gets an exit code in 0..4 within 5 s a call, more than ten
+    times the slowest known input, St(24,trivial) --oracle.  Text that
+    argparse reads as an option ends in its SystemExit(2), or 0 for help."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["classify", expr, *(["--oracle"] if oracle else [])])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(5), (expr, code)
+    assert time.perf_counter() - start < 5.0, expr
+
+
 @pytest.mark.parametrize("label, copies", [("trivial", 48), ("q8", 24)])
 def test_high_multiplicity_oracle_stays_fast_above_the_bound(
         monkeypatch, capsys, label, copies):
@@ -309,6 +349,22 @@ def test_verify_matrices_refuses_bounds_above_its_caps(capsys, argv):
     err = capsys.readouterr().err
     assert f"max_n must be at most {VERIFY_MAX_N}" in err
     assert f"max_k at most {VERIFY_MAX_K}" in err
+
+
+@pytest.mark.parametrize("entry", [1, 0])
+def test_the_forms_suite_decides_from_the_matrix(monkeypatch, entry):
+    """A J' with the -1 of its first pair flipped, or zeroed, fails the suite
+    although it still carries the skew and nondegenerate labels."""
+    def broken(m):
+        re = symplectic_J(m).gram.re.copy()
+        re[m - 1, 0] = entry
+        return BilinearForm(Matrix.gaussian(re), Symmetry.SKEW, True)
+
+    monkeypatch.setattr(cli, "symplectic_J", broken)
+    check = run_verify_matrices(max_n=3, max_k=2).checks[0]
+    assert check.name == "symplectic-forms"
+    assert check.verdict == "fail"
+    assert check.details == "J'_2 is not a symplectic form"
 
 
 # -- sweep --------------------------------------------------------------------

@@ -49,8 +49,12 @@ from periodlab.matrix_lab import (
     FLOAT_TOL,
     TensorFactors,
     _Rref,
+    _intertwining_rows,
+    _normalized,
+    _sparse_row,
     blockdiag,
     check_conjugator,
+    classify_monomial_form,
     nullspace_exact,
     nullspace_float,
     tensor_factors,
@@ -378,6 +382,55 @@ def test_exact_classify_form_matches_the_definitions(rows):
     assert form.nondegenerate == (gram.rank() == n)
 
 
+@st.composite
+def _monomial_forms(draw):
+    """A form with one nonzero entry in every row and column, placed on a
+    drawn involution with each pair's two entries drawn equal, opposite or
+    free; sometimes one entry is zeroed or one entry is added, so that the
+    form is not monomial."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    cols = list(range(n))
+    for t in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * t], order[2 * t + 1]
+        cols[a], cols[b] = b, a
+    sign = draw(st.sampled_from([1, -1, None]))
+    nonzero = gaussian_rationals.filter(bool)
+    rows = [[QQi(0)] * n for _ in range(n)]
+    for a in range(n):
+        b = cols[a]
+        if sign is not None and b < a:
+            rows[a][b] = rows[b][a] * sign
+        else:
+            rows[a][b] = draw(nonzero)
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[r][c] = draw(st.sampled_from([rows[r][c], QQi(0), QQi(1)]))
+    return rows
+
+
+@settings(max_examples=80)
+@given(_monomial_forms())
+def test_monomial_form_reading_matches_classify_form(rows):
+    gram = Matrix.from_rows(rows)
+    fast, dense = classify_monomial_form(gram), classify_form(gram)
+    assert fast.gram is gram
+    assert fast.symmetry is dense.symmetry
+    assert fast.nondegenerate == dense.nondegenerate
+
+
+def test_monomial_form_reading_decides_the_standard_form():
+    for m in range(2, 25, 2):
+        form = classify_monomial_form(symplectic_J(m).gram)
+        assert form.symmetry is Symmetry.SKEW and form.nondegenerate
+    g = symplectic_J(6).gram
+    flipped, zeroed = g.re.copy(), g.re.copy()
+    flipped[1, 4], zeroed[1, 4] = -1, 0
+    flipped = classify_monomial_form(Matrix.gaussian(flipped))
+    assert flipped.symmetry is Symmetry.NEITHER and flipped.nondegenerate
+    zeroed = classify_monomial_form(Matrix.gaussian(zeroed))
+    assert zeroed.symmetry is Symmetry.NEITHER and not zeroed.nondegenerate
+
+
 def test_standard_forms():
     j = symplectic_J(4)
     assert j.symmetry is Symmetry.SKEW and j.nondegenerate
@@ -441,8 +494,8 @@ def test_conjugator_matches_w_plus_on_all_two_partitions():
 
 
 def test_reindexed_conjugator_check_agrees_with_the_dense_product():
-    """Every conjugator found up to 2n = 24 is checked by reindexing J'; its
-    P^T J' P, multiplied out, is the partition form too."""
+    """Every conjugator found up to 2n = 24 is checked on signed pairings;
+    its P^T J' P, multiplied out, is the partition form too."""
     count = 0
     for m in range(2, 25, 2):
         j_prime = symplectic_J(m).gram
@@ -463,21 +516,25 @@ def test_check_conjugator_decides_the_dense_identity(drawn):
     target = partition_J(partition).gram
     p = perm.matrix()
     if (p.T @ symplectic_J(perm.n).gram @ p).equals(target):
-        assert check_conjugator(perm, target) is perm
+        assert check_conjugator(perm, partition) is perm
     else:
         with pytest.raises(ConjugatorNotFoundError):
-            check_conjugator(perm, target)
+            check_conjugator(perm, partition)
 
 
 @pytest.mark.parametrize("partition", [(2,), (4,), (2, 2), (6, 2), (4, 4, 2)])
 def test_conjugator_with_two_images_swapped_is_refused(partition):
     target = partition_J(partition).gram
+    j_prime = symplectic_J(sum(partition)).gram
     images = conjugator_for_partition(partition).images
     for a, b in combinations(range(len(images)), 2):
         swapped = list(images)
         swapped[a], swapped[b] = swapped[b], swapped[a]
+        perm = PermutationMap(tuple(swapped))
+        p = perm.matrix()
+        assert not (p.T @ j_prime @ p).equals(target)
         with pytest.raises(ConjugatorNotFoundError):
-            check_conjugator(PermutationMap(tuple(swapped)), target)
+            check_conjugator(perm, partition)
 
 
 # -- sl2 symmetric powers ------------------------------------------------------
@@ -509,6 +566,28 @@ def test_invariant_form_sl2_parity_and_uniqueness():
         forms = invariant_forms([sl2_exp_e(k), sl2_exp_f(k)])
         assert len(forms) == 1
         assert forms[0].gram.equals(f.gram)
+
+
+def test_invariant_form_sl2_matches_the_dense_solve():
+    """Up to k = 24 the form equals the one vector the whole system of 3k^2
+    E, F and H rows leaves, normalized, and its symmetry and nondegeneracy
+    are what classify_form reads off it."""
+    for k in range(1, 25):
+        act = sl2_sym_power_action(k)
+        rows = []
+        for x in (act.e, act.f, act.h):
+            rows += _intertwining_rows(-x.T, x)
+        assert len(rows) == 3 * k * k
+        basis = nullspace_exact(rows, k * k)
+        assert len(basis) == 1
+        vec = _sparse_row(basis[0].re[0], basis[0].im[0])
+        form = invariant_form_sl2(k)
+        assert form.gram.equals(_normalized(vec, min(vec), k)), k
+        dense = classify_form(form.gram)
+        assert form.symmetry is dense.symmetry, k
+        assert form.nondegenerate == dense.nondegenerate, k
+        assert form.symmetry is (Symmetry.SYMMETRIC if k % 2
+                                 else Symmetry.SKEW)
 
 
 @settings(max_examples=25)
