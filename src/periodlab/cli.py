@@ -196,7 +196,7 @@ def run_conjecture_sweep(catalog_path: str | None = None,
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
     the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
-    takes about 6 s on a 2-vCPU VM."""
+    takes about 2.5 s on a 2-vCPU VM."""
     if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
         raise UsageError(
             f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")

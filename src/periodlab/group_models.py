@@ -1,19 +1,20 @@
 """Finite-group stand-ins for cuspidal labels, and the isotropy oracle.
 
 Every label with a model is backed by a concrete finite group given as
-explicit matrices with a verified multiplication table.  The isotropy oracle
-reads the isotypic structure of a realization from its recipe and certifies
-it by the commutant dimension, for every block length k and multiplicity,
-with no dimension bound of its own.
-The commutant dimension is the sum over block pairs of
-dim Hom(A_j, A_i) * dim Hom(U_j, U_i), read from the tensor factors a
-realization is stored as (``matrix_lab.TensorFactors``), exact on the exact
-path, and the block-diagonality certificate compares those factors' blocks
-with the recipe's; no certificate looks at the dense generators.
-The isotropy oracle takes its form as a :class:`VerifiedForm`, checked once by
-``distinction.verify_form`` on its tiles, and tests one irreducible submodule
-per component on those tiles; on the exact path no entry of the form is
-converted to a float.  The
+explicit matrices with a verified multiplication table, and each model
+carries its generators' tensor factors and identity flags, built once.  The
+isotropy oracle reads the isotypic structure of a realization from its
+recipe and certifies it by the commutant dimension, for every block length
+k and multiplicity, with no dimension bound of its own.  Both work on the
+classes of blocks with equal factors (``matrix_lab.TensorFactors``): the
+commutant dimension is the sum over pairs of classes C, D of
+m_C * m_D * dim Hom(D, C), exact on the exact path; the recipe's components
+must be those classes, and the block-diagonality certificate compares the
+factors' blocks with the recipe's; no certificate looks at the dense
+generators.  The isotropy oracle takes its form as a :class:`VerifiedForm`,
+checked once by ``distinction.verify_form`` on its tiles, and tests one
+irreducible submodule per class on those tiles; on the exact path no entry
+of the form is converted to a float.  The
 symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``) are
 a finite stand-in for S(k), irreducible exactly for k <= 6
 (``SL2_SURROGATE_BOUND``); the oracle does not use them.
@@ -51,6 +52,7 @@ from .matrix_lab import (
     FactoredForm,
     GeneratorSet,
     Matrix,
+    _factor,
     intertwiners,
     sym_power,
     tensor_factors,
@@ -190,7 +192,11 @@ class IrrepModel:
     """An irreducible matrix representation of a finite group.
 
     ``matrices`` is indexed like ``group.elements``; ``character`` holds the
-    traces as complex floats regardless of the arithmetic path.
+    traces as complex floats regardless of the arithmetic path.  Per
+    generator of the group (``group.generator_idxs``), ``factors[path]``
+    holds its matrix as a factor of ``matrix_lab.TensorFactors`` on the
+    float path (False) and, for an exact model, the exact one (True), and
+    ``is_identity`` whether it is the identity; both are built once, here.
     """
 
     name: str
@@ -199,20 +205,28 @@ class IrrepModel:
     matrices: tuple[Matrix, ...]
     character: np.ndarray
     exact: bool
+    factors: dict[bool, tuple[tuple, ...]]
+    is_identity: tuple[bool, ...]
 
 
 def commutant_dimension(gens) -> int:
     """Dimension of {X : Xg = gX for every generator g} of a generator set
     or a bare list of generators.
 
-    The sum over the block pairs (i, j) of :func:`tensor_factors` of
-    dim Hom(A_j, A_i) * dim Hom(U_j, U_i); exact on the exact path.
+    The blocks of :func:`tensor_factors` with equal factors form a class C
+    of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
+    sum over pairs of classes of m_C * m_D * dim Hom(D, C), where
+    dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) is solved on one
+    block of each; exact on the exact path.
     """
+    tf = tensor_factors(gens)
     total = 0
-    for *_, rho_args, sl2_args in tensor_factors(gens).block_pairs():
-        hom = len(intertwiners(*rho_args))
-        if hom:
-            total += hom * len(intertwiners(*sl2_args))
+    for c in tf.classes:
+        for d in tf.classes:
+            rho_args, sl2_args = tf.pair(c[0], d[0])
+            hom = len(intertwiners(*rho_args))
+            if hom:
+                total += len(c) * len(d) * hom * len(intertwiners(*sl2_args))
     return total
 
 
@@ -235,10 +249,13 @@ def _make_model(name: str, group: FiniteGroup,
         if not lhs.equals(rhs):
             raise ConsistencyError(
                 f"model {name}: matrices do not respect the group table")
-    gen_mats = [matrices[i] for i in group.generator_idxs] or matrices[:1]
-    if commutant_dimension(gen_mats) != 1:
+    gen_mats = [matrices[i] for i in group.generator_idxs]
+    if commutant_dimension(gen_mats or matrices[:1]) != 1:
         raise ConsistencyError(f"model {name} is not irreducible")
-    return IrrepModel(name, group, dim, tuple(matrices), character, exact)
+    factors = {path: tuple(_factor(m, path) for m in gen_mats)
+               for path in {False, exact}}
+    return IrrepModel(name, group, dim, tuple(matrices), character, exact,
+                      factors, tuple(m.is_identity() for m in gen_mats))
 
 
 def fs_indicator(model: IrrepModel) -> int:
@@ -465,14 +482,16 @@ def _isotypic_components(gens: GeneratorSet) -> dict[str, list[int]]:
 
     Every block rho (x) S(k) of a realization is irreducible: label models
     are checked irreducible when they are built, and exp(E), exp(F) are
-    Zariski-dense in SL(2).  Blocks with equal (label, k) are identical, so
-    grouping them gives the isotypic decomposition exactly when the
-    generators act block-diagonally on the recipe's spans and the commutant
-    has dimension sum m^2, i.e. blocks of distinct classes are not
-    isomorphic.  Both are checked, the first by comparing the blocks of the
-    generators' tensor factors, on which they act by construction, with
-    the spans.  Blocks are numbered as the recipe's segments; components
-    keep first-appearance order.
+    Zariski-dense in SL(2).  Grouping the blocks by (label, k) gives the
+    isotypic decomposition exactly when the generators act block-diagonally
+    on the recipe's spans, the grouping is the one by equal factors
+    (``TensorFactors.classes``, so the blocks of a component are one
+    matrix representation), and the commutant has dimension sum m^2: it is
+    sum m_C m_D dim Hom(D, C) >= sum m_C^2, so equality leaves
+    Hom(D, C) = 0 for C != D.  All three are checked, the first by
+    comparing the blocks of the generators' tensor factors, on which they
+    act by construction, with the spans.  Blocks are numbered as the
+    recipe's segments; components keep first-appearance order.
     """
     recipe = gens.recipe
     if recipe is None:
@@ -499,6 +518,10 @@ def _isotypic_components(gens: GeneratorSet) -> dict[str, list[int]]:
         raise CommutantMismatchError(
             f"commutant dimension {commutant} disagrees with block count "
             f"{expected}")
+    if list(components.values()) != gens.factors.classes:
+        raise CommutantMismatchError(
+            "the recipe's components are not the classes of blocks with "
+            "equal factors")
     return components
 
 
@@ -541,11 +564,11 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     refused; a failed certificate raises.
     """
     form = verified.form
+    self_paired = {i for i, j, *_ in form.tiles if i == j}
     for blocks in _isotypic_components(verified.gens).values():
         if len(blocks) > 1:
             return _isotropic_graph_exists(form.restricted(blocks[:2]))
-        (i,) = blocks
-        if all(tile[:2] != (i, i) for tile in form.tiles):
+        if blocks[0] not in self_paired:
             return True
     return False
 

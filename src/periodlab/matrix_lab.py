@@ -39,12 +39,16 @@ generators acts on every block as A_i (x) I or as I (x) U_i.
 (:class:`TensorFactors`); the dense matrices are assembled from them on
 demand and never split again.  :func:`invariant_forms` solves the forms of
 each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
-and an S(k) factor (k k' unknowns), each solve cached on its factor's
-integers; :func:`find_nondegenerate_skew` builds its form from the same
-solves, one per pair of block classes, and keeps it as tiles c X (x) Y
-(:class:`FactoredForm`), which are checked factor by factor, and
-``group_models`` solves the commutant the same way.  A bare list of
-generators is solved as one block.
+and an S(k) factor, whose H-weight rows leave min(k, k') of its k k'
+unknowns, each solve cached on its factors' integers.  Blocks with equal
+factors form a class (:attr:`TensorFactors.classes`), and the oracle works
+on classes: :func:`find_nondegenerate_skew` builds its form from one solve
+per pair of classes and keeps it as tiles c X (x) Y
+(:class:`FactoredForm`), which are checked factor by factor once per pair
+of classes, and ``group_models`` solves the commutant per pair of classes
+too.  Every fact read off one factor (its logarithm, its symmetry, its
+invertibility) is computed once per process.  A bare list of generators
+is solved as one block.
 """
 
 from __future__ import annotations
@@ -204,9 +208,8 @@ class Matrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}")
         if self.exact and other.exact:
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            return Matrix.gaussian(ar @ br - ai @ bi, ar @ bi + ai @ br,
-                                   self.den * other.den)
+            return Matrix.gaussian(*_gaussian_matmul(
+                self.re, self.im, other.re, other.im), self.den * other.den)
         return Matrix(self.as_complex() @ other.as_complex())
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -319,6 +322,20 @@ class Matrix:
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "float"
         return f"Matrix({self.rows}x{self.cols}, {tag})"
+
+
+def _gaussian_matmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray,
+                     bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i*ai) @ (br + i*bi) as its real and imaginary parts; the
+    products of an imaginary part that is zero are skipped."""
+    a_im, b_im = ai.any(), bi.any()
+    re = ar @ br - ai @ bi if a_im and b_im else ar @ br
+    im = np.zeros(re.shape, dtype=object)
+    if b_im:
+        im = im + ar @ bi
+    if a_im:
+        im = im + ai @ br
+    return re, im
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -539,9 +556,8 @@ class BilinearForm:
 def classify_form(gram: Matrix) -> BilinearForm:
     """Symmetry and nondegeneracy of ``gram``.
 
-    On the exact path both are read off the stored integers: the symmetry
-    from ``re`` and ``im`` against their transposes, nondegeneracy by
-    fraction-free elimination.  On the float path they follow
+    On the exact path both are read off the stored integers, once per
+    integer image (:func:`_exact_reading`).  On the float path they follow
     :meth:`Matrix.equals` and the SVD rank rule.
     """
     if not gram.is_square:
@@ -555,14 +571,24 @@ def classify_form(gram: Matrix) -> BilinearForm:
         else:
             sym = Symmetry.NEITHER
         return BilinearForm(gram, sym, gram.is_invertible())
-    re, im = gram.re, gram.im
+    return BilinearForm(gram, *_exact_reading(
+        gram.rows, tuple(gram.re.flat), tuple(gram.im.flat)))
+
+
+@lru_cache(maxsize=1024)
+def _exact_reading(n: int, re: tuple, im: tuple) -> tuple[Symmetry, bool]:
+    """The symmetry and the invertibility of the n x n Gaussian-integer
+    matrix of row-major entries ``re + i*im``: the symmetry from the entries
+    against their transposes, invertibility by fraction-free elimination.
+    Cached on the integers, so each is computed once per matrix."""
+    re, im = (np.array(part, dtype=object).reshape(n, n) for part in (re, im))
     if np.array_equal(re.T, re) and np.array_equal(im.T, im):
         sym = Symmetry.SYMMETRIC
     elif np.array_equal(re.T, -re) and np.array_equal(im.T, -im):
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    return BilinearForm(gram, sym, _gaussian_nonsingular(re, im))
+    return sym, _gaussian_nonsingular(re, im)
 
 
 def classify_monomial_form(gram: Matrix) -> BilinearForm:
@@ -923,32 +949,72 @@ def _intertwining_rows(l: Matrix, r: Matrix) -> list[dict]:
 def _unipotent_log(m: Matrix) -> Matrix | None:
     """log m, exactly, when m - I is strictly triangular (m is unipotent):
     the finite series sum_t (-1)^(t+1) (m - I)^t / t, summed in Gaussian
-    integers over one denominator.  None for any other m."""
+    integers over one denominator.  None for any other m.
+
+    For m - I strictly upper triangular, (m - I)^t vanishes below its t-th
+    superdiagonal, so each power multiplies only that band; a lower
+    triangular m is solved as its transpose."""
     s, d = m.rows, m.den
     # m - I = (br + i*bi) / d
     br, bi = m.re - d * np.eye(s, dtype=object), m.im
     nonzero = (br != 0) | (bi != 0)
-    if np.tril(nonzero).any() and np.triu(nonzero).any():
+    lower = np.tril(nonzero).any()
+    if lower and np.triu(nonzero).any():
         return None
+    if lower:
+        br, bi = br.T, bi.T
     den = lcm(*range(1, s)) * d ** max(s - 1, 1)
-    pr, pi = br, bi
-    lr, li = br * (den // d), bi * (den // d)
+    power = (br, bi)
+    series = (br * (den // d), bi * (den // d))
     for t in range(2, s):
-        pr, pi = pr @ br - pi @ bi, pr @ bi + pi @ br
+        band = _gaussian_matmul(power[0][:s - t, t - 1:-1],
+                                power[1][:s - t, t - 1:-1],
+                                br[t - 1:-1, t:], bi[t - 1:-1, t:])
+        power = (np.zeros_like(br), np.zeros_like(bi))
         c = (-1) ** (t + 1) * (den // (t * d ** t))
-        lr, li = lr + c * pr, li + c * pi
-    return Matrix.gaussian(lr, li, den)
+        for part, value, total in zip(power, band, series):
+            part[:s - t, t:] = value
+            total[:s - t, t:] += c * value
+    log = Matrix.gaussian(*series, den)
+    return log.T if lower else log
 
 
-def _factor_pairs(pairs, a, b, exact):
+@lru_cache(maxsize=512)
+def _factor_log(factor: tuple, size: int) -> Matrix | None:
+    """:func:`_unipotent_log` of an exact factor, computed once per
+    factor."""
+    return _unipotent_log(_factor_matrix(factor, size, size, True))
+
+
+@lru_cache(maxsize=512)
+def _log_commutator(a: tuple, b: tuple, size: int) -> Matrix:
+    """[log A, log B] of two unipotent exact factors; for exp E and exp F
+    it is H, diagonal."""
+    la, lb = _factor_log(a, size), _factor_log(b, size)
+    return la @ lb - lb @ la
+
+
+def _factor_pairs(pairs, a, b, exact) -> list[tuple]:
     """The (L, R) matrices of ``pairs`` and, on the exact path, their
-    logarithms when both are unipotent, else None."""
+    logarithms when both are unipotent, else None.  When the first two
+    pairs have logarithms, one more entry (None, None, logs) holds their
+    commutators.  The pairs of logarithms whose rows X satisfies are the
+    annihilator of X in a representation of gl(a) x gl(b), a Lie algebra,
+    so X satisfies the rows of their commutator too; for exp E, exp F it is
+    H, whose rows (h_i +- h'_j) x_ij = 0 have one entry each and pin all
+    but min(a, b) unknowns."""
+    out = []
     for l, r in pairs:
-        l, r = (_factor_matrix(l, a, a, exact),
-                _factor_matrix(r, b, b, exact))
-        log_l = _unipotent_log(l) if exact else None
-        log_r = None if log_l is None else _unipotent_log(r)
-        yield l, r, (None if log_r is None else (log_l, log_r))
+        logs = ((_factor_log(l, a), _factor_log(r, b)) if exact
+                else (None, None))
+        out.append((_factor_matrix(l, a, a, exact),
+                    _factor_matrix(r, b, b, exact),
+                    None if None in logs else logs))
+    if len(out) > 1 and out[0][2] and out[1][2]:
+        (l1, r1), (l2, r2) = pairs[:2]
+        out.append((None, None, (_log_commutator(l1, l2, a),
+                                 _log_commutator(r1, r2, b))))
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -961,7 +1027,8 @@ def invariant_pairings(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
     vector an exact 1 x ab :class:`Matrix`; else the float rank rule, each
     a tuple of complex entries.  The vectors are row-major.  A
     unipotent pair gives the equivalent rows (log L)^T X + X log R = 0, a
-    few entries each.
+    few entries each, and two such pairs their commutator's
+    (:func:`_factor_pairs`).
     """
     factors = _factor_pairs(pairs, a, b, exact)
     if not exact:
@@ -980,7 +1047,7 @@ def intertwiners(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
     """Basis of {X (a x b) : L X = X R for every (L, R) in ``pairs``}, with
     arguments and result as for :func:`invariant_pairings`.  The rows hold
     entries of L and R, never their products; a unipotent pair gives
-    (log L) X = X log R instead."""
+    (log L) X = X log R instead, and two such pairs their commutator's."""
     factors = _factor_pairs(pairs, a, b, exact)
     if not exact:
         return tuple(map(tuple, nullspace_float(
@@ -1018,6 +1085,15 @@ class TensorFactors:
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
         return ((tuple(zip(self.rho[i], self.rho[j])), r, r2, self.rho_exact),
                 (tuple(zip(self.sl2[i], self.sl2[j])), k, k2, True))
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        """The blocks grouped by equal factors, in order of first
+        appearance: the blocks of a class are one matrix representation."""
+        classes: dict[tuple, list[int]] = {}
+        for i, key in enumerate(zip(self.rho, self.sl2)):
+            classes.setdefault(key, []).append(i)
+        return list(classes.values())
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1065,10 +1141,9 @@ def _factor(m: Matrix, exact: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _identity(size: int, exact: bool) -> tuple[Matrix, tuple]:
-    """The size x size identity and its factor, built once."""
-    m = Matrix.identity(size, exact)
-    return m, _factor(m, exact)
+def _identity(size: int, exact: bool) -> tuple:
+    """The factor of the size x size identity, built once."""
+    return _factor(Matrix.identity(size, exact), exact)
 
 
 @lru_cache(maxsize=512)
@@ -1079,7 +1154,11 @@ def _exp_factor(exp: Callable[[int], Matrix], k: int) -> tuple:
 
 @lru_cache(maxsize=512)
 def _invertible(factor: tuple, size: int, exact: bool) -> bool:
-    """Whether a factor is invertible, cached on the factor."""
+    """Whether a factor is invertible, cached on the factor; on the exact
+    path this is :func:`_exact_reading`'s, shared with
+    :func:`classify_form`."""
+    if exact:
+        return _exact_reading(size, *factor[:2])[1]
     return _factor_matrix(factor, size, size, exact).is_invertible()
 
 
@@ -1317,7 +1396,9 @@ class FactoredForm:
         The generators are block-diagonal, so g^T J g = J holds tile by
         tile, and on a tile c X (x) Y it holds exactly when A_i^T X A_j = X
         for every rho generator and U_i^T Y U_j = Y for every S(k)
-        generator.  Each such check is cached on its factors' integers; the
+        generator.  These depend only on the classes of i and j
+        (:attr:`TensorFactors.classes`) and on X and Y, so each is checked
+        once per class pair, and cached on its factors' integers; the
         residue of a tile is |c| times max|A_i^T X A_j - X| times max|Y|
         (or the same on the S(k) side), exactly 0.0 on the exact path.
         """
@@ -1325,11 +1406,15 @@ class FactoredForm:
                                                      tf.rho_exact):
             raise ShapeMismatchError(
                 "the form does not lie on the generators' blocks and path")
-        residue = 0.0
+        class_of = {b: c for c, bs in enumerate(tf.classes) for b in bs}
+        residue, checked = 0.0, {}
         for i, j, c, x, y in self.tiles:
-            rho_args, sl2_args = tf.pair(i, j)
-            dx = _pairing_residue(*rho_args, x)
-            dy = _pairing_residue(*sl2_args, y)
+            key = (class_of[i], class_of[j], x, y)
+            if key not in checked:  # once per class pair and tile factors
+                rho_args, sl2_args = tf.pair(i, j)
+                checked[key] = (_pairing_residue(*rho_args, x),
+                                _pairing_residue(*sl2_args, y))
+            dx, dy = checked[key]
             if dx is None or dy is None:
                 return None
             worst = max(dx[0] * dy[1], dx[1] * dy[0])
@@ -1398,14 +1483,15 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     by class as tiles, or None when a certificate shows that there is none.
 
     Blocks of :func:`tensor_factors` with equal factors form a class C of
-    multiplicity m_C.  By Schur's lemma C pairs with exactly one class C',
-    through one pairing P = X (x) Y solved from one block of each
-    (:func:`_block_pairing`); a second such class is an internal error.  J
-    pairs copy i of C with copy i of C' by P and -P^T.  When C = C', P^T
-    pairs C with itself too, so P is symmetric or skew: as
-    :func:`classify_form` reads X and Y on each call, a symmetric P pairs
-    copy 2i with copy 2i + 1, and a skew P each copy with itself.  Each
-    None has a certificate that every invariant (skew) form is degenerate:
+    multiplicity m_C (:attr:`TensorFactors.classes`).  By Schur's lemma C
+    pairs with exactly one class C', through one pairing P = X (x) Y solved
+    from one block of each (:func:`_block_pairing`); a second such class is
+    an internal error.  J pairs copy i of C with copy i of C' by P and
+    -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
+    skew, as :func:`classify_form` reads X and Y (once per factor): a
+    symmetric P pairs copy 2i with copy 2i + 1, and a skew P each copy
+    with itself.  Each None has a certificate that every invariant (skew)
+    form is degenerate:
 
     * C pairs with no class: the form vanishes on the rows of C;
     * m_C != m_C': it maps the rows of one class into fewer columns;
@@ -1415,12 +1501,9 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     checks it on its tiles.
     """
     tf = tensor_factors(gens)
-    classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(tf.rho, tf.sl2)):
-        classes.setdefault(key, []).append(i)
     tiles = []
-    for copies in classes.values():
-        pairings = [(duals, p) for duals in classes.values()
+    for copies in tf.classes:
+        pairings = [(duals, p) for duals in tf.classes
                     for p in [_block_pairing(*tf.pair(copies[0], duals[0]))]
                     if p is not None]
         if not pairings:
@@ -1548,11 +1631,12 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     tensor factors.
 
     Each segment St(k, rho) contributes a block rho (x) S(k); a group
-    element gamma acts as gamma (x) I_k in every block whose label is
+    generator gamma acts as gamma (x) I_k in every block whose label is
     modeled on gamma's group and as the identity elsewhere (skipped when
-    that is the identity everywhere), and the unipotent pair exp(E), exp(F)
-    acts as I_r (x) exp on every block at once, exactly whatever the
-    labels' path.  With no such generator the identity is the generator.
+    that is the identity everywhere; factors and identity flags are read
+    off the models), and the unipotent pair exp(E), exp(F) acts as
+    I_r (x) exp on every block at once, exactly whatever the labels'
+    path.  With no such generator the identity is the generator.
     """
     segs = p.segments
     if not segs:
@@ -1570,16 +1654,14 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     rho, sl2 = [[] for _ in segs], [[] for _ in segs]
     provenance: list[str] = []
     for group in groups:
-        for pos, element_index in enumerate(group.generator_idxs):
+        members = [m for m in models if m.group is group]
+        for pos in range(len(group.generator_idxs)):
             # only the models of the generator's group can move
-            if all(m.matrices[element_index].equals(
-                    _identity(m.dim, m.exact)[0])
-                   for m in models if m.group is group):
+            if all(m.is_identity[pos] for m in members):
                 continue
             for block, m in zip(rho, models):
-                block.append(_factor(m.matrices[element_index], exact)
-                             if m.group is group
-                             else _identity(m.dim, exact)[1])
+                block.append(m.factors[exact][pos] if m.group is group
+                             else _identity(m.dim, exact))
             provenance.append(f"group:{group.name}:{pos}")
     if any(s.k > 1 for s in segs):
         for tag, exp in (("sl2:exp_e", sl2_exp_e), ("sl2:exp_f", sl2_exp_f)):
@@ -1587,7 +1669,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
                 block.append(_exp_factor(exp, s.k))
             provenance.append(tag)
     if not provenance:
-        rho = [[_identity(m.dim, exact)[1]] for m in models]
+        rho = [[_identity(m.dim, exact)] for m in models]
         provenance = ["identity"]
 
     recipe = RealizationRecipe(tuple(segs))

@@ -45,7 +45,12 @@ from periodlab.errors import (
     MissingModelError,
     SurrogateBoundExceededError,
 )
-from periodlab.matrix_lab import _factor, _factor_matrix, tensor_factors
+from periodlab.matrix_lab import (
+    _factor,
+    _factor_matrix,
+    intertwiners,
+    tensor_factors,
+)
 
 CAT = builtin_catalog()
 MODELS = builtin_models()
@@ -279,6 +284,18 @@ def test_commutant_counts_the_squares_of_multiplicities():
     assert commutant_dimension(gens) == 2 ** 2 + 1 ** 2
 
 
+def test_isotypic_certificate_rejects_a_regrouped_recipe():
+    # q8 (+) q8 (+) q8b's recipe on the factors of q8 (+) q8b (+) q8b: both
+    # groupings have sum m^2 = 5, so only the comparison with the classes
+    # of equal factors tells them apart
+    recipe = oracle_gens(seg("q8"), seg("q8"), seg("q8b")).recipe
+    other = oracle_gens(seg("q8"), seg("q8b"), seg("q8b"))
+    gens = GeneratorSet(other.factors, other.provenance, recipe)
+    assert commutant_dimension(gens) == 5
+    with pytest.raises(CommutantMismatchError, match="equal factors"):
+        isotypic_multiplicities(gens)
+
+
 @st.composite
 def small_parameters(draw, max_dim=8):
     """A multiset of built-in segments of total dimension <= max_dim."""
@@ -311,6 +328,22 @@ def test_factored_oracle_matches_the_one_block_solve(p):
         assert Counter(f.symmetry for f in factored) == Counter(
             f.symmetry for f in single)
     assert commutant_dimension(gens) == commutant_dimension(one_block)
+
+
+def _per_block_commutant(gens):
+    """The reference commutant dimension: the sum over block pairs (i, j)
+    of dim Hom(A_j, A_i) * dim Hom(U_j, U_i)."""
+    return sum(len(intertwiners(*rho_args)) * len(intertwiners(*sl2_args))
+               for *_, rho_args, sl2_args
+               in tensor_factors(gens).block_pairs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_parameters(max_dim=12), small_parameters(
+    max_dim=4).map(lambda p: WDParameter.of(p.segments * 3))))
+def test_class_level_commutant_matches_the_per_block_sum(p):
+    gens = realize(p, CAT)
+    assert commutant_dimension(gens) == _per_block_commutant(gens)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,12 +20,14 @@ from periodlab import (
     antidiag_J,
     builtin_catalog,
     classify_form,
+    commutant_dimension,
     conjugator_for_partition,
     find_nondegenerate_skew,
     invariant_form_sl2,
     invariant_forms,
     is_in_sp,
     kron_form,
+    oracle_verdicts,
     partition_J,
     realize,
     sl2_exp_e,
@@ -44,6 +46,7 @@ from periodlab.errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
+from periodlab import matrix_lab
 from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
     FLOAT_TOL,
@@ -117,10 +120,26 @@ gaussian_rationals = st.builds(
     st.fractions(-3, 3, max_denominator=4))
 
 
-def _square_gaussian(n):
-    return st.lists(
-        st.lists(gaussian_rationals | st.just(QQi(0)), min_size=n,
-                 max_size=n), min_size=n, max_size=n)
+# the values of gaussian_rationals as integers, a numerator and a
+# denominator per part: the tests that form products from them form the
+# entries (_entries) and the products in their bodies, so that drawing
+# stays cheap
+_fraction_ints = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.integers(-3 * d, 3 * d), st.just(d)))
+gaussian_rational_ints = st.tuples(_fraction_ints, _fraction_ints)
+ZERO_INTS = ((0, 1), (0, 1))
+
+
+def _entries(rows):
+    """The QQi entries of rows of draws of ``gaussian_rational_ints``."""
+    return [[QQi(Fraction(*re), Fraction(*im)) for re, im in row]
+            for row in rows]
+
+
+def _square_gaussian(n, entries=gaussian_rational_ints
+                     | st.just(ZERO_INTS)):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
+                    max_size=n)
 
 
 @settings(max_examples=60)
@@ -130,6 +149,7 @@ def test_exact_invertibility_matches_exact_rank(drawn):
     """Products through a rank-r projection, so singular matrices with
     dense Gaussian entries come up as often as invertible ones."""
     a, b, r = drawn
+    a, b = _entries(a), _entries(b)
     n = len(a)
     keep = Matrix.from_rows(
         [[int(i == j < r) for j in range(n)] for i in range(n)])
@@ -349,16 +369,22 @@ def _transpose(rows):
 
 @st.composite
 def _forms_of_every_kind(draw):
-    """A^T P C P A for a symmetric, skew or unconstrained C and a rank-r
-    projection P: the symmetry of C is kept and the rank is at most r."""
+    """The integer draws of :func:`_form_of_every_kind`: X and A, the sign
+    and the rank."""
     n = draw(st.integers(1, 5))
-    dense = st.lists(st.lists(gaussian_rationals, min_size=n, max_size=n),
-                     min_size=n, max_size=n)
-    x, a = draw(dense), draw(dense)
-    sign = draw(st.sampled_from([1, -1, None]))
+    dense = _square_gaussian(n, gaussian_rational_ints)
+    return (draw(dense), draw(dense), draw(st.sampled_from([1, -1, None])),
+            draw(st.just(n) | st.integers(0, n)))
+
+
+def _form_of_every_kind(x, a, sign, rank):
+    """A^T P C P A for a symmetric, skew or unconstrained C built from X
+    and a rank-r projection P: the symmetry of C is kept and the rank is at
+    most r."""
+    x, a = _entries(x), _entries(a)
+    n = len(x)
     core = x if sign is None else [
         [x[r][s] + sign * x[s][r] for s in range(n)] for r in range(n)]
-    rank = draw(st.just(n) | st.integers(0, n))
     keep = [[QQi(int(i == j < rank)) for j in range(n)] for i in range(n)]
     m = _transpose(a)
     for right in (keep, core, keep, a):
@@ -368,7 +394,8 @@ def _forms_of_every_kind(draw):
 
 @settings(max_examples=80)
 @given(_forms_of_every_kind())
-def test_exact_classify_form_matches_the_definitions(rows):
+def test_exact_classify_form_matches_the_definitions(drawn):
+    rows = _form_of_every_kind(*drawn)
     n = len(rows)
     gram, transposed = Matrix.from_rows(rows), _transpose(rows)
     if transposed == rows:
@@ -630,7 +657,7 @@ def _generator_and_form(draw):
     product of transvections for J, perturbed in one entry or not."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["standard", "skew", "any"]))
-    x = draw(_square_gaussian(n))
+    x = _entries(draw(_square_gaussian(n)))
     if kind == "standard" and n % 2 == 0:
         j = symplectic_J(n).gram.tolist()
     elif kind == "any":
@@ -702,6 +729,33 @@ def test_invariant_forms_float_path():
     assert skew is not None
     for g in gens.generators:
         assert is_in_sp(g, skew)
+
+
+def test_each_factor_is_logged_once_per_process(monkeypatch):
+    """log exp(E) and log exp(F) are computed once per distinct factor,
+    whatever the blocks, specs and solves that use them; the other factors
+    are read once too, and found not unipotent."""
+    for cached in (matrix_lab._factor_log, matrix_lab._log_commutator,
+                   matrix_lab.invariant_pairings, matrix_lab.intertwiners,
+                   matrix_lab._block_pairing, matrix_lab._pairing_residue):
+        cached.cache_clear()
+    logged = []
+    unipotent_log = matrix_lab._unipotent_log
+
+    def counted(m):
+        logged.append((m.den, tuple(m.re.flat), tuple(m.im.flat)))
+        return unipotent_log(m)
+
+    monkeypatch.setattr(matrix_lab, "_unipotent_log", counted)
+    for segments in ([seg("q8", 4), seg("q8b", 4), seg("trivial", 2)],
+                     [seg("trivial", 4), seg("q8", 4), seg("q8", 4)],
+                     [seg("d4", 4), seg("q8", 3), seg("q8", 3)]):
+        oracle_verdicts(WDParameter.of(segments))
+        commutant_dimension(realize(WDParameter.of(segments), CAT))
+    assert len(logged) == len(set(logged))
+    for k in (2, 3, 4):
+        for m in (sl2_exp_e(k), sl2_exp_f(k)):
+            assert (m.den, tuple(m.re.flat), tuple(m.im.flat)) in logged
 
 
 # -- the skew form, class by class ------------------------------------------
