@@ -34,8 +34,8 @@ from .matrix_lab import (
     symplectic_J,
     w_plus,
 )
-from .notation import load_catalog, parse_param, print_param
-from .param_core import WDParameter, segment_self_duality
+from .notation import load_catalog, parse_param, print_segment
+from .param_core import segment_self_duality
 from .reporting import CATALOG_CHECK, ERROR, PARSE_CHECK, PASS, Report
 from .sweep import conjecture_sweep
 
@@ -94,7 +94,7 @@ def run_classify(expr: str, catalog_path: str | None = None,
     report.add("dimension", PASS, TAG_RDS, f"dim = {p.dim}")
     add_tempered_check(report, p)
     for i, s in enumerate(p.segments):
-        text = print_param(WDParameter.of([s]))
+        text = print_segment(s)
         sd = segment_self_duality(s)
         try:
             ok = is_linear_distinguished(s)

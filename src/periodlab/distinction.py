@@ -40,7 +40,7 @@ from .matrix_lab import (
     realize,
     symplectic_J,
 )
-from .notation import print_param
+from .notation import print_param, print_segment
 from .param_core import (
     AParameter,
     CuspidalLabel,
@@ -103,7 +103,7 @@ def is_linear_distinguished(s: Segment) -> bool:
     even-dimensional rho, even k needs the symmetric-square pole.  Requires
     twist 0 and even segment dimension.
     """
-    if s.twist != 0:
+    if s.twist:
         raise NonTemperedError(
             f"distinction is defined for untwisted segments; got twist "
             f"{s.twist}")
@@ -194,7 +194,7 @@ def distinguished_morphism(n: int) -> DistinguishedMorphismRecord:
 def add_tempered_check(report: Report, p: WDParameter) -> None:
     """Record whether ``p`` is tempered, naming what keeps it from being so:
     its twisted segments and its non-unitary labels."""
-    found = {"twisted segments present": [print_param(WDParameter.of([s]))
+    found = {"twisted segments present": [print_segment(s)
                                           for s in p.segments if s.twist],
              "non-unitary labels": [s.cuspidal.name for s in p.segments
                                     if not s.cuspidal.unitary]}
@@ -232,20 +232,23 @@ def factors_through_sp_symbolic(p: WDParameter) -> bool:
     return True
 
 
-def is_x_elliptic_symbolic(p: WDParameter) -> bool:
+def is_x_elliptic_symbolic(p: WDParameter,
+                           factors: bool | None = None) -> bool:
     """Symplectic image stabilizing no nonzero isotropic subspace.
 
     Holds exactly when the parameter factors through the symplectic group,
-    every segment is of symplectic type, and no segment repeats.
+    every segment is of symplectic type, and no segment repeats.  A caller
+    that holds ``factors_through_sp_symbolic(p)`` passes it as ``factors``,
+    and it is not computed again.
     """
-    if not factors_through_sp_symbolic(p):
+    if factors is None:
+        factors = factors_through_sp_symbolic(p)
+    if not factors:
         return False
-    for s, m in multiplicities(p):
-        if m != 1:
-            return False
-        if segment_self_duality(s) is not SelfDualityType.SYMPLECTIC:
-            return False
-    return True
+    # symplectic-type segments are untwisted, so (label, k) tells them apart
+    distinct = {(s.cuspidal.name, s.k) for s in p.segments
+                if segment_self_duality(s) is SelfDualityType.SYMPLECTIC}
+    return len(distinct) == len(p.segments)
 
 
 def is_x_distinguished(a: AParameter) -> bool:
@@ -385,7 +388,7 @@ def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
     report.add_outcome("sp-image", factors, TAG_SP,
                        "symplectic pairing exists" if factors
                        else "no symplectic pairing exists")
-    elliptic = is_x_elliptic_symbolic(p)
+    elliptic = is_x_elliptic_symbolic(p, factors)
     report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
                        "multiplicity-free symplectic-type decomposition"
                        if elliptic else "parameter is not elliptic")

@@ -28,8 +28,8 @@ a declared type must match the Frobenius-Schur indicator of its model.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CatalogError,
@@ -40,15 +40,15 @@ from .errors import (
 from .group_models import Catalog, CatalogEntry, IrrepModel, builtin_models
 from .param_core import CuspidalLabel, Segment, SelfDualityType, WDParameter
 
-__all__ = ["SourceSpan", "parse_param", "print_param", "load_catalog"]
+__all__ = ["SourceSpan", "parse_param", "print_param", "print_segment",
+           "load_catalog"]
 
 
 # ---------------------------------------------------------------------------
 # lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -78,7 +78,7 @@ def _lex(text: str) -> list[_Token]:
                 col += 1
             i += 1
             continue
-        if text.startswith("(+)", i):
+        if ch == "(" and text.startswith("(+)", i):
             tokens.append(_Token("(+)", "(+)", line, col))
             i += 3
             col += 3
@@ -121,8 +121,8 @@ class _Parser:
         self.pos = 0
         self.catalog = catalog
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # advance() never moves past EOF
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -150,9 +150,7 @@ class _Parser:
                             tok) from None
 
     def param(self) -> tuple[Segment, ...]:
-        if (self.peek().kind == "INT" and self.peek().text == "0"
-                and self.peek(1).kind == "EOF"):
-            self.advance()
+        if len(self.tokens) == 2 and self.tokens[0].text == "0":
             return ()
         segments = [self.segment()]
         while self.peek().kind == "(+)":
@@ -182,9 +180,9 @@ class _Parser:
         else:
             name_tok = self.advance()
             k = 1
-        twist = Fraction(0)
-        if self.peek().kind == "*":
-            twist = self.twist()
+        if self.peek().kind != "*":
+            return Segment(self.lookup(name_tok), k)
+        twist = self.twist()  # a malformed twist is reported first
         return Segment(self.lookup(name_tok), k, twist)
 
     def lookup(self, tok: _Token) -> CuspidalLabel:
@@ -234,10 +232,11 @@ def print_param(p: WDParameter) -> str:
     """Canonical text for a parameter; inverse of :func:`parse_param`."""
     if not p.segments:
         return "0"
-    return " (+) ".join(_print_segment(s) for s in p.segments)
+    return " (+) ".join(print_segment(s) for s in p.segments)
 
 
-def _print_segment(s: Segment) -> str:
+def print_segment(s: Segment) -> str:
+    """Canonical text for one segment, as :func:`print_param` writes it."""
     base = s.cuspidal.name if s.k == 1 else f"St({s.k},{s.cuspidal.name})"
     if s.twist:
         base += f" * nu^{s.twist}"

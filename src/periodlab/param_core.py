@@ -113,6 +113,8 @@ def labels_equal(a: CuspidalLabel, b: CuspidalLabel) -> bool:
 
 
 def _as_fraction(value: Union[int, str, Fraction]) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("twists must be exact rationals, not floats")
     return Fraction(value)
@@ -261,7 +263,7 @@ def segment_self_duality(s: Segment) -> SelfDualityType:
     twist zero the type multiplies: sign(label) * sign(k-dimensional SL(2)
     factor).
     """
-    if s.twist != 0 or not s.cuspidal.is_self_dual:
+    if s.twist or not s.cuspidal.is_self_dual:
         return SelfDualityType.NOT_SELF_DUAL
     return SelfDualityType.from_sign(
         s.cuspidal.sd_type.sign * sl2_duality_sign(s.k))
@@ -269,7 +271,7 @@ def segment_self_duality(s: Segment) -> SelfDualityType:
 
 def is_tempered(p: WDParameter) -> bool:
     """True iff every segment has twist zero and a unitary label."""
-    return all(s.twist == 0 and s.cuspidal.unitary for s in p.segments)
+    return all(not s.twist and s.cuspidal.unitary for s in p.segments)
 
 
 def arthur_to_l(a: AParameter) -> WDParameter:
@@ -287,7 +289,8 @@ def arthur_to_l(a: AParameter) -> WDParameter:
 
 
 def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:
-    """Distinct segments of ``p`` with multiplicities, in canonical order.
+    """Distinct segments of ``p`` with multiplicities, in canonical order:
+    that of their first occurrence in ``p.segments``.
 
     Grouping is by (name, k, twist); conflicting label data behind one name
     raises, via :func:`labels_equal`.
@@ -301,5 +304,4 @@ def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:
         for other in members[1:]:
             labels_equal(rep.cuspidal, other.cuspidal)
         out.append((rep, len(members)))
-    out.sort(key=lambda pair: _segment_sort_key(pair[0]))
     return out

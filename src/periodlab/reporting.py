@@ -9,14 +9,15 @@ disagreement to 4, any other non-pass to 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 
 _VERDICTS = (PASS, FAIL, ERROR)
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 # check names with dedicated exit codes
 PARSE_CHECK = "parse"
@@ -90,7 +91,26 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.
+
+        The schema is fixed, so the text is written directly; every string
+        goes through the C function ``json.dumps`` escapes with, so the
+        output is ASCII.  (With an indent, ``json.dumps`` itself runs the
+        pure-Python encoder.)
+        """
+        checks = ",\n".join(
+            f'    {{\n      "name": {_json_str(c.name)},\n'
+            f'      "verdict": {_json_str(c.verdict)},\n'
+            f'      "theorem_tag": {_json_str(c.theorem_tag)},\n'
+            f'      "details": {_json_str(c.details)}\n    }}'
+            for c in self.checks)
+        if checks:
+            checks = f"[\n{checks}\n  ]"
+        return (f'{{\n  "input": {_json_str(self.input)},\n'
+                f'  "checks": {checks or "[]"},\n'
+                f'  "oracle_agreement": '
+                f'{_JSON_LITERALS[self.oracle_agreement]},\n'
+                f'  "exit_code": {self.exit_code}\n}}')
 
     def render(self) -> str:
         lines = [f"input: {self.input}"]

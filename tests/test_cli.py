@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -186,6 +187,28 @@ def test_classify_golden_json(capsys):
     }
 
 
+# classify --oracle --json byte for byte: key order, indentation, escaping
+CLASSIFY_GOLDENS = [
+    ("St(3,q8)", "classify_st3_q8.json", 0),
+    ("q8 (+) q8 (+) St(2,trivial)", "classify_repeated_q8.json", 1),
+    ("chi3 (+) chi3bar (+) St(3,d4)", "classify_chi3_pair_d4.json", 1),
+    ("St(2,trivial)*nu^1/2 (+) St(2,trivial)*nu^-1/2",
+     "classify_twisted_pair.json", 1),
+    ("St(13,q8)", "classify_above_the_bound.json", 1),
+    ("0", "classify_empty.json", 1),
+    ('q8 (+) "q8b"', "classify_quote.json", 2),
+    ("St(٣,q8)", "classify_arabic_indic_digit.json", 2),
+    ("St(2,tr²)", "classify_unknown_label_superscript.json", 3),
+]
+
+
+@pytest.mark.parametrize("expr, name, code", CLASSIFY_GOLDENS)
+def test_classify_json_matches_golden(capsys, expr, name, code):
+    golden = Path(__file__).parent / "golden" / name
+    assert main(["classify", expr, "--oracle", "--json"]) == code
+    assert capsys.readouterr().out == golden.read_text(encoding="ascii")
+
+
 def test_classify_exact_residue_is_exactly_zero(capsys):
     assert main(["classify", "q8 (+) St(6,trivial)", "--oracle"]) == 0
     out = capsys.readouterr().out
@@ -293,6 +316,59 @@ def test_classify_exits_with_a_documented_code_on_any_text(expr, oracle):
             code = exc.code
     assert code in range(5), (expr, code)
     assert time.perf_counter() - start < 5.0, expr
+
+
+# catalog section bodies per label, with distinct models, that load on
+# their own or with their dual partner; and faulty lines: bad headers and
+# values, unknown keys, lines configparser refuses, arbitrary text
+CATALOG_BODIES = {
+    "a": st.sampled_from([
+        ("dim = 1", "type = orthogonal", "model = trivial"),
+        ("dim = 1", "type = none", "model = chi3", "dual = b"),
+        ("dim = 2", "type = symplectic")]),
+    "b": st.sampled_from([
+        ("dim = 2", "type = symplectic", "model = q8"),
+        ("dim = 1", "type = none", "model = chi3bar", "dual = a")]),
+    "c": st.sampled_from([
+        ("dim = 2", "type = orthogonal", "model = d4", "unitary = false"),
+        ("dim = 2", "type = symplectic", "model = q8b")]),
+}
+CATALOG_FAULTS = st.sampled_from([
+    "[cuspidal.St]", "[cuspidal.]", "[cuspidal.a", "[other]", "[cuspidal.a]",
+    "dim = 0", "dim = x", "type = weird", "model = nope", "model = q8",
+    "dual = c", "unitary = maybe", "colour = red", "dim", "= 2", "# note",
+    "  unitary = true"]) | st.text(max_size=3)
+
+
+@st.composite
+def catalog_texts(draw):
+    """Up to three sections with valid bodies (a dual partner may be
+    missing), and at most one faulty line dropped in anywhere."""
+    lines = []
+    for name in draw(st.lists(st.sampled_from("abc"), max_size=3,
+                              unique=True)):
+        lines += [f"[cuspidal.{name}]", *draw(CATALOG_BODIES[name])]
+    for fault in draw(st.lists(CATALOG_FAULTS, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    return "\n".join(lines)
+
+
+CATALOG_EXPRESSIONS = st.sampled_from([
+    "a", "b", "c", "q8", "a (+) b", "St(2,a)", "St(3,a) (+) b",
+    "St(2,c) (+) a (+) a", "a * nu^1/2 (+) b * nu^-1/2", "0", "St(2,"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_texts(), CATALOG_EXPRESSIONS, st.booleans())
+def test_classify_exits_with_a_documented_code_on_any_catalog(
+        tmp_path_factory, text, expr, oracle):
+    """Every catalog text gets an exit code in 0..4 and no traceback."""
+    path = tmp_path_factory.mktemp("catalog") / "fuzz.ini"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["classify", expr, "--catalog", str(path),
+                     *(["--oracle"] if oracle else [])])
+    assert code in range(5), (text, expr, code)
 
 
 @pytest.mark.parametrize("label, copies", [
@@ -465,6 +541,28 @@ def test_repeated_calls_in_one_process_match_the_first(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert (main(argv), capsys.readouterr().out) == first
+
+
+@pytest.mark.parametrize("argv, code, bound", [
+    (["classify", f"St({FORM_ORACLE_DIM_BOUND // 2 + 1},q8)", "--oracle"],
+     1, FORM_ORACLE_DIM_BOUND),
+    (["sweep", "--max-dim", str(FORM_ORACLE_DIM_BOUND + 1)], 2,
+     FORM_ORACLE_DIM_BOUND),
+    (["verify-matrices", "--max-n", str(VERIFY_MAX_N + 1)], 2, VERIFY_MAX_N),
+    (["verify-matrices", "--max-k", str(VERIFY_MAX_K + 1)], 2, VERIFY_MAX_K),
+])
+def test_every_refusal_names_its_bound(capsys, argv, code, bound):
+    """The oracle's refusal is an ERROR check naming its bound; a
+    command-line bound out of range exits 2 and names it on stderr."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        text = err
+    else:
+        text = next(line for line in out.splitlines()
+                    if line.startswith("  [ERROR] oracle-form: "))
+    assert re.search(rf"\b{bound}\b", text), text
 
 
 def test_unknown_subcommand_is_a_usage_error():

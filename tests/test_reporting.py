@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from periodlab.reporting import (
     CATALOG_CHECK,
@@ -77,6 +78,25 @@ def test_to_json_shape():
         "oracle_agreement": True,
         "exit_code": 0,
     }
+
+
+# any code point, control characters and lone surrogates included; a union
+# with a sampled alphabet would draw several times slower
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TEXT, st.sampled_from([None, True, False]),
+       st.lists(st.tuples(JSON_TEXT, st.sampled_from([PASS, FAIL, ERROR]),
+                          JSON_TEXT, JSON_TEXT), max_size=4))
+@example('"q8"\\\n', None, [])
+@example("\x00\x1f\x7f", True, [("\u2028", FAIL, "\U0001f600", "\ud800")])
+@example("", False, [("\udfff", ERROR, "\\u0041", "tr\u00b2")] * 3)
+def test_to_json_is_json_dumps_with_an_indent_of_two(text, agreement, checks):
+    r = Report(input=text, oracle_agreement=agreement)
+    for name, verdict, tag, details in checks:
+        r.add(name, verdict, tag, details)
+    assert r.to_json() == json.dumps(r.to_dict(), indent=2)
 
 
 def test_render_layout():
