@@ -232,20 +232,16 @@ def factors_through_sp_symbolic(p: WDParameter) -> bool:
     return True
 
 
-def is_x_elliptic_symbolic(p: WDParameter,
-                           factors: bool | None = None) -> bool:
+def is_x_elliptic_symbolic(p: WDParameter) -> bool:
     """Symplectic image stabilizing no nonzero isotropic subspace.
 
-    Holds exactly when the parameter factors through the symplectic group,
-    every segment is of symplectic type, and no segment repeats.  A caller
-    that holds ``factors_through_sp_symbolic(p)`` passes it as ``factors``,
-    and it is not computed again.
+    Holds exactly when every segment is of symplectic type and no segment
+    repeats; such a parameter factors through the symplectic group, so
+    :func:`factors_through_sp_symbolic` is not consulted.  Segments are
+    told apart by (label name, k), as symplectic-type segments are
+    untwisted; label data behind one name is not compared here, so a
+    conflict between catalogs counts as a repeat instead of raising.
     """
-    if factors is None:
-        factors = factors_through_sp_symbolic(p)
-    if not factors:
-        return False
-    # symplectic-type segments are untwisted, so (label, k) tells them apart
     distinct = {(s.cuspidal.name, s.k) for s in p.segments
                 if segment_self_duality(s) is SelfDualityType.SYMPLECTIC}
     return len(distinct) == len(p.segments)
@@ -388,7 +384,7 @@ def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
     report.add_outcome("sp-image", factors, TAG_SP,
                        "symplectic pairing exists" if factors
                        else "no symplectic pairing exists")
-    elliptic = is_x_elliptic_symbolic(p, factors)
+    elliptic = is_x_elliptic_symbolic(p)
     report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
                        "multiplicity-free symplectic-type decomposition"
                        if elliptic else "parameter is not elliptic")

@@ -211,7 +211,7 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
     for name, segments, want_factors in controls:
         p = WDParameter.of(segments)
         factors = factors_through_sp_symbolic(p)
-        elliptic = is_x_elliptic_symbolic(p, factors)
+        elliptic = is_x_elliptic_symbolic(p)
         oracle = Report(input=print_param(p))
         attach_oracle_checks(oracle, p, catalog, factors, elliptic)
         oracle_ok = oracle.oracle_agreement is True

@@ -1,5 +1,6 @@
 """Tests for distinction rules, discrete-sum validation, and the oracle bridge."""
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from periodlab import (
     ASummand,
     QQi,
     RDSSpec,
+    SelfDualityType,
     Segment,
     Symmetry,
     WDParameter,
@@ -23,9 +25,12 @@ from periodlab import (
     is_tempered,
     is_x_distinguished,
     is_x_elliptic_symbolic,
+    multiplicities,
     oracle_verdicts,
     parse_param,
     pole_profile,
+    print_param,
+    segment_self_duality,
     validate_rds,
 )
 from periodlab import distinction, matrix_lab
@@ -192,6 +197,22 @@ def test_elliptic_requires_multiplicity_free_symplectic():
     assert not is_x_elliptic_symbolic(param(seg("q8"), seg("q8")))
     assert not is_x_elliptic_symbolic(param(seg("d4"), seg("d4")))
     assert not is_x_elliptic_symbolic(param(seg("chi3"), seg("chi3bar")))
+
+
+def test_elliptic_is_the_multiplicity_free_symplectic_part_of_factoring():
+    # the definition read off the multiplicities, as the predicate once
+    # computed it; every elliptic parameter must factor
+    universe = [seg("q8"), seg("q8b"), seg("trivial", 2), seg("d4"),
+                seg("s3", 2), seg("chi3"), seg("chi3bar"), seg("q8", 1, 1),
+                seg("q8", 1, -1)]
+    for size in range(4):
+        for combo in itertools.combinations_with_replacement(universe, size):
+            p = param(*combo)
+            want = factors_through_sp_symbolic(p) and all(
+                m == 1
+                and segment_self_duality(s) is SelfDualityType.SYMPLECTIC
+                for s, m in multiplicities(p))
+            assert is_x_elliptic_symbolic(p) == want, print_param(p)
 
 
 def test_x_distinguished_arthur_conditions():
