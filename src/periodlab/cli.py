@@ -49,8 +49,8 @@ TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
 # The largest bounds verify-matrices accepts.  At both caps the suites take
-# about 0.02 s on a 2-vCPU VM, and the whole command about 0.35 s, almost all
-# of it start-up.
+# about 0.01 s on a 2-vCPU Xeon VM (Python 3.11), and the whole command about
+# 0.38 s, almost all of it start-up.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
 

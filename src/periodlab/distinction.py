@@ -217,7 +217,7 @@ def factors_through_sp_symbolic(p: WDParameter) -> bool:
     (same k, dual label, opposite twist) with equal multiplicity.
     """
     mults = multiplicities(p)
-    table = {(s.cuspidal.name, s.k, s.twist): m for s, m in mults}
+    table = {(s.cuspidal.name, s.k, s.twist or 0): m for s, m in mults}
     for s, m in mults:
         sd = segment_self_duality(s)
         if sd is SelfDualityType.SYMPLECTIC:
@@ -226,7 +226,7 @@ def factors_through_sp_symbolic(p: WDParameter) -> bool:
             if m % 2 == 1:
                 return False
             continue
-        dual_key = (s.cuspidal.dual_name, s.k, -s.twist)
+        dual_key = (s.cuspidal.dual_name, s.k, -(s.twist or 0))
         if table.get(dual_key, 0) != m:
             return False
     return True

@@ -710,7 +710,7 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
     block form in order of u and sends the t-th pair to (t, 2n+1-t), the t-th
     symplectic pair of the single-block form.  The pairs are read off the
     partition, and the identity, under the fixed convention
-    P[sigma(j), j] = 1 the identity P^T J' P = J'', is checked exactly by
+    P[sigma(j), j] = 1 the identity P^T J' P = J'', is checked exactly as in
     :func:`check_conjugator` before returning.
     """
     pairs = _signed_pairs(partition)
@@ -721,7 +721,7 @@ def conjugator_for_partition(partition: Sequence[int]) -> PermutationMap:
         if sign == 1:
             t += 1
             images[u], images[v] = t, m + 1 - t
-    return check_conjugator(PermutationMap(tuple(images)), partition)
+    return _check_pairs(PermutationMap(tuple(images)), pairs)
 
 
 def check_conjugator(perm: PermutationMap,
@@ -735,15 +735,21 @@ def check_conjugator(perm: PermutationMap,
     every a, sigma sends the J''-partner of a to the J'-partner of sigma(a),
     with the same sign; no matrix is placed.
     """
-    target = _signed_pairs(partition)
-    if len(target) == perm.n:
-        standard = _signed_pairs((perm.n,))
-        s = [img - 1 for img in perm.images]
-        if all(standard[s[a]] == (s[b], sign)
-               for a, (b, sign) in enumerate(target)):
-            return perm
+    return _check_pairs(perm, _signed_pairs(partition))
+
+
+def _check_pairs(perm: PermutationMap,
+                 target: list[tuple[int, int]]) -> PermutationMap:
+    """:func:`check_conjugator` against the :func:`_signed_pairs` ``target``
+    of J''.  J' of size m pairs row r with m-1-r, with sign +1 iff 2r < m."""
+    m = perm.n
+    s = [img - 1 for img in perm.images]
+    if len(target) == m and all(
+            s[b] == m - 1 - s[a] and (sign == 1) == (2 * s[a] < m)
+            for a, (b, sign) in enumerate(target)):
+        return perm
     raise ConjugatorNotFoundError(
-        f"the permutation {perm.images} does not conjugate J'_{perm.n} "
+        f"the permutation {perm.images} does not conjugate J'_{m} "
         f"onto the target form")
 
 
@@ -811,11 +817,14 @@ def invariant_form_sl2(k: int) -> BilinearForm:
     Solves X^T B + B X = 0 for X in {E, F, H}.  H is diagonal, so its rows
     (h_i + h_j) b_ij = 0 pin every b_ij with h_j != -h_i; the weights
     h_j = k-1-2j leave the antidiagonal c_i = b_{i, k-1-i}, one unknown per
-    row.  The E and F rows are built on those k unknowns and solved exactly;
-    the solution space is one dimensional, and the result is normalized so
-    its first nonzero entry in row-major order is 1.  It is classified off
-    the antidiagonal (:func:`classify_monomial_form`): symmetric for k odd,
-    skew for k even.
+    row.  The E and F rows are built on those k unknowns, and no system is
+    reduced: the k-1 E rows form a chain, the row of lower unknown j linking
+    c_j and c_{j+1} with both coefficients nonzero, so the solution space
+    has dimension at most 1.  Its one candidate, walked along the chain from
+    c_0 in integers, is checked exactly against every E and F row and is
+    then a basis; a missing link or a failed row is a PeriodLabError.  The
+    form, normalized to c_0 = 1, is classified off the antidiagonal
+    (:func:`classify_monomial_form`): symmetric for k odd, skew for k even.
     """
     e, f, h = _sl2_triple(k)
     weights = [w for *_, w in h]
@@ -828,18 +837,30 @@ def invariant_form_sl2(k: int) -> BilinearForm:
         eq: dict[tuple[int, int], dict[int, int]] = {}
         for c, a, v in x:
             b = partner[c]
-            for at, u in (((a, b), c), ((b, a), b)):
-                row = eq.setdefault(at, {})
-                row[u] = row.get(u, 0) + v
-        rows += [{u: (v, 0) for u, v in row.items()} for row in eq.values()]
-    basis = nullspace_exact(rows, k)
-    if len(basis) != 1:
+            row = eq.setdefault((a, b), {})
+            row[c] = row.get(c, 0) + v
+            row = eq.setdefault((b, a), {})
+            row[b] = row.get(b, 0) + v
+        rows.append(list(eq.values()))
+    chain = {min(row): row for row in rows[0]}
+    vec = [1]
+    for j in range(k - 1):
+        row = chain.get(j, {})
+        if row.keys() != {j, j + 1} or not row[j] or not row[j + 1]:
+            break
+        # row[j] c_j + row[j+1] c_{j+1} = 0: scale the known entries by the
+        # divisor's cofactor so c_{j+1} is an integer, keeping c_0 positive
+        num, div = -row[j] * vec[j], row[j + 1]
+        g = gcd(num, div) if div > 0 else -gcd(num, div)
+        vec = [x * (div // g) for x in vec] + [num // g]
+    if len(vec) < k or any(sum(v * vec[u] for u, v in row.items())
+                           for row in rows[0] + rows[1]):
         raise PeriodLabError(
-            f"internal: sl2 invariant-form space has dimension {len(basis)}, "
-            f"expected 1 (k={k})")
-    vec = {i * k + partner[i]: ci for i, ci
-           in _sparse_row(basis[0].re[0], basis[0].im[0]).items()}
-    form = classify_monomial_form(_normalized(vec, min(vec), k))
+            f"internal: no certified one-dimensional sl2 invariant-form "
+            f"space (k={k})")
+    gram = np.zeros((k, k), dtype=object)
+    gram[range(k), partner] = vec
+    form = classify_monomial_form(Matrix.gaussian(gram, den=vec[0]))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form

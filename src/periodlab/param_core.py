@@ -293,11 +293,12 @@ def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:
     that of their first occurrence in ``p.segments``.
 
     Grouping is by (name, k, twist); conflicting label data behind one name
-    raises, via :func:`labels_equal`.
+    raises, via :func:`labels_equal`.  A zero twist is keyed as the int 0,
+    which equals and hashes like Fraction(0) but hashes for free.
     """
     groups: dict[tuple, list[Segment]] = {}
     for s in p.segments:
-        groups.setdefault((s.cuspidal.name, s.k, s.twist), []).append(s)
+        groups.setdefault((s.cuspidal.name, s.k, s.twist or 0), []).append(s)
     out = []
     for members in groups.values():
         rep = members[0]

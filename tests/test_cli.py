@@ -414,9 +414,15 @@ def test_verify_matrices_default_counts():
     assert "n = 1 .. 6" in by_name["w-plus"].details
 
 
-def test_verify_matrices_json_matches_golden(capsys):
-    golden = Path(__file__).parent / "golden" / "verify_matrices_default.json"
-    assert main(["verify-matrices", "--json"]) == 0
+@pytest.mark.parametrize("name, bounds", [
+    pytest.param("default", [], id="default"),
+    pytest.param("n8_k12", ["--max-n", "8", "--max-k", "12"], id="n8_k12"),
+    pytest.param("n12_k24", ["--max-n", "12", "--max-k", "24"],
+                 id="n12_k24"),
+])
+def test_verify_matrices_json_matches_golden(capsys, name, bounds):
+    golden = Path(__file__).parent / "golden" / f"verify_matrices_{name}.json"
+    assert main(["verify-matrices", *bounds, "--json"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

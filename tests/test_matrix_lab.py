@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from periodlab import (
     symplectic_J,
     w_plus,
 )
-from periodlab.cli import _even_partitions
+from periodlab.cli import VERIFY_MAX_K, _even_partitions
 from periodlab.errors import (
     ConjugatorNotFoundError,
     OddPartError,
@@ -615,6 +615,54 @@ def test_invariant_form_sl2_matches_the_dense_solve():
         assert form.nondegenerate == dense.nondegenerate, k
         assert form.symmetry is (Symmetry.SYMMETRIC if k % 2
                                  else Symmetry.SKEW)
+
+
+def test_invariant_form_sl2_has_the_closed_form(monkeypatch):
+    """The antidiagonal c_j = b_{j, k-1-j} of the form is
+    c_0 (-1)^j / C(k-1, j), for every k the verify-matrices cap allows, and
+    it is found without a row reduction."""
+    def no_reduction(*args):
+        raise AssertionError("row reduction in invariant_form_sl2")
+
+    monkeypatch.setattr(matrix_lab, "nullspace_exact", no_reduction)
+    monkeypatch.setattr(matrix_lab, "_Rref", no_reduction)
+    for k in range(1, VERIFY_MAX_K + 1):
+        gram = invariant_form_sl2(k).gram
+        assert not gram.im.any()
+        for j in range(k):
+            c = Fraction(gram.re[j, k - 1 - j], gram.den)
+            assert c == Fraction((-1) ** j, comb(k - 1, j)), (k, j)
+
+
+def _broken_triple(monkeypatch, which, entry, value):
+    """Replace one (row, col, value) entry of E (which=0) or F (which=1)."""
+    real = matrix_lab._sl2_triple
+
+    def triple(k):
+        mats = [list(m) for m in real(k)]
+        r, c, _ = mats[which][entry]
+        mats[which][entry] = (r, c, value)
+        return tuple(mats)
+
+    monkeypatch.setattr(matrix_lab, "_sl2_triple", triple)
+
+
+@pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
+def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
+    """A zero E entry removes a link of the chain: no form is returned, even
+    at k = 2, where the F row alone would still fix one."""
+    _broken_triple(monkeypatch, 0, entry, 0)
+    with pytest.raises(PeriodLabError, match=f"k={k}"):
+        invariant_form_sl2(k)
+
+
+@pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
+def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
+    """The E chain alone fixes the candidate; a changed F entry makes an F
+    row fail on it."""
+    _broken_triple(monkeypatch, 1, entry, k + 1)
+    with pytest.raises(PeriodLabError, match=f"k={k}"):
+        invariant_form_sl2(k)
 
 
 @settings(max_examples=25)
