@@ -2,7 +2,10 @@
 
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a verified multiplication table, and each model
-carries its generators' tensor factors and identity flags, built once.  The
+carries its generators' tensor factors and identity flags, built once.  A
+model is certified a homomorphism on the group's generators: rho(1) = I and
+rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
+every pair by induction on word length; no check is sampled.  The
 isotropy oracle reads the isotypic structure of a realization from its
 recipe and certifies it by the commutant dimension, for every block length
 k and multiplicity, with no dimension bound of its own.  Both work on the
@@ -29,11 +32,10 @@ inequivalent, as two distinct cuspidals must be.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .matrix_lab import (
     GeneratorSet,
     Matrix,
     _factor,
+    _float_close,
     intertwiners,
     sym_power,
     tensor_factors,
@@ -133,30 +136,22 @@ def _build_group(name: str, generators: Sequence[Matrix],
     keys = {_element_key(m, exact): i for i, m in enumerate(elements)}
     if len(keys) != n:
         raise ConsistencyError(f"group {name}: duplicate elements in listing")
-    table = np.empty((n, n), dtype=np.int64)
-    if exact or n <= 12:
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                idx = keys.get(_element_key(a @ b, exact))
-                if idx is None:
-                    raise ConsistencyError(f"group {name} is not closed")
-                table[i, j] = idx
+    # one row of products at a time; on the float path the one stacked
+    # product is rounded and listed by rows, which keeps the peak memory low
+    if exact:
+        rows = ([_element_key(a @ b, True) for b in elements]
+                for a in elements)
     else:
         stack = np.stack([m.as_complex() for m in elements])
-        products = np.einsum("aij,bjk->abik", stack, stack)
-        for i in range(n):
-            for j in range(n):
-                key = tuple(np.round(products[i, j], 6).ravel().tolist())
-                idx = keys.get(key)
-                if idx is None:
-                    raise ConsistencyError(f"group {name} is not closed")
-                table[i, j] = idx
-    inverse_idx = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        hits = np.nonzero(table[i] == 0)[0]
-        if hits.size != 1:
-            raise ConsistencyError(f"group {name}: bad inverse structure")
-        inverse_idx[i] = hits[0]
+        products = np.einsum("aij,bjk->abik", stack, stack).reshape(n, n, -1)
+        rows = (map(tuple, np.round(row, 6).tolist()) for row in products)
+    table = np.array([[keys.get(key, -1) for key in row] for row in rows],
+                     dtype=np.int64)
+    if (table < 0).any():
+        raise ConsistencyError(f"group {name} is not closed")
+    hits, inverse_idx = np.nonzero(table == 0)
+    if not np.array_equal(hits, np.arange(n)):
+        raise ConsistencyError(f"group {name}: bad inverse structure")
     square_idx = table.diagonal().copy()
     gen_idxs = tuple(keys[_element_key(g, exact)] for g in generators)
     _check_generation(name, table, gen_idxs, n)
@@ -232,24 +227,27 @@ def commutant_dimension(gens) -> int:
 
 def _make_model(name: str, group: FiniteGroup,
                 matrices: Sequence[Matrix], exact: bool) -> IrrepModel:
-    n = group.order
-    if len(matrices) != n:
+    if len(matrices) != group.order:
         raise ConsistencyError(f"model {name}: need one matrix per element")
     dim = matrices[0].rows
     character = np.array([complex(m.trace()) for m in matrices])
-    # homomorphism spot check against the verified table
-    if n * n <= 400:
-        pairs: Iterable[tuple[int, int]] = itertools.product(range(n), range(n))
+    # homomorphism certificate, nothing sampled: rho(1) = I and
+    # rho(x) rho(g) = rho(xg) for every element x and generator g, under
+    # Matrix.equals' rule; the generators reach every element of the
+    # verified table, so induction on word length covers every pair
+    table, gen_idxs = group.table, group.generator_idxs
+    if exact:
+        respects = all((m @ matrices[g]).equals(matrices[table[x, g]])
+                       for g in gen_idxs for x, m in enumerate(matrices))
     else:
-        rng = np.random.default_rng(7)
-        pairs = zip(rng.integers(0, n, 200), rng.integers(0, n, 200))
-    for i, j in pairs:
-        lhs = matrices[int(i)] @ matrices[int(j)]
-        rhs = matrices[int(group.table[int(i), int(j)])]
-        if not lhs.equals(rhs):
-            raise ConsistencyError(
-                f"model {name}: matrices do not respect the group table")
-    gen_mats = [matrices[i] for i in group.generator_idxs]
+        stack = np.stack([m.as_complex() for m in matrices])
+        respects = all(
+            _float_close(stack @ stack[g], stack[table[:, g]]).all()
+            for g in gen_idxs)
+    if not (respects and matrices[0].is_identity()):
+        raise ConsistencyError(
+            f"model {name}: matrices do not respect the group table")
+    gen_mats = [matrices[i] for i in gen_idxs]
     if commutant_dimension(gen_mats or matrices[:1]) != 1:
         raise ConsistencyError(f"model {name} is not irreducible")
     factors = {path: tuple(_factor(m, path) for m in gen_mats)

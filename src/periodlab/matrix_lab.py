@@ -285,9 +285,7 @@ class Matrix:
             return (self.den == other.den
                     and np.array_equal(self.re, other.re)
                     and np.array_equal(self.im, other.im))
-        a, b = self.as_complex(), other.as_complex()
-        scale = max(np.abs(a).max(initial=1.0), np.abs(b).max(initial=1.0))
-        return bool(np.abs(a - b).max(initial=0.0) <= FLOAT_TOL * scale)
+        return bool(_float_close(self.as_complex(), other.as_complex()))
 
     def max_abs_diff(self, other: "Matrix") -> float:
         d = self.as_complex() - other.as_complex()
@@ -322,6 +320,16 @@ class Matrix:
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "float"
         return f"Matrix({self.rows}x{self.cols}, {tag})"
+
+
+def _float_close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max|a - b| <= FLOAT_TOL * max(1, max|a|, max|b|) over the last two
+    axes: the float rule of :meth:`Matrix.equals`, for each matrix of two
+    stacks."""
+    axes = (-2, -1)
+    scale = np.maximum(abs(a).max(axis=axes, initial=1.0),
+                       abs(b).max(axis=axes, initial=1.0))
+    return abs(a - b).max(axis=axes, initial=0.0) <= FLOAT_TOL * scale
 
 
 def _gaussian_matmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray,
@@ -598,20 +606,17 @@ def classify_monomial_form(gram: Matrix) -> BilinearForm:
     nondegenerate, and it is symmetric or skew iff each entry g[a, b] is read
     back at g[b, a] as g[a, b] or -g[a, b].  Any other gram goes to
     :func:`classify_form`."""
-    cols, vals = [], []
-    if gram.exact:
-        for re, im in zip(gram.re.tolist(), gram.im.tolist()):
-            entries = _sparse_row(re, im)
-            if len(entries) != 1:
-                break
-            (col, val), = entries.items()
-            cols.append(col)
-            vals.append(val)
-    if not gram.is_square or len(set(cols)) != gram.rows:
+    if not (gram.exact and gram.is_square):
         return classify_form(gram)
+    nonzero = (gram.re != 0) | (gram.im != 0)
+    rows, cols = nonzero.nonzero()
+    n, cols = gram.rows, cols.tolist()
+    if rows.tolist() != list(range(n)) or len(set(cols)) != n:
+        return classify_form(gram)
+    re, im = gram.re[nonzero].tolist(), gram.im[nonzero].tolist()
     for sym, sign in _SIGN_OF_SYMMETRY.items():
-        if all(cols[b] == a and vals[b] == (sign * re, sign * im)
-               for a, (b, (re, im)) in enumerate(zip(cols, vals))):
+        if all(cols[b] == a and re[b] == sign * re[a] and im[b] == sign * im[a]
+               for a, b in enumerate(cols)):
             return BilinearForm(gram, sym, True)
     return BilinearForm(gram, Symmetry.NEITHER, True)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periodlab import group_models
 from periodlab import (
     Catalog,
     CatalogEntry,
@@ -45,10 +46,12 @@ from periodlab.errors import (
     MissingModelError,
     SurrogateBoundExceededError,
 )
+from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
     _factor,
     _factor_matrix,
     intertwiners,
+    sym_power,
     tensor_factors,
 )
 
@@ -145,6 +148,95 @@ def test_surrogate_bound_is_enforced():
 
 def test_surrogate_group_is_binary_icosahedral():
     assert sl2_surrogate(2).group.order == 120
+
+
+def _reference_group(generators, exact):
+    """The table, inverses, squares and generator indices of the group
+    closed from ``generators``, keyed one product ``a @ b`` at a time."""
+    elements = group_models._generate_elements("ref", generators, exact)
+    keys = {_element_key(m, exact): i for i, m in enumerate(elements)}
+    table = np.array([[keys[_element_key(a @ b, exact)] for b in elements]
+                      for a in elements])
+    inverse = np.array([list(row).index(0) for row in table])
+    gens = tuple(keys[_element_key(g, exact)] for g in generators)
+    return table, inverse, table.diagonal(), gens
+
+
+@pytest.mark.parametrize("build", [group_models._icosian_group.__wrapped__,
+                                   group_models._cyclic3_group])
+def test_float_group_tables_match_the_per_pair_reference(build, monkeypatch):
+    calls = []
+    real = group_models._build_group
+
+    def recording(name, generators, exact):
+        calls.append((generators, exact))
+        return real(name, generators, exact)
+
+    monkeypatch.setattr(group_models, "_build_group", recording)
+    group = build()
+    (generators, exact), = calls
+    assert not exact
+    table, inverse, square, gens = _reference_group(generators, exact)
+    assert np.array_equal(group.table, table)
+    assert np.array_equal(group.inverse_idx, inverse)
+    assert np.array_equal(group.square_idx, square)
+    assert group.generator_idxs == gens
+
+
+@pytest.mark.parametrize("k", range(1, SL2_SURROGATE_BOUND + 1))
+def test_surrogate_characters_are_the_traces_of_symmetric_powers(k):
+    model = sl2_surrogate(k)
+    powers = [sym_power(m, k) for m in model.group.elements]
+    want = np.array([complex(m.trace()) for m in powers])
+    assert np.array_equal(model.character, want)
+    assert all(np.array_equal(m.as_complex(), p.as_complex())
+               for m, p in zip(model.matrices, powers))
+
+
+# -- the homomorphism certificate ----------------------------------------------
+
+
+_TABLE_MISMATCH = "do not respect the group table"
+
+
+@pytest.mark.parametrize("name", ["q8", "d4"])
+def test_certificate_refuses_one_negated_element(name):
+    model = MODELS[name]
+    group = model.group
+    rebuilt = group_models._make_model(name, group, model.matrices, True)
+    assert np.array_equal(rebuilt.character, model.character)
+    others = [i for i in range(group.order) if i not in group.generator_idxs]
+    assert len(others) == group.order - 2
+    for i in others:
+        mats = list(model.matrices)
+        mats[i] = -mats[i]
+        with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
+            group_models._make_model(name, group, mats, True)
+
+
+@pytest.mark.parametrize("value", [0, 2, -1])
+def test_certificate_refuses_a_trivial_model_off_the_identity(value):
+    group = MODELS["trivial"].group
+    with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
+        group_models._make_model("trivial", group,
+                                 [Matrix.from_rows([[value]])], True)
+
+
+def test_certificate_accepts_the_float_surrogate():
+    model = sl2_surrogate(3)
+    rebuilt = group_models._make_model("s", model.group, model.matrices, False)
+    assert np.array_equal(rebuilt.character, model.character)
+    assert fs_indicator(rebuilt) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 119))
+def test_certificate_refuses_a_perturbed_surrogate_element(i):
+    model = sl2_surrogate(3)
+    mats = list(model.matrices)
+    mats[i] = Matrix.from_array(mats[i].as_complex() + 1e-6)
+    with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
+        group_models._make_model("s", model.group, mats, False)
 
 
 # -- catalogs -------------------------------------------------------------------
