@@ -12,15 +12,10 @@ insist the two layers agree.
 
 from .exactnum import QQi
 from .param_core import (
-    AParameter,
-    ASummand,
     CuspidalLabel,
     Segment,
     SelfDualityType,
     WDParameter,
-    arthur_to_l,
-    dimension,
-    dual_segment,
     is_tempered,
     labels_equal,
     multiplicities,
@@ -36,14 +31,12 @@ from .matrix_lab import (
     Matrix,
     PermutationMap,
     Symmetry,
-    antidiag_J,
     classify_form,
     conjugator_for_partition,
     find_nondegenerate_skew,
     invariant_form_sl2,
     invariant_forms,
     is_in_sp,
-    kron_form,
     partition_J,
     realize,
     sl2_exp_e,
@@ -62,19 +55,15 @@ from .group_models import (
     commutant_dimension,
     fs_indicator,
     invariant_isotropic_exists,
-    isotypic_multiplicities,
     sl2_surrogate,
 )
 from .distinction import (
     RDSSpec,
     check_conjecture_instance,
-    distinguished_morphism,
     factors_through_sp_symbolic,
     is_linear_distinguished,
-    is_x_distinguished,
     is_x_elliptic_symbolic,
     oracle_verdicts,
-    pole_profile,
     validate_rds,
     verify_form,
 )
@@ -83,8 +72,6 @@ from .notation import load_catalog, parse_param, print_param
 __version__ = "0.1.0"
 
 __all__ = [
-    "AParameter",
-    "ASummand",
     "BilinearForm",
     "Catalog",
     "CatalogEntry",
@@ -101,17 +88,12 @@ __all__ = [
     "SelfDualityType",
     "Symmetry",
     "WDParameter",
-    "antidiag_J",
-    "arthur_to_l",
     "builtin_catalog",
     "builtin_models",
     "check_conjecture_instance",
     "classify_form",
     "commutant_dimension",
     "conjugator_for_partition",
-    "dimension",
-    "distinguished_morphism",
-    "dual_segment",
     "factors_through_sp_symbolic",
     "find_nondegenerate_skew",
     "fs_indicator",
@@ -121,17 +103,13 @@ __all__ = [
     "is_in_sp",
     "is_linear_distinguished",
     "is_tempered",
-    "is_x_distinguished",
     "is_x_elliptic_symbolic",
-    "isotypic_multiplicities",
-    "kron_form",
     "labels_equal",
     "load_catalog",
     "multiplicities",
     "oracle_verdicts",
     "parse_param",
     "partition_J",
-    "pole_profile",
     "print_param",
     "realize",
     "segment_self_duality",

@@ -4,7 +4,7 @@ The rules here are all pole-profile logic: a self-dual label owns exactly
 one pole, exterior-square for symplectic type or symmetric-square for
 orthogonal type, and every linear-distinction statement reduces to which
 pole St(k, rho) inherits.  ``check_conjecture_instance`` packages the rule
-verdicts as a report and can cross-examine them against the matrix oracle:
+verdicts as a report and cross-examines them against the matrix oracle:
 a realized parameter must carry an invariant symplectic form exactly when
 the rules say it factors through the symplectic group, and must admit no
 invariant isotropic subspace exactly when the rules call it elliptic.
@@ -32,22 +32,17 @@ from .group_models import (
     invariant_isotropic_exists,
 )
 from .matrix_lab import (
-    BilinearForm,
     FactoredForm,
     GeneratorSet,
     find_nondegenerate_skew,
     is_in_sp,  # noqa: F401  the dense reference, read here by periodbench
     realize,
-    symplectic_J,
 )
 from .notation import print_param, print_segment
 from .param_core import (
-    AParameter,
-    CuspidalLabel,
     Segment,
     SelfDualityType,
     WDParameter,
-    arthur_to_l,
     is_tempered,
     multiplicities,
     segment_self_duality,
@@ -72,36 +67,15 @@ FORM_ORACLE_DIM_BOUND = 24
 
 
 # ---------------------------------------------------------------------------
-# pole profiles and linear distinction
-
-
-@dataclass(frozen=True)
-class PoleProfile:
-    """Which of the two square L-factors has a pole at the origin."""
-
-    wedge_pole: bool
-    sym_pole: bool
-
-
-def pole_profile(rho: CuspidalLabel) -> PoleProfile:
-    """Pole dichotomy of a cuspidal label: at most one factor has a pole.
-
-    Symplectic type owns the exterior-square pole, orthogonal type the
-    symmetric-square pole, and a non-self-dual label has neither.
-    """
-    if rho.sd_type is SelfDualityType.SYMPLECTIC:
-        return PoleProfile(wedge_pole=True, sym_pole=False)
-    if rho.sd_type is SelfDualityType.ORTHOGONAL:
-        return PoleProfile(wedge_pole=False, sym_pole=True)
-    return PoleProfile(wedge_pole=False, sym_pole=False)
+# linear distinction
 
 
 def is_linear_distinguished(s: Segment) -> bool:
     """Whether the even-dimensional segment St(k, rho) is distinguished.
 
-    Encoded from pole profiles: odd k needs the exterior-square pole of an
-    even-dimensional rho, even k needs the symmetric-square pole.  Requires
-    twist 0 and even segment dimension.
+    Odd k needs the exterior-square pole, so rho symplectic (a symplectic
+    label has even dimension); even k needs the symmetric-square pole, so
+    rho orthogonal.  Requires twist 0 and even segment dimension.
     """
     if s.twist:
         raise NonTemperedError(
@@ -110,10 +84,9 @@ def is_linear_distinguished(s: Segment) -> bool:
     if s.dim % 2 == 1:
         raise OddDimensionError(
             f"St({s.k},{s.cuspidal.name}) has odd dimension {s.dim}")
-    profile = pole_profile(s.cuspidal)
     if s.k % 2 == 1:
-        return profile.wedge_pole and s.cuspidal.dim % 2 == 0
-    return profile.sym_pole
+        return s.cuspidal.sd_type is SelfDualityType.SYMPLECTIC
+    return s.cuspidal.sd_type is SelfDualityType.ORTHOGONAL
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +133,6 @@ def validate_rds(spec: RDSSpec) -> WDParameter:
                 f"block {i} = St({s.k},{s.cuspidal.name}) is not "
                 f"linearly distinguished", index=i)
     return WDParameter.of(spec.segments)
-
-
-@dataclass(frozen=True)
-class DistinguishedMorphismRecord:
-    """The dual-side embedding data attached to the period subgroup."""
-
-    n: int
-    dual_group_descriptor: str
-    x_dual_group_descriptor: str
-    sl2_factor: str
-    embedding_form: BilinearForm
-    metadata: str
-
-
-def distinguished_morphism(n: int) -> DistinguishedMorphismRecord:
-    """The inclusion Sp(2n, C) -> GL(2n, C) preserving the standard form."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    form = symplectic_J(2 * n)
-    return DistinguishedMorphismRecord(
-        n=n,
-        dual_group_descriptor=f"GL({2 * n},C)",
-        x_dual_group_descriptor=f"Sp({2 * n},C)",
-        sl2_factor="trivial",
-        embedding_form=form,
-        metadata=("inclusion of the symplectic group fixing the "
-                  "antidiagonal-block form; trivial on the auxiliary "
-                  "SL(2) factor"),
-    )
 
 
 def add_tempered_check(report: Report, p: WDParameter) -> None:
@@ -245,19 +189,6 @@ def is_x_elliptic_symbolic(p: WDParameter) -> bool:
     distinct = {(s.cuspidal.name, s.k) for s in p.segments
                 if segment_self_duality(s) is SelfDualityType.SYMPLECTIC}
     return len(distinct) == len(p.segments)
-
-
-def is_x_distinguished(a: AParameter) -> bool:
-    """Whether an Arthur parameter factors through the period embedding.
-
-    Requires triviality on the auxiliary SL(2) (every summand has a = 1),
-    temperedness of the associated parameter, and the symplectic-image
-    condition.
-    """
-    if any(summand.a != 1 for summand in a.summands):
-        return False
-    phi = arthur_to_l(a)
-    return is_tempered(phi) and factors_through_sp_symbolic(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +323,14 @@ def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
         attach_oracle_checks(report, p, catalog, factors, elliptic)
 
 
-def check_conjecture_instance(spec: RDSSpec, use_oracle: bool = False,
+def check_conjecture_instance(spec: RDSSpec,
                               catalog: Catalog | None = None) -> Report:
     """Validate a regular discrete sum and check the main-theorem claims.
 
     Propagates validation errors (an invalid spec yields no report).  The
     four rule checks are temperedness, dimension, symplectic image, and
-    ellipticity; with ``use_oracle`` the matrix verdicts are appended and
-    ``oracle_agreement`` is set.
+    ellipticity; the matrix oracle's two verdicts on the last two follow,
+    and ``oracle_agreement`` is set.
     """
     p = validate_rds(spec)
     report = Report(input=print_param(p))
@@ -410,5 +341,5 @@ def check_conjecture_instance(spec: RDSSpec, use_oracle: bool = False,
     report.add_outcome("dimension", p.dim == 2 * spec.n, TAG_RDS,
                        f"dim = {p.dim} = 2n")
     add_tempered_check(report, p)
-    add_sp_checks(report, p, catalog, use_oracle)
+    add_sp_checks(report, p, catalog, use_oracle=True)
     return report

@@ -39,12 +39,10 @@ class ParseError(NotationError):
     """
 
     def __init__(self, message: str, line: int | None = None,
-                 column: int | None = None, length: int = 1,
-                 expected: tuple[str, ...] = ()):
+                 column: int | None = None, length: int = 1):
         self.line = line
         self.column = column
         self.length = max(1, length)
-        self.expected = expected
         if line is not None:
             message = f"{line}:{column}: {message}"
         super().__init__(message)

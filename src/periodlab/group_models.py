@@ -523,17 +523,6 @@ def _isotypic_components(gens: GeneratorSet) -> dict[str, list[int]]:
     return components
 
 
-def isotypic_multiplicities(gens: GeneratorSet) -> list[tuple[str, int]]:
-    """Multiplicities of the distinct irreducible classes of a realization.
-
-    Read from the realization recipe by grouping blocks by (label, k), and
-    certified by block-diagonality of the generators and the commutant
-    dimension (which must equal the sum of squares).
-    """
-    return [(cid, len(blocks))
-            for cid, blocks in _isotypic_components(gens).items()]
-
-
 @dataclass(frozen=True)
 class VerifiedForm:
     """A skew, nondegenerate form preserved by every generator of ``gens``,

@@ -171,11 +171,6 @@ class Matrix:
         return self.rows == self.cols
 
     # -- conversions ------------------------------------------------------
-    def to_float(self) -> "Matrix":
-        if not self.exact:
-            return self
-        return Matrix(self.as_complex())
-
     def as_complex(self) -> np.ndarray:
         """The entries as ``complex128``, each part correctly rounded."""
         if not self.exact:
@@ -625,13 +620,6 @@ def classify_monomial_form(gram: Matrix) -> BilinearForm:
 # the J matrices and the pairing permutation
 
 
-def antidiag_J(k: int) -> Matrix:
-    """The k-by-k matrix with ones on the antidiagonal."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return Matrix.gaussian(np.fliplr(np.eye(k, dtype=object)))
-
-
 def symplectic_J(m: int) -> BilinearForm:
     """The standard skew form [[0, J], [-J, 0]] in even size m."""
     if m < 2 or m % 2:
@@ -666,15 +654,6 @@ class PermutationMap:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, j: int) -> int:
-        return self.images[j - 1]
-
-    def inverse(self) -> "PermutationMap":
-        inv = [0] * self.n
-        for j, img in enumerate(self.images, start=1):
-            inv[img - 1] = j
-        return PermutationMap(tuple(inv))
 
     def matrix(self) -> Matrix:
         """Exact permutation matrix under the convention P[sigma(j), j] = 1."""
@@ -876,17 +855,6 @@ def invariant_form_sl2(k: int) -> BilinearForm:
 
 
 _SIGN_OF_SYMMETRY = {Symmetry.SYMMETRIC: 1, Symmetry.SKEW: -1}
-
-
-def kron_form(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
-    """Kronecker product of forms; the symmetry sign multiplies."""
-    gram = b1.gram.kron(b2.gram)
-    s1 = _SIGN_OF_SYMMETRY.get(b1.symmetry)
-    s2 = _SIGN_OF_SYMMETRY.get(b2.symmetry)
-    if s1 is None or s2 is None:
-        return classify_form(gram)
-    sym = Symmetry.SYMMETRIC if s1 * s2 == 1 else Symmetry.SKEW
-    return BilinearForm(gram, sym, b1.nondegenerate and b2.nondegenerate)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     SourceSpan,
 )
-from .group_models import Catalog, CatalogEntry, IrrepModel, builtin_models
+from .group_models import Catalog, CatalogEntry, builtin_models
 from .param_core import CuspidalLabel, Segment, SelfDualityType, WDParameter
 
 __all__ = ["SourceSpan", "parse_param", "print_param", "print_segment",
@@ -130,15 +130,14 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token,
-             expected: tuple[str, ...] = ()) -> ParseError:
-        return ParseError(message, tok.line, tok.col, tok.length, expected)
+    def fail(self, message: str, tok: _Token) -> ParseError:
+        return ParseError(message, tok.line, tok.col, tok.length)
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
             got = repr(tok.text) if tok.text else "end of input"
-            raise self.fail(f"expected {what}, got {got}", tok, (kind,))
+            raise self.fail(f"expected {what}, got {got}", tok)
         return self.advance()
 
     def integer(self, what: str) -> tuple[_Token, int]:
@@ -158,16 +157,14 @@ class _Parser:
             segments.append(self.segment())
         tok = self.peek()
         if tok.kind != "EOF":
-            raise self.fail(f"unexpected trailing input {tok.text!r}", tok,
-                            ("(+)",))
+            raise self.fail(f"unexpected trailing input {tok.text!r}", tok)
         return tuple(segments)
 
     def segment(self) -> Segment:
         tok = self.peek()
         if tok.kind != "IDENT":
             got = repr(tok.text) if tok.text else "end of input"
-            raise self.fail(f"expected a segment, got {got}", tok,
-                            ("St", "IDENT"))
+            raise self.fail(f"expected a segment, got {got}", tok)
         if tok.text == "St":
             self.advance()
             self.expect("(", "'('")
@@ -197,8 +194,7 @@ class _Parser:
         self.advance()  # '*'
         nu_tok = self.expect("IDENT", "'nu'")
         if nu_tok.text != "nu":
-            raise self.fail(f"expected 'nu', got {nu_tok.text!r}", nu_tok,
-                            ("nu",))
+            raise self.fail(f"expected 'nu', got {nu_tok.text!r}", nu_tok)
         self.expect("^", "'^'")
         return self.rational()
 
@@ -275,16 +271,14 @@ def _parse_bool(value: str, where: str) -> bool:
     raise ConsistencyError(f"{where}: expected a boolean, got {value!r}")
 
 
-def load_catalog(text: str,
-                 models: dict[str, IrrepModel] | None = None) -> Catalog:
+def load_catalog(text: str) -> Catalog:
     """Load and fully validate a catalog from its text form.
 
-    ``models`` maps model ids to representations; by default the built-in
-    registry.  Raises :class:`ParseError` for malformed text and
-    :class:`ConsistencyError` for semantic problems (bad duals, indicator
-    mismatches, unknown model ids).
+    Model ids resolve in the built-in registry.  Raises :class:`ParseError`
+    for malformed text and :class:`ConsistencyError` for semantic problems
+    (bad duals, indicator mismatches, unknown model ids).
     """
-    registry = builtin_models() if models is None else models
+    registry = builtin_models()
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keep key case
     try:

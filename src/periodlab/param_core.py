@@ -15,12 +15,12 @@ pure function; no numerics appear here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import CatalogError, CatalogMismatchError, ConsistencyError
+from .errors import CatalogMismatchError, ConsistencyError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"St", "nu"})
@@ -166,79 +166,8 @@ class WDParameter:
         return sum(s.dim for s in self.segments)
 
 
-@dataclass(frozen=True)
-class ASummand:
-    """One summand ``rho (x) S(b) (x) S(a)`` of an A-parameter.
-
-    ``b`` is the Deligne SL(2) multiplicity (Steinberg length), ``a`` the
-    Arthur SL(2) multiplicity.
-    """
-
-    cuspidal: CuspidalLabel
-    b: int
-    a: int
-
-    def __post_init__(self):
-        if self.b < 1 or self.a < 1:
-            raise ValueError("SL(2) multiplicities must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.cuspidal.dim * self.b * self.a
-
-
-def _summand_sort_key(s: ASummand):
-    return (s.dim, s.b, s.a, s.cuspidal.name)
-
-
-@dataclass(frozen=True)
-class AParameter:
-    """A multiset of A-parameter summands."""
-
-    summands: tuple[ASummand, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "summands",
-            tuple(sorted(self.summands, key=_summand_sort_key)))
-
-    @staticmethod
-    def of(summands: Iterable[ASummand]) -> "AParameter":
-        return AParameter(tuple(summands))
-
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for s in self.summands)
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-
-def dimension(p: Union[Segment, WDParameter, ASummand, AParameter]) -> int:
-    """Total dimension of a segment, parameter, or A-parameter."""
-    return p.dim
-
-
-def dual_segment(s: Segment, catalog=None) -> Segment:
-    """The contragredient segment: dual label, same k, negated twist.
-
-    For a non-self-dual label the dual label is resolved through ``catalog``
-    (anything with a ``label(name)`` lookup); self-dual labels need none.
-    """
-    if s.cuspidal.dual_name == s.cuspidal.name:
-        dual = s.cuspidal
-    elif catalog is None:
-        raise CatalogError(
-            f"resolving the dual of label {s.cuspidal.name!r} requires a "
-            f"catalog")
-    else:
-        dual = catalog.label(s.cuspidal.dual_name)
-        if dual.dual_name != s.cuspidal.name or dual.dim != s.cuspidal.dim:
-            raise ConsistencyError(
-                f"labels {s.cuspidal.name!r} and {dual.name!r} are not a "
-                f"mutual dual pair")
-    return Segment(dual, s.k, -s.twist)
 
 
 def segments_equivalent(s1: Segment, s2: Segment) -> bool:
@@ -272,20 +201,6 @@ def segment_self_duality(s: Segment) -> SelfDualityType:
 def is_tempered(p: WDParameter) -> bool:
     """True iff every segment has twist zero and a unitary label."""
     return all(not s.twist and s.cuspidal.unitary for s in p.segments)
-
-
-def arthur_to_l(a: AParameter) -> WDParameter:
-    """Collapse the Arthur SL(2) into twists.
-
-    Each summand (rho, b, a) expands to the segments St(b, rho) with twists
-    (a-1)/2 - i for i = 0..a-1; the total dimension is preserved.
-    """
-    segments: list[Segment] = []
-    for summand in a.summands:
-        top = Fraction(summand.a - 1, 2)
-        for i in range(summand.a):
-            segments.append(Segment(summand.cuspidal, summand.b, top - i))
-    return WDParameter.of(segments)
 
 
 def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:

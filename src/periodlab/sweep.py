@@ -55,8 +55,7 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
         text = print_param(WDParameter.of(combo))
         spec = RDSSpec(sum(s.dim for s in combo) // 2, combo)
         try:
-            rep = check_conjecture_instance(spec, use_oracle=True,
-                                            catalog=catalog)
+            rep = check_conjecture_instance(spec, catalog=catalog)
         except PeriodLabError as exc:
             report.add_outcome(f"rds {text}", False, TAG_RDS, str(exc))
             continue
@@ -140,7 +139,7 @@ def _run_validation_controls(report: Report, catalog: Catalog,
     ok_all = True
     for name, spec, expected in controls:
         try:
-            check_conjecture_instance(spec, use_oracle=True, catalog=catalog)
+            check_conjecture_instance(spec, catalog=catalog)
             report.add_outcome(f"control {name}", False, TAG_RDS,
                                "expected rejection, got a report")
             ok_all = False

@@ -5,10 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from periodlab import (
-    AParameter,
-    ASummand,
+    CuspidalLabel,
     QQi,
     RDSSpec,
     SelfDualityType,
@@ -18,17 +18,14 @@ from periodlab import (
     builtin_catalog,
     check_conjecture_instance,
     classify_form,
-    distinguished_morphism,
     factors_through_sp_symbolic,
     is_in_sp,
     is_linear_distinguished,
     is_tempered,
-    is_x_distinguished,
     is_x_elliptic_symbolic,
     multiplicities,
     oracle_verdicts,
     parse_param,
-    pole_profile,
     print_param,
     segment_self_duality,
     validate_rds,
@@ -57,16 +54,7 @@ def param(*segments):
     return WDParameter.of(segments)
 
 
-# -- pole profiles and distinction ------------------------------------------
-
-
-def test_pole_profile_dichotomy():
-    sympl = pole_profile(CAT.label("q8"))
-    orth = pole_profile(CAT.label("s3"))
-    none = pole_profile(CAT.label("chi3"))
-    assert (sympl.wedge_pole, sympl.sym_pole) == (True, False)
-    assert (orth.wedge_pole, orth.sym_pole) == (False, True)
-    assert (none.wedge_pole, none.sym_pole) == (False, False)
+# -- linear distinction -------------------------------------------------------
 
 
 def test_distinguished_segments_table():
@@ -84,6 +72,22 @@ def test_distinguished_segments_table():
     ]
     for name, k, want in cases:
         assert is_linear_distinguished(seg(name, k)) == want, (name, k)
+
+
+@given(st.integers(1, 8), st.sampled_from(SelfDualityType), st.booleans(),
+       st.integers(1, 12))
+def test_distinction_is_the_pole_rule_on_any_label(dim, sd_type, unitary, k):
+    # the rule as the pole profile of rho states it: odd k needs the
+    # exterior-square pole (symplectic rho) of an even-dimensional rho, even
+    # k the symmetric-square pole (orthogonal rho)
+    assume(not (sd_type is SelfDualityType.SYMPLECTIC and dim % 2))
+    assume(dim * k % 2 == 0)
+    want = ((k % 2 == 1 and sd_type is SelfDualityType.SYMPLECTIC
+             and dim % 2 == 0)
+            or (k % 2 == 0 and sd_type is SelfDualityType.ORTHOGONAL))
+    dual = "rhobar" if sd_type is SelfDualityType.NOT_SELF_DUAL else ""
+    label = CuspidalLabel("rho", dim, sd_type, dual_name=dual, unitary=unitary)
+    assert is_linear_distinguished(Segment(label, k)) == want
 
 
 def test_distinction_rejects_twists_and_odd_dimension():
@@ -144,23 +148,6 @@ def test_validate_rds_error_precedence():
         validate_rds(RDSSpec(3, (seg("trivial", 3), seg("trivial", 3))))
 
 
-# -- the dual-side embedding record ------------------------------------------
-
-
-def test_distinguished_morphism_record():
-    rec = distinguished_morphism(2)
-    assert rec.dual_group_descriptor == "GL(4,C)"
-    assert rec.x_dual_group_descriptor == "Sp(4,C)"
-    assert rec.sl2_factor == "trivial"
-    g = rec.embedding_form.gram
-    assert rec.embedding_form.symmetry is Symmetry.SKEW
-    rows = g.tolist()
-    assert rows[0][3] == 1 and rows[1][2] == 1
-    assert rows[2][1] == -1 and rows[3][0] == -1
-    with pytest.raises(ValueError):
-        distinguished_morphism(0)
-
-
 # -- symbolic predicates -------------------------------------------------------
 
 
@@ -215,18 +202,6 @@ def test_elliptic_is_the_multiplicity_free_symplectic_part_of_factoring():
             assert is_x_elliptic_symbolic(p) == want, print_param(p)
 
 
-def test_x_distinguished_arthur_conditions():
-    tau = CAT.label("q8")
-    assert is_x_distinguished(AParameter.of([ASummand(tau, 1, 1)]))
-    assert is_x_distinguished(AParameter.of([ASummand(tau, 3, 1)]))
-    assert not is_x_distinguished(AParameter.of([ASummand(tau, 1, 2)]))
-    assert not is_x_distinguished(AParameter.of(
-        [ASummand(tau, 1, 1), ASummand(CAT.label("trivial"), 2, 3)]))
-    # factoring fails without the dual partner even at a = 1
-    assert not is_x_distinguished(AParameter.of(
-        [ASummand(CAT.label("chi3"), 1, 1)]))
-
-
 # -- oracle verdicts -------------------------------------------------------------
 
 
@@ -252,7 +227,7 @@ def test_oracle_verdicts_above_dim_12_get_both_verdicts():
     assert v.elliptic is True
     assert v.isotropy_error is None
     report = check_conjecture_instance(
-        RDSSpec(7, (seg("trivial", 14),)), use_oracle=True)
+        RDSSpec(7, (seg("trivial", 14),)))
     assert report.oracle_agreement is True
     assert report.exit_code == 0
 
@@ -361,15 +336,15 @@ def test_check_conjecture_instance_symbolic():
         RDSSpec(4, (seg("q8"), seg("trivial", 2), seg("trivial", 4))))
     assert report.all_pass
     assert report.exit_code == 0
-    assert report.oracle_agreement is None
+    assert report.oracle_agreement is True
     names = [c.name for c in report.checks]
     assert names == ["rds-valid", "dimension", "tempered", "sp-image",
-                     "x-elliptic"]
+                     "x-elliptic", "oracle-form", "oracle-isotropy"]
 
 
 def test_check_conjecture_instance_with_oracle():
     report = check_conjecture_instance(
-        RDSSpec(2, (seg("q8"), seg("q8b"))), use_oracle=True)
+        RDSSpec(2, (seg("q8"), seg("q8b"))))
     assert report.all_pass
     assert report.oracle_agreement is True
     assert report.exit_code == 0
@@ -388,7 +363,7 @@ def test_oracle_isotropy_fault_reports_error_not_disagreement(monkeypatch):
 
     monkeypatch.setattr(distinction, "invariant_isotropic_exists", faulty)
     report = check_conjecture_instance(
-        RDSSpec(7, (seg("trivial", 14),)), use_oracle=True)
+        RDSSpec(7, (seg("trivial", 14),)))
     by_name = {c.name: c for c in report.checks}
     assert by_name["oracle-form"].verdict == PASS
     assert by_name["oracle-form"].details.endswith("= 0.00e+00")

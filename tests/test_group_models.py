@@ -32,7 +32,6 @@ from periodlab import (
     invariant_forms,
     invariant_isotropic_exists,
     is_in_sp,
-    isotypic_multiplicities,
     oracle_verdicts,
     realize,
     sl2_surrogate,
@@ -46,7 +45,7 @@ from periodlab.errors import (
     MissingModelError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import _element_key
+from periodlab.group_models import _element_key, _isotypic_components
 from periodlab.matrix_lab import (
     _factor,
     _factor_matrix,
@@ -301,29 +300,29 @@ def test_validate_rejects_model_dim_mismatch():
         Catalog({"wide": CatalogEntry(label, MODELS["s3"])}).validate()
 
 
-# -- isotypic multiplicities -------------------------------------------------
+# -- isotypic components -----------------------------------------------------
 
 
 def test_multiplicities_distinct_classes():
-    mults = dict(isotypic_multiplicities(oracle_gens(seg("q8"), seg("q8", 3))))
-    assert mults == {"q8⊗S(1)": 1, "q8⊗S(3)": 1}
+    components = _isotypic_components(oracle_gens(seg("q8"), seg("q8", 3)))
+    assert components == {"q8⊗S(1)": [0], "q8⊗S(3)": [1]}
 
 
 def test_multiplicities_repeated_class():
-    mults = isotypic_multiplicities(oracle_gens(seg("q8"), seg("q8")))
-    assert mults == [("q8⊗S(1)", 2)]
+    components = _isotypic_components(oracle_gens(seg("q8"), seg("q8")))
+    assert components == {"q8⊗S(1)": [0, 1]}
 
 
 def test_multiplicities_mixed_groups():
-    mults = dict(isotypic_multiplicities(
-        oracle_gens(seg("q8"), seg("q8b"), seg("chi3"), seg("chi3bar"))))
-    assert mults == {"q8⊗S(1)": 1, "q8b⊗S(1)": 1,
-                     "chi3⊗S(1)": 1, "chi3bar⊗S(1)": 1}
+    components = _isotypic_components(
+        oracle_gens(seg("q8"), seg("q8b"), seg("chi3"), seg("chi3bar")))
+    assert components == {"chi3⊗S(1)": [0], "chi3bar⊗S(1)": [1],
+                          "q8⊗S(1)": [2], "q8b⊗S(1)": [3]}
 
 
 def test_multiplicities_beyond_surrogate_range():
     gens = oracle_gens(seg("trivial", 8))
-    assert isotypic_multiplicities(gens) == [("trivial⊗S(8)", 1)]
+    assert _isotypic_components(gens) == {"trivial⊗S(8)": [0]}
     assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
 
 
@@ -357,7 +356,7 @@ def _foreign_generators(case):
 def test_isotypic_certificate_rejects_foreign_generators(case, message):
     gens, j = _foreign_generators(case)
     with pytest.raises(CommutantMismatchError, match=message):
-        isotypic_multiplicities(gens)
+        _isotypic_components(gens)
     with pytest.raises(CommutantMismatchError, match=message):
         invariant_isotropic_exists(verify_form(gens, j))
 
@@ -385,7 +384,7 @@ def test_isotypic_certificate_rejects_a_regrouped_recipe():
     gens = GeneratorSet(other.factors, other.provenance, recipe)
     assert commutant_dimension(gens) == 5
     with pytest.raises(CommutantMismatchError, match="equal factors"):
-        isotypic_multiplicities(gens)
+        _isotypic_components(gens)
 
 
 @st.composite
@@ -540,7 +539,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
     assert Matrix.from_rows([sum(form.gram.tolist(), []),
                              sum(want.tolist(), [])]).rank() == 1
     assert commutant_dimension(moved) == 1
-    assert isotypic_multiplicities(moved) == [("q8⊗S(2)", 1)]
+    assert _isotypic_components(moved) == {"q8⊗S(2)": [0]}
 
 
 # -- the isotropy oracle --------------------------------------------------------

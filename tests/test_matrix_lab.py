@@ -17,7 +17,6 @@ from periodlab import (
     Segment,
     Symmetry,
     WDParameter,
-    antidiag_J,
     builtin_catalog,
     classify_form,
     commutant_dimension,
@@ -26,7 +25,6 @@ from periodlab import (
     invariant_form_sl2,
     invariant_forms,
     is_in_sp,
-    kron_form,
     oracle_verdicts,
     partition_J,
     realize,
@@ -86,7 +84,7 @@ def test_matmul_and_kron_exactness():
     a = Matrix.from_rows([[1, 1], [0, 1]])
     b = Matrix.from_rows([[1, 0], [1, 1]])
     assert (a @ b).exact
-    assert (a @ b.to_float()).exact is False
+    assert (a @ Matrix.from_array(b.as_complex())).exact is False
     assert (a @ b).equals(Matrix.from_rows([[2, 1], [1, 1]]))
     k = a.kron(b)
     assert k.shape == (4, 4)
@@ -101,7 +99,7 @@ def test_rank_and_invertibility():
     assert singular.rank() == 1
     assert not singular.is_invertible()
     assert Matrix.identity(3).rank() == 3
-    assert singular.to_float().rank() == 1
+    assert Matrix.from_array(singular.as_complex()).rank() == 1
     i = QQi(0, 1)
     assert not Matrix.from_rows([[1, i], [i, -1]]).is_invertible()
     assert Matrix.from_rows([[Fraction(1, 3), 1], [0, i / 2]]).is_invertible()
@@ -241,7 +239,7 @@ def test_kron_matches_numpy_kron(data):
 
 def test_blockdiag_mixed_exactness():
     a = Matrix.identity(2)
-    b = Matrix.identity(1).to_float()
+    b = Matrix.identity(1, exact=False)
     m = blockdiag([a, b])
     assert m.shape == (3, 3)
     assert not m.exact
@@ -464,7 +462,6 @@ def test_standard_forms():
     assert j.gram.tolist()[0][3] == QQi(1)
     assert j.gram.tolist()[3][0] == QQi(-1)
     assert j.gram.tolist()[1][2] == QQi(1)
-    assert antidiag_J(3).tolist()[0][2] == QQi(1)
     with pytest.raises(OddSizeError):
         symplectic_J(3)
     with pytest.raises(OddPartError):
@@ -479,21 +476,11 @@ def test_partition_J_is_blockwise():
     assert f.gram.tolist()[5][2] == QQi(-1)
 
 
-def test_kron_form_sign_rule():
-    sym = classify_form(Matrix.from_rows([[1]]))
-    skew = symplectic_J(2)
-    assert kron_form(sym, skew).symmetry is Symmetry.SKEW
-    assert kron_form(skew, skew).symmetry is Symmetry.SYMMETRIC
-    assert kron_form(skew, skew).nondegenerate
-
-
 # -- permutations and conjugators ---------------------------------------------
 
 
 def test_permutation_map_basics():
     p = PermutationMap((2, 3, 1))
-    assert p(1) == 2 and p(3) == 1
-    assert p.inverse()(2) == 1
     m = p.matrix()
     assert m.tolist()[1][0] == QQi(1)  # column j holds e_{sigma(j)}
     with pytest.raises(ValueError):
@@ -504,7 +491,7 @@ def test_w_plus_images():
     p = w_plus(2)
     assert p.images == (1, 4, 2, 3)
     q = w_plus(3)
-    assert [q(j) for j in range(1, 7)] == [1, 6, 2, 5, 3, 4]
+    assert q.images == (1, 6, 2, 5, 3, 4)
 
 
 @pytest.mark.parametrize("partition", [(2,), (4,), (2, 2), (6, 2), (4, 4, 2)])
@@ -684,7 +671,7 @@ def test_is_in_sp_exact_and_float():
     j = symplectic_J(2)
     rot = Matrix.from_rows([[0, 1], [-1, 0]])
     assert is_in_sp(rot, j)
-    assert is_in_sp(rot.to_float(), j.gram)
+    assert is_in_sp(Matrix.from_array(rot.as_complex()), j.gram)
     stretch = Matrix.from_rows([[2, 0], [0, 1]])
     assert not is_in_sp(stretch, j)
     with pytest.raises(ShapeMismatchError):
@@ -972,7 +959,8 @@ def _dense_reference(p):
                 if m.group is group else Matrix.identity(s.dim, exact)
                 for s, m in zip(segs, models)])
             if not g.is_identity():
-                out.append(g if g.exact == exact else g.to_float())
+                out.append(g if g.exact == exact
+                           else Matrix.from_array(g.as_complex()))
     if any(s.k > 1 for s in segs):
         for exp in (sl2_exp_e, sl2_exp_f):
             out.append(blockdiag([Matrix.identity(s.cuspidal.dim).kron(
@@ -1007,7 +995,8 @@ def test_generator_set_rejects_singular_factors():
     with pytest.raises(ValueError, match="invertible"):
         GeneratorSet(tensor_factors([singular]), ("one",))
     with pytest.raises(ValueError, match="invertible"):
-        GeneratorSet(tensor_factors([singular.to_float()]), ("one",))
+        GeneratorSet(tensor_factors([Matrix.from_array(singular.as_complex())]),
+                     ("one",))
     ident = ((1, 0, 0, 1), (0, 0, 0, 0), 1)
     bad = ((1, 1, 0, 0), (0, 0, 0, 0), 1)
     for rho, sl2 in [(bad, ident), (ident, bad)]:

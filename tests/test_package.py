@@ -1,0 +1,77 @@
+"""Tests for the package as a whole: its import hygiene and public surface."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import periodlab
+
+PACKAGE = Path(periodlab.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _bound_names(tree, lines):
+    """(name, line) for every name an import binds, except ``__future__``
+    imports, star imports and names on a line marked ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            bound = alias.asname or alias.name.split(".")[0]
+            yield bound, alias.lineno
+
+
+def _used_names(tree):
+    """Every ``ast.Name`` of the module, every name inside a string
+    annotation, and every name the module's ``__all__`` re-exports."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    annotations = [a.annotation for a in ast.walk(tree)
+                   if isinstance(a, (ast.arg, ast.AnnAssign))]
+    annotations += [f.returns for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for annotation in filter(None, annotations):
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line}: {name}"
+              for name, line in _bound_names(tree, text.splitlines())
+              if name not in used]
+    assert unused == []
+
+
+def test_public_names_resolve():
+    names = periodlab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(periodlab, n)] == []
+
+
+def test_star_import_runs_without_warnings():
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "from periodlab import *"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr

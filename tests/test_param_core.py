@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from periodlab import (
-    AParameter,
-    ASummand,
     CuspidalLabel,
     Segment,
     SelfDualityType,
     WDParameter,
-    arthur_to_l,
     builtin_catalog,
-    dimension,
-    dual_segment,
     is_tempered,
     labels_equal,
     multiplicities,
@@ -23,7 +18,7 @@ from periodlab import (
     segments_equivalent,
     sl2_duality_sign,
 )
-from periodlab.errors import CatalogError, CatalogMismatchError, ConsistencyError
+from periodlab.errors import CatalogMismatchError, ConsistencyError
 
 CAT = builtin_catalog()
 
@@ -104,7 +99,6 @@ def test_parameter_canonical_order():
     names = [(s.cuspidal.name, s.k) for s in p.segments]
     assert names == [("trivial", 1), ("q8b", 1), ("q8", 3)]
     assert p.dim == 9
-    assert dimension(p) == 9
 
 
 def test_parameter_order_breaks_ties_by_twist():
@@ -125,22 +119,6 @@ def test_segments_equivalent():
 
 def test_sl2_duality_sign_alternates():
     assert [sl2_duality_sign(k) for k in range(1, 7)] == [1, -1, 1, -1, 1, -1]
-
-
-def test_dual_segment_self_dual():
-    d = dual_segment(seg("q8", 2, Fraction(1, 2)))
-    assert d.cuspidal.name == "q8"
-    assert d.k == 2
-    assert d.twist == Fraction(-1, 2)
-
-
-def test_dual_segment_needs_catalog_for_nsd_labels():
-    s = seg("chi3", 2)
-    with pytest.raises(CatalogError):
-        dual_segment(s)
-    d = dual_segment(s, CAT)
-    assert d.cuspidal.name == "chi3bar"
-    assert d.k == 2
 
 
 def test_segment_self_duality_table():
@@ -184,50 +162,7 @@ def test_multiplicities_separates_twists():
     assert sorted(m for _, m in multiplicities(p)) == [1, 1]
 
 
-# -- the Arthur layer ------------------------------------------------------
-
-
-def test_asummand_requires_positive_multiplicities():
-    with pytest.raises(ValueError):
-        ASummand(CAT.label("q8"), 0, 1)
-    with pytest.raises(ValueError):
-        ASummand(CAT.label("q8"), 1, 0)
-
-
-def test_arthur_to_l_twist_ladder():
-    a = AParameter.of([ASummand(CAT.label("q8"), 1, 3)])
-    p = arthur_to_l(a)
-    assert sorted(s.twist for s in p.segments) == [-1, 0, 1]
-    assert all(s.k == 1 for s in p.segments)
-    assert p.dim == a.dim == 6
-
-
-def test_arthur_to_l_half_integral_twists():
-    a = AParameter.of([ASummand(CAT.label("s3"), 2, 2)])
-    p = arthur_to_l(a)
-    assert sorted(s.twist for s in p.segments) == [
-        Fraction(-1, 2), Fraction(1, 2)]
-    assert all(s.k == 2 for s in p.segments)
-
-
-def test_arthur_trivial_factor_is_identity_on_segments():
-    a = AParameter.of([ASummand(CAT.label("q8"), 3, 1),
-                       ASummand(CAT.label("trivial"), 1, 1)])
-    p = arthur_to_l(a)
-    assert p == WDParameter.of([seg("q8", 3), seg("trivial")])
-    assert is_tempered(p)
-
-
 label_names = st.sampled_from(sorted(CAT.entries))
-
-
-@given(st.lists(
-    st.builds(lambda n, b, a: ASummand(CAT.label(n), b, a),
-              label_names, st.integers(1, 4), st.integers(1, 4)),
-    min_size=1, max_size=4))
-def test_arthur_to_l_preserves_dimension(summands):
-    a = AParameter.of(summands)
-    assert arthur_to_l(a).dim == a.dim
 
 
 @given(st.lists(
