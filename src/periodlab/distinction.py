@@ -59,10 +59,10 @@ TAG_ORACLE_FORM = "oracle:invariant-form"
 TAG_ORACLE_ISOTROPY = "oracle:isotropy"
 
 # The largest dimension the matrix oracle realizes.  Of the built-in
-# parameters of dim 24 measured, the costliest, St(22,trivial) (+)
-# St(2,trivial), takes about 0.04 s and 32 MB of peak RSS, cold, on a
-# 2-vCPU VM once the catalog is built.  Above it, St(48,trivial) takes
-# about 0.3 s and 1000 copies of trivial about 0.07 s.
+# parameters of dim 24, the costliest, St(22,trivial) (+) St(2,trivial),
+# takes about 0.02-0.04 s and 32 MB of peak RSS, cold, on a 2-vCPU Xeon VM
+# (Python 3.11) once the catalog is built.  Above it, St(48,trivial) takes
+# about 0.25 s and 1000 copies of trivial about 0.01 s.
 FORM_ORACLE_DIM_BOUND = 24
 
 

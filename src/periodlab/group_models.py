@@ -189,9 +189,10 @@ class IrrepModel:
     ``matrices`` is indexed like ``group.elements``; ``character`` holds the
     traces as complex floats regardless of the arithmetic path.  Per
     generator of the group (``group.generator_idxs``), ``factors[path]``
-    holds its matrix as a factor of ``matrix_lab.TensorFactors`` on the
-    float path (False) and, for an exact model, the exact one (True), and
-    ``is_identity`` whether it is the identity; both are built once, here.
+    holds the id of its matrix as a factor of ``matrix_lab.TensorFactors``
+    on the float path (False) and, for an exact model, the exact one (True),
+    and ``is_identity`` whether it is the identity; both are built once,
+    here.
     """
 
     name: str
@@ -200,7 +201,7 @@ class IrrepModel:
     matrices: tuple[Matrix, ...]
     character: np.ndarray
     exact: bool
-    factors: dict[bool, tuple[tuple, ...]]
+    factors: dict[bool, tuple[int, ...]]
     is_identity: tuple[bool, ...]
 
 
@@ -212,13 +213,13 @@ def commutant_dimension(gens) -> int:
     of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
     sum over pairs of classes of m_C * m_D * dim Hom(D, C), where
     dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) is solved on one
-    block of each; exact on the exact path.
+    block of each (``TensorFactors.class_pairs``); exact on the exact
+    path.
     """
     tf = tensor_factors(gens)
     total = 0
-    for c in tf.classes:
-        for d in tf.classes:
-            rho_args, sl2_args = tf.pair(c[0], d[0])
+    for c, keys in zip(tf.classes, tf.class_pairs):
+        for d, (rho_args, sl2_args) in zip(tf.classes, keys):
             hom = len(intertwiners(*rho_args))
             if hom:
                 total += len(c) * len(d) * hom * len(intertwiners(*sl2_args))

@@ -37,18 +37,22 @@ A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
 :func:`realize` stores the generators as these factors
 (:class:`TensorFactors`); the dense matrices are assembled from them on
-demand and never split again.  :func:`invariant_forms` solves the forms of
+demand and never split again.  Each distinct factor value gets one small
+int id when it is first produced (:func:`_factor`); factors are stored as
+these ids, equal values have equal ids, and a solve reads the values
+behind its ids.  :func:`invariant_forms` solves the forms of
 each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
 and an S(k) factor, whose H-weight rows leave min(k, k') of its k k'
-unknowns, each solve cached on its factors' integers.  Blocks with equal
+unknowns, each solve cached on its factors' ids.  Blocks with equal
 factors form a class (:attr:`TensorFactors.classes`), and the oracle works
 on classes: :func:`find_nondegenerate_skew` builds its form from one solve
 per pair of classes and keeps it as tiles c X (x) Y
 (:class:`FactoredForm`), which are checked factor by factor once per pair
 of classes, and ``group_models`` solves the commutant per pair of classes
-too.  Every fact read off one factor (its logarithm, its symmetry, its
-invertibility) is computed once per process.  A bare list of generators
-is solved as one block.
+too, all on the solve keys of :attr:`TensorFactors.class_pairs`, built
+once per realization.  Every fact read off one factor (its logarithm, its
+symmetry, its invertibility) is computed once per process.  A bare list
+of generators is solved as one block.
 """
 
 from __future__ import annotations
@@ -974,22 +978,22 @@ def _unipotent_log(m: Matrix) -> Matrix | None:
 
 
 @lru_cache(maxsize=512)
-def _factor_log(factor: tuple, size: int) -> Matrix | None:
+def _factor_log(factor: int, size: int) -> Matrix | None:
     """:func:`_unipotent_log` of an exact factor, computed once per
     factor."""
     return _unipotent_log(_factor_matrix(factor, size, size, True))
 
 
 @lru_cache(maxsize=512)
-def _log_commutator(a: tuple, b: tuple, size: int) -> Matrix:
+def _log_commutator(a: int, b: int, size: int) -> Matrix:
     """[log A, log B] of two unipotent exact factors; for exp E and exp F
     it is H, diagonal."""
     la, lb = _factor_log(a, size), _factor_log(b, size)
     return la @ lb - lb @ la
 
 
-def _factor_pairs(pairs, a, b, exact) -> list[tuple]:
-    """The (L, R) matrices of ``pairs`` and, on the exact path, their
+def _factor_pairs(ls, rs, a, b, exact) -> list[tuple]:
+    """The (L, R) matrices of ``zip(ls, rs)`` and, on the exact path, their
     logarithms when both are unipotent, else None.  When the first two
     pairs have logarithms, one more entry (None, None, logs) holds their
     commutators.  The pairs of logarithms whose rows X satisfies are the
@@ -998,33 +1002,34 @@ def _factor_pairs(pairs, a, b, exact) -> list[tuple]:
     H, whose rows (h_i +- h'_j) x_ij = 0 have one entry each and pin all
     but min(a, b) unknowns."""
     out = []
-    for l, r in pairs:
+    for l, r in zip(ls, rs):
         logs = ((_factor_log(l, a), _factor_log(r, b)) if exact
                 else (None, None))
         out.append((_factor_matrix(l, a, a, exact),
                     _factor_matrix(r, b, b, exact),
                     None if None in logs else logs))
     if len(out) > 1 and out[0][2] and out[1][2]:
-        (l1, r1), (l2, r2) = pairs[:2]
-        out.append((None, None, (_log_commutator(l1, l2, a),
-                                 _log_commutator(r1, r2, b))))
+        out.append((None, None, (_log_commutator(*ls[:2], a),
+                                 _log_commutator(*rs[:2], b))))
     return out
 
 
 @lru_cache(maxsize=512)
-def invariant_pairings(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
-    """Basis of {X (a x b) : L^T X R = X for every (L, R) in ``pairs``}.
+def invariant_pairings(ls: tuple, rs: tuple, a: int, b: int,
+                       exact: bool) -> tuple:
+    """Basis of {X (a x b) : L^T X R = X for every (L, R) in
+    ``zip(ls, rs)``}.
 
-    Each L (a x a) and R (b x b) is given as a factor of
-    :class:`TensorFactors`, so solves are cached on the factors' integers
-    (or complex entries).  Exact row reduction when ``exact``, each basis
-    vector an exact 1 x ab :class:`Matrix`; else the float rank rule, each
-    a tuple of complex entries.  The vectors are row-major.  A
+    Each L (a x a) and R (b x b) is given as a factor id of
+    :class:`TensorFactors`, so solves are cached on the ids, and a miss
+    reads the values behind them.  Exact row reduction when ``exact``, each
+    basis vector an exact 1 x ab :class:`Matrix`; else the float rank rule,
+    each a tuple of complex entries.  The vectors are row-major.  A
     unipotent pair gives the equivalent rows (log L)^T X + X log R = 0, a
     few entries each, and two such pairs their commutator's
     (:func:`_factor_pairs`).
     """
-    factors = _factor_pairs(pairs, a, b, exact)
+    factors = _factor_pairs(ls, rs, a, b, exact)
     if not exact:
         return tuple(map(tuple, nullspace_float(
             [np.kron(l.data.T, r.data.T) - np.eye(a * b)
@@ -1037,12 +1042,13 @@ def invariant_pairings(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def intertwiners(pairs: tuple, a: int, b: int, exact: bool) -> tuple:
-    """Basis of {X (a x b) : L X = X R for every (L, R) in ``pairs``}, with
-    arguments and result as for :func:`invariant_pairings`.  The rows hold
-    entries of L and R, never their products; a unipotent pair gives
+def intertwiners(ls: tuple, rs: tuple, a: int, b: int,
+                 exact: bool) -> tuple:
+    """Basis of {X (a x b) : L X = X R for every (L, R) in ``zip(ls, rs)``},
+    with arguments and result as for :func:`invariant_pairings`.  The rows
+    hold entries of L and R, never their products; a unipotent pair gives
     (log L) X = X log R instead, and two such pairs their commutator's."""
-    factors = _factor_pairs(pairs, a, b, exact)
+    factors = _factor_pairs(ls, rs, a, b, exact)
     if not exact:
         return tuple(map(tuple, nullspace_float(
             [np.kron(l.data, np.eye(b)) - np.kron(np.eye(a), r.data.T)
@@ -1060,25 +1066,23 @@ class TensorFactors:
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order (rho generators first).  An exact factor is the reduced triple
-    ``(re, im, den)`` of its row-major entries, ``re`` and ``im`` tuples of
-    ints; a float factor is the tuple of its complex entries.  The rho side
-    is exact or float as a whole; the S(k) side, the integer exp(E) and
-    exp(F), is always exact, also next to a float label.  A
-    :class:`GeneratorSet` is stored as its factors.
+    order (rho generators first), each as the id :func:`_factor` gives its
+    value.  The rho side is exact or float as a whole; the S(k) side, the
+    integer exp(E) and exp(F), is always exact, also next to a float label.
+    A :class:`GeneratorSet` is stored as its factors.
     """
 
     n: int
     blocks: tuple[tuple[int, int, int], ...]
-    rho: tuple[tuple[tuple, ...], ...]
-    sl2: tuple[tuple[tuple, ...], ...]
+    rho: tuple[tuple[int, ...], ...]
+    sl2: tuple[tuple[int, ...], ...]
     rho_exact: bool
 
     def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
         """The rho and S(k) factor solve arguments of block pair (i, j)."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return ((tuple(zip(self.rho[i], self.rho[j])), r, r2, self.rho_exact),
-                (tuple(zip(self.sl2[i], self.sl2[j])), k, k2, True))
+        return ((self.rho[i], self.rho[j], r, r2, self.rho_exact),
+                (self.sl2[i], self.sl2[j], k, k2, True))
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -1088,6 +1092,13 @@ class TensorFactors:
         for i, key in enumerate(zip(self.rho, self.sl2)):
             classes.setdefault(key, []).append(i)
         return list(classes.values())
+
+    @cached_property
+    def class_pairs(self) -> list[list[tuple[tuple, tuple]]]:
+        """:meth:`pair` of the first blocks of classes c and d at [c][d],
+        built once: every block of a class has its first block's ids."""
+        return [[self.pair(c[0], d[0]) for d in self.classes]
+                for c in self.classes]
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1114,45 +1125,56 @@ class TensorFactors:
             for g in range(len(side[0]))]
 
 
-def _factor_matrix(factor: tuple, rows: int, cols: int,
+# The factor table: the id of every distinct factor value, and the values
+# in order of their ids.  It grows only with new values.
+_FACTOR_IDS: dict[tuple, int] = {}
+_FACTOR_VALUES: list[tuple] = []
+
+
+def _factor(m: Matrix, exact: bool) -> int:
+    """The id of ``m`` as a factor of :class:`TensorFactors` or
+    :class:`FactoredForm`, on the exact path when ``exact``.  Its value is
+    the reduced triple ``(re, im, den)`` of its row-major entries, ``re``
+    and ``im`` tuples of ints, or on the float path the tuple of its complex
+    entries; equal values get equal ids, and a new value the next id."""
+    value = ((tuple(m.re.flat), tuple(m.im.flat), m.den) if exact
+             else tuple(map(complex, m.as_complex().flat)))
+    fid = _FACTOR_IDS.setdefault(value, len(_FACTOR_VALUES))
+    if fid == len(_FACTOR_VALUES):
+        _FACTOR_VALUES.append(value)
+    return fid
+
+
+def _factor_matrix(factor: int, rows: int, cols: int,
                    exact: bool) -> Matrix:
-    """The rows x cols matrix of a factor of :class:`TensorFactors` or
-    :class:`FactoredForm`."""
+    """The rows x cols matrix of the value behind a factor id."""
+    value = _FACTOR_VALUES[factor]
     if not exact:
         return Matrix.from_array(
-            np.array(factor, dtype=complex).reshape(rows, cols))
-    re, im, den = factor
+            np.array(value, dtype=complex).reshape(rows, cols))
+    re, im, den = value
     return Matrix(None, np.array(re, dtype=object).reshape(rows, cols),
                   np.array(im, dtype=object).reshape(rows, cols), den)
 
 
-def _factor(m: Matrix, exact: bool) -> tuple:
-    """``m`` as a factor of :class:`TensorFactors`, on the exact path when
-    ``exact``."""
-    if exact:
-        return tuple(m.re.flat), tuple(m.im.flat), m.den
-    return tuple(map(complex, m.as_complex().flat))
-
-
 @lru_cache(maxsize=None)
-def _identity(size: int, exact: bool) -> tuple:
+def _identity(size: int, exact: bool) -> int:
     """The factor of the size x size identity, built once."""
     return _factor(Matrix.identity(size, exact), exact)
 
 
 @lru_cache(maxsize=512)
-def _exp_factor(exp: Callable[[int], Matrix], k: int) -> tuple:
-    """The factor of ``sl2_exp_e(k)`` or ``sl2_exp_f(k)``, built once."""
-    return _factor(exp(k), True)
+def _exp_factors(k: int) -> tuple[int, int]:
+    """The factors of ``sl2_exp_e(k)`` and ``sl2_exp_f(k)``, built once."""
+    return _factor(sl2_exp_e(k), True), _factor(sl2_exp_f(k), True)
 
 
 @lru_cache(maxsize=512)
-def _invertible(factor: tuple, size: int, exact: bool) -> bool:
-    """Whether a factor is invertible, cached on the factor; on the exact
-    path this is :func:`_exact_reading`'s, shared with
-    :func:`classify_form`."""
+def _invertible(factor: int, size: int, exact: bool) -> bool:
+    """Whether a factor is invertible, cached on its id; on the exact path
+    this is :func:`_exact_reading`'s, shared with :func:`classify_form`."""
     if exact:
-        return _exact_reading(size, *factor[:2])[1]
+        return _exact_reading(size, *_FACTOR_VALUES[factor][:2])[1]
     return _factor_matrix(factor, size, size, exact).is_invertible()
 
 
@@ -1199,7 +1221,7 @@ def invariant_forms(gens) -> list[BilinearForm]:
         if not exact:  # the S(k) side is exact
             xs = [tuple(map(complex, x)) for x in xs]
             ys = [y.as_complex()[0].tolist() for y in ys]
-        r2, (k, k2) = rho_args[2], sl2_args[1:3]
+        r2, (k, k2) = rho_args[3], sl2_args[2:4]
         for x in xs:
             for y in ys:
                 vecs.append({
@@ -1271,32 +1293,37 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=512)
+def _pairing_factors(ls: tuple, rs: tuple, a: int, b: int,
+                     exact: bool) -> tuple:
+    """The basis of :func:`invariant_pairings` as a x b matrices X, each
+    given as (the factor of X, the factor of X^T, X), built once per
+    solve."""
+    mats = [v.apply(lambda m: m.reshape(a, b)) if exact
+            else Matrix.from_array(np.reshape(v, (a, b)))
+            for v in invariant_pairings(ls, rs, a, b, exact)]
+    return tuple((_factor(m, exact), _factor(m.T, exact), m) for m in mats)
+
+
 def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
     """The invariant pairing X (x) Y of a block pair, from the solves of its
     factors (:meth:`TensorFactors.pair`), as the factors (X, Y, X^T, Y^T)
-    of a :class:`FactoredForm`, or None when there is none."""
-    xs = invariant_pairings(*rho_args)
-    ys = invariant_pairings(*sl2_args) if xs else ()
+    of a :class:`FactoredForm` followed by the matrices X and Y, or None
+    when there is none."""
+    xs = _pairing_factors(*rho_args)
+    ys = _pairing_factors(*sl2_args) if xs else ()
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
         raise PeriodLabError(f"internal: a block pair has {len(xs) * len(ys)}"
                              f" independent invariant pairings, not 0 or 1")
     if not ys:
         return None
-    (_, r, r2, exact), (_, k, k2, _) = rho_args, sl2_args
-    x = (xs[0].apply(lambda a: a.reshape(r, r2)) if exact
-         else Matrix.from_array(np.reshape(xs[0], (r, r2))))
-    y = ys[0].apply(lambda a: a.reshape(k, k2))
-    return (_factor(x, exact), _factor(y, True), _factor(x.T, exact),
-            _factor(y.T, True))
+    ((x, xt, xm),), ((y, yt, ym),) = xs, ys
+    return x, y, xt, yt, xm, ym
 
 
-def _self_pairing_symmetry(x: tuple, y: tuple, r: int, k: int,
-                           rho_exact: bool) -> Symmetry:
+def _self_pairing_symmetry(x: Matrix, y: Matrix) -> Symmetry:
     """The symmetry of a block's pairing X (x) Y with itself: the product of
     the signs of X and Y as :func:`classify_form` reads them."""
-    signs = [_SIGN_OF_SYMMETRY.get(classify_form(m).symmetry)
-             for m in (_factor_matrix(x, r, r, rho_exact),
-                       _factor_matrix(y, k, k, True))]
+    signs = [_SIGN_OF_SYMMETRY.get(classify_form(m).symmetry) for m in (x, y)]
     if None in signs:
         return Symmetry.NEITHER
     return Symmetry.SYMMETRIC if signs[0] == signs[1] else Symmetry.SKEW
@@ -1309,8 +1336,8 @@ class FactoredForm:
 
     Tile (i, j, c, X, Y) is c * X (x) Y on the rows of block i and the
     columns of block j, at most one per block pair; the form is zero off
-    its tiles.  X (r_i x r_j) and Y (k_i x k_j) are factors in the layout
-    of :class:`TensorFactors`: X on the rho side's path (``rho_exact``), Y
+    its tiles.  X (r_i x r_j) and Y (k_i x k_j) are factor ids, as in
+    :class:`TensorFactors`: X on the rho side's path (``rho_exact``), Y
     always exact.  c is a scalar that :meth:`Matrix.scale` takes.  The
     checks below read the factors; ``gram`` places the dense matrix on
     demand.
@@ -1326,6 +1353,7 @@ class FactoredForm:
             raise ValueError("a form has at most one tile per block pair")
         for i, j, _, x, y in self.tiles:
             (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
+            x, y = _FACTOR_VALUES[x], _FACTOR_VALUES[y]
             if (len(x[0] if self.rho_exact else x), len(y[0])) != (
                     r * r2, k * k2):
                 raise ShapeMismatchError(
@@ -1392,7 +1420,7 @@ class FactoredForm:
         for every rho generator and U_i^T Y U_j = Y for every S(k)
         generator.  These depend only on the classes of i and j
         (:attr:`TensorFactors.classes`) and on X and Y, so each is checked
-        once per class pair, and cached on its factors' integers; the
+        once per class pair, and cached on its factors' ids; the
         residue of a tile is |c| times max|A_i^T X A_j - X| times max|Y|
         (or the same on the S(k) side), exactly 0.0 on the exact path.
         """
@@ -1403,9 +1431,10 @@ class FactoredForm:
         class_of = {b: c for c, bs in enumerate(tf.classes) for b in bs}
         residue, checked = 0.0, {}
         for i, j, c, x, y in self.tiles:
-            key = (class_of[i], class_of[j], x, y)
+            ci, cj = class_of[i], class_of[j]
+            key = (ci, cj, x, y)
             if key not in checked:  # once per class pair and tile factors
-                rho_args, sl2_args = tf.pair(i, j)
+                rho_args, sl2_args = tf.class_pairs[ci][cj]
                 checked[key] = (_pairing_residue(*rho_args, x),
                                 _pairing_residue(*sl2_args, y))
             dx, dy = checked[key]
@@ -1418,16 +1447,16 @@ class FactoredForm:
 
 
 @lru_cache(maxsize=512)
-def _pairing_residue(pairs: tuple, a: int, b: int, exact: bool,
-                     x: tuple) -> tuple[float, float] | None:
-    """Whether L^T X R = X for every (L, R) in ``pairs``, with the arguments
-    of :func:`invariant_pairings` and an a x b factor X: None when not,
-    else (the largest |L^T X R - X| entry, the largest |X| entry).  Decided
-    by :meth:`Matrix.equals`, so exactly on the exact path, where the first
-    is 0.0."""
+def _pairing_residue(ls: tuple, rs: tuple, a: int, b: int, exact: bool,
+                     x: int) -> tuple[float, float] | None:
+    """Whether L^T X R = X for every (L, R) in ``zip(ls, rs)``, with the
+    arguments of :func:`invariant_pairings` and an a x b factor X: None when
+    not, else (the largest |L^T X R - X| entry, the largest |X| entry).
+    Decided by :meth:`Matrix.equals`, so exactly on the exact path, where
+    the first is 0.0."""
     xm = _factor_matrix(x, a, b, exact)
     worst = 0.0
-    for l, r in pairs:
+    for l, r in zip(ls, rs):
         moved = (_factor_matrix(l, a, a, exact).T @ xm
                  @ _factor_matrix(r, b, b, exact))
         if not moved.equals(xm):
@@ -1482,9 +1511,8 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     from one block of each (:func:`_block_pairing`); a second such class is
     an internal error.  J pairs copy i of C with copy i of C' by P and
     -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
-    skew, as :func:`classify_form` reads X and Y (once per factor): a
-    symmetric P pairs copy 2i with copy 2i + 1, and a skew P each copy
-    with itself.  Each None has a certificate that every invariant (skew)
+    skew, as :func:`classify_form` reads the solved X and Y: a symmetric P
+    pairs copy 2i with copy 2i + 1, and a skew P each copy with itself.  Each None has a certificate that every invariant (skew)
     form is degenerate:
 
     * C pairs with no class: the form vanishes on the rows of C;
@@ -1496,21 +1524,19 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     """
     tf = tensor_factors(gens)
     tiles = []
-    for copies in tf.classes:
-        pairings = [(duals, p) for duals in tf.classes
-                    for p in [_block_pairing(*tf.pair(copies[0], duals[0]))]
-                    if p is not None]
+    for copies, keys in zip(tf.classes, tf.class_pairs):
+        pairings = [(duals, p) for duals, args in zip(tf.classes, keys)
+                    for p in [_block_pairing(*args)] if p is not None]
         if not pairings:
             return None
         if len(pairings) > 1:
             raise PeriodLabError("internal: a class of blocks pairs with "
                                  f"{len(pairings)} classes, not 1")
-        ((duals, (x, y, xt, yt)),) = pairings
+        ((duals, (x, y, xt, yt, xm, ym)),) = pairings
         if duals[0] < copies[0]:
             continue  # placed with its dual class
         if duals is copies and _self_pairing_symmetry(
-                x, y, *tf.blocks[copies[0]][1:],
-                tf.rho_exact) is Symmetry.SYMMETRIC:
+                xm, ym) is Symmetry.SYMMETRIC:
             copies, duals = copies[::2], copies[1::2]
         if len(copies) != len(duals):
             return None
@@ -1576,7 +1602,7 @@ class RealizationRecipe:
 
     segments: tuple[Segment, ...]
 
-    @property
+    @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
         ends = list(accumulate(s.dim for s in self.segments))
         return tuple(zip([0, *ends], ends))
@@ -1600,10 +1626,13 @@ class GeneratorSet:
         tf = self.factors
         if len(tf.rho[0]) + len(tf.sl2[0]) != len(self.provenance):
             raise ValueError("one provenance tag per generator")
-        # A (x) I and I (x) U are invertible exactly when A and U are
-        if not all(_invertible(f, r if is_rho else k, exact)
+        # A (x) I and I (x) U are invertible exactly when A and U are;
+        # blocks with equal factors and sizes are checked once
+        if not all(_invertible(f, size, exact)
                    for side, exact, is_rho in tf.sides()
-                   for (_, r, k), factors in zip(tf.blocks, side)
+                   for factors, size in {(factors, r if is_rho else k)
+                                         for factors, (_, r, k)
+                                         in zip(side, tf.blocks)}
                    for f in factors):
             raise ValueError("generators must be invertible")
 
@@ -1635,41 +1664,37 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     segs = p.segments
     if not segs:
         raise ValueError("cannot realize the empty parameter")
-    models = []
     for s in segs:
         if s.twist != 0:
             raise TwistedSegmentError(
                 f"segment {s.cuspidal.name} has twist {s.twist}; "
                 f"realizations are defined for twist zero")
-        models.append(catalog.model_for(s.cuspidal))
+    models = [catalog.model_for(s.cuspidal) for s in segs]
     exact = all(m.exact for m in models)
 
-    groups = dict.fromkeys(m.group for m in models)  # hashed by identity
-    rho, sl2 = [[] for _ in segs], [[] for _ in segs]
-    provenance: list[str] = []
-    for group in groups:
-        members = [m for m in models if m.group is group]
-        for pos in range(len(group.generator_idxs)):
-            # only the models of the generator's group can move
-            if all(m.is_identity[pos] for m in members):
-                continue
-            for block, m in zip(rho, models):
-                block.append(m.factors[exact][pos] if m.group is group
-                             else _identity(m.dim, exact))
-            provenance.append(f"group:{group.name}:{pos}")
+    distinct = dict.fromkeys(models)  # models and groups hash by identity
+    groups: dict = {}
+    for m in distinct:
+        groups.setdefault(m.group, []).append(m)
+    # only the models of a generator's group can move
+    moving = [(g, [pos for pos in range(len(g.generator_idxs))
+                   if not all(m.is_identity[pos] for m in members)])
+              for g, members in groups.items()]
+    provenance = [f"group:{g.name}:{pos}" for g, ps in moving for pos in ps]
+    rho_of = {m: tuple(f for g, ps in moving for f in (
+        [m.factors[exact][pos] for pos in ps] if m.group is g
+        else [_identity(m.dim, exact)] * len(ps))) for m in distinct}
+    sl2 = ((),) * len(segs)
     if any(s.k > 1 for s in segs):
-        for tag, exp in (("sl2:exp_e", sl2_exp_e), ("sl2:exp_f", sl2_exp_f)):
-            for block, s in zip(sl2, segs):
-                block.append(_exp_factor(exp, s.k))
-            provenance.append(tag)
+        sl2 = tuple(_exp_factors(s.k) for s in segs)
+        provenance += ["sl2:exp_e", "sl2:exp_f"]
     if not provenance:
-        rho = [[_identity(m.dim, exact)] for m in models]
+        rho_of = {m: (_identity(m.dim, exact),) for m in distinct}
         provenance = ["identity"]
 
     recipe = RealizationRecipe(tuple(segs))
     blocks = tuple((lo, s.cuspidal.dim, s.k)
                    for (lo, _), s in zip(recipe.spans, segs))
-    factors = TensorFactors(p.dim, blocks,
-                            tuple(map(tuple, rho)), tuple(map(tuple, sl2)),
-                            exact)
+    factors = TensorFactors(recipe.spans[-1][1], blocks,
+                            tuple(rho_of[m] for m in models), sl2, exact)
     return GeneratorSet(factors, tuple(provenance), recipe)

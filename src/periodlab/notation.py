@@ -31,17 +31,11 @@ import configparser
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    CatalogError,
-    ConsistencyError,
-    ParseError,
-    SourceSpan,
-)
+from .errors import CatalogError, ConsistencyError, ParseError
 from .group_models import Catalog, CatalogEntry, builtin_models
 from .param_core import CuspidalLabel, Segment, SelfDualityType, WDParameter
 
-__all__ = ["SourceSpan", "parse_param", "print_param", "print_segment",
-           "load_catalog"]
+__all__ = ["parse_param", "print_param", "print_segment", "load_catalog"]
 
 
 # ---------------------------------------------------------------------------

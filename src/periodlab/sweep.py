@@ -52,13 +52,14 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
 
     agreement = True
     for combo in combos:
-        text = print_param(WDParameter.of(combo))
         spec = RDSSpec(sum(s.dim for s in combo) // 2, combo)
         try:
             rep = check_conjecture_instance(spec, catalog=catalog)
         except PeriodLabError as exc:
+            text = print_param(WDParameter.of(combo))
             report.add_outcome(f"rds {text}", False, TAG_RDS, str(exc))
             continue
+        text = rep.input  # the printed parameter
         if rep.oracle_agreement is False:
             agreement = False
         failure = next((f"{c.name}: {c.details}" for c in rep.checks

@@ -50,6 +50,7 @@ from periodlab.matrix_lab import (
     FLOAT_TOL,
     TensorFactors,
     _Rref,
+    _factor,
     _intertwining_rows,
     _normalized,
     _sparse_row,
@@ -138,6 +139,31 @@ def _square_gaussian(n, entries=gaussian_rational_ints
                      | st.just(ZERO_INTS)):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
                     max_size=n)
+
+
+# The values of gaussian_rationals drawn as one flat list of ints, four per
+# value: per part a numerator draw a and a denominator draw b, read as
+# (a * d // 4) / d with d = b % 4 + 1, which reaches every fraction in
+# [-3, 3] of denominator at most 4.  One list draw per matrix, with no
+# flatmap per entry, keeps input generation fast under load; the values are
+# built in the test bodies (_gaussian_values).
+_PART_INTS = st.integers(-12, 12)
+
+
+def _flat_ints(count):
+    """The ints of ``count`` Gaussian rationals, as one flat list."""
+    return st.lists(_PART_INTS, min_size=4 * count, max_size=4 * count)
+
+
+def _gaussian_values(ints):
+    """The QQi values of a draw of :func:`_flat_ints`."""
+    parts = [Fraction(a * (b % 4 + 1) // 4, b % 4 + 1)
+             for a, b in zip(ints[::2], ints[1::2])]
+    return [QQi(re, im) for re, im in zip(parts[::2], parts[1::2])]
+
+
+def _square_rows(values, n):
+    return [values[r * n:(r + 1) * n] for r in range(n)]
 
 
 @settings(max_examples=60)
@@ -367,20 +393,19 @@ def _transpose(rows):
 
 @st.composite
 def _forms_of_every_kind(draw):
-    """The integer draws of :func:`_form_of_every_kind`: X and A, the sign
-    and the rank."""
+    """The integer draws of :func:`_form_of_every_kind`: the size, X and A
+    as flat lists, the sign and the rank."""
     n = draw(st.integers(1, 5))
-    dense = _square_gaussian(n, gaussian_rational_ints)
-    return (draw(dense), draw(dense), draw(st.sampled_from([1, -1, None])),
+    return (n, draw(_flat_ints(n * n)), draw(_flat_ints(n * n)),
+            draw(st.sampled_from([1, -1, None])),
             draw(st.just(n) | st.integers(0, n)))
 
 
-def _form_of_every_kind(x, a, sign, rank):
+def _form_of_every_kind(n, x, a, sign, rank):
     """A^T P C P A for a symmetric, skew or unconstrained C built from X
     and a rank-r projection P: the symmetry of C is kept and the rank is at
     most r."""
-    x, a = _entries(x), _entries(a)
-    n = len(x)
+    x, a = (_square_rows(_gaussian_values(m), n) for m in (x, a))
     core = x if sign is None else [
         [x[r][s] + sign * x[s][r] for s in range(n)] for r in range(n)]
     keep = [[QQi(int(i == j < rank)) for j in range(n)] for i in range(n)]
@@ -687,35 +712,52 @@ def _transvection(v, c, j):
 
 
 @st.composite
-def _generator_and_form(draw):
-    """J standard, skew or unconstrained, scaled by a rational; g a
-    product of transvections for J, perturbed in one entry or not."""
+def _generator_and_form_ints(draw):
+    """The integer draws of :func:`_generator_and_form`: the size, the kind
+    of J, X as a flat list and the mask of its zero entries (each entry zero
+    with probability about 1/2), the scale (numerator, denominator), the
+    transvections (v, c) as one flat list, and the perturbation (row,
+    column, nonzero value) or None."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["standard", "skew", "any"]))
-    x = _entries(draw(_square_gaussian(n)))
+    x, zeros = draw(_flat_ints(n * n)), draw(st.integers(0, 2 ** (n * n) - 1))
+    den = draw(st.integers(1, 7))
+    scale = draw(st.integers(den, 9 * den)), den
+    moves = draw(_flat_ints((n + 1) * draw(st.integers(0, 3))))
+    bump = None
+    if draw(st.booleans()):
+        bump = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+                draw(_flat_ints(1).filter(lambda v: any(_gaussian_values(v)))))
+    return n, kind, x, zeros, scale, moves, bump
+
+
+def _generator_and_form(n, kind, x, zeros, scale, moves, bump):
+    """J standard, skew or unconstrained, scaled by a rational; g a
+    product of transvections for J, perturbed in one entry or not."""
+    x = _square_rows([QQi(0) if zeros >> e & 1 else v
+                      for e, v in enumerate(_gaussian_values(x))], n)
     if kind == "standard" and n % 2 == 0:
         j = symplectic_J(n).gram.tolist()
     elif kind == "any":
         j = x
     else:
         j = [[x[r][s] - x[s][r] for s in range(n)] for r in range(n)]
-    scale = draw(st.fractions(1, 9, max_denominator=7))
-    j = [[v * scale for v in row] for row in j]
+    j = [[v * Fraction(*scale) for v in row] for row in j]
     g = [[QQi(int(r == s)) for s in range(n)] for r in range(n)]
-    for _ in range(draw(st.integers(0, 3))):
-        v = draw(st.lists(gaussian_rationals, min_size=n, max_size=n))
-        g = _reference_product(g, _transvection(v, draw(gaussian_rationals),
-                                                j))
-    if draw(st.booleans()):
-        r, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        g[r][s] = g[r][s] + draw(gaussian_rationals.filter(bool))
+    moves = _gaussian_values(moves)
+    for t in range(0, len(moves), n + 1):
+        g = _reference_product(g, _transvection(moves[t:t + n],
+                                                moves[t + n], j))
+    if bump is not None:
+        r, s, value = bump
+        g[r][s] = g[r][s] + _gaussian_values(value)[0]
     return g, j
 
 
 @settings(max_examples=80)
-@given(_generator_and_form())
+@given(_generator_and_form_ints())
 def test_exact_is_in_sp_matches_entrywise_reference(drawn):
-    g, j = drawn
+    g, j = _generator_and_form(*drawn)
     moved = _reference_product(_reference_product(_transpose(g), j), g)
     holds = moved == j
     gram = Matrix.from_rows(j)
@@ -772,7 +814,7 @@ def test_each_factor_is_logged_once_per_process(monkeypatch):
     are read once too, and found not unipotent."""
     for cached in (matrix_lab._factor_log, matrix_lab._log_commutator,
                    matrix_lab.invariant_pairings, matrix_lab.intertwiners,
-                   matrix_lab._block_pairing, matrix_lab._pairing_residue):
+                   matrix_lab._pairing_factors, matrix_lab._pairing_residue):
         cached.cache_clear()
     logged = []
     unipotent_log = matrix_lab._unipotent_log
@@ -902,9 +944,9 @@ def test_a_class_pairing_with_two_classes_is_an_internal_error():
     q8 = _gens(seg("q8")).generators
     s, s_inv = Matrix.from_rows([[1, 1], [0, 1]]), Matrix.from_rows(
         [[1, -1], [0, 1]])
-    rho = tuple(tuple((tuple(m.re.flat), tuple(m.im.flat), m.den)
-                      for m in mats)
+    rho = tuple(tuple(_factor(m, True) for m in mats)
                 for mats in (q8, [s @ g @ s_inv for g in q8]))
+    assert rho[0] != rho[1]
     tf = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
     gens = GeneratorSet(tf, ("a",) * len(q8))
     with pytest.raises(PeriodLabError, match="pairs with 2 classes"):
@@ -997,8 +1039,8 @@ def test_generator_set_rejects_singular_factors():
     with pytest.raises(ValueError, match="invertible"):
         GeneratorSet(tensor_factors([Matrix.from_array(singular.as_complex())]),
                      ("one",))
-    ident = ((1, 0, 0, 1), (0, 0, 0, 0), 1)
-    bad = ((1, 1, 0, 0), (0, 0, 0, 0), 1)
+    ident = _factor(Matrix.identity(2), True)
+    bad = _factor(Matrix.from_rows([[1, 1], [0, 0]]), True)
     for rho, sl2 in [(bad, ident), (ident, bad)]:
         # A (x) I_2 or I_2 (x) U is singular exactly when its factor is
         factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
@@ -1013,3 +1055,48 @@ def test_realize_rejects_twists_and_empty():
         realize(WDParameter.of([seg("q8", 1, Fraction(1, 2))]), CAT)
     with pytest.raises(ValueError):
         realize(WDParameter.of([]), CAT)
+
+
+# -- factor ids -------------------------------------------------------------
+
+
+_BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
+                              st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_BUILTIN_SEGMENTS, min_size=1, max_size=5),
+                min_size=1, max_size=3))
+def test_factor_ids_follow_the_factor_values(drawn):
+    """Multisets of built-in segments, exact and float labels alike: the
+    classes are the blocks grouped by the factor values behind the ids, each
+    block pair's solve keys are its classes', and realizing and searching
+    again gives the same ids and adds nothing to the id table."""
+    params = [WDParameter.of([seg(name, k) for name, k in segments])
+              for segments in drawn]
+
+    def passes():
+        out = []
+        for p in params:
+            gens = realize(p, CAT)
+            find_nondegenerate_skew(gens)
+            out.append(gens.factors)
+        return out
+
+    first = passes()
+    size = len(matrix_lab._FACTOR_VALUES)
+    again = passes()
+    assert len(matrix_lab._FACTOR_VALUES) == size
+    assert all(matrix_lab._FACTOR_IDS[v] == f
+               for f, v in enumerate(matrix_lab._FACTOR_VALUES))
+    for tf, tf2 in zip(first, again):
+        assert (tf.rho, tf.sl2) == (tf2.rho, tf2.sl2)
+        reference: dict[tuple, list[int]] = {}
+        for i, ids in enumerate(zip(tf.rho, tf.sl2)):
+            values = tuple(tuple(matrix_lab._FACTOR_VALUES[f] for f in side)
+                           for side in ids)
+            reference.setdefault(values, []).append(i)
+        assert tf.classes == list(reference.values())
+        class_of = {b: c for c, bs in enumerate(tf.classes) for b in bs}
+        assert all(tf.pair(i, j) == tf.class_pairs[class_of[i]][class_of[j]]
+                   for i in class_of for j in class_of)
