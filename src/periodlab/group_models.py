@@ -57,6 +57,7 @@ from .matrix_lab import (
     _factor,
     _float_close,
     intertwiners,
+    sl2_intertwiners,
     sym_power,
     tensor_factors,
 )
@@ -213,8 +214,8 @@ def commutant_dimension(gens) -> int:
     of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
     sum over pairs of classes of m_C * m_D * dim Hom(D, C), where
     dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) is solved on one
-    block of each (``TensorFactors.class_pairs``); exact on the exact
-    path.
+    block of each (``TensorFactors.class_pairs``), the U side from k alone
+    (``matrix_lab.sl2_intertwiners``); exact on the exact path.
     """
     tf = tensor_factors(gens)
     total = 0
@@ -222,7 +223,8 @@ def commutant_dimension(gens) -> int:
         for d, (rho_args, sl2_args) in zip(tf.classes, keys):
             hom = len(intertwiners(*rho_args))
             if hom:
-                total += len(c) * len(d) * hom * len(intertwiners(*sl2_args))
+                hom *= len(sl2_intertwiners(*sl2_args))
+                total += len(c) * len(d) * hom
     return total
 
 

@@ -22,10 +22,11 @@ to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
 Null spaces are computed on the exact path by a sparse reduced row echelon
 form kept fraction-free in Gaussian integers, and by SVD on the float path.
 An exact row with one nonzero entry pins its unknown to 0; such unknowns
-are dropped from the other rows before those are reduced, so a system whose
-weight rows pin most of its unknowns reduces only what is left.  The sl2
-form reads those pins off its weights and builds rows on its k antidiagonal
-unknowns alone.  The J forms have one entry +-1 in every row, so the
+are dropped from the other rows before those are reduced.  The S(k) side
+is never reduced: its pairings and intertwiners are read off the weights of
+the sl2 triple, on the at most min(k, k') unknowns the weights leave, and
+walked along the E chain in integers (:func:`_weight_solve`), the sl2 form
+included.  The J forms have one entry +-1 in every row, so the
 conjugator identities are decided on these signed pairings, with no matrix
 placed, and a form with one nonzero entry in every row and column is
 classified off those entries.
@@ -40,19 +41,19 @@ generators acts on every block as A_i (x) I or as I (x) U_i.
 demand and never split again.  Each distinct factor value gets one small
 int id when it is first produced (:func:`_factor`); factors are stored as
 these ids, equal values have equal ids, and a solve reads the values
-behind its ids.  :func:`invariant_forms` solves the forms of
-each block pair as products X (x) Y of a rho factor (at most 4 unknowns)
-and an S(k) factor, whose H-weight rows leave min(k, k') of its k k'
-unknowns, each solve cached on its factors' ids.  Blocks with equal
-factors form a class (:attr:`TensorFactors.classes`), and the oracle works
-on classes: :func:`find_nondegenerate_skew` builds its form from one solve
-per pair of classes and keeps it as tiles c X (x) Y
-(:class:`FactoredForm`), which are checked factor by factor once per pair
-of classes, and ``group_models`` solves the commutant per pair of classes
-too, all on the solve keys of :attr:`TensorFactors.class_pairs`, built
-once per realization.  Every fact read off one factor (its logarithm, its
-symmetry, its invertibility) is computed once per process.  A bare list
-of generators is solved as one block.
+behind its ids.  :func:`invariant_forms` solves the forms of each block
+pair as products X (x) Y of a rho factor (at most 4 unknowns, row reduced,
+cached on its factors' ids) and an S(k) factor (solved by its weights,
+cached on (k, k')).  Blocks with equal factors form a class
+(:attr:`TensorFactors.classes`), and the oracle works on classes:
+:func:`find_nondegenerate_skew` builds its form from one solve per pair of
+classes and keeps it as tiles c X (x) Y (:class:`FactoredForm`), which are
+checked factor by factor once per pair of classes, and ``group_models``
+solves the commutant per pair of classes too, all on the solve keys of
+:attr:`TensorFactors.class_pairs`, built once per realization.  Every
+fact read off one factor (its symmetry, its invertibility) is computed once
+per process.  A bare list of generators is solved as one block, on the rho
+side.
 """
 
 from __future__ import annotations
@@ -799,56 +800,96 @@ def sl2_exp_f(k: int) -> Matrix:
     return Matrix.gaussian(m)
 
 
-def invariant_form_sl2(k: int) -> BilinearForm:
-    """The invariant form of the k-dimensional sl2 module, exactly.
+def _weight_solve(k: int, k2: int,
+                  pairing: bool) -> tuple[dict[int, int], np.ndarray | None]:
+    """The pairings {Y (k x k') : U^T Y U' = Y} or the intertwiners
+    {Y : U Y = Y U'} of S(k) and S(k'), for (U, U') = (exp E, exp E') and
+    (exp F, exp F'), read off :func:`_sl2_triple` by the weights of sl2
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    section 7), with no row reduction.
 
-    Solves X^T B + B X = 0 for X in {E, F, H}.  H is diagonal, so its rows
-    (h_i + h_j) b_ij = 0 pin every b_ij with h_j != -h_i; the weights
-    h_j = k-1-2j leave the antidiagonal c_i = b_{i, k-1-i}, one unknown per
-    row.  The E and F rows are built on those k unknowns, and no system is
-    reduced: the k-1 E rows form a chain, the row of lower unknown j linking
-    c_j and c_{j+1} with both coefficients nonzero, so the solution space
-    has dimension at most 1.  Its one candidate, walked along the chain from
-    c_0 in integers, is checked exactly against every E and F row and is
-    then a basis; a missing link or a failed row is a PeriodLabError.  The
-    form, normalized to c_0 = 1, is classified off the antidiagonal
-    (:func:`classify_monomial_form`): symmetric for k odd, skew for k even.
+    exp E and exp F are unipotent, so Y satisfies them exactly when it
+    satisfies E and F: X^T Y + Y X' = 0 for pairings, X Y - Y X' = 0 for
+    intertwiners.  So it satisfies H = [E, F] too, and H is diagonal: its
+    rows pin y_ij unless h_i + h'_j = 0 (pairings) or h_i = h'_j
+    (intertwiners).  That leaves at most min(k, k') unknowns, the cells
+    (i, j), in order of i, and the E and F rows are built on the cells
+    alone.  The E rows form a chain, each linking the cells of rows i and
+    i + 1 with both coefficients nonzero, so the solutions span at most one
+    dimension.  The one candidate, walked along the chain from 1 at the
+    first cell in integers, is checked exactly against every E and F row.
+    Returns the cells as a dict i -> j and the candidate as a k x k'
+    integer array, or None when there is no cell or a row fails on it: then
+    Y = 0 is the only solution.  A missing link is a PeriodLabError.
     """
     e, f, h = _sl2_triple(k)
-    weights = [w for *_, w in h]
-    partner = [weights.index(-w) for w in weights]
+    e2, f2, h2 = (e, f, h) if k2 == k else _sl2_triple(k2)
+    sign = -1 if pairing else 1
+    column = {w: j for j, _, w in h2}
+    # cell i is the unknown y_ij, j = cell[i]; cell_row inverts it
+    cell = {i: column[sign * w] for i, _, w in h if sign * w in column}
+    cell_row = {j: i for i, j in cell.items()}
     rows = []
-    for x in (e, f):
-        # X[c, a] enters X^T B at (a, b) as X[c, a] b_cb and B X at (b, a)
-        # as b_bc X[c, a].  b_cb is unknown c iff b = partner[c], and b_bc is
-        # unknown b iff c = partner[b], the same b as partner is an involution
+    for x, x2 in ((e, e2), (f, f2)):
         eq: dict[tuple[int, int], dict[int, int]] = {}
-        for c, a, v in x:
-            b = partner[c]
-            row = eq.setdefault((a, b), {})
-            row[c] = row.get(c, 0) + v
-            row = eq.setdefault((b, a), {})
-            row[b] = row.get(b, 0) + v
+        for r, c, v in x:
+            # X^T Y at (c, b) holds v y_rb, and X Y at (r, b) holds v y_cb:
+            # an unknown when b is the cell's column
+            i, a = (r, c) if pairing else (c, r)
+            if i in cell:
+                row = eq.setdefault((a, cell[i]), {})
+                row[i] = row.get(i, 0) + v
+        for r, c, v in x2:
+            # Y X' at (a, c) holds v y_ar: an unknown when a = cell_row[r]
+            if r in cell_row:
+                a = cell_row[r]
+                row = eq.setdefault((a, c), {})
+                row[a] = row.get(a, 0) + (v if pairing else -v)
         rows.append(list(eq.values()))
-    chain = {min(row): row for row in rows[0]}
+    if not cell:
+        return cell, None
+    links = {min(row): row for row in rows[0] if len(row) == 2}
+    first = next(iter(cell))  # the cells lie on consecutive rows
     vec = [1]
-    for j in range(k - 1):
-        row = chain.get(j, {})
-        if row.keys() != {j, j + 1} or not row[j] or not row[j + 1]:
-            break
-        # row[j] c_j + row[j+1] c_{j+1} = 0: scale the known entries by the
-        # divisor's cofactor so c_{j+1} is an integer, keeping c_0 positive
-        num, div = -row[j] * vec[j], row[j + 1]
+    for i in range(first, first + len(cell) - 1):
+        row = links.get(i, {})
+        if row.keys() != {i, i + 1} or not row[i] or not row[i + 1]:
+            raise PeriodLabError(
+                f"internal: the E chain of S(k) x S(k') has no link at row "
+                f"{i} (k={k}, k'={k2})")
+        # row[i] y_i + row[i+1] y_{i+1} = 0: scale the known entries by the
+        # divisor's cofactor so y_{i+1} is an integer, keeping y_first > 0
+        num, div = -row[i] * vec[-1], row[i + 1]
         g = gcd(num, div) if div > 0 else -gcd(num, div)
-        vec = [x * (div // g) for x in vec] + [num // g]
-    if len(vec) < k or any(sum(v * vec[u] for u, v in row.items())
-                           for row in rows[0] + rows[1]):
+        if div != g:
+            vec = [x * (div // g) for x in vec]
+        vec.append(num // g)
+    for row in rows[0] + rows[1]:
+        total = 0
+        for u, v in row.items():
+            total += v * vec[u - first]
+        if total:
+            return cell, None
+    y = np.zeros((k, k2), dtype=object)
+    for (i, j), v in zip(cell.items(), vec):
+        y[i, j] = v
+    return cell, y
+
+
+def invariant_form_sl2(k: int) -> BilinearForm:
+    """The invariant form of the k-dimensional sl2 module, exactly: the
+    pairing of S(k) with itself that :func:`_weight_solve` walks, with no
+    row reduction.  Its cells are the antidiagonal c_i = b_{i, k-1-i}; a
+    failed row is a PeriodLabError here.  The form, normalized to c_0 = 1,
+    is classified off the antidiagonal (:func:`classify_monomial_form`):
+    symmetric for k odd, skew for k even.
+    """
+    _, gram = _weight_solve(k, k, True)
+    if gram is None:
         raise PeriodLabError(
             f"internal: no certified one-dimensional sl2 invariant-form "
             f"space (k={k})")
-    gram = np.zeros((k, k), dtype=object)
-    gram[range(k), partner] = vec
-    form = classify_monomial_form(Matrix.gaussian(gram, den=vec[0]))
+    form = classify_monomial_form(Matrix.gaussian(gram, den=gram[0, k - 1]))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
@@ -944,119 +985,75 @@ def _intertwining_rows(l: Matrix, r: Matrix) -> list[dict]:
     return rows
 
 
-def _unipotent_log(m: Matrix) -> Matrix | None:
-    """log m, exactly, when m - I is strictly triangular (m is unipotent):
-    the finite series sum_t (-1)^(t+1) (m - I)^t / t, summed in Gaussian
-    integers over one denominator.  None for any other m.
-
-    For m - I strictly upper triangular, (m - I)^t vanishes below its t-th
-    superdiagonal, so each power multiplies only that band; a lower
-    triangular m is solved as its transpose."""
-    s, d = m.rows, m.den
-    # m - I = (br + i*bi) / d
-    br, bi = m.re - d * np.eye(s, dtype=object), m.im
-    nonzero = (br != 0) | (bi != 0)
-    lower = np.tril(nonzero).any()
-    if lower and np.triu(nonzero).any():
-        return None
-    if lower:
-        br, bi = br.T, bi.T
-    den = lcm(*range(1, s)) * d ** max(s - 1, 1)
-    power = (br, bi)
-    series = (br * (den // d), bi * (den // d))
-    for t in range(2, s):
-        band = _gaussian_matmul(power[0][:s - t, t - 1:-1],
-                                power[1][:s - t, t - 1:-1],
-                                br[t - 1:-1, t:], bi[t - 1:-1, t:])
-        power = (np.zeros_like(br), np.zeros_like(bi))
-        c = (-1) ** (t + 1) * (den // (t * d ** t))
-        for part, value, total in zip(power, band, series):
-            part[:s - t, t:] = value
-            total[:s - t, t:] += c * value
-    log = Matrix.gaussian(*series, den)
-    return log.T if lower else log
-
-
-@lru_cache(maxsize=512)
-def _factor_log(factor: int, size: int) -> Matrix | None:
-    """:func:`_unipotent_log` of an exact factor, computed once per
-    factor."""
-    return _unipotent_log(_factor_matrix(factor, size, size, True))
-
-
-@lru_cache(maxsize=512)
-def _log_commutator(a: int, b: int, size: int) -> Matrix:
-    """[log A, log B] of two unipotent exact factors; for exp E and exp F
-    it is H, diagonal."""
-    la, lb = _factor_log(a, size), _factor_log(b, size)
-    return la @ lb - lb @ la
-
-
-def _factor_pairs(ls, rs, a, b, exact) -> list[tuple]:
-    """The (L, R) matrices of ``zip(ls, rs)`` and, on the exact path, their
-    logarithms when both are unipotent, else None.  When the first two
-    pairs have logarithms, one more entry (None, None, logs) holds their
-    commutators.  The pairs of logarithms whose rows X satisfies are the
-    annihilator of X in a representation of gl(a) x gl(b), a Lie algebra,
-    so X satisfies the rows of their commutator too; for exp E, exp F it is
-    H, whose rows (h_i +- h'_j) x_ij = 0 have one entry each and pin all
-    but min(a, b) unknowns."""
-    out = []
-    for l, r in zip(ls, rs):
-        logs = ((_factor_log(l, a), _factor_log(r, b)) if exact
-                else (None, None))
-        out.append((_factor_matrix(l, a, a, exact),
-                    _factor_matrix(r, b, b, exact),
-                    None if None in logs else logs))
-    if len(out) > 1 and out[0][2] and out[1][2]:
-        out.append((None, None, (_log_commutator(*ls[:2], a),
-                                 _log_commutator(*rs[:2], b))))
-    return out
+def _factor_solve(ls: tuple, rs: tuple, a: int, b: int, exact: bool,
+                  rows: Callable, dense: Callable) -> tuple[Matrix, ...]:
+    """Basis of the a x b matrices X that the ``rows`` of every (L, R) in
+    ``zip(ls, rs)`` annihilate: exact row reduction when ``exact``, else
+    the float rank rule on the ``dense`` rows."""
+    pairs = [(_factor_matrix(l, a, a, exact), _factor_matrix(r, b, b, exact))
+             for l, r in zip(ls, rs)]
+    if exact:
+        return tuple(v.apply(lambda m: m.reshape(a, b)) for v in
+                     nullspace_exact([row for l, r in pairs
+                                      for row in rows(l, r)], a * b))
+    return tuple(Matrix.from_array(v.reshape(a, b)) for v in nullspace_float(
+        [dense(l.data, r.data) for l, r in pairs], a * b).T)
 
 
 @lru_cache(maxsize=512)
 def invariant_pairings(ls: tuple, rs: tuple, a: int, b: int,
-                       exact: bool) -> tuple:
+                       exact: bool) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L^T X R = X for every (L, R) in
-    ``zip(ls, rs)``}.
+    ``zip(ls, rs)``}: the rho side of a block pair, or a bare list of
+    generators.
 
     Each L (a x a) and R (b x b) is given as a factor id of
     :class:`TensorFactors`, so solves are cached on the ids, and a miss
-    reads the values behind them.  Exact row reduction when ``exact``, each
-    basis vector an exact 1 x ab :class:`Matrix`; else the float rank rule,
-    each a tuple of complex entries.  The vectors are row-major.  A
-    unipotent pair gives the equivalent rows (log L)^T X + X log R = 0, a
-    few entries each, and two such pairs their commutator's
-    (:func:`_factor_pairs`).
+    reads the values behind them.  Exact row reduction of
+    :func:`_pairing_rows` when ``exact``, else the float rank rule; each
+    basis element an a x b :class:`Matrix`.  The S(k) side is solved by its
+    weights instead (:func:`sl2_pairings`).
     """
-    factors = _factor_pairs(ls, rs, a, b, exact)
-    if not exact:
-        return tuple(map(tuple, nullspace_float(
-            [np.kron(l.data.T, r.data.T) - np.eye(a * b)
-             for l, r, _ in factors], a * b).T))
-    rows = []
-    for l, r, logs in factors:
-        rows += (_pairing_rows(l, r) if logs is None
-                 else _intertwining_rows(-logs[0].T, logs[1]))
-    return tuple(nullspace_exact(rows, a * b))
+    return _factor_solve(ls, rs, a, b, exact, _pairing_rows,
+                         lambda l, r: np.kron(l.T, r.T) - np.eye(a * b))
 
 
 @lru_cache(maxsize=512)
 def intertwiners(ls: tuple, rs: tuple, a: int, b: int,
-                 exact: bool) -> tuple:
+                 exact: bool) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L X = X R for every (L, R) in ``zip(ls, rs)``},
-    with arguments and result as for :func:`invariant_pairings`.  The rows
-    hold entries of L and R, never their products; a unipotent pair gives
-    (log L) X = X log R instead, and two such pairs their commutator's."""
-    factors = _factor_pairs(ls, rs, a, b, exact)
-    if not exact:
-        return tuple(map(tuple, nullspace_float(
-            [np.kron(l.data, np.eye(b)) - np.kron(np.eye(a), r.data.T)
-             for l, r, _ in factors], a * b).T))
-    rows = []
-    for l, r, logs in factors:
-        rows += _intertwining_rows(*(logs or (l, r)))
-    return tuple(nullspace_exact(rows, a * b))
+    with arguments and result as for :func:`invariant_pairings`, solved on
+    :func:`_intertwining_rows`.  The S(k) side is solved by its weights
+    instead (:func:`sl2_intertwiners`)."""
+    return _factor_solve(
+        ls, rs, a, b, exact, _intertwining_rows,
+        lambda l, r: np.kron(l, np.eye(b)) - np.kron(np.eye(a), r.T))
+
+
+def _weight_basis(k: int, k2: int, pairing: bool) -> tuple[Matrix, ...]:
+    """The basis :func:`_weight_solve` certifies, 0 or 1 exact k x k'
+    matrices, scaled so that the last cell is 1, as :func:`nullspace_exact`
+    scales a one-dimensional solution space."""
+    cell, y = _weight_solve(k, k2, pairing)
+    if y is None:
+        return ()
+    i = max(cell)
+    last = y[i, cell[i]]
+    return (Matrix.gaussian(y if last > 0 else -y, den=abs(last)),)
+
+
+@lru_cache(maxsize=512)
+def sl2_pairings(k: int, k2: int) -> tuple[Matrix, ...]:
+    """Basis of {Y (k x k') : U^T Y U' = Y} for (U, U') = (exp E, exp E')
+    and (exp F, exp F') of S(k) and S(k'): the S(k) side of a block pair,
+    solved by its weights (:func:`_weight_solve`) and cached on (k, k')."""
+    return _weight_basis(k, k2, True)
+
+
+@lru_cache(maxsize=512)
+def sl2_intertwiners(k: int, k2: int) -> tuple[Matrix, ...]:
+    """Basis of {Y (k x k') : U Y = Y U'}, as for :func:`sl2_pairings`."""
+    return _weight_basis(k, k2, False)
 
 
 @dataclass(frozen=True)
@@ -1068,8 +1065,9 @@ class TensorFactors:
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
     order (rho generators first), each as the id :func:`_factor` gives its
     value.  The rho side is exact or float as a whole; the S(k) side, the
-    integer exp(E) and exp(F), is always exact, also next to a float label.
-    A :class:`GeneratorSet` is stored as its factors.
+    integer exp(E) and exp(F) of ``_exp_factors(k)`` (none when every k is
+    1), is always exact, also next to a float label, and its solves read k
+    alone.  A :class:`GeneratorSet` is stored as its factors.
     """
 
     n: int
@@ -1079,10 +1077,10 @@ class TensorFactors:
     rho_exact: bool
 
     def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
-        """The rho and S(k) factor solve arguments of block pair (i, j)."""
+        """The solve arguments of block pair (i, j): of the rho side, its
+        factor ids, sizes and path; of the S(k) side, k and k'."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return ((self.rho[i], self.rho[j], r, r2, self.rho_exact),
-                (self.sl2[i], self.sl2[j], k, k2, True))
+        return (self.rho[i], self.rho[j], r, r2, self.rho_exact), (k, k2)
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -1206,29 +1204,27 @@ def invariant_forms(gens) -> list[BilinearForm]:
     The space is solved per block pair (i, j) of :func:`tensor_factors`
     (the realization's blocks, or one block for a bare list of generators):
     its forms there are X (x) Y, with X in :func:`invariant_pairings` of the
-    A_i, A_j and Y in that of the U_i, U_j; each factor is solved on its
-    side's path, and X (x) Y is complex unless both are exact.  On the exact
-    path X (x) Y is formed in Gaussian integers, up to scale, and the
-    symmetric and skew parts are reduced row echelon forms, unique whatever
-    the spanning vectors, so they do not depend on the factorization.
+    A_i, A_j and Y in :func:`sl2_pairings` of k_i, k_j; each factor is
+    solved on its side's path, and X (x) Y is complex unless both are
+    exact.  On the exact path X (x) Y is formed in Gaussian integers, up to
+    scale, and the symmetric and skew parts are reduced row echelon forms,
+    unique whatever the spanning vectors, so they do not depend on the
+    factorization.
     """
     tf = tensor_factors(gens)
     n, exact = tf.n, tf.rho_exact
     vecs: list[dict[int, object]] = []  # row-major index -> entry
     for lo, lo2, rho_args, sl2_args in tf.block_pairs():
         xs = invariant_pairings(*rho_args)
-        ys = invariant_pairings(*sl2_args) if xs else ()
-        if not exact:  # the S(k) side is exact
-            xs = [tuple(map(complex, x)) for x in xs]
-            ys = [y.as_complex()[0].tolist() for y in ys]
-        r2, (k, k2) = rho_args[3], sl2_args[2:4]
+        ys = sl2_pairings(*sl2_args) if xs else ()
+        k, k2 = sl2_args
         for x in xs:
             for y in ys:
                 vecs.append({
                     (lo + a * k + s) * n + lo2 + b * k2 + t:
                         _gaussian_product(xv, yv) if exact else xv * yv
-                    for (a, b), xv in _nonzero_entries(x, r2, exact)
-                    for (s, t), yv in _nonzero_entries(y, k2, exact)})
+                    for (a, b), xv in _nonzero_entries(x, exact)
+                    for (s, t), yv in _nonzero_entries(y, exact)})
 
     if exact:
         parts = _split_transpose_exact(vecs, n)
@@ -1247,13 +1243,13 @@ def invariant_forms(gens) -> list[BilinearForm]:
             for gram in grams]
 
 
-def _nonzero_entries(vec, cols: int, exact: bool):
-    """((row, col), entry) for the nonzero entries of a row-major basis
-    vector: (re, im) of an exact 1 x n row, whose ``den`` is dropped, when
-    ``exact``, else a complex entry of a tuple."""
-    entries = (_sparse_row(vec.re[0], vec.im[0]).items() if exact
-               else ((i, v) for i, v in enumerate(vec) if v))
-    return [(divmod(i, cols), v) for i, v in entries]
+def _nonzero_entries(m: Matrix, exact: bool):
+    """((row, col), entry) for the nonzero entries of a basis matrix: (re,
+    im) of an exact ``m``, whose ``den`` is dropped, when ``exact``, else a
+    complex entry."""
+    entries = (_sparse_row(m.re.flat, m.im.flat).items() if exact
+               else ((i, v) for i, v in enumerate(m.as_complex().flat) if v))
+    return [(divmod(i, m.cols), v) for i, v in entries]
 
 
 def _gaussian_product(x: tuple[int, int], y: tuple[int, int]):
@@ -1293,15 +1289,11 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=512)
-def _pairing_factors(ls: tuple, rs: tuple, a: int, b: int,
-                     exact: bool) -> tuple:
-    """The basis of :func:`invariant_pairings` as a x b matrices X, each
-    given as (the factor of X, the factor of X^T, X), built once per
-    solve."""
-    mats = [v.apply(lambda m: m.reshape(a, b)) if exact
-            else Matrix.from_array(np.reshape(v, (a, b)))
-            for v in invariant_pairings(ls, rs, a, b, exact)]
-    return tuple((_factor(m, exact), _factor(m.T, exact), m) for m in mats)
+def _pairing_factors(solve: Callable, *args) -> tuple:
+    """The basis of a pairing solve, ``solve(*args)``, each X given as (the
+    factor of X, the factor of X^T, X), built once per solve."""
+    return tuple((_factor(m, m.exact), _factor(m.T, m.exact), m)
+                 for m in solve(*args))
 
 
 def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
@@ -1309,8 +1301,8 @@ def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
     factors (:meth:`TensorFactors.pair`), as the factors (X, Y, X^T, Y^T)
     of a :class:`FactoredForm` followed by the matrices X and Y, or None
     when there is none."""
-    xs = _pairing_factors(*rho_args)
-    ys = _pairing_factors(*sl2_args) if xs else ()
+    xs = _pairing_factors(invariant_pairings, *rho_args)
+    ys = _pairing_factors(sl2_pairings, *sl2_args) if xs else ()
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
         raise PeriodLabError(f"internal: a block pair has {len(xs) * len(ys)}"
                              f" independent invariant pairings, not 0 or 1")
@@ -1436,7 +1428,8 @@ class FactoredForm:
             if key not in checked:  # once per class pair and tile factors
                 rho_args, sl2_args = tf.class_pairs[ci][cj]
                 checked[key] = (_pairing_residue(*rho_args, x),
-                                _pairing_residue(*sl2_args, y))
+                                _pairing_residue(tf.sl2[i], tf.sl2[j],
+                                                 *sl2_args, True, y))
             dx, dy = checked[key]
             if dx is None or dy is None:
                 return None
@@ -1512,8 +1505,9 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     an internal error.  J pairs copy i of C with copy i of C' by P and
     -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
     skew, as :func:`classify_form` reads the solved X and Y: a symmetric P
-    pairs copy 2i with copy 2i + 1, and a skew P each copy with itself.  Each None has a certificate that every invariant (skew)
-    form is degenerate:
+    pairs copy 2i with copy 2i + 1, and a skew P each copy with itself.
+    Each None has a certificate that every invariant (skew) form is
+    degenerate:
 
     * C pairs with no class: the form vanishes on the rows of C;
     * m_C != m_C': it maps the rows of one class into fewer columns;

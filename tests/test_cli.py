@@ -371,25 +371,32 @@ def test_classify_exits_with_a_documented_code_on_any_catalog(
     assert code in range(5), (text, expr, code)
 
 
+# 19 distinct classes, dim 380: one S(k) x S(k') solve per pair of classes
+MANY_CLASSES = " (+) ".join(f"St({2 * j},trivial)" for j in range(1, 20))
+
+
 @pytest.mark.parametrize("label, copies", [
     ("trivial", 48), ("q8", 24), ("trivial", 1000), ("q8", 200),
-    ("St(48,trivial)", 1), ("St(40,chi3) (+) St(40,chi3bar)", 1)])
+    ("St(48,trivial)", 1), ("St(40,chi3) (+) St(40,chi3bar)", 1),
+    pytest.param(MANY_CLASSES, 1, id="St(2j,trivial)-j=1..19")])
 def test_high_multiplicity_oracle_stays_fast_above_the_bound(
         monkeypatch, capsys, label, copies):
     # the costliest families known above the bound: the oracle works per
     # class of equal blocks, so its cost does not grow with the square of
-    # the multiplicity, and the H weights pin an S(k) x S(k) solve to k
-    # unknowns; a guard for raising the bound.  Each takes well under
-    # 0.5 s on a 2-vCPU VM.
+    # the multiplicity, and each S(k) x S(k') solve is walked on the at most
+    # min(k, k') unknowns that its weights leave, with no row reduction; a
+    # guard for raising the bound.  Each takes well under 0.5 s on a 2-vCPU
+    # VM.
     monkeypatch.setattr(distinction, "FORM_ORACLE_DIM_BOUND", 1000)
     start = time.perf_counter()
     code = main(["classify", " (+) ".join([label] * copies), "--oracle",
                  "--json"])
     elapsed = time.perf_counter() - start
     data = json.loads(capsys.readouterr().out)
-    # one symplectic block is elliptic; the rest factor through Sp, but
-    # are not elliptic
-    assert code == (0 if label == "St(48,trivial)" else 1), data
+    # distinct symplectic blocks are elliptic; the rest factor through Sp,
+    # but are not elliptic
+    assert code == (0 if label in ("St(48,trivial)", MANY_CLASSES)
+                    else 1), data
     assert data["oracle_agreement"] is True, data
     assert all(c["verdict"] != "error" for c in data["checks"]), data
     assert elapsed < 2.0

@@ -50,6 +50,7 @@ from periodlab.matrix_lab import (
     _factor,
     _factor_matrix,
     intertwiners,
+    sl2_intertwiners,
     sym_power,
     tensor_factors,
 )
@@ -424,7 +425,8 @@ def test_factored_oracle_matches_the_one_block_solve(p):
 def _per_block_commutant(gens):
     """The reference commutant dimension: the sum over block pairs (i, j)
     of dim Hom(A_j, A_i) * dim Hom(U_j, U_i)."""
-    return sum(len(intertwiners(*rho_args)) * len(intertwiners(*sl2_args))
+    return sum(len(intertwiners(*rho_args))
+               * len(sl2_intertwiners(*sl2_args))
                for *_, rho_args, sl2_args
                in tensor_factors(gens).block_pairs())
 

@@ -19,13 +19,11 @@ from periodlab import (
     WDParameter,
     builtin_catalog,
     classify_form,
-    commutant_dimension,
     conjugator_for_partition,
     find_nondegenerate_skew,
     invariant_form_sl2,
     invariant_forms,
     is_in_sp,
-    oracle_verdicts,
     partition_J,
     realize,
     sl2_exp_e,
@@ -53,6 +51,7 @@ from periodlab.matrix_lab import (
     _factor,
     _intertwining_rows,
     _normalized,
+    _pairing_rows,
     _sparse_row,
     blockdiag,
     check_conjugator,
@@ -594,6 +593,23 @@ def test_sl2_exponentials_match_sym_power():
         assert sl2_exp_f(k).equals(sym_power(lower, k))
 
 
+def test_sl2_exponentials_are_the_exponentials_of_the_triple():
+    """A "no" of the weight solve is a certificate because exp E and exp F
+    are the exponentials of the E and F of _sl2_triple, whose bracket is
+    its diagonal H: the finite series sum_t X^t / t! of the nilpotent X
+    equals them exactly, for every k <= 24."""
+    for k in range(1, 25):
+        act = sl2_sym_power_action(k)
+        assert (act.e @ act.f - act.f @ act.e).equals(act.h)
+        for x, exp in ((act.e, sl2_exp_e(k)), (act.f, sl2_exp_f(k))):
+            term = total = Matrix.identity(k)
+            for t in range(1, k + 1):
+                term = (term @ x).scale(Fraction(1, t))
+                total = total + term
+            assert term.equals(Matrix.zeros(k, k)), k  # X^k = 0
+            assert total.equals(exp), k
+
+
 def test_invariant_form_sl2_parity_and_uniqueness():
     for k in range(1, 6):
         f = invariant_form_sl2(k)
@@ -808,31 +824,47 @@ def test_invariant_forms_float_path():
         assert is_in_sp(g, skew)
 
 
-def test_each_factor_is_logged_once_per_process(monkeypatch):
-    """log exp(E) and log exp(F) are computed once per distinct factor,
-    whatever the blocks, specs and solves that use them; the other factors
-    are read once too, and found not unipotent."""
-    for cached in (matrix_lab._factor_log, matrix_lab._log_commutator,
-                   matrix_lab.invariant_pairings, matrix_lab.intertwiners,
-                   matrix_lab._pairing_factors, matrix_lab._pairing_residue):
-        cached.cache_clear()
-    logged = []
-    unipotent_log = matrix_lab._unipotent_log
+def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
+    """For every k, k' <= 12 the S(k) x S(k') pairings and intertwiners are,
+    up to scale, the null space of the dense exp E and exp F rows: one
+    matrix when k = k', none otherwise.  The weight solve finds them with no
+    row reduction, on at most min(k, k') unknowns, and they vanish off
+    those."""
+    def no_reduction(*args):
+        raise AssertionError("row reduction in an S(k) solve")
 
-    def counted(m):
-        logged.append((m.den, tuple(m.re.flat), tuple(m.im.flat)))
-        return unipotent_log(m)
-
-    monkeypatch.setattr(matrix_lab, "_unipotent_log", counted)
-    for segments in ([seg("q8", 4), seg("q8b", 4), seg("trivial", 2)],
-                     [seg("trivial", 4), seg("q8", 4), seg("q8", 4)],
-                     [seg("d4", 4), seg("q8", 3), seg("q8", 3)]):
-        oracle_verdicts(WDParameter.of(segments))
-        commutant_dimension(realize(WDParameter.of(segments), CAT))
-    assert len(logged) == len(set(logged))
-    for k in (2, 3, 4):
-        for m in (sl2_exp_e(k), sl2_exp_f(k)):
-            assert (m.den, tuple(m.re.flat), tuple(m.im.flat)) in logged
+    sizes = [(k, k2) for k in range(1, 13) for k2 in range(1, 13)]
+    kinds = [(matrix_lab.sl2_pairings, _pairing_rows, True),
+             (matrix_lab.sl2_intertwiners, _intertwining_rows, False)]
+    solved = {}
+    with monkeypatch.context() as patched:
+        patched.setattr(matrix_lab, "nullspace_exact", no_reduction)
+        patched.setattr(matrix_lab, "_Rref", no_reduction)
+        for solve, _, pairing in kinds:
+            solve.cache_clear()
+            for k, k2 in sizes:
+                cells, _ = matrix_lab._weight_solve(k, k2, pairing)
+                solved[pairing, k, k2] = cells, solve(k, k2)
+    for _, rows_of, pairing in kinds:
+        for k, k2 in sizes:
+            cells, basis = solved[pairing, k, k2]
+            assert len(cells) <= min(k, k2)
+            rows = [row for exp in (sl2_exp_e, sl2_exp_f)
+                    for row in rows_of(exp(k), exp(k2))]
+            # the reduced form is unique: inserting the sparsest rows first
+            # changes only its cost
+            want = nullspace_exact(sorted(rows, key=len), k * k2)
+            assert len(basis) == len(want) == (k == k2), (pairing, k, k2)
+            for y, w in zip(basis, want):
+                assert y.shape == (k, k2)
+                got = [v for row in y.tolist() for v in row]
+                ref = w.tolist()[0]
+                p = next(p for p, v in enumerate(ref) if v != 0)
+                assert got[p] != 0
+                assert all(a * ref[p] == b * got[p]
+                           for a, b in zip(got, ref)), (pairing, k, k2)
+                assert {divmod(p, k2) for p, v in enumerate(got)
+                        if v != 0} <= set(cells.items())
 
 
 # -- the skew form, class by class ------------------------------------------
