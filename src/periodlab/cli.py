@@ -214,8 +214,10 @@ def run_conjecture_sweep(catalog_path: str | None = None,
 
 
 @cache
-def _build_argparser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def _build_argparser() -> tuple[argparse.ArgumentParser,
+                                dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommands' parsers by name, built
+    once per process."""
     ap = argparse.ArgumentParser(
         prog="periodlab",
         description=("Rules and matrix oracles for symplectic-period "
@@ -249,11 +251,27 @@ def _build_argparser() -> argparse.ArgumentParser:
                    help=f"total dimension cap, 2..{FORM_ORACLE_DIM_BOUND} "
                         f"(default 8)")
     s.add_argument("--json", action="store_true", help="JSON output")
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args`` of the full parser, routed straight to the subcommand's
+    parser when the first word names one.  A parse that leaves arguments
+    over goes to the full parser, which reports them under its own usage;
+    so do an empty argv and a first word that names no subcommand."""
+    ap, subcommands = _build_argparser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "classify":
             report = run_classify(args.expr, args.catalog, args.oracle)

@@ -31,8 +31,9 @@ conjugator identities are decided on these signed pairings, with no matrix
 placed, and a form with one nonzero entry in every row and column is
 classified off those entries.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
-by fraction-free elimination over the Gaussian integers (Bareiss 1968), and
-on the float path by the SVD rank rule.
+off the diagonal of a triangular matrix or the pattern of a monomial one,
+else by fraction-free elimination over the Gaussian integers (Bareiss
+1968), and on the float path by the SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
@@ -51,9 +52,10 @@ classes and keeps it as tiles c X (x) Y (:class:`FactoredForm`), which are
 checked factor by factor once per pair of classes, and ``group_models``
 solves the commutant per pair of classes too, all on the solve keys of
 :attr:`TensorFactors.class_pairs`, built once per realization.  Every
-fact read off one factor (its symmetry, its invertibility) is computed once
-per process.  A bare list of generators is solved as one block, on the rho
-side.
+fact read off one factor (its symmetry, its invertibility), the reading of
+a gram on either path, and the grouping of a set of label models into
+generators are computed once per process.  A bare list of generators is
+solved as one block, on the rho side.
 """
 
 from __future__ import annotations
@@ -501,13 +503,24 @@ def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
     """Whether the square Gaussian-integer matrix ``re + i*im`` is
     invertible.
 
-    Fraction-free elimination (Bareiss 1968): after step k each entry of the
-    trailing block is a minor of the input, so dividing by the previous
-    pivot is exact in Z[i].  The matrix is singular exactly when a column
-    has no pivot left.
+    A triangular matrix is decided by its diagonal and a monomial one by its
+    pattern, in O(n^2).  Anything else goes to fraction-free elimination
+    (Bareiss 1968): after step k each entry of the trailing block is a minor
+    of the input, so dividing by the previous pivot is exact in Z[i].  The
+    matrix is singular exactly when a column has no pivot left.
     """
     re, im = re.tolist(), im.tolist()
     n = len(re)
+    support = [[j for j in range(n) if rr[j] or ri[j]]
+               for rr, ri in zip(re, im)]
+    if not all(support):
+        return False
+    if all(cols[0] >= i for i, cols in enumerate(support)):  # upper
+        return all(cols[0] == i for i, cols in enumerate(support))
+    if all(cols[-1] <= i for i, cols in enumerate(support)):  # lower
+        return all(cols[-1] == i for i, cols in enumerate(support))
+    if all(len(cols) == 1 for cols in support):
+        return len({cols[0] for cols in support}) == n
     pr, pi = 1, 0  # the previous pivot
     for k in range(n):
         p = next((r for r in range(k, n) if re[r][k] or im[r][k]), None)
@@ -565,22 +578,34 @@ def classify_form(gram: Matrix) -> BilinearForm:
     """Symmetry and nondegeneracy of ``gram``.
 
     On the exact path both are read off the stored integers, once per
-    integer image (:func:`_exact_reading`).  On the float path they follow
-    :meth:`Matrix.equals` and the SVD rank rule.
+    integer image (:func:`_exact_reading`); on the float path they follow
+    :meth:`Matrix.equals` and the SVD rank rule, once per tuple of entries
+    (:func:`_float_reading`).
     """
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
     if not gram.exact:
-        gt = gram.T
-        if gt.equals(gram):
-            sym = Symmetry.SYMMETRIC
-        elif gt.equals(-gram):
-            sym = Symmetry.SKEW
-        else:
-            sym = Symmetry.NEITHER
-        return BilinearForm(gram, sym, gram.is_invertible())
+        return BilinearForm(gram, *_float_reading(
+            gram.rows, tuple(gram.data.ravel().tolist())))
     return BilinearForm(gram, *_exact_reading(
         gram.rows, tuple(gram.re.flat), tuple(gram.im.flat)))
+
+
+@lru_cache(maxsize=1024)
+def _float_reading(n: int, entries: tuple) -> tuple[Symmetry, bool]:
+    """The symmetry and the invertibility of the n x n complex matrix of
+    row-major ``entries``: the symmetry by :meth:`Matrix.equals` against
+    its transpose, invertibility by the SVD rank rule.  Cached on the
+    entries, so each is computed once per matrix."""
+    gram = Matrix.from_array(np.array(entries, dtype=complex).reshape(n, n))
+    gt = gram.T
+    if gt.equals(gram):
+        sym = Symmetry.SYMMETRIC
+    elif gt.equals(-gram):
+        sym = Symmetry.SKEW
+    else:
+        sym = Symmetry.NEITHER
+    return sym, gram.is_invertible()
 
 
 @lru_cache(maxsize=1024)
@@ -1169,11 +1194,13 @@ def _exp_factors(k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=512)
 def _invertible(factor: int, size: int, exact: bool) -> bool:
-    """Whether a factor is invertible, cached on its id; on the exact path
-    this is :func:`_exact_reading`'s, shared with :func:`classify_form`."""
+    """Whether a factor is invertible, cached on its id: the reading
+    :func:`classify_form` shares, :func:`_exact_reading` or
+    :func:`_float_reading` of the factor's value."""
+    value = _FACTOR_VALUES[factor]
     if exact:
-        return _exact_reading(size, *_FACTOR_VALUES[factor][:2])[1]
-    return _factor_matrix(factor, size, size, exact).is_invertible()
+        return _exact_reading(size, *value[:2])[1]
+    return _float_reading(size, value)[1]
 
 
 def tensor_factors(gens) -> TensorFactors:
@@ -1643,30 +1670,13 @@ class GeneratorSet:
         return tuple(self.factors.dense())
 
 
-def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
-    """Generators for the image of an untwisted parameter, built as their
-    tensor factors.
-
-    Each segment St(k, rho) contributes a block rho (x) S(k); a group
-    generator gamma acts as gamma (x) I_k in every block whose label is
-    modeled on gamma's group and as the identity elsewhere (skipped when
-    that is the identity everywhere; factors and identity flags are read
-    off the models), and the unipotent pair exp(E), exp(F) acts as
-    I_r (x) exp on every block at once, exactly whatever the labels'
-    path.  With no such generator the identity is the generator.
-    """
-    segs = p.segments
-    if not segs:
-        raise ValueError("cannot realize the empty parameter")
-    for s in segs:
-        if s.twist != 0:
-            raise TwistedSegmentError(
-                f"segment {s.cuspidal.name} has twist {s.twist}; "
-                f"realizations are defined for twist zero")
-    models = [catalog.model_for(s.cuspidal) for s in segs]
-    exact = all(m.exact for m in models)
-
-    distinct = dict.fromkeys(models)  # models and groups hash by identity
+@lru_cache(maxsize=1024)
+def _model_set(distinct: tuple, unipotent: bool) -> tuple[bool, dict, tuple]:
+    """The path, the rho factors of each model and the provenance tags of
+    a realization whose label models are ``distinct``, in order of first
+    appearance, with the unipotent pair when ``unipotent``.  Models hash by
+    identity, so this is built once per model set of a catalog."""
+    exact = all(m.exact for m in distinct)
     groups: dict = {}
     for m in distinct:
         groups.setdefault(m.group, []).append(m)
@@ -1678,17 +1688,44 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     rho_of = {m: tuple(f for g, ps in moving for f in (
         [m.factors[exact][pos] for pos in ps] if m.group is g
         else [_identity(m.dim, exact)] * len(ps))) for m in distinct}
-    sl2 = ((),) * len(segs)
-    if any(s.k > 1 for s in segs):
-        sl2 = tuple(_exp_factors(s.k) for s in segs)
+    if unipotent:
         provenance += ["sl2:exp_e", "sl2:exp_f"]
     if not provenance:
         rho_of = {m: (_identity(m.dim, exact),) for m in distinct}
         provenance = ["identity"]
+    return exact, rho_of, tuple(provenance)
 
+
+def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
+    """Generators for the image of an untwisted parameter, built as their
+    tensor factors.
+
+    Each segment St(k, rho) contributes a block rho (x) S(k); a group
+    generator gamma acts as gamma (x) I_k in every block whose label is
+    modeled on gamma's group and as the identity elsewhere (skipped when
+    that is the identity everywhere; factors and identity flags are read
+    off the models), and the unipotent pair exp(E), exp(F) acts as
+    I_r (x) exp on every block at once, exactly whatever the labels'
+    path.  With no such generator the identity is the generator.  The
+    grouping of the models is built once per model set (:func:`_model_set`).
+    """
+    segs = p.segments
+    if not segs:
+        raise ValueError("cannot realize the empty parameter")
+    for s in segs:
+        if s.twist != 0:
+            raise TwistedSegmentError(
+                f"segment {s.cuspidal.name} has twist {s.twist}; "
+                f"realizations are defined for twist zero")
+    models = [catalog.model_for(s.cuspidal) for s in segs]
+    unipotent = any(s.k > 1 for s in segs)
+    exact, rho_of, provenance = _model_set(tuple(dict.fromkeys(models)),
+                                           unipotent)
+    sl2 = (tuple(_exp_factors(s.k) for s in segs) if unipotent
+           else ((),) * len(segs))
     recipe = RealizationRecipe(tuple(segs))
     blocks = tuple((lo, s.cuspidal.dim, s.k)
                    for (lo, _), s in zip(recipe.spans, segs))
     factors = TensorFactors(recipe.spans[-1][1], blocks,
                             tuple(rho_of[m] for m in models), sl2, exact)
-    return GeneratorSet(factors, tuple(provenance), recipe)
+    return GeneratorSet(factors, provenance, recipe)

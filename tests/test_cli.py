@@ -318,6 +318,52 @@ def test_classify_exits_with_a_documented_code_on_any_text(expr, oracle):
     assert time.perf_counter() - start < 5.0, expr
 
 
+# every subcommand with valid arguments, help at both levels, and the argv
+# the subcommand's own parser would report differently from the full one
+ROUTED_ARGV = [
+    ["classify", "St(3,q8) (+) q8b", "--oracle", "--json"],
+    ["classify", "trivial", "--catalog", "x.ini"],
+    ["verify-matrices", "--max-n", "3", "--max-k", "4"],
+    ["verify-matrices", "--json"],
+    ["sweep", "--max-dim", "6", "--catalog", "x.ini", "--json"],
+    ["sweep"],
+    ["-h"],
+    ["classify", "-h"],
+    ["verify-matrices", "--help"],
+    ["sweep", "-h"],
+    ["classify", "trivial", "--foo"],
+    ["classify", "trivial", "extra"],
+    ["classify"],
+    ["sweep", "--max-dim", "x"],
+    ["verify-matrices", "--max-n"],
+    ["frobnicate", "trivial"],
+    ["--json", "classify", "trivial"],
+    ["classify", "--", "-x"],
+    [],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of a parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ROUTED_ARGV, ids=" ".join)
+def test_the_argv_route_parses_as_the_full_parser(argv):
+    """cli._parse_args, which hands an argv naming a subcommand to that
+    subcommand's parser, gives the full parser's Namespace, or its exit code
+    and its output byte for byte."""
+    parser = cli._build_argparser()[0]
+    assert (_parse_outcome(cli._parse_args, argv)
+            == _parse_outcome(parser.parse_args, argv))
+
+
 # catalog section bodies per label, with distinct models, that load on
 # their own or with their dual partner; and faulty lines: bad headers and
 # values, unknown keys, lines configparser refuses, arbitrary text

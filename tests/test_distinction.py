@@ -74,6 +74,31 @@ def test_distinguished_segments_table():
         assert is_linear_distinguished(seg(name, k)) == want, (name, k)
 
 
+def test_distinction_agrees_with_the_single_block_oracle_on_every_segment():
+    """Every built-in segment St(k, rho) up to dim 24: the rule calls it
+    distinguished exactly when the one block rho (x) S(k) carries an
+    invariant nondegenerate skew form, which the oracle finds and
+    verify_form checks; at odd dimension the rule refuses and the oracle
+    finds no form."""
+    even = distinguished = 0
+    segments = [seg(name, k) for name in sorted(CAT.entries)
+                for k in range(1, 25) if CAT.label(name).dim * k <= 24]
+    for s in segments:
+        gens = matrix_lab.realize(param(s), CAT)
+        form = matrix_lab.find_nondegenerate_skew(gens)
+        if s.dim % 2:
+            with pytest.raises(OddDimensionError):
+                is_linear_distinguished(s)
+            assert form is None, s
+            continue
+        even += 1
+        if form is not None:
+            distinction.verify_form(gens, form)
+            distinguished += 1
+        assert is_linear_distinguished(s) == (form is not None), s
+    assert (len(segments), even, distinguished) == (120, 84, 36)
+
+
 @given(st.integers(1, 8), st.sampled_from(SelfDualityType), st.booleans(),
        st.integers(1, 12))
 def test_distinction_is_the_pole_rule_on_any_label(dim, sd_type, unitary, k):

@@ -291,6 +291,36 @@ def test_nullspace_exact_simple_kernel():
     assert v[0] != QQi(0)
 
 
+_PATTERNS = {
+    "upper": lambda r, c, cols: c >= r,
+    "lower": lambda r, c, cols: c <= r,
+    "monomial": lambda r, c, cols: c == cols[r],  # columns may repeat
+    "general": lambda r, c, cols: True,
+}
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.sampled_from(sorted(_PATTERNS)),
+    st.lists(st.integers(-3, 3), min_size=2 * n * n, max_size=2 * n * n),
+    st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+def test_invertibility_read_off_matches_exact_rank(drawn):
+    """Upper and lower triangular, monomial and general Gaussian-integer
+    matrices, with about a quarter of their entries zeroed: the read-off of
+    a triangular or monomial pattern before Bareiss elimination, and the
+    elimination, decide invertibility as the exact rank does."""
+    kind, ints, keep, cols = drawn
+    n = len(cols)
+    parts = np.array(ints, dtype=object).reshape(2, n, n)
+    for r in range(n):
+        for c in range(n):
+            if not (keep[r * n + c] and _PATTERNS[kind](r, c, cols)):
+                parts[:, r, c] = 0
+    m = Matrix.gaussian(parts[0], parts[1])
+    assert m.is_invertible() == (m.rank() == n)
+
+
 def test_nullspace_float_matches_rank():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
     basis = nullspace_float(a, 3)
@@ -429,6 +459,47 @@ def test_exact_classify_form_matches_the_definitions(drawn):
     form = classify_form(gram)
     assert form.symmetry is expected
     assert form.nondegenerate == (gram.rank() == n)
+
+
+def _float_rule(gram):
+    """classify_form's float rule, uncached: the symmetry by Matrix.equals
+    against the transpose, nondegeneracy by the SVD rank rule."""
+    gt = gram.T
+    if gt.equals(gram):
+        sym = Symmetry.SYMMETRIC
+    elif gt.equals(-gram):
+        sym = Symmetry.SKEW
+    else:
+        sym = Symmetry.NEITHER
+    return sym, gram.is_invertible()
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-9, 9), min_size=4 * n * n,
+                         max_size=4 * n * n),
+    st.sampled_from([1, -1, None]), st.integers(0, n))))
+def test_float_classify_form_matches_the_uncached_rule(drawn):
+    """Float grams of sizes 1-4, symmetric, skew or neither and of any
+    rank (A^T P C P A with P a rank-r projection): classify_form reads
+    them, and the same gram with one entry moved, as the uncached rule
+    does, first with the cache the earlier examples left, then with a
+    cleared one."""
+    n, ints, sign, rank = drawn
+    parts = np.array(ints, dtype=float).reshape(2, 2, n, n) / 7
+    x, a = parts[:, 0] + 1j * parts[:, 1]
+    core = x if sign is None else x + sign * x.T
+    keep = np.diag([1.0 if i < rank else 0.0 for i in range(n)])
+    dense = a.T @ keep @ core @ keep @ a
+    bumped = dense.copy()
+    bumped[-1, 0] += 1  # one entry apart: a cache key must see all of them
+    for clear in (False, True):
+        if clear:
+            matrix_lab._float_reading.cache_clear()
+        for gram in map(Matrix.from_array, (dense, bumped)):
+            form = classify_form(gram)
+            assert form.gram is gram
+            assert (form.symmetry, form.nondegenerate) == _float_rule(gram)
 
 
 @st.composite
@@ -1062,6 +1133,40 @@ def test_realize_matches_the_dense_kronecker_assembly(segments):
     for got, ref in zip(gens.generators, want):
         assert got.exact == ref.exact
         assert got.tolist() == ref.tolist()
+
+
+_EXACT_LABELS = sorted(n for n in CAT.entries
+                       if CAT.model_for(CAT.label(n)).exact)
+_FLOAT_LABELS = sorted(set(CAT.entries) - set(_EXACT_LABELS))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
+                                                                 data):
+    """Multisets of built-in segments, realized one after another, so that
+    later ones may reuse the model sets of earlier ones, give the factors
+    and provenance that each gives with the model-set cache cleared.  On
+    the float path each multiset holds one or two float segments, shuffled
+    in among the others."""
+    def segments(labels, least, most):
+        return st.lists(st.tuples(st.sampled_from(labels), st.integers(1, 4)),
+                        min_size=least, max_size=most)
+
+    multiset = (segments(_EXACT_LABELS, 1, 5) if exact else st.tuples(
+        segments(sorted(CAT.entries), 0, 3), segments(_FLOAT_LABELS, 1, 2))
+        .map(lambda t: t[0] + t[1]).flatmap(st.permutations))
+    params = [WDParameter.of([seg(name, k) for name, k in segs])
+              for segs in data.draw(st.lists(multiset, min_size=1,
+                                             max_size=4))]
+    warm = [realize(p, CAT) for p in params]
+    for p, gens in zip(params, warm):
+        matrix_lab._model_set.cache_clear()
+        cold = realize(p, CAT)
+        assert cold.exact == exact
+        assert cold.factors == gens.factors
+        assert cold.provenance == gens.provenance
 
 
 def test_generator_set_rejects_singular_factors():
