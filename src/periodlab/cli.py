@@ -49,8 +49,8 @@ TAG_W_PLUS = "identity:w-plus"
 TAG_FORM_PARITY = "identity:form-parity"
 
 # The largest bounds verify-matrices accepts.  At both caps the suites take
-# about 0.01 s on a 2-vCPU Xeon VM (Python 3.11), and the whole command about
-# 0.36 s, almost all of it start-up.
+# about 0.01 s on a 2-vCPU Xeon VM (Python 3.11), and the whole command
+# 0.17-0.30 s, almost all of it start-up.
 VERIFY_MAX_N = 12
 VERIFY_MAX_K = 24
 
@@ -196,7 +196,7 @@ def run_conjecture_sweep(catalog_path: str | None = None,
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
     the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
-    takes about 1.6 s on a 2-vCPU Xeon VM (Python 3.11)."""
+    takes 0.75-1.1 s on a 2-vCPU Xeon VM (Python 3.11)."""
     if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
         raise UsageError(
             f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")

@@ -1,8 +1,9 @@
 """Finite-group stand-ins for cuspidal labels, and the isotropy oracle.
 
 Every label with a model is backed by a concrete finite group given as
-explicit matrices with a verified multiplication table, and each model
-carries its generators' tensor factors and identity flags, built once.  A
+explicit matrices with a multiplication table read off the closure of its
+generators (n * |gens| products, not n^2), and each model carries its
+generators' tensor factors and identity flags, built once.  A
 model is certified a homomorphism on the group's generators: rho(1) = I and
 rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
 every pair by induction on word length; no check is sampled.  The
@@ -74,12 +75,13 @@ _CHAR_TOL = 1e-6
 
 @dataclass(eq=False)
 class FiniteGroup:
-    """A finite matrix group with a verified multiplication table.
+    """A finite matrix group with its multiplication table.
 
     ``elements[0]`` is the identity; ``table[i, j]`` is the index of
-    ``elements[i] @ elements[j]``; ``generator_idxs`` index a verified
-    generating set.  Identity of the group *object* matters: two labels
-    share oracle factors exactly when they share the group object.
+    ``elements[i] @ elements[j]``, read off the closure's products with the
+    generators, whose indices are ``generator_idxs``.  Identity of the group
+    *object* matters: two labels share oracle factors exactly when they
+    share the group object.
     """
 
     name: str
@@ -101,82 +103,54 @@ def _element_key(m: Matrix, exact: bool):
     return tuple(np.round(m.as_complex(), 6).ravel().tolist())
 
 
-def _generate_elements(name: str, generators: Sequence[Matrix],
-                       exact: bool) -> list[Matrix]:
+def _generate_elements(name: str, generators: Sequence[Matrix], exact: bool
+                       ) -> tuple[list[Matrix], list[list[int]],
+                                  list[tuple[int, int]]]:
     """BFS closure of a generating set, identity first, of at most 1000
-    elements."""
-    if not generators:
-        dim = 1
-    else:
-        dim = generators[0].rows
-    identity = Matrix.identity(dim, exact)
-    elements = [identity]
-    keys = {_element_key(identity, exact): 0}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in generators:
-                prod = m @ g
-                key = _element_key(prod, exact)
-                if key not in keys:
-                    keys[key] = len(elements)
-                    elements.append(prod)
-                    new_frontier.append(prod)
-                    if len(elements) > 1000:
-                        raise ConsistencyError(
-                            f"group {name} exceeded closure limit 1000")
-        frontier = new_frontier
-    return elements
+    elements.
+
+    Returns the elements; ``right[i][g]``, the index of
+    ``elements[i] @ generators[g]``; and, for every element j > 0 in order,
+    ``(p, g)`` with ``elements[j] = elements[p] @ generators[g]`` and p < j.
+    """
+    dim = generators[0].rows if generators else 1
+    elements = [Matrix.identity(dim, exact)]
+    keys = {_element_key(elements[0], exact): 0}
+    right: list[list[int]] = []
+    parents: list[tuple[int, int]] = []
+    # the loop also visits the elements it appends, in order: a BFS queue
+    for i, m in enumerate(elements):
+        row = []
+        for g, gen in enumerate(generators):
+            prod = m @ gen
+            j = keys.setdefault(_element_key(prod, exact), len(elements))
+            if j == len(elements):
+                elements.append(prod)
+                parents.append((i, g))
+                if len(elements) > 1000:
+                    raise ConsistencyError(
+                        f"group {name} exceeded closure limit 1000")
+            row.append(j)
+        right.append(row)
+    return elements, right, parents
 
 
 def _build_group(name: str, generators: Sequence[Matrix],
                  exact: bool) -> FiniteGroup:
-    elements = _generate_elements(name, generators, exact)
+    elements, right, parents = _generate_elements(name, generators, exact)
     n = len(elements)
-    keys = {_element_key(m, exact): i for i, m in enumerate(elements)}
-    if len(keys) != n:
-        raise ConsistencyError(f"group {name}: duplicate elements in listing")
-    # one row of products at a time; on the float path the one stacked
-    # product is rounded and listed by rows, which keeps the peak memory low
-    if exact:
-        rows = ([_element_key(a @ b, True) for b in elements]
-                for a in elements)
-    else:
-        stack = np.stack([m.as_complex() for m in elements])
-        products = np.einsum("aij,bjk->abik", stack, stack).reshape(n, n, -1)
-        rows = (map(tuple, np.round(row, 6).tolist()) for row in products)
-    table = np.array([[keys.get(key, -1) for key in row] for row in rows],
-                     dtype=np.int64)
-    if (table < 0).any():
-        raise ConsistencyError(f"group {name} is not closed")
+    perms = np.array(right, dtype=np.int64)
+    # e_i e_j = (e_i e_p) g for e_j = e_p g: each column is an earlier one
+    # sent through a generator's right action, by induction on word length
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for j, (p, g) in enumerate(parents, 1):
+        table[:, j] = perms[table[:, p], g]
     hits, inverse_idx = np.nonzero(table == 0)
     if not np.array_equal(hits, np.arange(n)):
         raise ConsistencyError(f"group {name}: bad inverse structure")
-    square_idx = table.diagonal().copy()
-    gen_idxs = tuple(keys[_element_key(g, exact)] for g in generators)
-    _check_generation(name, table, gen_idxs, n)
     return FiniteGroup(name, tuple(elements), table, inverse_idx,
-                       square_idx, gen_idxs, exact)
-
-
-def _check_generation(name: str, table: np.ndarray,
-                      gen_idxs: tuple[int, ...], order: int) -> None:
-    reached = {0, *gen_idxs}
-    frontier = list(reached)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gen_idxs:
-                j = int(table[i, g])
-                if j not in reached:
-                    reached.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    if len(reached) != order:
-        raise ConsistencyError(
-            f"group {name}: declared generators only reach "
-            f"{len(reached)}/{order} elements")
+                       table.diagonal().copy(), tuple(right[0]), exact)
 
 
 # ---------------------------------------------------------------------------

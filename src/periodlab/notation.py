@@ -27,7 +27,6 @@ a declared type must match the Frobenius-Schur indicator of its model.
 
 from __future__ import annotations
 
-import configparser
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -272,6 +271,8 @@ def load_catalog(text: str) -> Catalog:
     for malformed text and :class:`ConsistencyError` for semantic problems
     (bad duals, indicator mismatches, unknown model ids).
     """
+    import configparser  # here, not at the top: a cold start need not load it
+
     registry = builtin_models()
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keep key case

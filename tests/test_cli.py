@@ -23,6 +23,8 @@ from periodlab import (
     builtin_catalog,
     cli,
     distinction,
+    load_catalog,
+    matrix_lab,
     sweep,
     symplectic_J,
 )
@@ -148,6 +150,26 @@ def test_classify_reads_catalog_from_environment(tmp_path, monkeypatch):
     report = run_classify("tau (+) St(2,one)")
     assert report.exit_code == 0
     assert str(path) in report.checks[0].details
+
+
+def test_catalog_files_share_the_builtin_models(tmp_path):
+    # model ids resolve in the built-in registry, so loading a catalog file
+    # again adds no model set to realize's cache
+    builtin = builtin_catalog()
+    first, second = load_catalog(USER_CATALOG), load_catalog(USER_CATALOG)
+    for name, model in (("tau", "q8"), ("one", "trivial")):
+        assert (first.model_for(first.label(name))
+                is second.model_for(second.label(name))
+                is builtin.model_for(builtin.label(model)))
+    path = tmp_path / "user.ini"
+    path.write_text(USER_CATALOG, encoding="utf-8")
+    argv = ["classify", "tau (+) St(2,one)", "--catalog", str(path),
+            "--oracle"]
+    assert main(argv) == 0
+    size = matrix_lab._model_set.cache_info().currsize
+    for _ in range(4):
+        assert main(argv) == 0
+    assert matrix_lab._model_set.cache_info().currsize == size
 
 
 def test_classify_golden_json(capsys):

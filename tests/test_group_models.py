@@ -153,7 +153,7 @@ def test_surrogate_group_is_binary_icosahedral():
 def _reference_group(generators, exact):
     """The table, inverses, squares and generator indices of the group
     closed from ``generators``, keyed one product ``a @ b`` at a time."""
-    elements = group_models._generate_elements("ref", generators, exact)
+    elements, _, _ = group_models._generate_elements("ref", generators, exact)
     keys = {_element_key(m, exact): i for i, m in enumerate(elements)}
     table = np.array([[keys[_element_key(a @ b, exact)] for b in elements]
                       for a in elements])
@@ -162,9 +162,16 @@ def _reference_group(generators, exact):
     return table, inverse, table.diagonal(), gens
 
 
-@pytest.mark.parametrize("build", [group_models._icosian_group.__wrapped__,
-                                   group_models._cyclic3_group])
-def test_float_group_tables_match_the_per_pair_reference(build, monkeypatch):
+@pytest.mark.parametrize("build, exact", [
+    (group_models._trivial_group, True),
+    (group_models._cyclic3_group, False),
+    (group_models._s3_group, True),
+    (group_models._d4_group, True),
+    (lambda: group_models._q8_group("q8"), True),
+    (lambda: group_models._q8_group("q8b"), True),
+    (group_models._icosian_group.__wrapped__, False),
+], ids=["trivial", "c3", "s3", "d4", "q8", "q8b", "icosian"])
+def test_group_tables_match_the_per_pair_reference(build, exact, monkeypatch):
     calls = []
     real = group_models._build_group
 
@@ -174,8 +181,8 @@ def test_float_group_tables_match_the_per_pair_reference(build, monkeypatch):
 
     monkeypatch.setattr(group_models, "_build_group", recording)
     group = build()
-    (generators, exact), = calls
-    assert not exact
+    (generators, built_exact), = calls
+    assert built_exact == group.exact == exact
     table, inverse, square, gens = _reference_group(generators, exact)
     assert np.array_equal(group.table, table)
     assert np.array_equal(group.inverse_idx, inverse)

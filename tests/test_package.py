@@ -67,11 +67,24 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(periodlab, n)] == []
 
 
-def test_star_import_runs_without_warnings():
+def _python(*args):
+    """Run a fresh interpreter on ``args`` with this package importable."""
     src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", "from periodlab import *"],
-        capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path})
+
+
+def test_star_import_runs_without_warnings():
+    result = _python("-W", "error", "-c", "from periodlab import *")
     assert result.returncode == 0, result.stderr
+
+
+def test_a_cold_start_does_not_import_configparser():
+    # only catalog files need configparser; load_catalog imports it itself
+    result = _python("-c", "import sys, periodlab; "
+                           "periodlab.builtin_catalog(); "
+                           "print('configparser' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
