@@ -28,7 +28,7 @@ from .errors import CatalogError, ParseError, PeriodLabError
 from .group_models import Catalog, builtin_catalog
 from .matrix_lab import (
     Symmetry,
-    classify_monomial_form,
+    classify_form,
     conjugator_for_partition,
     invariant_form_sl2,
     symplectic_J,
@@ -147,7 +147,7 @@ def run_verify_matrices(max_n: int = 6, max_k: int = 8) -> Report:
 
     def forms_suite():
         for m in range(1, max_n + 1):
-            f = classify_monomial_form(symplectic_J(2 * m).gram)
+            f = classify_form(symplectic_J(2 * m).gram)
             if f.symmetry is not Symmetry.SKEW or not f.nondegenerate:
                 return False, f"J'_{2 * m} is not a symplectic form"
         return True, (f"J'_2 .. J'_{2 * max_n} all skew and "
@@ -196,7 +196,8 @@ def run_conjecture_sweep(catalog_path: str | None = None,
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
     the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
-    takes 0.75-1.1 s on a 2-vCPU Xeon VM (Python 3.11)."""
+    takes 0.98-1.24 s, the import included and no bytecode cache written,
+    on a 2-vCPU Xeon VM (Python 3.11.7)."""
     if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
         raise UsageError(
             f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")

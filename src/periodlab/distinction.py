@@ -60,9 +60,10 @@ TAG_ORACLE_ISOTROPY = "oracle:isotropy"
 
 # The largest dimension the matrix oracle realizes.  Of the built-in
 # parameters of dim 24, the costliest, St(22,trivial) (+) St(2,trivial),
-# takes about 0.02-0.04 s and 32 MB of peak RSS, cold, on a 2-vCPU Xeon VM
-# (Python 3.11) once the catalog is built.  Above it, St(48,trivial) takes
-# about 0.25 s and 1000 copies of trivial about 0.01 s.
+# takes 0.006-0.009 s as `classify --oracle` and 31 MB of peak RSS, in a
+# fresh process once the catalog is built, on a 2-vCPU Xeon VM (Python
+# 3.11.7, numpy 2.4.6).  Above it (the bound raised), St(48,trivial) takes
+# 0.016-0.020 s and 1000 copies of trivial 0.019-0.022 s.
 FORM_ORACLE_DIM_BOUND = 24
 
 

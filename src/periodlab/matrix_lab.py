@@ -28,34 +28,37 @@ the sl2 triple, on the at most min(k, k') unknowns the weights leave, and
 walked along the E chain in integers (:func:`_weight_solve`), the sl2 form
 included.  The J forms have one entry +-1 in every row, so the
 conjugator identities are decided on these signed pairings, with no matrix
-placed, and a form with one nonzero entry in every row and column is
-classified off those entries.
+placed.
 Invertibility, and so nondegeneracy of forms, is decided on the exact path
-off the diagonal of a triangular matrix or the pattern of a monomial one,
-else by fraction-free elimination over the Gaussian integers (Bareiss
-1968), and on the float path by the SVD rank rule.
+off the diagonal of a triangular matrix or the pattern of a monomial one
+(such as the J forms and the sl2 forms), else by fraction-free elimination
+over the Gaussian integers (Bareiss 1968), and on the float path by the
+SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
 :func:`realize` stores the generators as these factors
 (:class:`TensorFactors`); the dense matrices are assembled from them on
-demand and never split again.  Each distinct factor value gets one small
-int id when it is first produced (:func:`_factor`); factors are stored as
-these ids, equal values have equal ids, and a solve reads the values
-behind its ids.  :func:`invariant_forms` solves the forms of each block
-pair as products X (x) Y of a rho factor (at most 4 unknowns, row reduced,
-cached on its factors' ids) and an S(k) factor (solved by its weights,
-cached on (k, k')).  Blocks with equal factors form a class
+demand and never split again.  Each distinct factor gets one small int id
+when it is first produced (:func:`_factor`), keyed on its shape and value;
+factors are stored as these ids, and every reader takes the
+:class:`Matrix` behind an id from the one table, with its shape and path.
+:func:`invariant_forms` solves the forms of each block pair as products
+X (x) Y of a rho factor (at most 4 unknowns, row reduced, cached on its
+factors' ids) and an S(k) factor (solved by its weights, cached on
+(k, k')).  Blocks with equal factors form a class
 (:attr:`TensorFactors.classes`), and the oracle works on classes:
 :func:`find_nondegenerate_skew` builds its form from one solve per pair of
 classes and keeps it as tiles c X (x) Y (:class:`FactoredForm`), which are
 checked factor by factor once per pair of classes, and ``group_models``
 solves the commutant per pair of classes too, all on the solve keys of
-:attr:`TensorFactors.class_pairs`, built once per realization.  Every
-fact read off one factor (its symmetry, its invertibility), the reading of
-a gram on either path, and the grouping of a set of label models into
-generators are computed once per process.  A bare list of generators is
-solved as one block, on the rho side.
+:attr:`TensorFactors.class_pairs`, built once per realization.  A factor's
+reading (its symmetry and invertibility, :func:`_reading`) is computed
+once per id, and :func:`classify_form` is that reading of a gram's id, on
+either path; the checks of a form's tiles are cached on the factors' ids
+alone, and the grouping of a set of label models into generators is
+computed once per process.  A bare list of generators is solved as one
+block, on the rho side.
 """
 
 from __future__ import annotations
@@ -575,75 +578,11 @@ class BilinearForm:
 
 
 def classify_form(gram: Matrix) -> BilinearForm:
-    """Symmetry and nondegeneracy of ``gram``.
-
-    On the exact path both are read off the stored integers, once per
-    integer image (:func:`_exact_reading`); on the float path they follow
-    :meth:`Matrix.equals` and the SVD rank rule, once per tuple of entries
-    (:func:`_float_reading`).
-    """
+    """Symmetry and nondegeneracy of ``gram``: the :func:`_reading` of its
+    factor id, so each is computed once per matrix, on either path."""
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
-    if not gram.exact:
-        return BilinearForm(gram, *_float_reading(
-            gram.rows, tuple(gram.data.ravel().tolist())))
-    return BilinearForm(gram, *_exact_reading(
-        gram.rows, tuple(gram.re.flat), tuple(gram.im.flat)))
-
-
-@lru_cache(maxsize=1024)
-def _float_reading(n: int, entries: tuple) -> tuple[Symmetry, bool]:
-    """The symmetry and the invertibility of the n x n complex matrix of
-    row-major ``entries``: the symmetry by :meth:`Matrix.equals` against
-    its transpose, invertibility by the SVD rank rule.  Cached on the
-    entries, so each is computed once per matrix."""
-    gram = Matrix.from_array(np.array(entries, dtype=complex).reshape(n, n))
-    gt = gram.T
-    if gt.equals(gram):
-        sym = Symmetry.SYMMETRIC
-    elif gt.equals(-gram):
-        sym = Symmetry.SKEW
-    else:
-        sym = Symmetry.NEITHER
-    return sym, gram.is_invertible()
-
-
-@lru_cache(maxsize=1024)
-def _exact_reading(n: int, re: tuple, im: tuple) -> tuple[Symmetry, bool]:
-    """The symmetry and the invertibility of the n x n Gaussian-integer
-    matrix of row-major entries ``re + i*im``: the symmetry from the entries
-    against their transposes, invertibility by fraction-free elimination.
-    Cached on the integers, so each is computed once per matrix."""
-    re, im = (np.array(part, dtype=object).reshape(n, n) for part in (re, im))
-    if np.array_equal(re.T, re) and np.array_equal(im.T, im):
-        sym = Symmetry.SYMMETRIC
-    elif np.array_equal(re.T, -re) and np.array_equal(im.T, -im):
-        sym = Symmetry.SKEW
-    else:
-        sym = Symmetry.NEITHER
-    return sym, _gaussian_nonsingular(re, im)
-
-
-def classify_monomial_form(gram: Matrix) -> BilinearForm:
-    """:func:`classify_form` of ``gram``, read off its n nonzero entries when
-    it is exact with one nonzero entry in every row and column (a monomial
-    matrix, such as the J forms and the sl2 forms).  Such a form is
-    nondegenerate, and it is symmetric or skew iff each entry g[a, b] is read
-    back at g[b, a] as g[a, b] or -g[a, b].  Any other gram goes to
-    :func:`classify_form`."""
-    if not (gram.exact and gram.is_square):
-        return classify_form(gram)
-    nonzero = (gram.re != 0) | (gram.im != 0)
-    rows, cols = nonzero.nonzero()
-    n, cols = gram.rows, cols.tolist()
-    if rows.tolist() != list(range(n)) or len(set(cols)) != n:
-        return classify_form(gram)
-    re, im = gram.re[nonzero].tolist(), gram.im[nonzero].tolist()
-    for sym, sign in _SIGN_OF_SYMMETRY.items():
-        if all(cols[b] == a and re[b] == sign * re[a] and im[b] == sign * im[a]
-               for a, b in enumerate(cols)):
-            return BilinearForm(gram, sym, True)
-    return BilinearForm(gram, Symmetry.NEITHER, True)
+    return BilinearForm(gram, *_reading(_factor(gram, gram.exact)))
 
 
 # ---------------------------------------------------------------------------
@@ -906,15 +845,15 @@ def invariant_form_sl2(k: int) -> BilinearForm:
     pairing of S(k) with itself that :func:`_weight_solve` walks, with no
     row reduction.  Its cells are the antidiagonal c_i = b_{i, k-1-i}; a
     failed row is a PeriodLabError here.  The form, normalized to c_0 = 1,
-    is classified off the antidiagonal (:func:`classify_monomial_form`):
-    symmetric for k odd, skew for k even.
+    is classified by :func:`classify_form`, which reads the antidiagonal
+    off its pattern: symmetric for k odd, skew for k even.
     """
     _, gram = _weight_solve(k, k, True)
     if gram is None:
         raise PeriodLabError(
             f"internal: no certified one-dimensional sl2 invariant-form "
             f"space (k={k})")
-    form = classify_monomial_form(Matrix.gaussian(gram, den=gram[0, k - 1]))
+    form = classify_form(Matrix.gaussian(gram, den=gram[0, k - 1]))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
@@ -1015,8 +954,7 @@ def _factor_solve(ls: tuple, rs: tuple, a: int, b: int, exact: bool,
     """Basis of the a x b matrices X that the ``rows`` of every (L, R) in
     ``zip(ls, rs)`` annihilate: exact row reduction when ``exact``, else
     the float rank rule on the ``dense`` rows."""
-    pairs = [(_factor_matrix(l, a, a, exact), _factor_matrix(r, b, b, exact))
-             for l, r in zip(ls, rs)]
+    pairs = [(_FACTORS[l], _FACTORS[r]) for l, r in zip(ls, rs)]
     if exact:
         return tuple(v.apply(lambda m: m.reshape(a, b)) for v in
                      nullspace_exact([row for l, r in pairs
@@ -1034,7 +972,7 @@ def invariant_pairings(ls: tuple, rs: tuple, a: int, b: int,
 
     Each L (a x a) and R (b x b) is given as a factor id of
     :class:`TensorFactors`, so solves are cached on the ids, and a miss
-    reads the values behind them.  Exact row reduction of
+    reads the matrices behind them.  Exact row reduction of
     :func:`_pairing_rows` when ``exact``, else the float rank rule; each
     basis element an a x b :class:`Matrix`.  The S(k) side is solved by its
     weights instead (:func:`sl2_pairings`).
@@ -1088,8 +1026,8 @@ class TensorFactors:
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order (rho generators first), each as the id :func:`_factor` gives its
-    value.  The rho side is exact or float as a whole; the S(k) side, the
+    order (rho generators first), each as the id :func:`_factor` gives it.
+    The rho side is exact or float as a whole; the S(k) side, the
     integer exp(E) and exp(F) of ``_exp_factors(k)`` (none when every k is
     1), is always exact, also next to a float label, and its solves read k
     alone.  A :class:`GeneratorSet` is stored as its factors.
@@ -1129,55 +1067,59 @@ class TensorFactors:
             for j, (lo2, _, _) in enumerate(self.blocks):
                 yield (lo, lo2, *self.pair(i, j))
 
-    def sides(self):
-        """(per block factors, exact, is_rho) of the rho and S(k) sides."""
-        return ((self.rho, self.rho_exact, True), (self.sl2, True, False))
-
     def dense(self) -> list[Matrix]:
         """The generators as n x n matrices, in generator order.  On a block
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
         return [_placed(self.n, [
-            (at, at, _factor_matrix(f[g], size, size, exact))
+            (at, at, _FACTORS[f[g]])
             for (lo, r, k), f in zip(self.blocks, side)
-            for size in [r if is_rho else k]
             for c in range(k if is_rho else r)
             for at in [slice(lo + c, lo + r * k, k) if is_rho
                        else slice(lo + c * k, lo + c * k + k)]])
-            for side, exact, is_rho in self.sides()
+            for side, is_rho in ((self.rho, True), (self.sl2, False))
             for g in range(len(side[0]))]
 
 
-# The factor table: the id of every distinct factor value, and the values
-# in order of their ids.  It grows only with new values.
+# The factor table: the id of every distinct factor, keyed on its shape and
+# value, and the factors' matrices in order of their ids.  It grows only
+# with new factors.
 _FACTOR_IDS: dict[tuple, int] = {}
-_FACTOR_VALUES: list[tuple] = []
+_FACTORS: list[Matrix] = []
 
 
 def _factor(m: Matrix, exact: bool) -> int:
     """The id of ``m`` as a factor of :class:`TensorFactors` or
-    :class:`FactoredForm`, on the exact path when ``exact``.  Its value is
-    the reduced triple ``(re, im, den)`` of its row-major entries, ``re``
-    and ``im`` tuples of ints, or on the float path the tuple of its complex
-    entries; equal values get equal ids, and a new value the next id."""
-    value = ((tuple(m.re.flat), tuple(m.im.flat), m.den) if exact
-             else tuple(map(complex, m.as_complex().flat)))
-    fid = _FACTOR_IDS.setdefault(value, len(_FACTOR_VALUES))
-    if fid == len(_FACTOR_VALUES):
-        _FACTOR_VALUES.append(value)
+    :class:`FactoredForm`, on the exact path when ``exact`` and else as a
+    complex matrix.  Its key is its shape and its reduced image ``(re, im,
+    den)``, or on the float path its complex entries; equal keys get equal
+    ids, and a new key the next id, under which ``_FACTORS`` keeps the
+    matrix."""
+    if exact:
+        key = m.shape, tuple(m.re.flat), tuple(m.im.flat), m.den
+    else:
+        m = Matrix(m.as_complex())
+        key = m.shape, tuple(m.data.ravel().tolist())
+    fid = _FACTOR_IDS.setdefault(key, len(_FACTORS))
+    if fid == len(_FACTORS):
+        _FACTORS.append(m)
     return fid
 
 
-def _factor_matrix(factor: int, rows: int, cols: int,
-                   exact: bool) -> Matrix:
-    """The rows x cols matrix of the value behind a factor id."""
-    value = _FACTOR_VALUES[factor]
-    if not exact:
-        return Matrix.from_array(
-            np.array(value, dtype=complex).reshape(rows, cols))
-    re, im, den = value
-    return Matrix(None, np.array(re, dtype=object).reshape(rows, cols),
-                  np.array(im, dtype=object).reshape(rows, cols), den)
+@lru_cache(maxsize=None)
+def _reading(factor: int) -> tuple[Symmetry, bool]:
+    """The symmetry and the invertibility of a factor, once per id: the
+    symmetry by :meth:`Matrix.equals` against its transpose, invertibility
+    by :meth:`Matrix.is_invertible`, each on the factor's own path."""
+    m = _FACTORS[factor]
+    mt = m.T
+    if mt.equals(m):
+        sym = Symmetry.SYMMETRIC
+    elif mt.equals(-m):
+        sym = Symmetry.SKEW
+    else:
+        sym = Symmetry.NEITHER
+    return sym, m.is_invertible()
 
 
 @lru_cache(maxsize=None)
@@ -1190,17 +1132,6 @@ def _identity(size: int, exact: bool) -> int:
 def _exp_factors(k: int) -> tuple[int, int]:
     """The factors of ``sl2_exp_e(k)`` and ``sl2_exp_f(k)``, built once."""
     return _factor(sl2_exp_e(k), True), _factor(sl2_exp_f(k), True)
-
-
-@lru_cache(maxsize=512)
-def _invertible(factor: int, size: int, exact: bool) -> bool:
-    """Whether a factor is invertible, cached on its id: the reading
-    :func:`classify_form` shares, :func:`_exact_reading` or
-    :func:`_float_reading` of the factor's value."""
-    value = _FACTOR_VALUES[factor]
-    if exact:
-        return _exact_reading(size, *value[:2])[1]
-    return _float_reading(size, value)[1]
 
 
 def tensor_factors(gens) -> TensorFactors:
@@ -1317,17 +1248,16 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=512)
 def _pairing_factors(solve: Callable, *args) -> tuple:
-    """The basis of a pairing solve, ``solve(*args)``, each X given as (the
-    factor of X, the factor of X^T, X), built once per solve."""
-    return tuple((_factor(m, m.exact), _factor(m.T, m.exact), m)
+    """The basis of a pairing solve, ``solve(*args)``, each X given as the
+    factors of X and X^T, built once per solve."""
+    return tuple((_factor(m, m.exact), _factor(m.T, m.exact))
                  for m in solve(*args))
 
 
 def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
     """The invariant pairing X (x) Y of a block pair, from the solves of its
     factors (:meth:`TensorFactors.pair`), as the factors (X, Y, X^T, Y^T)
-    of a :class:`FactoredForm` followed by the matrices X and Y, or None
-    when there is none."""
+    of a :class:`FactoredForm`, or None when there is none."""
     xs = _pairing_factors(invariant_pairings, *rho_args)
     ys = _pairing_factors(sl2_pairings, *sl2_args) if xs else ()
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
@@ -1335,14 +1265,16 @@ def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
                              f" independent invariant pairings, not 0 or 1")
     if not ys:
         return None
-    ((x, xt, xm),), ((y, yt, ym),) = xs, ys
-    return x, y, xt, yt, xm, ym
+    ((x, xt),), ((y, yt),) = xs, ys
+    return x, y, xt, yt
 
 
-def _self_pairing_symmetry(x: Matrix, y: Matrix) -> Symmetry:
-    """The symmetry of a block's pairing X (x) Y with itself: the product of
-    the signs of X and Y as :func:`classify_form` reads them."""
-    signs = [_SIGN_OF_SYMMETRY.get(classify_form(m).symmetry) for m in (x, y)]
+def _self_pairing_symmetry(x: int, y: int) -> Symmetry:
+    """The symmetry of a block's pairing X (x) Y with itself, given as
+    factors: the product of the signs of X and Y as :func:`classify_form`
+    reads them."""
+    signs = [_SIGN_OF_SYMMETRY.get(classify_form(_FACTORS[f]).symmetry)
+             for f in (x, y)]
     if None in signs:
         return Symmetry.NEITHER
     return Symmetry.SYMMETRIC if signs[0] == signs[1] else Symmetry.SKEW
@@ -1372,17 +1304,11 @@ class FactoredForm:
             raise ValueError("a form has at most one tile per block pair")
         for i, j, _, x, y in self.tiles:
             (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-            x, y = _FACTOR_VALUES[x], _FACTOR_VALUES[y]
-            if (len(x[0] if self.rho_exact else x), len(y[0])) != (
-                    r * r2, k * k2):
+            x, y = _FACTORS[x], _FACTORS[y]
+            if (x.shape, x.exact, y.shape, y.exact) != (
+                    (r, r2), self.rho_exact, (k, k2), True):
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) does not fit its blocks")
-
-    def _matrices(self, i: int, j: int, x: tuple,
-                  y: tuple) -> tuple[Matrix, Matrix]:
-        (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return (_factor_matrix(x, r, r2, self.rho_exact),
-                _factor_matrix(y, k, k2, True))
 
     @cached_property
     def gram(self) -> Matrix:
@@ -1399,36 +1325,29 @@ class FactoredForm:
             at[b] = slice(lo, lo + r * k)
             lo += r * k
         return _placed(lo, [
-            (at[i], at[j], xm.kron(ym).scale(c))
-            for i, j, c, x, y in self.tiles if i in at and j in at
-            for xm, ym in [self._matrices(i, j, x, y)]])
+            (at[i], at[j], _FACTORS[x].kron(_FACTORS[y]).scale(c))
+            for i, j, c, x, y in self.tiles if i in at and j in at])
 
     def is_skew(self) -> bool:
         """Whether J_ji = -J_ij^T for every block pair, decided on the
         factors: exactly on the exact path, by :meth:`Matrix.equals` on the
         float rho side.  A tile paired with itself must be skew."""
         tiles = {(i, j): (c, x, y) for i, j, c, x, y in self.tiles}
-        return all(_opposite_tiles(tile, tiles.get((j, i)),
-                                   *self.blocks[i][1:], *self.blocks[j][1:],
-                                   self.rho_exact)
+        return all(_opposite_tiles(tile, tiles.get((j, i)))
                    for (i, j), tile in tiles.items())
 
     def is_nondegenerate(self) -> bool:
         """Whether the tiles pair the blocks one to one (one tile in each
         block row and each block column) by a nonzero c and invertible X and
-        Y.  The form is then a block permutation of invertible blocks, so
-        nondegenerate; no elimination runs on the dense form."""
+        Y, so square ones.  The form is then a block permutation of
+        invertible blocks, so nondegenerate; no elimination runs on the
+        dense form."""
         every = list(range(len(self.blocks)))
         if (sorted(i for i, *_ in self.tiles) != every
                 or sorted(j for _, j, *_ in self.tiles) != every):
             return False
-        for i, j, c, x, y in self.tiles:
-            (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-            if ((r, k) != (r2, k2) or c == 0
-                    or not _invertible(x, r, self.rho_exact)
-                    or not _invertible(y, k, True)):
-                return False
-        return True
+        return all(c != 0 and _reading(x)[1] and _reading(y)[1]
+                   for _, _, c, x, y in self.tiles)
 
     def invariance_residue(self, tf: TensorFactors) -> float | None:
         """Whether every generator of ``tf`` preserves the form: None when
@@ -1453,10 +1372,8 @@ class FactoredForm:
             ci, cj = class_of[i], class_of[j]
             key = (ci, cj, x, y)
             if key not in checked:  # once per class pair and tile factors
-                rho_args, sl2_args = tf.class_pairs[ci][cj]
-                checked[key] = (_pairing_residue(*rho_args, x),
-                                _pairing_residue(tf.sl2[i], tf.sl2[j],
-                                                 *sl2_args, True, y))
+                checked[key] = (_pairing_residue(tf.rho[i], tf.rho[j], x),
+                                _pairing_residue(tf.sl2[i], tf.sl2[j], y))
             dx, dy = checked[key]
             if dx is None or dy is None:
                 return None
@@ -1467,40 +1384,35 @@ class FactoredForm:
 
 
 @lru_cache(maxsize=512)
-def _pairing_residue(ls: tuple, rs: tuple, a: int, b: int, exact: bool,
+def _pairing_residue(ls: tuple, rs: tuple,
                      x: int) -> tuple[float, float] | None:
-    """Whether L^T X R = X for every (L, R) in ``zip(ls, rs)``, with the
-    arguments of :func:`invariant_pairings` and an a x b factor X: None when
-    not, else (the largest |L^T X R - X| entry, the largest |X| entry).
-    Decided by :meth:`Matrix.equals`, so exactly on the exact path, where
-    the first is 0.0."""
-    xm = _factor_matrix(x, a, b, exact)
+    """Whether L^T X R = X for every (L, R) in ``zip(ls, rs)``, all given as
+    factors: None when not, else (the largest |L^T X R - X| entry, the
+    largest |X| entry).  Decided by :meth:`Matrix.equals`, so exactly on the
+    exact path, where the first is 0.0."""
+    xm = _FACTORS[x]
     worst = 0.0
     for l, r in zip(ls, rs):
-        moved = (_factor_matrix(l, a, a, exact).T @ xm
-                 @ _factor_matrix(r, b, b, exact))
+        moved = _FACTORS[l].T @ xm @ _FACTORS[r]
         if not moved.equals(xm):
             return None
-        if not exact:
+        if not moved.exact:
             worst = max(worst, moved.max_abs_diff(xm))
     return worst, float(np.abs(xm.as_complex()).max(initial=0.0))
 
 
 @lru_cache(maxsize=512)
-def _opposite_tiles(tile: tuple, other: tuple | None, r: int, k: int,
-                    r2: int, k2: int, rho_exact: bool) -> bool:
+def _opposite_tiles(tile: tuple, other: tuple | None) -> bool:
     """Whether ``other`` = (c', X', Y') at block pair (j, i) is minus the
-    transpose of ``tile`` = (c, X, Y) at (i, j), block i being r (x) k and
-    block j r2 (x) k2: c' X' (x) Y' = -c X^T (x) Y^T.  None stands for no
-    tile, so ``tile`` must vanish."""
+    transpose of ``tile`` = (c, X, Y) at (i, j), X and Y given as factors:
+    c' X' (x) Y' = -c X^T (x) Y^T.  None stands for no tile, so ``tile``
+    must vanish."""
     c, x, y = tile
-    lhs = (_factor_matrix(x, r, r2, rho_exact).T.scale(-c),
-           _factor_matrix(y, k, k2, True).T)
+    lhs = _FACTORS[x].T.scale(-c), _FACTORS[y].T
     if other is None:
         return any(map(_is_zero, lhs))
     c2, x2, y2 = other
-    return _tensor_equal(*lhs, _factor_matrix(x2, r2, r, rho_exact).scale(c2),
-                         _factor_matrix(y2, k2, k, True))
+    return _tensor_equal(*lhs, _FACTORS[x2].scale(c2), _FACTORS[y2])
 
 
 def _is_zero(m: Matrix) -> bool:
@@ -1553,11 +1465,11 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
         if len(pairings) > 1:
             raise PeriodLabError("internal: a class of blocks pairs with "
                                  f"{len(pairings)} classes, not 1")
-        ((duals, (x, y, xt, yt, xm, ym)),) = pairings
+        ((duals, (x, y, xt, yt)),) = pairings
         if duals[0] < copies[0]:
             continue  # placed with its dual class
         if duals is copies and _self_pairing_symmetry(
-                xm, ym) is Symmetry.SYMMETRIC:
+                x, y) is Symmetry.SYMMETRIC:
             copies, duals = copies[::2], copies[1::2]
         if len(copies) != len(duals):
             return None
@@ -1648,13 +1560,8 @@ class GeneratorSet:
         if len(tf.rho[0]) + len(tf.sl2[0]) != len(self.provenance):
             raise ValueError("one provenance tag per generator")
         # A (x) I and I (x) U are invertible exactly when A and U are;
-        # blocks with equal factors and sizes are checked once
-        if not all(_invertible(f, size, exact)
-                   for side, exact, is_rho in tf.sides()
-                   for factors, size in {(factors, r if is_rho else k)
-                                         for factors, (_, r, k)
-                                         in zip(side, tf.blocks)}
-                   for f in factors):
+        # each distinct factor is checked once
+        if not all(_reading(f)[1] for f in set().union(*tf.rho, *tf.sl2)):
             raise ValueError("generators must be invertible")
 
     @property

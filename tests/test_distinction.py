@@ -295,10 +295,9 @@ def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
     assert sorted(i for i, *_ in v.form.tiles) == list(range(blocks))
     tf = v.gens.factors
     for i, j, _, x, y in v.form.tiles:
-        rho_args, sl2_args = tf.pair(i, j)
         # the S(k) side is checked on the exp E and exp F of both blocks
-        assert (*rho_args, x) in checked
-        assert (tf.sl2[i], tf.sl2[j], *sl2_args, True, y) in checked
+        assert (tf.rho[i], tf.rho[j], x) in checked
+        assert (tf.sl2[i], tf.sl2[j], y) in checked
 
 
 def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):

@@ -47,8 +47,8 @@ from periodlab.errors import (
 )
 from periodlab.group_models import _element_key, _isotypic_components
 from periodlab.matrix_lab import (
+    _FACTORS,
     _factor,
-    _factor_matrix,
     intertwiners,
     sl2_intertwiners,
     sym_power,
@@ -484,16 +484,13 @@ def _perturbed(form, tile, part, entry, delta):
     """``form`` with ``delta`` added to one entry of X or Y of one tile, or
     to its coefficient c."""
     i, j, c, x, y = form.tiles[tile]
-    (_, r, k), (_, r2, k2) = form.blocks[i], form.blocks[j]
     if part == "c":
         c += delta
     else:
-        exact = form.rho_exact or part == "y"
-        shape = (r, r2) if part == "x" else (k, k2)
-        m = _factor_matrix(x if part == "x" else y, *shape, exact)
-        bump = np.zeros(shape, dtype=object)
+        m = _FACTORS[x if part == "x" else y]
+        bump = np.zeros(m.shape, dtype=object)
         bump.flat[entry % bump.size] = 1
-        new = _factor(m + Matrix.gaussian(bump).scale(delta), exact)
+        new = _factor(m + Matrix.gaussian(bump).scale(delta), m.exact)
         x, y = (new, y) if part == "x" else (x, new)
     tiles = list(form.tiles)
     tiles[tile] = (i, j, c, x, y)

@@ -55,7 +55,6 @@ from periodlab.matrix_lab import (
     _sparse_row,
     blockdiag,
     check_conjugator,
-    classify_monomial_form,
     nullspace_exact,
     nullspace_float,
     tensor_factors,
@@ -444,10 +443,38 @@ def _form_of_every_kind(n, x, a, sign, rank):
     return m
 
 
-@settings(max_examples=80)
-@given(_forms_of_every_kind())
+@st.composite
+def _monomial_forms(draw):
+    """A form with one nonzero entry in every row and column, placed on a
+    drawn involution with each pair's two entries drawn equal, opposite or
+    free; sometimes one entry is zeroed or one entry is added, so that the
+    form is not monomial."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    cols = list(range(n))
+    for t in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * t], order[2 * t + 1]
+        cols[a], cols[b] = b, a
+    sign = draw(st.sampled_from([1, -1, None]))
+    nonzero = gaussian_rationals.filter(bool)
+    rows = [[QQi(0)] * n for _ in range(n)]
+    for a in range(n):
+        b = cols[a]
+        if sign is not None and b < a:
+            rows[a][b] = rows[b][a] * sign
+        else:
+            rows[a][b] = draw(nonzero)
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[r][c] = draw(st.sampled_from([rows[r][c], QQi(0), QQi(1)]))
+    return rows
+
+
+@settings(max_examples=160)
+@given(st.one_of(_forms_of_every_kind(), _monomial_forms()))
 def test_exact_classify_form_matches_the_definitions(drawn):
-    rows = _form_of_every_kind(*drawn)
+    """The forms of :func:`_form_of_every_kind` and, drawn as rows, those
+    of :func:`_monomial_forms`, against the entrywise definitions."""
+    rows = drawn if isinstance(drawn, list) else _form_of_every_kind(*drawn)
     n = len(rows)
     gram, transposed = Matrix.from_rows(rows), _transpose(rows)
     if transposed == rows:
@@ -495,59 +522,23 @@ def test_float_classify_form_matches_the_uncached_rule(drawn):
     bumped[-1, 0] += 1  # one entry apart: a cache key must see all of them
     for clear in (False, True):
         if clear:
-            matrix_lab._float_reading.cache_clear()
+            matrix_lab._reading.cache_clear()
         for gram in map(Matrix.from_array, (dense, bumped)):
             form = classify_form(gram)
             assert form.gram is gram
             assert (form.symmetry, form.nondegenerate) == _float_rule(gram)
 
 
-@st.composite
-def _monomial_forms(draw):
-    """A form with one nonzero entry in every row and column, placed on a
-    drawn involution with each pair's two entries drawn equal, opposite or
-    free; sometimes one entry is zeroed or one entry is added, so that the
-    form is not monomial."""
-    n = draw(st.integers(1, 6))
-    order = draw(st.permutations(range(n)))
-    cols = list(range(n))
-    for t in range(draw(st.integers(0, n // 2))):
-        a, b = order[2 * t], order[2 * t + 1]
-        cols[a], cols[b] = b, a
-    sign = draw(st.sampled_from([1, -1, None]))
-    nonzero = gaussian_rationals.filter(bool)
-    rows = [[QQi(0)] * n for _ in range(n)]
-    for a in range(n):
-        b = cols[a]
-        if sign is not None and b < a:
-            rows[a][b] = rows[b][a] * sign
-        else:
-            rows[a][b] = draw(nonzero)
-    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    rows[r][c] = draw(st.sampled_from([rows[r][c], QQi(0), QQi(1)]))
-    return rows
-
-
-@settings(max_examples=80)
-@given(_monomial_forms())
-def test_monomial_form_reading_matches_classify_form(rows):
-    gram = Matrix.from_rows(rows)
-    fast, dense = classify_monomial_form(gram), classify_form(gram)
-    assert fast.gram is gram
-    assert fast.symmetry is dense.symmetry
-    assert fast.nondegenerate == dense.nondegenerate
-
-
 def test_monomial_form_reading_decides_the_standard_form():
     for m in range(2, 25, 2):
-        form = classify_monomial_form(symplectic_J(m).gram)
+        form = classify_form(symplectic_J(m).gram)
         assert form.symmetry is Symmetry.SKEW and form.nondegenerate
     g = symplectic_J(6).gram
     flipped, zeroed = g.re.copy(), g.re.copy()
     flipped[1, 4], zeroed[1, 4] = -1, 0
-    flipped = classify_monomial_form(Matrix.gaussian(flipped))
+    flipped = classify_form(Matrix.gaussian(flipped))
     assert flipped.symmetry is Symmetry.NEITHER and flipped.nondegenerate
-    zeroed = classify_monomial_form(Matrix.gaussian(zeroed))
+    zeroed = classify_form(Matrix.gaussian(zeroed))
     assert zeroed.symmetry is Symmetry.NEITHER and not zeroed.nondegenerate
 
 
@@ -1197,6 +1188,42 @@ def test_realize_rejects_twists_and_empty():
 # -- factor ids -------------------------------------------------------------
 
 
+def _value(m):
+    """A factor's shape, path and entries, as a hashable key."""
+    return m.shape, m.exact, tuple(map(tuple, m.tolist()))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_the_factor_table_keeps_each_matrix_with_its_shape_and_path(
+        rows, cols, exact, data):
+    """Exact and float matrices of drawn shapes: the table gives back each
+    matrix with its own shape, path and entries, equal (shape, value)
+    pairs get equal ids, and reading the matrices again does not grow the
+    table.  A non-square matrix and its transpose get different ids, and
+    so do I_2 and the row (1, 0, 0, 1)."""
+    ints = data.draw(st.lists(st.integers(-2, 2), min_size=2 * rows * cols,
+                              max_size=2 * rows * cols))
+    re, im = np.array(ints, dtype=object).reshape(2, rows, cols)
+    m = Matrix.gaussian(re, im, data.draw(st.integers(1, 3)))
+    if not exact:
+        m = Matrix.from_array(m.as_complex())
+    mats = [m, m.T, Matrix.identity(2, exact),
+            Matrix.from_rows([[1, 0, 0, 1]], exact)]
+    ids = [_factor(x, exact) for x in mats]
+    size = len(matrix_lab._FACTORS)
+    again = [_factor(Matrix.from_rows(x.tolist(), exact), exact)
+             for x in mats]
+    assert again == ids and len(matrix_lab._FACTORS) == size
+    for f, x in zip(ids, mats):
+        assert _value(matrix_lab._FACTORS[f]) == _value(x)
+    assert (ids[0] == ids[1]) == (m.T.tolist() == m.tolist())
+    assert ids[2] != ids[3]
+    if exact:  # the same entries on the float path are another factor
+        f = _factor(m, False)
+        assert f != ids[0] and not matrix_lab._FACTORS[f].exact
+
+
 _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
                               st.integers(1, 4))
 
@@ -1221,16 +1248,14 @@ def test_factor_ids_follow_the_factor_values(drawn):
         return out
 
     first = passes()
-    size = len(matrix_lab._FACTOR_VALUES)
+    size = len(matrix_lab._FACTORS)
     again = passes()
-    assert len(matrix_lab._FACTOR_VALUES) == size
-    assert all(matrix_lab._FACTOR_IDS[v] == f
-               for f, v in enumerate(matrix_lab._FACTOR_VALUES))
+    assert len(matrix_lab._FACTORS) == size
     for tf, tf2 in zip(first, again):
         assert (tf.rho, tf.sl2) == (tf2.rho, tf2.sl2)
         reference: dict[tuple, list[int]] = {}
         for i, ids in enumerate(zip(tf.rho, tf.sl2)):
-            values = tuple(tuple(matrix_lab._FACTOR_VALUES[f] for f in side)
+            values = tuple(tuple(_value(matrix_lab._FACTORS[f]) for f in side)
                            for side in ids)
             reference.setdefault(values, []).append(i)
         assert tf.classes == list(reference.values())
