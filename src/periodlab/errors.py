@@ -146,7 +146,7 @@ class NonIntegralIndicatorError(PeriodLabError):
 
 
 class CommutantMismatchError(PeriodLabError):
-    """Generator blocks or commutant dimension disagree with the recipe."""
+    """The commutant dimension disagrees with the classes of blocks."""
 
 
 class FormVerificationError(PeriodLabError, ValueError):

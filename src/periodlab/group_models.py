@@ -7,21 +7,18 @@ generators' tensor factors and identity flags, built once.  A
 model is certified a homomorphism on the group's generators: rho(1) = I and
 rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
 every pair by induction on word length; no check is sampled.  The
-isotropy oracle reads the isotypic structure of a realization from its
-recipe and certifies it by the commutant dimension, for every block length
-k and multiplicity, with no dimension bound of its own.  Both work on the
-classes of blocks with equal factors (``matrix_lab.TensorFactors``): the
-commutant dimension is the sum over pairs of classes C, D of
-m_C * m_D * dim Hom(D, C), exact on the exact path; the recipe's components
-must be those classes, and the block-diagonality certificate compares the
-factors' blocks with the recipe's; no certificate looks at the dense
-generators.  The isotropy oracle takes its form as a :class:`VerifiedForm`,
-checked once by ``distinction.verify_form`` on its tiles, and tests one
-irreducible submodule per class on those tiles; on the exact path no entry
-of the form is converted to a float.  The
-symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``) are
-a finite stand-in for S(k), irreducible exactly for k <= 6
-(``SL2_SURROGATE_BOUND``); the oracle does not use them.
+isotropy oracle takes the isotypic components of a realization to be its
+classes of blocks with equal factors (``matrix_lab.TensorFactors``, keyed
+by class id) and certifies them by the commutant dimension, the sum over
+pairs of classes C, D of m_C * m_D * dim Hom(D, C), cached per pair of
+class ids and exact on the exact path; no label name and no dense
+generator is read, and no block length or multiplicity is refused.  It
+takes its form as a :class:`VerifiedForm`, checked once by
+``distinction.verify_form`` on its tiles, and tests one irreducible
+submodule per class on those tiles.  The symmetric powers of the binary
+icosahedral group 2I (``sl2_surrogate``) are a finite stand-in for S(k),
+irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``); the oracle does
+not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -55,6 +52,7 @@ from .matrix_lab import (
     FactoredForm,
     GeneratorSet,
     Matrix,
+    _class_pair,
     _factor,
     _float_close,
     intertwiners,
@@ -186,20 +184,22 @@ def commutant_dimension(gens) -> int:
 
     The blocks of :func:`tensor_factors` with equal factors form a class C
     of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
-    sum over pairs of classes of m_C * m_D * dim Hom(D, C), where
-    dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) is solved on one
-    block of each (``TensorFactors.class_pairs``), the U side from k alone
-    (``matrix_lab.sl2_intertwiners``); exact on the exact path.
+    sum over pairs of classes of m_C * m_D * dim Hom(D, C), read once per
+    pair of class ids (:func:`_class_hom`); exact on the exact path.
     """
-    tf = tensor_factors(gens)
-    total = 0
-    for c, keys in zip(tf.classes, tf.class_pairs):
-        for d, (rho_args, sl2_args) in zip(tf.classes, keys):
-            hom = len(intertwiners(*rho_args))
-            if hom:
-                hom *= len(sl2_intertwiners(*sl2_args))
-                total += len(c) * len(d) * hom
-    return total
+    classes = tensor_factors(gens).classes
+    return sum(len(c) * len(d) * _class_hom(i, j)
+               for i, c in classes.items() for j, d in classes.items())
+
+
+@lru_cache(maxsize=None)
+def _class_hom(c: int, d: int) -> int:
+    """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
+    classes c and d, solved on one block of each, the U side from k alone
+    (``matrix_lab.sl2_intertwiners``)."""
+    rho_args, sl2_args = _class_pair(c, d)
+    hom = len(intertwiners(*rho_args))
+    return hom and hom * len(sl2_intertwiners(*sl2_args))
 
 
 def _make_model(name: str, group: FiniteGroup,
@@ -380,7 +380,9 @@ class Catalog:
         return [e.label for e in self.entries.values()]
 
     def validate(self) -> None:
-        """Check duality mutuality and model consistency; raise on failure."""
+        """Check duality mutuality and model consistency, the models of dual
+        labels being contragredient (one group object, complex-conjugate
+        characters element by element); raise on failure."""
         seen_models: dict[int, str] = {}
         for name, entry in self.entries.items():
             label = entry.label
@@ -404,6 +406,14 @@ class Catalog:
                 raise ConsistencyError(
                     f"dual labels {name!r}/{dual.name!r} disagree about "
                     f"self-duality")
+            model, dual_model = entry.model, dual_entry.model
+            if model is not None and dual_model is not None and not (
+                    model.group is dual_model.group and np.abs(
+                        model.character - dual_model.character.conj()
+                    ).max() <= _CHAR_TOL):
+                raise ConsistencyError(
+                    f"dual labels {name!r}/{dual.name!r}: their models are "
+                    f"not contragredient representations of one group")
             if entry.model is not None:
                 if entry.model.dim != label.dim:
                     raise ConsistencyError(
@@ -452,51 +462,25 @@ def builtin_catalog() -> Catalog:
 # isotypic structure of realized parameters
 
 
-def _isotypic_components(gens: GeneratorSet) -> dict[str, list[int]]:
-    """The blocks of each isotypic component, read from the recipe.
+def _isotypic_components(gens: GeneratorSet) -> list[list[int]]:
+    """The blocks of each isotypic component: the classes of blocks with
+    equal factors (``TensorFactors.classes``), certified.
 
     Every block rho (x) S(k) of a realization is irreducible: label models
     are checked irreducible when they are built, and exp(E), exp(F) are
-    Zariski-dense in SL(2).  Grouping the blocks by (label, k) gives the
-    isotypic decomposition exactly when the generators act block-diagonally
-    on the recipe's spans, the grouping is the one by equal factors
-    (``TensorFactors.classes``, so the blocks of a component are one
-    matrix representation), and the commutant has dimension sum m^2: it is
-    sum m_C m_D dim Hom(D, C) >= sum m_C^2, so equality leaves
-    Hom(D, C) = 0 for C != D.  All three are checked, the first by
-    comparing the blocks of the generators' tensor factors, on which they
-    act by construction, with the spans.  Blocks are numbered as the
-    recipe's segments; components keep first-appearance order.
+    Zariski-dense in SL(2).  The generators act on their factors' blocks by
+    construction, and the blocks of a class are one matrix representation,
+    so the classes are the isotypic components exactly when the commutant
+    has dimension sum m^2: it is sum m_C m_D dim Hom(D, C) >= sum m_C^2, so
+    equality leaves Hom(D, C) = 0 for C != D.  First appearance orders them.
     """
-    recipe = gens.recipe
-    if recipe is None:
-        raise ValueError(
-            "generator set carries no realization recipe; build it "
-            "with realize()")
-    n = gens.dim
-    dim_total = sum(hi - lo for lo, hi in recipe.spans)
-    if dim_total != n:
-        raise CommutantMismatchError(
-            f"isotypic dimensions sum to {dim_total}, expected {n}")
-    components: dict[str, list[int]] = {}
-    for i, seg in enumerate(recipe.segments):
-        components.setdefault(f"{seg.cuspidal.name}⊗S({seg.k})",
-                              []).append(i)
-    if tuple((lo, lo + r * k)
-             for lo, r, k in gens.factors.blocks) != recipe.spans:
-        raise CommutantMismatchError(
-            "generators are not known to act block-diagonally on the "
-            "recipe's blocks: their tensor blocks differ from the spans")
+    components = list(gens.factors.classes.values())
     commutant = commutant_dimension(gens)
-    expected = sum(len(blocks) ** 2 for blocks in components.values())
+    expected = sum(len(blocks) ** 2 for blocks in components)
     if commutant != expected:
         raise CommutantMismatchError(
             f"commutant dimension {commutant} disagrees with block count "
             f"{expected}")
-    if list(components.values()) != gens.factors.classes:
-        raise CommutantMismatchError(
-            "the recipe's components are not the classes of blocks with "
-            "equal factors")
     return components
 
 
@@ -519,8 +503,8 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     again.  A nonzero invariant subspace contains an irreducible one, and a
     subspace of an isotropic space is isotropic, so only irreducible
     invariant subspaces are searched.  Each lies in one isotypic component,
-    read from the realization recipe and certified (block-diagonal
-    generators, commutant dimension sum m^2).  With multiplicity 1 it is the
+    a class of blocks with equal factors, certified by the commutant
+    dimension sum m^2.  With multiplicity 1 it is the
     block itself, isotropic when the form has no tile on it: a verified
     form's tiles are nonzero.  With multiplicity m >= 2 an isotropic graph
     of two copies always exists.  The form is read from its tiles, densely
@@ -529,7 +513,7 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     """
     form = verified.form
     self_paired = {i for i, j, *_ in form.tiles if i == j}
-    for blocks in _isotypic_components(verified.gens).values():
+    for blocks in _isotypic_components(verified.gens):
         if len(blocks) > 1:
             return _isotropic_graph_exists(form.restricted(blocks[:2]))
         if blocks[0] not in self_paired:

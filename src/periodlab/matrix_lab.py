@@ -38,27 +38,21 @@ SVD rank rule.
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
 :func:`realize` stores the generators as these factors
-(:class:`TensorFactors`); the dense matrices are assembled from them on
-demand and never split again.  Each distinct factor gets one small int id
-when it is first produced (:func:`_factor`), keyed on its shape and value;
-factors are stored as these ids, and every reader takes the
-:class:`Matrix` behind an id from the one table, with its shape and path.
-:func:`invariant_forms` solves the forms of each block pair as products
-X (x) Y of a rho factor (at most 4 unknowns, row reduced, cached on its
-factors' ids) and an S(k) factor (solved by its weights, cached on
-(k, k')).  Blocks with equal factors form a class
-(:attr:`TensorFactors.classes`), and the oracle works on classes:
-:func:`find_nondegenerate_skew` builds its form from one solve per pair of
-classes and keeps it as tiles c X (x) Y (:class:`FactoredForm`), which are
-checked factor by factor once per pair of classes, and ``group_models``
-solves the commutant per pair of classes too, all on the solve keys of
-:attr:`TensorFactors.class_pairs`, built once per realization.  A factor's
-reading (its symmetry and invertibility, :func:`_reading`) is computed
-once per id, and :func:`classify_form` is that reading of a gram's id, on
-either path; the checks of a form's tiles are cached on the factors' ids
-alone, and the grouping of a set of label models into generators is
-computed once per process.  A bare list of generators is solved as one
-block, on the rho side.
+(:class:`TensorFactors`), and no recipe besides; the dense matrices are
+assembled on demand and never split again.  Each distinct factor gets one
+small int id from a process-wide table (:func:`_factor`), keyed on its
+shape and value, and each block class (its factor ids, r, k and path) one
+id from a second table (:attr:`TensorFactors.class_ids`).
+:func:`invariant_forms` solves each block pair as products X (x) Y of a
+rho factor (row reduced, cached on its factors' ids) and an S(k) factor
+(solved by its weights, cached on (k, k')).  The oracle works on class
+ids: every fact about a pair of classes, the pairing
+:func:`find_nondegenerate_skew` tiles its :class:`FactoredForm` with, the
+residue of a tile and ``group_models``' dim Hom(D, C), is computed once
+per process and cached on two ints.  A factor's reading (symmetry and
+invertibility, :func:`_reading`) is computed once per id, and
+:func:`classify_form` is that reading.  A bare list of generators is
+solved as one block, on the rho side.
 """
 
 from __future__ import annotations
@@ -82,7 +76,7 @@ from .errors import (
     TwistedSegmentError,
 )
 from .exactnum import ZERO, QQi, qqi
-from .param_core import Segment, WDParameter
+from .param_core import WDParameter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .group_models import Catalog
@@ -178,7 +172,8 @@ class Matrix:
 
     @property
     def is_square(self) -> bool:
-        return self.rows == self.cols
+        rows, cols = self.shape
+        return rows == cols
 
     # -- conversions ------------------------------------------------------
     def as_complex(self) -> np.ndarray:
@@ -1046,20 +1041,25 @@ class TensorFactors:
         return (self.rho[i], self.rho[j], r, r2, self.rho_exact), (k, k2)
 
     @cached_property
-    def classes(self) -> list[list[int]]:
-        """The blocks grouped by equal factors, in order of first
-        appearance: the blocks of a class are one matrix representation."""
-        classes: dict[tuple, list[int]] = {}
-        for i, key in enumerate(zip(self.rho, self.sl2)):
-            classes.setdefault(key, []).append(i)
-        return list(classes.values())
+    def class_ids(self) -> tuple[int, ...]:
+        """The id of every block's class, (rho ids, S(k) ids, r, k, path)
+        in the class table: blocks with equal factors and sizes are one
+        matrix representation.  A new class gets the next id."""
+        keys = [(a, u, r, k, self.rho_exact)
+                for a, u, (_, r, k) in zip(self.rho, self.sl2, self.blocks)]
+        for key in keys:
+            if _CLASS_IDS.setdefault(key, len(_CLASSES)) == len(_CLASSES):
+                _CLASSES.append(key)
+        return tuple(map(_CLASS_IDS.__getitem__, keys))
 
     @cached_property
-    def class_pairs(self) -> list[list[tuple[tuple, tuple]]]:
-        """:meth:`pair` of the first blocks of classes c and d at [c][d],
-        built once: every block of a class has its first block's ids."""
-        return [[self.pair(c[0], d[0]) for d in self.classes]
-                for c in self.classes]
+    def classes(self) -> dict[int, list[int]]:
+        """The blocks of every class, by class id, in order of first
+        appearance."""
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(self.class_ids):
+            classes.setdefault(c, []).append(i)
+        return classes
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1083,9 +1083,11 @@ class TensorFactors:
 
 # The factor table: the id of every distinct factor, keyed on its shape and
 # value, and the factors' matrices in order of their ids.  It grows only
-# with new factors.
+# with new factors, and keeps every matrix it holds alive, so the ``id`` of
+# one names it for the life of the process (``_TABLED``).
 _FACTOR_IDS: dict[tuple, int] = {}
 _FACTORS: list[Matrix] = []
+_TABLED: dict[int, int] = {}
 
 
 def _factor(m: Matrix, exact: bool) -> int:
@@ -1094,7 +1096,11 @@ def _factor(m: Matrix, exact: bool) -> int:
     complex matrix.  Its key is its shape and its reduced image ``(re, im,
     den)``, or on the float path its complex entries; equal keys get equal
     ids, and a new key the next id, under which ``_FACTORS`` keeps the
-    matrix."""
+    matrix.  A matrix the table holds, asked for on its own path, is
+    found by identity, without its key."""
+    fid = _TABLED.get(id(m))
+    if fid is not None and m.exact == exact:
+        return fid
     if exact:
         key = m.shape, tuple(m.re.flat), tuple(m.im.flat), m.den
     else:
@@ -1103,7 +1109,21 @@ def _factor(m: Matrix, exact: bool) -> int:
     fid = _FACTOR_IDS.setdefault(key, len(_FACTORS))
     if fid == len(_FACTORS):
         _FACTORS.append(m)
+        _TABLED[id(m)] = fid
     return fid
+
+
+# The class table (:attr:`TensorFactors.class_ids`): the id of every
+# distinct block class, and the classes' keys in order of their ids.  It
+# grows only with new classes.
+_CLASS_IDS: dict[tuple, int] = {}
+_CLASSES: list[tuple] = []
+
+
+def _class_pair(c: int, d: int) -> tuple[tuple, tuple]:
+    """:meth:`TensorFactors.pair` of a block of class c and one of d."""
+    (ls, _, r, k, exact), (rs, _, r2, k2, _) = _CLASSES[c], _CLASSES[d]
+    return (ls, rs, r, r2, exact), (k, k2)
 
 
 @lru_cache(maxsize=None)
@@ -1269,6 +1289,13 @@ def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
     return x, y, xt, yt
 
 
+@lru_cache(maxsize=None)
+def _class_pairing(c: int, d: int) -> tuple | None:
+    """:func:`_block_pairing` of a block of class c and one of class d,
+    once per process."""
+    return _block_pairing(*_class_pair(c, d))
+
+
 def _self_pairing_symmetry(x: int, y: int) -> Symmetry:
     """The symmetry of a block's pairing X (x) Y with itself, given as
     factors: the product of the signs of X and Y as :func:`classify_form`
@@ -1357,48 +1384,46 @@ class FactoredForm:
         tile, and on a tile c X (x) Y it holds exactly when A_i^T X A_j = X
         for every rho generator and U_i^T Y U_j = Y for every S(k)
         generator.  These depend only on the classes of i and j
-        (:attr:`TensorFactors.classes`) and on X and Y, so each is checked
-        once per class pair, and cached on its factors' ids; the
-        residue of a tile is |c| times max|A_i^T X A_j - X| times max|Y|
-        (or the same on the S(k) side), exactly 0.0 on the exact path.
+        (:attr:`TensorFactors.class_ids`) and on X and Y, so each is
+        checked once per process (:func:`_tile_residue`); the residue of a
+        tile is |c| times that tile's residue, exactly 0.0 on the exact
+        path.
         """
         if (self.n, self.blocks, self.rho_exact) != (tf.n, tf.blocks,
                                                      tf.rho_exact):
             raise ShapeMismatchError(
                 "the form does not lie on the generators' blocks and path")
-        class_of = {b: c for c, bs in enumerate(tf.classes) for b in bs}
-        residue, checked = 0.0, {}
+        ids, residue = tf.class_ids, 0.0
         for i, j, c, x, y in self.tiles:
-            ci, cj = class_of[i], class_of[j]
-            key = (ci, cj, x, y)
-            if key not in checked:  # once per class pair and tile factors
-                checked[key] = (_pairing_residue(tf.rho[i], tf.rho[j], x),
-                                _pairing_residue(tf.sl2[i], tf.sl2[j], y))
-            dx, dy = checked[key]
-            if dx is None or dy is None:
+            worst = _tile_residue(ids[i], ids[j], x, y)
+            if worst is None:
                 return None
-            worst = max(dx[0] * dy[1], dx[1] * dy[0])
             if worst:
                 residue = max(residue, abs(complex(c)) * worst)
         return residue
 
 
-@lru_cache(maxsize=512)
-def _pairing_residue(ls: tuple, rs: tuple,
-                     x: int) -> tuple[float, float] | None:
-    """Whether L^T X R = X for every (L, R) in ``zip(ls, rs)``, all given as
-    factors: None when not, else (the largest |L^T X R - X| entry, the
-    largest |X| entry).  Decided by :meth:`Matrix.equals`, so exactly on the
-    exact path, where the first is 0.0."""
-    xm = _FACTORS[x]
-    worst = 0.0
-    for l, r in zip(ls, rs):
-        moved = _FACTORS[l].T @ xm @ _FACTORS[r]
-        if not moved.equals(xm):
-            return None
-        if not moved.exact:
-            worst = max(worst, moved.max_abs_diff(xm))
-    return worst, float(np.abs(xm.as_complex()).max(initial=0.0))
+@lru_cache(maxsize=None)
+def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
+    """Whether L^T X R = X for the rho generators (L, R) of block classes c
+    and d, and L^T Y R = Y for their S(k) generators, X and Y given as
+    factors: None when not, else the residue of the tile X (x) Y, the
+    larger of max|L^T X R - X| max|Y| and max|X| max|L^T Y R - Y|.  Decided
+    by :meth:`Matrix.equals`, so exactly on the exact path, where it is
+    0.0."""
+    (ls, us, *_), (rs, vs, *_) = _CLASSES[c], _CLASSES[d]
+    sides = []
+    for gens, gens2, f in ((ls, rs, x), (us, vs, y)):
+        fm, worst = _FACTORS[f], 0.0
+        for l, r in zip(gens, gens2):
+            moved = _FACTORS[l].T @ fm @ _FACTORS[r]
+            if not moved.equals(fm):
+                return None
+            if not moved.exact:
+                worst = max(worst, moved.max_abs_diff(fm))
+        sides.append((worst, float(np.abs(fm.as_complex()).max(initial=0.0))))
+    (dx, mx), (dy, my) = sides
+    return max(dx * my, mx * dy)
 
 
 @lru_cache(maxsize=512)
@@ -1440,9 +1465,9 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     Blocks of :func:`tensor_factors` with equal factors form a class C of
     multiplicity m_C (:attr:`TensorFactors.classes`).  By Schur's lemma C
     pairs with exactly one class C', through one pairing P = X (x) Y solved
-    from one block of each (:func:`_block_pairing`); a second such class is
-    an internal error.  J pairs copy i of C with copy i of C' by P and
-    -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
+    once per pair of class ids (:func:`_class_pairing`); a second such
+    class is an internal error.  J pairs copy i of C with copy i of C' by P
+    and -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
     skew, as :func:`classify_form` reads the solved X and Y: a symmetric P
     pairs copy 2i with copy 2i + 1, and a skew P each copy with itself.
     Each None has a certificate that every invariant (skew) form is
@@ -1457,9 +1482,9 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     """
     tf = tensor_factors(gens)
     tiles = []
-    for copies, keys in zip(tf.classes, tf.class_pairs):
-        pairings = [(duals, p) for duals, args in zip(tf.classes, keys)
-                    for p in [_block_pairing(*args)] if p is not None]
+    for c, copies in tf.classes.items():
+        pairings = [(duals, p) for d, duals in tf.classes.items()
+                    for p in [_class_pairing(c, d)] if p is not None]
         if not pairings:
             return None
         if len(pairings) > 1:
@@ -1530,18 +1555,6 @@ def _binomial_poly(x, y, power: int, zero):
 
 
 @dataclass(frozen=True)
-class RealizationRecipe:
-    """How a generator set was assembled: one block per segment, in order."""
-
-    segments: tuple[Segment, ...]
-
-    @cached_property
-    def spans(self) -> tuple[tuple[int, int], ...]:
-        ends = list(accumulate(s.dim for s in self.segments))
-        return tuple(zip([0, *ends], ends))
-
-
-@dataclass(frozen=True)
 class GeneratorSet:
     """Invertible generators of a realized parameter, stored as their
     :class:`TensorFactors`, one provenance tag per generator.
@@ -1553,7 +1566,6 @@ class GeneratorSet:
 
     factors: TensorFactors
     provenance: tuple[str, ...]
-    recipe: RealizationRecipe | None = None
 
     def __post_init__(self):
         tf = self.factors
@@ -1630,9 +1642,9 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
                                            unipotent)
     sl2 = (tuple(_exp_factors(s.k) for s in segs) if unipotent
            else ((),) * len(segs))
-    recipe = RealizationRecipe(tuple(segs))
-    blocks = tuple((lo, s.cuspidal.dim, s.k)
-                   for (lo, _), s in zip(recipe.spans, segs))
-    factors = TensorFactors(recipe.spans[-1][1], blocks,
+    ends = list(accumulate(s.dim for s in segs))
+    blocks = tuple((hi - s.dim, s.cuspidal.dim, s.k)
+                   for hi, s in zip(ends, segs))
+    factors = TensorFactors(ends[-1], blocks,
                             tuple(rho_of[m] for m in models), sl2, exact)
-    return GeneratorSet(factors, provenance, recipe)
+    return GeneratorSet(factors, provenance)

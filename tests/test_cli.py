@@ -135,6 +135,28 @@ def test_classify_undistinguishable_segment_is_a_failure_with_reason():
     assert report.exit_code == 1
 
 
+def test_classify_catalog_with_non_dual_models_exits_three(tmp_path, capsys):
+    # a and b are declared dual, but chi3 and the trivial character are no
+    # contragredient pair: they do not even share a group
+    path = tmp_path / "user.ini"
+    path.write_text(textwrap.dedent("""\
+        [cuspidal.a]
+        dim = 1
+        type = none
+        dual = b
+        model = chi3
+
+        [cuspidal.b]
+        dim = 1
+        type = none
+        dual = a
+        model = trivial
+        """), encoding="utf-8")
+    assert main(["classify", "a (+) b", "--catalog", str(path),
+                 "--oracle"]) == 3
+    assert "not contragredient" in capsys.readouterr().out
+
+
 def test_classify_with_user_catalog(tmp_path, capsys):
     path = tmp_path / "user.ini"
     path.write_text(USER_CATALOG, encoding="utf-8")
@@ -229,6 +251,52 @@ def test_classify_json_matches_golden(capsys, expr, name, code):
     golden = Path(__file__).parent / "golden" / name
     assert main(["classify", expr, "--oracle", "--json"]) == code
     assert capsys.readouterr().out == golden.read_text(encoding="ascii")
+
+
+# runs each command with its standard output captured, before and after a
+# dim-16 sweep in the same process, and prints both rounds as JSON
+_TWO_ROUNDS = """
+import contextlib, io, json, sys
+from periodlab.cli import main
+
+def outputs(commands):
+    out = []
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            out.append([main(argv), buf.getvalue()])
+    return out
+
+commands = json.loads(sys.argv[1])
+first = outputs(commands)
+outputs([["sweep", "--max-dim", "16", "--json"]])
+print(json.dumps([first, outputs(commands)]))
+"""
+
+
+def test_outputs_do_not_depend_on_what_ran_earlier_in_the_process():
+    """The classify goldens' expressions and a dim-8 sweep, first in a
+    fresh process and again after a dim-16 sweep in it, give byte-identical
+    output, equal to the goldens: the process-wide factor, class and
+    model-set tables change no verdict and no figure."""
+    commands = [["classify", expr, "--oracle", "--json"]
+                for expr, _, _ in CLASSIFY_GOLDENS]
+    commands.append(["sweep", "--max-dim", "8", "--json"])
+    src = str(Path(periodlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _TWO_ROUNDS, json.dumps(commands)],
+        capture_output=True, text=True, encoding="utf-8", timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    first, again = json.loads(result.stdout)
+    assert again == first
+    golden = Path(__file__).parent / "golden"
+    want = [[code, (golden / name).read_text(encoding="ascii")]
+            for _, name, code in CLASSIFY_GOLDENS]
+    want.append([0, (golden / "sweep_max_dim_8.json").read_text(
+        encoding="utf-8")])
+    assert first == want
 
 
 def test_classify_exact_residue_is_exactly_zero(capsys):

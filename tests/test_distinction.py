@@ -270,7 +270,8 @@ def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
                                                           segments):
     """The oracle checks its form on the factors: every placed block pair
     is checked on both sides, and no dense generator is built or given to
-    ``is_in_sp``."""
+    ``is_in_sp``.  The tile checks are cached per pair of class ids for the
+    process, so each is recorded through the uncached check."""
     dense, checked = [], set()
 
     def counted(*args):
@@ -279,25 +280,24 @@ def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
 
     def recorded(*args):
         checked.add(args)
-        return pairing_residue(*args)
+        return tile_residue(*args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("periodlab") and \
                 getattr(module, "is_in_sp", None) is is_in_sp:
             monkeypatch.setattr(module, "is_in_sp", counted)
-    pairing_residue = matrix_lab._pairing_residue
-    monkeypatch.setattr(matrix_lab, "_pairing_residue", recorded)
+    tile_residue = matrix_lab._tile_residue.__wrapped__
+    monkeypatch.setattr(matrix_lab, "_tile_residue", recorded)
     v = oracle_verdicts(param(*(seg(name, k) for name, k in segments)))
     assert v.skew_found and v.elliptic is not None
     assert "generators" not in vars(v.gens)
     assert dense == []
     blocks = len(v.gens.factors.blocks)
     assert sorted(i for i, *_ in v.form.tiles) == list(range(blocks))
-    tf = v.gens.factors
+    ids = v.gens.factors.class_ids
     for i, j, _, x, y in v.form.tiles:
-        # the S(k) side is checked on the exp E and exp F of both blocks
-        assert (tf.rho[i], tf.rho[j], x) in checked
-        assert (tf.sl2[i], tf.sl2[j], y) in checked
+        # both sides, the S(k) one on the exp E and exp F of both blocks
+        assert (ids[i], ids[j], x, y) in checked
 
 
 def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):

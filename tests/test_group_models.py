@@ -46,8 +46,13 @@ from periodlab.errors import (
     SurrogateBoundExceededError,
 )
 from periodlab.group_models import _element_key, _isotypic_components
+from periodlab import matrix_lab
+from periodlab.cli import main
 from periodlab.matrix_lab import (
     _FACTORS,
+    TensorFactors,
+    _block_pairing,
+    _class_pairing,
     _factor,
     intertwiners,
     sl2_intertwiners,
@@ -302,6 +307,41 @@ def test_validate_rejects_shared_models():
                  "b": CatalogEntry(b, MODELS["q8"])}).validate()
 
 
+def _dual_pair_catalog(model, dual_model):
+    """The labels chi3 and chi3bar, dual to each other, on the given
+    models."""
+    sd = SelfDualityType.NOT_SELF_DUAL
+    a = CuspidalLabel("chi3", 1, sd, dual_name="chi3bar", model="chi3")
+    b = CuspidalLabel("chi3bar", 1, sd, dual_name="chi3", model="chi3bar")
+    return Catalog({"chi3": CatalogEntry(a, model),
+                    "chi3bar": CatalogEntry(b, dual_model)})
+
+
+def test_validate_accepts_contragredient_models():
+    _dual_pair_catalog(MODELS["chi3"], MODELS["chi3bar"]).validate()
+    for cat in (CAT, builtin_catalog()):
+        cat.validate()
+
+
+@pytest.mark.parametrize("case", ["two-groups", "same-character"])
+def test_validate_rejects_dual_labels_whose_models_are_not_dual(case):
+    # two copies of C3: chi3bar's character on its own group is still the
+    # conjugate of chi3's, but the models share no group, so the oracle
+    # could never pair their blocks; on one group, a character equal to
+    # chi3's (not real) is not its conjugate
+    chi3 = MODELS["chi3"]
+    if case == "two-groups":
+        c3 = group_models._cyclic3_group()
+        dual_model = group_models._make_model(
+            "chi3bar", c3, [m.conj() for m in c3.elements], exact=False)
+    else:
+        dual_model = group_models._make_model(
+            "chi3 again", chi3.group, chi3.matrices, exact=False)
+    cat = _dual_pair_catalog(chi3, dual_model)
+    with pytest.raises(ConsistencyError, match="not contragredient"):
+        cat.validate()
+
+
 def test_validate_rejects_model_dim_mismatch():
     label = CuspidalLabel("wide", 4, SelfDualityType.ORTHOGONAL, model="s3")
     with pytest.raises(ConsistencyError):
@@ -313,52 +353,59 @@ def test_validate_rejects_model_dim_mismatch():
 
 def test_multiplicities_distinct_classes():
     components = _isotypic_components(oracle_gens(seg("q8"), seg("q8", 3)))
-    assert components == {"q8⊗S(1)": [0], "q8⊗S(3)": [1]}
+    assert components == [[0], [1]]
 
 
 def test_multiplicities_repeated_class():
     components = _isotypic_components(oracle_gens(seg("q8"), seg("q8")))
-    assert components == {"q8⊗S(1)": [0, 1]}
+    assert components == [[0, 1]]
 
 
 def test_multiplicities_mixed_groups():
     components = _isotypic_components(
         oracle_gens(seg("q8"), seg("q8b"), seg("chi3"), seg("chi3bar")))
-    assert components == {"chi3⊗S(1)": [0], "chi3bar⊗S(1)": [1],
-                          "q8⊗S(1)": [2], "q8b⊗S(1)": [3]}
+    assert components == [[0], [1], [2], [3]]
 
 
 def test_multiplicities_beyond_surrogate_range():
     gens = oracle_gens(seg("trivial", 8))
-    assert _isotypic_components(gens) == {"trivial⊗S(8)": [0]}
+    assert _isotypic_components(gens) == [[0]]
     assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
 
 
-def _one_block_set(mats, like, recipe):
-    """The generators ``mats`` as one block, tagged like the set ``like``,
-    carrying ``recipe``."""
-    return GeneratorSet(tensor_factors(mats), like.provenance, recipe)
+def _one_block_set(mats, like):
+    """The generators ``mats`` as one block, tagged like the set ``like``."""
+    return GeneratorSet(tensor_factors(mats), like.provenance)
 
 
 def _foreign_generators(case):
-    """q8 (+) q8b's recipe on generators that do not match it, and a form
-    those generators preserve."""
-    base = oracle_gens(seg("q8"), seg("q8b"))
+    """Generators whose classes of equal factors are not the isotypic
+    components, and a form those generators preserve."""
     if case == "mixed-blocks":
-        # swapping coordinates 1 and 2 mixes the two blocks
+        # q8 (+) q8b with coordinates 1 and 2 swapped is one reducible block
+        base = oracle_gens(seg("q8"), seg("q8b"))
         p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],
                               [0, 1, 0, 0], [0, 0, 0, 1]])
-        mixed = _one_block_set([p @ g @ p.T for g in base.generators], base,
-                               base.recipe)
+        mixed = _one_block_set([p @ g @ p.T for g in base.generators], base)
         return mixed, form_of(
             mixed, (0, 0, 1, p @ skew_of(base).form.gram @ p.T, ONE))
-    same = oracle_gens(seg("q8"), seg("q8"))
-    return (GeneratorSet(same.factors, same.provenance, base.recipe),
-            skew_of(same).form)
+    # q8 (+) q8 with the second block's generators conjugated by s: two
+    # classes of unequal factors that are one representation, and q8's
+    # skew form on each block, moved by s on the second
+    base = oracle_gens(seg("q8"))
+    s = Matrix.from_rows([[1, 1], [0, 1]])
+    s_inv = Matrix.from_rows([[1, -1], [0, 1]])
+    rho = tuple(tuple(_factor(m, True) for m in mats) for mats in (
+        base.generators, [s @ g @ s_inv for g in base.generators]))
+    gens = GeneratorSet(TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho,
+                                      ((), ()), True), base.provenance)
+    x = skew_of(base).form.gram
+    return gens, form_of(gens, (0, 0, 1, x, ONE),
+                         (1, 1, 1, s_inv.T @ x @ s_inv, ONE))
 
 
 @pytest.mark.parametrize("case, message", [
-    ("mixed-blocks", "block-diagonally"),
+    ("mixed-blocks", "commutant dimension 2 disagrees with block count 1"),
     ("extra-commutant", "commutant dimension 4 disagrees with block count 2"),
 ])
 def test_isotypic_certificate_rejects_foreign_generators(case, message):
@@ -381,18 +428,6 @@ def test_commutant_of_a_long_block_is_exact(k):
 def test_commutant_counts_the_squares_of_multiplicities():
     gens = oracle_gens(seg("q8"), seg("q8"), seg("q8b", 2))
     assert commutant_dimension(gens) == 2 ** 2 + 1 ** 2
-
-
-def test_isotypic_certificate_rejects_a_regrouped_recipe():
-    # q8 (+) q8 (+) q8b's recipe on the factors of q8 (+) q8b (+) q8b: both
-    # groupings have sum m^2 = 5, so only the comparison with the classes
-    # of equal factors tells them apart
-    recipe = oracle_gens(seg("q8"), seg("q8"), seg("q8b")).recipe
-    other = oracle_gens(seg("q8"), seg("q8b"), seg("q8b"))
-    gens = GeneratorSet(other.factors, other.provenance, recipe)
-    assert commutant_dimension(gens) == 5
-    with pytest.raises(CommutantMismatchError, match="equal factors"):
-        _isotypic_components(gens)
 
 
 @st.composite
@@ -444,6 +479,44 @@ def _per_block_commutant(gens):
 def test_class_level_commutant_matches_the_per_block_sum(p):
     gens = realize(p, CAT)
     assert commutant_dimension(gens) == _per_block_commutant(gens)
+
+
+def _multisets(pool, room, start=0):
+    """Every nonempty multiset of ``pool`` entries of total dimension at
+    most ``room``, once each, as a tuple in pool order."""
+    for i in range(start, len(pool)):
+        if pool[i].dim <= room:
+            yield (pool[i],)
+            for rest in _multisets(pool, room - pool[i].dim, i):
+                yield (pool[i], *rest)
+
+
+def test_class_caches_match_the_per_block_solves():
+    """On every multiset of built-in segments up to dim 8 (5,142 of them),
+    the pairing and the commutant read through class ids equal the solves
+    of every block pair."""
+    pool = [seg(name, k) for name in MODELS for k in range(1, 9)
+            if CAT.label(name).dim * k <= 8]
+    count = 0
+    for segments in _multisets(pool, 8):
+        gens = realize(WDParameter.of(segments), CAT)
+        tf, count = gens.factors, count + 1
+        ids = tf.class_ids
+        for i, c in enumerate(ids):
+            for j, d in enumerate(ids):
+                assert _class_pairing(c, d) == _block_pairing(*tf.pair(i, j))
+        assert commutant_dimension(gens) == _per_block_commutant(gens)
+    assert count == 5142
+
+
+def test_a_second_sweep_adds_no_class_or_factor_id(capsys):
+    argv = ["sweep", "--max-dim", "24", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    sizes = len(matrix_lab._CLASSES), len(_FACTORS)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert (len(matrix_lab._CLASSES), len(_FACTORS)) == sizes
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,8 +608,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
                           [0, 0, 1, 0], [0, 0, 0, 1]])
     p_inv = Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0],
                               [0, 0, 1, 0], [0, 0, 0, 1]])
-    moved = _one_block_set([p @ g @ p_inv for g in base.generators], base,
-                           base.recipe)
+    moved = _one_block_set([p @ g @ p_inv for g in base.generators], base)
     assert tensor_factors(moved).blocks == ((0, 4, 1),)
     # B is invariant under the g exactly when p^-T B p^-1 is under p g p^-1
     (want,) = [p_inv.T @ f.gram @ p_inv for f in invariant_forms(base)]
@@ -545,7 +617,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
     assert Matrix.from_rows([sum(form.gram.tolist(), []),
                              sum(want.tolist(), [])]).rank() == 1
     assert commutant_dimension(moved) == 1
-    assert _isotypic_components(moved) == {"q8⊗S(2)": [0]}
+    assert _isotypic_components(moved) == [[0]]
 
 
 # -- the isotropy oracle --------------------------------------------------------

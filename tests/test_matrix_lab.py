@@ -936,10 +936,12 @@ def _gens(*segments):
     return realize(WDParameter.of(segments), CAT)
 
 
-def _rows(gens, name):
-    """The rows of the blocks labelled ``name`` in a realization."""
-    return [i for s, (lo, hi) in zip(gens.recipe.segments, gens.recipe.spans)
-            if s.cuspidal.name == name for i in range(lo, hi)]
+def _rows(gens, segments, name):
+    """The rows of the blocks labelled ``name`` in the realization ``gens``
+    of ``segments``: its blocks follow the parameter's segments."""
+    return [i for s, (lo, r, k) in zip(WDParameter.of(segments).segments,
+                                       gens.factors.blocks)
+            if s.cuspidal.name == name for i in range(lo, lo + r * k)]
 
 
 def _vanishes(form, rows, cols):
@@ -955,9 +957,10 @@ def _vanishes(form, rows, cols):
 def test_no_pairing_certificate(segments, lonely):
     # a class that pairs with no class: every invariant form vanishes on
     # its rows
-    gens = _gens(*map(seg, segments))
+    segments = list(map(seg, segments))
+    gens = _gens(*segments)
     assert find_nondegenerate_skew(gens) is None
-    rows, every = _rows(gens, lonely), list(range(gens.dim))
+    rows, every = _rows(gens, segments, lonely), list(range(gens.dim))
     assert all(_vanishes(f, rows, every) for f in invariant_forms(gens))
 
 
@@ -968,11 +971,12 @@ def test_no_pairing_certificate(segments, lonely):
 def test_unequal_multiplicity_certificate(segments, larger, smaller):
     # every invariant form maps the rows of the larger class into the
     # columns of the smaller, so every form in the span has rank below n
-    gens = _gens(*map(seg, segments))
+    segments = list(map(seg, segments))
+    gens = _gens(*segments)
     assert find_nondegenerate_skew(gens) is None
-    rows = _rows(gens, larger)
-    outside = sorted(set(range(gens.dim)) - set(_rows(gens, smaller)))
-    assert len(rows) > len(_rows(gens, smaller))
+    rows, paired = (_rows(gens, segments, name) for name in (larger, smaller))
+    outside = sorted(set(range(gens.dim)) - set(paired))
+    assert len(rows) > len(paired)
     assert all(_vanishes(f, rows, outside) for f in invariant_forms(gens))
 
 
@@ -1234,8 +1238,9 @@ _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
 def test_factor_ids_follow_the_factor_values(drawn):
     """Multisets of built-in segments, exact and float labels alike: the
     classes are the blocks grouped by the factor values behind the ids, each
-    block pair's solve keys are its classes', and realizing and searching
-    again gives the same ids and adds nothing to the id table."""
+    block's class id names its factors, sizes and path, and realizing and
+    searching again gives the same ids and adds nothing to the id
+    tables."""
     params = [WDParameter.of([seg(name, k) for name, k in segments])
               for segments in drawn]
 
@@ -1248,17 +1253,18 @@ def test_factor_ids_follow_the_factor_values(drawn):
         return out
 
     first = passes()
-    size = len(matrix_lab._FACTORS)
+    sizes = len(matrix_lab._FACTORS), len(matrix_lab._CLASSES)
     again = passes()
-    assert len(matrix_lab._FACTORS) == size
+    assert (len(matrix_lab._FACTORS), len(matrix_lab._CLASSES)) == sizes
     for tf, tf2 in zip(first, again):
-        assert (tf.rho, tf.sl2) == (tf2.rho, tf2.sl2)
+        assert (tf.rho, tf.sl2, tf.class_ids) == (tf2.rho, tf2.sl2,
+                                                  tf2.class_ids)
         reference: dict[tuple, list[int]] = {}
         for i, ids in enumerate(zip(tf.rho, tf.sl2)):
             values = tuple(tuple(_value(matrix_lab._FACTORS[f]) for f in side)
                            for side in ids)
             reference.setdefault(values, []).append(i)
-        assert tf.classes == list(reference.values())
-        class_of = {b: c for c, bs in enumerate(tf.classes) for b in bs}
-        assert all(tf.pair(i, j) == tf.class_pairs[class_of[i]][class_of[j]]
-                   for i in class_of for j in class_of)
+        assert list(tf.classes.values()) == list(reference.values())
+        assert all(matrix_lab._CLASSES[c] == (a, u, r, k, tf.rho_exact)
+                   for c, a, u, (_, r, k) in zip(tf.class_ids, tf.rho,
+                                                 tf.sl2, tf.blocks))
