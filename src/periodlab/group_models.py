@@ -15,7 +15,8 @@ class ids and exact on the exact path; no label name and no dense
 generator is read, and no block length or multiplicity is refused.  It
 takes its form as a :class:`VerifiedForm`, checked once by
 ``distinction.verify_form`` on its tiles, and tests one irreducible
-submodule per class on those tiles.  The symmetric powers of the binary
+submodule per class on those tiles' factor ids alone: it places no dense
+form and runs no SVD.  The symmetric powers of the binary
 icosahedral group 2I (``sl2_surrogate``) are a finite stand-in for S(k),
 irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``); the oracle does
 not use them.
@@ -55,6 +56,7 @@ from .matrix_lab import (
     _class_pair,
     _factor,
     _float_close,
+    _one_pairing,
     intertwiners,
     sl2_intertwiners,
     sym_power,
@@ -368,7 +370,7 @@ class Catalog:
         entry = self.entries.get(label.name)
         if entry is None:
             raise CatalogError(f"unknown cuspidal label {label.name!r}")
-        if entry.label != label:
+        if entry.label is not label and entry.label != label:
             raise CatalogError(
                 f"label {label.name!r} does not match this catalog's entry")
         if entry.model is None:
@@ -504,42 +506,29 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     subspace of an isotropic space is isotropic, so only irreducible
     invariant subspaces are searched.  Each lies in one isotypic component,
     a class of blocks with equal factors, certified by the commutant
-    dimension sum m^2.  With multiplicity 1 it is the
-    block itself, isotropic when the form has no tile on it: a verified
-    form's tiles are nonzero.  With multiplicity m >= 2 an isotropic graph
-    of two copies always exists.  The form is read from its tiles, densely
-    only on the two copies of a repeated component.  No dimension is
-    refused; a failed certificate raises.
+    dimension sum m^2.  With multiplicity 1 it is the block itself,
+    isotropic when the form has no tile on it: a verified form's tiles are
+    nonzero.  With multiplicity m >= 2, every irreducible submodule of the
+    first two copies (one matrix representation) is a graph of
+    a*iota1 + b*iota2, isotropic when a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.
+    Each tile there pairs one irreducible with itself, so it is a multiple
+    of one pairing (Schur's lemma; checked once per process on its factor
+    ids, ``matrix_lab._one_pairing``), and the condition is one quadratic in
+    (a : b), which has a complex root (any (a : b) with no tile there).  No
+    dense form is placed, no SVD runs and no dimension is refused; a failed
+    certificate raises.
     """
     form = verified.form
     self_paired = {i for i, j, *_ in form.tiles if i == j}
     for blocks in _isotypic_components(verified.gens):
         if len(blocks) > 1:
-            return _isotropic_graph_exists(form.restricted(blocks[:2]))
+            tiles = [(x, y) for i, j, _, x, y in form.tiles
+                     if {i, j} <= {*blocks[:2]}]
+            if all(_one_pairing(*tiles[0], *t) for t in tiles[1:]):
+                return True
+            raise PeriodLabError(
+                "internal: the pairing blocks of a repeated component are "
+                "not multiples of one pairing")
         if blocks[0] not in self_paired:
             return True
     return False
-
-
-def _isotropic_graph_exists(pair: Matrix) -> bool:
-    """Whether some graph of a*iota1 + b*iota2 is isotropic for ``pair``,
-    the form on two copies of one block: checked exactly on the exact path,
-    by the SVD rank rule on the float path.
-
-    The two copies are identical matrix representations (same model, same
-    basis), so the identity map is a valid intertwiner and every irreducible
-    submodule of their sum is such a graph, isotropic when
-    a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.  The three pairing blocks are
-    invariant pairings of one irreducible with itself, so they have rank
-    <= 1 as vectors: multiples of one P.  The condition is then one
-    homogeneous quadratic in (a : b), which always has a complex root.
-    """
-    d = pair.rows // 2
-    blocks = pair.apply(lambda j: np.stack([
-        j[:d, :d].ravel(), (j[:d, d:] + j[d:, :d]).ravel(),
-        j[d:, d:].ravel()]))
-    if blocks.rank() <= 1:
-        return True
-    raise PeriodLabError(
-        "internal: the pairing blocks of a repeated component are not "
-        "multiples of one pairing")

@@ -57,7 +57,7 @@ solved as one block, on the rho side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -1025,7 +1025,9 @@ class TensorFactors:
     The rho side is exact or float as a whole; the S(k) side, the
     integer exp(E) and exp(F) of ``_exp_factors(k)`` (none when every k is
     1), is always exact, also next to a float label, and its solves read k
-    alone.  A :class:`GeneratorSet` is stored as its factors.
+    alone.  A :class:`GeneratorSet` is stored as its factors.  Built with
+    them, ``class_ids`` holds each block's class id, of (rho ids, S(k) ids,
+    r, k, path) in the class table, and ``classes`` the blocks of each id.
     """
 
     n: int
@@ -1033,33 +1035,27 @@ class TensorFactors:
     rho: tuple[tuple[int, ...], ...]
     sl2: tuple[tuple[int, ...], ...]
     rho_exact: bool
+    class_ids: tuple[int, ...] = field(init=False, compare=False)
+    classes: dict[int, list[int]] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        ids, classes = [], {}
+        for i, (a, u, (_, r, k)) in enumerate(
+                zip(self.rho, self.sl2, self.blocks)):
+            key = a, u, r, k, self.rho_exact
+            c = _CLASS_IDS.setdefault(key, len(_CLASSES))
+            if c == len(_CLASSES):
+                _CLASSES.append(key)
+            ids.append(c)
+            classes.setdefault(c, []).append(i)
+        object.__setattr__(self, "class_ids", tuple(ids))
+        object.__setattr__(self, "classes", classes)
 
     def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
         """The solve arguments of block pair (i, j): of the rho side, its
         factor ids, sizes and path; of the S(k) side, k and k'."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
         return (self.rho[i], self.rho[j], r, r2, self.rho_exact), (k, k2)
-
-    @cached_property
-    def class_ids(self) -> tuple[int, ...]:
-        """The id of every block's class, (rho ids, S(k) ids, r, k, path)
-        in the class table: blocks with equal factors and sizes are one
-        matrix representation.  A new class gets the next id."""
-        keys = [(a, u, r, k, self.rho_exact)
-                for a, u, (_, r, k) in zip(self.rho, self.sl2, self.blocks)]
-        for key in keys:
-            if _CLASS_IDS.setdefault(key, len(_CLASSES)) == len(_CLASSES):
-                _CLASSES.append(key)
-        return tuple(map(_CLASS_IDS.__getitem__, keys))
-
-    @cached_property
-    def classes(self) -> dict[int, list[int]]:
-        """The blocks of every class, by class id, in order of first
-        appearance."""
-        classes: dict[int, list[int]] = {}
-        for i, c in enumerate(self.class_ids):
-            classes.setdefault(c, []).append(i)
-        return classes
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1082,11 +1078,12 @@ class TensorFactors:
 
 
 # The factor table: the id of every distinct factor, keyed on its shape and
-# value, and the factors' matrices in order of their ids.  It grows only
-# with new factors, and keeps every matrix it holds alive, so the ``id`` of
-# one names it for the life of the process (``_TABLED``).
+# value, and in order of the ids each matrix and its (shape, exact).  It
+# grows only with new factors, and keeps every matrix it holds alive, so the
+# ``id`` of one names it for the life of the process (``_TABLED``).
 _FACTOR_IDS: dict[tuple, int] = {}
 _FACTORS: list[Matrix] = []
+_SHAPES: list[tuple[tuple[int, int], bool]] = []
 _TABLED: dict[int, int] = {}
 
 
@@ -1109,6 +1106,7 @@ def _factor(m: Matrix, exact: bool) -> int:
     fid = _FACTOR_IDS.setdefault(key, len(_FACTORS))
     if fid == len(_FACTORS):
         _FACTORS.append(m)
+        _SHAPES.append((m.shape, m.exact))
         _TABLED[id(m)] = fid
     return fid
 
@@ -1140,6 +1138,13 @@ def _reading(factor: int) -> tuple[Symmetry, bool]:
     else:
         sym = Symmetry.NEITHER
     return sym, m.is_invertible()
+
+
+@lru_cache(maxsize=None)
+def _class_invertible(c: int) -> bool:
+    """Whether every factor of block class c is invertible."""
+    ls, us, *_ = _CLASSES[c]
+    return all(_reading(f)[1] for f in (*ls, *us))
 
 
 @lru_cache(maxsize=None)
@@ -1331,29 +1336,18 @@ class FactoredForm:
             raise ValueError("a form has at most one tile per block pair")
         for i, j, _, x, y in self.tiles:
             (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-            x, y = _FACTORS[x], _FACTORS[y]
-            if (x.shape, x.exact, y.shape, y.exact) != (
-                    (r, r2), self.rho_exact, (k, k2), True):
+            if (_SHAPES[x], _SHAPES[y]) != (((r, r2), self.rho_exact),
+                                            ((k, k2), True)):
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) does not fit its blocks")
 
     @cached_property
     def gram(self) -> Matrix:
         """The dense n x n form."""
-        return self.restricted(range(len(self.blocks)))
-
-    def restricted(self, blocks: Iterable[int]) -> Matrix:
-        """The dense form on the rows and columns of ``blocks``, placed one
-        after another in the order given."""
-        at: dict[int, slice] = {}
-        lo = 0
-        for b in blocks:
-            _, r, k = self.blocks[b]
-            at[b] = slice(lo, lo + r * k)
-            lo += r * k
-        return _placed(lo, [
+        at = [slice(lo, lo + r * k) for lo, r, k in self.blocks]
+        return _placed(self.n, [
             (at[i], at[j], _FACTORS[x].kron(_FACTORS[y]).scale(c))
-            for i, j, c, x, y in self.tiles if i in at and j in at])
+            for i, j, c, x, y in self.tiles])
 
     def is_skew(self) -> bool:
         """Whether J_ji = -J_ij^T for every block pair, decided on the
@@ -1446,16 +1440,34 @@ def _is_zero(m: Matrix) -> bool:
 
 def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
     """Whether a (x) y = b (x) z for exact y and z, without forming either:
-    y = u z for the ratio u at z's first nonzero entry, and then u a = b."""
+    y = u z for the ratio u of :func:`_ratio`, and then u a = b."""
     if _is_zero(a) or _is_zero(y):
         return _is_zero(b) or _is_zero(z)
     if _is_zero(b) or _is_zero(z):
         return False
-    p = next(p for p, (re, im) in enumerate(zip(z.re.flat, z.im.flat))
-             if re or im)
-    u = (QQi(Fraction(y.re.flat[p], y.den), Fraction(y.im.flat[p], y.den))
-         / QQi(Fraction(z.re.flat[p], z.den), Fraction(z.im.flat[p], z.den)))
+    u = _ratio(y, z)
     return z.scale(u).equals(y) and a.scale(u).equals(b)
+
+
+def _ratio(y: Matrix, z: Matrix):
+    """y / z at one entry of a nonzero z: exactly at its first nonzero entry
+    when both are exact, else at its largest, as a complex."""
+    if y.exact and z.exact:
+        p = next(p for p, v in enumerate(zip(z.re.flat, z.im.flat)) if any(v))
+        return (QQi(y.re.flat[p], y.im.flat[p]) * z.den
+                / (QQi(z.re.flat[p], z.im.flat[p]) * y.den))
+    p = np.abs(z.as_complex()).argmax()
+    return complex(y.as_complex().flat[p] / z.as_complex().flat[p])
+
+
+@lru_cache(maxsize=None)
+def _one_pairing(x: int, y: int, x2: int, y2: int) -> bool:
+    """Whether the tiles X (x) Y and X2 (x) Y2, given as factors, are
+    multiples of one pairing: one is zero, or X = u X2 and Y = v Y2 for the
+    ratios of :func:`_ratio`, by :meth:`Matrix.equals`."""
+    a, b, c, d = map(_FACTORS.__getitem__, (x, y, x2, y2))
+    return any(map(_is_zero, (a, b, c, d))) or all(
+        n.scale(_ratio(m, n)).equals(m) for m, n in ((a, c), (b, d)))
 
 
 def find_nondegenerate_skew(gens) -> FactoredForm | None:
@@ -1571,9 +1583,8 @@ class GeneratorSet:
         tf = self.factors
         if len(tf.rho[0]) + len(tf.sl2[0]) != len(self.provenance):
             raise ValueError("one provenance tag per generator")
-        # A (x) I and I (x) U are invertible exactly when A and U are;
-        # each distinct factor is checked once
-        if not all(_reading(f)[1] for f in set().union(*tf.rho, *tf.sl2)):
+        # A (x) I and I (x) U are invertible exactly when A and U are
+        if not all(map(_class_invertible, tf.classes)):
             raise ValueError("generators must be invertible")
 
     @property

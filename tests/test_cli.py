@@ -236,6 +236,8 @@ CLASSIFY_GOLDENS = [
     ("St(3,q8)", "classify_st3_q8.json", 0),
     ("q8 (+) q8 (+) St(2,trivial)", "classify_repeated_q8.json", 1),
     ("chi3 (+) chi3bar (+) St(3,d4)", "classify_chi3_pair_d4.json", 1),
+    ("chi3 (+) chi3 (+) chi3bar (+) chi3bar", "classify_repeated_chi3.json",
+     1),
     ("St(2,trivial)*nu^1/2 (+) St(2,trivial)*nu^-1/2",
      "classify_twisted_pair.json", 1),
     ("St(13,q8)", "classify_above_the_bound.json", 1),

@@ -43,9 +43,15 @@ from periodlab.errors import (
     ConsistencyError,
     FormVerificationError,
     MissingModelError,
+    PeriodLabError,
+    ShapeMismatchError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import _element_key, _isotypic_components
+from periodlab.group_models import (
+    VerifiedForm,
+    _element_key,
+    _isotypic_components,
+)
 from periodlab import matrix_lab
 from periodlab.cli import main
 from periodlab.matrix_lab import (
@@ -704,6 +710,108 @@ def test_isotropy_checks_a_tiny_exact_form_exactly():
             assert verified.residue == 0.0
             assert invariant_isotropic_exists(verified) is isotropic, (
                 names, scale)
+
+
+def _dense_rank_rule(form, blocks):
+    """The reference for a repeated component, on the dense form on its
+    first two copies: J11, J12 + J21 and J22 as vectors have rank <= 1,
+    exactly on the exact path and by the SVD rank rule on the float path."""
+    a, b = (slice(lo, lo + r * k) for lo, r, k in
+            (form.blocks[i] for i in blocks[:2]))
+    return form.gram.apply(lambda j: np.stack([
+        j[a, a].ravel(), (j[a, b] + j[b, a]).ravel(),
+        j[b, b].ravel()])).rank() <= 1
+
+
+def _dense_isotropy(verified):
+    """The isotropy verdict with the dense rule deciding a repeated
+    component."""
+    form = verified.form
+    self_paired = {i for i, j, *_ in form.tiles if i == j}
+    for blocks in _isotypic_components(verified.gens):
+        if len(blocks) > 1:
+            return _dense_rank_rule(form, blocks)
+        if blocks[0] not in self_paired:
+            return True
+    return False
+
+
+def test_the_tile_guard_matches_the_dense_rank_rule():
+    """Every factoring multiset of built-in segments of multiplicity <= 2
+    up to dim 8, on both paths: the verdict read on the tiles of a repeated
+    component is the one the dense rank rule gives, and each repeated
+    component passes that rule.  ``chi3 (+) chi3 (+) chi3bar (+) chi3bar``
+    has no tile among the copies of chi3 and is isotropic."""
+    pool = [seg(name, k) for name in MODELS for k in range(1, 9)
+            if CAT.label(name).dim * k <= 8]
+    repeated, factoring = Counter(), 0
+    for segments in _multisets(pool, 8):
+        if max(Counter(segments).values()) > 2:
+            continue
+        gens = realize(WDParameter.of(segments), CAT)
+        j = find_nondegenerate_skew(gens)
+        if j is None:
+            continue
+        factoring += 1
+        verified = verify_form(gens, j)
+        assert invariant_isotropic_exists(verified) == _dense_isotropy(
+            verified), segments
+        for blocks in _isotypic_components(gens):
+            if len(blocks) > 1:
+                assert _dense_rank_rule(j, blocks), segments
+                repeated[gens.exact] += 1
+    assert factoring == 255 and repeated == {True: 129, False: 100}
+    gens = oracle_gens(*map(seg, ["chi3", "chi3", "chi3bar", "chi3bar"]))
+    verified = skew_of(gens)
+    assert not any(i in (0, 1) and j in (0, 1)
+                   for i, j, *_ in verified.form.tiles)
+    assert invariant_isotropic_exists(verified) is True
+    assert _dense_isotropy(verified) is True
+
+
+FLOAT_ONE = Matrix.from_rows([[1]], exact=False)
+
+
+@pytest.mark.parametrize("segments, x, x2, y, y2, ok", [
+    # exact: q8's skew pairing on both copies, times -3 on the second, and
+    # then the identity on the second
+    ([("q8",)] * 2, J2, J2.scale(-3), ONE, ONE, True),
+    ([("q8",)] * 2, J2, Matrix.identity(2), ONE, ONE, False),
+    # float: chi3 (x) S(2) with X scaled by 2.5i and Y by -1 on the second
+    # copy, and then Y symmetric there
+    ([("chi3", 2)] * 2, FLOAT_ONE, FLOAT_ONE.scale(2.5j), J2, -J2, True),
+    ([("chi3", 2)] * 2, FLOAT_ONE, FLOAT_ONE, J2, Matrix.identity(2), False),
+])
+def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
+        segments, x, x2, y, y2, ok):
+    """Hand-built forms, never verified, with one tile on each of two
+    copies: the tile check agrees with the dense rank rule, and tiles that
+    are not multiples of one pairing are an internal error."""
+    gens = oracle_gens(*(seg(*s) for s in segments))
+    tf = gens.factors
+    form = FactoredForm(tf.n, tf.blocks, (
+        (0, 0, 1, _factor(x, x.exact), _factor(y, True)),
+        (1, 1, 1, _factor(x2, x2.exact), _factor(y2, True))), tf.rho_exact)
+    assert _dense_rank_rule(form, [0, 1]) is ok
+    verified = VerifiedForm(gens, form, 0.0)
+    if ok:
+        assert invariant_isotropic_exists(verified) is True
+        return
+    with pytest.raises(PeriodLabError, match="not multiples of one pairing"):
+        invariant_isotropic_exists(verified)
+
+
+def test_a_tile_that_does_not_fit_its_blocks_is_refused():
+    # q8 (+) St(2,trivial): blocks of r = 2, k = 1 and r = 1, k = 2
+    tf = oracle_gens(seg("q8"), seg("trivial", 2)).factors
+    j2, one = _factor(J2, True), _factor(ONE, True)
+    FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one),), True)
+    for tile in [(0, 0, 1, j2, j2),                     # Y of the wrong shape
+                 (1, 1, 1, j2, j2),                     # X of the wrong shape
+                 (0, 0, 1, _factor(J2, False), one),    # X off the path
+                 (0, 0, 1, j2, _factor(ONE, False))]:   # Y not exact
+        with pytest.raises(ShapeMismatchError, match="does not fit"):
+            FactoredForm(tf.n, tf.blocks, (tile,), True)
 
 
 def test_character_orthogonality_within_groups():

@@ -33,7 +33,7 @@ from periodlab import (
     symplectic_J,
     w_plus,
 )
-from periodlab.cli import VERIFY_MAX_K, _even_partitions
+from periodlab.cli import VERIFY_MAX_K, _even_partitions, main
 from periodlab.errors import (
     ConjugatorNotFoundError,
     OddPartError,
@@ -1178,8 +1178,24 @@ def test_generator_set_rejects_singular_factors():
         factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
         with pytest.raises(ValueError, match="invertible"):
             GeneratorSet(factors, ("rho", "sl2"))
+    # two classes, the second singular: each class is checked
+    factors = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)),
+                            ((), ()), True)
+    with pytest.raises(ValueError, match="generators must be invertible"):
+        GeneratorSet(factors, ("rho",))
     with pytest.raises(ValueError, match="provenance"):
         GeneratorSet(tensor_factors([Matrix.identity(2)]), ("a", "b"))
+
+
+def test_tensor_factors_have_their_classes_as_soon_as_they_are_built():
+    ident = _factor(Matrix.identity(2), True)
+    q8 = CAT.model_for(CAT.label("q8")).factors[True]
+    tf = TensorFactors(6, ((0, 2, 1), (2, 2, 1), (4, 2, 1)),
+                       (q8, (ident,) * len(q8), q8), ((), (), ()), True)
+    assert {"class_ids", "classes"} <= vars(tf).keys()
+    c, d = tf.class_ids[0], tf.class_ids[1]
+    assert tf.class_ids == (c, d, c) and c != d
+    assert tf.classes == {c: [0, 2], d: [1]}
 
 
 def test_realize_rejects_twists_and_empty():
@@ -1226,6 +1242,14 @@ def test_the_factor_table_keeps_each_matrix_with_its_shape_and_path(
     if exact:  # the same entries on the float path are another factor
         f = _factor(m, False)
         assert f != ids[0] and not matrix_lab._FACTORS[f].exact
+
+
+def test_the_shape_table_follows_the_factor_table(capsys):
+    assert main(["sweep", "--max-dim", "16", "--json"]) == 0
+    capsys.readouterr()
+    assert len(matrix_lab._SHAPES) == len(matrix_lab._FACTORS)
+    for f, m in enumerate(matrix_lab._FACTORS):
+        assert matrix_lab._SHAPES[f] == (m.shape, m.exact)
 
 
 _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
