@@ -18,7 +18,6 @@ from .errors import (
     DimBoundExceededError,
     DimensionMismatchError,
     DuplicateSegmentError,
-    FormVerificationError,
     NonTemperedError,
     NotDistinguishedError,
     OddBlockError,
@@ -60,10 +59,10 @@ TAG_ORACLE_ISOTROPY = "oracle:isotropy"
 
 # The largest dimension the matrix oracle realizes.  Of the built-in
 # parameters of dim 24, the costliest, St(22,trivial) (+) St(2,trivial),
-# takes 0.006-0.009 s as `classify --oracle` and 31 MB of peak RSS, in a
+# takes 0.005-0.007 s as `classify --oracle` and 31 MB of peak RSS, in a
 # fresh process once the catalog is built, on a 2-vCPU Xeon VM (Python
 # 3.11.7, numpy 2.4.6).  Above it (the bound raised), St(48,trivial) takes
-# 0.016-0.020 s and 1000 copies of trivial 0.019-0.022 s.
+# 0.007 s and 1000 copies of trivial 0.017-0.030 s.
 FORM_ORACLE_DIM_BOUND = 24
 
 
@@ -206,9 +205,8 @@ class OracleVerdicts:
     subspace), or None when no form was found or the isotropy stage hit an
     internal fault, ``isotropy_error``.  ``max_residue`` is the worst
     |g^T J g - J| entry as :func:`verify_form` computes it on the factors
-    (per tile, the largest |Delta| of one factor times the largest entry of
-    the other): exactly 0.0 on the exact path, and 0.0 when no form was
-    found.
+    (per tile, |c| max|A^T X A' - X| max|Y|; the S(k) side is exact):
+    exactly 0.0 on the exact path, and 0.0 when no form was found.
     """
 
     gens: GeneratorSet
@@ -223,22 +221,13 @@ class OracleVerdicts:
 
 
 def verify_form(gens: GeneratorSet, form: FactoredForm) -> VerifiedForm:
-    """Check once, on the form's tiles and the generators' factors, that
-    ``form`` is skew, nondegenerate and invariant; else raise
+    """Check once, in one pass over the form's tiles and the generators'
+    factors (:meth:`FactoredForm.verify`), that ``form`` is skew,
+    nondegenerate and invariant; else raise
     :class:`FormVerificationError`.  Exact when the generators and the form
     are; on the float path the rho side follows ``Matrix.equals``.  No
     dense generator or dense form is built."""
-    if not form.is_skew():
-        raise FormVerificationError("the form must be skew-symmetric")
-    if not form.is_nondegenerate():
-        raise FormVerificationError(
-            "the form must be nondegenerate: its tiles must pair the blocks "
-            "one to one by invertible factors")
-    residue = form.invariance_residue(gens.factors)
-    if residue is None:
-        raise FormVerificationError(
-            "the form must be invariant under the generators")
-    return VerifiedForm(gens, form, residue)
+    return VerifiedForm(gens, form, form.verify(gens.factors))
 
 
 def oracle_verdicts(p: WDParameter,
@@ -259,8 +248,7 @@ def oracle_verdicts(p: WDParameter,
         raise DimBoundExceededError(
             f"form oracle bound is {FORM_ORACLE_DIM_BOUND}, parameter has "
             f"dimension {p.dim}")
-    cat = builtin_catalog() if catalog is None else catalog
-    gens = realize(p, cat)
+    gens = realize(p, builtin_catalog() if catalog is None else catalog)
     j = find_nondegenerate_skew(gens)
     if j is None:
         return OracleVerdicts(gens, None, None, 0.0)

@@ -502,33 +502,30 @@ def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
     """Whether a nonzero invariant subspace is isotropic for the form.
 
     The form was checked when ``verified`` was built; nothing is checked
-    again.  A nonzero invariant subspace contains an irreducible one, and a
-    subspace of an isotropic space is isotropic, so only irreducible
-    invariant subspaces are searched.  Each lies in one isotypic component,
-    a class of blocks with equal factors, certified by the commutant
-    dimension sum m^2.  With multiplicity 1 it is the block itself,
-    isotropic when the form has no tile on it: a verified form's tiles are
-    nonzero.  With multiplicity m >= 2, every irreducible submodule of the
-    first two copies (one matrix representation) is a graph of
-    a*iota1 + b*iota2, isotropic when a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.
-    Each tile there pairs one irreducible with itself, so it is a multiple
-    of one pairing (Schur's lemma; checked once per process on its factor
-    ids, ``matrix_lab._one_pairing``), and the condition is one quadratic in
+    again.  A nonzero invariant subspace contains an irreducible one, which
+    lies in one isotypic component: a class of blocks with equal factors,
+    certified by the commutant dimension sum m^2.  A verified form's tiles
+    are nonzero and pair the blocks one to one (``FactoredForm.rows``).
+    With multiplicity 1 the subspace is the block, isotropic when its row's
+    tile lies off it.  With multiplicity m >= 2, every irreducible
+    submodule of the first two copies is a graph of a*iota1 + b*iota2,
+    isotropic when a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.  Each tile there
+    pairs one irreducible with itself, so it is a multiple of one pairing
+    (Schur's lemma; checked once per process on its factor ids,
+    ``matrix_lab._one_pairing``), and the condition is one quadratic in
     (a : b), which has a complex root (any (a : b) with no tile there).  No
-    dense form is placed, no SVD runs and no dimension is refused; a failed
-    certificate raises.
+    dense form is placed and no SVD runs; a failed certificate raises.
     """
-    form = verified.form
-    self_paired = {i for i, j, *_ in form.tiles if i == j}
+    row = verified.form.rows
     for blocks in _isotypic_components(verified.gens):
         if len(blocks) > 1:
-            tiles = [(x, y) for i, j, _, x, y in form.tiles
-                     if {i, j} <= {*blocks[:2]}]
-            if all(_one_pairing(*tiles[0], *t) for t in tiles[1:]):
+            pair = blocks[:2]
+            tiles = [row[i][3:] for i in pair if row[i][1] in pair]
+            if len(tiles) < 2 or _one_pairing(*tiles[0], *tiles[1]):
                 return True
             raise PeriodLabError(
                 "internal: the pairing blocks of a repeated component are "
                 "not multiples of one pairing")
-        if blocks[0] not in self_paired:
+        if row[blocks[0]][1] != blocks[0]:
             return True
     return False

@@ -37,26 +37,20 @@ SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
-:func:`realize` stores the generators as these factors
-(:class:`TensorFactors`), and no recipe besides; the dense matrices are
-assembled on demand and never split again.  Each distinct factor gets one
-small int id from a process-wide table (:func:`_factor`), keyed on its
-shape and value, and each block class (its factor ids, r, k and path) one
-id from a second table (:attr:`TensorFactors.class_ids`).
-:func:`invariant_forms` solves each block pair as products X (x) Y of a
-rho factor (row reduced, cached on its factors' ids) and an S(k) factor
-(solved by its weights, cached on (k, k')).  The oracle works on class
-ids: every fact about a pair of classes, the pairing
-:func:`find_nondegenerate_skew` tiles its :class:`FactoredForm` with, the
-residue of a tile and ``group_models``' dim Hom(D, C), is computed once
-per process and cached on two ints.  A factor's reading (symmetry and
-invertibility, :func:`_reading`) is computed once per id, and
-:func:`classify_form` is that reading.  A bare list of generators is
-solved as one block, on the rho side.
+:func:`realize` builds the blocks and these factors
+(:class:`TensorFactors`) in one loop.  Each distinct factor gets one small
+int id (:func:`_factor`), keyed on its shape and value, and each block
+class (factor ids, r, k, path) one id (:attr:`TensorFactors.class_ids`).
+A block pair's forms are X (x) Y, X row reduced on the rho factors' ids, Y
+solved by the weights of (k, k').  The oracle reads ints and records
+cached once per process: a factor's :class:`BilinearForm`
+(:func:`_reading`), the pairing of two classes, dim Hom(D, C), and each
+tile's invariance and skewness, read by :meth:`FactoredForm.verify`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -69,6 +63,7 @@ import numpy as np
 
 from .errors import (
     ConjugatorNotFoundError,
+    FormVerificationError,
     OddPartError,
     OddSizeError,
     PeriodLabError,
@@ -574,10 +569,13 @@ class BilinearForm:
 
 def classify_form(gram: Matrix) -> BilinearForm:
     """Symmetry and nondegeneracy of ``gram``: the :func:`_reading` of its
-    factor id, so each is computed once per matrix, on either path."""
+    factor id, computed once per matrix, on either path; a matrix the
+    factor table holds gets that form itself."""
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
-    return BilinearForm(gram, *_reading(_factor(gram, gram.exact)))
+    form = _reading(_factor(gram, gram.exact))
+    return form if form.gram is gram else BilinearForm(
+        gram, form.symmetry, form.nondegenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +856,6 @@ def invariant_form_sl2(k: int) -> BilinearForm:
 # form algebra and membership
 
 
-_SIGN_OF_SYMMETRY = {Symmetry.SYMMETRIC: 1, Symmetry.SKEW: -1}
-
-
 @dataclass(frozen=True)
 class SpCheck:
     """What :func:`is_in_sp` decided, and on which residue.
@@ -885,7 +880,7 @@ def is_in_sp(g: Matrix,
     compared with J by :meth:`Matrix.equals`, on reduced integers.  Otherwise
     it is decided by :meth:`Matrix.equals`, within
     ``FLOAT_TOL * max(1, max|g^T J g|, max|J|)``.  The oracle checks its
-    form on the factors instead (:meth:`FactoredForm.invariance_residue`);
+    form on the factors instead (:meth:`FactoredForm.verify`);
     this is the reference.
     """
     gram = j if isinstance(j, Matrix) else j.gram
@@ -1125,10 +1120,11 @@ def _class_pair(c: int, d: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _reading(factor: int) -> tuple[Symmetry, bool]:
-    """The symmetry and the invertibility of a factor, once per id: the
-    symmetry by :meth:`Matrix.equals` against its transpose, invertibility
-    by :meth:`Matrix.is_invertible`, each on the factor's own path."""
+def _reading(factor: int) -> BilinearForm:
+    """A factor as a form, once per id: the symmetry by
+    :meth:`Matrix.equals` against its transpose, invertibility by
+    :meth:`Matrix.is_invertible`, on the factor's own path (a non-square
+    factor reads as neither, and degenerate)."""
     m = _FACTORS[factor]
     mt = m.T
     if mt.equals(m):
@@ -1137,14 +1133,14 @@ def _reading(factor: int) -> tuple[Symmetry, bool]:
         sym = Symmetry.SKEW
     else:
         sym = Symmetry.NEITHER
-    return sym, m.is_invertible()
+    return BilinearForm(m, sym, m.is_invertible())
 
 
 @lru_cache(maxsize=None)
 def _class_invertible(c: int) -> bool:
     """Whether every factor of block class c is invertible."""
     ls, us, *_ = _CLASSES[c]
-    return all(_reading(f)[1] for f in (*ls, *us))
+    return all(_reading(f).nondegenerate for f in (*ls, *us))
 
 
 @lru_cache(maxsize=None)
@@ -1301,45 +1297,39 @@ def _class_pairing(c: int, d: int) -> tuple | None:
     return _block_pairing(*_class_pair(c, d))
 
 
-def _self_pairing_symmetry(x: int, y: int) -> Symmetry:
-    """The symmetry of a block's pairing X (x) Y with itself, given as
-    factors: the product of the signs of X and Y as :func:`classify_form`
-    reads them."""
-    signs = [_SIGN_OF_SYMMETRY.get(classify_form(_FACTORS[f]).symmetry)
-             for f in (x, y)]
-    if None in signs:
-        return Symmetry.NEITHER
-    return Symmetry.SYMMETRIC if signs[0] == signs[1] else Symmetry.SKEW
-
-
 @dataclass(frozen=True)
 class FactoredForm:
     """A bilinear form on the blocks of a :class:`TensorFactors`, given by
-    its tiles.
-
-    Tile (i, j, c, X, Y) is c * X (x) Y on the rows of block i and the
-    columns of block j, at most one per block pair; the form is zero off
-    its tiles.  X (r_i x r_j) and Y (k_i x k_j) are factor ids, as in
-    :class:`TensorFactors`: X on the rho side's path (``rho_exact``), Y
-    always exact.  c is a scalar that :meth:`Matrix.scale` takes.  The
-    checks below read the factors; ``gram`` places the dense matrix on
-    demand.
+    its tiles: (i, j, c, X, Y) is c * X (x) Y on the rows of block i and
+    the columns of block j, at most one per block row, and zero elsewhere.
+    X (r_i x r_j) and Y (k_i x k_j) are factor ids, X on the path
+    ``rho_exact``, Y exact; :meth:`Matrix.scale` takes c.  The one pass
+    that fills ``rows`` (each block row's tile, or None) refuses a tile off
+    the blocks or not fitting them.  ``gram`` is placed on demand.
     """
 
     n: int
     blocks: tuple[tuple[int, int, int], ...]
     tiles: tuple[tuple, ...]
     rho_exact: bool
+    rows: list[tuple | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len({(i, j) for i, j, *_ in self.tiles}) != len(self.tiles):
-            raise ValueError("a form has at most one tile per block pair")
-        for i, j, _, x, y in self.tiles:
-            (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-            if (_SHAPES[x], _SHAPES[y]) != (((r, r2), self.rho_exact),
-                                            ((k, k2), True)):
+        blocks, exact, size = self.blocks, self.rho_exact, len(self.blocks)
+        rows = [None] * size
+        for tile in self.tiles:
+            i, j, _, x, y = tile
+            if not (0 <= i < size and 0 <= j < size):
+                raise ShapeMismatchError(
+                    f"tile ({i}, {j}) lies off the {size} blocks")
+            (_, r, k), (_, r2, k2) = blocks[i], blocks[j]
+            if _SHAPES[x] != ((r, r2), exact) or _SHAPES[y] != ((k, k2), True):
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) does not fit its blocks")
+            if rows[i]:
+                raise ValueError("a form has one tile per block row at most")
+            rows[i] = tile
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def gram(self) -> Matrix:
@@ -1349,88 +1339,98 @@ class FactoredForm:
             (at[i], at[j], _FACTORS[x].kron(_FACTORS[y]).scale(c))
             for i, j, c, x, y in self.tiles])
 
-    def is_skew(self) -> bool:
-        """Whether J_ji = -J_ij^T for every block pair, decided on the
-        factors: exactly on the exact path, by :meth:`Matrix.equals` on the
-        float rho side.  A tile paired with itself must be skew."""
-        tiles = {(i, j): (c, x, y) for i, j, c, x, y in self.tiles}
-        return all(_opposite_tiles(tile, tiles.get((j, i)))
-                   for (i, j), tile in tiles.items())
-
-    def is_nondegenerate(self) -> bool:
-        """Whether the tiles pair the blocks one to one (one tile in each
-        block row and each block column) by a nonzero c and invertible X and
-        Y, so square ones.  The form is then a block permutation of
-        invertible blocks, so nondegenerate; no elimination runs on the
-        dense form."""
-        every = list(range(len(self.blocks)))
-        if (sorted(i for i, *_ in self.tiles) != every
-                or sorted(j for _, j, *_ in self.tiles) != every):
-            return False
-        return all(c != 0 and _reading(x)[1] and _reading(y)[1]
-                   for _, _, c, x, y in self.tiles)
-
-    def invariance_residue(self, tf: TensorFactors) -> float | None:
-        """Whether every generator of ``tf`` preserves the form: None when
-        one does not, else the largest |g^T J g - J| entry.
-
-        The generators are block-diagonal, so g^T J g = J holds tile by
-        tile, and on a tile c X (x) Y it holds exactly when A_i^T X A_j = X
-        for every rho generator and U_i^T Y U_j = Y for every S(k)
-        generator.  These depend only on the classes of i and j
-        (:attr:`TensorFactors.class_ids`) and on X and Y, so each is
-        checked once per process (:func:`_tile_residue`); the residue of a
-        tile is |c| times that tile's residue, exactly 0.0 on the exact
-        path.
+    def verify(self, tf: TensorFactors) -> float:
+        """The largest |g^T J g - J| entry, once one pass over the tiles,
+        on facts cached per process, shows the form skew, nondegenerate and
+        invariant under ``tf``; else :class:`FormVerificationError` for
+        the first that fails.  Skew: each tile is minus the transpose of
+        the one at the opposite block pair (:func:`_opposite_tiles`).
+        Nondegenerate: a tile in every block row with c != 0 and X, Y
+        invertible; being skew, the tiles pair the blocks one to one.
+        Invariant: A_i^T X A_j = X and U_i^T Y U_j = Y on each tile, on the
+        classes of i and j (:func:`_tile_residue`); a tile's residue is |c|
+        times that check's, 0.0 on the exact path.
         """
         if (self.n, self.blocks, self.rho_exact) != (tf.n, tf.blocks,
                                                      tf.rho_exact):
             raise ShapeMismatchError(
                 "the form does not lie on the generators' blocks and path")
-        ids, residue = tf.class_ids, 0.0
+        rows, ids, residue = self.rows, tf.class_ids, 0.0
+        nondegenerate = len(self.tiles) == len(self.blocks)
         for i, j, c, x, y in self.tiles:
+            _, back, c2, x2, y2 = rows[j] or (None,) * 5
+            if not _opposite_tiles(c, x, y, c2 if back == i else 0, x2, y2):
+                raise FormVerificationError("the form must be skew-symmetric")
+            nondegenerate = nondegenerate and c != 0 and _reading(
+                x).nondegenerate and _reading(y).nondegenerate
             worst = _tile_residue(ids[i], ids[j], x, y)
             if worst is None:
-                return None
-            if worst:
+                residue = None
+            elif worst and residue is not None:
                 residue = max(residue, abs(complex(c)) * worst)
+        if not nondegenerate:
+            raise FormVerificationError(
+                "the form must be nondegenerate: its tiles must pair the "
+                "blocks one to one by invertible factors")
+        if residue is None:
+            raise FormVerificationError(
+                "the form must be invariant under the generators")
         return residue
 
 
 @lru_cache(maxsize=None)
 def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
     """Whether L^T X R = X for the rho generators (L, R) of block classes c
-    and d, and L^T Y R = Y for their S(k) generators, X and Y given as
-    factors: None when not, else the residue of the tile X (x) Y, the
-    larger of max|L^T X R - X| max|Y| and max|X| max|L^T Y R - Y|.  Decided
-    by :meth:`Matrix.equals`, so exactly on the exact path, where it is
-    0.0."""
-    (ls, us, *_), (rs, vs, *_) = _CLASSES[c], _CLASSES[d]
-    sides = []
-    for gens, gens2, f in ((ls, rs, x), (us, vs, y)):
-        fm, worst = _FACTORS[f], 0.0
-        for l, r in zip(gens, gens2):
-            moved = _FACTORS[l].T @ fm @ _FACTORS[r]
-            if not moved.equals(fm):
-                return None
-            if not moved.exact:
-                worst = max(worst, moved.max_abs_diff(fm))
-        sides.append((worst, float(np.abs(fm.as_complex()).max(initial=0.0))))
-    (dx, mx), (dy, my) = sides
-    return max(dx * my, mx * dy)
+    and d (by :meth:`Matrix.equals`) and U^T Y U' = Y for their S(k) ones
+    (:func:`_sl2_fixed`), X and Y factor ids: None when not, else the
+    residue max|L^T X R - X| max|Y|, 0.0 on the exact path.  S(k)
+    generators other than exp E and exp F are an internal error."""
+    (ls, us, _, k, _), (rs, vs, _, k2, _) = _CLASSES[c], _CLASSES[d]
+    if (us or vs) and (us, vs) != (_exp_factors(k), _exp_factors(k2)):
+        raise PeriodLabError(
+            f"internal: the S(k) generators of a block class are not exp E "
+            f"and exp F (k={k}, k'={k2})")
+    xm, worst = _FACTORS[x], 0.0
+    for l, r in zip(ls, rs):
+        moved = _FACTORS[l].T @ xm @ _FACTORS[r]
+        if not moved.equals(xm):
+            return None
+        if not moved.exact:
+            worst = max(worst, moved.max_abs_diff(xm))
+    if us and not _sl2_fixed(k, k2, _FACTORS[y]):
+        return None
+    return worst * float(np.abs(_FACTORS[y].as_complex()).max(initial=0.0))
 
 
-@lru_cache(maxsize=512)
-def _opposite_tiles(tile: tuple, other: tuple | None) -> bool:
-    """Whether ``other`` = (c', X', Y') at block pair (j, i) is minus the
-    transpose of ``tile`` = (c, X, Y) at (i, j), X and Y given as factors:
-    c' X' (x) Y' = -c X^T (x) Y^T.  None stands for no tile, so ``tile``
-    must vanish."""
-    c, x, y = tile
+def _sl2_fixed(k: int, k2: int, y: Matrix) -> bool:
+    """Whether U^T Y U' = Y for U = exp E, exp F of S(k) and S(k'), Y exact
+    k x k': exactly when E^T Y + Y E' = 0 and F^T Y + Y F' = 0, as exp E
+    and exp F are unipotent (:func:`_weight_solve`).  E and F have one
+    entry per row at most (:func:`_sl2_triple`), so the sums run over Y's
+    nonzero entries, in integers."""
+    for part in (y.re, y.im):
+        nonzero = [(divmod(p, k2), v) for p, v in enumerate(part.flat) if v]
+        for x, x2 in zip(_sl2_triple(k)[:2], _sl2_triple(k2)[:2]):
+            left, right = ({r: (c, v) for r, c, v in m} for m in (x, x2))
+            total: Counter = Counter()
+            for (a, b), v in nonzero:
+                if a in left:  # X^T Y at (c, b)
+                    total[left[a][0], b] += left[a][1] * v
+                if b in right:  # Y X' at (a, c)
+                    total[a, right[b][0]] += right[b][1] * v
+            if any(total.values()):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _opposite_tiles(c, x: int, y: int, c2, x2: int, y2: int) -> bool:
+    """Whether the tile c' X' (x) Y' = (c2, x2, y2) at block pair (j, i) is
+    minus the transpose of c X (x) Y at (i, j), X and Y given as factors.
+    c' = 0 stands for no tile (X', Y' unread): c X (x) Y must vanish."""
     lhs = _FACTORS[x].T.scale(-c), _FACTORS[y].T
-    if other is None:
+    if c2 == 0:
         return any(map(_is_zero, lhs))
-    c2, x2, y2 = other
     return _tensor_equal(*lhs, _FACTORS[x2].scale(c2), _FACTORS[y2])
 
 
@@ -1493,10 +1493,10 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     checks it on its tiles.
     """
     tf = tensor_factors(gens)
-    tiles = []
-    for c, copies in tf.classes.items():
-        pairings = [(duals, p) for d, duals in tf.classes.items()
-                    for p in [_class_pairing(c, d)] if p is not None]
+    classes, tiles = tf.classes, []
+    for c, copies in classes.items():
+        pairings = [(duals, p) for d, duals in classes.items()
+                    if (p := _class_pairing(c, d))]
         if not pairings:
             return None
         if len(pairings) > 1:
@@ -1505,9 +1505,11 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
         ((duals, (x, y, xt, yt)),) = pairings
         if duals[0] < copies[0]:
             continue  # placed with its dual class
-        if duals is copies and _self_pairing_symmetry(
-                x, y) is Symmetry.SYMMETRIC:
-            copies, duals = copies[::2], copies[1::2]
+        if duals is copies:  # P is symmetric when X and Y are alike
+            sym = (classify_form(_FACTORS[x]).symmetry,
+                   classify_form(_FACTORS[y]).symmetry)
+            if Symmetry.NEITHER not in sym and sym[0] is sym[1]:
+                copies, duals = copies[::2], copies[1::2]
         if len(copies) != len(duals):
             return None
         # a copy paired with itself gets P alone, which is skew unless P is
@@ -1642,20 +1644,21 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     segs = p.segments
     if not segs:
         raise ValueError("cannot realize the empty parameter")
+    models, blocks, ks, lo = [], [], [], 0
     for s in segs:
-        if s.twist != 0:
+        label, k = s.cuspidal, s.k
+        if s.twist:
             raise TwistedSegmentError(
-                f"segment {s.cuspidal.name} has twist {s.twist}; "
+                f"segment {label.name} has twist {s.twist}; "
                 f"realizations are defined for twist zero")
-    models = [catalog.model_for(s.cuspidal) for s in segs]
-    unipotent = any(s.k > 1 for s in segs)
+        models.append(catalog.model_for(label))
+        blocks.append((lo, label.dim, k))
+        ks.append(k)
+        lo += label.dim * k
+    unipotent = max(ks) > 1
     exact, rho_of, provenance = _model_set(tuple(dict.fromkeys(models)),
                                            unipotent)
-    sl2 = (tuple(_exp_factors(s.k) for s in segs) if unipotent
-           else ((),) * len(segs))
-    ends = list(accumulate(s.dim for s in segs))
-    blocks = tuple((hi - s.dim, s.cuspidal.dim, s.k)
-                   for hi, s in zip(ends, segs))
-    factors = TensorFactors(ends[-1], blocks,
-                            tuple(rho_of[m] for m in models), sl2, exact)
+    sl2 = tuple(map(_exp_factors, ks)) if unipotent else ((),) * len(ks)
+    factors = TensorFactors(lo, tuple(blocks),
+                            tuple(map(rho_of.__getitem__, models)), sl2, exact)
     return GeneratorSet(factors, provenance)

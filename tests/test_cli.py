@@ -241,6 +241,7 @@ CLASSIFY_GOLDENS = [
     ("St(2,trivial)*nu^1/2 (+) St(2,trivial)*nu^-1/2",
      "classify_twisted_pair.json", 1),
     ("St(13,q8)", "classify_above_the_bound.json", 1),
+    ("St(22,trivial) (+) St(2,trivial)", "classify_long_block.json", 0),
     ("0", "classify_empty.json", 1),
     ('q8 (+) "q8b"', "classify_quote.json", 2),
     ("St(٣,q8)", "classify_arabic_indic_digit.json", 2),

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,9 @@ from periodlab.errors import (
     OddBlockError,
     OddDimensionError,
 )
+from periodlab.cli import main
 from periodlab.distinction import add_sp_checks
+from periodlab.matrix_lab import BilinearForm, Matrix
 from periodlab.reporting import ERROR, PASS, Report
 
 CAT = builtin_catalog()
@@ -316,6 +319,23 @@ def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):
     v = oracle_verdicts(p)
     assert v.gens.exact and v.skew_found and v.elliptic is False
     assert constructed == []
+
+
+def test_a_warm_sweep_constructs_no_matrix_and_no_form(monkeypatch, capsys):
+    """Once a sweep has run, a second one in the same process reads every
+    matrix and every form it needs from the factor table: it constructs
+    no Matrix and no BilinearForm, not even for the tabled factors that
+    the skew search classifies."""
+    assert main(["sweep", "--max-dim", "16", "--json"]) == 0
+    constructed = Counter()
+    for cls in (Matrix, BilinearForm):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            constructed[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert main(["sweep", "--max-dim", "16", "--json"]) == 0
+    capsys.readouterr()
+    assert constructed == {}
 
 
 def _multisets(pool, max_mult, max_dim):

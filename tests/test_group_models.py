@@ -32,6 +32,7 @@ from periodlab import (
     invariant_forms,
     invariant_isotropic_exists,
     is_in_sp,
+    is_x_elliptic_symbolic,
     oracle_verdicts,
     realize,
     sl2_surrogate,
@@ -664,7 +665,7 @@ def test_isotropy_rejects_bad_forms():
     for degenerate in (form_of(gens),
                        form_of(gens, (0, 0, 1, Matrix.zeros(2, 2), ONE)),
                        form_of(gens, (0, 0, 1, J2, Matrix.zeros(1, 1)))):
-        assert degenerate.is_skew()
+        # skewness is checked first, so each of these is skew
         with pytest.raises(FormVerificationError, match="nondegenerate"):
             verify_form(gens, degenerate)
     # skew and nondegenerate but pairing across distinct classes: not invariant
@@ -685,7 +686,7 @@ def test_verify_form_catches_a_near_miss():
                    (1, 0, -1, Matrix.identity(2) + eps.T, ONE))
     verify_form(gens, form_of(gens, (0, 1, 1, Matrix.identity(2), ONE),
                               (1, 0, -1, Matrix.identity(2), ONE)))
-    assert near.is_skew() and near.is_nondegenerate()
+    # invariance is checked last, so the near miss is skew and nondegenerate
     with pytest.raises(FormVerificationError, match="invariant"):
         verify_form(gens, near)
     check = is_in_sp(gens.generators[0], near)
@@ -769,6 +770,29 @@ def test_the_tile_guard_matches_the_dense_rank_rule():
     assert _dense_isotropy(verified) is True
 
 
+def test_the_oracle_matches_the_rules_and_the_dense_reference_to_dim_8():
+    """Every multiset of built-in segments of multiplicity <= 2 up to dim
+    8 (3,904 of them): the oracle's form verdict is the rules' symplectic
+    image and its isotropy verdict their ellipticity, and each of the 255
+    forms it finds passes the dense reference (``_dense_accepts``)."""
+    pool = [seg(name, k) for name in MODELS for k in range(1, 9)
+            if CAT.label(name).dim * k <= 8]
+    seen, forms = 0, 0
+    for segments in _multisets(pool, 8):
+        if max(Counter(segments).values()) > 2:
+            continue
+        seen += 1
+        p = WDParameter.of(segments)
+        v = oracle_verdicts(p)
+        assert v.skew_found == factors_through_sp_symbolic(p), segments
+        if not v.skew_found:
+            continue
+        forms += 1
+        assert v.elliptic == is_x_elliptic_symbolic(p), segments
+        assert _dense_accepts(v.gens, v.form), segments
+    assert (seen, forms) == (3904, 255)
+
+
 FLOAT_ONE = Matrix.from_rows([[1]], exact=False)
 
 
@@ -812,6 +836,59 @@ def test_a_tile_that_does_not_fit_its_blocks_is_refused():
                  (0, 0, 1, j2, _factor(ONE, False))]:   # Y not exact
         with pytest.raises(ShapeMismatchError, match="does not fit"):
             FactoredForm(tf.n, tf.blocks, (tile,), True)
+
+
+@pytest.mark.parametrize("i, j", [(-2, 0), (0, -2), (-2, -2)])
+def test_a_tile_at_a_negative_block_index_is_refused(i, j):
+    # q8 (+) q8b: index -2 would read block 0, and the form would place
+    # the tile there and call it invariant
+    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    j2, one = _factor(J2, True), _factor(ONE, True)
+    with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
+        FactoredForm(tf.n, tf.blocks, ((i, j, 1, j2, one),), True)
+
+
+@pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (5, 5)])
+def test_a_tile_past_the_last_block_is_refused(i, j):
+    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    j2, one = _factor(J2, True), _factor(ONE, True)
+    with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
+        FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one),
+                                       (i, j, 1, j2, one)), True)
+
+
+def test_a_form_has_at_most_one_tile_in_each_block_row():
+    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    j2, one = _factor(J2, True), _factor(ONE, True)
+    for second in [(0, 0, 1, j2, one), (0, 1, 1, j2, one)]:
+        with pytest.raises(ValueError, match="one tile per block row"):
+            FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one), second), True)
+
+
+def test_a_cycle_of_tiles_is_not_skew():
+    # four copies of trivial paired around a cycle 0 -> 1 -> 2 -> 3 -> 0,
+    # with signs that make each tile minus the next one's transpose: one
+    # tile in every block row and column, but no tile at any opposite
+    # block pair, so the form is not skew
+    gens = oracle_gens(*[seg("trivial")] * 4)
+    form = form_of(gens, *[(i, (i + 1) % 4, (-1) ** i, ONE, ONE)
+                           for i in range(4)])
+    assert classify_form(form.gram).symmetry is Symmetry.NEITHER
+    with pytest.raises(FormVerificationError, match="skew-symmetric"):
+        verify_form(gens, form)
+
+
+def test_a_tile_check_refuses_s_k_generators_other_than_exp_e_and_f():
+    # St(2,trivial) with exp F replaced by exp E: the S(k) side of a tile
+    # is checked on the weights of k, which such a class does not have
+    gens = oracle_gens(seg("trivial", 2))
+    tf = gens.factors
+    (e, _), (rho,) = tf.sl2[0], tf.rho
+    odd = GeneratorSet(TensorFactors(2, tf.blocks, (rho,), ((e, e),), True),
+                       gens.provenance)
+    form = find_nondegenerate_skew(gens)
+    with pytest.raises(PeriodLabError, match="not exp E and exp F"):
+        verify_form(odd, FactoredForm(2, tf.blocks, form.tiles, True))
 
 
 def test_character_orthogonality_within_groups():

@@ -1,5 +1,6 @@
 """Tests for the exact/float matrix layer, forms, and realizations."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -929,6 +930,37 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
                         if v != 0} <= set(cells.items())
 
 
+def test_the_sl2_tile_check_matches_the_dense_products():
+    """For every k, k' <= 12, the S(k) side of a tile is checked on the
+    entries of E and F and of Y (``_sl2_fixed``): it agrees with the four
+    dense products U^T Y U' = Y, U = exp E, exp F, on each solved pairing
+    and on each one-entry perturbation of it, real or imaginary, and on
+    each one-entry Y where no pairing exists."""
+    def dense(k, k2, y):
+        return all((u(k).T @ y @ u(k2)).equals(y)
+                   for u in (sl2_exp_e, sl2_exp_f))
+
+    fixed = Counter()
+    for k in range(1, 13):
+        for k2 in range(1, 13):
+            basis = matrix_lab.sl2_pairings(k, k2)
+            base = basis[0] if basis else Matrix.zeros(k, k2)
+            for p in range(k * k2):
+                bump = np.zeros((k, k2), dtype=object)
+                bump.flat[p] = 1
+                for one in (Matrix.gaussian(bump),
+                            Matrix.gaussian(0 * bump, bump))[:1 + len(basis)]:
+                    y = base + one
+                    got = matrix_lab._sl2_fixed(k, k2, y)
+                    assert got is dense(k, k2, y), (k, k2, p)
+                    fixed["perturbed"] += got
+            for y in basis:
+                assert matrix_lab._sl2_fixed(k, k2, y) and dense(k, k2, y)
+                fixed["solved"] += 1
+    # on S(1) x S(1) every Y is fixed: exp E = exp F = 1
+    assert fixed == {"solved": 12, "perturbed": 2}
+
+
 # -- the skew form, class by class ------------------------------------------
 
 
@@ -1019,7 +1051,7 @@ def test_skew_form_constructions(segments, exact):
     j = find_nondegenerate_skew(gens)
     dense = classify_form(j.gram)
     assert dense.symmetry is Symmetry.SKEW and dense.nondegenerate
-    assert j.is_skew() and j.is_nondegenerate()
+    j.verify(gens.factors)  # skew, nondegenerate and invariant on its tiles
     assert j.gram.exact is exact
     assert all(is_in_sp(g, j) for g in gens.generators)
 
