@@ -52,6 +52,7 @@ from .group_models import (
     CatalogEntry,
     builtin_catalog,
     builtin_models,
+    centralizer_dimension,
     commutant_dimension,
     fs_indicator,
     invariant_isotropic_exists,
@@ -90,6 +91,7 @@ __all__ = [
     "WDParameter",
     "builtin_catalog",
     "builtin_models",
+    "centralizer_dimension",
     "check_conjecture_instance",
     "classify_form",
     "commutant_dimension",

@@ -6,8 +6,8 @@ orthogonal type, and every linear-distinction statement reduces to which
 pole St(k, rho) inherits.  ``check_conjecture_instance`` packages the rule
 verdicts as a report and cross-examines them against the matrix oracle:
 a realized parameter must carry an invariant symplectic form exactly when
-the rules say it factors through the symplectic group, and must admit no
-invariant isotropic subspace exactly when the rules call it elliptic.
+the rules say it factors through the symplectic group, and the centralizer
+of its image in Sp must be finite exactly when the rules call it elliptic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .group_models import (
     Catalog,
     VerifiedForm,
     builtin_catalog,
-    invariant_isotropic_exists,
+    centralizer_dimension,
 )
 from .matrix_lab import (
     FactoredForm,
@@ -201,9 +201,10 @@ class OracleVerdicts:
 
     ``form`` is the nondegenerate skew invariant form built class by class,
     kept as its tiles, or None when a certificate rules one out.
-    ``elliptic`` is the isotropy oracle's verdict (no invariant isotropic
-    subspace), or None when no form was found or the isotropy stage hit an
-    internal fault, ``isotropy_error``.  ``max_residue`` is the worst
+    ``centralizer_dim`` is the dimension of the centralizer of the image in
+    sp(J) (:func:`centralizer_dimension`), or None when no form was found
+    or the isotropy stage hit an internal fault, ``isotropy_error``; the
+    parameter is ``elliptic`` when it is 0.  ``max_residue`` is the worst
     |g^T J g - J| entry as :func:`verify_form` computes it on the factors
     (per tile, |c| max|A^T X A' - X| max|Y|; the S(k) side is exact):
     exactly 0.0 on the exact path, and 0.0 when no form was found.
@@ -211,13 +212,19 @@ class OracleVerdicts:
 
     gens: GeneratorSet
     form: FactoredForm | None
-    elliptic: bool | None
+    centralizer_dim: int | None
     max_residue: float
     isotropy_error: PeriodLabError | None = None
 
     @property
     def skew_found(self) -> bool:
         return self.form is not None
+
+    @property
+    def elliptic(self) -> bool | None:
+        """No invariant isotropic subspace: a finite centralizer."""
+        return None if self.centralizer_dim is None else (
+            self.centralizer_dim == 0)
 
 
 def verify_form(gens: GeneratorSet, form: FactoredForm) -> VerifiedForm:
@@ -236,7 +243,8 @@ def oracle_verdicts(p: WDParameter,
 
     The pipeline: realize, build a nondegenerate skew form class by class
     or certify that there is none, check it once with :func:`verify_form`,
-    then search for an invariant isotropic subspace.  The empty parameter
+    then read the dimension of the centralizer of the image in sp(J) off
+    the verified form (:func:`centralizer_dimension`).  The empty parameter
     and parameters above ``FORM_ORACLE_DIM_BOUND`` are refused before
     anything is built.  A fault of the isotropy stage is returned in
     ``isotropy_error``; every other error propagates.
@@ -254,10 +262,10 @@ def oracle_verdicts(p: WDParameter,
         return OracleVerdicts(gens, None, None, 0.0)
     verified = verify_form(gens, j)
     try:
-        isotropic = invariant_isotropic_exists(verified)
+        dim = centralizer_dimension(verified)
     except PeriodLabError as exc:
         return OracleVerdicts(gens, j, None, verified.residue, exc)
-    return OracleVerdicts(gens, j, not isotropic, verified.residue)
+    return OracleVerdicts(gens, j, dim, verified.residue)
 
 
 def attach_oracle_checks(report: Report, p: WDParameter,

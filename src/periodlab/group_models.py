@@ -1,4 +1,4 @@
-"""Finite-group stand-ins for cuspidal labels, and the isotropy oracle.
+"""Finite-group stand-ins for cuspidal labels, and the ellipticity oracle.
 
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a multiplication table read off the closure of its
@@ -7,19 +7,19 @@ generators' tensor factors and identity flags, built once.  A
 model is certified a homomorphism on the group's generators: rho(1) = I and
 rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
 every pair by induction on word length; no check is sampled.  The
-isotropy oracle takes the isotypic components of a realization to be its
-classes of blocks with equal factors (``matrix_lab.TensorFactors``, keyed
-by class id) and certifies them by the commutant dimension, the sum over
-pairs of classes C, D of m_C * m_D * dim Hom(D, C), cached per pair of
-class ids and exact on the exact path; no label name and no dense
-generator is read, and no block length or multiplicity is refused.  It
-takes its form as a :class:`VerifiedForm`, checked once by
-``distinction.verify_form`` on its tiles, and tests one irreducible
-submodule per class on those tiles' factor ids alone: it places no dense
-form and runs no SVD.  The symmetric powers of the binary
-icosahedral group 2I (``sl2_surrogate``) are a finite stand-in for S(k),
-irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``); the oracle does
-not use them.
+ellipticity oracle reads the dimension of the centralizer of the image in
+sp(J) off a :class:`VerifiedForm`, checked once by
+``distinction.verify_form`` on its tiles.  The classes of blocks with
+equal factors (``matrix_lab.TensorFactors``, keyed by class id) are
+certified to be the isotypic components by the commutant dimension, the
+sum over pairs of classes C, D of m_C * m_D * dim Hom(D, C), cached per
+pair of class ids and exact on the exact path; the centralizer's
+dimension is then a closed form in each class's multiplicity and the
+symmetry of its pairing.  No label name, dense generator or dense form is
+read, nothing is solved, and no block length or multiplicity is
+refused.  The symmetric powers of the binary icosahedral group 2I
+(``sl2_surrogate``) are a finite stand-in for S(k), irreducible exactly
+for k <= 6 (``SL2_SURROGATE_BOUND``); the oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -53,10 +53,11 @@ from .matrix_lab import (
     FactoredForm,
     GeneratorSet,
     Matrix,
+    Symmetry,
     _class_pair,
     _factor,
     _float_close,
-    _one_pairing,
+    _reading,
     intertwiners,
     sl2_intertwiners,
     sym_power,
@@ -461,29 +462,7 @@ def builtin_catalog() -> Catalog:
 
 
 # ---------------------------------------------------------------------------
-# isotypic structure of realized parameters
-
-
-def _isotypic_components(gens: GeneratorSet) -> list[list[int]]:
-    """The blocks of each isotypic component: the classes of blocks with
-    equal factors (``TensorFactors.classes``), certified.
-
-    Every block rho (x) S(k) of a realization is irreducible: label models
-    are checked irreducible when they are built, and exp(E), exp(F) are
-    Zariski-dense in SL(2).  The generators act on their factors' blocks by
-    construction, and the blocks of a class are one matrix representation,
-    so the classes are the isotypic components exactly when the commutant
-    has dimension sum m^2: it is sum m_C m_D dim Hom(D, C) >= sum m_C^2, so
-    equality leaves Hom(D, C) = 0 for C != D.  First appearance orders them.
-    """
-    components = list(gens.factors.classes.values())
-    commutant = commutant_dimension(gens)
-    expected = sum(len(blocks) ** 2 for blocks in components)
-    if commutant != expected:
-        raise CommutantMismatchError(
-            f"commutant dimension {commutant} disagrees with block count "
-            f"{expected}")
-    return components
+# the centralizer of a realized parameter in Sp
 
 
 @dataclass(frozen=True)
@@ -498,34 +477,55 @@ class VerifiedForm:
     residue: float
 
 
-def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
-    """Whether a nonzero invariant subspace is isotropic for the form.
+def centralizer_dimension(verified: VerifiedForm) -> int:
+    """Dimension of the centralizer of the image in sp(J), J the verified
+    form: of {x : xg = gx for every generator g, x^T J + J x = 0}.  The
+    parameter is X-elliptic exactly when it is 0 (Sakellaridis-Venkatesh).
 
-    The form was checked when ``verified`` was built; nothing is checked
-    again.  A nonzero invariant subspace contains an irreducible one, which
-    lies in one isotypic component: a class of blocks with equal factors,
-    certified by the commutant dimension sum m^2.  A verified form's tiles
-    are nonzero and pair the blocks one to one (``FactoredForm.rows``).
-    With multiplicity 1 the subspace is the block, isotropic when its row's
-    tile lies off it.  With multiplicity m >= 2, every irreducible
-    submodule of the first two copies is a graph of a*iota1 + b*iota2,
-    isotropic when a^2 J11 + ab (J12 + J21) + b^2 J22 = 0.  Each tile there
-    pairs one irreducible with itself, so it is a multiple of one pairing
-    (Schur's lemma; checked once per process on its factor ids,
-    ``matrix_lab._one_pairing``), and the condition is one quadratic in
-    (a : b), which has a complex root (any (a : b) with no tile there).  No
-    dense form is placed and no SVD runs; a failed certificate raises.
+    Each block rho (x) S(k) is irreducible (label models are checked so,
+    and exp E, exp F are Zariski-dense in SL(2)), so the commutant,
+    sum m_C m_D dim Hom(D, C) over the classes of equal blocks, is at least
+    sum m_C^2, with equality, checked here, exactly when it is (+)_C gl(m_C)
+    on the copies of each class.  The verified tiles pair the copies of C
+    with those of one class C' (``FactoredForm.rows``), each a multiple of
+    one pairing P by Schur's lemma, so x^T J + J x = 0 reads
+    A^T s + s A' = 0 on x's blocks A, A' and the invertible matrix s of tile
+    scalars.  A dual pair C != C' leaves A free: m^2.  For C = C',
+    s^T = -+s as P^T = +-P, and A lies in so(m) when P is skew, in sp(m)
+    when it is symmetric: m(m -+ 1)/2.  P = X (x) Y of one tile is
+    symmetric when X and Y are alike (``matrix_lab._reading``); a factor of
+    neither symmetry is an internal error.
     """
-    row = verified.form.rows
-    for blocks in _isotypic_components(verified.gens):
-        if len(blocks) > 1:
-            pair = blocks[:2]
-            tiles = [row[i][3:] for i in pair if row[i][1] in pair]
-            if len(tiles) < 2 or _one_pairing(*tiles[0], *tiles[1]):
-                return True
+    tf, rows = verified.gens.factors, verified.form.rows
+    commutant = commutant_dimension(verified.gens)
+    expected = sum(len(blocks) ** 2 for blocks in tf.classes.values())
+    if commutant != expected:
+        raise CommutantMismatchError(
+            f"commutant dimension {commutant} disagrees with block count "
+            f"{expected}")
+    twice = 0  # a dual pair counts m^2 on each of its two classes
+    for c, blocks in tf.classes.items():
+        m, (_, j, _, x, y) = len(blocks), rows[blocks[0]]
+        if tf.class_ids[j] != c:
+            twice += m * m
+            continue
+        sym = _reading(x).symmetry, _reading(y).symmetry
+        if Symmetry.NEITHER in sym:
             raise PeriodLabError(
-                "internal: the pairing blocks of a repeated component are "
-                "not multiples of one pairing")
-        if row[blocks[0]][1] != blocks[0]:
-            return True
-    return False
+                "internal: the pairing of a self-paired class is neither "
+                "symmetric nor skew")
+        twice += m * (m + 1 if sym[0] is sym[1] else m - 1)
+    return twice // 2
+
+
+def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
+    """Whether a nonzero invariant subspace is isotropic for the form:
+    exactly when :func:`centralizer_dimension` is positive.
+
+    The image is completely reducible, so a centralizer of positive
+    dimension is reductive and holds a torus, whose weight spaces of
+    positive weight span an invariant isotropic subspace; an invariant
+    isotropic W has an invariant isotropic W' paired with it, and t on W,
+    1/t on W' and 1 on (W + W')^perp is such a torus.
+    """
+    return centralizer_dimension(verified) > 0

@@ -835,18 +835,21 @@ def _weight_solve(k: int, k2: int,
 
 def invariant_form_sl2(k: int) -> BilinearForm:
     """The invariant form of the k-dimensional sl2 module, exactly: the
-    pairing of S(k) with itself that :func:`_weight_solve` walks, with no
-    row reduction.  Its cells are the antidiagonal c_i = b_{i, k-1-i}; a
-    failed row is a PeriodLabError here.  The form, normalized to c_0 = 1,
-    is classified by :func:`classify_form`, which reads the antidiagonal
-    off its pattern: symmetric for k odd, skew for k even.
+    pairing of S(k) with itself that :func:`_weight_solve` walks, read from
+    :func:`sl2_pairings`, with no row reduction.  Its cells are the
+    antidiagonal c_i = b_{i, k-1-i}; no pairing is a PeriodLabError here.
+    The form, normalized to c_0 = 1, is classified by
+    :func:`classify_form`, which reads the antidiagonal off its pattern:
+    symmetric for k odd, skew for k even.
     """
-    _, gram = _weight_solve(k, k, True)
-    if gram is None:
+    basis = sl2_pairings(k, k)
+    if not basis:
         raise PeriodLabError(
             f"internal: no certified one-dimensional sl2 invariant-form "
             f"space (k={k})")
-    form = classify_form(Matrix.gaussian(gram, den=gram[0, k - 1]))
+    re = basis[0].re
+    c0 = re[0, k - 1]
+    form = classify_form(Matrix.gaussian(re if c0 > 0 else -re, den=abs(c0)))
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
@@ -1440,34 +1443,16 @@ def _is_zero(m: Matrix) -> bool:
 
 def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
     """Whether a (x) y = b (x) z for exact y and z, without forming either:
-    y = u z for the ratio u of :func:`_ratio`, and then u a = b."""
+    y = u z for u = y / z at the first nonzero entry of z, and then
+    u a = b."""
     if _is_zero(a) or _is_zero(y):
         return _is_zero(b) or _is_zero(z)
     if _is_zero(b) or _is_zero(z):
         return False
-    u = _ratio(y, z)
+    p = next(p for p, v in enumerate(zip(z.re.flat, z.im.flat)) if any(v))
+    u = (QQi(y.re.flat[p], y.im.flat[p]) * z.den
+         / (QQi(z.re.flat[p], z.im.flat[p]) * y.den))
     return z.scale(u).equals(y) and a.scale(u).equals(b)
-
-
-def _ratio(y: Matrix, z: Matrix):
-    """y / z at one entry of a nonzero z: exactly at its first nonzero entry
-    when both are exact, else at its largest, as a complex."""
-    if y.exact and z.exact:
-        p = next(p for p, v in enumerate(zip(z.re.flat, z.im.flat)) if any(v))
-        return (QQi(y.re.flat[p], y.im.flat[p]) * z.den
-                / (QQi(z.re.flat[p], z.im.flat[p]) * y.den))
-    p = np.abs(z.as_complex()).argmax()
-    return complex(y.as_complex().flat[p] / z.as_complex().flat[p])
-
-
-@lru_cache(maxsize=None)
-def _one_pairing(x: int, y: int, x2: int, y2: int) -> bool:
-    """Whether the tiles X (x) Y and X2 (x) Y2, given as factors, are
-    multiples of one pairing: one is zero, or X = u X2 and Y = v Y2 for the
-    ratios of :func:`_ratio`, by :meth:`Matrix.equals`."""
-    a, b, c, d = map(_FACTORS.__getitem__, (x, y, x2, y2))
-    return any(map(_is_zero, (a, b, c, d))) or all(
-        n.scale(_ratio(m, n)).equals(m) for m, n in ((a, c), (b, d)))
 
 
 def find_nondegenerate_skew(gens) -> FactoredForm | None:

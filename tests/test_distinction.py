@@ -408,7 +408,7 @@ def test_oracle_isotropy_fault_reports_error_not_disagreement(monkeypatch):
     def faulty(verified):
         raise CommutantMismatchError("injected isotropy fault")
 
-    monkeypatch.setattr(distinction, "invariant_isotropic_exists", faulty)
+    monkeypatch.setattr(distinction, "centralizer_dimension", faulty)
     report = check_conjecture_instance(
         RDSSpec(7, (seg("trivial", 14),)))
     by_name = {c.name: c for c in report.checks}

@@ -24,6 +24,7 @@ from periodlab import (
     WDParameter,
     builtin_catalog,
     builtin_models,
+    centralizer_dimension,
     classify_form,
     commutant_dimension,
     factors_through_sp_symbolic,
@@ -48,11 +49,7 @@ from periodlab.errors import (
     ShapeMismatchError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import (
-    VerifiedForm,
-    _element_key,
-    _isotypic_components,
-)
+from periodlab.group_models import VerifiedForm, _element_key
 from periodlab import matrix_lab
 from periodlab.cli import main
 from periodlab.matrix_lab import (
@@ -61,7 +58,9 @@ from periodlab.matrix_lab import (
     _block_pairing,
     _class_pairing,
     _factor,
+    _intertwining_rows,
     intertwiners,
+    nullspace_exact,
     sl2_intertwiners,
     sym_power,
     tensor_factors,
@@ -90,12 +89,12 @@ ONE = Matrix.identity(1)
 
 
 def form_of(gens, *tiles):
-    """The factored form on the blocks of ``gens`` with exact ``tiles``
-    (i, j, c, X, Y) of matrices."""
+    """The factored form on the blocks of ``gens`` with ``tiles``
+    (i, j, c, X, Y) of matrices, X on the generators' path and Y exact."""
     tf = gens.factors
     return FactoredForm(tf.n, tf.blocks, tuple(
-        (i, j, c, _factor(x, True), _factor(y, True))
-        for i, j, c, x, y in tiles), True)
+        (i, j, c, _factor(x, tf.rho_exact), _factor(y, True))
+        for i, j, c, x, y in tiles), tf.rho_exact)
 
 
 def scaled(form, s):
@@ -358,25 +357,31 @@ def test_validate_rejects_model_dim_mismatch():
 # -- isotypic components -----------------------------------------------------
 
 
+def certified_classes(*segments):
+    """The blocks of each class of equal factors of the realized
+    ``segments``, once the isotropy oracle has certified them as the
+    isotypic components by the commutant dimension."""
+    gens = oracle_gens(*segments)
+    invariant_isotropic_exists(skew_of(gens))
+    return list(gens.factors.classes.values())
+
+
 def test_multiplicities_distinct_classes():
-    components = _isotypic_components(oracle_gens(seg("q8"), seg("q8", 3)))
-    assert components == [[0], [1]]
+    assert certified_classes(seg("q8"), seg("q8", 3)) == [[0], [1]]
 
 
 def test_multiplicities_repeated_class():
-    components = _isotypic_components(oracle_gens(seg("q8"), seg("q8")))
-    assert components == [[0, 1]]
+    assert certified_classes(seg("q8"), seg("q8")) == [[0, 1]]
 
 
 def test_multiplicities_mixed_groups():
-    components = _isotypic_components(
-        oracle_gens(seg("q8"), seg("q8b"), seg("chi3"), seg("chi3bar")))
+    components = certified_classes(seg("q8"), seg("q8b"), seg("chi3"),
+                                   seg("chi3bar"))
     assert components == [[0], [1], [2], [3]]
 
 
 def test_multiplicities_beyond_surrogate_range():
-    gens = oracle_gens(seg("trivial", 8))
-    assert _isotypic_components(gens) == [[0]]
+    assert certified_classes(seg("trivial", 8)) == [[0]]
     assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
 
 
@@ -417,8 +422,6 @@ def _foreign_generators(case):
 ])
 def test_isotypic_certificate_rejects_foreign_generators(case, message):
     gens, j = _foreign_generators(case)
-    with pytest.raises(CommutantMismatchError, match=message):
-        _isotypic_components(gens)
     with pytest.raises(CommutantMismatchError, match=message):
         invariant_isotropic_exists(verify_form(gens, j))
 
@@ -624,7 +627,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
     assert Matrix.from_rows([sum(form.gram.tolist(), []),
                              sum(want.tolist(), [])]).rank() == 1
     assert commutant_dimension(moved) == 1
-    assert _isotypic_components(moved) == [[0]]
+    assert list(moved.factors.classes.values()) == [[0]]
 
 
 # -- the isotropy oracle --------------------------------------------------------
@@ -713,61 +716,80 @@ def test_isotropy_checks_a_tiny_exact_form_exactly():
                 names, scale)
 
 
-def _dense_rank_rule(form, blocks):
-    """The reference for a repeated component, on the dense form on its
-    first two copies: J11, J12 + J21 and J22 as vectors have rank <= 1,
-    exactly on the exact path and by the SVD rank rule on the float path."""
-    a, b = (slice(lo, lo + r * k) for lo, r, k in
-            (form.blocks[i] for i in blocks[:2]))
-    return form.gram.apply(lambda j: np.stack([
-        j[a, a].ravel(), (j[a, b] + j[b, a]).ravel(),
-        j[b, b].ravel()])).rank() <= 1
+def _dense_centralizer(verified):
+    """The reference dimension of the centralizer of the image in sp(J):
+    of {X : Xg = gX for every generator, X^T J + J X = 0}, solved exactly
+    on the dense generators and the dense form."""
+    n, j = verified.gens.dim, verified.form.gram
+    rows = [row for g in verified.gens.generators
+            for row in _intertwining_rows(g, g)]
+    re, im = j.re.tolist(), j.im.tolist()
+    for a in range(n):
+        for b in range(n):
+            # (X^T J)[a, b] = sum X[p, a] J[p, b], (J X)[a, b] = J[a, p] X[p, b]
+            row = {}
+            for p in range(n):
+                for col, (r, i) in ((p * n + a, (re[p][b], im[p][b])),
+                                    (p * n + b, (re[a][p], im[a][p]))):
+                    r0, i0 = row.get(col, (0, 0))
+                    row[col] = (r0 + r, i0 + i)
+            rows.append(row)
+    return len(nullspace_exact(rows, n * n))
 
 
-def _dense_isotropy(verified):
-    """The isotropy verdict with the dense rule deciding a repeated
-    component."""
-    form = verified.form
-    self_paired = {i for i, j, *_ in form.tiles if i == j}
-    for blocks in _isotypic_components(verified.gens):
-        if len(blocks) > 1:
-            return _dense_rank_rule(form, blocks)
-        if blocks[0] not in self_paired:
-            return True
-    return False
-
-
-def test_the_tile_guard_matches_the_dense_rank_rule():
-    """Every factoring multiset of built-in segments of multiplicity <= 2
-    up to dim 8, on both paths: the verdict read on the tiles of a repeated
-    component is the one the dense rank rule gives, and each repeated
-    component passes that rule.  ``chi3 (+) chi3 (+) chi3bar (+) chi3bar``
-    has no tile among the copies of chi3 and is isotropic."""
+def test_the_centralizer_matches_the_dense_solve_to_dim_8():
+    """Every multiset of built-in segments up to dim 8 with no cap on
+    multiplicity: on each of the 184 exact-path ones that factor, the
+    centralizer's closed form equals the dense exact solve, and on every
+    factoring one the isotropy verdict is its dimension being positive.
+    ``chi3 (+) chi3 (+) chi3bar (+) chi3bar`` has no tile among the copies
+    of chi3, and its centralizer is gl(2)."""
     pool = [seg(name, k) for name in MODELS for k in range(1, 9)
             if CAT.label(name).dim * k <= 8]
-    repeated, factoring = Counter(), 0
+    paths, values = Counter(), set()
     for segments in _multisets(pool, 8):
-        if max(Counter(segments).values()) > 2:
-            continue
         gens = realize(WDParameter.of(segments), CAT)
         j = find_nondegenerate_skew(gens)
         if j is None:
             continue
-        factoring += 1
         verified = verify_form(gens, j)
-        assert invariant_isotropic_exists(verified) == _dense_isotropy(
-            verified), segments
-        for blocks in _isotypic_components(gens):
-            if len(blocks) > 1:
-                assert _dense_rank_rule(j, blocks), segments
-                repeated[gens.exact] += 1
-    assert factoring == 255 and repeated == {True: 129, False: 100}
+        dim = centralizer_dimension(verified)
+        assert invariant_isotropic_exists(verified) is (dim > 0), segments
+        paths[gens.exact] += 1
+        if gens.exact:
+            assert dim == _dense_centralizer(verified), segments
+            values.add(dim)
+    assert paths == {True: 184, False: 124}
+    assert min(values) == 0 and max(values) == 36
     gens = oracle_gens(*map(seg, ["chi3", "chi3", "chi3bar", "chi3bar"]))
     verified = skew_of(gens)
     assert not any(i in (0, 1) and j in (0, 1)
                    for i, j, *_ in verified.form.tiles)
-    assert invariant_isotropic_exists(verified) is True
-    assert _dense_isotropy(verified) is True
+    assert centralizer_dimension(verified) == 4
+
+
+FLOAT_ONE = Matrix.from_rows([[1]], exact=False)
+
+
+@pytest.mark.parametrize("names, tiles, dim", [
+    # q8's skew pairing on each copy, times -3 on the second: so(2)
+    (["q8"] * 2, [(0, 0, 1, J2, ONE), (1, 1, -3, J2, ONE)], 1),
+    # d4's symmetric pairing across the two copies: sp(2)
+    (["d4"] * 2, [(0, 1, 1, Matrix.identity(2), ONE),
+                  (1, 0, -1, Matrix.identity(2), ONE)], 3),
+    # q8's skew pairing across the two copies: so(2)
+    (["q8"] * 2, [(0, 1, 1, J2, ONE), (1, 0, 1, J2, ONE)], 1),
+    # q8's skew pairing on each of three copies: so(3)
+    (["q8"] * 3, [(i, i, 1, J2, ONE) for i in range(3)], 3),
+    # a dual pair on the float path: gl(1)
+    (["chi3", "chi3bar"], [(0, 1, 1, ONE, ONE), (1, 0, -1, ONE, ONE)], 1),
+])
+def test_hand_built_forms_have_their_centralizer(names, tiles, dim):
+    gens = oracle_gens(*map(seg, names))
+    verified = verify_form(gens, form_of(gens, *tiles))
+    assert centralizer_dimension(verified) == dim
+    if gens.exact:
+        assert _dense_centralizer(verified) == dim
 
 
 def test_the_oracle_matches_the_rules_and_the_dense_reference_to_dim_8():
@@ -793,36 +815,42 @@ def test_the_oracle_matches_the_rules_and_the_dense_reference_to_dim_8():
     assert (seen, forms) == (3904, 255)
 
 
-FLOAT_ONE = Matrix.from_rows([[1]], exact=False)
+def test_a_pairing_of_neither_symmetry_is_an_internal_error():
+    # never verified: two copies of q8 paired across by X = [[1, 1], [0, 1]]
+    gens = oracle_gens(seg("q8"), seg("q8"))
+    x = Matrix.from_rows([[1, 1], [0, 1]])
+    verified = VerifiedForm(
+        gens, form_of(gens, (0, 1, 1, x, ONE), (1, 0, -1, x.T, ONE)), 0.0)
+    with pytest.raises(PeriodLabError, match="neither symmetric nor skew"):
+        centralizer_dimension(verified)
 
 
-@pytest.mark.parametrize("segments, x, x2, y, y2, ok", [
+@pytest.mark.parametrize("segments, x, x2, y, y2", [
     # exact: q8's skew pairing on both copies, times -3 on the second, and
-    # then the identity on the second
-    ([("q8",)] * 2, J2, J2.scale(-3), ONE, ONE, True),
-    ([("q8",)] * 2, J2, Matrix.identity(2), ONE, ONE, False),
+    # then times 5 on the first and -1 by Y on the second
+    ([("q8",)] * 2, J2, J2.scale(-3), ONE, ONE),
+    ([("q8",)] * 2, J2.scale(5), J2, ONE, ONE.scale(-1)),
     # float: chi3 (x) S(2) with X scaled by 2.5i and Y by -1 on the second
-    # copy, and then Y symmetric there
-    ([("chi3", 2)] * 2, FLOAT_ONE, FLOAT_ONE.scale(2.5j), J2, -J2, True),
-    ([("chi3", 2)] * 2, FLOAT_ONE, FLOAT_ONE, J2, Matrix.identity(2), False),
+    # copy, and then X by -4 on the first and Y by 3 on the second
+    ([("chi3", 2)] * 2, FLOAT_ONE, FLOAT_ONE.scale(2.5j), J2, -J2),
+    ([("chi3", 2)] * 2, FLOAT_ONE.scale(-4), FLOAT_ONE, J2, J2.scale(3)),
 ])
 def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
-        segments, x, x2, y, y2, ok):
-    """Hand-built forms, never verified, with one tile on each of two
-    copies: the tile check agrees with the dense rank rule, and tiles that
-    are not multiples of one pairing are an internal error."""
+        segments, x, x2, y, y2):
+    """Hand-built forms, never verified, with a tile on the diagonal of
+    each of two copies, multiples of one skew pairing at unequal scalars:
+    the centralizer reads the pairing's symmetry on one tile, so(2), and on
+    the exact path it is the dense solve's."""
     gens = oracle_gens(*(seg(*s) for s in segments))
     tf = gens.factors
     form = FactoredForm(tf.n, tf.blocks, (
         (0, 0, 1, _factor(x, x.exact), _factor(y, True)),
         (1, 1, 1, _factor(x2, x2.exact), _factor(y2, True))), tf.rho_exact)
-    assert _dense_rank_rule(form, [0, 1]) is ok
     verified = VerifiedForm(gens, form, 0.0)
-    if ok:
-        assert invariant_isotropic_exists(verified) is True
-        return
-    with pytest.raises(PeriodLabError, match="not multiples of one pairing"):
-        invariant_isotropic_exists(verified)
+    assert centralizer_dimension(verified) == 1
+    assert invariant_isotropic_exists(verified) is True
+    if gens.exact:
+        assert _dense_centralizer(verified) == 1
 
 
 def test_a_tile_that_does_not_fit_its_blocks_is_refused():

@@ -738,6 +738,17 @@ def _broken_triple(monkeypatch, which, entry, value):
     monkeypatch.setattr(matrix_lab, "_sl2_triple", triple)
 
 
+@pytest.fixture
+def fresh_sl2_pairings():
+    """An empty ``sl2_pairings`` cache, emptied again afterwards: a test
+    that breaks the sl2 triple neither reads a solve cached before it nor
+    leaves one behind."""
+    matrix_lab.sl2_pairings.cache_clear()
+    yield
+    matrix_lab.sl2_pairings.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_sl2_pairings")
 @pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
 def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
     """A zero E entry removes a link of the chain: no form is returned, even
@@ -747,6 +758,7 @@ def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
         invariant_form_sl2(k)
 
 
+@pytest.mark.usefixtures("fresh_sl2_pairings")
 @pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
 def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
     """The E chain alone fixes the candidate; a changed F entry makes an F
