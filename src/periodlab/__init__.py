@@ -4,8 +4,9 @@ The package has two layers that check each other.  The symbolic layer
 models parameters as multisets of segments St(k, rho) over a catalog of
 cuspidal labels and answers distinction, symplectic-image, and
 ellipticity questions by duality bookkeeping.  The matrix layer realizes
-small parameters as explicit generator sets (finite groups tensored with
-symmetric powers), computes invariant bilinear forms exactly, and settles
+small parameters by the tensor factors of explicit generators (finite
+groups tensored with symmetric powers), computes invariant bilinear forms
+exactly, and settles
 the same questions by linear algebra.  The CLI and the conjecture sweep
 insist the two layers agree.
 """
@@ -27,10 +28,11 @@ from .matrix_lab import (
     FLOAT_TOL,
     BilinearForm,
     FactoredForm,
-    GeneratorSet,
     Matrix,
     PermutationMap,
     Symmetry,
+    TensorFactors,
+    VerifiedForm,
     classify_form,
     conjugator_for_partition,
     find_nondegenerate_skew,
@@ -66,7 +68,6 @@ from .distinction import (
     is_x_elliptic_symbolic,
     oracle_verdicts,
     validate_rds,
-    verify_form,
 )
 from .notation import load_catalog, parse_param, print_param
 
@@ -79,7 +80,6 @@ __all__ = [
     "CuspidalLabel",
     "FactoredForm",
     "FLOAT_TOL",
-    "GeneratorSet",
     "Matrix",
     "PermutationMap",
     "QQi",
@@ -88,6 +88,8 @@ __all__ = [
     "Segment",
     "SelfDualityType",
     "Symmetry",
+    "TensorFactors",
+    "VerifiedForm",
     "WDParameter",
     "builtin_catalog",
     "builtin_models",
@@ -124,6 +126,5 @@ __all__ = [
     "sym_power",
     "symplectic_J",
     "validate_rds",
-    "verify_form",
     "w_plus",
 ]

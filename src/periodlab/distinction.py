@@ -8,6 +8,9 @@ verdicts as a report and cross-examines them against the matrix oracle:
 a realized parameter must carry an invariant symplectic form exactly when
 the rules say it factors through the symplectic group, and the centralizer
 of its image in Sp must be finite exactly when the rules call it elliptic.
+The oracle (:func:`oracle_verdicts`) realizes the parameter as one
+``matrix_lab.TensorFactors``, builds a skew form on it, checks the form
+with ``FactoredForm.verify`` and reads the centralizer off the result.
 """
 
 from __future__ import annotations
@@ -24,15 +27,10 @@ from .errors import (
     OddDimensionError,
     PeriodLabError,
 )
-from .group_models import (
-    Catalog,
-    VerifiedForm,
-    builtin_catalog,
-    centralizer_dimension,
-)
+from .group_models import Catalog, builtin_catalog, centralizer_dimension
 from .matrix_lab import (
     FactoredForm,
-    GeneratorSet,
+    TensorFactors,
     find_nondegenerate_skew,
     is_in_sp,  # noqa: F401  the dense reference, read here by periodbench
     realize,
@@ -199,18 +197,19 @@ def is_x_elliptic_symbolic(p: WDParameter) -> bool:
 class OracleVerdicts:
     """Matrix-level answers for one parameter.
 
-    ``form`` is the nondegenerate skew invariant form built class by class,
-    kept as its tiles, or None when a certificate rules one out.
-    ``centralizer_dim`` is the dimension of the centralizer of the image in
-    sp(J) (:func:`centralizer_dimension`), or None when no form was found
-    or the isotropy stage hit an internal fault, ``isotropy_error``; the
-    parameter is ``elliptic`` when it is 0.  ``max_residue`` is the worst
-    |g^T J g - J| entry as :func:`verify_form` computes it on the factors
-    (per tile, |c| max|A^T X A' - X| max|Y|; the S(k) side is exact):
-    exactly 0.0 on the exact path, and 0.0 when no form was found.
+    ``factors`` is the realization (:func:`realize`).  ``form`` is the
+    nondegenerate skew invariant form built class by class, kept as its
+    tiles, or None when a certificate rules one out.  ``centralizer_dim``
+    is the dimension of the centralizer of the image in sp(J)
+    (:func:`centralizer_dimension`), or None when no form was found or the
+    isotropy stage hit an internal fault, ``isotropy_error``; the parameter
+    is ``elliptic`` when it is 0.  ``max_residue`` is the worst
+    |g^T J g - J| entry as :meth:`FactoredForm.verify` computes it on the
+    factors (per tile, |c| max|A^T X A' - X| max|Y|; the S(k) side is
+    exact): exactly 0.0 on the exact path, and 0.0 when no form was found.
     """
 
-    gens: GeneratorSet
+    factors: TensorFactors
     form: FactoredForm | None
     centralizer_dim: int | None
     max_residue: float
@@ -227,24 +226,15 @@ class OracleVerdicts:
             self.centralizer_dim == 0)
 
 
-def verify_form(gens: GeneratorSet, form: FactoredForm) -> VerifiedForm:
-    """Check once, in one pass over the form's tiles and the generators'
-    factors (:meth:`FactoredForm.verify`), that ``form`` is skew,
-    nondegenerate and invariant; else raise
-    :class:`FormVerificationError`.  Exact when the generators and the form
-    are; on the float path the rho side follows ``Matrix.equals``.  No
-    dense generator or dense form is built."""
-    return VerifiedForm(gens, form, form.verify(gens.factors))
-
-
 def oracle_verdicts(p: WDParameter,
                     catalog: Catalog | None = None) -> OracleVerdicts:
     """Realize a parameter and answer the conjecture questions in matrices.
 
     The pipeline: realize, build a nondegenerate skew form class by class
-    or certify that there is none, check it once with :func:`verify_form`,
-    then read the dimension of the centralizer of the image in sp(J) off
-    the verified form (:func:`centralizer_dimension`).  The empty parameter
+    or certify that there is none, check it once on its tiles
+    (:meth:`FactoredForm.verify`), then read the dimension of the
+    centralizer of the image in sp(J) off the verified form
+    (:func:`centralizer_dimension`).  The empty parameter
     and parameters above ``FORM_ORACLE_DIM_BOUND`` are refused before
     anything is built.  A fault of the isotropy stage is returned in
     ``isotropy_error``; every other error propagates.
@@ -256,16 +246,16 @@ def oracle_verdicts(p: WDParameter,
         raise DimBoundExceededError(
             f"form oracle bound is {FORM_ORACLE_DIM_BOUND}, parameter has "
             f"dimension {p.dim}")
-    gens = realize(p, builtin_catalog() if catalog is None else catalog)
-    j = find_nondegenerate_skew(gens)
+    factors = realize(p, builtin_catalog() if catalog is None else catalog)
+    j = find_nondegenerate_skew(factors)
     if j is None:
-        return OracleVerdicts(gens, None, None, 0.0)
-    verified = verify_form(gens, j)
+        return OracleVerdicts(factors, None, None, 0.0)
+    verified = j.verify()
     try:
         dim = centralizer_dimension(verified)
     except PeriodLabError as exc:
-        return OracleVerdicts(gens, j, None, verified.residue, exc)
-    return OracleVerdicts(gens, j, dim, verified.residue)
+        return OracleVerdicts(factors, j, None, verified.residue, exc)
+    return OracleVerdicts(factors, j, dim, verified.residue)
 
 
 def attach_oracle_checks(report: Report, p: WDParameter,

@@ -8,10 +8,11 @@ model is certified a homomorphism on the group's generators: rho(1) = I and
 rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
 every pair by induction on word length; no check is sampled.  The
 ellipticity oracle reads the dimension of the centralizer of the image in
-sp(J) off a :class:`VerifiedForm`, checked once by
-``distinction.verify_form`` on its tiles.  The classes of blocks with
-equal factors (``matrix_lab.TensorFactors``, keyed by class id) are
-certified to be the isotypic components by the commutant dimension, the
+sp(J) off a ``matrix_lab.VerifiedForm``, checked once on its tiles by
+``FactoredForm.verify``, and reads the realization, a
+``matrix_lab.TensorFactors``, off the form it holds.  The classes of
+blocks with equal factors (keyed by class id) are certified to be the
+isotypic components by the commutant dimension, the
 sum over pairs of classes C, D of m_C * m_D * dim Hom(D, C), cached per
 pair of class ids and exact on the exact path; the centralizer's
 dimension is then a closed form in each class's multiplicity and the
@@ -50,10 +51,9 @@ from .errors import (
 from .exactnum import I as QI
 from .exactnum import QQi
 from .matrix_lab import (
-    FactoredForm,
-    GeneratorSet,
     Matrix,
     Symmetry,
+    VerifiedForm,
     _class_pair,
     _factor,
     _float_close,
@@ -182,8 +182,9 @@ class IrrepModel:
 
 
 def commutant_dimension(gens) -> int:
-    """Dimension of {X : Xg = gX for every generator g} of a generator set
-    or a bare list of generators.
+    """Dimension of {X : Xg = gX for every generator g} of a realization
+    (:class:`~periodlab.matrix_lab.TensorFactors`) or a bare list of
+    generators.
 
     The blocks of :func:`tensor_factors` with equal factors form a class C
     of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
@@ -465,18 +466,6 @@ def builtin_catalog() -> Catalog:
 # the centralizer of a realized parameter in Sp
 
 
-@dataclass(frozen=True)
-class VerifiedForm:
-    """A skew, nondegenerate form preserved by every generator of ``gens``,
-    as checked once on its tiles by
-    :func:`periodlab.distinction.verify_form`; ``residue`` is the largest
-    |g^T J g - J| entry those checks computed."""
-
-    gens: GeneratorSet
-    form: FactoredForm
-    residue: float
-
-
 def centralizer_dimension(verified: VerifiedForm) -> int:
     """Dimension of the centralizer of the image in sp(J), J the verified
     form: of {x : xg = gx for every generator g, x^T J + J x = 0}.  The
@@ -496,8 +485,8 @@ def centralizer_dimension(verified: VerifiedForm) -> int:
     symmetric when X and Y are alike (``matrix_lab._reading``); a factor of
     neither symmetry is an internal error.
     """
-    tf, rows = verified.gens.factors, verified.form.rows
-    commutant = commutant_dimension(verified.gens)
+    tf, rows = verified.form.factors, verified.form.rows
+    commutant = commutant_dimension(tf)
     expected = sum(len(blocks) ** 2 for blocks in tf.classes.values())
     if commutant != expected:
         raise CommutantMismatchError(

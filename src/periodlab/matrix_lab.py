@@ -37,10 +37,13 @@ SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
-:func:`realize` builds the blocks and these factors
-(:class:`TensorFactors`) in one loop.  Each distinct factor gets one small
-int id (:func:`_factor`), keyed on its shape and value, and each block
-class (factor ids, r, k, path) one id (:attr:`TensorFactors.class_ids`).
+:func:`realize` builds the blocks and these factors in one loop and
+returns them as one :class:`TensorFactors`, the one object a realized
+parameter is; a form on it (:class:`FactoredForm`) holds it, and
+:meth:`FactoredForm.verify` returns the :class:`VerifiedForm`.  Each
+distinct factor gets one small int id (:func:`_factor`), keyed on its
+shape and value, and each block class (factor ids, r, k, path) one id
+(:attr:`TensorFactors.class_ids`), once its factors are shown invertible.
 A block pair's forms are X (x) Y, X row reduced on the rho factors' ids, Y
 solved by the weights of (k, k').  The oracle reads ints and records
 cached once per process: a factor's :class:`BilinearForm`
@@ -1014,25 +1017,29 @@ def sl2_intertwiners(k: int, k2: int) -> tuple[Matrix, ...]:
 
 @dataclass(frozen=True)
 class TensorFactors:
-    """Generators given block by block as g = (+)_i A_i (x) I_(k_i) (a rho
-    generator) or g = (+)_i I_(r_i) (x) U_i (an S(k) generator).
+    """The generators of a realization, or of a bare list, given block by
+    block as g = (+)_i A_i (x) I_(k_i) (a rho generator) or
+    g = (+)_i I_(r_i) (x) U_i (an S(k) generator).
 
     ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
     generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
     order (rho generators first), each as the id :func:`_factor` gives it.
-    The rho side is exact or float as a whole; the S(k) side, the
-    integer exp(E) and exp(F) of ``_exp_factors(k)`` (none when every k is
-    1), is always exact, also next to a float label, and its solves read k
-    alone.  A :class:`GeneratorSet` is stored as its factors.  Built with
-    them, ``class_ids`` holds each block's class id, of (rho ids, S(k) ids,
-    r, k, path) in the class table, and ``classes`` the blocks of each id.
+    ``exact`` is the path of the rho side, which follows the label models;
+    the S(k) side, the integer exp(E) and exp(F) of ``_exp_factors(k)``
+    (none when every k is 1), is always exact, also next to a float label,
+    and its solves read k alone.  Built with them, ``class_ids`` holds each
+    block's class id, of (rho ids, S(k) ids, r, k, path) in the class
+    table, and ``classes`` the blocks of each id.  A class enters the table
+    once its factors are shown invertible (as A (x) I and I (x) U are
+    exactly when A and U are), else ``ValueError``; :meth:`dense` places the
+    generators.
     """
 
     n: int
     blocks: tuple[tuple[int, int, int], ...]
     rho: tuple[tuple[int, ...], ...]
     sl2: tuple[tuple[int, ...], ...]
-    rho_exact: bool
+    exact: bool
     class_ids: tuple[int, ...] = field(init=False, compare=False)
     classes: dict[int, list[int]] = field(init=False, compare=False)
 
@@ -1040,9 +1047,12 @@ class TensorFactors:
         ids, classes = [], {}
         for i, (a, u, (_, r, k)) in enumerate(
                 zip(self.rho, self.sl2, self.blocks)):
-            key = a, u, r, k, self.rho_exact
-            c = _CLASS_IDS.setdefault(key, len(_CLASSES))
-            if c == len(_CLASSES):
+            key = a, u, r, k, self.exact
+            c = _CLASS_IDS.get(key)
+            if c is None:
+                if not all(_reading(f).nondegenerate for f in (*a, *u)):
+                    raise ValueError("generators must be invertible")
+                c = _CLASS_IDS[key] = len(_CLASSES)
                 _CLASSES.append(key)
             ids.append(c)
             classes.setdefault(c, []).append(i)
@@ -1053,7 +1063,7 @@ class TensorFactors:
         """The solve arguments of block pair (i, j): of the rho side, its
         factor ids, sizes and path; of the S(k) side, k and k'."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return (self.rho[i], self.rho[j], r, r2, self.rho_exact), (k, k2)
+        return (self.rho[i], self.rho[j], r, r2, self.exact), (k, k2)
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1140,13 +1150,6 @@ def _reading(factor: int) -> BilinearForm:
 
 
 @lru_cache(maxsize=None)
-def _class_invertible(c: int) -> bool:
-    """Whether every factor of block class c is invertible."""
-    ls, us, *_ = _CLASSES[c]
-    return all(_reading(f).nondegenerate for f in (*ls, *us))
-
-
-@lru_cache(maxsize=None)
 def _identity(size: int, exact: bool) -> int:
     """The factor of the size x size identity, built once."""
     return _factor(Matrix.identity(size, exact), exact)
@@ -1159,10 +1162,11 @@ def _exp_factors(k: int) -> tuple[int, int]:
 
 
 def tensor_factors(gens) -> TensorFactors:
-    """The factors of a :class:`GeneratorSet`; a bare list of generators is
-    one block with r = n and k = 1, on which every generator is its own A."""
-    if isinstance(gens, GeneratorSet):
-        return gens.factors
+    """``gens`` itself when it is a :class:`TensorFactors`; a bare list of
+    generators is one block with r = n and k = 1, on which every generator
+    is its own A."""
+    if isinstance(gens, TensorFactors):
+        return gens
     mats = list(gens)
     if not mats:
         raise ValueError("at least one generator is needed")
@@ -1194,7 +1198,7 @@ def invariant_forms(gens) -> list[BilinearForm]:
     factorization.
     """
     tf = tensor_factors(gens)
-    n, exact = tf.n, tf.rho_exact
+    n, exact = tf.n, tf.exact
     vecs: list[dict[int, object]] = []  # row-major index -> entry
     for lo, lo2, rho_args, sl2_args in tf.block_pairs():
         xs = invariant_pairings(*rho_args)
@@ -1302,23 +1306,22 @@ def _class_pairing(c: int, d: int) -> tuple | None:
 
 @dataclass(frozen=True)
 class FactoredForm:
-    """A bilinear form on the blocks of a :class:`TensorFactors`, given by
-    its tiles: (i, j, c, X, Y) is c * X (x) Y on the rows of block i and
-    the columns of block j, at most one per block row, and zero elsewhere.
-    X (r_i x r_j) and Y (k_i x k_j) are factor ids, X on the path
-    ``rho_exact``, Y exact; :meth:`Matrix.scale` takes c.  The one pass
-    that fills ``rows`` (each block row's tile, or None) refuses a tile off
-    the blocks or not fitting them.  ``gram`` is placed on demand.
+    """A bilinear form on the blocks of ``factors``, given by its tiles:
+    (i, j, c, X, Y) is c * X (x) Y on the rows of block i and the columns
+    of block j, at most one per block row, and zero elsewhere.  X (r_i x
+    r_j) and Y (k_i x k_j) are factor ids, X on the path of the rho side,
+    Y exact; :meth:`Matrix.scale` takes c.  The one pass that fills
+    ``rows`` (each block row's tile, or None) refuses a tile off the blocks
+    or not fitting them.  ``gram`` is placed on demand.
     """
 
-    n: int
-    blocks: tuple[tuple[int, int, int], ...]
+    factors: TensorFactors
     tiles: tuple[tuple, ...]
-    rho_exact: bool
     rows: list[tuple | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        blocks, exact, size = self.blocks, self.rho_exact, len(self.blocks)
+        blocks, exact = self.factors.blocks, self.factors.exact
+        size = len(blocks)
         rows = [None] * size
         for tile in self.tiles:
             i, j, _, x, y = tile
@@ -1337,29 +1340,29 @@ class FactoredForm:
     @cached_property
     def gram(self) -> Matrix:
         """The dense n x n form."""
-        at = [slice(lo, lo + r * k) for lo, r, k in self.blocks]
-        return _placed(self.n, [
+        tf = self.factors
+        at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
+        return _placed(tf.n, [
             (at[i], at[j], _FACTORS[x].kron(_FACTORS[y]).scale(c))
             for i, j, c, x, y in self.tiles])
 
-    def verify(self, tf: TensorFactors) -> float:
-        """The largest |g^T J g - J| entry, once one pass over the tiles,
-        on facts cached per process, shows the form skew, nondegenerate and
-        invariant under ``tf``; else :class:`FormVerificationError` for
-        the first that fails.  Skew: each tile is minus the transpose of
-        the one at the opposite block pair (:func:`_opposite_tiles`).
-        Nondegenerate: a tile in every block row with c != 0 and X, Y
-        invertible; being skew, the tiles pair the blocks one to one.
-        Invariant: A_i^T X A_j = X and U_i^T Y U_j = Y on each tile, on the
-        classes of i and j (:func:`_tile_residue`); a tile's residue is |c|
-        times that check's, 0.0 on the exact path.
+    def verify(self) -> VerifiedForm:
+        """The :class:`VerifiedForm` of this form and its largest
+        |g^T J g - J| entry, once one pass over the tiles, on facts cached
+        per process, shows it skew,
+        nondegenerate and invariant under the generators of ``factors``;
+        else :class:`FormVerificationError` for the first that fails.
+        Skew: each tile is minus the transpose of the one at the opposite
+        block pair (:func:`_opposite_tiles`).  Nondegenerate: a tile in
+        every block row with c != 0 and X, Y invertible; being skew, the
+        tiles pair the blocks one to one.  Invariant: A_i^T X A_j = X and
+        U_i^T Y U_j = Y on each tile, on the classes of i and j
+        (:func:`_tile_residue`); a tile's residue is |c| times that
+        check's, 0.0 on the exact path.  No dense generator or dense form
+        is built.
         """
-        if (self.n, self.blocks, self.rho_exact) != (tf.n, tf.blocks,
-                                                     tf.rho_exact):
-            raise ShapeMismatchError(
-                "the form does not lie on the generators' blocks and path")
-        rows, ids, residue = self.rows, tf.class_ids, 0.0
-        nondegenerate = len(self.tiles) == len(self.blocks)
+        rows, ids, residue = self.rows, self.factors.class_ids, 0.0
+        nondegenerate = len(self.tiles) == len(rows)
         for i, j, c, x, y in self.tiles:
             _, back, c2, x2, y2 = rows[j] or (None,) * 5
             if not _opposite_tiles(c, x, y, c2 if back == i else 0, x2, y2):
@@ -1378,7 +1381,18 @@ class FactoredForm:
         if residue is None:
             raise FormVerificationError(
                 "the form must be invariant under the generators")
-        return residue
+        return VerifiedForm(self, residue)
+
+
+@dataclass(frozen=True)
+class VerifiedForm:
+    """A skew, nondegenerate form preserved by every generator of
+    ``form.factors``, as :meth:`FactoredForm.verify` checked it on its
+    tiles; ``residue`` is the largest |g^T J g - J| entry those checks
+    computed."""
+
+    form: FactoredForm
+    residue: float
 
 
 @lru_cache(maxsize=None)
@@ -1456,8 +1470,9 @@ def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
 
 
 def find_nondegenerate_skew(gens) -> FactoredForm | None:
-    """A nondegenerate skew invariant form J of a generator set, built class
-    by class as tiles, or None when a certificate shows that there is none.
+    """A nondegenerate skew invariant form J of a realization or a bare
+    list of generators, built class by class as tiles, or None when a
+    certificate shows that there is none.
 
     Blocks of :func:`tensor_factors` with equal factors form a class C of
     multiplicity m_C (:attr:`TensorFactors.classes`).  By Schur's lemma C
@@ -1474,8 +1489,8 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     * m_C != m_C': it maps the rows of one class into fewer columns;
     * P symmetric, m_C odd: on C it is M (x) P, M skew of odd size.
 
-    J itself is not classified; :func:`periodlab.distinction.verify_form`
-    checks it on its tiles.
+    J itself is not classified; :meth:`FactoredForm.verify` checks it on
+    its tiles.
     """
     tf = tensor_factors(gens)
     classes, tiles = tf.classes, []
@@ -1498,12 +1513,12 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
         if len(copies) != len(duals):
             return None
         # a copy paired with itself gets P alone, which is skew unless P is
-        # neither symmetric nor skew, and then fails verify_form
+        # neither symmetric nor skew, and then fails FactoredForm.verify
         for i, j in zip(copies, duals):
             tiles.append((i, j, 1, x, y))
             if i != j:
                 tiles.append((j, i, -1, xt, yt))
-    return FactoredForm(tf.n, tf.blocks, tuple(tiles), tf.rho_exact)
+    return FactoredForm(tf, tuple(tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -1553,46 +1568,11 @@ def _binomial_poly(x, y, power: int, zero):
 # realizations of parameters
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Invertible generators of a realized parameter, stored as their
-    :class:`TensorFactors`, one provenance tag per generator.
-
-    ``exact`` says whether every factor is exact: the label factors follow
-    the label models, and the integer exp(E), exp(F) are exact on both
-    paths.  ``generators`` assembles the dense matrices once, on demand.
-    """
-
-    factors: TensorFactors
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        tf = self.factors
-        if len(tf.rho[0]) + len(tf.sl2[0]) != len(self.provenance):
-            raise ValueError("one provenance tag per generator")
-        # A (x) I and I (x) U are invertible exactly when A and U are
-        if not all(map(_class_invertible, tf.classes)):
-            raise ValueError("generators must be invertible")
-
-    @property
-    def dim(self) -> int:
-        return self.factors.n
-
-    @property
-    def exact(self) -> bool:
-        return self.factors.rho_exact
-
-    @cached_property
-    def generators(self) -> tuple[Matrix, ...]:
-        return tuple(self.factors.dense())
-
-
 @lru_cache(maxsize=1024)
-def _model_set(distinct: tuple, unipotent: bool) -> tuple[bool, dict, tuple]:
-    """The path, the rho factors of each model and the provenance tags of
-    a realization whose label models are ``distinct``, in order of first
-    appearance, with the unipotent pair when ``unipotent``.  Models hash by
-    identity, so this is built once per model set of a catalog."""
+def _model_set(distinct: tuple) -> tuple[bool, dict]:
+    """The path and the rho factors of each model of a realization whose
+    label models are ``distinct``, in order of first appearance.  Models
+    hash by identity, so this is built once per model set of a catalog."""
     exact = all(m.exact for m in distinct)
     groups: dict = {}
     for m in distinct:
@@ -1601,20 +1581,14 @@ def _model_set(distinct: tuple, unipotent: bool) -> tuple[bool, dict, tuple]:
     moving = [(g, [pos for pos in range(len(g.generator_idxs))
                    if not all(m.is_identity[pos] for m in members)])
               for g, members in groups.items()]
-    provenance = [f"group:{g.name}:{pos}" for g, ps in moving for pos in ps]
     rho_of = {m: tuple(f for g, ps in moving for f in (
         [m.factors[exact][pos] for pos in ps] if m.group is g
         else [_identity(m.dim, exact)] * len(ps))) for m in distinct}
-    if unipotent:
-        provenance += ["sl2:exp_e", "sl2:exp_f"]
-    if not provenance:
-        rho_of = {m: (_identity(m.dim, exact),) for m in distinct}
-        provenance = ["identity"]
-    return exact, rho_of, tuple(provenance)
+    return exact, rho_of
 
 
-def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
-    """Generators for the image of an untwisted parameter, built as their
+def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
+    """The generators of the image of an untwisted parameter, as their
     tensor factors.
 
     Each segment St(k, rho) contributes a block rho (x) S(k); a group
@@ -1623,7 +1597,8 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
     that is the identity everywhere; factors and identity flags are read
     off the models), and the unipotent pair exp(E), exp(F) acts as
     I_r (x) exp on every block at once, exactly whatever the labels'
-    path.  With no such generator the identity is the generator.  The
+    path.  A realization with no such generator, such as
+    ``trivial (+) trivial``, has none, and every form is invariant.  The
     grouping of the models is built once per model set (:func:`_model_set`).
     """
     segs = p.segments
@@ -1640,10 +1615,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> GeneratorSet:
         blocks.append((lo, label.dim, k))
         ks.append(k)
         lo += label.dim * k
-    unipotent = max(ks) > 1
-    exact, rho_of, provenance = _model_set(tuple(dict.fromkeys(models)),
-                                           unipotent)
-    sl2 = tuple(map(_exp_factors, ks)) if unipotent else ((),) * len(ks)
-    factors = TensorFactors(lo, tuple(blocks),
-                            tuple(map(rho_of.__getitem__, models)), sl2, exact)
-    return GeneratorSet(factors, provenance)
+    exact, rho_of = _model_set(tuple(dict.fromkeys(models)))
+    sl2 = tuple(map(_exp_factors, ks)) if max(ks) > 1 else ((),) * len(ks)
+    return TensorFactors(lo, tuple(blocks),
+                         tuple(map(rho_of.__getitem__, models)), sl2, exact)

@@ -39,7 +39,6 @@ from periodlab import (
     sl2_exp_f,
     sl2_surrogate,
     symplectic_J,
-    verify_form,
     w_plus,
 )
 from periodlab.errors import (
@@ -68,10 +67,10 @@ def seg(name, k=1):
     return Segment(CAT.label(name), k)
 
 
-def _max_form_residue(gens, j) -> float:
+def _max_form_residue(factors, j) -> float:
     jc = j.gram.as_complex()
     worst = 0.0
-    for g in gens.generators:
+    for g in factors.dense():
         gc = g.as_complex()
         worst = max(worst, float(np.abs(gc.T @ jc @ gc - jc).max()))
     return worst
@@ -111,16 +110,16 @@ def test_criterion_1_discrete_sum_sweep(emit):
         if not report.all_pass:
             problems.append(f"{text}: symbolic checks failed")
             continue
-        gens = realize(p, CAT)
-        j = find_nondegenerate_skew(gens)
+        factors = realize(p, CAT)
+        j = find_nondegenerate_skew(factors)
         if j is None:
             problems.append(f"{text}: no invariant nondegenerate skew form")
             continue
-        residue = _max_form_residue(gens, j)
+        residue = _max_form_residue(factors, j)
         if residue > RESIDUE_TOL:
             problems.append(f"{text}: residue {residue:.2e}")
         try:
-            if invariant_isotropic_exists(verify_form(gens, j)):
+            if invariant_isotropic_exists(j.verify()):
                 problems.append(f"{text}: invariant isotropic subspace found")
         except PeriodLabError:
             outside.append(text)
@@ -275,13 +274,12 @@ def test_criterion_5_oracle_symbolic_equivalence(emit):
             continue
         text = print_param(p)
         elliptic = is_x_elliptic_symbolic(p)
-        gens = realize(p, CAT)
-        j = find_nondegenerate_skew(gens)
+        j = find_nondegenerate_skew(realize(p, CAT))
         if j is None:
             disagreements.append(f"{text}: factors but no skew form")
             continue
         try:
-            isotropic = invariant_isotropic_exists(verify_form(gens, j))
+            isotropic = invariant_isotropic_exists(j.verify())
         except PeriodLabError:
             outside.append(text)
             continue

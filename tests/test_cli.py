@@ -256,6 +256,16 @@ def test_classify_json_matches_golden(capsys, expr, name, code):
     assert capsys.readouterr().out == golden.read_text(encoding="ascii")
 
 
+def test_an_unrecognized_argument_matches_the_usage_golden(capsys):
+    """The top-level usage line and the error, on standard error only."""
+    golden = (Path(__file__).parent / "golden"
+              / "usage_unrecognized_argument.txt")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "trivial", "--foo"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", golden.read_text(encoding="ascii"))
+
+
 # runs each command with its standard output captured, before and after a
 # dim-16 sweep in the same process, and prints both rounds as JSON
 _TWO_ROUNDS = """
@@ -620,7 +630,7 @@ def test_sweep_small_cap():
     assert all(c.verdict == PASS for c in controls)
 
 
-@pytest.mark.parametrize("max_dim", [6, 8, 10, 12])
+@pytest.mark.parametrize("max_dim", [6, 8, 10, 12, 16, 20, 24])
 def test_sweep_json_matches_golden(capsys, max_dim):
     golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
     assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0

@@ -34,6 +34,7 @@ from periodlab import (
 from periodlab import distinction, matrix_lab
 from periodlab.errors import (
     CommutantMismatchError,
+    DimBoundExceededError,
     DimensionMismatchError,
     DuplicateSegmentError,
     NonTemperedError,
@@ -81,14 +82,14 @@ def test_distinction_agrees_with_the_single_block_oracle_on_every_segment():
     """Every built-in segment St(k, rho) up to dim 24: the rule calls it
     distinguished exactly when the one block rho (x) S(k) carries an
     invariant nondegenerate skew form, which the oracle finds and
-    verify_form checks; at odd dimension the rule refuses and the oracle
-    finds no form."""
+    ``FactoredForm.verify`` checks; at odd dimension the rule refuses and
+    the oracle finds no form."""
     even = distinguished = 0
     segments = [seg(name, k) for name in sorted(CAT.entries)
                 for k in range(1, 25) if CAT.label(name).dim * k <= 24]
     for s in segments:
-        gens = matrix_lab.realize(param(s), CAT)
-        form = matrix_lab.find_nondegenerate_skew(gens)
+        form = matrix_lab.find_nondegenerate_skew(
+            matrix_lab.realize(param(s), CAT))
         if s.dim % 2:
             with pytest.raises(OddDimensionError):
                 is_linear_distinguished(s)
@@ -96,7 +97,7 @@ def test_distinction_agrees_with_the_single_block_oracle_on_every_segment():
             continue
         even += 1
         if form is not None:
-            distinction.verify_form(gens, form)
+            form.verify()
             distinguished += 1
         assert is_linear_distinguished(s) == (form is not None), s
     assert (len(segments), even, distinguished) == (120, 84, 36)
@@ -272,9 +273,10 @@ def test_oracle_verdicts_non_elliptic_case():
 def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
                                                           segments):
     """The oracle checks its form on the factors: every placed block pair
-    is checked on both sides, and no dense generator is built or given to
+    is checked on both sides, and no dense generator is given to
     ``is_in_sp``.  The tile checks are cached per pair of class ids for the
-    process, so each is recorded through the uncached check."""
+    process, so each is recorded through the uncached check.  Run again,
+    the oracle places no dense generator and no dense form."""
     dense, checked = [], set()
 
     def counted(*args):
@@ -291,16 +293,46 @@ def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
             monkeypatch.setattr(module, "is_in_sp", counted)
     tile_residue = matrix_lab._tile_residue.__wrapped__
     monkeypatch.setattr(matrix_lab, "_tile_residue", recorded)
-    v = oracle_verdicts(param(*(seg(name, k) for name, k in segments)))
+    p = param(*(seg(name, k) for name, k in segments))
+    v = oracle_verdicts(p)
     assert v.skew_found and v.elliptic is not None
-    assert "generators" not in vars(v.gens)
     assert dense == []
-    blocks = len(v.gens.factors.blocks)
+    blocks = len(v.factors.blocks)
     assert sorted(i for i, *_ in v.form.tiles) == list(range(blocks))
-    ids = v.gens.factors.class_ids
+    ids = v.factors.class_ids
     for i, j, _, x, y in v.form.tiles:
         # both sides, the S(k) one on the exp E and exp F of both blocks
         assert (ids[i], ids[j], x, y) in checked
+
+    def placed(*args):
+        raise AssertionError("a dense matrix was placed")
+
+    monkeypatch.setattr(matrix_lab.TensorFactors, "dense", placed)
+    monkeypatch.setattr(matrix_lab, "_placed", placed)
+    assert oracle_verdicts(p) == v
+
+
+def test_a_realization_with_no_generator_leaves_every_form_free():
+    """``trivial (+) trivial`` has no generator that moves: its realization
+    has none, and the oracle, with every form invariant, agrees with the
+    rules."""
+    p = parse_param("trivial (+) trivial", CAT)
+    assert matrix_lab.realize(p, CAT).dense() == []
+    v = oracle_verdicts(p)
+    assert v.skew_found and factors_through_sp_symbolic(p)
+    assert v.elliptic is False and not is_x_elliptic_symbolic(p)
+    assert (v.centralizer_dim, v.max_residue) == (3, 0.0)
+
+
+def test_the_oracle_refuses_a_parameter_above_its_bound_unrealized(
+        monkeypatch):
+    def realize(*args):
+        raise AssertionError("realized above the bound")
+
+    monkeypatch.setattr(distinction, "realize", realize)
+    with pytest.raises(DimBoundExceededError,
+                       match="bound is 24, parameter has dimension 25"):
+        oracle_verdicts(parse_param("St(25,trivial)", CAT))
 
 
 def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):
@@ -317,7 +349,7 @@ def test_warm_oracle_verdicts_constructs_no_qqi(monkeypatch):
 
     monkeypatch.setattr(QQi, "__init__", counted)
     v = oracle_verdicts(p)
-    assert v.gens.exact and v.skew_found and v.elliptic is False
+    assert v.factors.exact and v.skew_found and v.elliptic is False
     assert constructed == []
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from periodlab import group_models
 from periodlab import (
@@ -15,7 +15,6 @@ from periodlab import (
     CuspidalLabel,
     FLOAT_TOL,
     FactoredForm,
-    GeneratorSet,
     Matrix,
     SL2_SURROGATE_BOUND,
     Segment,
@@ -37,7 +36,6 @@ from periodlab import (
     oracle_verdicts,
     realize,
     sl2_surrogate,
-    verify_form,
 )
 from periodlab.errors import (
     CatalogError,
@@ -45,16 +43,18 @@ from periodlab.errors import (
     ConsistencyError,
     FormVerificationError,
     MissingModelError,
+    NonIntegralIndicatorError,
     PeriodLabError,
     ShapeMismatchError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import VerifiedForm, _element_key
+from periodlab.group_models import _element_key
 from periodlab import matrix_lab
 from periodlab.cli import main
 from periodlab.matrix_lab import (
     _FACTORS,
     TensorFactors,
+    VerifiedForm,
     _block_pairing,
     _class_pairing,
     _factor,
@@ -82,7 +82,7 @@ def skew_of(gens):
     """The oracle's skew form of ``gens``, through the one verifier."""
     j = find_nondegenerate_skew(gens)
     assert j is not None
-    return verify_form(gens, j)
+    return j.verify()
 
 
 ONE = Matrix.identity(1)
@@ -91,10 +91,9 @@ ONE = Matrix.identity(1)
 def form_of(gens, *tiles):
     """The factored form on the blocks of ``gens`` with ``tiles``
     (i, j, c, X, Y) of matrices, X on the generators' path and Y exact."""
-    tf = gens.factors
-    return FactoredForm(tf.n, tf.blocks, tuple(
-        (i, j, c, _factor(x, tf.rho_exact), _factor(y, True))
-        for i, j, c, x, y in tiles), tf.rho_exact)
+    return FactoredForm(gens, tuple(
+        (i, j, c, _factor(x, gens.exact), _factor(y, True))
+        for i, j, c, x, y in tiles))
 
 
 def scaled(form, s):
@@ -141,6 +140,13 @@ def test_fs_indicator_ground_truth():
             "q8": -1, "q8b": -1}
     got = {name: fs_indicator(model) for name, model in MODELS.items()}
     assert got == want
+
+
+def test_a_character_far_from_an_integral_indicator_is_refused():
+    halved = replace(MODELS["q8"], character=MODELS["q8"].character / 2)
+    with pytest.raises(NonIntegralIndicatorError,
+                       match="indicator of q8 is .*not near an integer"):
+        fs_indicator(halved)
 
 
 def test_surrogate_dimension_and_parity():
@@ -363,7 +369,7 @@ def certified_classes(*segments):
     isotypic components by the commutant dimension."""
     gens = oracle_gens(*segments)
     invariant_isotropic_exists(skew_of(gens))
-    return list(gens.factors.classes.values())
+    return list(gens.classes.values())
 
 
 def test_multiplicities_distinct_classes():
@@ -385,11 +391,6 @@ def test_multiplicities_beyond_surrogate_range():
     assert oracle_verdicts(WDParameter.of([seg("trivial", 8)])).elliptic is True
 
 
-def _one_block_set(mats, like):
-    """The generators ``mats`` as one block, tagged like the set ``like``."""
-    return GeneratorSet(tensor_factors(mats), like.provenance)
-
-
 def _foreign_generators(case):
     """Generators whose classes of equal factors are not the isotypic
     components, and a form those generators preserve."""
@@ -398,7 +399,7 @@ def _foreign_generators(case):
         base = oracle_gens(seg("q8"), seg("q8b"))
         p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],
                               [0, 1, 0, 0], [0, 0, 0, 1]])
-        mixed = _one_block_set([p @ g @ p.T for g in base.generators], base)
+        mixed = tensor_factors([p @ g @ p.T for g in base.dense()])
         return mixed, form_of(
             mixed, (0, 0, 1, p @ skew_of(base).form.gram @ p.T, ONE))
     # q8 (+) q8 with the second block's generators conjugated by s: two
@@ -408,9 +409,8 @@ def _foreign_generators(case):
     s = Matrix.from_rows([[1, 1], [0, 1]])
     s_inv = Matrix.from_rows([[1, -1], [0, 1]])
     rho = tuple(tuple(_factor(m, True) for m in mats) for mats in (
-        base.generators, [s @ g @ s_inv for g in base.generators]))
-    gens = GeneratorSet(TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho,
-                                      ((), ()), True), base.provenance)
+        base.dense(), [s @ g @ s_inv for g in base.dense()]))
+    gens = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
     x = skew_of(base).form.gram
     return gens, form_of(gens, (0, 0, 1, x, ONE),
                          (1, 1, 1, s_inv.T @ x @ s_inv, ONE))
@@ -423,7 +423,7 @@ def _foreign_generators(case):
 def test_isotypic_certificate_rejects_foreign_generators(case, message):
     gens, j = _foreign_generators(case)
     with pytest.raises(CommutantMismatchError, match=message):
-        invariant_isotropic_exists(verify_form(gens, j))
+        invariant_isotropic_exists(j.verify())
 
 
 # -- the tensor-factored oracle -------------------------------------------------
@@ -456,9 +456,12 @@ def small_parameters(draw, max_dim=8):
 
 @settings(max_examples=30, deadline=None)
 @given(small_parameters())
+@example(WDParameter.of([seg("trivial")] * 2))
 def test_factored_oracle_matches_the_one_block_solve(p):
     gens = realize(p, CAT)
-    one_block = list(gens.generators)
+    # with no generator, such as for trivial (+) trivial, every form is
+    # invariant, as under the identity alone
+    one_block = gens.dense() or [Matrix.identity(gens.n, gens.exact)]
     assert len(tensor_factors(gens).blocks) == len(p.segments)
     assert len(tensor_factors(one_block).blocks) == 1
     factored, single = invariant_forms(gens), invariant_forms(one_block)
@@ -509,13 +512,12 @@ def test_class_caches_match_the_per_block_solves():
             if CAT.label(name).dim * k <= 8]
     count = 0
     for segments in _multisets(pool, 8):
-        gens = realize(WDParameter.of(segments), CAT)
-        tf, count = gens.factors, count + 1
+        tf, count = realize(WDParameter.of(segments), CAT), count + 1
         ids = tf.class_ids
         for i, c in enumerate(ids):
             for j, d in enumerate(ids):
                 assert _class_pairing(c, d) == _block_pairing(*tf.pair(i, j))
-        assert commutant_dimension(gens) == _per_block_commutant(gens)
+        assert commutant_dimension(tf) == _per_block_commutant(tf)
     assert count == 5142
 
 
@@ -537,7 +539,7 @@ def test_skew_form_exists_exactly_when_the_rules_say_it_factors(p):
     assert (j is not None) == factors_through_sp_symbolic(p)
     if j is None:
         return
-    verify_form(gens, j)
+    j.verify()
     if j.gram.exact:  # J lies in the span of the reference's skew forms
         skews = [f.gram for f in invariant_forms(gens)
                  if f.symmetry is Symmetry.SKEW]
@@ -546,18 +548,18 @@ def test_skew_form_exists_exactly_when_the_rules_say_it_factors(p):
             == len(skews)
 
 
-def _dense_accepts(gens, form):
+def _dense_accepts(form):
     """The dense reference: the placed form is skew and nondegenerate as
     ``classify_form`` reads it, and ``is_in_sp`` holds for every dense
     generator."""
     dense = classify_form(form.gram)
     return (dense.symmetry is Symmetry.SKEW and dense.nondegenerate
-            and all(is_in_sp(g, dense) for g in gens.generators))
+            and all(is_in_sp(g, dense) for g in form.factors.dense()))
 
 
-def _factored_accepts(gens, form):
+def _factored_accepts(form):
     try:
-        verify_form(gens, form)
+        form.verify()
     except FormVerificationError:
         return False
     return True
@@ -589,15 +591,15 @@ def test_factored_check_matches_the_dense_reference(p, data):
     j = find_nondegenerate_skew(gens)
     if j is None:
         return
-    assert _factored_accepts(gens, j) and _dense_accepts(gens, j)
+    assert _factored_accepts(j) and _dense_accepts(j)
     entry = data.draw(st.integers(0, 63))
     delta = data.draw(st.sampled_from(
         [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]))
     for tile in range(len(j.tiles)):
         for part in ("x", "y", "c"):
             bad = _perturbed(j, tile, part, entry, delta)
-            assert _factored_accepts(gens, bad) == _dense_accepts(
-                gens, bad), (tile, part)
+            assert _factored_accepts(bad) == _dense_accepts(bad), (tile,
+                                                                   part)
 
 
 @pytest.mark.parametrize("k", [28, 40])
@@ -607,7 +609,7 @@ def test_a_long_dual_pair_on_the_float_path_verifies(k):
     # C(k - 1, (k - 1) / 2), and the S(k) factor is checked exactly
     gens = oracle_gens(seg("chi3", k), seg("chi3bar", k))
     assert not gens.exact
-    verified = verify_form(gens, find_nondegenerate_skew(gens))
+    verified = find_nondegenerate_skew(gens).verify()
     assert verified.residue <= FLOAT_TOL
 
 
@@ -618,7 +620,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
                           [0, 0, 1, 0], [0, 0, 0, 1]])
     p_inv = Matrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0],
                               [0, 0, 1, 0], [0, 0, 0, 1]])
-    moved = _one_block_set([p @ g @ p_inv for g in base.generators], base)
+    moved = tensor_factors([p @ g @ p_inv for g in base.dense()])
     assert tensor_factors(moved).blocks == ((0, 4, 1),)
     # B is invariant under the g exactly when p^-T B p^-1 is under p g p^-1
     (want,) = [p_inv.T @ f.gram @ p_inv for f in invariant_forms(base)]
@@ -627,7 +629,7 @@ def test_generators_off_the_tensor_structure_get_the_one_block_solve():
     assert Matrix.from_rows([sum(form.gram.tolist(), []),
                              sum(want.tolist(), [])]).rank() == 1
     assert commutant_dimension(moved) == 1
-    assert list(moved.factors.classes.values()) == [[0]]
+    assert list(moved.classes.values()) == [[0]]
 
 
 # -- the isotropy oracle --------------------------------------------------------
@@ -664,19 +666,19 @@ J2 = Matrix.from_rows([[0, 1], [-1, 0]])
 def test_isotropy_rejects_bad_forms():
     gens = oracle_gens(seg("q8"))
     with pytest.raises(FormVerificationError, match="skew-symmetric"):
-        verify_form(gens, form_of(gens, (0, 0, 1, Matrix.identity(2), ONE)))
+        form_of(gens, (0, 0, 1, Matrix.identity(2), ONE)).verify()
     for degenerate in (form_of(gens),
                        form_of(gens, (0, 0, 1, Matrix.zeros(2, 2), ONE)),
                        form_of(gens, (0, 0, 1, J2, Matrix.zeros(1, 1)))):
         # skewness is checked first, so each of these is skew
         with pytest.raises(FormVerificationError, match="nondegenerate"):
-            verify_form(gens, degenerate)
+            degenerate.verify()
     # skew and nondegenerate but pairing across distinct classes: not invariant
     pair = oracle_gens(seg("q8"), seg("q8b"))
     across = form_of(pair, (0, 1, 1, J2, ONE), (1, 0, -1, J2.T, ONE))
     assert classify_form(across.gram).nondegenerate
     with pytest.raises(FormVerificationError, match="invariant"):
-        verify_form(pair, across)
+        across.verify()
 
 
 def test_verify_form_catches_a_near_miss():
@@ -687,12 +689,12 @@ def test_verify_form_catches_a_near_miss():
     eps = Matrix.from_rows([[0, Fraction(1, 10 ** 12)], [0, 0]])
     near = form_of(gens, (0, 1, 1, Matrix.identity(2) + eps, ONE),
                    (1, 0, -1, Matrix.identity(2) + eps.T, ONE))
-    verify_form(gens, form_of(gens, (0, 1, 1, Matrix.identity(2), ONE),
-                              (1, 0, -1, Matrix.identity(2), ONE)))
+    form_of(gens, (0, 1, 1, Matrix.identity(2), ONE),
+            (1, 0, -1, Matrix.identity(2), ONE)).verify()
     # invariance is checked last, so the near miss is skew and nondegenerate
     with pytest.raises(FormVerificationError, match="invariant"):
-        verify_form(gens, near)
-    check = is_in_sp(gens.generators[0], near)
+        near.verify()
+    check = is_in_sp(gens.dense()[0], near)
     assert not check and check.residue > 0
 
 
@@ -710,7 +712,7 @@ def test_isotropy_checks_a_tiny_exact_form_exactly():
         for scale in (Fraction(1, 10 ** 12), 10 ** 400):
             j = scaled(skew_of(gens).form, scale)
             assert j.gram.exact
-            verified = verify_form(gens, j)
+            verified = j.verify()
             assert verified.residue == 0.0
             assert invariant_isotropic_exists(verified) is isotropic, (
                 names, scale)
@@ -720,8 +722,8 @@ def _dense_centralizer(verified):
     """The reference dimension of the centralizer of the image in sp(J):
     of {X : Xg = gX for every generator, X^T J + J X = 0}, solved exactly
     on the dense generators and the dense form."""
-    n, j = verified.gens.dim, verified.form.gram
-    rows = [row for g in verified.gens.generators
+    n, j = verified.form.factors.n, verified.form.gram
+    rows = [row for g in verified.form.factors.dense()
             for row in _intertwining_rows(g, g)]
     re, im = j.re.tolist(), j.im.tolist()
     for a in range(n):
@@ -752,7 +754,7 @@ def test_the_centralizer_matches_the_dense_solve_to_dim_8():
         j = find_nondegenerate_skew(gens)
         if j is None:
             continue
-        verified = verify_form(gens, j)
+        verified = j.verify()
         dim = centralizer_dimension(verified)
         assert invariant_isotropic_exists(verified) is (dim > 0), segments
         paths[gens.exact] += 1
@@ -786,7 +788,7 @@ FLOAT_ONE = Matrix.from_rows([[1]], exact=False)
 ])
 def test_hand_built_forms_have_their_centralizer(names, tiles, dim):
     gens = oracle_gens(*map(seg, names))
-    verified = verify_form(gens, form_of(gens, *tiles))
+    verified = form_of(gens, *tiles).verify()
     assert centralizer_dimension(verified) == dim
     if gens.exact:
         assert _dense_centralizer(verified) == dim
@@ -811,7 +813,7 @@ def test_the_oracle_matches_the_rules_and_the_dense_reference_to_dim_8():
             continue
         forms += 1
         assert v.elliptic == is_x_elliptic_symbolic(p), segments
-        assert _dense_accepts(v.gens, v.form), segments
+        assert _dense_accepts(v.form), segments
     assert (seen, forms) == (3904, 255)
 
 
@@ -820,7 +822,7 @@ def test_a_pairing_of_neither_symmetry_is_an_internal_error():
     gens = oracle_gens(seg("q8"), seg("q8"))
     x = Matrix.from_rows([[1, 1], [0, 1]])
     verified = VerifiedForm(
-        gens, form_of(gens, (0, 1, 1, x, ONE), (1, 0, -1, x.T, ONE)), 0.0)
+        form_of(gens, (0, 1, 1, x, ONE), (1, 0, -1, x.T, ONE)), 0.0)
     with pytest.raises(PeriodLabError, match="neither symmetric nor skew"):
         centralizer_dimension(verified)
 
@@ -842,11 +844,10 @@ def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
     the centralizer reads the pairing's symmetry on one tile, so(2), and on
     the exact path it is the dense solve's."""
     gens = oracle_gens(*(seg(*s) for s in segments))
-    tf = gens.factors
-    form = FactoredForm(tf.n, tf.blocks, (
+    form = FactoredForm(gens, (
         (0, 0, 1, _factor(x, x.exact), _factor(y, True)),
-        (1, 1, 1, _factor(x2, x2.exact), _factor(y2, True))), tf.rho_exact)
-    verified = VerifiedForm(gens, form, 0.0)
+        (1, 1, 1, _factor(x2, x2.exact), _factor(y2, True))))
+    verified = VerifiedForm(form, 0.0)
     assert centralizer_dimension(verified) == 1
     assert invariant_isotropic_exists(verified) is True
     if gens.exact:
@@ -855,42 +856,41 @@ def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
 
 def test_a_tile_that_does_not_fit_its_blocks_is_refused():
     # q8 (+) St(2,trivial): blocks of r = 2, k = 1 and r = 1, k = 2
-    tf = oracle_gens(seg("q8"), seg("trivial", 2)).factors
+    tf = oracle_gens(seg("q8"), seg("trivial", 2))
     j2, one = _factor(J2, True), _factor(ONE, True)
-    FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one),), True)
+    FactoredForm(tf, ((0, 0, 1, j2, one),))
     for tile in [(0, 0, 1, j2, j2),                     # Y of the wrong shape
                  (1, 1, 1, j2, j2),                     # X of the wrong shape
                  (0, 0, 1, _factor(J2, False), one),    # X off the path
                  (0, 0, 1, j2, _factor(ONE, False))]:   # Y not exact
         with pytest.raises(ShapeMismatchError, match="does not fit"):
-            FactoredForm(tf.n, tf.blocks, (tile,), True)
+            FactoredForm(tf, (tile,))
 
 
 @pytest.mark.parametrize("i, j", [(-2, 0), (0, -2), (-2, -2)])
 def test_a_tile_at_a_negative_block_index_is_refused(i, j):
     # q8 (+) q8b: index -2 would read block 0, and the form would place
     # the tile there and call it invariant
-    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    tf = oracle_gens(seg("q8"), seg("q8b"))
     j2, one = _factor(J2, True), _factor(ONE, True)
     with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
-        FactoredForm(tf.n, tf.blocks, ((i, j, 1, j2, one),), True)
+        FactoredForm(tf, ((i, j, 1, j2, one),))
 
 
 @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (5, 5)])
 def test_a_tile_past_the_last_block_is_refused(i, j):
-    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    tf = oracle_gens(seg("q8"), seg("q8b"))
     j2, one = _factor(J2, True), _factor(ONE, True)
     with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
-        FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one),
-                                       (i, j, 1, j2, one)), True)
+        FactoredForm(tf, ((0, 0, 1, j2, one), (i, j, 1, j2, one)))
 
 
 def test_a_form_has_at_most_one_tile_in_each_block_row():
-    tf = oracle_gens(seg("q8"), seg("q8b")).factors
+    tf = oracle_gens(seg("q8"), seg("q8b"))
     j2, one = _factor(J2, True), _factor(ONE, True)
     for second in [(0, 0, 1, j2, one), (0, 1, 1, j2, one)]:
         with pytest.raises(ValueError, match="one tile per block row"):
-            FactoredForm(tf.n, tf.blocks, ((0, 0, 1, j2, one), second), True)
+            FactoredForm(tf, ((0, 0, 1, j2, one), second))
 
 
 def test_a_cycle_of_tiles_is_not_skew():
@@ -903,20 +903,18 @@ def test_a_cycle_of_tiles_is_not_skew():
                            for i in range(4)])
     assert classify_form(form.gram).symmetry is Symmetry.NEITHER
     with pytest.raises(FormVerificationError, match="skew-symmetric"):
-        verify_form(gens, form)
+        form.verify()
 
 
 def test_a_tile_check_refuses_s_k_generators_other_than_exp_e_and_f():
     # St(2,trivial) with exp F replaced by exp E: the S(k) side of a tile
     # is checked on the weights of k, which such a class does not have
-    gens = oracle_gens(seg("trivial", 2))
-    tf = gens.factors
+    tf = oracle_gens(seg("trivial", 2))
     (e, _), (rho,) = tf.sl2[0], tf.rho
-    odd = GeneratorSet(TensorFactors(2, tf.blocks, (rho,), ((e, e),), True),
-                       gens.provenance)
-    form = find_nondegenerate_skew(gens)
+    odd = TensorFactors(2, tf.blocks, (rho,), ((e, e),), True)
+    form = find_nondegenerate_skew(tf)
     with pytest.raises(PeriodLabError, match="not exp E and exp F"):
-        verify_form(odd, FactoredForm(2, tf.blocks, form.tiles, True))
+        FactoredForm(odd, form.tiles).verify()
 
 
 def test_character_orthogonality_within_groups():

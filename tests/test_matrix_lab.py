@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from periodlab import (
     BilinearForm,
-    GeneratorSet,
     Matrix,
     PermutationMap,
     QQi,
@@ -884,7 +883,7 @@ def test_invariant_forms_double_block():
     assert len(forms) == 4  # Hom space of two identical copies is 2x2
     skew = find_nondegenerate_skew(gens)
     assert skew is not None
-    for g in gens.generators:
+    for g in gens.dense():
         assert is_in_sp(g, skew)
 
 
@@ -895,7 +894,7 @@ def test_invariant_forms_float_path():
     assert sorted(f.symmetry.value for f in forms) == ["skew", "symmetric"]
     skew = find_nondegenerate_skew(gens)
     assert skew is not None
-    for g in gens.generators:
+    for g in gens.dense():
         assert is_in_sp(g, skew)
 
 
@@ -984,7 +983,7 @@ def _rows(gens, segments, name):
     """The rows of the blocks labelled ``name`` in the realization ``gens``
     of ``segments``: its blocks follow the parameter's segments."""
     return [i for s, (lo, r, k) in zip(WDParameter.of(segments).segments,
-                                       gens.factors.blocks)
+                                       gens.blocks)
             if s.cuspidal.name == name for i in range(lo, lo + r * k)]
 
 
@@ -1004,7 +1003,7 @@ def test_no_pairing_certificate(segments, lonely):
     segments = list(map(seg, segments))
     gens = _gens(*segments)
     assert find_nondegenerate_skew(gens) is None
-    rows, every = _rows(gens, segments, lonely), list(range(gens.dim))
+    rows, every = _rows(gens, segments, lonely), list(range(gens.n))
     assert all(_vanishes(f, rows, every) for f in invariant_forms(gens))
 
 
@@ -1019,7 +1018,7 @@ def test_unequal_multiplicity_certificate(segments, larger, smaller):
     gens = _gens(*segments)
     assert find_nondegenerate_skew(gens) is None
     rows, paired = (_rows(gens, segments, name) for name in (larger, smaller))
-    outside = sorted(set(range(gens.dim)) - set(paired))
+    outside = sorted(set(range(gens.n)) - set(paired))
     assert len(rows) > len(paired)
     assert all(_vanishes(f, rows, outside) for f in invariant_forms(gens))
 
@@ -1063,9 +1062,9 @@ def test_skew_form_constructions(segments, exact):
     j = find_nondegenerate_skew(gens)
     dense = classify_form(j.gram)
     assert dense.symmetry is Symmetry.SKEW and dense.nondegenerate
-    j.verify(gens.factors)  # skew, nondegenerate and invariant on its tiles
+    j.verify()  # skew, nondegenerate and invariant on its tiles
     assert j.gram.exact is exact
-    assert all(is_in_sp(g, j) for g in gens.generators)
+    assert all(is_in_sp(g, j) for g in gens.dense())
 
 
 def test_symmetric_pairs_are_placed_off_the_diagonal():
@@ -1083,16 +1082,15 @@ def test_a_reducible_block_is_an_internal_error():
 
 def test_a_class_pairing_with_two_classes_is_an_internal_error():
     # q8 and a conjugate of it: isomorphic blocks with unequal factors
-    q8 = _gens(seg("q8")).generators
+    q8 = _gens(seg("q8")).dense()
     s, s_inv = Matrix.from_rows([[1, 1], [0, 1]]), Matrix.from_rows(
         [[1, -1], [0, 1]])
     rho = tuple(tuple(_factor(m, True) for m in mats)
                 for mats in (q8, [s @ g @ s_inv for g in q8]))
     assert rho[0] != rho[1]
     tf = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
-    gens = GeneratorSet(tf, ("a",) * len(q8))
     with pytest.raises(PeriodLabError, match="pairs with 2 classes"):
-        find_nondegenerate_skew(gens)
+        find_nondegenerate_skew(tf)
 
 
 # -- realizations -----------------------------------------------------------
@@ -1100,34 +1098,32 @@ def test_a_class_pairing_with_two_classes_is_an_internal_error():
 
 def test_realize_structure():
     gens = realize(WDParameter.of([seg("q8", 2)]), CAT)
-    assert gens.dim == 4
+    assert gens.n == 4
     assert gens.exact
-    assert set(gens.provenance) == {
-        "group:q8:0", "group:q8:1", "sl2:exp_e", "sl2:exp_f"}
-    for g in gens.generators:
+    for g in gens.dense():
         assert g.is_square and g.rows == 4
 
 
-def test_realize_trivial_block_falls_back_to_identity():
+def test_realize_trivial_block_has_no_generators():
     gens = realize(WDParameter.of([seg("trivial")]), CAT)
-    assert gens.provenance == ("identity",)
-    assert gens.generators[0].is_identity()
+    assert gens.rho == gens.sl2 == ((),)
+    assert gens.dense() == []
 
 
 def test_realize_shares_group_action_across_blocks():
     gens = realize(WDParameter.of([seg("q8"), seg("q8", 3)]), CAT)
-    assert gens.dim == 8
+    assert gens.n == 8
     # one q8 generator acts simultaneously in both blocks
-    g = gens.generators[0]
+    g = gens.dense()[0]
     assert not g.tolist()[0][0] or g.tolist()[0][0] != QQi(1)
 
 
 def _dense_reference(p):
-    """The generators of ``realize(p)`` assembled densely, in provenance
+    """The generators of ``realize(p)`` assembled densely, in generator
     order: per group generator the blockdiag of kron(A, I_k) on the blocks
     of its group and the identity elsewhere (skipped when it is the
     identity), then the blockdiag of kron(I_r, exp) for exp(E) and exp(F)
-    when some k > 1, else the identity."""
+    when some k > 1; none when neither is there."""
     segs = p.segments
     models = [CAT.model_for(s.cuspidal) for s in segs]
     exact = all(m.exact for m in models)
@@ -1149,7 +1145,7 @@ def _dense_reference(p):
         for exp in (sl2_exp_e, sl2_exp_f):
             out.append(blockdiag([Matrix.identity(s.cuspidal.dim).kron(
                 exp(s.k)) for s in segs]))
-    return out or [Matrix.identity(p.dim, exact)]
+    return out
 
 
 @pytest.mark.parametrize("segments", [
@@ -1159,17 +1155,17 @@ def _dense_reference(p):
     (("q8", 1), ("q8", 3)),  # one group shared across blocks
     (("q8", 1), ("q8b", 1), ("d4", 2), ("trivial", 3)),  # mixed groups
     (("q8", 1), ("s3", 1), ("trivial", 1)),  # only k = 1
-    (("trivial", 1), ("trivial", 1)),  # the identity fallback
+    (("trivial", 1), ("trivial", 1)),  # no generator
 ])
 def test_realize_matches_the_dense_kronecker_assembly(segments):
     p = WDParameter.of([seg(name, k) for name, k in segments])
     gens = realize(p, CAT)
     want = _dense_reference(p)
-    assert len(gens.provenance) == len(gens.generators) == len(want)
-    assert gens.dim == p.dim
+    assert len(gens.dense()) == len(want)
+    assert gens.n == p.dim
     assert gens.exact == all(CAT.model_for(s.cuspidal).exact
                              for s in p.segments)
-    for got, ref in zip(gens.generators, want):
+    for got, ref in zip(gens.dense(), want):
         assert got.exact == ref.exact
         assert got.tolist() == ref.tolist()
 
@@ -1186,7 +1182,7 @@ def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
                                                                  data):
     """Multisets of built-in segments, realized one after another, so that
     later ones may reuse the model sets of earlier ones, give the factors
-    and provenance that each gives with the model-set cache cleared.  On
+    that each gives with the model-set cache cleared.  On
     the float path each multiset holds one or two float segments, shuffled
     in among the others."""
     def segments(labels, least, most):
@@ -1204,31 +1200,32 @@ def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
         matrix_lab._model_set.cache_clear()
         cold = realize(p, CAT)
         assert cold.exact == exact
-        assert cold.factors == gens.factors
-        assert cold.provenance == gens.provenance
+        assert cold == gens
 
 
-def test_generator_set_rejects_singular_factors():
-    singular = Matrix.from_rows([[1, 1], [1, 1]])
-    with pytest.raises(ValueError, match="invertible"):
-        GeneratorSet(tensor_factors([singular]), ("one",))
-    with pytest.raises(ValueError, match="invertible"):
-        GeneratorSet(tensor_factors([Matrix.from_array(singular.as_complex())]),
-                     ("one",))
+def test_tensor_factors_reject_singular_factors():
+    """A class with a singular factor is refused before it enters the class
+    table, on both paths, so building it again is refused again."""
     ident = _factor(Matrix.identity(2), True)
+    TensorFactors(2, ((0, 2, 1),), ((ident,),), ((),), True)
+    classes = len(matrix_lab._CLASSES)
+    singular = Matrix.from_rows([[1, 1], [1, 1]])
+    for _ in range(2):
+        for m in (singular, Matrix.from_array(singular.as_complex())):
+            with pytest.raises(ValueError, match="generators must be "
+                                                 "invertible"):
+                tensor_factors([m])
     bad = _factor(Matrix.from_rows([[1, 1], [0, 0]]), True)
     for rho, sl2 in [(bad, ident), (ident, bad)]:
         # A (x) I_2 or I_2 (x) U is singular exactly when its factor is
-        factors = TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
         with pytest.raises(ValueError, match="invertible"):
-            GeneratorSet(factors, ("rho", "sl2"))
-    # two classes, the second singular: each class is checked
-    factors = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)),
-                            ((), ()), True)
+            TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
+    # two classes, the second singular: each class is checked, and the
+    # first is in the table already
     with pytest.raises(ValueError, match="generators must be invertible"):
-        GeneratorSet(factors, ("rho",))
-    with pytest.raises(ValueError, match="provenance"):
-        GeneratorSet(tensor_factors([Matrix.identity(2)]), ("a", "b"))
+        TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)),
+                      ((), ()), True)
+    assert len(matrix_lab._CLASSES) == classes
 
 
 def test_tensor_factors_have_their_classes_as_soon_as_they_are_built():
@@ -1317,7 +1314,7 @@ def test_factor_ids_follow_the_factor_values(drawn):
         for p in params:
             gens = realize(p, CAT)
             find_nondegenerate_skew(gens)
-            out.append(gens.factors)
+            out.append(gens)
         return out
 
     first = passes()
@@ -1333,6 +1330,6 @@ def test_factor_ids_follow_the_factor_values(drawn):
                            for side in ids)
             reference.setdefault(values, []).append(i)
         assert list(tf.classes.values()) == list(reference.values())
-        assert all(matrix_lab._CLASSES[c] == (a, u, r, k, tf.rho_exact)
+        assert all(matrix_lab._CLASSES[c] == (a, u, r, k, tf.exact)
                    for c, a, u, (_, r, k) in zip(tf.class_ids, tf.rho,
                                                  tf.sl2, tf.blocks))
