@@ -3,12 +3,13 @@
 The rules here are all pole-profile logic: a self-dual label owns exactly
 one pole, exterior-square for symplectic type or symmetric-square for
 orthogonal type, and every linear-distinction statement reduces to which
-pole St(k, rho) inherits.  ``check_conjecture_instance`` packages the rule
-verdicts as a report and cross-examines them against the matrix oracle:
-a realized parameter must carry an invariant symplectic form exactly when
-the rules say it factors through the symplectic group, and the centralizer
-of its image in Sp must be finite exactly when the rules call it elliptic.
-The oracle (:func:`oracle_verdicts`) realizes the parameter as one
+pole St(k, rho) inherits.  The rules and the matrix oracle meet in one
+place, :func:`add_sp_checks`, which records the rule verdicts and
+cross-examines them against the oracle: a realized parameter must carry an
+invariant symplectic form exactly when the rules say it factors through
+the symplectic group, and the centralizer of its image in Sp must be
+finite exactly when the rules call it elliptic.  The oracle
+(:func:`oracle_verdicts`) realizes the parameter as one
 ``matrix_lab.TensorFactors``, builds a skew form on it, checks the form
 with ``FactoredForm.verify`` and reads the centralizer off the result.
 """
@@ -177,16 +178,13 @@ def factors_through_sp_symbolic(p: WDParameter) -> bool:
 def is_x_elliptic_symbolic(p: WDParameter) -> bool:
     """Symplectic image stabilizing no nonzero isotropic subspace.
 
-    Holds exactly when every segment is of symplectic type and no segment
-    repeats; such a parameter factors through the symplectic group, so
-    :func:`factors_through_sp_symbolic` is not consulted.  Segments are
-    told apart by (label name, k), as symplectic-type segments are
-    untwisted; label data behind one name is not compared here, so a
-    conflict between catalogs counts as a repeat instead of raising.
+    Holds exactly when every class of :func:`multiplicities` is of
+    symplectic type and occurs once; such a parameter factors through the
+    symplectic group, so :func:`factors_through_sp_symbolic` is not
+    consulted.
     """
-    distinct = {(s.cuspidal.name, s.k) for s in p.segments
-                if segment_self_duality(s) is SelfDualityType.SYMPLECTIC}
-    return len(distinct) == len(p.segments)
+    return all(m == 1 and segment_self_duality(s) is SelfDualityType.SYMPLECTIC
+               for s, m in multiplicities(p))
 
 
 # ---------------------------------------------------------------------------
@@ -258,46 +256,16 @@ def oracle_verdicts(p: WDParameter,
     return OracleVerdicts(factors, j, dim, verified.residue)
 
 
-def attach_oracle_checks(report: Report, p: WDParameter,
-                         catalog: Catalog | None,
-                         factors: bool, elliptic: bool) -> None:
-    """Run the matrix oracle and record agreement with the rule verdicts.
+def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
+                  use_oracle: bool) -> tuple[bool, bool]:
+    """Record the symplectic-image and ellipticity rule checks and return
+    their verdicts ``(factors, elliptic)``; with ``use_oracle``, run the
+    matrix oracle and record its agreement with them.
 
     The two oracle stages fail independently: a fault of the isotropy stage
     is an ``oracle-isotropy`` ERROR that leaves the form verdict on record,
     with agreement downgraded to None rather than False.
     """
-    try:
-        verdicts = oracle_verdicts(p, catalog)
-    except PeriodLabError as exc:
-        report.add("oracle-form", ERROR, TAG_ORACLE_FORM, str(exc))
-        report.oracle_agreement = None
-        return
-    form_agrees = verdicts.skew_found == factors
-    detail = (f"nondegenerate skew form found; max |g^T J g - J| = "
-              f"{verdicts.max_residue:.2e}" if verdicts.skew_found
-              else "no nondegenerate skew form in the invariant-form space")
-    report.add_outcome("oracle-form", form_agrees, TAG_ORACLE_FORM, detail)
-    if not verdicts.skew_found:
-        report.oracle_agreement = form_agrees
-        return
-    if verdicts.isotropy_error is not None:
-        report.add("oracle-isotropy", ERROR, TAG_ORACLE_ISOTROPY,
-                   str(verdicts.isotropy_error))
-        report.oracle_agreement = None
-        return
-    isotropy_agrees = verdicts.elliptic == elliptic
-    report.add_outcome(
-        "oracle-isotropy", isotropy_agrees, TAG_ORACLE_ISOTROPY,
-        "no invariant isotropic subspace" if verdicts.elliptic
-        else "found an invariant isotropic subspace")
-    report.oracle_agreement = form_agrees and isotropy_agrees
-
-
-def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
-                  use_oracle: bool) -> None:
-    """Record the symplectic-image and ellipticity rule checks, and with
-    ``use_oracle`` the matrix oracle's verdicts on them."""
     factors = factors_through_sp_symbolic(p)
     report.add_outcome("sp-image", factors, TAG_SP,
                        "symplectic pairing exists" if factors
@@ -306,8 +274,32 @@ def add_sp_checks(report: Report, p: WDParameter, catalog: Catalog | None,
     report.add_outcome("x-elliptic", elliptic, TAG_ELLIPTIC,
                        "multiplicity-free symplectic-type decomposition"
                        if elliptic else "parameter is not elliptic")
-    if use_oracle:
-        attach_oracle_checks(report, p, catalog, factors, elliptic)
+    if not use_oracle:
+        return factors, elliptic
+    try:
+        verdicts = oracle_verdicts(p, catalog)
+    except PeriodLabError as exc:
+        report.add("oracle-form", ERROR, TAG_ORACLE_FORM, str(exc))
+        report.oracle_agreement = None
+        return factors, elliptic
+    agreement = verdicts.skew_found == factors
+    detail = (f"nondegenerate skew form found; max |g^T J g - J| = "
+              f"{verdicts.max_residue:.2e}" if verdicts.skew_found
+              else "no nondegenerate skew form in the invariant-form space")
+    report.add_outcome("oracle-form", agreement, TAG_ORACLE_FORM, detail)
+    if verdicts.skew_found and verdicts.isotropy_error is not None:
+        report.add("oracle-isotropy", ERROR, TAG_ORACLE_ISOTROPY,
+                   str(verdicts.isotropy_error))
+        agreement = None
+    elif verdicts.skew_found:
+        isotropy_agrees = verdicts.elliptic == elliptic
+        report.add_outcome(
+            "oracle-isotropy", isotropy_agrees, TAG_ORACLE_ISOTROPY,
+            "no invariant isotropic subspace" if verdicts.elliptic
+            else "found an invariant isotropic subspace")
+        agreement = agreement and isotropy_agrees
+    report.oracle_agreement = agreement
+    return factors, elliptic
 
 
 def check_conjecture_instance(spec: RDSSpec,

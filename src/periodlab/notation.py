@@ -15,7 +15,7 @@ parse errors carry a 1-based line/column span pointing into the input.
 Catalog files are INI-style sections, one per label::
 
     [cuspidal.q8]
-    dim = 2
+    dim = 2               # ASCII digits only
     type = symplectic     # or orthogonal | none
     model = q8            # optional built-in model id
     dual = ...            # required iff type = none
@@ -300,8 +300,10 @@ def load_catalog(text: str) -> Catalog:
         for required in ("dim", "type"):
             if required not in keys:
                 raise ConsistencyError(f"{where}: missing key {required!r}")
-        try:
-            dim = int(keys["dim"])
+        try:  # ASCII digits, as in expressions: int() also takes "+2", "1_0"
+            if not (keys["dim"].isascii() and keys["dim"].isdigit()):
+                raise ValueError
+            dim = int(keys["dim"])  # refuses more digits than it converts
         except ValueError:
             raise ConsistencyError(
                 f"{where}: dim must be an integer, got "

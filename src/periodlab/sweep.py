@@ -7,11 +7,9 @@ from .distinction import (
     TAG_RDS,
     TAG_SP,
     RDSSpec,
-    attach_oracle_checks,
+    add_sp_checks,
     check_conjecture_instance,
-    factors_through_sp_symbolic,
     is_linear_distinguished,
-    is_x_elliptic_symbolic,
 )
 from .errors import (
     DimensionMismatchError,
@@ -115,8 +113,7 @@ def _segment_pool(catalog: Catalog,
                 skipped.append(f"St({k},{label.name}): no matrix model")
                 continue
             pool.append(seg)
-    pool.sort(key=lambda s: (s.dim, s.k, s.cuspidal.name, s.twist))
-    return pool, skipped
+    return list(WDParameter.of(pool).segments), skipped
 
 
 def _run_validation_controls(report: Report, catalog: Catalog,
@@ -210,14 +207,12 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
     agreement = True
     for name, segments, want_factors in controls:
         p = WDParameter.of(segments)
-        factors = factors_through_sp_symbolic(p)
-        elliptic = is_x_elliptic_symbolic(p)
-        oracle = Report(input=print_param(p))
-        attach_oracle_checks(oracle, p, catalog, factors, elliptic)
-        oracle_ok = oracle.oracle_agreement is True
+        sub = Report(input=print_param(p))
+        factors, elliptic = add_sp_checks(sub, p, catalog, True)
+        oracle_ok = sub.oracle_agreement is True
         agreement = agreement and oracle_ok
-        if oracle.oracle_agreement is None:  # an oracle stage failed
-            error = next(c.details for c in oracle.checks
+        if sub.oracle_agreement is None:  # an oracle stage failed
+            error = next(c.details for c in sub.checks
                          if c.verdict == ERROR)
             report.add_outcome(f"control {name}", False, TAG_SP,
                                f"oracle error: {error}")
@@ -228,5 +223,5 @@ def _run_parameter_controls(report: Report, catalog: Catalog,
         report.add_outcome(
             f"control {name}",
             oracle_ok and factors == want_factors and not elliptic, TAG_SP,
-            f"{oracle.input}: " + ", ".join(outcome))
+            f"{sub.input}: " + ", ".join(outcome))
     return agreement

@@ -157,6 +157,17 @@ def test_classify_catalog_with_non_dual_models_exits_three(tmp_path, capsys):
     assert "not contragredient" in capsys.readouterr().out
 
 
+def test_a_catalog_dim_of_arabic_indic_digits_exits_three(tmp_path, capsys):
+    # the expression St(\u0663,q8) exits 2 (its golden); a catalog's dim
+    # keeps to the same ASCII digits
+    path = tmp_path / "user.ini"
+    path.write_text("[cuspidal.t]\ndim = \u0662\ntype = symplectic\n"
+                    "model = q8\n", encoding="utf-8")
+    assert main(["classify", "St(3,t)", "--oracle", "--catalog",
+                 str(path)]) == 3
+    assert "dim must be an integer, got '\u0662'" in capsys.readouterr().out
+
+
 def test_classify_with_user_catalog(tmp_path, capsys):
     path = tmp_path / "user.ini"
     path.write_text(USER_CATALOG, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Tests for distinction rules, discrete-sum validation, and the oracle bridge."""
 
+import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from periodlab import (
+    Catalog,
+    CatalogEntry,
     CuspidalLabel,
     QQi,
     RDSSpec,
@@ -33,6 +36,7 @@ from periodlab import (
 )
 from periodlab import distinction, matrix_lab
 from periodlab.errors import (
+    CatalogMismatchError,
     CommutantMismatchError,
     DimBoundExceededError,
     DimensionMismatchError,
@@ -41,6 +45,7 @@ from periodlab.errors import (
     NotDistinguishedError,
     OddBlockError,
     OddDimensionError,
+    PeriodLabError,
 )
 from periodlab.cli import main
 from periodlab.distinction import add_sp_checks
@@ -405,6 +410,92 @@ def test_oracle_agrees_with_rules_at_multiplicity_three_and_four():
         reached_isotropy += any(c.name == "oracle-isotropy"
                                 for c in report.checks)
     assert reached_isotropy == 9
+
+
+def _accepted(segments):
+    """Whether ``validate_rds`` builds a regular discrete sum of
+    ``segments`` (n = dim // 2, at least 1)."""
+    try:
+        validate_rds(RDSSpec(max(1, sum(s.dim for s in segments) // 2),
+                             segments))
+    except PeriodLabError:
+        return False
+    return True
+
+
+def test_every_multiset_to_dim_10_agrees_and_meets_the_converse():
+    """Every multiset of untwisted built-in segments of dim <= 10, with no
+    cap on multiplicity: the oracle agrees with the rules through
+    ``add_sp_checks``, and its cell is "form and elliptic" exactly when
+    ``validate_rds`` accepts the segments (the main theorem's converse)."""
+    pool = [seg(label.name, k) for label in CAT.labels()
+            for k in range(1, 10 // label.dim + 1)]
+    cells = Counter()
+    for m in _multisets(pool, 10, 10):
+        report = Report(input="")
+        cell = add_sp_checks(report, param(*m), CAT, use_oracle=True)
+        assert all(c.verdict != ERROR for c in report.checks), m
+        assert report.oracle_agreement is True, m  # so cell is the oracle's
+        assert (cell == (True, True)) == _accepted(m), m
+        cells[cell] += 1
+    assert cells == {(False, False): 22366, (True, False): 801,
+                     (True, True): 88}
+
+
+def _catalog(change):
+    """The built-in catalog with ``change(label)`` as each entry's label
+    and model, built past ``Catalog.validate``."""
+    return Catalog({name: CatalogEntry(*change(e.label, e.model))
+                    for name, e in CAT.entries.items()})
+
+
+def test_the_oracle_reads_no_declared_type_and_the_rules_no_model():
+    """Every multiset to dim 6, each parsed with the catalog under test: the
+    oracle's verdicts survive a scramble of every label's declared type and
+    dual, and the rules' verdicts the removal of every model."""
+    sd = SelfDualityType
+    scramble = {"s3": (sd.SYMPLECTIC, "s3"), "d4": (sd.SYMPLECTIC, "d4"),
+                "q8": (sd.ORTHOGONAL, "q8"), "q8b": (sd.NOT_SELF_DUAL, "q8"),
+                "trivial": (sd.NOT_SELF_DUAL, "chi3"),
+                "chi3": (sd.ORTHOGONAL, "chi3"),
+                "chi3bar": (sd.ORTHOGONAL, "chi3bar")}
+    scrambled = _catalog(lambda label, model: (dataclasses.replace(
+        label, sd_type=scramble[label.name][0],
+        dual_name=scramble[label.name][1]), model))
+    modelless = _catalog(lambda label, model: (
+        dataclasses.replace(label, model=None), None))
+
+    def rules(p):
+        return factors_through_sp_symbolic(p), is_x_elliptic_symbolic(p)
+
+    def oracle(p, catalog):
+        v = oracle_verdicts(p, catalog)
+        return v.skew_found, v.centralizer_dim
+
+    pool = [seg(label.name, k) for label in CAT.labels()
+            for k in range(1, 6 // label.dim + 1)]
+    multisets = _multisets(pool, 6, 6)
+    assert len(multisets) == 980
+    rules_moved = 0
+    for m in multisets:
+        p = param(*m)
+        text = print_param(p)
+        assert oracle(parse_param(text, scrambled), scrambled) == oracle(
+            p, CAT), text
+        assert rules(parse_param(text, modelless)) == rules(p), text
+        rules_moved += rules(parse_param(text, scrambled)) != rules(p)
+    # the scramble is one the rules see
+    assert rules_moved > 0
+
+
+def test_both_rule_predicates_refuse_a_label_conflict():
+    # two labels named q8 that differ in their data: two catalogs mixed
+    other = dataclasses.replace(CAT.label("q8"), model=None)
+    p = param(seg("q8"), Segment(other, 1))
+    with pytest.raises(CatalogMismatchError):
+        factors_through_sp_symbolic(p)
+    with pytest.raises(CatalogMismatchError):
+        is_x_elliptic_symbolic(p)
 
 
 # -- full conjecture instances -----------------------------------------------

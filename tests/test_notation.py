@@ -226,6 +226,19 @@ def test_load_catalog_rejects_bad_values():
             "[cuspidal.x]\ndim = 1\ntype = orthogonal\nunitary = maybe\n")
 
 
+@pytest.mark.parametrize("dim", [
+    "\u0662",        # Arabic-Indic two, which int() reads as 2
+    "1_0", "+2",      # an underscore and a sign, which int() accepts
+    "2" * 4301,       # more digits than int() converts
+], ids=["arabic-indic", "underscore", "sign", "4301-digits"])
+def test_load_catalog_dim_takes_ascii_digits_only(dim):
+    # as in expressions, whose grammar reads INT as ASCII digits
+    text = f"[cuspidal.x]\ndim = {dim}\ntype = symplectic\nmodel = q8\n"
+    with pytest.raises(ConsistencyError, match="dim must be an integer"):
+        load_catalog(text)
+    assert load_catalog(text.replace(dim, "2")).label("x").dim == 2
+
+
 def test_load_catalog_rejects_unknown_model_id():
     with pytest.raises(ConsistencyError) as info:
         load_catalog("[cuspidal.x]\ndim = 2\ntype = symplectic\nmodel = zz\n")

@@ -61,6 +61,62 @@ def test_every_import_is_used(path):
     assert unused == []
 
 
+def _reads(tree):
+    """(name, innermost enclosing function or None) for every name and
+    attribute the module reads or assigns."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                found.add((child.id, scope))
+            elif isinstance(child, ast.Attribute):
+                found.add((child.attr, scope))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return found
+
+
+def _imports(tree):
+    """Every module and name the module imports, split at the dots."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names
+                         for part in alias.name.split("."))
+    return found
+
+
+def _identifiers(tree):
+    """Every name the module reads, assigns, defines or imports."""
+    return ({name for name, _ in _reads(tree)} | _imports(tree)
+            | {node.name for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))})
+
+
+def test_the_rules_meet_the_oracle_only_in_add_sp_checks():
+    """The one seam: the oracle is run from ``add_sp_checks`` alone, and
+    the matrix modules and the parameter algebra do not see each other."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert {(module, scope) for module, tree in trees.items()
+            for name, scope in _reads(tree)
+            if name == "oracle_verdicts"} == {("distinction", "add_sp_checks")}
+    assert [module for module, tree in trees.items()
+            if "attach_oracle_checks" in _identifiers(tree)] == []
+    assert _imports(trees["param_core"]).isdisjoint(
+        {"matrix_lab", "group_models"})
+    rules = {"segment_self_duality", "multiplicities", "is_tempered",
+             "sl2_duality_sign", "is_linear_distinguished", "validate_rds",
+             "factors_through_sp_symbolic", "is_x_elliptic_symbolic"}
+    for module in ("matrix_lab", "group_models"):
+        assert rules.isdisjoint(_identifiers(trees[module])), module
+
+
 def test_public_names_resolve():
     names = periodlab.__all__
     assert len(names) == len(set(names))
