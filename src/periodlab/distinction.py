@@ -203,8 +203,8 @@ class OracleVerdicts:
     elliptic, or None when no form was found or the isotropy stage hit an
     internal fault, ``isotropy_error``.  ``max_residue`` is the worst
     |g^T J g - J| entry as :meth:`FactoredForm.verify` computes it on the
-    factors (per tile, |c| max|A^T X A' - X| max|Y|; the S(k) side is
-    exact): exactly 0.0 on the exact path, and 0.0 when no form was found.
+    factors (per tile, |c| max|A^T X A' - X| max|Y|, exactly 0.0 between
+    classes whose factors are exact), and 0.0 when no form was found.
     """
 
     factors: TensorFactors

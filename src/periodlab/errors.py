@@ -56,6 +56,14 @@ class ParseError(NotationError):
 
 # -- catalog ----------------------------------------------------------------
 
+def quoted(value: str, form: str = "{!r}") -> str:
+    """``value`` as an error message names it: written by ``form``, and
+    past 40 characters cut to its first 40 and "..." and its length."""
+    if len(value) <= 40:
+        return form.format(value)
+    return f"{form.format(value[:40] + '...')} ({len(value)} characters)"
+
+
 class CatalogError(PeriodLabError):
     """A cuspidal label or model lookup failed."""
 

@@ -12,15 +12,15 @@ sp(J) off a ``matrix_lab.VerifiedForm``, checked once on its tiles by
 ``FactoredForm.verify``, and reads the realization, a
 ``matrix_lab.TensorFactors``, off the form it holds.  The classes of
 blocks with equal factors (keyed by class id) are certified to be the
-isotypic components by the commutant dimension, the
-sum over pairs of classes C, D of m_C * m_D * dim Hom(D, C), cached per
-pair of class ids and exact on the exact path; the centralizer's
-dimension is then a closed form in each class's multiplicity and the
-symmetry of its pairing.  No label name, dense generator or dense form is
-read, nothing is solved, and no block length or multiplicity is
-refused.  The symmetric powers of the binary icosahedral group 2I
-(``sl2_surrogate``) are a finite stand-in for S(k), irreducible exactly
-for k <= 6 (``SL2_SURROGATE_BOUND``); the oracle does not use them.
+isotypic components by the commutant dimension, the sum over pairs of
+classes C, D of m_C * m_D * dim Hom(D, C), cached per pair of class ids
+and exact when the classes' factors are; the centralizer's dimension is
+then a closed form in each class's multiplicity and the symmetry of its
+pairing.  No label name, dense generator or dense form is read, nothing
+is solved, and no block length or multiplicity is refused.  The
+symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``)
+are a finite stand-in for S(k), irreducible exactly for k <= 6
+(``SL2_SURROGATE_BOUND``); the oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -47,6 +47,7 @@ from .errors import (
     NonIntegralIndicatorError,
     PeriodLabError,
     SurrogateBoundExceededError,
+    quoted,
 )
 from .exactnum import I as QI
 from .exactnum import QQi
@@ -91,20 +92,19 @@ class FiniteGroup:
     inverse_idx: np.ndarray
     square_idx: np.ndarray
     generator_idxs: tuple[int, ...]
-    exact: bool
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-def _element_key(m: Matrix, exact: bool):
-    if exact:
+def _element_key(m: Matrix):
+    if m.exact:
         return m.den, tuple(m.re.flat), tuple(m.im.flat)
     return tuple(np.round(m.as_complex(), 6).ravel().tolist())
 
 
-def _generate_elements(name: str, generators: Sequence[Matrix], exact: bool
+def _generate_elements(name: str, generators: Sequence[Matrix]
                        ) -> tuple[list[Matrix], list[list[int]],
                                   list[tuple[int, int]]]:
     """BFS closure of a generating set, identity first, of at most 1000
@@ -113,10 +113,11 @@ def _generate_elements(name: str, generators: Sequence[Matrix], exact: bool
     Returns the elements; ``right[i][g]``, the index of
     ``elements[i] @ generators[g]``; and, for every element j > 0 in order,
     ``(p, g)`` with ``elements[j] = elements[p] @ generators[g]`` and p < j.
+    The identity, and so every element, is exact when every generator is.
     """
     dim = generators[0].rows if generators else 1
-    elements = [Matrix.identity(dim, exact)]
-    keys = {_element_key(elements[0], exact): 0}
+    elements = [Matrix.identity(dim, all(g.exact for g in generators))]
+    keys = {_element_key(elements[0]): 0}
     right: list[list[int]] = []
     parents: list[tuple[int, int]] = []
     # the loop also visits the elements it appends, in order: a BFS queue
@@ -124,7 +125,7 @@ def _generate_elements(name: str, generators: Sequence[Matrix], exact: bool
         row = []
         for g, gen in enumerate(generators):
             prod = m @ gen
-            j = keys.setdefault(_element_key(prod, exact), len(elements))
+            j = keys.setdefault(_element_key(prod), len(elements))
             if j == len(elements):
                 elements.append(prod)
                 parents.append((i, g))
@@ -136,9 +137,8 @@ def _generate_elements(name: str, generators: Sequence[Matrix], exact: bool
     return elements, right, parents
 
 
-def _build_group(name: str, generators: Sequence[Matrix],
-                 exact: bool) -> FiniteGroup:
-    elements, right, parents = _generate_elements(name, generators, exact)
+def _build_group(name: str, generators: Sequence[Matrix]) -> FiniteGroup:
+    elements, right, parents = _generate_elements(name, generators)
     n = len(elements)
     perms = np.array(right, dtype=np.int64)
     # e_i e_j = (e_i e_p) g for e_j = e_p g: each column is an earlier one
@@ -151,7 +151,7 @@ def _build_group(name: str, generators: Sequence[Matrix],
     if not np.array_equal(hits, np.arange(n)):
         raise ConsistencyError(f"group {name}: bad inverse structure")
     return FiniteGroup(name, tuple(elements), table, inverse_idx,
-                       table.diagonal().copy(), tuple(right[0]), exact)
+                       table.diagonal().copy(), tuple(right[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,13 @@ def _build_group(name: str, generators: Sequence[Matrix],
 class IrrepModel:
     """An irreducible matrix representation of a finite group.
 
-    ``matrices`` is indexed like ``group.elements``; ``character`` holds the
-    traces as complex floats regardless of the arithmetic path.  Per
-    generator of the group (``group.generator_idxs``), ``factors[path]``
-    holds the id of its matrix as a factor of ``matrix_lab.TensorFactors``
-    on the float path (False) and, for an exact model, the exact one (True),
-    and ``is_identity`` whether it is the identity; both are built once,
-    here.
+    ``matrices`` is indexed like ``group.elements``, and ``exact`` says
+    whether every one of them is; ``character`` holds the traces as
+    complex floats regardless of the arithmetic path.  Per generator of
+    the group (``group.generator_idxs``), ``factors`` holds the id of its
+    matrix as a factor of ``matrix_lab.TensorFactors``, on the matrix's
+    own path, and ``is_identity`` whether it is the identity; both are
+    built once, here.
     """
 
     name: str
@@ -177,7 +177,7 @@ class IrrepModel:
     matrices: tuple[Matrix, ...]
     character: np.ndarray
     exact: bool
-    factors: dict[bool, tuple[int, ...]]
+    factors: tuple[int, ...]
     is_identity: tuple[bool, ...]
 
 
@@ -189,7 +189,7 @@ def commutant_dimension(gens) -> int:
     The blocks of :func:`tensor_factors` with equal factors form a class C
     of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
     sum over pairs of classes of m_C * m_D * dim Hom(D, C), read once per
-    pair of class ids (:func:`_class_hom`); exact on the exact path.
+    pair of class ids (:func:`_class_hom`), exact when the factors are.
     """
     classes = tensor_factors(gens).classes
     return sum(len(c) * len(d) * _class_hom(i, j)
@@ -207,10 +207,10 @@ def _class_hom(c: int, d: int) -> int:
 
 
 def _make_model(name: str, group: FiniteGroup,
-                matrices: Sequence[Matrix], exact: bool) -> IrrepModel:
+                matrices: Sequence[Matrix]) -> IrrepModel:
     if len(matrices) != group.order:
         raise ConsistencyError(f"model {name}: need one matrix per element")
-    dim = matrices[0].rows
+    dim, exact = matrices[0].rows, all(m.exact for m in matrices)
     character = np.array([complex(m.trace()) for m in matrices])
     # homomorphism certificate, nothing sampled: rho(1) = I and
     # rho(x) rho(g) = rho(xg) for every element x and generator g, under
@@ -231,10 +231,9 @@ def _make_model(name: str, group: FiniteGroup,
     gen_mats = [matrices[i] for i in gen_idxs]
     if commutant_dimension(gen_mats or matrices[:1]) != 1:
         raise ConsistencyError(f"model {name} is not irreducible")
-    factors = {path: tuple(_factor(m, path) for m in gen_mats)
-               for path in {False, exact}}
     return IrrepModel(name, group, dim, tuple(matrices), character, exact,
-                      factors, tuple(m.is_identity() for m in gen_mats))
+                      tuple(map(_factor, gen_mats)),
+                      tuple(m.is_identity() for m in gen_mats))
 
 
 def fs_indicator(model: IrrepModel) -> int:
@@ -256,31 +255,31 @@ def fs_indicator(model: IrrepModel) -> int:
 
 
 def _trivial_group() -> FiniteGroup:
-    return _build_group("trivial", [], exact=True)
+    return _build_group("trivial", [])
 
 
 def _cyclic3_group() -> FiniteGroup:
     omega = complex(np.exp(2j * np.pi / 3))
     gen = Matrix.from_rows([[omega]], exact=False)
-    return _build_group("c3", [gen], exact=False)
+    return _build_group("c3", [gen])
 
 
 def _s3_group() -> FiniteGroup:
     r = Matrix.from_rows([[0, -1], [1, -1]])
     s = Matrix.from_rows([[0, 1], [1, 0]])
-    return _build_group("s3", [r, s], exact=True)
+    return _build_group("s3", [r, s])
 
 
 def _d4_group() -> FiniteGroup:
     r = Matrix.from_rows([[0, -1], [1, 0]])
     s = Matrix.from_rows([[1, 0], [0, -1]])
-    return _build_group("d4", [r, s], exact=True)
+    return _build_group("d4", [r, s])
 
 
 def _q8_group(name: str) -> FiniteGroup:
     i_mat = Matrix.from_rows([[QI, QQi(0)], [QQi(0), -QI]])
     j_mat = Matrix.from_rows([[0, 1], [-1, 0]])
-    return _build_group(name, [i_mat, j_mat], exact=True)
+    return _build_group(name, [i_mat, j_mat])
 
 
 def _spin_matrix(q: tuple[float, float, float, float]) -> Matrix:
@@ -295,7 +294,7 @@ def _icosian_group() -> FiniteGroup:
     phi = (1 + sqrt(5)) / 2
     g1 = _spin_matrix((0.5, 0.5, 0.5, 0.5))
     g2 = _spin_matrix((phi / 2, 1 / (2 * phi), 0.5, 0.0))
-    group = _build_group("icosian", [g1, g2], exact=False)
+    group = _build_group("icosian", [g1, g2])
     if group.order != 120:
         raise ConsistencyError(
             f"binary icosahedral construction gave order {group.order}")
@@ -315,7 +314,7 @@ def sl2_surrogate(k: int) -> IrrepModel:
             f"got {k}")
     group = _icosian_group()
     mats = [sym_power(m, k) for m in group.elements]
-    return _make_model(f"spin_sym{k - 1}", group, mats, exact=False)
+    return _make_model(f"spin_sym{k - 1}", group, mats)
 
 
 @cache
@@ -326,18 +325,15 @@ def _builtin_model_table() -> dict[str, IrrepModel]:
     d4 = _d4_group()
     q8a = _q8_group("q8")
     q8b = _q8_group("q8b")
-    chi3 = _make_model("chi3", c3, c3.elements, exact=False)
-    chi3bar = _make_model("chi3bar", c3,
-                          [m.conj() for m in c3.elements], exact=False)
     return {
-        "trivial": _make_model("trivial", triv_group, triv_group.elements,
-                               exact=True),
-        "chi3": chi3,
-        "chi3bar": chi3bar,
-        "s3": _make_model("s3", s3, s3.elements, exact=True),
-        "d4": _make_model("d4", d4, d4.elements, exact=True),
-        "q8": _make_model("q8", q8a, q8a.elements, exact=True),
-        "q8b": _make_model("q8b", q8b, q8b.elements, exact=True),
+        "trivial": _make_model("trivial", triv_group, triv_group.elements),
+        "chi3": _make_model("chi3", c3, c3.elements),
+        "chi3bar": _make_model("chi3bar", c3,
+                               [m.conj() for m in c3.elements]),
+        "s3": _make_model("s3", s3, s3.elements),
+        "d4": _make_model("d4", d4, d4.elements),
+        "q8": _make_model("q8", q8a, q8a.elements),
+        "q8b": _make_model("q8b", q8b, q8b.elements),
     }
 
 
@@ -365,19 +361,20 @@ class Catalog:
     def label(self, name: str) -> CuspidalLabel:
         entry = self.entries.get(name)
         if entry is None:
-            raise CatalogError(f"unknown cuspidal label {name!r}")
+            raise CatalogError(f"unknown cuspidal label {quoted(name)}")
         return entry.label
 
     def model_for(self, label: CuspidalLabel) -> IrrepModel:
         entry = self.entries.get(label.name)
         if entry is None:
-            raise CatalogError(f"unknown cuspidal label {label.name!r}")
-        if entry.label is not label and entry.label != label:
             raise CatalogError(
-                f"label {label.name!r} does not match this catalog's entry")
+                f"unknown cuspidal label {quoted(label.name)}")
+        if entry.label is not label and entry.label != label:
+            raise CatalogError(f"label {quoted(label.name)} does not match "
+                               f"this catalog's entry")
         if entry.model is None:
             raise MissingModelError(
-                f"label {label.name!r} has no finite-group model")
+                f"label {quoted(label.name)} has no finite-group model")
         return entry.model
 
     def labels(self) -> list[CuspidalLabel]:
@@ -389,26 +386,27 @@ class Catalog:
         characters element by element); raise on failure."""
         seen_models: dict[int, str] = {}
         for name, entry in self.entries.items():
-            label = entry.label
+            label, shown = entry.label, quoted(name)
             if label.name != name:
-                raise ConsistencyError(
-                    f"entry key {name!r} does not match label {label.name!r}")
+                raise ConsistencyError(f"entry key {shown} does not match "
+                                       f"label {quoted(label.name)}")
             dual_entry = self.entries.get(label.dual_name)
             if dual_entry is None:
                 raise ConsistencyError(
-                    f"label {name!r} declares unknown dual "
-                    f"{label.dual_name!r}")
+                    f"label {shown} declares unknown dual "
+                    f"{quoted(label.dual_name)}")
             dual = dual_entry.label
+            other = quoted(dual.name)
             if dual.dual_name != name:
                 raise ConsistencyError(
-                    f"labels {name!r} and {dual.name!r} are not mutually dual")
+                    f"labels {shown} and {other} are not mutually dual")
             if dual.dim != label.dim:
                 raise ConsistencyError(
-                    f"dual labels {name!r}/{dual.name!r} differ in dimension")
+                    f"dual labels {shown}/{other} differ in dimension")
             if (label.sd_type is SelfDualityType.NOT_SELF_DUAL) != (
                     dual.sd_type is SelfDualityType.NOT_SELF_DUAL):
                 raise ConsistencyError(
-                    f"dual labels {name!r}/{dual.name!r} disagree about "
+                    f"dual labels {shown}/{other} disagree about "
                     f"self-duality")
             model, dual_model = entry.model, dual_entry.model
             if model is not None and dual_model is not None and not (
@@ -416,23 +414,23 @@ class Catalog:
                         model.character - dual_model.character.conj()
                     ).max() <= _CHAR_TOL):
                 raise ConsistencyError(
-                    f"dual labels {name!r}/{dual.name!r}: their models are "
+                    f"dual labels {shown}/{other}: their models are "
                     f"not contragredient representations of one group")
             if entry.model is not None:
                 if entry.model.dim != label.dim:
                     raise ConsistencyError(
-                        f"label {name!r} has dim {label.dim} but its model "
+                        f"label {shown} has dim {label.dim} but its model "
                         f"has dim {entry.model.dim}")
                 indicator = fs_indicator(entry.model)
                 if indicator != label.sd_type.sign:
                     raise ConsistencyError(
-                        f"label {name!r}: declared type {label.sd_type.value} "
+                        f"label {shown}: declared type {label.sd_type.value} "
                         f"(sign {label.sd_type.sign}) but the model indicator "
                         f"is {indicator}")
                 owner = seen_models.get(id(entry.model))
                 if owner is not None:
                     raise ConsistencyError(
-                        f"labels {owner!r} and {name!r} share one model; "
+                        f"labels {quoted(owner)} and {shown} share one model; "
                         f"distinct labels need distinct models")
                 seen_models[id(entry.model)] = name
 

@@ -10,8 +10,8 @@ Two arithmetic paths coexist:
   ``FLOAT_TOL = 1e-9``, used as soon as a construction needs other roots of
   unity or quaternion entries.
 
-A :class:`Matrix` records which path produced it; mixing paths silently
-downgrades to floats.  Each path has one comparison rule,
+A :class:`Matrix` records which path produced it; a solve runs exact
+exactly when every factor it reads is.  Each path has one comparison rule,
 :meth:`Matrix.equals`.  An exact matrix is stored only as its
 Gaussian-integer image ``(re, im, den)``: the matrix is ``(re + i*im)/den``
 with ``re`` and ``im`` object arrays of Python ints and ``den`` a positive
@@ -42,7 +42,7 @@ returns them as one :class:`TensorFactors`, the one object a realized
 parameter is; a form on it (:class:`FactoredForm`) holds it, and
 :meth:`FactoredForm.verify` returns the :class:`VerifiedForm`.  Each
 distinct factor gets one small int id (:func:`_factor`), keyed on its
-shape and value, and each block class (factor ids, r, k, path) one id
+shape and value, and each block class (rho factor ids, r, k) one id
 (:attr:`TensorFactors.class_ids`), once its factors are shown invertible.
 A block pair's forms are X (x) Y, X row reduced on the rho factors' ids, Y
 solved by the weights of (k, k').  The oracle reads ints and records
@@ -576,7 +576,7 @@ def classify_form(gram: Matrix) -> BilinearForm:
     factor table holds gets that form itself."""
     if not gram.is_square:
         raise ShapeMismatchError("bilinear forms need square gram matrices")
-    form = _reading(_factor(gram, gram.exact))
+    form = _reading(_factor(gram))
     return form if form.gram is gram else BilinearForm(
         gram, form.symmetry, form.nondegenerate)
 
@@ -945,23 +945,23 @@ def _intertwining_rows(l: Matrix, r: Matrix) -> list[dict]:
     return rows
 
 
-def _factor_solve(ls: tuple, rs: tuple, a: int, b: int, exact: bool,
-                  rows: Callable, dense: Callable) -> tuple[Matrix, ...]:
+def _factor_solve(ls: tuple, rs: tuple, a: int, b: int, rows: Callable,
+                  dense: Callable) -> tuple[Matrix, ...]:
     """Basis of the a x b matrices X that the ``rows`` of every (L, R) in
-    ``zip(ls, rs)`` annihilate: exact row reduction when ``exact``, else
-    the float rank rule on the ``dense`` rows."""
+    ``zip(ls, rs)`` annihilate: exact row reduction when every factor is
+    exact, else the float rank rule on the ``dense`` rows."""
     pairs = [(_FACTORS[l], _FACTORS[r]) for l, r in zip(ls, rs)]
-    if exact:
+    if all(_SHAPES[f][1] for f in ls + rs):
         return tuple(v.apply(lambda m: m.reshape(a, b)) for v in
                      nullspace_exact([row for l, r in pairs
                                       for row in rows(l, r)], a * b))
     return tuple(Matrix.from_array(v.reshape(a, b)) for v in nullspace_float(
-        [dense(l.data, r.data) for l, r in pairs], a * b).T)
+        [dense(l.as_complex(), r.as_complex()) for l, r in pairs], a * b).T)
 
 
 @lru_cache(maxsize=512)
-def invariant_pairings(ls: tuple, rs: tuple, a: int, b: int,
-                       exact: bool) -> tuple[Matrix, ...]:
+def invariant_pairings(ls: tuple, rs: tuple, a: int,
+                       b: int) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L^T X R = X for every (L, R) in
     ``zip(ls, rs)``}: the rho side of a block pair, or a bare list of
     generators.
@@ -969,23 +969,23 @@ def invariant_pairings(ls: tuple, rs: tuple, a: int, b: int,
     Each L (a x a) and R (b x b) is given as a factor id of
     :class:`TensorFactors`, so solves are cached on the ids, and a miss
     reads the matrices behind them.  Exact row reduction of
-    :func:`_pairing_rows` when ``exact``, else the float rank rule; each
-    basis element an a x b :class:`Matrix`.  The S(k) side is solved by its
-    weights instead (:func:`sl2_pairings`).
+    :func:`_pairing_rows` when every factor is exact, else the float rank
+    rule; each basis element an a x b :class:`Matrix`.  The S(k) side is
+    solved by its weights instead (:func:`sl2_pairings`).
     """
-    return _factor_solve(ls, rs, a, b, exact, _pairing_rows,
+    return _factor_solve(ls, rs, a, b, _pairing_rows,
                          lambda l, r: np.kron(l.T, r.T) - np.eye(a * b))
 
 
 @lru_cache(maxsize=512)
-def intertwiners(ls: tuple, rs: tuple, a: int, b: int,
-                 exact: bool) -> tuple[Matrix, ...]:
+def intertwiners(ls: tuple, rs: tuple, a: int,
+                 b: int) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L X = X R for every (L, R) in ``zip(ls, rs)``},
     with arguments and result as for :func:`invariant_pairings`, solved on
     :func:`_intertwining_rows`.  The S(k) side is solved by its weights
     instead (:func:`sl2_intertwiners`)."""
     return _factor_solve(
-        ls, rs, a, b, exact, _intertwining_rows,
+        ls, rs, a, b, _intertwining_rows,
         lambda l, r: np.kron(l, np.eye(b)) - np.kron(np.eye(a), r.T))
 
 
@@ -1021,49 +1021,48 @@ class TensorFactors:
     block as g = (+)_i A_i (x) I_(k_i) (a rho generator) or
     g = (+)_i I_(r_i) (x) U_i (an S(k) generator).
 
-    ``blocks`` holds (lo, r, k) per block; ``rho[i]`` the A_i of every rho
-    generator and ``sl2[i]`` the U_i of every S(k) generator, in generator
-    order (rho generators first), each as the id :func:`_factor` gives it.
-    ``exact`` is the path of the rho side, which follows the label models;
-    the S(k) side, the integer exp(E) and exp(F) of ``_exp_factors(k)``
-    (none when every k is 1), is always exact, also next to a float label,
-    and its solves read k alone.  Built with them, ``class_ids`` holds each
-    block's class id, of (rho ids, S(k) ids, r, k, path) in the class
-    table, and ``classes`` the blocks of each id.  A class enters the table
-    once its factors are shown invertible (as A (x) I and I (x) U are
-    exactly when A and U are), else ``ValueError``; :meth:`dense` places the
-    generators.
+    ``blocks`` holds (lo, r, k) per block and ``rho[i]`` the A_i of every
+    rho generator, in generator order, each as its :func:`_factor` id.
+    The S(k) generators, exp(E) and exp(F) of every block when some k > 1
+    and none otherwise, are exact next to any label and solved from k
+    alone.  Built with them, ``class_ids`` holds each block's class id, of
+    (rho ids, r, k) in the class table, which also records whether its rho
+    factors are exact, and ``classes`` the blocks of each id.  A class
+    enters the table once its factors are shown invertible (as A (x) I is
+    exactly when A is), else ``ValueError``; :meth:`dense` places them.
     """
 
     n: int
     blocks: tuple[tuple[int, int, int], ...]
     rho: tuple[tuple[int, ...], ...]
-    sl2: tuple[tuple[int, ...], ...]
-    exact: bool
     class_ids: tuple[int, ...] = field(init=False, compare=False)
     classes: dict[int, list[int]] = field(init=False, compare=False)
 
     def __post_init__(self):
         ids, classes = [], {}
-        for i, (a, u, (_, r, k)) in enumerate(
-                zip(self.rho, self.sl2, self.blocks)):
-            key = a, u, r, k, self.exact
+        for i, (a, (_, r, k)) in enumerate(zip(self.rho, self.blocks)):
+            key = a, r, k
             c = _CLASS_IDS.get(key)
             if c is None:
-                if not all(_reading(f).nondegenerate for f in (*a, *u)):
+                if not all(_reading(f).nondegenerate for f in a):
                     raise ValueError("generators must be invertible")
                 c = _CLASS_IDS[key] = len(_CLASSES)
-                _CLASSES.append(key)
+                _CLASSES.append((*key, all(_SHAPES[f][1] for f in a)))
             ids.append(c)
             classes.setdefault(c, []).append(i)
         object.__setattr__(self, "class_ids", tuple(ids))
         object.__setattr__(self, "classes", classes)
 
+    @property
+    def exact(self) -> bool:
+        """Whether every generator is exact: every class's rho factors."""
+        return all(_CLASSES[c][3] for c in self.classes)
+
     def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
         """The solve arguments of block pair (i, j): of the rho side, its
-        factor ids, sizes and path; of the S(k) side, k and k'."""
+        factor ids and sizes; of the S(k) side, k and k'."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return (self.rho[i], self.rho[j], r, r2, self.exact), (k, k2)
+        return (self.rho[i], self.rho[j], r, r2), (k, k2)
 
     def block_pairs(self):
         """Per block pair (i, j): where i and j start, and :meth:`pair`."""
@@ -1075,13 +1074,15 @@ class TensorFactors:
         """The generators as n x n matrices, in generator order.  On a block
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
+        ks = [k for *_, k in self.blocks]
+        sl2 = [_exp_factors(k) for k in ks] if max(ks) > 1 else [()] * len(ks)
         return [_placed(self.n, [
             (at, at, _FACTORS[f[g]])
             for (lo, r, k), f in zip(self.blocks, side)
             for c in range(k if is_rho else r)
             for at in [slice(lo + c, lo + r * k, k) if is_rho
                        else slice(lo + c * k, lo + c * k + k)]])
-            for side, is_rho in ((self.rho, True), (self.sl2, False))
+            for side, is_rho in ((self.rho, True), (sl2, False))
             for g in range(len(side[0]))]
 
 
@@ -1095,21 +1096,19 @@ _SHAPES: list[tuple[tuple[int, int], bool]] = []
 _TABLED: dict[int, int] = {}
 
 
-def _factor(m: Matrix, exact: bool) -> int:
+def _factor(m: Matrix) -> int:
     """The id of ``m`` as a factor of :class:`TensorFactors` or
-    :class:`FactoredForm`, on the exact path when ``exact`` and else as a
-    complex matrix.  Its key is its shape and its reduced image ``(re, im,
-    den)``, or on the float path its complex entries; equal keys get equal
-    ids, and a new key the next id, under which ``_FACTORS`` keeps the
-    matrix.  A matrix the table holds, asked for on its own path, is
+    :class:`FactoredForm`, on its own path.  Its key is its shape and its
+    reduced image ``(re, im, den)``, or on the float path its complex
+    entries; equal keys get equal ids, and a new key the next id, under
+    which ``_FACTORS`` keeps the matrix.  A matrix the table holds is
     found by identity, without its key."""
     fid = _TABLED.get(id(m))
-    if fid is not None and m.exact == exact:
+    if fid is not None:
         return fid
-    if exact:
+    if m.exact:
         key = m.shape, tuple(m.re.flat), tuple(m.im.flat), m.den
     else:
-        m = Matrix(m.as_complex())
         key = m.shape, tuple(m.data.ravel().tolist())
     fid = _FACTOR_IDS.setdefault(key, len(_FACTORS))
     if fid == len(_FACTORS):
@@ -1128,8 +1127,8 @@ _CLASSES: list[tuple] = []
 
 def _class_pair(c: int, d: int) -> tuple[tuple, tuple]:
     """:meth:`TensorFactors.pair` of a block of class c and one of d."""
-    (ls, _, r, k, exact), (rs, _, r2, k2, _) = _CLASSES[c], _CLASSES[d]
-    return (ls, rs, r, r2, exact), (k, k2)
+    (ls, r, k, _), (rs, r2, k2, _) = _CLASSES[c], _CLASSES[d]
+    return (ls, rs, r, r2), (k, k2)
 
 
 @lru_cache(maxsize=None)
@@ -1150,15 +1149,15 @@ def _reading(factor: int) -> BilinearForm:
 
 
 @lru_cache(maxsize=None)
-def _identity(size: int, exact: bool) -> int:
-    """The factor of the size x size identity, built once."""
-    return _factor(Matrix.identity(size, exact), exact)
+def _identity(size: int) -> int:
+    """The factor of the exact size x size identity, built once."""
+    return _factor(Matrix.identity(size))
 
 
 @lru_cache(maxsize=512)
 def _exp_factors(k: int) -> tuple[int, int]:
     """The factors of ``sl2_exp_e(k)`` and ``sl2_exp_f(k)``, built once."""
-    return _factor(sl2_exp_e(k), True), _factor(sl2_exp_f(k), True)
+    return _factor(sl2_exp_e(k)), _factor(sl2_exp_f(k))
 
 
 def tensor_factors(gens) -> TensorFactors:
@@ -1174,9 +1173,7 @@ def tensor_factors(gens) -> TensorFactors:
     for m in mats:
         if not m.is_square or m.rows != n:
             raise ShapeMismatchError("generators must be square of equal size")
-    exact = all(m.exact for m in mats)
-    rho = tuple(_factor(m, exact) for m in mats)
-    return TensorFactors(n, ((0, n, 1),), (rho,), ((),), exact)
+    return TensorFactors(n, ((0, n, 1),), (tuple(map(_factor, mats)),))
 
 
 def invariant_forms(gens) -> list[BilinearForm]:
@@ -1191,11 +1188,11 @@ def invariant_forms(gens) -> list[BilinearForm]:
     (the realization's blocks, or one block for a bare list of generators):
     its forms there are X (x) Y, with X in :func:`invariant_pairings` of the
     A_i, A_j and Y in :func:`sl2_pairings` of k_i, k_j; each factor is
-    solved on its side's path, and X (x) Y is complex unless both are
-    exact.  On the exact path X (x) Y is formed in Gaussian integers, up to
-    scale, and the symmetric and skew parts are reduced row echelon forms,
-    unique whatever the spanning vectors, so they do not depend on the
-    factorization.
+    solved on its own factors' path, and X (x) Y is complex unless every
+    generator is exact.  On the exact path X (x) Y is formed in Gaussian
+    integers, up to scale, and the symmetric and skew parts are reduced
+    row echelon forms, unique whatever the spanning vectors, so they do
+    not depend on the factorization.
     """
     tf = tensor_factors(gens)
     n, exact = tf.n, tf.exact
@@ -1278,8 +1275,7 @@ def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
 def _pairing_factors(solve: Callable, *args) -> tuple:
     """The basis of a pairing solve, ``solve(*args)``, each X given as the
     factors of X and X^T, built once per solve."""
-    return tuple((_factor(m, m.exact), _factor(m.T, m.exact))
-                 for m in solve(*args))
+    return tuple((_factor(m), _factor(m.T)) for m in solve(*args))
 
 
 def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
@@ -1309,10 +1305,10 @@ class FactoredForm:
     """A bilinear form on the blocks of ``factors``, given by its tiles:
     (i, j, c, X, Y) is c * X (x) Y on the rows of block i and the columns
     of block j, at most one per block row, and zero elsewhere.  X (r_i x
-    r_j) and Y (k_i x k_j) are factor ids, X on the path of the rho side,
-    Y exact; :meth:`Matrix.scale` takes c.  The one pass that fills
-    ``rows`` (each block row's tile, or None) refuses a tile off the blocks
-    or not fitting them.  ``gram`` is placed on demand.
+    r_j) and Y (k_i x k_j) are factor ids, X exact when both blocks'
+    classes are, Y exact; :meth:`Matrix.scale` takes c.  The one pass that
+    fills ``rows`` (each block row's tile, or None) refuses a tile off the
+    blocks or not fitting them.  ``gram`` is placed on demand.
     """
 
     factors: TensorFactors
@@ -1320,7 +1316,7 @@ class FactoredForm:
     rows: list[tuple | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        blocks, exact = self.factors.blocks, self.factors.exact
+        blocks, ids = self.factors.blocks, self.factors.class_ids
         size = len(blocks)
         rows = [None] * size
         for tile in self.tiles:
@@ -1329,6 +1325,7 @@ class FactoredForm:
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) lies off the {size} blocks")
             (_, r, k), (_, r2, k2) = blocks[i], blocks[j]
+            exact = _CLASSES[ids[i]][3] and _CLASSES[ids[j]][3]
             if _SHAPES[x] != ((r, r2), exact) or _SHAPES[y] != ((k, k2), True):
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) does not fit its blocks")
@@ -1358,8 +1355,8 @@ class FactoredForm:
         tiles pair the blocks one to one.  Invariant: A_i^T X A_j = X and
         U_i^T Y U_j = Y on each tile, on the classes of i and j
         (:func:`_tile_residue`); a tile's residue is |c| times that
-        check's, 0.0 on the exact path.  No dense generator or dense form
-        is built.
+        check's, 0.0 between classes whose rho factors are exact.  No
+        dense generator or dense form is built.
         """
         rows, ids, residue = self.rows, self.factors.class_ids, 0.0
         nondegenerate = len(self.tiles) == len(rows)
@@ -1398,15 +1395,10 @@ class VerifiedForm:
 @lru_cache(maxsize=None)
 def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
     """Whether L^T X R = X for the rho generators (L, R) of block classes c
-    and d (by :meth:`Matrix.equals`) and U^T Y U' = Y for their S(k) ones
-    (:func:`_sl2_fixed`), X and Y factor ids: None when not, else the
-    residue max|L^T X R - X| max|Y|, 0.0 on the exact path.  S(k)
-    generators other than exp E and exp F are an internal error."""
-    (ls, us, _, k, _), (rs, vs, _, k2, _) = _CLASSES[c], _CLASSES[d]
-    if (us or vs) and (us, vs) != (_exp_factors(k), _exp_factors(k2)):
-        raise PeriodLabError(
-            f"internal: the S(k) generators of a block class are not exp E "
-            f"and exp F (k={k}, k'={k2})")
+    and d (by :meth:`Matrix.equals`) and U^T Y U' = Y for exp E and exp F
+    of k and k' (:func:`_sl2_fixed`), X and Y factor ids: None when not,
+    else the residue max|L^T X R - X| max|Y|, 0.0 when exact."""
+    (ls, _, k, _), (rs, _, k2, _) = _CLASSES[c], _CLASSES[d]
     xm, worst = _FACTORS[x], 0.0
     for l, r in zip(ls, rs):
         moved = _FACTORS[l].T @ xm @ _FACTORS[r]
@@ -1414,7 +1406,7 @@ def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
             return None
         if not moved.exact:
             worst = max(worst, moved.max_abs_diff(xm))
-    if us and not _sl2_fixed(k, k2, _FACTORS[y]):
+    if not _sl2_fixed(k, k2, _FACTORS[y]):
         return None
     return worst * float(np.abs(_FACTORS[y].as_complex()).max(initial=0.0))
 
@@ -1569,11 +1561,10 @@ def _binomial_poly(x, y, power: int, zero):
 
 
 @lru_cache(maxsize=1024)
-def _model_set(distinct: tuple) -> tuple[bool, dict]:
-    """The path and the rho factors of each model of a realization whose
-    label models are ``distinct``, in order of first appearance.  Models
-    hash by identity, so this is built once per model set of a catalog."""
-    exact = all(m.exact for m in distinct)
+def _model_set(distinct: tuple) -> dict:
+    """The rho factors of each model of a realization whose label models
+    are ``distinct``, in order of first appearance.  Models hash by
+    identity, so this is built once per model set of a catalog."""
     groups: dict = {}
     for m in distinct:
         groups.setdefault(m.group, []).append(m)
@@ -1581,10 +1572,9 @@ def _model_set(distinct: tuple) -> tuple[bool, dict]:
     moving = [(g, [pos for pos in range(len(g.generator_idxs))
                    if not all(m.is_identity[pos] for m in members)])
               for g, members in groups.items()]
-    rho_of = {m: tuple(f for g, ps in moving for f in (
-        [m.factors[exact][pos] for pos in ps] if m.group is g
-        else [_identity(m.dim, exact)] * len(ps))) for m in distinct}
-    return exact, rho_of
+    return {m: tuple(f for g, ps in moving for f in (
+        [m.factors[pos] for pos in ps] if m.group is g
+        else [_identity(m.dim)] * len(ps))) for m in distinct}
 
 
 def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
@@ -1604,7 +1594,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
     segs = p.segments
     if not segs:
         raise ValueError("cannot realize the empty parameter")
-    models, blocks, ks, lo = [], [], [], 0
+    models, blocks, lo = [], [], 0
     for s in segs:
         label, k = s.cuspidal, s.k
         if s.twist:
@@ -1613,9 +1603,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
                 f"realizations are defined for twist zero")
         models.append(catalog.model_for(label))
         blocks.append((lo, label.dim, k))
-        ks.append(k)
         lo += label.dim * k
-    exact, rho_of = _model_set(tuple(dict.fromkeys(models)))
-    sl2 = tuple(map(_exp_factors, ks)) if max(ks) > 1 else ((),) * len(ks)
+    rho_of = _model_set(tuple(dict.fromkeys(models)))
     return TensorFactors(lo, tuple(blocks),
-                         tuple(map(rho_of.__getitem__, models)), sl2, exact)
+                         tuple(map(rho_of.__getitem__, models)))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CatalogError, ConsistencyError, ParseError
+from .errors import CatalogError, ConsistencyError, ParseError, quoted
 from .group_models import Catalog, CatalogEntry, builtin_models
 from .param_core import CuspidalLabel, Segment, SelfDualityType, WDParameter
 
@@ -181,7 +181,7 @@ class _Parser:
         except CatalogError:
             raise CatalogError(
                 f"{tok.line}:{tok.col}: unknown cuspidal label "
-                f"{tok.text!r}") from None
+                f"{quoted(tok.text)}") from None
 
     def twist(self) -> Fraction:
         self.advance()  # '*'
@@ -261,7 +261,7 @@ def _parse_bool(value: str, where: str) -> bool:
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConsistencyError(f"{where}: expected a boolean, got {value!r}")
+    raise ConsistencyError(f"{where}: expected a boolean, got {quoted(value)}")
 
 
 def load_catalog(text: str) -> Catalog:
@@ -283,38 +283,40 @@ def load_catalog(text: str) -> Catalog:
         if lineno is None and getattr(exc, "errors", None):
             lineno = exc.errors[0][0]
         first = str(exc).splitlines()[0]
+        for value in (getattr(exc, a, None) for a in ("section", "option")):
+            if value:  # the name of a duplicate section or key
+                first = first.replace(repr(value), quoted(value))
         raise ParseError(f"catalog: {first}", lineno or 1, 1) from None
 
     entries: dict[str, CatalogEntry] = {}
     for section in parser.sections():
+        where = quoted(section, "[{}]")
         if not section.startswith(_SECTION_PREFIX):
             raise ParseError(
-                f"catalog: unknown section [{section}]; expected "
+                f"catalog: unknown section {where}; expected "
                 f"[cuspidal.<name>]", _section_line(text, section), 1)
         name = section[len(_SECTION_PREFIX):]
-        where = f"[{section}]"
         keys = {k: _strip_quotes(v) for k, v in parser.items(section)}
         unknown = sorted(set(keys) - _KNOWN_KEYS)
         if unknown:
-            raise ConsistencyError(f"{where}: unknown keys {unknown}")
+            listed = ", ".join(map(quoted, unknown))
+            raise ConsistencyError(f"{where}: unknown keys [{listed}]")
         for required in ("dim", "type"):
             if required not in keys:
                 raise ConsistencyError(f"{where}: missing key {required!r}")
-        digits = keys["dim"].isascii() and keys["dim"].isdigit()
         try:  # ASCII digits, as in expressions: int() also takes "+2", "1_0"
-            if not digits:
+            if not (keys["dim"].isascii() and keys["dim"].isdigit()):
                 raise ValueError
             dim = int(keys["dim"])  # refuses more digits than it converts
-        except ValueError:  # too many digits: named by their count
-            got = f"{len(keys['dim'])} digits" if digits else repr(keys["dim"])
-            raise ConsistencyError(
-                f"{where}: dim must be an integer, got {got}") from None
+        except ValueError:  # not ASCII digits, or more than int() takes
+            raise ConsistencyError(f"{where}: dim must be an integer, got "
+                                   f"{quoted(keys['dim'])}") from None
         try:
             sd_type = SelfDualityType(keys["type"])
         except ValueError:
             raise ConsistencyError(
                 f"{where}: type must be one of orthogonal, symplectic, "
-                f"none; got {keys['type']!r}") from None
+                f"none; got {quoted(keys['type'])}") from None
         unitary = _parse_bool(keys.get("unitary", "true"), where)
         model_id = keys.get("model")
         label = CuspidalLabel(name, dim, sd_type,
@@ -325,8 +327,8 @@ def load_catalog(text: str) -> Catalog:
             model = registry.get(model_id)
             if model is None:
                 raise ConsistencyError(
-                    f"{where}: unknown model id {model_id!r}; available: "
-                    f"{sorted(registry)}")
+                    f"{where}: unknown model id {quoted(model_id)}; "
+                    f"available: {sorted(registry)}")
         entries[name] = CatalogEntry(label, model)
 
     catalog = Catalog(entries)

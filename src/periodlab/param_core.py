@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import CatalogMismatchError, ConsistencyError
+from .errors import CatalogMismatchError, ConsistencyError, quoted
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"St", "nu"})
@@ -71,24 +71,25 @@ class CuspidalLabel:
     model: str | None = None
 
     def __post_init__(self):
+        name = quoted(self.name, "{}")
         if not _NAME_RE.match(self.name) or self.name in _RESERVED_NAMES:
-            raise ConsistencyError(f"invalid label name {self.name!r}")
+            raise ConsistencyError(f"invalid label name {quoted(self.name)}")
         if self.dim < 1:
-            raise ConsistencyError(f"label {self.name}: dim must be >= 1")
+            raise ConsistencyError(f"label {name}: dim must be >= 1")
         if self.sd_type is SelfDualityType.SYMPLECTIC and self.dim % 2:
             raise ConsistencyError(
-                f"label {self.name}: symplectic labels need even dimension, "
+                f"label {name}: symplectic labels need even dimension, "
                 f"got {self.dim}")
         if not self.dual_name:
             if self.sd_type is SelfDualityType.NOT_SELF_DUAL:
                 raise ConsistencyError(
-                    f"label {self.name}: non-self-dual labels need a dual name")
+                    f"label {name}: non-self-dual labels need a dual name")
             object.__setattr__(self, "dual_name", self.name)
         is_self_dual = self.dual_name == self.name
         if is_self_dual != (self.sd_type is not SelfDualityType.NOT_SELF_DUAL):
             raise ConsistencyError(
-                f"label {self.name}: dual_name must equal name exactly for "
-                f"self-dual labels (dual_name={self.dual_name!r}, "
+                f"label {name}: dual_name must equal name exactly for "
+                f"self-dual labels (dual_name={quoted(self.dual_name)}, "
                 f"type={self.sd_type.value})")
 
     @property

@@ -184,6 +184,41 @@ def test_a_catalog_dim_of_too_many_digits_is_named_by_its_count(tmp_path,
     assert len(check["details"].encode()) < 200
 
 
+LONG = "x" * 5000
+_LONG_VALUES = {
+    "unitary": f"[cuspidal.t]\ndim = 1\ntype = orthogonal\nunitary = {LONG}\n",
+    "model": f"[cuspidal.t]\ndim = 1\ntype = orthogonal\nmodel = {LONG}\n",
+    "dual": f"[cuspidal.t]\ndim = 1\ntype = none\ndual = {LONG}\n",
+    "unknown-key": f"[cuspidal.t]\ndim = 1\ntype = orthogonal\n{LONG} = 1\n",
+    "unknown-section": f"[{LONG}]\ndim = 1\ntype = orthogonal\n",
+    "dim": f"[cuspidal.t]\ndim = {LONG}\ntype = orthogonal\n",
+    "type": f"[cuspidal.t]\ndim = 1\ntype = {LONG}\n",
+    "label-name": f"[cuspidal.{LONG}]\ndim = 1\ntype = none\n",
+    "duplicate-section": f"[cuspidal.{LONG}]\ndim = 1\n" * 2,
+    "duplicate-key": f"[cuspidal.t]\ndim = 1\n{LONG} = 1\n{LONG} = 2\n",
+    "expression-label": None,
+}
+
+
+@pytest.mark.parametrize("key", _LONG_VALUES)
+def test_a_long_rejected_value_is_named_by_its_prefix_and_length(
+        key, tmp_path, capsys):
+    # a 5,000-character value, once echoed whole, is cut to its first 40
+    # characters and its length; short values keep their text (the
+    # unknown-label golden, the dim messages above)
+    argv = ["classify", f"St(3,{LONG})", "--json"]
+    if _LONG_VALUES[key] is not None:
+        path = tmp_path / "long.ini"
+        path.write_text(_LONG_VALUES[key], encoding="utf-8")
+        argv = ["classify", "t", "--catalog", str(path), "--json"]
+    assert main(argv) == 3
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "catalog" and check["verdict"] == ERROR
+    assert re.search(r"x{31}\.\.\.", check["details"])
+    assert re.search(r"\(50\d\d characters\)", check["details"])
+    assert len(check["details"]) < 200
+
+
 def test_classify_with_user_catalog(tmp_path, capsys):
     path = tmp_path / "user.ini"
     path.write_text(USER_CATALOG, encoding="utf-8")
@@ -343,6 +378,18 @@ def test_classify_exact_residue_is_exactly_zero(capsys):
     assert main(["classify", "q8 (+) St(6,trivial)", "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "max |g^T J g - J| = 0.00e+00" in out
+
+
+@pytest.mark.parametrize("expr", ["St(3,chi3) (+) St(3,chi3bar) (+) q8",
+                                  "chi3 (+) chi3bar (+) s3 (+) s3"])
+def test_a_mixed_realization_reports_the_residue_of_its_float_tiles(expr,
+                                                                    capsys):
+    # the exact label's tiles stay exact next to the float dual pair, so
+    # the residue is the float tiles' own, 2^-53
+    p = periodlab.parse_param(expr, builtin_catalog())
+    assert distinction.oracle_verdicts(p).max_residue == 2.0 ** -53
+    assert main(["classify", expr, "--oracle"]) == 1
+    assert "max |g^T J g - J| = 1.11e-16" in capsys.readouterr().out
 
 
 def test_classify_large_float_form_passes_relative_tolerance(capsys):

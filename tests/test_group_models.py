@@ -88,11 +88,16 @@ def skew_of(gens):
 ONE = Matrix.identity(1)
 
 
+def on_path(m, exact):
+    """``m``, or its float twin when not ``exact``."""
+    return m if exact else Matrix.from_array(m.as_complex())
+
+
 def form_of(gens, *tiles):
     """The factored form on the blocks of ``gens`` with ``tiles``
-    (i, j, c, X, Y) of matrices, X on the generators' path and Y exact."""
+    (i, j, c, X, Y) of exact matrices, X on the generators' path."""
     return FactoredForm(gens, tuple(
-        (i, j, c, _factor(x, gens.exact), _factor(y, True))
+        (i, j, c, _factor(on_path(x, gens.exact)), _factor(y))
         for i, j, c, x, y in tiles))
 
 
@@ -167,15 +172,15 @@ def test_surrogate_group_is_binary_icosahedral():
     assert sl2_surrogate(2).group.order == 120
 
 
-def _reference_group(generators, exact):
+def _reference_group(generators):
     """The table, inverses, squares and generator indices of the group
     closed from ``generators``, keyed one product ``a @ b`` at a time."""
-    elements, _, _ = group_models._generate_elements("ref", generators, exact)
-    keys = {_element_key(m, exact): i for i, m in enumerate(elements)}
-    table = np.array([[keys[_element_key(a @ b, exact)] for b in elements]
+    elements, _, _ = group_models._generate_elements("ref", generators)
+    keys = {_element_key(m): i for i, m in enumerate(elements)}
+    table = np.array([[keys[_element_key(a @ b)] for b in elements]
                       for a in elements])
     inverse = np.array([list(row).index(0) for row in table])
-    gens = tuple(keys[_element_key(g, exact)] for g in generators)
+    gens = tuple(keys[_element_key(g)] for g in generators)
     return table, inverse, table.diagonal(), gens
 
 
@@ -192,15 +197,15 @@ def test_group_tables_match_the_per_pair_reference(build, exact, monkeypatch):
     calls = []
     real = group_models._build_group
 
-    def recording(name, generators, exact):
-        calls.append((generators, exact))
-        return real(name, generators, exact)
+    def recording(name, generators):
+        calls.append(generators)
+        return real(name, generators)
 
     monkeypatch.setattr(group_models, "_build_group", recording)
     group = build()
-    (generators, built_exact), = calls
-    assert built_exact == group.exact == exact
-    table, inverse, square, gens = _reference_group(generators, exact)
+    generators, = calls
+    assert {m.exact for m in (*generators, *group.elements)} == {exact}
+    table, inverse, square, gens = _reference_group(generators)
     assert np.array_equal(group.table, table)
     assert np.array_equal(group.inverse_idx, inverse)
     assert np.array_equal(group.square_idx, square)
@@ -227,7 +232,7 @@ _TABLE_MISMATCH = "do not respect the group table"
 def test_certificate_refuses_one_negated_element(name):
     model = MODELS[name]
     group = model.group
-    rebuilt = group_models._make_model(name, group, model.matrices, True)
+    rebuilt = group_models._make_model(name, group, model.matrices)
     assert np.array_equal(rebuilt.character, model.character)
     others = [i for i in range(group.order) if i not in group.generator_idxs]
     assert len(others) == group.order - 2
@@ -235,7 +240,7 @@ def test_certificate_refuses_one_negated_element(name):
         mats = list(model.matrices)
         mats[i] = -mats[i]
         with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
-            group_models._make_model(name, group, mats, True)
+            group_models._make_model(name, group, mats)
 
 
 @pytest.mark.parametrize("value", [0, 2, -1])
@@ -243,12 +248,12 @@ def test_certificate_refuses_a_trivial_model_off_the_identity(value):
     group = MODELS["trivial"].group
     with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
         group_models._make_model("trivial", group,
-                                 [Matrix.from_rows([[value]])], True)
+                                 [Matrix.from_rows([[value]])])
 
 
 def test_certificate_accepts_the_float_surrogate():
     model = sl2_surrogate(3)
-    rebuilt = group_models._make_model("s", model.group, model.matrices, False)
+    rebuilt = group_models._make_model("s", model.group, model.matrices)
     assert np.array_equal(rebuilt.character, model.character)
     assert fs_indicator(rebuilt) == 1
 
@@ -260,7 +265,7 @@ def test_certificate_refuses_a_perturbed_surrogate_element(i):
     mats = list(model.matrices)
     mats[i] = Matrix.from_array(mats[i].as_complex() + 1e-6)
     with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
-        group_models._make_model("s", model.group, mats, False)
+        group_models._make_model("s", model.group, mats)
 
 
 # -- catalogs -------------------------------------------------------------------
@@ -345,10 +350,10 @@ def test_validate_rejects_dual_labels_whose_models_are_not_dual(case):
     if case == "two-groups":
         c3 = group_models._cyclic3_group()
         dual_model = group_models._make_model(
-            "chi3bar", c3, [m.conj() for m in c3.elements], exact=False)
+            "chi3bar", c3, [m.conj() for m in c3.elements])
     else:
         dual_model = group_models._make_model(
-            "chi3 again", chi3.group, chi3.matrices, exact=False)
+            "chi3 again", chi3.group, chi3.matrices)
     cat = _dual_pair_catalog(chi3, dual_model)
     with pytest.raises(ConsistencyError, match="not contragredient"):
         cat.validate()
@@ -409,9 +414,9 @@ def _foreign_generators(case):
     base = oracle_gens(seg("q8"))
     s = Matrix.from_rows([[1, 1], [0, 1]])
     s_inv = Matrix.from_rows([[1, -1], [0, 1]])
-    rho = tuple(tuple(_factor(m, True) for m in mats) for mats in (
+    rho = tuple(tuple(map(_factor, mats)) for mats in (
         base.dense(), [s @ g @ s_inv for g in base.dense()]))
-    gens = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
+    gens = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho)
     x = skew_of(base).form.gram
     return gens, form_of(gens, (0, 0, 1, x, ONE),
                          (1, 1, 1, s_inv.T @ x @ s_inv, ONE))
@@ -522,6 +527,28 @@ def test_class_caches_match_the_per_block_solves():
     assert count == 5142
 
 
+def test_exact_classes_keep_exact_tiles_next_to_a_float_label():
+    """On every multiset of built-in segments up to dim 8 that mixes a
+    float label with an exact one and factors (113 of them), every tile
+    between two blocks of exact classes (259 tiles) has an exact X, and
+    every other tile a float one."""
+    pool = [seg(name, k) for name in MODELS for k in range(1, 9)
+            if CAT.label(name).dim * k <= 8]
+    mixed, exact_tiles = 0, 0
+    for segments in _multisets(pool, 8):
+        paths = {CAT.model_for(s.cuspidal).exact for s in segments}
+        j = find_nondegenerate_skew(realize(WDParameter.of(segments), CAT))
+        if paths != {True, False} or j is None:
+            continue
+        mixed += 1
+        classes = [matrix_lab._CLASSES[c] for c in j.factors.class_ids]
+        for i, k, _, x, _ in j.tiles:
+            exact = classes[i][3] and classes[k][3]
+            assert _FACTORS[x].exact == exact, segments
+            exact_tiles += exact
+    assert (mixed, exact_tiles) == (113, 259)
+
+
 def test_a_second_sweep_adds_no_class_or_factor_id(capsys):
     argv = ["sweep", "--max-dim", "24", "--json"]
     assert main(argv) == 0
@@ -576,7 +603,7 @@ def _perturbed(form, tile, part, entry, delta):
         m = _FACTORS[x if part == "x" else y]
         bump = np.zeros(m.shape, dtype=object)
         bump.flat[entry % bump.size] = 1
-        new = _factor(m + Matrix.gaussian(bump).scale(delta), m.exact)
+        new = _factor(m + Matrix.gaussian(bump).scale(delta))
         x, y = (new, y) if part == "x" else (x, new)
     tiles = list(form.tiles)
     tiles[tile] = (i, j, c, x, y)
@@ -846,8 +873,8 @@ def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
     the exact path it is the dense solve's."""
     gens = oracle_gens(*(seg(*s) for s in segments))
     form = FactoredForm(gens, (
-        (0, 0, 1, _factor(x, x.exact), _factor(y, True)),
-        (1, 1, 1, _factor(x2, x2.exact), _factor(y2, True))))
+        (0, 0, 1, _factor(x), _factor(y)),
+        (1, 1, 1, _factor(x2), _factor(y2))))
     verified = VerifiedForm(form, 0.0)
     assert centralizer_dimension(verified) == 1
     assert invariant_isotropic_exists(verified) is True
@@ -858,14 +885,30 @@ def test_two_copy_tiles_are_checked_to_be_multiples_of_one_pairing(
 def test_a_tile_that_does_not_fit_its_blocks_is_refused():
     # q8 (+) St(2,trivial): blocks of r = 2, k = 1 and r = 1, k = 2
     tf = oracle_gens(seg("q8"), seg("trivial", 2))
-    j2, one = _factor(J2, True), _factor(ONE, True)
+    j2, one = _factor(J2), _factor(ONE)
     FactoredForm(tf, ((0, 0, 1, j2, one),))
-    for tile in [(0, 0, 1, j2, j2),                     # Y of the wrong shape
-                 (1, 1, 1, j2, j2),                     # X of the wrong shape
-                 (0, 0, 1, _factor(J2, False), one),    # X off the path
-                 (0, 0, 1, j2, _factor(ONE, False))]:   # Y not exact
+    for tile in [(0, 0, 1, j2, j2),                          # Y's shape
+                 (1, 1, 1, j2, j2),                          # X's shape
+                 (0, 0, 1, _factor(on_path(J2, False)), one),  # X off path
+                 (0, 0, 1, j2, _factor(on_path(ONE, False)))]:  # Y not exact
         with pytest.raises(ShapeMismatchError, match="does not fit"):
             FactoredForm(tf, (tile,))
+
+
+def test_a_float_x_on_exact_classes_is_refused_next_to_a_float_label():
+    # chi3 (+) chi3bar (+) q8: the q8 block's class is exact, so its tile
+    # takes an exact X only, and the dual pair's tiles a float one
+    tf = oracle_gens(seg("chi3"), seg("chi3bar"), seg("q8"))
+    assert not tf.exact
+    tiles = find_nondegenerate_skew(tf).tiles
+    (q8,) = [i for i, (_, r, _) in enumerate(tf.blocks) if r == 2]
+    (_, _, c, x, y), = [t for t in tiles if t[0] == q8]
+    assert _FACTORS[x].exact
+    assert not any(_FACTORS[t[3]].exact for t in tiles if t[0] != q8)
+    twin = _factor(on_path(_FACTORS[x], False))
+    with pytest.raises(ShapeMismatchError, match="does not fit"):
+        FactoredForm(tf, (*(t for t in tiles if t[0] != q8),
+                          (q8, q8, c, twin, y)))
 
 
 @pytest.mark.parametrize("i, j", [(-2, 0), (0, -2), (-2, -2)])
@@ -873,7 +916,7 @@ def test_a_tile_at_a_negative_block_index_is_refused(i, j):
     # q8 (+) q8b: index -2 would read block 0, and the form would place
     # the tile there and call it invariant
     tf = oracle_gens(seg("q8"), seg("q8b"))
-    j2, one = _factor(J2, True), _factor(ONE, True)
+    j2, one = _factor(J2), _factor(ONE)
     with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
         FactoredForm(tf, ((i, j, 1, j2, one),))
 
@@ -881,14 +924,14 @@ def test_a_tile_at_a_negative_block_index_is_refused(i, j):
 @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (5, 5)])
 def test_a_tile_past_the_last_block_is_refused(i, j):
     tf = oracle_gens(seg("q8"), seg("q8b"))
-    j2, one = _factor(J2, True), _factor(ONE, True)
+    j2, one = _factor(J2), _factor(ONE)
     with pytest.raises(ShapeMismatchError, match="lies off the 2 blocks"):
         FactoredForm(tf, ((0, 0, 1, j2, one), (i, j, 1, j2, one)))
 
 
 def test_a_form_has_at_most_one_tile_in_each_block_row():
     tf = oracle_gens(seg("q8"), seg("q8b"))
-    j2, one = _factor(J2, True), _factor(ONE, True)
+    j2, one = _factor(J2), _factor(ONE)
     for second in [(0, 0, 1, j2, one), (0, 1, 1, j2, one)]:
         with pytest.raises(ValueError, match="one tile per block row"):
             FactoredForm(tf, ((0, 0, 1, j2, one), second))
@@ -905,17 +948,6 @@ def test_a_cycle_of_tiles_is_not_skew():
     assert classify_form(form.gram).symmetry is Symmetry.NEITHER
     with pytest.raises(FormVerificationError, match="skew-symmetric"):
         form.verify()
-
-
-def test_a_tile_check_refuses_s_k_generators_other_than_exp_e_and_f():
-    # St(2,trivial) with exp F replaced by exp E: the S(k) side of a tile
-    # is checked on the weights of k, which such a class does not have
-    tf = oracle_gens(seg("trivial", 2))
-    (e, _), (rho,) = tf.sl2[0], tf.rho
-    odd = TensorFactors(2, tf.blocks, (rho,), ((e, e),), True)
-    form = find_nondegenerate_skew(tf)
-    with pytest.raises(PeriodLabError, match="not exp E and exp F"):
-        FactoredForm(odd, form.tiles).verify()
 
 
 def test_character_orthogonality_within_groups():

@@ -231,11 +231,11 @@ def test_exact_operations_match_entrywise_references(data):
         assert got.exact and _is_reduced(got)
         assert got.tolist() == want
     assert ma.equals(mb) == (a == b)
-    assert (_element_key(ma, True) == _element_key(mb, True)) == (a == b)
+    assert (_element_key(ma) == _element_key(mb)) == (a == b)
     # the same matrix reached through another scaling
     back = ma.scale(Fraction(1, 6)).scale(6)
     assert back.equals(ma)
-    assert _element_key(back, True) == _element_key(ma, True)
+    assert _element_key(back) == _element_key(ma)
 
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
@@ -1085,10 +1085,10 @@ def test_a_class_pairing_with_two_classes_is_an_internal_error():
     q8 = _gens(seg("q8")).dense()
     s, s_inv = Matrix.from_rows([[1, 1], [0, 1]]), Matrix.from_rows(
         [[1, -1], [0, 1]])
-    rho = tuple(tuple(_factor(m, True) for m in mats)
+    rho = tuple(tuple(map(_factor, mats))
                 for mats in (q8, [s @ g @ s_inv for g in q8]))
     assert rho[0] != rho[1]
-    tf = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho, ((), ()), True)
+    tf = TensorFactors(4, ((0, 2, 1), (2, 2, 1)), rho)
     with pytest.raises(PeriodLabError, match="pairs with 2 classes"):
         find_nondegenerate_skew(tf)
 
@@ -1106,7 +1106,7 @@ def test_realize_structure():
 
 def test_realize_trivial_block_has_no_generators():
     gens = realize(WDParameter.of([seg("trivial")]), CAT)
-    assert gens.rho == gens.sl2 == ((),)
+    assert gens.rho == ((),)
     assert gens.dense() == []
 
 
@@ -1121,12 +1121,12 @@ def test_realize_shares_group_action_across_blocks():
 def _dense_reference(p):
     """The generators of ``realize(p)`` assembled densely, in generator
     order: per group generator the blockdiag of kron(A, I_k) on the blocks
-    of its group and the identity elsewhere (skipped when it is the
+    of its group and the exact identity elsewhere (skipped when it is the
     identity), then the blockdiag of kron(I_r, exp) for exp(E) and exp(F)
-    when some k > 1; none when neither is there."""
+    when some k > 1; none when neither is there.  Each is exact exactly
+    when every block of it is."""
     segs = p.segments
     models = [CAT.model_for(s.cuspidal) for s in segs]
-    exact = all(m.exact for m in models)
     groups = []
     for m in models:
         if not any(g is m.group for g in groups):
@@ -1136,11 +1136,10 @@ def _dense_reference(p):
         for idx in group.generator_idxs:
             g = blockdiag([
                 m.matrices[idx].kron(Matrix.identity(s.k, m.exact))
-                if m.group is group else Matrix.identity(s.dim, exact)
+                if m.group is group else Matrix.identity(s.dim)
                 for s, m in zip(segs, models)])
             if not g.is_identity():
-                out.append(g if g.exact == exact
-                           else Matrix.from_array(g.as_complex()))
+                out.append(g)
     if any(s.k > 1 for s in segs):
         for exp in (sl2_exp_e, sl2_exp_f):
             out.append(blockdiag([Matrix.identity(s.cuspidal.dim).kron(
@@ -1206,8 +1205,8 @@ def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
 def test_tensor_factors_reject_singular_factors():
     """A class with a singular factor is refused before it enters the class
     table, on both paths, so building it again is refused again."""
-    ident = _factor(Matrix.identity(2), True)
-    TensorFactors(2, ((0, 2, 1),), ((ident,),), ((),), True)
+    ident = _factor(Matrix.identity(2))
+    TensorFactors(2, ((0, 2, 1),), ((ident,),))
     classes = len(matrix_lab._CLASSES)
     singular = Matrix.from_rows([[1, 1], [1, 1]])
     for _ in range(2):
@@ -1215,28 +1214,34 @@ def test_tensor_factors_reject_singular_factors():
             with pytest.raises(ValueError, match="generators must be "
                                                  "invertible"):
                 tensor_factors([m])
-    bad = _factor(Matrix.from_rows([[1, 1], [0, 0]]), True)
-    for rho, sl2 in [(bad, ident), (ident, bad)]:
-        # A (x) I_2 or I_2 (x) U is singular exactly when its factor is
-        with pytest.raises(ValueError, match="invertible"):
-            TensorFactors(4, ((0, 2, 2),), ((rho,),), ((sl2,),), True)
+    bad = _factor(Matrix.from_rows([[1, 1], [0, 0]]))
     # two classes, the second singular: each class is checked, and the
     # first is in the table already
     with pytest.raises(ValueError, match="generators must be invertible"):
-        TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)),
-                      ((), ()), True)
+        TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)))
     assert len(matrix_lab._CLASSES) == classes
 
 
 def test_tensor_factors_have_their_classes_as_soon_as_they_are_built():
-    ident = _factor(Matrix.identity(2), True)
-    q8 = CAT.model_for(CAT.label("q8")).factors[True]
+    ident = _factor(Matrix.identity(2))
+    q8 = CAT.model_for(CAT.label("q8")).factors
     tf = TensorFactors(6, ((0, 2, 1), (2, 2, 1), (4, 2, 1)),
-                       (q8, (ident,) * len(q8), q8), ((), (), ()), True)
+                       (q8, (ident,) * len(q8), q8))
     assert {"class_ids", "classes"} <= vars(tf).keys()
     c, d = tf.class_ids[0], tf.class_ids[1]
     assert tf.class_ids == (c, d, c) and c != d
     assert tf.classes == {c: [0, 2], d: [1]}
+
+
+def test_a_block_class_is_read_off_its_own_k():
+    """The S(k) side of a class is its k: the k = 1 block next to a longer
+    one is in the class of the k = 1 blocks of a realization with no
+    longer block."""
+    short = realize(WDParameter.of([seg("trivial"), seg("trivial")]), CAT)
+    mixed = realize(WDParameter.of([seg("trivial"), seg("trivial", 2)]), CAT)
+    (c,) = short.classes
+    assert {k: d == c for (*_, k), d in zip(mixed.blocks, mixed.class_ids)
+            } == {1: True, 2: False}
 
 
 def test_realize_rejects_twists_and_empty():
@@ -1271,17 +1276,16 @@ def test_the_factor_table_keeps_each_matrix_with_its_shape_and_path(
         m = Matrix.from_array(m.as_complex())
     mats = [m, m.T, Matrix.identity(2, exact),
             Matrix.from_rows([[1, 0, 0, 1]], exact)]
-    ids = [_factor(x, exact) for x in mats]
+    ids = [_factor(x) for x in mats]
     size = len(matrix_lab._FACTORS)
-    again = [_factor(Matrix.from_rows(x.tolist(), exact), exact)
-             for x in mats]
+    again = [_factor(Matrix.from_rows(x.tolist(), exact)) for x in mats]
     assert again == ids and len(matrix_lab._FACTORS) == size
     for f, x in zip(ids, mats):
         assert _value(matrix_lab._FACTORS[f]) == _value(x)
     assert (ids[0] == ids[1]) == (m.T.tolist() == m.tolist())
     assert ids[2] != ids[3]
     if exact:  # the same entries on the float path are another factor
-        f = _factor(m, False)
+        f = _factor(Matrix.from_array(m.as_complex()))
         assert f != ids[0] and not matrix_lab._FACTORS[f].exact
 
 
@@ -1302,10 +1306,10 @@ _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
                 min_size=1, max_size=3))
 def test_factor_ids_follow_the_factor_values(drawn):
     """Multisets of built-in segments, exact and float labels alike: the
-    classes are the blocks grouped by the factor values behind the ids, each
-    block's class id names its factors, sizes and path, and realizing and
-    searching again gives the same ids and adds nothing to the id
-    tables."""
+    classes are the blocks grouped by the rho factor values behind the ids
+    and by (r, k), each block's class id names its rho factors, sizes and
+    whether those factors are exact, and realizing and searching again
+    gives the same ids and adds nothing to the id tables."""
     params = [WDParameter.of([seg(name, k) for name, k in segments])
               for segments in drawn]
 
@@ -1322,14 +1326,12 @@ def test_factor_ids_follow_the_factor_values(drawn):
     again = passes()
     assert (len(matrix_lab._FACTORS), len(matrix_lab._CLASSES)) == sizes
     for tf, tf2 in zip(first, again):
-        assert (tf.rho, tf.sl2, tf.class_ids) == (tf2.rho, tf2.sl2,
-                                                  tf2.class_ids)
+        assert (tf.rho, tf.class_ids) == (tf2.rho, tf2.class_ids)
         reference: dict[tuple, list[int]] = {}
-        for i, ids in enumerate(zip(tf.rho, tf.sl2)):
-            values = tuple(tuple(_value(matrix_lab._FACTORS[f]) for f in side)
-                           for side in ids)
-            reference.setdefault(values, []).append(i)
+        for i, (a, (_, r, k)) in enumerate(zip(tf.rho, tf.blocks)):
+            values = tuple(_value(matrix_lab._FACTORS[f]) for f in a)
+            reference.setdefault((values, r, k), []).append(i)
         assert list(tf.classes.values()) == list(reference.values())
-        assert all(matrix_lab._CLASSES[c] == (a, u, r, k, tf.exact)
-                   for c, a, u, (_, r, k) in zip(tf.class_ids, tf.rho,
-                                                 tf.sl2, tf.blocks))
+        assert all(matrix_lab._CLASSES[c] == (
+            a, r, k, all(matrix_lab._FACTORS[f].exact for f in a))
+            for c, a, (_, r, k) in zip(tf.class_ids, tf.rho, tf.blocks))
