@@ -35,7 +35,6 @@ from .matrix_lab import (
     w_plus,
 )
 from .notation import load_catalog, parse_param, print_segment
-from .param_core import segment_self_duality
 from .reporting import CATALOG_CHECK, ERROR, PARSE_CHECK, PASS, Report
 from .sweep import conjecture_sweep
 
@@ -94,8 +93,6 @@ def run_classify(expr: str, catalog_path: str | None = None,
     report.add("dimension", PASS, TAG_RDS, f"dim = {p.dim}")
     add_tempered_check(report, p)
     for i, s in enumerate(p.segments):
-        text = print_segment(s)
-        sd = segment_self_duality(s)
         try:
             ok = is_linear_distinguished(s)
             note = ("linearly distinguished" if ok
@@ -104,7 +101,8 @@ def run_classify(expr: str, catalog_path: str | None = None,
             ok = False
             note = f"not linearly distinguished ({exc})"
         report.add_outcome(f"segment[{i}]", ok, TAG_DISTINGUISHED,
-                           f"{text}: {sd.value} type; {note}")
+                           f"{print_segment(s)}: {s.self_duality.value} "
+                           f"type; {note}")
     add_sp_checks(report, p, catalog, use_oracle)
     return report
 

@@ -41,9 +41,7 @@ from .param_core import (
     Segment,
     SelfDualityType,
     WDParameter,
-    is_tempered,
     multiplicities,
-    segment_self_duality,
     segments_equivalent,
 )
 from .reporting import ERROR, Report
@@ -131,20 +129,23 @@ def validate_rds(spec: RDSSpec) -> WDParameter:
             raise NotDistinguishedError(
                 f"block {i} = St({s.k},{s.cuspidal.name}) is not "
                 f"linearly distinguished", index=i)
-    return WDParameter.of(spec.segments)
+    return WDParameter(spec.segments)
 
 
 def add_tempered_check(report: Report, p: WDParameter) -> None:
     """Record whether ``p`` is tempered, naming what keeps it from being so:
     its twisted segments and its non-unitary labels."""
-    found = {"twisted segments present": [print_segment(s)
-                                          for s in p.segments if s.twist],
-             "non-unitary labels": [s.cuspidal.name for s in p.segments
-                                    if not s.cuspidal.unitary]}
-    detail = "; ".join(f"{what}: {', '.join(dict.fromkeys(names))}"
-                       for what, names in found.items() if names)
-    report.add_outcome("tempered", is_tempered(p), TAG_TEMPERED,
-                       detail or "all twists zero")
+    twisted, non_unitary = {}, {}  # insertion-ordered sets
+    for s in p.segments:
+        if s.twist:
+            twisted[print_segment(s)] = None
+        if not s.cuspidal.unitary:
+            non_unitary[s.cuspidal.name] = None
+    found = [f"{what}: {', '.join(names)}" for what, names in (
+        ("twisted segments present", twisted),
+        ("non-unitary labels", non_unitary)) if names]
+    report.add_outcome("tempered", not found, TAG_TEMPERED,
+                       "; ".join(found) or "all twists zero")
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +162,16 @@ def centralizer_dimension_symbolic(p: WDParameter) -> int | None:
     same m, and the pair adds gl(m), m^2.
     """
     mults = multiplicities(p)
-    table = {(s.cuspidal.name, s.k, s.twist or 0): m for s, m in mults}
+    table = {(s.cuspidal.name, s.k, s.twist): m for s, m in mults}
     twice = 0  # a dual pair counts m^2 on each of its two classes
     for s, m in mults:
-        sd = segment_self_duality(s)
+        sd = s.self_duality
         if sd is SelfDualityType.SYMPLECTIC:
             twice += m * (m - 1)
         elif sd is SelfDualityType.ORTHOGONAL and m % 2 == 0:
             twice += m * (m + 1)
         elif sd is SelfDualityType.NOT_SELF_DUAL and table.get(
-                (s.cuspidal.dual_name, s.k, -(s.twist or 0))) == m:
+                (s.cuspidal.dual_name, s.k, -s.twist)) == m:
             twice += m * m
         else:
             return None

@@ -1603,7 +1603,7 @@ def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
                 f"realizations are defined for twist zero")
         models.append(catalog.model_for(label))
         blocks.append((lo, label.dim, k))
-        lo += label.dim * k
+        lo += s.dim
     rho_of = _model_set(tuple(dict.fromkeys(models)))
     return TensorFactors(lo, tuple(blocks),
                          tuple(map(rho_of.__getitem__, models)))

@@ -129,7 +129,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            got = repr(tok.text) if tok.text else "end of input"
+            got = quoted(tok.text) if tok.text else "end of input"
             raise self.fail(f"expected {what}, got {got}", tok)
         return self.advance()
 
@@ -150,13 +150,14 @@ class _Parser:
             segments.append(self.segment())
         tok = self.peek()
         if tok.kind != "EOF":
-            raise self.fail(f"unexpected trailing input {tok.text!r}", tok)
+            raise self.fail(f"unexpected trailing input {quoted(tok.text)}",
+                            tok)
         return tuple(segments)
 
     def segment(self) -> Segment:
         tok = self.peek()
         if tok.kind != "IDENT":
-            got = repr(tok.text) if tok.text else "end of input"
+            got = quoted(tok.text) if tok.text else "end of input"
             raise self.fail(f"expected a segment, got {got}", tok)
         if tok.text == "St":
             self.advance()
@@ -187,7 +188,8 @@ class _Parser:
         self.advance()  # '*'
         nu_tok = self.expect("IDENT", "'nu'")
         if nu_tok.text != "nu":
-            raise self.fail(f"expected 'nu', got {nu_tok.text!r}", nu_tok)
+            raise self.fail(f"expected 'nu', got {quoted(nu_tok.text)}",
+                            nu_tok)
         self.expect("^", "'^'")
         return self.rational()
 
@@ -221,7 +223,7 @@ def print_param(p: WDParameter) -> str:
     """Canonical text for a parameter; inverse of :func:`parse_param`."""
     if not p.segments:
         return "0"
-    return " (+) ".join(print_segment(s) for s in p.segments)
+    return " (+) ".join(map(print_segment, p.segments))
 
 
 def print_segment(s: Segment) -> str:

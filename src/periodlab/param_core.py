@@ -15,10 +15,10 @@ pure function; no numerics appear here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import CatalogMismatchError, ConsistencyError, quoted
 
@@ -33,24 +33,20 @@ class SelfDualityType(Enum):
     ORTHOGONAL = "orthogonal"
     SYMPLECTIC = "symplectic"
 
-    @property
-    def sign(self) -> int:
-        """+1 orthogonal, -1 symplectic, 0 not self-dual."""
-        if self is SelfDualityType.ORTHOGONAL:
-            return 1
-        if self is SelfDualityType.SYMPLECTIC:
-            return -1
-        return 0
+    def __init__(self, value: str):
+        #: +1 orthogonal, -1 symplectic, 0 not self-dual
+        self.sign = {"orthogonal": 1, "symplectic": -1}.get(value, 0)
 
     @staticmethod
     def from_sign(sign: int) -> "SelfDualityType":
-        if sign == 1:
-            return SelfDualityType.ORTHOGONAL
-        if sign == -1:
-            return SelfDualityType.SYMPLECTIC
-        if sign == 0:
-            return SelfDualityType.NOT_SELF_DUAL
-        raise ValueError(f"self-duality sign must be -1, 0, or +1, got {sign}")
+        found = _TYPE_OF_SIGN.get(sign)
+        if found is None:
+            raise ValueError(
+                f"self-duality sign must be -1, 0, or +1, got {sign}")
+        return found
+
+
+_TYPE_OF_SIGN = {t.sign: t for t in SelfDualityType}
 
 
 @dataclass(frozen=True)
@@ -113,30 +109,32 @@ def labels_equal(a: CuspidalLabel, b: CuspidalLabel) -> bool:
     return True
 
 
-def _as_fraction(value: Union[int, str, Fraction]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("twists must be exact rationals, not floats")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Segment:
-    """One block ``St(k, rho) * nu^twist`` of dimension ``rho.dim * k``."""
+    """One block ``St(k, rho) * nu^twist`` of dimension ``rho.dim * k``.
+
+    A zero twist is stored as the int 0, which equals and hashes like
+    ``Fraction(0)`` but tests and hashes without a Python-level call.
+    ``dim`` and ``self_duality`` (:func:`segment_self_duality`) are computed
+    once, here; they take no part in equality, hashing or the repr.
+    """
 
     cuspidal: CuspidalLabel
     k: int
-    twist: Fraction = Fraction(0)
+    twist: Fraction | int = 0
+    dim: int = field(init=False, repr=False, compare=False)
+    self_duality: SelfDualityType = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"Steinberg length must be >= 1, got {self.k}")
-        object.__setattr__(self, "twist", _as_fraction(self.twist))
-
-    @property
-    def dim(self) -> int:
-        return self.cuspidal.dim * self.k
+        if self.twist.__class__ is not int or self.twist:
+            if isinstance(self.twist, float):
+                raise TypeError("twists must be exact rationals, not floats")
+            object.__setattr__(self, "twist", Fraction(self.twist) or 0)
+        object.__setattr__(self, "dim", self.cuspidal.dim * self.k)
+        object.__setattr__(self, "self_duality", segment_self_duality(self))
 
 
 def _segment_sort_key(s: Segment):
@@ -148,23 +146,21 @@ class WDParameter:
     """A multiset of segments; stored in canonical order.
 
     Canonical order is by (dimension, k, label name, twist) so that printing
-    is deterministic; no predicate depends on the order.
+    is deterministic; no predicate depends on the order.  ``dim`` is
+    computed once, here, and takes no part in equality or hashing.
     """
 
     segments: tuple[Segment, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "segments",
-            tuple(sorted(self.segments, key=_segment_sort_key)))
+        segments = tuple(sorted(self.segments, key=_segment_sort_key))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "dim", sum(s.dim for s in segments))
 
     @staticmethod
     def of(segments: Iterable[Segment]) -> "WDParameter":
         return WDParameter(tuple(segments))
-
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for s in self.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +187,11 @@ def segment_self_duality(s: Segment) -> SelfDualityType:
     A nonzero twist makes the segment non-self-dual (``nu^e rho`` is dual to
     ``nu^-e rho``, and these differ for e != 0 when ``rho`` is unitary); for
     twist zero the type multiplies: sign(label) * sign(k-dimensional SL(2)
-    factor).
+    factor), a label that is not self-dual having sign 0.  Each
+    :class:`Segment` calls this once, when it is built, and stores the
+    result as ``self_duality``.
     """
-    if s.twist or not s.cuspidal.is_self_dual:
+    if s.twist:
         return SelfDualityType.NOT_SELF_DUAL
     return SelfDualityType.from_sign(
         s.cuspidal.sd_type.sign * sl2_duality_sign(s.k))
@@ -208,13 +206,13 @@ def multiplicities(p: WDParameter) -> list[tuple[Segment, int]]:
     """Distinct segments of ``p`` with multiplicities, in canonical order:
     that of their first occurrence in ``p.segments``.
 
-    Grouping is by (name, k, twist); conflicting label data behind one name
-    raises, via :func:`labels_equal`.  A zero twist is keyed as the int 0,
-    which equals and hashes like Fraction(0) but hashes for free.
+    Grouping is by (name, k, twist), a zero twist being the int 0 that
+    :class:`Segment` stores; conflicting label data behind one name raises,
+    via :func:`labels_equal`.
     """
     groups: dict[tuple, list[Segment]] = {}
     for s in p.segments:
-        groups.setdefault((s.cuspidal.name, s.k, s.twist or 0), []).append(s)
+        groups.setdefault((s.cuspidal.name, s.k, s.twist), []).append(s)
     out = []
     for members in groups.values():
         rep = members[0]

@@ -25,7 +25,6 @@ from .param_core import (
     Segment,
     SelfDualityType,
     WDParameter,
-    segment_self_duality,
 )
 from .reporting import ERROR, PASS, Report
 
@@ -65,8 +64,16 @@ def conjecture_sweep(catalog: Catalog, source: str, max_dim: int) -> Report:
         report.add_outcome(f"rds {text}", not failure, TAG_RDS,
                            failure or f"{len(rep.checks)} checks pass")
 
-    agreement = _run_validation_controls(report, catalog, pool) and agreement
-    agreement = _run_parameter_controls(report, catalog, pool) and agreement
+    # the controls' segments, from the modeled labels in name order
+    modeled = [label for label in sorted(catalog.labels(),
+                                         key=lambda l: l.name)
+               if catalog.entries[label.name].model is not None]
+    bad, bad_orthogonal = _first_undistinguished(modeled)
+    pair = _first_dual_pair(catalog, modeled)
+    agreement = _run_validation_controls(
+        report, catalog, pool, bad, pair) and agreement
+    agreement = _run_parameter_controls(
+        report, catalog, pool, bad_orthogonal, pair) and agreement
     report.oracle_agreement = agreement
     return report
 
@@ -89,12 +96,6 @@ def _bounded_combinations(pool: list[Segment],
     return sorted(found, key=len)
 
 
-def _modeled_labels(catalog: Catalog) -> list[CuspidalLabel]:
-    """Labels with a matrix model, in name order."""
-    return [label for label in sorted(catalog.labels(), key=lambda l: l.name)
-            if catalog.entries[label.name].model is not None]
-
-
 def _segment_pool(catalog: Catalog,
                   max_dim: int) -> tuple[list[Segment], list[str]]:
     """Distinguished even-dimensional segments buildable from the catalog.
@@ -105,9 +106,10 @@ def _segment_pool(catalog: Catalog,
     pool: list[Segment] = []
     skipped: list[str] = []
     for label in sorted(catalog.labels(), key=lambda l: l.name):
-        for k in range(1, max_dim // label.dim + 1):
+        step = 1 + label.dim % 2  # the k that make the dimension even
+        for k in range(step, max_dim // label.dim + 1, step):
             seg = Segment(label, k)
-            if seg.dim % 2 == 1 or not is_linear_distinguished(seg):
+            if not is_linear_distinguished(seg):
                 continue
             if catalog.entries[label.name].model is None:
                 skipped.append(f"St({k},{label.name}): no matrix model")
@@ -116,8 +118,9 @@ def _segment_pool(catalog: Catalog,
     return list(WDParameter.of(pool).segments), skipped
 
 
-def _run_validation_controls(report: Report, catalog: Catalog,
-                             pool: list[Segment]) -> bool:
+def _run_validation_controls(
+        report: Report, catalog: Catalog, pool: list[Segment],
+        bad: Segment | None, pair: tuple[Segment, Segment] | None) -> bool:
     controls: list[tuple[str, RDSSpec, type]] = []
     if pool:
         s = pool[0]
@@ -125,12 +128,10 @@ def _run_validation_controls(report: Report, catalog: Catalog,
                          DuplicateSegmentError))
         controls.append(("dimension-mismatch", RDSSpec(s.dim, (s,)),
                          DimensionMismatchError))
-    bad = _first_undistinguished(catalog)
     if bad is not None:
         controls.append(("undistinguished-block",
                          RDSSpec(bad.dim // 2, (bad,)),
                          NotDistinguishedError))
-    pair = _first_dual_pair(catalog)
     if pair is not None and pair[0].dim % 2 == 1:
         controls.append(("odd-blocks", RDSSpec(pair[0].dim, pair),
                          OddBlockError))
@@ -151,28 +152,27 @@ def _run_validation_controls(report: Report, catalog: Catalog,
     return ok_all
 
 
-def _first_undistinguished(
-        catalog: Catalog,
-        sd_type: SelfDualityType | None = None) -> Segment | None:
-    """An even-dimensional segment St(k, rho), k = 1 or 2, of a modeled
-    label that fails linear distinction, optionally of one self-duality
-    type."""
-    for label in _modeled_labels(catalog):
+def _first_undistinguished(modeled: list[CuspidalLabel]
+                           ) -> tuple[Segment | None, Segment | None]:
+    """The first even-dimensional segment St(k, rho), k = 1 or 2, of a
+    modeled label that fails linear distinction, and the first such of
+    orthogonal type."""
+    first = None
+    for label in modeled:
         for k in (1, 2):
             seg = Segment(label, k)
-            if seg.dim % 2 == 1:
+            if seg.dim % 2 == 1 or is_linear_distinguished(seg):
                 continue
-            if sd_type is not None and segment_self_duality(seg) is not sd_type:
-                continue
-            if not is_linear_distinguished(seg):
-                return seg
-    return None
+            first = first or seg
+            if seg.self_duality is SelfDualityType.ORTHOGONAL:
+                return first, seg
+    return first, None
 
 
-def _first_dual_pair(catalog: Catalog) -> tuple[Segment, Segment] | None:
+def _first_dual_pair(catalog: Catalog, modeled: list[CuspidalLabel]
+                     ) -> tuple[Segment, Segment] | None:
     """St(1, rho) and St(1, dual of rho) for the first non-self-dual
     modeled label whose dual is modeled too."""
-    modeled = _modeled_labels(catalog)
     for label in modeled:
         if label.sd_type is not SelfDualityType.NOT_SELF_DUAL:
             continue
@@ -184,21 +184,21 @@ def _first_dual_pair(catalog: Catalog) -> tuple[Segment, Segment] | None:
     return None
 
 
-def _run_parameter_controls(report: Report, catalog: Catalog,
-                            pool: list[Segment]) -> bool:
+def _run_parameter_controls(
+        report: Report, catalog: Catalog, pool: list[Segment],
+        bad: Segment | None, pair: tuple[Segment, Segment] | None) -> bool:
     """Parameters that factor without being elliptic, or do not factor at
-    all; the rules and the oracle must agree on each."""
+    all; the rules and the oracle must agree on each.  ``bad`` is an
+    orthogonal-type segment that fails linear distinction."""
     bound = FORM_ORACLE_DIM_BOUND  # every control faces the oracle
     controls: list[tuple[str, tuple[Segment, ...], bool]] = []
     dup = next((s for s in pool
-                if segment_self_duality(s) is SelfDualityType.SYMPLECTIC
+                if s.self_duality is SelfDualityType.SYMPLECTIC
                 and 2 * s.dim <= bound), None)
     if dup is not None:
         controls.append(("duplicate-parameter", (dup, dup), True))
-    pair = _first_dual_pair(catalog)
     if pair is not None and 2 * pair[0].dim <= bound:
         controls.append(("dual-pair-parameter", pair, True))
-    bad = _first_undistinguished(catalog, SelfDualityType.ORTHOGONAL)
     if bad is not None:
         if bad.dim <= bound:
             controls.append(("orthogonal-single", (bad,), False))

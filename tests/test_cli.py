@@ -25,6 +25,7 @@ from periodlab import (
     distinction,
     load_catalog,
     matrix_lab,
+    parse_param,
     sweep,
     symplectic_J,
 )
@@ -38,6 +39,7 @@ from periodlab.cli import (
     run_verify_matrices,
 )
 from periodlab.distinction import FORM_ORACLE_DIM_BOUND
+from periodlab.errors import ParseError, SourceSpan
 from periodlab.reporting import ERROR, PASS
 
 USER_CATALOG = textwrap.dedent("""\
@@ -217,6 +219,51 @@ def test_a_long_rejected_value_is_named_by_its_prefix_and_length(
     assert re.search(r"x{31}\.\.\.", check["details"])
     assert re.search(r"\(50\d\d characters\)", check["details"])
     assert len(check["details"]) < 200
+
+
+# each parse error that quotes a token: (expression with the token, its
+# column, the message once the token is cut); for a short token, the
+# parse check's whole detail, as it reads with the token quoted whole
+_LONG_TOKENS = [
+    (f"q8 {LONG}", 4, "unexpected trailing input 'x"),
+    (f"q8 * {LONG}^1", 6, "expected 'nu', got 'x"),
+    (f"q8 (+) {'1' * 5000}", 8, "expected a segment, got '1"),
+    (f"St({LONG},q8)", 4, "expected a block length, got 'x"),
+]
+_SHORT_TOKENS = [
+    ("q8 q8b", "1:4: unexpected trailing input 'q8b'"),
+    ("q8 * mu^1", "1:6: expected 'nu', got 'mu'"),
+    ("q8 (+) 12", "1:8: expected a segment, got '12'"),
+    ("St(x,q8)", "1:4: expected a block length, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("expr,column,message", _LONG_TOKENS,
+                         ids=["trailing", "nu", "segment", "expect"])
+def test_a_long_token_in_a_parse_error_is_named_by_its_prefix_and_length(
+        expr, column, message, capsys):
+    # the expression is echoed once, as the input; the token in the parse
+    # error is cut to its first 40 characters and its length, and the span
+    # still covers the whole token
+    assert main(["classify", expr]) == 2
+    out = capsys.readouterr().out
+    assert len(out.encode()) < len(expr) + 300
+    assert main(["classify", expr, "--json"]) == 2
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "parse" and check["verdict"] == ERROR
+    assert check["details"].startswith(f"1:{column}: {message}")
+    assert check["details"].endswith("...' (5000 characters)")
+    assert len(check["details"].encode()) < 200
+    with pytest.raises(ParseError) as info:
+        parse_param(expr, builtin_catalog())
+    assert info.value.span == SourceSpan(1, column, 5000)
+
+
+@pytest.mark.parametrize("expr,details", _SHORT_TOKENS,
+                         ids=["trailing", "nu", "segment", "expect"])
+def test_a_short_token_in_a_parse_error_is_quoted_whole(expr, details):
+    [check] = run_classify(expr).checks
+    assert check.details == details
 
 
 def test_classify_with_user_catalog(tmp_path, capsys):

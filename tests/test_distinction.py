@@ -37,7 +37,7 @@ from periodlab import (
     segment_self_duality,
     validate_rds,
 )
-from periodlab import distinction, matrix_lab
+from periodlab import cli, distinction, matrix_lab, param_core, sweep
 from periodlab.errors import (
     CatalogMismatchError,
     CommutantMismatchError,
@@ -376,6 +376,33 @@ def test_a_warm_sweep_constructs_no_matrix_and_no_form(monkeypatch, capsys):
     assert main(["sweep", "--max-dim", "16", "--json"]) == 0
     capsys.readouterr()
     assert constructed == {}
+
+
+def test_a_warm_sweep_computes_each_segment_type_once(monkeypatch, capsys):
+    """A segment's self-duality type is computed when the segment is built
+    and read off it afterwards: in a warm sweep, segment_self_duality runs
+    once per segment built, each time from Segment's constructor, and the
+    rules, the sweep and the CLI never call it."""
+    assert main(["sweep", "--max-dim", "6", "--json"]) == 0
+    built, callers = [], Counter()
+    post_init, definition = Segment.__post_init__, segment_self_duality
+
+    def counted_build(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_type(s):
+        callers[sys._getframe(1).f_code] += 1
+        return definition(s)
+
+    monkeypatch.setattr(Segment, "__post_init__", counted_build)
+    monkeypatch.setattr(param_core, "segment_self_duality", counted_type)
+    assert main(["sweep", "--max-dim", "6", "--json"]) == 0
+    capsys.readouterr()
+    assert len(built) > 20
+    assert dict(callers) == {post_init.__code__: len(built)}
+    for module in (distinction, cli, sweep):
+        assert definition not in vars(module).values(), module.__name__
 
 
 def _multisets(pool, max_mult, max_dim):

@@ -113,7 +113,7 @@ def test_the_rules_meet_the_oracle_only_in_add_sp_checks():
     rules = {"segment_self_duality", "multiplicities", "is_tempered",
              "sl2_duality_sign", "is_linear_distinguished", "validate_rds",
              "factors_through_sp_symbolic", "is_x_elliptic_symbolic",
-             "centralizer_dimension_symbolic"}
+             "centralizer_dimension_symbolic", "self_duality"}
     for module in ("matrix_lab", "group_models"):
         assert rules.isdisjoint(_identifiers(trees[module])), module
 

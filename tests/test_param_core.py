@@ -1,5 +1,6 @@
 """Tests for labels, segments, parameters, and the duality calculus."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from periodlab import (
     sl2_duality_sign,
 )
 from periodlab.errors import CatalogMismatchError, ConsistencyError
+from periodlab.notation import print_segment
 
 CAT = builtin_catalog()
 
@@ -175,3 +177,64 @@ def test_parameter_order_is_canonical(segments):
     q = WDParameter.of(reversed(p.segments))
     assert p == q
     assert p.dim == sum(s.dim for s in segments)
+
+
+# -- facts stored at construction -------------------------------------------
+
+
+ZERO_TWISTS = [0, "0", Fraction(0)]
+nonzero_twists = st.fractions(min_value=-3, max_value=3,
+                              max_denominator=4).filter(bool)
+
+
+@given(label_names, st.integers(1, 24),
+       st.one_of(st.sampled_from(ZERO_TWISTS), nonzero_twists))
+def test_stored_segment_facts_match_their_definitions(name, k, twist):
+    label = CAT.label(name)
+    s = Segment(label, k, twist)
+    assert s.dim == label.dim * k
+    # the sign rule: a twisted segment is not self-dual; an untwisted one
+    # has the sign of its label times (-1)^(k+1), that of S(k)'s form
+    twist = Fraction(twist)
+    sign = 0 if twist else label.sd_type.sign * (-1) ** (k + 1)
+    want = {1: SelfDualityType.ORTHOGONAL, -1: SelfDualityType.SYMPLECTIC,
+            0: SelfDualityType.NOT_SELF_DUAL}[sign]
+    assert s.self_duality is want is segment_self_duality(s)
+    # the repr and the printed text show the declared fields only
+    assert repr(s) == (f"Segment(cuspidal={label!r}, k={k!r}, "
+                       f"twist={s.twist!r})")
+    base = name if k == 1 else f"St({k},{name})"
+    assert print_segment(s) == (f"{base} * nu^{twist}" if twist else base)
+    # dataclasses.replace builds a new segment, whose facts are its own
+    for k2 in (k + 1, 2 * k):
+        moved = dataclasses.replace(s, k=k2)
+        assert moved.dim == label.dim * k2
+        assert moved.self_duality is segment_self_duality(
+            Segment(label, k2, twist))
+    assert dataclasses.replace(s, twist=Fraction(1, 2)).self_duality is (
+        SelfDualityType.NOT_SELF_DUAL)
+
+
+@given(label_names, st.integers(1, 24))
+def test_a_zero_twist_is_one_value_whatever_its_form(name, k):
+    label = CAT.label(name)
+    segments = [Segment(label, k)] + [Segment(label, k, t)
+                                      for t in ZERO_TWISTS]
+    assert len(set(segments)) == 1
+    assert len({hash(s) for s in segments}) == 1
+    assert len({repr(s) for s in segments}) == 1
+    for s in segments:
+        assert s.twist == Fraction(0) and type(s.twist) is int
+        assert s == Segment(label, k, Fraction(0))
+        assert hash(s) == hash((label, k, Fraction(0))) == hash((label, k, 0))
+
+
+@given(st.lists(st.builds(lambda n, k: Segment(CAT.label(n), k),
+                          label_names, st.integers(1, 24)),
+                min_size=0, max_size=4))
+def test_parameter_equality_and_hash_ignore_the_stored_dim(segments):
+    p, q = WDParameter.of(segments), WDParameter.of(reversed(segments))
+    assert p.dim == sum(s.dim for s in segments)
+    object.__setattr__(q, "dim", p.dim + 1)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == f"WDParameter(segments={p.segments!r})"
