@@ -9,124 +9,53 @@ groups tensored with symmetric powers), computes invariant bilinear forms
 exactly, and settles
 the same questions by linear algebra.  The CLI and the conjecture sweep
 insist the two layers agree.
+
+The public names below are imported on first use (PEP 562), so a bare
+``import periodlab`` loads no submodule and no numpy.
 """
 
-from .exactnum import QQi
-from .param_core import (
-    CuspidalLabel,
-    Segment,
-    SelfDualityType,
-    WDParameter,
-    is_tempered,
-    labels_equal,
-    multiplicities,
-    segment_self_duality,
-    segments_equivalent,
-    sl2_duality_sign,
-)
-from .matrix_lab import (
-    FLOAT_TOL,
-    BilinearForm,
-    FactoredForm,
-    Matrix,
-    PermutationMap,
-    Symmetry,
-    TensorFactors,
-    VerifiedForm,
-    classify_form,
-    conjugator_for_partition,
-    find_nondegenerate_skew,
-    invariant_form_sl2,
-    invariant_forms,
-    is_in_sp,
-    partition_J,
-    realize,
-    sl2_exp_e,
-    sl2_exp_f,
-    sl2_sym_power_action,
-    sym_power,
-    symplectic_J,
-    w_plus,
-)
-from .group_models import (
-    SL2_SURROGATE_BOUND,
-    Catalog,
-    CatalogEntry,
-    builtin_catalog,
-    builtin_models,
-    centralizer_dimension,
-    commutant_dimension,
-    fs_indicator,
-    invariant_isotropic_exists,
-    sl2_surrogate,
-)
-from .distinction import (
-    RDSSpec,
-    centralizer_dimension_symbolic,
-    check_conjecture_instance,
-    factors_through_sp_symbolic,
-    is_linear_distinguished,
-    is_x_elliptic_symbolic,
-    oracle_verdicts,
-    validate_rds,
-)
-from .notation import load_catalog, parse_param, print_param
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BilinearForm",
-    "Catalog",
-    "CatalogEntry",
-    "CuspidalLabel",
-    "FactoredForm",
-    "FLOAT_TOL",
-    "Matrix",
-    "PermutationMap",
-    "QQi",
-    "RDSSpec",
-    "SL2_SURROGATE_BOUND",
-    "Segment",
-    "SelfDualityType",
-    "Symmetry",
-    "TensorFactors",
-    "VerifiedForm",
-    "WDParameter",
-    "builtin_catalog",
-    "builtin_models",
-    "centralizer_dimension",
-    "centralizer_dimension_symbolic",
-    "check_conjecture_instance",
-    "classify_form",
-    "commutant_dimension",
-    "conjugator_for_partition",
-    "factors_through_sp_symbolic",
-    "find_nondegenerate_skew",
-    "fs_indicator",
-    "invariant_form_sl2",
-    "invariant_forms",
-    "invariant_isotropic_exists",
-    "is_in_sp",
-    "is_linear_distinguished",
-    "is_tempered",
-    "is_x_elliptic_symbolic",
-    "labels_equal",
-    "load_catalog",
-    "multiplicities",
-    "oracle_verdicts",
-    "parse_param",
-    "partition_J",
-    "print_param",
-    "realize",
-    "segment_self_duality",
-    "segments_equivalent",
-    "sl2_duality_sign",
-    "sl2_exp_e",
-    "sl2_exp_f",
-    "sl2_surrogate",
-    "sl2_sym_power_action",
-    "sym_power",
-    "symplectic_J",
-    "validate_rds",
-    "w_plus",
-]
+# each module and the public names it defines
+_PUBLIC = {
+    "exactnum": ["QQi"],
+    "param_core": [
+        "CuspidalLabel", "Segment", "SelfDualityType", "WDParameter",
+        "is_tempered", "labels_equal", "multiplicities",
+        "segment_self_duality", "segments_equivalent", "sl2_duality_sign"],
+    "matrix_lab": [
+        "FLOAT_TOL", "BilinearForm", "FactoredForm", "Matrix",
+        "PermutationMap", "Symmetry", "TensorFactors", "VerifiedForm",
+        "classify_form", "conjugator_for_partition",
+        "find_nondegenerate_skew", "invariant_form_sl2", "invariant_forms",
+        "is_in_sp", "partition_J", "realize", "sl2_exp_e", "sl2_exp_f",
+        "sl2_sym_power_action", "sym_power", "symplectic_J", "w_plus"],
+    "group_models": [
+        "SL2_SURROGATE_BOUND", "Catalog", "CatalogEntry", "builtin_catalog",
+        "builtin_models", "centralizer_dimension", "commutant_dimension",
+        "fs_indicator", "invariant_isotropic_exists", "sl2_surrogate"],
+    "distinction": [
+        "RDSSpec", "centralizer_dimension_symbolic",
+        "check_conjecture_instance", "factors_through_sp_symbolic",
+        "is_linear_distinguished", "is_x_elliptic_symbolic",
+        "oracle_verdicts", "validate_rds"],
+    "notation": ["load_catalog", "parse_param", "print_param"],
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+              for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,8 +9,15 @@ Expression grammar (whitespace-insensitive)::
 
 A bare identifier means ``St(1, <ident>)``; ``0`` denotes the empty
 parameter, which is also how it prints.  Twists are exact rationals; there
-is no decimal syntax, so a float can never sneak in through text.  All
-parse errors carry a 1-based line/column span pointing into the input.
+is no decimal syntax, so a float can never sneak in through text.  INT is
+ASCII digits; IDENT is a run of ``str.isalnum`` characters and ``_`` that
+starts with a letter or ``_``.
+
+Lexing is one ``re.findall`` pass that yields each token with the
+whitespace before it, then one loop that assigns every token its kind, so
+a bad character anywhere is reported first.  The parser walks the kinds by
+index.  All parse errors carry a 1-based line/column span pointing into
+the input; a token's position is computed from the text only then.
 
 Catalog files are INI-style sections, one per label::
 
@@ -27,8 +34,8 @@ a declared type must match the Frobenius-Schur indicator of its model.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import CatalogError, ConsistencyError, ParseError, quoted
 from .group_models import Catalog, CatalogEntry, builtin_models
@@ -38,175 +45,138 @@ __all__ = ["parse_param", "print_param", "print_segment", "load_catalog"]
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# lexer and parser
 
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def length(self) -> int:
-        return max(1, len(self.text))
-
-
-_PUNCT = set("(),*^/+-")
-# ASCII only: str.isdigit also holds for superscripts, which int() refuses
-_DIGITS = set("0123456789")
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
-        if ch == "(" and text.startswith("(+)", i):
-            tokens.append(_Token("(+)", "(+)", line, col))
-            i += 3
-            col += 3
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, 1)
-    # end-of-input marker, clamped onto the last column so error spans
-    # always point inside the text
-    tokens.append(_Token("EOF", "", line, max(1, col - 1)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# parser
+# whitespace, then one token: "(+)", ASCII digits (str.isdigit also holds
+# for superscripts, which int() refuses), a word, any other character, or
+# the end of the text.  \w is str.isalnum() or "_" on every code point.
+_TOKEN = re.compile(r"([ \t\r\n]*)(\(\+\)|[0-9]+|\w+|.|\Z)", re.DOTALL)
+_KINDS = {t: t for t in ("(+)", *"(),*^/+-")}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], catalog: Catalog):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token kinds, by index."""
+
+    def __init__(self, text: str, catalog: Catalog):
+        self.text = text
         self.catalog = catalog
+        self.pos = 0
+        # (whitespace, token) pairs; findall adds ("", "") after trailing
+        # whitespace, so the first empty token is the end of input
+        self.pieces = pieces = _TOKEN.findall(text)
+        self.kinds = kinds = []
+        for i, (_, tok) in enumerate(pieces):
+            kind = _KINDS.get(tok)
+            if kind is not None:
+                kinds.append(kind)
+            elif not tok:
+                kinds.append("EOF")
+                break
+            elif "0" <= tok[0] <= "9":
+                kinds.append("INT")
+            elif tok[0].isalpha() or tok[0] == "_":
+                kinds.append("IDENT")
+            else:  # checked before parsing, so it is reported first
+                raise ParseError(f"unexpected character {tok[0]!r}",
+                                 *self.where(i))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]  # advance() never moves past EOF
+    def where(self, i: int) -> tuple[int, int]:
+        """1-based line and column of token ``i``; the end of input is
+        clamped onto the last column, so a span points inside the text."""
+        pieces = self.pieces
+        start = len(pieces[i][0]) + sum(len(s) + len(t) for s, t in pieces[:i])
+        col = start - self.text.rfind("\n", 0, start)
+        if not pieces[i][1]:
+            col = max(1, col - 1)
+        return self.text.count("\n", 0, start) + 1, col
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def fail(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *self.where(i), len(self.pieces[i][1]))
 
-    def fail(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col, tok.length)
+    def got(self, i: int) -> str:
+        tok = self.pieces[i][1]
+        return quoted(tok) if tok else "end of input"
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = quoted(tok.text) if tok.text else "end of input"
-            raise self.fail(f"expected {what}, got {got}", tok)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.fail(f"expected {what}, got {self.got(i)}", i)
+        self.pos = i + 1
+        return i
 
-    def integer(self, what: str) -> tuple[_Token, int]:
-        tok = self.expect("INT", what)
+    def integer(self, what: str) -> tuple[int, int]:
+        i = self.expect("INT", what)
+        digits = self.pieces[i][1]
         try:
-            return tok, int(tok.text)
+            return i, int(digits)
         except ValueError:  # more digits than the interpreter converts
-            raise self.fail(f"{what} of {len(tok.text)} digits is too long",
-                            tok) from None
+            raise self.fail(f"{what} of {len(digits)} digits is too long",
+                            i) from None
 
     def param(self) -> tuple[Segment, ...]:
-        if len(self.tokens) == 2 and self.tokens[0].text == "0":
+        if len(self.kinds) == 2 and self.pieces[0][1] == "0":
             return ()
         segments = [self.segment()]
-        while self.peek().kind == "(+)":
-            self.advance()
+        while self.kinds[self.pos] == "(+)":
+            self.pos += 1
             segments.append(self.segment())
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.fail(f"unexpected trailing input {quoted(tok.text)}",
-                            tok)
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            raise self.fail(
+                f"unexpected trailing input {quoted(self.pieces[i][1])}", i)
         return tuple(segments)
 
     def segment(self) -> Segment:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            got = quoted(tok.text) if tok.text else "end of input"
-            raise self.fail(f"expected a segment, got {got}", tok)
-        if tok.text == "St":
-            self.advance()
+        i = self.pos
+        if self.kinds[i] != "IDENT":
+            raise self.fail(f"expected a segment, got {self.got(i)}", i)
+        self.pos = i + 1
+        if self.pieces[i][1] == "St":
             self.expect("(", "'('")
-            k_tok, k = self.integer("a block length")
+            k_at, k = self.integer("a block length")
             if k < 1:
-                raise self.fail("block length must be at least 1", k_tok)
+                raise self.fail("block length must be at least 1", k_at)
             self.expect(",", "','")
-            name_tok = self.expect("IDENT", "a cuspidal label")
+            i = self.expect("IDENT", "a cuspidal label")
             self.expect(")", "')'")
         else:
-            name_tok = self.advance()
             k = 1
-        if self.peek().kind != "*":
-            return Segment(self.lookup(name_tok), k)
+        if self.kinds[self.pos] != "*":
+            return Segment(self.lookup(i), k)
         twist = self.twist()  # a malformed twist is reported first
-        return Segment(self.lookup(name_tok), k, twist)
+        return Segment(self.lookup(i), k, twist)
 
-    def lookup(self, tok: _Token) -> CuspidalLabel:
+    def lookup(self, i: int) -> CuspidalLabel:
+        name = self.pieces[i][1]
         try:
-            return self.catalog.label(tok.text)
+            return self.catalog.label(name)
         except CatalogError:
-            raise CatalogError(
-                f"{tok.line}:{tok.col}: unknown cuspidal label "
-                f"{quoted(tok.text)}") from None
+            line, col = self.where(i)
+            raise CatalogError(f"{line}:{col}: unknown cuspidal label "
+                               f"{quoted(name)}") from None
 
     def twist(self) -> Fraction:
-        self.advance()  # '*'
-        nu_tok = self.expect("IDENT", "'nu'")
-        if nu_tok.text != "nu":
-            raise self.fail(f"expected 'nu', got {quoted(nu_tok.text)}",
-                            nu_tok)
+        self.pos += 1  # '*'
+        i = self.expect("IDENT", "'nu'")
+        if self.pieces[i][1] != "nu":
+            raise self.fail(f"expected 'nu', got {self.got(i)}", i)
         self.expect("^", "'^'")
         return self.rational()
 
     def rational(self) -> Fraction:
         sign = 1
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.advance()
-            if tok.kind == "-":
+        kind = self.kinds[self.pos]
+        if kind == "+" or kind == "-":
+            self.pos += 1
+            if kind == "-":
                 sign = -1
         numerator = sign * self.integer("an integer")[1]
-        if self.peek().kind != "/":
+        if self.kinds[self.pos] != "/":
             return Fraction(numerator)
-        self.advance()
-        den_tok, den = self.integer("a denominator")
+        self.pos += 1
+        den_at, den = self.integer("a denominator")
         if den == 0:
-            raise self.fail("zero denominator", den_tok)
+            raise self.fail("zero denominator", den_at)
         return Fraction(numerator, den)
 
 
@@ -216,7 +186,7 @@ def parse_param(text: str, catalog: Catalog) -> WDParameter:
     Raises :class:`ParseError` with a span for syntax problems and
     :class:`CatalogError` for identifiers the catalog does not know.
     """
-    return WDParameter(_Parser(_lex(text), catalog).param())
+    return WDParameter(_Parser(text, catalog).param())
 
 
 def print_param(p: WDParameter) -> str:

@@ -1,10 +1,12 @@
 """Tests for the expression grammar, printer, and catalog file loader."""
 
+import ast
+import re
 import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from periodlab import (
     Segment,
@@ -124,15 +126,34 @@ def test_print_parse_round_trip(segs):
 # -- parse errors ----------------------------------------------------------------
 
 
+# (text, message fragment, (line, column, span length))
 MALFORMED = [
-    ("St(2 q8)", "expected ','", (1, 6)),
-    ("St(3,q8", "expected ')'", (1, 7)),
-    ("St(,q8)", "block length", (1, 4)),
-    ("q8 (+)", "expected a segment", (1, 6)),
-    ("q8 * nu^1/0", "zero denominator", (1, 11)),
-    ("q8 @", "unexpected character", (1, 4)),
-    ("q8 q8", "trailing", (1, 4)),
-    ("q8 * mu^1", "expected 'nu'", (1, 6)),
+    ("St(2 q8)", "expected ','", (1, 6, 2)),
+    ("St(3,q8", "expected ')'", (1, 7, 1)),
+    ("St(,q8)", "block length", (1, 4, 1)),
+    ("q8 (+)", "expected a segment", (1, 6, 1)),
+    ("q8 * nu^1/0", "zero denominator", (1, 11, 1)),
+    ("q8 @", "unexpected character", (1, 4, 1)),
+    ("q8 q8", "trailing", (1, 4, 2)),
+    ("q8 * mu^1", "expected 'nu'", (1, 6, 2)),
+    # the end of input sits on the last column, after trailing whitespace
+    ("q8 (+)   ", "got end of input", (1, 9, 1)),
+    ("St(3,q8\n", "got end of input", (2, 1, 1)),
+    ("St(3,q8\n  ", "got end of input", (2, 2, 1)),
+    # a tab and a carriage return each take one column
+    ("q8\t@", "unexpected character", (1, 4, 1)),
+    ("St(2,\tq8 q8)", "expected ')'", (1, 10, 2)),
+    ("q8\r(+)\r@", "unexpected character", (1, 8, 1)),
+    ("q8 (+)\r\n  St(2 q8)", "expected ','", (2, 8, 2)),
+    # a bad character is reported ahead of an earlier parse error
+    ("q8 q8 @", "unexpected character '@'", (1, 7, 1)),
+    # a word starts with a letter or '_'
+    ("\u00b2x", "unexpected character '\u00b2'", (1, 1, 1)),
+    ("q8 (+) St(3,q8) * nu^1/2 chi3bar", "trailing input 'chi3bar'",
+     (1, 26, 7)),
+    pytest.param("St(" + "2" * 4301 + ",q8)",
+                 "block length of 4301 digits is too long", (1, 4, 4301),
+                 id="4301-digits"),
 ]
 
 
@@ -142,8 +163,49 @@ def test_parse_errors_carry_spans(text, fragment, where):
         parse_param(text, CAT)
     err = info.value
     assert fragment in str(err)
-    assert (err.line, err.column) == where
-    assert err.span == SourceSpan(where[0], where[1], err.span.length)
+    assert err.span == SourceSpan(*where)
+
+
+# grammar fragments, stray characters and whitespace runs
+_FRAGMENTS = ["St", "St(", "(", ")", ",", "(+)", "*", "nu", "^", "/", "+",
+              "-", "0", "1", "12", "q8", "q8b", "chi3", "trivial", "mu",
+              "zzz", "_", "x" * 45, "\u00b2", "\u0663", "\xa0", "@"]
+_SPACE = st.text(alphabet=" \t\r\n", max_size=3)
+_NAMED = re.compile(r"(?:got|input|character|label) ('.*'|\".*\")"
+                    r"(?: \((\d+) characters\))?$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SPACE, st.sampled_from(_FRAGMENTS)), max_size=12),
+       _SPACE)
+def test_an_error_points_at_the_token_it_names(parts, tail):
+    text = "".join(space + fragment for space, fragment in parts) + tail
+    try:
+        parse_param(text, CAT)
+        return
+    except ParseError as exc:
+        line, column, length = exc.line, exc.column, exc.length
+        message = str(exc).split(": ", 1)[1]
+    except CatalogError as exc:
+        where, message = str(exc).split(": ", 1)
+        line, column = map(int, where.split(":"))
+        length = None
+    lines = text.split("\n")
+    if message.endswith("got end of input"):
+        assert (line, column) == (len(lines), max(1, len(lines[-1])))
+        return
+    named = _NAMED.search(message)
+    if named is None:  # names no token: "block length", "zero denominator"
+        return
+    token = ast.literal_eval(named.group(1))
+    if named.group(2):  # cut to 40 characters and "..."
+        token, size = token[:-3], int(named.group(2))
+    else:
+        size = len(token)
+    assert lines[line - 1][column - 1:].startswith(token)
+    if length is not None:
+        unexpected = message.startswith("unexpected character")
+        assert length == (1 if unexpected else size)
 
 
 def test_parse_error_spans_track_lines():

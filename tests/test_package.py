@@ -138,6 +138,16 @@ def test_star_import_runs_without_warnings():
     assert result.returncode == 0, result.stderr
 
 
+def test_a_bare_import_loads_no_submodule_and_no_numpy():
+    # the public names resolve on first use; dir() lists them all before
+    result = _python("-c", "import sys, periodlab as p; "
+                           "print(set(p.__all__) <= set(dir(p))); "
+                           "print(sorted(m for m in sys.modules if "
+                           "m.startswith('periodlab.') or m == 'numpy'))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["True", "[]"]
+
+
 def test_a_cold_start_does_not_import_configparser():
     # only catalog files need configparser; load_catalog imports it itself
     result = _python("-c", "import sys, periodlab; "
