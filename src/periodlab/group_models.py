@@ -52,6 +52,7 @@ from .errors import (
 from .exactnum import I as QI
 from .exactnum import QQi
 from .matrix_lab import (
+    FLOAT_TOL,
     Matrix,
     Symmetry,
     VerifiedForm,
@@ -67,8 +68,6 @@ from .matrix_lab import (
 from .param_core import CuspidalLabel, SelfDualityType
 
 SL2_SURROGATE_BOUND = 6
-
-_CHAR_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +239,11 @@ def fs_indicator(model: IrrepModel) -> int:
     """Frobenius-Schur indicator: (1/|G|) sum of chi(g^2), rounded.
 
     +1 for orthogonal, -1 for symplectic, 0 for non-self-dual irreducibles;
-    a rounding gap above 1e-6 raises.
+    a rounding gap above ``FLOAT_TOL`` raises.
     """
     total = model.character[model.group.square_idx].sum() / model.group.order
     nearest = round(total.real)
-    if abs(total - nearest) > _CHAR_TOL:
+    if abs(total - nearest) > FLOAT_TOL:
         raise NonIntegralIndicatorError(
             f"indicator of {model.name} is {total}, not near an integer")
     return int(nearest)
@@ -382,8 +381,9 @@ class Catalog:
 
     def validate(self) -> None:
         """Check duality mutuality and model consistency, the models of dual
-        labels being contragredient (one group object, complex-conjugate
-        characters element by element); raise on failure."""
+        labels being contragredient (one group object, and characters that
+        are complex conjugate under the float rule of :meth:`Matrix.equals`);
+        raise on failure."""
         seen_models: dict[int, str] = {}
         for name, entry in self.entries.items():
             label, shown = entry.label, quoted(name)
@@ -410,9 +410,9 @@ class Catalog:
                     f"self-duality")
             model, dual_model = entry.model, dual_entry.model
             if model is not None and dual_model is not None and not (
-                    model.group is dual_model.group and np.abs(
-                        model.character - dual_model.character.conj()
-                    ).max() <= _CHAR_TOL):
+                    model.group is dual_model.group and _float_close(
+                        model.character[None],
+                        dual_model.character[None].conj())):
                 raise ConsistencyError(
                     f"dual labels {shown}/{other}: their models are "
                     f"not contragredient representations of one group")

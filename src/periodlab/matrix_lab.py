@@ -19,21 +19,17 @@ int, reduced so that gcd(re, im, den) = 1.  The reduced image is unique, so
 equality compares integers, and products are integer matmuls.
 :class:`~periodlab.exactnum.QQi` scalars appear only at the edges: as input
 to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
-Null spaces are computed on the exact path by a sparse reduced row echelon
-form kept fraction-free in Gaussian integers, and by SVD on the float path.
-An exact row with one nonzero entry pins its unknown to 0; such unknowns
-are dropped from the other rows before those are reduced.  The S(k) side
+The exact path has one elimination, :class:`_Rref`: a sparse reduced row
+echelon form kept fraction-free in Gaussian integers.  It gives the exact
+rank and every exact null space; the float path reads both off the SVD by
+one rank rule.  A square matrix is invertible, and so a form
+nondegenerate, when its rank is its size, on either path.  The S(k) side
 is never reduced: its pairings and intertwiners are read off the weights of
 the sl2 triple, on the at most min(k, k') unknowns the weights leave, and
 walked along the E chain in integers (:func:`_weight_solve`), the sl2 form
 included.  The J forms have one entry +-1 in every row, so the
 conjugator identities are decided on these signed pairings, with no matrix
 placed.
-Invertibility, and so nondegeneracy of forms, is decided on the exact path
-off the diagonal of a triangular matrix or the pattern of a monomial one
-(such as the J forms and the sl2 forms), else by fraction-free elimination
-over the Gaussian integers (Bareiss 1968), and on the float path by the
-SVD rank rule.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
@@ -295,16 +291,9 @@ class Matrix:
         return self.equals(Matrix.identity(self.rows, self.exact))
 
     def is_invertible(self) -> bool:
-        """Decided exactly on the exact path, by the SVD rank rule on the
-        float path."""
-        if not self.is_square:
-            return False
-        if self.rows == 0:
-            return True
-        if self.exact:
-            return _gaussian_nonsingular(self.re, self.im)
-        s = np.linalg.svd(self.data, compute_uv=False)
-        return bool((s > _rank_cutoff(s)).all())
+        """Whether the matrix is square of full rank: :meth:`rank`, exact on
+        the exact path and by the SVD rank rule on the float path."""
+        return self.is_square and self.rank() == self.rows
 
     def rank(self) -> int:
         if self.exact:
@@ -419,15 +408,13 @@ class _Rref:
     def rank(self) -> int:
         return len(self.rows)
 
-    def nullspace(self, pinned: Iterable[int] = ()) -> list[Matrix]:
+    def nullspace(self) -> list[Matrix]:
         """Basis of the solution space as exact 1 x ncols rows, one per free
         column f: 1 at f and -x_f / x_c at the pivot column c of each pivot
-        row x.  A ``pinned`` column, one that the rows do not touch, counts
-        as a pivot column whose row is its unit row."""
+        row x."""
         basis = []
-        bound = self.rows.keys() | set(pinned)
         for f in range(self.ncols):
-            if f in bound:
+            if f in self.rows:
                 continue
             hits = [(c, row[c], row[f]) for c, row in self.rows.items()
                     if f in row]
@@ -462,18 +449,9 @@ def _combine(a, x, b, y) -> dict[int, tuple[int, int]]:
 
 
 def nullspace_exact(rows: Sequence[dict], ncols: int) -> list[Matrix]:
-    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``.
-
-    A row with one nonzero entry pins its column to 0.  Those columns are
-    dropped from the other rows before they are reduced, and their unit rows
-    join the reduced form as they are: it stays reduced, and it is unique,
-    so the basis is the one of all rows reduced in the order given.
-    """
-    rows = [{c: v for c, v in row.items() if v[0] or v[1]} for row in rows]
-    pinned = {c for row in rows if len(row) == 1 for c in row}
-    rest = [{c: v for c, v in row.items() if c not in pinned}
-            for row in rows if len(row) > 1]
-    return _Rref(ncols, filter(None, rest)).nullspace(pinned)
+    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``,
+    zero entries and empty rows allowed."""
+    return _Rref(ncols, rows).nullspace()
 
 
 def _normalized(row: dict[int, tuple[int, int]], lead: int,
@@ -493,51 +471,6 @@ def _rank_cutoff(s: np.ndarray) -> float:
     """The float rank rule: singular values ``s`` above
     ``FLOAT_TOL * max(1, largest)`` count."""
     return FLOAT_TOL * s.max(initial=1.0)
-
-
-def _gaussian_nonsingular(re: np.ndarray, im: np.ndarray) -> bool:
-    """Whether the square Gaussian-integer matrix ``re + i*im`` is
-    invertible.
-
-    A triangular matrix is decided by its diagonal and a monomial one by its
-    pattern, in O(n^2).  Anything else goes to fraction-free elimination
-    (Bareiss 1968): after step k each entry of the trailing block is a minor
-    of the input, so dividing by the previous pivot is exact in Z[i].  The
-    matrix is singular exactly when a column has no pivot left.
-    """
-    re, im = re.tolist(), im.tolist()
-    n = len(re)
-    support = [[j for j in range(n) if rr[j] or ri[j]]
-               for rr, ri in zip(re, im)]
-    if not all(support):
-        return False
-    if all(cols[0] >= i for i, cols in enumerate(support)):  # upper
-        return all(cols[0] == i for i, cols in enumerate(support))
-    if all(cols[-1] <= i for i, cols in enumerate(support)):  # lower
-        return all(cols[-1] == i for i, cols in enumerate(support))
-    if all(len(cols) == 1 for cols in support):
-        return len({cols[0] for cols in support}) == n
-    pr, pi = 1, 0  # the previous pivot
-    for k in range(n):
-        p = next((r for r in range(k, n) if re[r][k] or im[r][k]), None)
-        if p is None:
-            return False
-        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
-        ar, ai, rk, ik = re[k][k], im[k][k], re[k], im[k]
-        norm = pr * pr + pi * pi
-        for i in range(k + 1, n):
-            ri, ii = re[i], im[i]
-            br, bi = ri[k], ii[k]
-            if not (br or bi) and ar == pr and ai == pi:
-                continue  # the update would leave this row unchanged
-            for j in range(k + 1, n):
-                # (a * m_ij - b * m_kj) / previous pivot
-                xr = ar * ri[j] - ai * ii[j] - br * rk[j] + bi * ik[j]
-                xi = ar * ii[j] + ai * ri[j] - br * ik[j] - bi * rk[j]
-                ri[j] = (xr * pr + xi * pi) // norm
-                ii[j] = (xi * pr - xr * pi) // norm
-        pr, pi = ar, ai
-    return True
 
 
 def nullspace_float(a: np.ndarray, ncols: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from periodlab import (
+    FLOAT_TOL,
     RDSSpec,
     SL2_SURROGATE_BOUND,
     Segment,
@@ -311,19 +312,19 @@ def test_criterion_6_indicator_ground_truth(emit):
         model = models[name]
         if fs_indicator(model) != want:
             problems.append(f"{name}: indicator {fs_indicator(model)}")
-        if gap_of(model) >= 1e-6:
+        if gap_of(model) >= FLOAT_TOL:
             problems.append(f"{name}: rounding gap {gap_of(model):.2e}")
     for k in range(1, SL2_SURROGATE_BOUND + 1):
         model = sl2_surrogate(k)
         want = 1 if k % 2 else -1
         if fs_indicator(model) != want:
             problems.append(f"S({k}): indicator {fs_indicator(model)}")
-        if gap_of(model) >= 1e-6:
+        if gap_of(model) >= FLOAT_TOL:
             problems.append(f"S({k}): rounding gap {gap_of(model):.2e}")
     ok = not problems
     emit("criterion 6 (indicator ground truth)", ok,
           "q8 -> -1, s3 -> +1, chi3 -> 0; surrogate S(k) -> (-1)^(k+1) for "
-          "k <= 6; every rounding gap < 1e-6")
+          f"k <= 6; every rounding gap < FLOAT_TOL = {FLOAT_TOL:g}")
     assert not problems, problems
 
 

@@ -154,6 +154,15 @@ def test_a_character_far_from_an_integral_indicator_is_refused():
         fs_indicator(halved)
 
 
+def test_an_indicator_just_off_an_integer_is_refused():
+    # q8's indicator is -1; a character shifted by 1e-8 everywhere moves
+    # the sum by 1e-8, ten times the one float tolerance
+    shifted = replace(MODELS["q8"], character=MODELS["q8"].character + 1e-8)
+    with pytest.raises(NonIntegralIndicatorError,
+                       match="indicator of q8 is .*not near an integer"):
+        fs_indicator(shifted)
+
+
 def test_surrogate_dimension_and_parity():
     for k in range(1, SL2_SURROGATE_BOUND + 1):
         model = sl2_surrogate(k)
@@ -355,6 +364,18 @@ def test_validate_rejects_dual_labels_whose_models_are_not_dual(case):
         dual_model = group_models._make_model(
             "chi3 again", chi3.group, chi3.matrices)
     cat = _dual_pair_catalog(chi3, dual_model)
+    with pytest.raises(ConsistencyError, match="not contragredient"):
+        cat.validate()
+
+
+def test_validate_rejects_a_character_just_off_the_conjugate():
+    # the shifts at a and a^2 cancel in chi(g^2) summed over C3, so the
+    # indicator stays 0 and only the character comparison can refuse
+    chi3bar = MODELS["chi3bar"]
+    shifted = replace(chi3bar,
+                      character=chi3bar.character + [0, 1e-8, -1e-8])
+    assert fs_indicator(shifted) == 0
+    cat = _dual_pair_catalog(MODELS["chi3"], shifted)
     with pytest.raises(ConsistencyError, match="not contragredient"):
         cat.validate()
 

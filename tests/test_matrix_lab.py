@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -47,7 +48,6 @@ from periodlab.group_models import _element_key
 from periodlab.matrix_lab import (
     FLOAT_TOL,
     TensorFactors,
-    _Rref,
     _factor,
     _intertwining_rows,
     _normalized,
@@ -102,6 +102,9 @@ def test_rank_and_invertibility():
     i = QQi(0, 1)
     assert not Matrix.from_rows([[1, i], [i, -1]]).is_invertible()
     assert Matrix.from_rows([[Fraction(1, 3), 1], [0, i / 2]]).is_invertible()
+    assert not Matrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_invertible()
+    assert Matrix.identity(0).is_invertible()
+    assert Matrix.identity(0, exact=False).is_invertible()
 
 
 def test_sl2_exponentials_are_invertible():
@@ -164,19 +167,56 @@ def _square_rows(values, n):
     return [values[r * n:(r + 1) * n] for r in range(n)]
 
 
+def _minor_rank(entries, ncols):
+    """The rank of a matrix of Gaussian-integer entries ``(re, im)``: the
+    size of its largest nonzero minor.  Each minor is a cofactor expansion
+    along its first row, memoized on its row and column subsets, so the
+    determinant of an n x n matrix costs O(n 2^n).  It is a reference that
+    shares no code with the row reduction of ``matrix_lab``."""
+    @lru_cache(maxsize=None)
+    def minor(rows, cols):
+        if not rows:
+            return 1, 0
+        re = im = 0
+        for t, c in enumerate(cols):
+            mr, mi = minor(rows[1:], cols[:t] + cols[t + 1:])
+            ar, ai = entries[rows[0]][c]
+            sign = -1 if t % 2 else 1
+            re += sign * (ar * mr - ai * mi)
+            im += sign * (ar * mi + ai * mr)
+        return re, im
+
+    for size in range(min(len(entries), ncols), 0, -1):
+        if any(minor(rows, cols) != (0, 0)
+               for rows in combinations(range(len(entries)), size)
+               for cols in combinations(range(ncols), size)):
+            return size
+    return 0
+
+
+def _gaussian_entries(m):
+    """The entries (re, im) of the Gaussian-integer image of an exact
+    matrix, whose rank is the matrix's."""
+    return [list(zip(r, i)) for r, i in zip(m.re.tolist(), m.im.tolist())]
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     _square_gaussian(n), _square_gaussian(n), st.integers(0, n))))
-def test_exact_invertibility_matches_exact_rank(drawn):
+def test_exact_invertibility_matches_the_determinant(drawn):
     """Products through a rank-r projection, so singular matrices with
-    dense Gaussian entries come up as often as invertible ones."""
+    dense Gaussian entries come up as often as invertible ones: the exact
+    rank is the size of the largest nonzero minor, and the matrix is
+    invertible exactly when its determinant is nonzero."""
     a, b, r = drawn
     a, b = _entries(a), _entries(b)
     n = len(a)
     keep = Matrix.from_rows(
         [[int(i == j < r) for j in range(n)] for i in range(n)])
     m = Matrix.from_rows(a) @ keep @ Matrix.from_rows(b)
-    assert m.is_invertible() == (m.rank() == n)
+    rank = _minor_rank(_gaussian_entries(m), n)
+    assert m.rank() == rank
+    assert m.is_invertible() == (rank == n)
 
 
 def _reference_product(a, b):
@@ -304,11 +344,11 @@ _PATTERNS = {
     st.lists(st.integers(-3, 3), min_size=2 * n * n, max_size=2 * n * n),
     st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
-def test_invertibility_read_off_matches_exact_rank(drawn):
+def test_invertibility_of_patterned_matrices_matches_the_determinant(drawn):
     """Upper and lower triangular, monomial and general Gaussian-integer
-    matrices, with about a quarter of their entries zeroed: the read-off of
-    a triangular or monomial pattern before Bareiss elimination, and the
-    elimination, decide invertibility as the exact rank does."""
+    matrices, with about a quarter of their entries zeroed: the exact rank
+    is the size of the largest nonzero minor, and the matrix is invertible
+    exactly when its determinant is nonzero."""
     kind, ints, keep, cols = drawn
     n = len(cols)
     parts = np.array(ints, dtype=object).reshape(2, n, n)
@@ -317,7 +357,9 @@ def test_invertibility_read_off_matches_exact_rank(drawn):
             if not (keep[r * n + c] and _PATTERNS[kind](r, c, cols)):
                 parts[:, r, c] = 0
     m = Matrix.gaussian(parts[0], parts[1])
-    assert m.is_invertible() == (m.rank() == n)
+    rank = _minor_rank(_gaussian_entries(m), n)
+    assert m.rank() == rank
+    assert m.is_invertible() == (rank == n)
 
 
 def test_nullspace_float_matches_rank():
@@ -355,21 +397,6 @@ def test_float_comparison_rule_is_shared(top, error, equal):
 
 
 small_exact = st.integers(-5, 5)
-
-
-@given(st.lists(st.lists(small_exact, min_size=4, max_size=4),
-                min_size=2, max_size=4))
-def test_nullspace_exact_annihilates(rows):
-    sparse = [{j: (v, 0) for j, v in enumerate(row) if v} for row in rows]
-    sparse = [r for r in sparse if r]
-    basis = [v.tolist()[0] for v in nullspace_exact(sparse, 4)]
-    assert len(basis) == 4 - Matrix.from_rows(rows).rank()
-    for vec in basis:
-        for row in sparse:
-            assert sum((QQi(0), *(c[0] * vec[j] for j, c in row.items())),
-                       QQi(0)) == QQi(0)
-
-
 gaussian_ints = st.just((0, 0)) | st.tuples(st.integers(-3, 3),
                                             st.integers(-3, 3))
 
@@ -390,14 +417,19 @@ def _sparse_systems(draw):
 
 @settings(max_examples=150)
 @given(_sparse_systems())
-def test_nullspace_exact_matches_the_plain_reduction(system):
-    """Eliminating single-entry rows first gives the basis of reducing every
-    row in the order given."""
+def test_nullspace_exact_annihilates(system):
+    """The basis solves every row, is independent, and has one vector for
+    each column past the rank of the rows."""
     rows, ncols = system
-    got = nullspace_exact(rows, ncols)
-    want = _Rref(ncols, rows).nullspace()
-    assert len(got) == len(want)
-    assert all(g.equals(w) for g, w in zip(got, want))
+    basis = nullspace_exact(rows, ncols)
+    dense = [[row.get(c, (0, 0)) for c in range(ncols)] for row in rows]
+    assert len(basis) == ncols - _minor_rank(dense, ncols)
+    assert _minor_rank([_gaussian_entries(v)[0] for v in basis],
+                       ncols) == len(basis)
+    for (vec,) in (v.tolist() for v in basis):
+        for row in rows:
+            assert sum((QQi(*x) * vec[c] for c, x in row.items()),
+                       QQi(0)) == QQi(0)
 
 
 # -- forms -------------------------------------------------------------------
@@ -485,7 +517,8 @@ def test_exact_classify_form_matches_the_definitions(drawn):
         expected = Symmetry.NEITHER
     form = classify_form(gram)
     assert form.symmetry is expected
-    assert form.nondegenerate == (gram.rank() == n)
+    assert form.nondegenerate == (_minor_rank(_gaussian_entries(gram), n)
+                                  == n)
 
 
 def _float_rule(gram):
