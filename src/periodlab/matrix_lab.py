@@ -23,7 +23,13 @@ The exact path has one elimination, :class:`_Rref`: a sparse reduced row
 echelon form kept fraction-free in Gaussian integers.  It gives the exact
 rank and every exact null space; the float path reads both off the SVD by
 one rank rule.  A square matrix is invertible, and so a form
-nondegenerate, when its rank is its size, on either path.  The S(k) side
+nondegenerate, when its rank is its size, on either path.  Each solve
+states its equations once, as :class:`Matrix` algebra: the rho side of
+L^T X R = X and of L X = X R by vec(A X B) = (A (x) B^T) vec(X) on the
+row-major vec, and the span of the invariant forms by their placed tiles
+and transposes; the arithmetic path picks only the elimination
+(:func:`_nullspace`, :func:`_row_basis`), exact when every matrix it
+reads is.  The S(k) side
 is never reduced: its pairings and intertwiners are read off the weights of
 the sl2 triple, on the at most min(k, k') unknowns the weights leave, and
 walked along the E chain in integers (:func:`_weight_solve`), the sl2 form
@@ -40,7 +46,7 @@ parameter is; a form on it (:class:`FactoredForm`) holds it, and
 distinct factor gets one small int id (:func:`_factor`), keyed on its
 shape and value, and each block class (rho factor ids, r, k) one id
 (:attr:`TensorFactors.class_ids`), once its factors are shown invertible.
-A block pair's forms are X (x) Y, X row reduced on the rho factors' ids, Y
+A block pair's forms are X (x) Y, X solved on the rho factors' ids, Y
 solved by the weights of (k, k').  The oracle reads ints and records
 cached once per process: a factor's :class:`BilinearForm`
 (:func:`_reading`), the pairing of two classes, dim Hom(D, C), and each
@@ -262,10 +268,9 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.exact and other.exact:
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            return Matrix.gaussian(_kron(ar, br) - _kron(ai, bi),
-                                   _kron(ar, bi) + _kron(ai, br),
-                                   self.den * other.den)
+            return Matrix.gaussian(*_gaussian_matmul(
+                self.re, self.im, other.re, other.im, _kron),
+                self.den * other.den)
         return Matrix(_kron(self.as_complex(), other.as_complex()))
 
     # -- predicates --------------------------------------------------------
@@ -320,22 +325,25 @@ def _float_close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_matmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray,
-                     bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ar + i*ai) @ (br + i*bi) as its real and imaginary parts; the
-    products of an imaginary part that is zero are skipped."""
+                     bi: np.ndarray, mul: Callable = np.matmul
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The product ``mul`` (a matmul, or :func:`_kron`) of ar + i*ai and
+    br + i*bi as its real and imaginary parts; the products of an imaginary
+    part that is zero are skipped."""
     a_im, b_im = ai.any(), bi.any()
-    re = ar @ br - ai @ bi if a_im and b_im else ar @ br
+    re = mul(ar, br) - mul(ai, bi) if a_im and b_im else mul(ar, br)
     im = np.zeros(re.shape, dtype=object)
     if b_im:
-        im = im + ar @ bi
+        im = im + mul(ar, bi)
     if a_im:
-        im = im + ai @ br
+        im = im + mul(ai, br)
     return re, im
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 2-d arrays as one broadcast product, without its
-    shape handling (which dominates on small object arrays)."""
+    """The Kronecker product of two 2-d arrays as one broadcast product,
+    without numpy's shape handling (which dominates on small object
+    arrays)."""
     (p, q), (r, s) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
@@ -836,60 +844,28 @@ def is_in_sp(g: Matrix,
 # invariant forms and intertwiners, one tensor factor at a time
 
 
-def _sparse_columns(m: Matrix) -> list[list[tuple[int, tuple[int, int]]]]:
-    """Per column of an exact ``m``, its nonzero entries (row, (re, im))."""
-    return [list(_sparse_row(re, im).items())
-            for re, im in zip(m.re.T.tolist(), m.im.T.tolist())]
+def _factor_solve(ls: tuple, rs: tuple, a: int, b: int,
+                  system: Callable) -> tuple[Matrix, ...]:
+    """Basis of the a x b matrices X with ``system(L, R)`` vec(X) = 0, on
+    the row-major vec, for every (L, R) in ``zip(ls, rs)``, by
+    :func:`_nullspace`.  A repeated pair adds no equation, and every X
+    satisfies the pair of identities, so neither is built."""
+    pairs = dict.fromkeys(zip(ls, rs))
+    pairs.pop((_identity(a), _identity(b)), None)
+    eqs = [system(_FACTORS[l], _FACTORS[r]) for l, r in pairs]
+    return tuple(v.apply(lambda m: m.reshape(a, b))
+                 for v in _nullspace(eqs, a * b))
 
 
-def _pairing_rows(l: Matrix, r: Matrix) -> list[dict]:
-    """Gaussian-integer rows of L^T X R - X = 0 on the row-major vec of X,
-    multiplied by the denominators of L and R."""
-    a, b = l.rows, r.rows
-    l_cols, r_cols = _sparse_columns(l), _sparse_columns(r)
-    rows = []
-    for i in range(a):
-        for j in range(b):
-            row = {i * b + j: (-l.den * r.den, 0)}
-            for p, (lr, li) in l_cols[i]:
-                for q, (rr, ri) in r_cols[j]:
-                    xr, xi = row.get(p * b + q, (0, 0))
-                    row[p * b + q] = (xr + lr * rr - li * ri,
-                                      xi + lr * ri + li * rr)
-            rows.append(row)
-    return rows
-
-
-def _intertwining_rows(l: Matrix, r: Matrix) -> list[dict]:
-    """Gaussian-integer rows of L X - X R = 0 on the row-major vec of X,
-    multiplied by the denominators of L and R; every coefficient is an
-    entry of L or R, or one difference of two."""
-    a, b = l.rows, r.rows
-    l_rows, r_cols = _sparse_columns(l.T), _sparse_columns(r)
-    rows = []
-    for i in range(a):
-        for j in range(b):
-            row = {p * b + j: (lr * r.den, li * r.den)
-                   for p, (lr, li) in l_rows[i]}
-            for q, (rr, ri) in r_cols[j]:
-                xr, xi = row.get(i * b + q, (0, 0))
-                row[i * b + q] = (xr - rr * l.den, xi - ri * l.den)
-            rows.append(row)
-    return rows
-
-
-def _factor_solve(ls: tuple, rs: tuple, a: int, b: int, rows: Callable,
-                  dense: Callable) -> tuple[Matrix, ...]:
-    """Basis of the a x b matrices X that the ``rows`` of every (L, R) in
-    ``zip(ls, rs)`` annihilate: exact row reduction when every factor is
-    exact, else the float rank rule on the ``dense`` rows."""
-    pairs = [(_FACTORS[l], _FACTORS[r]) for l, r in zip(ls, rs)]
-    if all(_SHAPES[f][1] for f in ls + rs):
-        return tuple(v.apply(lambda m: m.reshape(a, b)) for v in
-                     nullspace_exact([row for l, r in pairs
-                                      for row in rows(l, r)], a * b))
-    return tuple(Matrix.from_array(v.reshape(a, b)) for v in nullspace_float(
-        [dense(l.as_complex(), r.as_complex()) for l, r in pairs], a * b).T)
+def _nullspace(eqs: Sequence[Matrix], ncols: int) -> list[Matrix]:
+    """Basis of the common null space of the matrices ``eqs``, each with
+    ``ncols`` columns, as 1 x ncols rows: :func:`nullspace_exact` of their
+    rows when every one is exact, else :func:`nullspace_float`."""
+    if all(m.exact for m in eqs):
+        return nullspace_exact([row for m in eqs for row in map(
+            _sparse_row, m.re.tolist(), m.im.tolist())], ncols)
+    return [Matrix.from_array(v[None]) for v in nullspace_float(
+        [m.as_complex() for m in eqs], ncols).T]
 
 
 @lru_cache(maxsize=512)
@@ -901,25 +877,28 @@ def invariant_pairings(ls: tuple, rs: tuple, a: int,
 
     Each L (a x a) and R (b x b) is given as a factor id of
     :class:`TensorFactors`, so solves are cached on the ids, and a miss
-    reads the matrices behind them.  Exact row reduction of
-    :func:`_pairing_rows` when every factor is exact, else the float rank
-    rule; each basis element an a x b :class:`Matrix`.  The S(k) side is
-    solved by its weights instead (:func:`sl2_pairings`).
+    reads the matrices behind them.  The equations are
+    (L^T (x) R^T - I) vec(X) = 0, as vec(A X B) = (A (x) B^T) vec(X) on
+    the row-major vec (Horn and Johnson, *Topics in Matrix Analysis*,
+    section 4.3), solved by :func:`_factor_solve`: exactly when every
+    factor is exact, else by the float rank rule; each basis element an
+    a x b :class:`Matrix`.  The S(k) side is solved by its weights instead
+    (:func:`sl2_pairings`).
     """
-    return _factor_solve(ls, rs, a, b, _pairing_rows,
-                         lambda l, r: np.kron(l.T, r.T) - np.eye(a * b))
+    i = _FACTORS[_identity(a * b)]
+    return _factor_solve(ls, rs, a, b, lambda l, r: l.T.kron(r.T) - i)
 
 
 @lru_cache(maxsize=512)
 def intertwiners(ls: tuple, rs: tuple, a: int,
                  b: int) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L X = X R for every (L, R) in ``zip(ls, rs)``},
-    with arguments and result as for :func:`invariant_pairings`, solved on
-    :func:`_intertwining_rows`.  The S(k) side is solved by its weights
-    instead (:func:`sl2_intertwiners`)."""
-    return _factor_solve(
-        ls, rs, a, b, _intertwining_rows,
-        lambda l, r: np.kron(l, np.eye(b)) - np.kron(np.eye(a), r.T))
+    with arguments and result as for :func:`invariant_pairings`, on the
+    equations (L (x) I_b - I_a (x) R^T) vec(X) = 0.  The S(k) side is
+    solved by its weights instead (:func:`sl2_intertwiners`)."""
+    ia, ib = _FACTORS[_identity(a)], _FACTORS[_identity(b)]
+    return _factor_solve(ls, rs, a, b,
+                         lambda l, r: l.kron(ib) - ia.kron(r.T))
 
 
 def _weight_basis(k: int, k2: int, pairing: bool) -> tuple[Matrix, ...]:
@@ -996,12 +975,6 @@ class TensorFactors:
         factor ids and sizes; of the S(k) side, k and k'."""
         (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
         return (self.rho[i], self.rho[j], r, r2), (k, k2)
-
-    def block_pairs(self):
-        """Per block pair (i, j): where i and j start, and :meth:`pair`."""
-        for i, (lo, _, _) in enumerate(self.blocks):
-            for j, (lo2, _, _) in enumerate(self.blocks):
-                yield (lo, lo2, *self.pair(i, j))
 
     def dense(self) -> list[Matrix]:
         """The generators as n x n matrices, in generator order.  On a block
@@ -1119,88 +1092,49 @@ def invariant_forms(gens) -> list[BilinearForm]:
 
     The space is solved per block pair (i, j) of :func:`tensor_factors`
     (the realization's blocks, or one block for a bare list of generators):
-    its forms there are X (x) Y, with X in :func:`invariant_pairings` of the
-    A_i, A_j and Y in :func:`sl2_pairings` of k_i, k_j; each factor is
-    solved on its own factors' path, and X (x) Y is complex unless every
-    generator is exact.  On the exact path X (x) Y is formed in Gaussian
-    integers, up to scale, and the symmetric and skew parts are reduced
-    row echelon forms, unique whatever the spanning vectors, so they do
-    not depend on the factorization.
+    its forms there are X (x) Y placed on the rows of block i and the
+    columns of block j, with X in :func:`invariant_pairings` of the A_i,
+    A_j and Y in :func:`sl2_pairings` of k_i, k_j.  Each part, F + F^T or
+    F - F^T of every such form F, is spanned by :func:`_row_basis`: exactly
+    when every X placed is exact, as every Y is.
     """
     tf = tensor_factors(gens)
-    n, exact = tf.n, tf.exact
-    vecs: list[dict[int, object]] = []  # row-major index -> entry
-    for lo, lo2, rho_args, sl2_args in tf.block_pairs():
-        xs = invariant_pairings(*rho_args)
-        ys = sl2_pairings(*sl2_args) if xs else ()
-        k, k2 = sl2_args
-        for x in xs:
-            for y in ys:
-                vecs.append({
-                    (lo + a * k + s) * n + lo2 + b * k2 + t:
-                        _gaussian_product(xv, yv) if exact else xv * yv
-                    for (a, b), xv in _nonzero_entries(x, exact)
-                    for (s, t), yv in _nonzero_entries(y, exact)})
-
-    if exact:
-        parts = _split_transpose_exact(vecs, n)
-    else:
-        dense = np.zeros((len(vecs), n * n), dtype=complex)
-        for row, v in zip(dense, vecs):
-            row[list(v)] = list(v.values())
-        # vec(B^T) permutes vec(B); split into symmetric and skew parts
-        perm = np.arange(n * n).reshape(n, n).T.ravel()
-        parts = [[Matrix.from_array(v.reshape(n, n))
-                  for v in _row_space_basis(rows)]
-                 for rows in (dense + dense[:, perm], dense - dense[:, perm])]
+    n, size = tf.n, len(tf.blocks)
+    at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
+    grams = []
+    for i in range(size):
+        for j in range(size):
+            rho_args, sl2_args = tf.pair(i, j)
+            xs = invariant_pairings(*rho_args)
+            ys = sl2_pairings(*sl2_args) if xs else ()
+            grams += [_placed(n, [(at[i], at[j], x.kron(y))])
+                      for x in xs for y in ys]
+    parts = [g + g.T for g in grams], [g - g.T for g in grams]
     return [BilinearForm(gram, symmetry, gram.is_invertible())
-            for symmetry, grams in zip((Symmetry.SYMMETRIC, Symmetry.SKEW),
-                                       parts)
-            for gram in grams]
+            for symmetry, part in zip((Symmetry.SYMMETRIC, Symmetry.SKEW),
+                                      parts)
+            for gram in _row_basis(part, n)]
 
 
-def _nonzero_entries(m: Matrix, exact: bool):
-    """((row, col), entry) for the nonzero entries of a basis matrix: (re,
-    im) of an exact ``m``, whose ``den`` is dropped, when ``exact``, else a
-    complex entry."""
-    entries = (_sparse_row(m.re.flat, m.im.flat).items() if exact
-               else ((i, v) for i, v in enumerate(m.as_complex().flat) if v))
-    return [(divmod(i, m.cols), v) for i, v in entries]
-
-
-def _gaussian_product(x: tuple[int, int], y: tuple[int, int]):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _split_transpose_exact(vecs: list[dict], n: int) -> list[list[Matrix]]:
-    """The reduced row echelon bases of the symmetric parts v + v^T and of
-    the skew parts v - v^T of sparse Gaussian-integer row-major vectors, as
-    n x n matrices with leading entry 1."""
-    sym_rref = _Rref(n * n)
-    skew_rref = _Rref(n * n)
-    for v in vecs:
-        sym, skew = dict(v), dict(v)
-        for c, (vr, vi) in v.items():
-            ct = (c % n) * n + c // n
-            sr, si = sym.get(ct, (0, 0))
-            kr, ki = skew.get(ct, (0, 0))
-            sym[ct], skew[ct] = (sr + vr, si + vi), (kr - vr, ki - vi)
-        sym_rref.insert(sym)
-        skew_rref.insert(skew)
-    return [[_normalized(row, c, n) for c, row in sorted(rref.rows.items())]
-            for rref in (sym_rref, skew_rref)]
-
-
-def _row_space_basis(rows: np.ndarray) -> list[np.ndarray]:
-    if rows.size == 0 or not np.any(np.abs(rows) > FLOAT_TOL):
+def _row_basis(grams: Sequence[Matrix], n: int) -> list[Matrix]:
+    """A basis of the span of the n x n ``grams``, each normalized so its
+    first nonzero entry in row-major order is 1.  When every gram is exact,
+    the rows of their reduced row echelon form (:class:`_Rref`), unique
+    whatever the spanning grams; else the rows of the SVD's row space above
+    the float rank rule, each divided by its first entry above the
+    cutoff."""
+    if all(g.exact for g in grams):
+        rref = _Rref(n * n, (_sparse_row(g.re.flat, g.im.flat) for g in grams))
+        return [_normalized(row, c, n) for c, row in sorted(rref.rows.items())]
+    rows = np.array([g.as_complex().ravel() for g in grams])
+    if not np.any(np.abs(rows) > FLOAT_TOL):
         return []
     _, s, vh = np.linalg.svd(rows)
     cutoff = _rank_cutoff(s)
-    rank = int((s > cutoff).sum())
     out = []
-    for row in vh[:rank]:
+    for row in vh[:int((s > cutoff).sum())]:
         idx = next(i for i, v in enumerate(row) if abs(v) > cutoff)
-        out.append(row / row[idx])
+        out.append(Matrix.from_array((row / row[idx]).reshape(n, n)))
     return out
 
 

@@ -49,9 +49,7 @@ from periodlab.matrix_lab import (
     FLOAT_TOL,
     TensorFactors,
     _factor,
-    _intertwining_rows,
     _normalized,
-    _pairing_rows,
     _sparse_row,
     blockdiag,
     check_conjugator,
@@ -562,7 +560,7 @@ def test_float_classify_form_matches_the_uncached_rule(drawn):
             assert (form.symmetry, form.nondegenerate) == _float_rule(gram)
 
 
-def test_monomial_form_reading_decides_the_standard_form():
+def test_the_J_forms_are_skew_nondegenerate_and_one_entry_edits_are_not_skew():
     for m in range(2, 25, 2):
         form = classify_form(symplectic_J(m).gram)
         assert form.symmetry is Symmetry.SKEW and form.nondegenerate
@@ -718,15 +716,35 @@ def test_invariant_form_sl2_parity_and_uniqueness():
         assert forms[0].gram.equals(f.gram)
 
 
+def _kron_rows(m):
+    """The rows of an exact system matrix, as sparse Gaussian-integer rows
+    (its denominator dropped)."""
+    return [_sparse_row(re, im) for re, im in zip(m.re.tolist(),
+                                                  m.im.tolist())]
+
+
+def _pairing_system(l, r):
+    """L^T X R - X = 0 on the row-major vec of X: L^T (x) R^T - I, as
+    vec(A X B) = (A (x) B^T) vec(X)."""
+    return l.T.kron(r.T) - Matrix.identity(l.rows * r.rows)
+
+
+def _intertwining_system(l, r):
+    """L X - X R = 0 on the row-major vec of X: L (x) I - I (x) R^T."""
+    return (l.kron(Matrix.identity(r.rows))
+            - Matrix.identity(l.rows).kron(r.T))
+
+
 def test_invariant_form_sl2_matches_the_dense_solve():
     """Up to k = 24 the form equals the one vector the whole system of 3k^2
     E, F and H rows leaves, normalized, and its symmetry and nondegeneracy
-    are what classify_form reads off it."""
+    are what classify_form reads off it.  The rows of X^T Y + Y X = 0 are
+    those of -X^T Y - Y X = 0, the intertwiners of -X^T and X."""
     for k in range(1, 25):
         act = sl2_sym_power_action(k)
         rows = []
         for x in (act.e, act.f, act.h):
-            rows += _intertwining_rows(-x.T, x)
+            rows += _kron_rows(_intertwining_system(-x.T, x))
         assert len(rows) == 3 * k * k
         basis = nullspace_exact(rows, k * k)
         assert len(basis) == 1
@@ -925,10 +943,27 @@ def test_invariant_forms_float_path():
     assert not gens.exact
     forms = invariant_forms(gens)
     assert sorted(f.symmetry.value for f in forms) == ["skew", "symmetric"]
+    # the forms place X (x) Y with X paired across chi3 and chi3bar: float
+    assert not any(f.gram.exact for f in forms)
     skew = find_nondegenerate_skew(gens)
     assert skew is not None
     for g in gens.dense():
         assert is_in_sp(g, skew)
+
+
+def test_invariant_forms_run_exact_when_every_placed_factor_is():
+    """chi3 (+) q8 has a float generator, but its one invariant form lives
+    on the q8 block, where X is q8's exact skew pairing: the form is exact,
+    skew and degenerate (it vanishes on the chi3 row)."""
+    gens = realize(WDParameter.of([seg("chi3"), seg("q8")]), CAT)
+    assert not gens.exact
+    (form,) = invariant_forms(gens)
+    assert form.gram.exact
+    assert form.symmetry is Symmetry.SKEW and not form.nondegenerate
+    assert not form.gram.re[0].any() and not form.gram.im[0].any()
+    assert form.gram.T.equals(-form.gram)
+    for g in gens.dense():
+        assert is_in_sp(g, form)
 
 
 def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
@@ -941,8 +976,8 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
         raise AssertionError("row reduction in an S(k) solve")
 
     sizes = [(k, k2) for k in range(1, 13) for k2 in range(1, 13)]
-    kinds = [(matrix_lab.sl2_pairings, _pairing_rows, True),
-             (matrix_lab.sl2_intertwiners, _intertwining_rows, False)]
+    kinds = [(matrix_lab.sl2_pairings, _pairing_system, True),
+             (matrix_lab.sl2_intertwiners, _intertwining_system, False)]
     solved = {}
     with monkeypatch.context() as patched:
         patched.setattr(matrix_lab, "nullspace_exact", no_reduction)
@@ -952,12 +987,12 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
             for k, k2 in sizes:
                 cells, _ = matrix_lab._weight_solve(k, k2, pairing)
                 solved[pairing, k, k2] = cells, solve(k, k2)
-    for _, rows_of, pairing in kinds:
+    for _, system, pairing in kinds:
         for k, k2 in sizes:
             cells, basis = solved[pairing, k, k2]
             assert len(cells) <= min(k, k2)
             rows = [row for exp in (sl2_exp_e, sl2_exp_f)
-                    for row in rows_of(exp(k), exp(k2))]
+                    for row in _kron_rows(system(exp(k), exp(k2)))]
             # the reduced form is unique: inserting the sparsest rows first
             # changes only its cost
             want = nullspace_exact(sorted(rows, key=len), k * k2)
