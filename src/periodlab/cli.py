@@ -194,8 +194,8 @@ def run_conjecture_sweep(catalog_path: str | None = None,
     """Check every regular discrete sum up to ``max_dim``; see
     :func:`periodlab.sweep.conjecture_sweep`.  ``max_dim`` is bounded by
     the form oracle's bound, ``FORM_ORACLE_DIM_BOUND``: a cold run there
-    takes 0.98-1.24 s, the import included and no bytecode cache written,
-    on a 2-vCPU Xeon VM (Python 3.11.7)."""
+    took 0.45-0.60 s in 7 runs, the import included and no bytecode cache
+    written, on a 2-vCPU Xeon VM (Python 3.11.7)."""
     if not 2 <= max_dim <= FORM_ORACLE_DIM_BOUND:
         raise UsageError(
             f"max_dim must be between 2 and {FORM_ORACLE_DIM_BOUND}")
@@ -213,60 +213,80 @@ def run_conjecture_sweep(catalog_path: str | None = None,
 
 
 @cache
-def _build_argparser() -> tuple[argparse.ArgumentParser,
-                                dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommands' parsers by name, built
-    once per process."""
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The command-line parser, and per subcommand its arguments' defaults,
+    options by option string and positionals; built once per process."""
     ap = argparse.ArgumentParser(
         prog="periodlab",
         description=("Rules and matrix oracles for symplectic-period "
                      "parameter classification."))
     sub = ap.add_subparsers(dest="command", required=True)
+    c, v, s = (sub.add_parser(name, help=text) for name, text in [
+        ("classify", "check one parameter expression"),
+        ("verify-matrices", "run the exact matrix identity suites"),
+        ("sweep", "enumerate regular discrete sums and cross-check the "
+                  "oracle")])
+    actions = {c: [], v: [], s: []}
 
-    c = sub.add_parser("classify", help="check one parameter expression")
-    c.add_argument("expr", help="expression, e.g. 'St(3,q8) (+) q8b'")
-    c.add_argument("--catalog", metavar="PATH",
-                   help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
-    c.add_argument("--oracle", action="store_true",
-                   help="cross-check the rules against the matrix oracle")
-    c.add_argument("--json", action="store_true", help="JSON output")
+    def add(parsers, *name, **kw):
+        for p in parsers:
+            actions[p].append(p.add_argument(*name, **kw))
 
-    v = sub.add_parser("verify-matrices",
-                       help="run the exact matrix identity suites")
-    v.add_argument("--max-n", type=int, default=6, metavar="N",
-                   help=f"verify forms and conjugators up to GL(2N), "
-                        f"1..{VERIFY_MAX_N} (default 6)")
-    v.add_argument("--max-k", type=int, default=8, metavar="K",
-                   help=f"verify form parity up to S(K), 1..{VERIFY_MAX_K} "
-                        f"(default 8)")
-    v.add_argument("--json", action="store_true", help="JSON output")
+    add([c], "expr", help="expression, e.g. 'St(3,q8) (+) q8b'")
+    add([c, s], "--catalog", metavar="PATH",
+        help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
+    add([c], "--oracle", action="store_true",
+        help="cross-check the rules against the matrix oracle")
+    add([v], "--max-n", type=int, default=6, metavar="N",
+        help=f"verify forms and conjugators up to GL(2N), 1..{VERIFY_MAX_N} "
+             f"(default 6)")
+    add([v], "--max-k", type=int, default=8, metavar="K",
+        help=f"verify form parity up to S(K), 1..{VERIFY_MAX_K} (default 8)")
+    add([s], "--max-dim", type=int, default=8, metavar="D",
+        help=f"total dimension cap, 2..{FORM_ORACLE_DIM_BOUND} (default 8)")
+    add([c, v, s], "--json", action="store_true", help="JSON output")
+    return ap, {name: ({a.dest: a.default for a in actions[p]},
+                       {o: a for a in actions[p] for o in a.option_strings},
+                       [a for a in actions[p] if not a.option_strings])
+                for name, p in sub.choices.items()}
 
-    s = sub.add_parser("sweep",
-                       help="enumerate regular discrete sums and "
-                            "cross-check the oracle")
-    s.add_argument("--catalog", metavar="PATH",
-                   help=f"catalog file (default: ${CATALOG_ENV} or built-in)")
-    s.add_argument("--max-dim", type=int, default=8, metavar="D",
-                   help=f"total dimension cap, 2..{FORM_ORACLE_DIM_BOUND} "
-                        f"(default 8)")
-    s.add_argument("--json", action="store_true", help="JSON output")
-    return ap, sub.choices
+
+def _read_plain(argv: list[str], defaults, options, positionals
+                ) -> argparse.Namespace | None:
+    """The full parser's Namespace for a plain argv, else None.  After the
+    subcommand, a plain argv's words that start with ``-`` are each exactly
+    one of its option strings, help excluded; a flag sets its constant, any
+    other option takes the next word, which must not start with ``-`` and
+    must convert under its type; the other words fill the positionals."""
+    args = {"command": argv[0], **defaults}
+    positionals = iter(positionals)
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            action = options.get(word)
+            if action is not None and action.nargs == 0:
+                args[action.dest] = action.const
+                continue
+            word = next(words, "-")
+        else:
+            action = next(positionals, None)
+        if action is None or word.startswith("-"):
+            return None
+        try:
+            args[action.dest] = action.type(word) if action.type else word
+        except ValueError:
+            return None
+    return None if next(positionals, None) else argparse.Namespace(**args)
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``parse_args`` of the full parser, routed straight to the subcommand's
-    parser when the first word names one.  A parse that leaves arguments
-    over goes to the full parser, which reports them under its own usage;
-    so do an empty argv and a first word that names no subcommand."""
-    ap, subcommands = _build_argparser()
+    """``parse_args`` of the full parser: a plain argv is read directly, and
+    any other, help and every error included, goes to argparse."""
+    ap, plain = _build_argparser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return ap.parse_args(argv)
+    table = plain.get(argv[0]) if argv else None
+    args = table and _read_plain(argv, *table)
+    return args or ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -281,7 +301,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"periodlab: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.json else report.render())
+    try:
+        print(report.to_json() if args.json else report.render())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the report's exit code; the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -543,7 +544,8 @@ def test_classify_exits_with_a_documented_code_on_any_text(expr, oracle):
 
 
 # every subcommand with valid arguments, help at both levels, and the argv
-# the subcommand's own parser would report differently from the full one
+# that only the full parser reads: errors, `--`, `=` forms, abbreviations,
+# a value that starts with `-`, non-ASCII digits and the empty word
 ROUTED_ARGV = [
     ["classify", "St(3,q8) (+) q8b", "--oracle", "--json"],
     ["classify", "trivial", "--catalog", "x.ini"],
@@ -564,7 +566,22 @@ ROUTED_ARGV = [
     ["--json", "classify", "trivial"],
     ["classify", "--", "-x"],
     [],
+    ["classify", "trivial", "--ora"],
+    ["sweep", "--max-dim=4"],
+    ["verify-matrices", "--max-n", "-1"],
+    ["sweep", "--max-dim", "\u0663", "--json"],
+    ["classify", ""],
 ]
+
+# words drawn after a routed argv: every option string, valid and invalid
+# values, `--`, help, `=` forms, abbreviations, other words that start with
+# `-`, the empty word and non-ASCII digits
+ARGV_WORDS = st.sampled_from([
+    "classify", "verify-matrices", "sweep", "--catalog", "--oracle",
+    "--json", "--max-n", "--max-k", "--max-dim", "--", "-h", "--help",
+    "--ora", "--max", "--max-dim=4", "--json=1", "-h=1", "-1", "-x", "-",
+    "", " 4 ", "1_0", "\u0663", "\u00b2", "4", "25", "x.ini", "trivial",
+    "a b"]) | st.text(max_size=3)
 
 
 def _parse_outcome(parse, argv):
@@ -579,13 +596,54 @@ def _parse_outcome(parse, argv):
 
 
 @pytest.mark.parametrize("argv", ROUTED_ARGV, ids=" ".join)
-def test_the_argv_route_parses_as_the_full_parser(argv):
-    """cli._parse_args, which hands an argv naming a subcommand to that
-    subcommand's parser, gives the full parser's Namespace, or its exit code
-    and its output byte for byte."""
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ARGV_WORDS, max_size=5))
+@example([])
+def test_the_argv_route_parses_as_the_full_parser(argv, more):
+    """cli._parse_args, which reads a plain argv without argparse, gives the
+    full parser's Namespace, or its exit code and its output byte for byte,
+    for the argv and for the argv followed by any drawn words."""
     parser = cli._build_argparser()[0]
+    argv = argv + more
     assert (_parse_outcome(cli._parse_args, argv)
             == _parse_outcome(parser.parse_args, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "St(3,q8) (+) q8b", "--oracle", "--json"],
+    ["sweep", "--max-dim", "6", "--json"],
+    ["verify-matrices", "--max-n", "6", "--max-k", "8", "--json"],
+], ids=" ".join)
+def test_the_benchmark_argv_shapes_never_call_argparse(monkeypatch, argv):
+    """The command lines the benchmark sends are read directly."""
+    want = cli._build_argparser()[0].parse_args(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was called")
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    assert cli._parse_args(argv) == want
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("sweep_max_dim_24.json", ["sweep", "--max-dim", "24", "--json"]),
+    ("classify_repeated_chi3.json", ["classify", "chi3 (+) chi3 (+) chi3bar "
+                                     "(+) chi3bar", "--oracle", "--json"]),
+])
+def test_a_closed_output_pipe_keeps_the_report_exit_code(golden, argv):
+    """A reader that closes the pipe early, as ``| head -c 10`` does, leaves
+    the command its report's exit code and standard error empty."""
+    code = json.loads((Path(__file__).parent / "golden" / golden)
+                      .read_text(encoding="ascii"))["exit_code"]
+    src = str(Path(periodlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "periodlab", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")
 
 
 # catalog section bodies per label, with distinct models, that load on
