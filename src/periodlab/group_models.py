@@ -59,7 +59,7 @@ from .matrix_lab import (
     _class_pair,
     _factor,
     _float_close,
-    _reading,
+    _pairing_symmetry,
     intertwiners,
     sl2_intertwiners,
     sym_power,
@@ -480,8 +480,8 @@ def centralizer_dimension(verified: VerifiedForm) -> int:
     scalars.  A dual pair C != C' leaves A free: m^2.  For C = C',
     s^T = -+s as P^T = +-P, and A lies in so(m) when P is skew, in sp(m)
     when it is symmetric: m(m -+ 1)/2.  P = X (x) Y of one tile is
-    symmetric when X and Y are alike (``matrix_lab._reading``); a factor of
-    neither symmetry is an internal error.
+    symmetric when X and Y are alike (``matrix_lab._pairing_symmetry``); a
+    P of neither symmetry is an internal error.
     """
     tf, rows = verified.form.factors, verified.form.rows
     commutant = commutant_dimension(tf)
@@ -496,12 +496,12 @@ def centralizer_dimension(verified: VerifiedForm) -> int:
         if tf.class_ids[j] != c:
             twice += m * m
             continue
-        sym = _reading(x).symmetry, _reading(y).symmetry
-        if Symmetry.NEITHER in sym:
+        sym = _pairing_symmetry(x, y)
+        if sym is Symmetry.NEITHER:
             raise PeriodLabError(
                 "internal: the pairing of a self-paired class is neither "
                 "symmetric nor skew")
-        twice += m * (m + 1 if sym[0] is sym[1] else m - 1)
+        twice += m * (m + 1 if sym is Symmetry.SYMMETRIC else m - 1)
     return twice // 2
 
 

@@ -29,13 +29,13 @@ L^T X R = X and of L X = X R by vec(A X B) = (A (x) B^T) vec(X) on the
 row-major vec, and the span of the invariant forms by their placed tiles
 and transposes; the arithmetic path picks only the elimination
 (:func:`_nullspace`, :func:`_row_basis`), exact when every matrix it
-reads is.  The S(k) side
-is never reduced: its pairings and intertwiners are read off the weights of
-the sl2 triple, on the at most min(k, k') unknowns the weights leave, and
-walked along the E chain in integers (:func:`_weight_solve`), the sl2 form
-included.  The J forms have one entry +-1 in every row, so the
-conjugator identities are decided on these signed pairings, with no matrix
-placed.
+reads is.  The S(k) side is never reduced: its pairings and intertwiners
+are read off the weights of the sl2 triple, on the at most min(k, k')
+unknowns the weights leave, and walked along the E chain in integers
+(:func:`_weight_solve`), the sl2 form included; the solver and
+:meth:`FactoredForm.verify` share one E/F check (:func:`_sl2_fixed`).
+The J forms have one entry +-1 in every row, so the conjugator
+identities are decided on these signed pairings, with no matrix placed.
 
 A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
 generators acts on every block as A_i (x) I or as I (x) U_i.
@@ -657,7 +657,8 @@ class Sl2Action:
     h: Matrix
 
 
-def _sl2_triple(k: int) -> tuple[list[tuple[int, int, int]], ...]:
+@lru_cache(maxsize=512)
+def _sl2_triple(k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The entries (row, col, value) of E, F and H on the basis
     x^{k-1}, x^{k-2}y, ..., y^{k-1}, zeros left out of E and F.
 
@@ -666,21 +667,19 @@ def _sl2_triple(k: int) -> tuple[list[tuple[int, int, int]], ...]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return ([(j - 1, j, j) for j in range(1, k)],
-            [(j + 1, j, k - 1 - j) for j in range(k - 1)],
-            [(j, j, k - 1 - 2 * j) for j in range(k)])
+    return (tuple((j - 1, j, j) for j in range(1, k)),
+            tuple((j + 1, j, k - 1 - j) for j in range(k - 1)),
+            tuple((j, j, k - 1 - 2 * j) for j in range(k)))
 
 
 def sl2_sym_power_action(k: int) -> Sl2Action:
     """E, F, H of :func:`_sl2_triple` as matrices; [E, F] = H holds
     exactly."""
-    mats = []
-    for entries in _sl2_triple(k):
-        m = np.zeros((k, k), dtype=object)
+    mats = [np.zeros((k, k), dtype=object) for _ in range(3)]
+    for m, entries in zip(mats, _sl2_triple(k)):
         for r, c, v in entries:
             m[r, c] = v
-        mats.append(Matrix.gaussian(m))
-    return Sl2Action(k, *mats)
+    return Sl2Action(k, *map(Matrix.gaussian, mats))
 
 
 def sl2_exp_e(k: int) -> Matrix:
@@ -702,79 +701,54 @@ def sl2_exp_f(k: int) -> Matrix:
 
 
 def _weight_solve(k: int, k2: int,
-                  pairing: bool) -> tuple[dict[int, int], np.ndarray | None]:
+                  pairing: bool) -> tuple[dict[int, int], tuple[Matrix, ...]]:
     """The pairings {Y (k x k') : U^T Y U' = Y} or the intertwiners
     {Y : U Y = Y U'} of S(k) and S(k'), for (U, U') = (exp E, exp E') and
     (exp F, exp F'), read off :func:`_sl2_triple` by the weights of sl2
     (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
     section 7), with no row reduction.
 
-    exp E and exp F are unipotent, so Y satisfies them exactly when it
-    satisfies E and F: X^T Y + Y X' = 0 for pairings, X Y - Y X' = 0 for
-    intertwiners.  So it satisfies H = [E, F] too, and H is diagonal: its
-    rows pin y_ij unless h_i + h'_j = 0 (pairings) or h_i = h'_j
+    Y satisfies exp E and exp F exactly when it satisfies E and F
+    (:func:`_sl2_fixed`), and so H = [E, F], which is diagonal: its rows
+    pin y_ij unless h_i + h'_j = 0 (pairings) or h_i = h'_j
     (intertwiners).  That leaves at most min(k, k') unknowns, the cells
-    (i, j), in order of i, and the E and F rows are built on the cells
-    alone.  The E rows form a chain, each linking the cells of rows i and
-    i + 1 with both coefficients nonzero, so the solutions span at most one
-    dimension.  The one candidate, walked along the chain from 1 at the
-    first cell in integers, is checked exactly against every E and F row.
-    Returns the cells as a dict i -> j and the candidate as a k x k'
-    integer array, or None when there is no cell or a row fails on it: then
-    Y = 0 is the only solution.  A missing link is a PeriodLabError.
+    (i, j), on consecutive rows i.  With E v_c = up[c] v_(c-1), the E rows
+    chain them: for a cell (i, j), up[i+1] y_i + up'[j] y_(i+1) = 0 at
+    (i+1, j) for pairings, up[i+1] y_(i+1) - up'[j+1] y_i = 0 at (i, j+1)
+    for intertwiners.  The one candidate, walked along the chain from 1 at
+    the first cell in integers, is certified by :func:`_sl2_fixed`.
+    Returns the cells as a dict i -> j and the basis: the candidate scaled
+    so that the last cell is 1, as :func:`nullspace_exact` scales one
+    solution, or none when there is no cell or the check fails.  A missing
+    or zero link is a PeriodLabError.
     """
-    e, f, h = _sl2_triple(k)
-    e2, f2, h2 = (e, f, h) if k2 == k else _sl2_triple(k2)
+    (e, _, h), (e2, _, h2) = _sl2_triple(k), _sl2_triple(k2)
     sign = -1 if pairing else 1
     column = {w: j for j, _, w in h2}
-    # cell i is the unknown y_ij, j = cell[i]; cell_row inverts it
     cell = {i: column[sign * w] for i, _, w in h if sign * w in column}
-    cell_row = {j: i for i, j in cell.items()}
-    rows = []
-    for x, x2 in ((e, e2), (f, f2)):
-        eq: dict[tuple[int, int], dict[int, int]] = {}
-        for r, c, v in x:
-            # X^T Y at (c, b) holds v y_rb, and X Y at (r, b) holds v y_cb:
-            # an unknown when b is the cell's column
-            i, a = (r, c) if pairing else (c, r)
-            if i in cell:
-                row = eq.setdefault((a, cell[i]), {})
-                row[i] = row.get(i, 0) + v
-        for r, c, v in x2:
-            # Y X' at (a, c) holds v y_ar: an unknown when a = cell_row[r]
-            if r in cell_row:
-                a = cell_row[r]
-                row = eq.setdefault((a, c), {})
-                row[a] = row.get(a, 0) + (v if pairing else -v)
-        rows.append(list(eq.values()))
-    if not cell:
-        return cell, None
-    links = {min(row): row for row in rows[0] if len(row) == 2}
-    first = next(iter(cell))  # the cells lie on consecutive rows
+    up, up2 = ({c: v for _, c, v in x} for x in (e, e2))
     vec = [1]
-    for i in range(first, first + len(cell) - 1):
-        row = links.get(i, {})
-        if row.keys() != {i, i + 1} or not row[i] or not row[i + 1]:
+    for i, j in list(cell.items())[:-1]:
+        # a y_i + b y_(i+1) = 0 on the link of rows i and i + 1
+        a, b = ((up.get(i + 1, 0), up2.get(j, 0)) if pairing
+                else (-up2.get(j + 1, 0), up.get(i + 1, 0)))
+        if not a or not b:
             raise PeriodLabError(
                 f"internal: the E chain of S(k) x S(k') has no link at row "
                 f"{i} (k={k}, k'={k2})")
-        # row[i] y_i + row[i+1] y_{i+1} = 0: scale the known entries by the
-        # divisor's cofactor so y_{i+1} is an integer, keeping y_first > 0
-        num, div = -row[i] * vec[-1], row[i + 1]
-        g = gcd(num, div) if div > 0 else -gcd(num, div)
-        if div != g:
-            vec = [x * (div // g) for x in vec]
+        # scale the known entries by the divisor's cofactor so y_(i+1) is
+        # an integer, keeping y_first > 0
+        num = -a * vec[-1]
+        g = gcd(num, b) if b > 0 else -gcd(num, b)
+        if b != g:
+            vec = [x * (b // g) for x in vec]
         vec.append(num // g)
-    for row in rows[0] + rows[1]:
-        total = 0
-        for u, v in row.items():
-            total += v * vec[u - first]
-        if total:
-            return cell, None
+    entries = list(zip(cell.items(), vec))
+    if not cell or not _sl2_fixed(k, k2, entries, pairing):
+        return cell, ()
     y = np.zeros((k, k2), dtype=object)
-    for (i, j), v in zip(cell.items(), vec):
-        y[i, j] = v
-    return cell, y
+    y[list(cell), list(cell.values())] = vec
+    return cell, (Matrix.gaussian(y if vec[-1] > 0 else -y, den=abs(vec[-1])),)
 
 
 def invariant_form_sl2(k: int) -> BilinearForm:
@@ -901,30 +875,18 @@ def intertwiners(ls: tuple, rs: tuple, a: int,
                          lambda l, r: l.kron(ib) - ia.kron(r.T))
 
 
-def _weight_basis(k: int, k2: int, pairing: bool) -> tuple[Matrix, ...]:
-    """The basis :func:`_weight_solve` certifies, 0 or 1 exact k x k'
-    matrices, scaled so that the last cell is 1, as :func:`nullspace_exact`
-    scales a one-dimensional solution space."""
-    cell, y = _weight_solve(k, k2, pairing)
-    if y is None:
-        return ()
-    i = max(cell)
-    last = y[i, cell[i]]
-    return (Matrix.gaussian(y if last > 0 else -y, den=abs(last)),)
-
-
 @lru_cache(maxsize=512)
 def sl2_pairings(k: int, k2: int) -> tuple[Matrix, ...]:
     """Basis of {Y (k x k') : U^T Y U' = Y} for (U, U') = (exp E, exp E')
     and (exp F, exp F') of S(k) and S(k'): the S(k) side of a block pair,
     solved by its weights (:func:`_weight_solve`) and cached on (k, k')."""
-    return _weight_basis(k, k2, True)
+    return _weight_solve(k, k2, True)[1]
 
 
 @lru_cache(maxsize=512)
 def sl2_intertwiners(k: int, k2: int) -> tuple[Matrix, ...]:
     """Basis of {Y (k x k') : U Y = Y U'}, as for :func:`sl2_pairings`."""
-    return _weight_basis(k, k2, False)
+    return _weight_solve(k, k2, False)[1]
 
 
 @dataclass(frozen=True)
@@ -1069,7 +1031,10 @@ def _exp_factors(k: int) -> tuple[int, int]:
 def tensor_factors(gens) -> TensorFactors:
     """``gens`` itself when it is a :class:`TensorFactors`; a bare list of
     generators is one block with r = n and k = 1, on which every generator
-    is its own A."""
+    is its own A.  So :func:`invariant_forms` and ``commutant_dimension``
+    row-reduce a bare ``[sl2_exp_e(k), sl2_exp_f(k)]`` densely (0.2-0.4 s at
+    k = 12, 1-2 s at k = 16, 2-vCPU Xeon), where :func:`realize` hands S(k)
+    to its weight solve and takes milliseconds."""
     if isinstance(gens, TensorFactors):
         return gens
     mats = list(gens)
@@ -1138,33 +1103,21 @@ def _row_basis(grams: Sequence[Matrix], n: int) -> list[Matrix]:
     return out
 
 
-@lru_cache(maxsize=512)
-def _pairing_factors(solve: Callable, *args) -> tuple:
-    """The basis of a pairing solve, ``solve(*args)``, each X given as the
-    factors of X and X^T, built once per solve."""
-    return tuple((_factor(m), _factor(m.T)) for m in solve(*args))
-
-
-def _block_pairing(rho_args: tuple, sl2_args: tuple) -> tuple | None:
-    """The invariant pairing X (x) Y of a block pair, from the solves of its
-    factors (:meth:`TensorFactors.pair`), as the factors (X, Y, X^T, Y^T)
+@lru_cache(maxsize=None)
+def _class_pairing(c: int, d: int) -> tuple | None:
+    """The invariant pairing X (x) Y of a block of class c and one of d,
+    from the solves of :func:`_class_pair`, as the factors (X, Y, X^T, Y^T)
     of a :class:`FactoredForm`, or None when there is none."""
-    xs = _pairing_factors(invariant_pairings, *rho_args)
-    ys = _pairing_factors(sl2_pairings, *sl2_args) if xs else ()
+    rho_args, sl2_args = _class_pair(c, d)
+    xs = invariant_pairings(*rho_args)
+    ys = sl2_pairings(*sl2_args) if xs else ()
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
         raise PeriodLabError(f"internal: a block pair has {len(xs) * len(ys)}"
                              f" independent invariant pairings, not 0 or 1")
     if not ys:
         return None
-    ((x, xt),), ((y, yt),) = xs, ys
-    return x, y, xt, yt
-
-
-@lru_cache(maxsize=None)
-def _class_pairing(c: int, d: int) -> tuple | None:
-    """:func:`_block_pairing` of a block of class c and one of class d,
-    once per process."""
-    return _block_pairing(*_class_pair(c, d))
+    (x,), (y,) = xs, ys
+    return _factor(x), _factor(y), _factor(x.T), _factor(y.T)
 
 
 @dataclass(frozen=True)
@@ -1273,29 +1226,37 @@ def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
             return None
         if not moved.exact:
             worst = max(worst, moved.max_abs_diff(xm))
-    if not _sl2_fixed(k, k2, _FACTORS[y]):
+    ym = _FACTORS[y]
+    if not all(_sl2_fixed(k, k2, [(divmod(p, k2), v) for p, v in enumerate(
+            part.flat) if v]) for part in (ym.re, ym.im)):
         return None
-    return worst * float(np.abs(_FACTORS[y].as_complex()).max(initial=0.0))
+    return worst * float(np.abs(ym.as_complex()).max(initial=0.0))
 
 
-def _sl2_fixed(k: int, k2: int, y: Matrix) -> bool:
-    """Whether U^T Y U' = Y for U = exp E, exp F of S(k) and S(k'), Y exact
-    k x k': exactly when E^T Y + Y E' = 0 and F^T Y + Y F' = 0, as exp E
-    and exp F are unipotent (:func:`_weight_solve`).  E and F have one
-    entry per row at most (:func:`_sl2_triple`), so the sums run over Y's
-    nonzero entries, in integers."""
-    for part in (y.re, y.im):
-        nonzero = [(divmod(p, k2), v) for p, v in enumerate(part.flat) if v]
-        for x, x2 in zip(_sl2_triple(k)[:2], _sl2_triple(k2)[:2]):
-            left, right = ({r: (c, v) for r, c, v in m} for m in (x, x2))
-            total: Counter = Counter()
-            for (a, b), v in nonzero:
-                if a in left:  # X^T Y at (c, b)
-                    total[left[a][0], b] += left[a][1] * v
-                if b in right:  # Y X' at (a, c)
-                    total[a, right[b][0]] += right[b][1] * v
-            if any(total.values()):
-                return False
+def _sl2_fixed(k: int, k2: int, entries: Sequence[tuple[tuple[int, int], int]],
+               pairing: bool = True) -> bool:
+    """The one E/F check, of the weight solve and :meth:`FactoredForm.verify`:
+    whether U^T Y U' = Y (``pairing``) or U Y = Y U' for U = exp E, exp F
+    of S(k) and S(k'), Y a k x k' integer matrix given by its nonzero
+    ``entries`` ((a, b), y_ab); E and F are real, so an exact Y is checked
+    one part at a time.  As exp E and exp F are unipotent, this is
+    X^T Y + Y X' = 0, or X Y - Y X' = 0, for X = E, F, which have at most
+    one entry per row and per column (:func:`_sl2_triple`): the sums run
+    over Y's nonzero entries, in integers."""
+    for x, x2 in zip(_sl2_triple(k)[:2], _sl2_triple(k2)[:2]):
+        # X^T Y at (c, b) holds v y_rb, X Y at (r, b) holds v y_cb, and
+        # Y X' at (a, c) holds v y_ar
+        left = {r: (c, v) for r, c, v in x} if pairing else {
+            c: (r, v) for r, c, v in x}
+        right = {r: (c, v if pairing else -v) for r, c, v in x2}
+        total: Counter = Counter()
+        for (a, b), v in entries:
+            if a in left:
+                total[left[a][0], b] += left[a][1] * v
+            if b in right:
+                total[a, right[b][0]] += right[b][1] * v
+        if any(total.values()):
+            return False
     return True
 
 
@@ -1328,6 +1289,17 @@ def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
     return z.scale(u).equals(y) and a.scale(u).equals(b)
 
 
+def _pairing_symmetry(x: int, y: int) -> Symmetry:
+    """The symmetry of a pairing X (x) Y, X and Y factor ids read by
+    :func:`classify_form`: symmetric when X and Y are alike, skew when they
+    differ, neither when one of them is."""
+    sx = classify_form(_FACTORS[x]).symmetry
+    sy = classify_form(_FACTORS[y]).symmetry
+    if Symmetry.NEITHER in (sx, sy):
+        return Symmetry.NEITHER
+    return Symmetry.SYMMETRIC if sx is sy else Symmetry.SKEW
+
+
 def find_nondegenerate_skew(gens) -> FactoredForm | None:
     """A nondegenerate skew invariant form J of a realization or a bare
     list of generators, built class by class as tiles, or None when a
@@ -1339,7 +1311,7 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
     once per pair of class ids (:func:`_class_pairing`); a second such
     class is an internal error.  J pairs copy i of C with copy i of C' by P
     and -P^T.  When C = C', P^T pairs C with itself too, so P is symmetric or
-    skew, as :func:`classify_form` reads the solved X and Y: a symmetric P
+    skew, as :func:`_pairing_symmetry` reads the solved X and Y: a symmetric P
     pairs copy 2i with copy 2i + 1, and a skew P each copy with itself.
     Each None has a certificate that every invariant (skew) form is
     degenerate:
@@ -1364,11 +1336,8 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
         ((duals, (x, y, xt, yt)),) = pairings
         if duals[0] < copies[0]:
             continue  # placed with its dual class
-        if duals is copies:  # P is symmetric when X and Y are alike
-            sym = (classify_form(_FACTORS[x]).symmetry,
-                   classify_form(_FACTORS[y]).symmetry)
-            if Symmetry.NEITHER not in sym and sym[0] is sym[1]:
-                copies, duals = copies[::2], copies[1::2]
+        if duals is copies and _pairing_symmetry(x, y) is Symmetry.SYMMETRIC:
+            copies, duals = copies[::2], copies[1::2]
         if len(copies) != len(duals):
             return None
         # a copy paired with itself gets P alone, which is skew unless P is

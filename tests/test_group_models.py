@@ -55,7 +55,6 @@ from periodlab.matrix_lab import (
     _FACTORS,
     TensorFactors,
     VerifiedForm,
-    _block_pairing,
     _class_pairing,
     _factor,
     _sparse_row,
@@ -64,6 +63,7 @@ from periodlab.matrix_lab import (
     nullspace_exact,
     nullspace_float,
     sl2_intertwiners,
+    sl2_pairings,
     sym_power,
     tensor_factors,
 )
@@ -525,6 +525,17 @@ def test_class_level_commutant_matches_the_per_block_sum(p):
     assert commutant_dimension(gens) == _per_block_commutant(gens)
 
 
+def _per_block_pairing(rho_args, sl2_args):
+    """The reference pairing of a block pair: X (x) Y from the solves of
+    its factors (``TensorFactors.pair``), as the factors (X, Y, X^T, Y^T),
+    or None when there is none."""
+    xs, ys = invariant_pairings(*rho_args), sl2_pairings(*sl2_args)
+    if not (xs and ys):
+        return None
+    (x,), (y,) = xs, ys
+    return _factor(x), _factor(y), _factor(x.T), _factor(y.T)
+
+
 def _multisets(pool, room, start=0):
     """Every nonempty multiset of ``pool`` entries of total dimension at
     most ``room``, once each, as a tuple in pool order."""
@@ -547,7 +558,8 @@ def test_class_caches_match_the_per_block_solves():
         ids = tf.class_ids
         for i, c in enumerate(ids):
             for j, d in enumerate(ids):
-                assert _class_pairing(c, d) == _block_pairing(*tf.pair(i, j))
+                assert _class_pairing(c, d) == _per_block_pairing(
+                    *tf.pair(i, j))
         assert commutant_dimension(tf) == _per_block_commutant(tf)
     assert count == 5142
 

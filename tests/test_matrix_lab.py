@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, gcd
 
 import numpy as np
@@ -775,30 +775,36 @@ def test_invariant_form_sl2_has_the_closed_form(monkeypatch):
             assert c == Fraction((-1) ** j, comb(k - 1, j)), (k, j)
 
 
-def _broken_triple(monkeypatch, which, entry, value):
-    """Replace one (row, col, value) entry of E (which=0) or F (which=1)."""
-    real = matrix_lab._sl2_triple
+def _broken_triple(monkeypatch, which, entry, value, one_side=False):
+    """Replace one (row, col, value) entry of E (which=0) or F (which=1);
+    with ``one_side``, in every second read of the triple only, so that of
+    the two reads of S(k) x S(k) in a solve or a check, one is changed."""
+    real, reads = matrix_lab._sl2_triple, count()
 
     def triple(k):
         mats = [list(m) for m in real(k)]
-        r, c, _ = mats[which][entry]
-        mats[which][entry] = (r, c, value)
+        if not one_side or next(reads) % 2:
+            r, c, _ = mats[which][entry]
+            mats[which][entry] = (r, c, value)
         return tuple(mats)
 
     monkeypatch.setattr(matrix_lab, "_sl2_triple", triple)
 
 
 @pytest.fixture
-def fresh_sl2_pairings():
-    """An empty ``sl2_pairings`` cache, emptied again afterwards: a test
-    that breaks the sl2 triple neither reads a solve cached before it nor
-    leaves one behind."""
-    matrix_lab.sl2_pairings.cache_clear()
+def fresh_sl2_solves():
+    """Empty ``sl2_pairings`` and ``sl2_intertwiners`` caches, emptied
+    again afterwards: a test that breaks the sl2 triple neither reads a
+    solve cached before it nor leaves one behind."""
+    solves = matrix_lab.sl2_pairings, matrix_lab.sl2_intertwiners
+    for solve in solves:
+        solve.cache_clear()
     yield
-    matrix_lab.sl2_pairings.cache_clear()
+    for solve in solves:
+        solve.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_sl2_pairings")
+@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
 def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
     """A zero E entry removes a link of the chain: no form is returned, even
@@ -808,7 +814,7 @@ def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
         invariant_form_sl2(k)
 
 
-@pytest.mark.usefixtures("fresh_sl2_pairings")
+@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
 def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
     """The E chain alone fixes the candidate; a changed F entry makes an F
@@ -816,6 +822,30 @@ def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
     _broken_triple(monkeypatch, 1, entry, k + 1)
     with pytest.raises(PeriodLabError, match=f"k={k}"):
         invariant_form_sl2(k)
+
+
+@pytest.mark.usefixtures("fresh_sl2_solves")
+@pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
+def test_sl2_intertwiners_refuse_a_broken_e_chain(monkeypatch, k, entry):
+    """A zero E entry removes a link of the intertwiners' chain too."""
+    _broken_triple(monkeypatch, 0, entry, 0)
+    with pytest.raises(PeriodLabError, match=f"k={k}"):
+        matrix_lab.sl2_intertwiners(k, k)
+
+
+@pytest.mark.usefixtures("fresh_sl2_solves")
+@pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
+def test_sl2_intertwiners_check_every_f_row(monkeypatch, k, entry):
+    """The E chain alone fixes the candidate, the identity.  It intertwines
+    any F with itself, so an F entry changed on both sides keeps it, and
+    one changed on one side only makes an F row fail on it."""
+    with monkeypatch.context() as patched:
+        _broken_triple(patched, 1, entry, k + 1)
+        (y,) = matrix_lab.sl2_intertwiners(k, k)
+        assert y.is_identity()
+    matrix_lab.sl2_intertwiners.cache_clear()
+    _broken_triple(monkeypatch, 1, entry, k + 1, one_side=True)
+    assert matrix_lab.sl2_intertwiners(k, k) == ()
 
 
 @settings(max_examples=25)
@@ -1010,34 +1040,45 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
 
 
 def test_the_sl2_tile_check_matches_the_dense_products():
-    """For every k, k' <= 12, the S(k) side of a tile is checked on the
-    entries of E and F and of Y (``_sl2_fixed``): it agrees with the four
-    dense products U^T Y U' = Y, U = exp E, exp F, on each solved pairing
-    and on each one-entry perturbation of it, real or imaginary, and on
-    each one-entry Y where no pairing exists."""
-    def dense(k, k2, y):
-        return all((u(k).T @ y @ u(k2)).equals(y)
+    """For every k, k' <= 12, the one E/F check (``_sl2_fixed``) reads the
+    entries of E and F and of Y, with the sign of pairings or of
+    intertwiners: it agrees with the four dense products U^T Y U' = Y, or
+    U Y = Y U', U = exp E, exp F, on each solved pairing or intertwiner and
+    on each one-entry perturbation of it, real or imaginary, and on each
+    one-entry Y where none exists."""
+    def dense(k, k2, y, pairing):
+        return all((u(k).T @ y @ u(k2)).equals(y) if pairing
+                   else (u(k) @ y).equals(y @ u(k2))
                    for u in (sl2_exp_e, sl2_exp_f))
 
+    def check(k, k2, y, pairing):
+        return all(matrix_lab._sl2_fixed(k, k2, [
+            (divmod(p, k2), v) for p, v in enumerate(part.flat) if v],
+            pairing) for part in (y.re, y.im))
+
     fixed = Counter()
-    for k in range(1, 13):
-        for k2 in range(1, 13):
-            basis = matrix_lab.sl2_pairings(k, k2)
-            base = basis[0] if basis else Matrix.zeros(k, k2)
-            for p in range(k * k2):
-                bump = np.zeros((k, k2), dtype=object)
-                bump.flat[p] = 1
-                for one in (Matrix.gaussian(bump),
-                            Matrix.gaussian(0 * bump, bump))[:1 + len(basis)]:
-                    y = base + one
-                    got = matrix_lab._sl2_fixed(k, k2, y)
-                    assert got is dense(k, k2, y), (k, k2, p)
-                    fixed["perturbed"] += got
-            for y in basis:
-                assert matrix_lab._sl2_fixed(k, k2, y) and dense(k, k2, y)
-                fixed["solved"] += 1
+    for solve, pairing in ((matrix_lab.sl2_pairings, True),
+                           (matrix_lab.sl2_intertwiners, False)):
+        for k in range(1, 13):
+            for k2 in range(1, 13):
+                basis = solve(k, k2)
+                base = basis[0] if basis else Matrix.zeros(k, k2)
+                for p in range(k * k2):
+                    bump = np.zeros((k, k2), dtype=object)
+                    bump.flat[p] = 1
+                    for one in (Matrix.gaussian(bump), Matrix.gaussian(
+                            0 * bump, bump))[:1 + len(basis)]:
+                        y = base + one
+                        got = check(k, k2, y, pairing)
+                        assert got is dense(k, k2, y, pairing), (k, k2, p)
+                        fixed[pairing, "perturbed"] += got
+                for y in basis:
+                    assert check(k, k2, y, pairing)
+                    assert dense(k, k2, y, pairing)
+                    fixed[pairing, "solved"] += 1
     # on S(1) x S(1) every Y is fixed: exp E = exp F = 1
-    assert fixed == {"solved": 12, "perturbed": 2}
+    assert fixed == {(pairing, kind): n for pairing in (True, False)
+                     for kind, n in (("solved", 12), ("perturbed", 2))}
 
 
 # -- the skew form, class by class ------------------------------------------
