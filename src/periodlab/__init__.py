@@ -25,9 +25,10 @@ _PUBLIC = {
         "CuspidalLabel", "Segment", "SelfDualityType", "WDParameter",
         "is_tempered", "labels_equal", "multiplicities",
         "segment_self_duality", "segments_equivalent", "sl2_duality_sign"],
+    "linalg": ["FLOAT_TOL", "Matrix"],
     "matrix_lab": [
-        "FLOAT_TOL", "BilinearForm", "FactoredForm", "Matrix",
-        "PermutationMap", "Symmetry", "TensorFactors", "VerifiedForm",
+        "BilinearForm", "FactoredForm", "PermutationMap", "Symmetry",
+        "TensorFactors", "VerifiedForm",
         "classify_form", "conjugator_for_partition",
         "find_nondegenerate_skew", "invariant_form_sl2", "invariant_forms",
         "is_in_sp", "partition_J", "realize", "sl2_exp_e", "sl2_exp_f",

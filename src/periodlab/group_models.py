@@ -32,12 +32,11 @@ inequivalent, as two distinct cuspidals must be.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import sqrt
+from math import pi, sqrt
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     CatalogError,
@@ -51,17 +50,13 @@ from .errors import (
 )
 from .exactnum import I as QI
 from .exactnum import QQi
+from .linalg import FLOAT_TOL, Matrix, follows_table
 from .matrix_lab import (
-    FLOAT_TOL,
-    Matrix,
     Symmetry,
     VerifiedForm,
     _class_pair,
     _factor,
-    _float_close,
     _pairing_symmetry,
-    intertwiners,
-    sl2_intertwiners,
     sym_power,
     tensor_factors,
 )
@@ -78,7 +73,7 @@ SL2_SURROGATE_BOUND = 6
 class FiniteGroup:
     """A finite matrix group with its multiplication table.
 
-    ``elements[0]`` is the identity; ``table[i, j]`` is the index of
+    ``elements[0]`` is the identity; ``table[i][j]`` is the index of
     ``elements[i] @ elements[j]``, read off the closure's products with the
     generators, whose indices are ``generator_idxs``.  Identity of the group
     *object* matters: two labels share oracle factors exactly when they
@@ -87,9 +82,9 @@ class FiniteGroup:
 
     name: str
     elements: tuple[Matrix, ...]
-    table: np.ndarray
-    inverse_idx: np.ndarray
-    square_idx: np.ndarray
+    table: tuple[tuple[int, ...], ...]
+    inverse_idx: tuple[int, ...]
+    square_idx: tuple[int, ...]
     generator_idxs: tuple[int, ...]
 
     @property
@@ -97,10 +92,9 @@ class FiniteGroup:
         return len(self.elements)
 
 
-def _element_key(m: Matrix):
-    if m.exact:
-        return m.den, tuple(m.re.flat), tuple(m.im.flat)
-    return tuple(np.round(m.as_complex(), 6).ravel().tolist())
+def _element_key(m: Matrix) -> tuple:
+    """:attr:`Matrix.key`, on the float path of the entries rounded."""
+    return (m if m.exact else m.rounded(6)).key
 
 
 def _generate_elements(name: str, generators: Sequence[Matrix]
@@ -138,19 +132,18 @@ def _generate_elements(name: str, generators: Sequence[Matrix]
 
 def _build_group(name: str, generators: Sequence[Matrix]) -> FiniteGroup:
     elements, right, parents = _generate_elements(name, generators)
-    n = len(elements)
-    perms = np.array(right, dtype=np.int64)
     # e_i e_j = (e_i e_p) g for e_j = e_p g: each column is an earlier one
     # sent through a generator's right action, by induction on word length
-    table = np.empty((n, n), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    for j, (p, g) in enumerate(parents, 1):
-        table[:, j] = perms[table[:, p], g]
-    hits, inverse_idx = np.nonzero(table == 0)
-    if not np.array_equal(hits, np.arange(n)):
+    columns = [range(len(elements))]
+    for p, g in parents:
+        columns.append([right[i][g] for i in columns[p]])
+    table = tuple(zip(*columns))
+    if any(row.count(0) != 1 for row in table):
         raise ConsistencyError(f"group {name}: bad inverse structure")
-    return FiniteGroup(name, tuple(elements), table, inverse_idx,
-                       table.diagonal().copy(), tuple(right[0]))
+    return FiniteGroup(name, tuple(elements), table,
+                       tuple(row.index(0) for row in table),
+                       tuple(row[i] for i, row in enumerate(table)),
+                       tuple(right[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ class IrrepModel:
     group: FiniteGroup
     dim: int
     matrices: tuple[Matrix, ...]
-    character: np.ndarray
+    character: tuple[complex, ...]
     exact: bool
     factors: tuple[int, ...]
     is_identity: tuple[bool, ...]
@@ -199,10 +192,9 @@ def commutant_dimension(gens) -> int:
 def _class_hom(c: int, d: int) -> int:
     """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
     classes c and d, solved on one block of each, the U side from k alone
-    (``matrix_lab.sl2_intertwiners``)."""
-    rho_args, sl2_args = _class_pair(c, d)
-    hom = len(intertwiners(*rho_args))
-    return hom and hom * len(sl2_intertwiners(*sl2_args))
+    (``matrix_lab._class_pair``)."""
+    xs, ys = _class_pair(c, d, pairing=False)
+    return len(xs) * len(ys)
 
 
 def _make_model(name: str, group: FiniteGroup,
@@ -210,21 +202,11 @@ def _make_model(name: str, group: FiniteGroup,
     if len(matrices) != group.order:
         raise ConsistencyError(f"model {name}: need one matrix per element")
     dim, exact = matrices[0].rows, all(m.exact for m in matrices)
-    character = np.array([complex(m.trace()) for m in matrices])
-    # homomorphism certificate, nothing sampled: rho(1) = I and
-    # rho(x) rho(g) = rho(xg) for every element x and generator g, under
-    # Matrix.equals' rule; the generators reach every element of the
-    # verified table, so induction on word length covers every pair
-    table, gen_idxs = group.table, group.generator_idxs
-    if exact:
-        respects = all((m @ matrices[g]).equals(matrices[table[x, g]])
-                       for g in gen_idxs for x, m in enumerate(matrices))
-    else:
-        stack = np.stack([m.as_complex() for m in matrices])
-        respects = all(
-            _float_close(stack @ stack[g], stack[table[:, g]]).all()
-            for g in gen_idxs)
-    if not (respects and matrices[0].is_identity()):
+    character = tuple(complex(m.trace()) for m in matrices)
+    # the homomorphism certificate of the module docstring, nothing sampled
+    gen_idxs = group.generator_idxs
+    if not (follows_table(matrices, group.table, gen_idxs)
+            and matrices[0].is_identity()):
         raise ConsistencyError(
             f"model {name}: matrices do not respect the group table")
     gen_mats = [matrices[i] for i in gen_idxs]
@@ -241,7 +223,8 @@ def fs_indicator(model: IrrepModel) -> int:
     +1 for orthogonal, -1 for symplectic, 0 for non-self-dual irreducibles;
     a rounding gap above ``FLOAT_TOL`` raises.
     """
-    total = model.character[model.group.square_idx].sum() / model.group.order
+    chi, group = model.character, model.group
+    total = sum(chi[i] for i in group.square_idx) / group.order
     nearest = round(total.real)
     if abs(total - nearest) > FLOAT_TOL:
         raise NonIntegralIndicatorError(
@@ -258,7 +241,7 @@ def _trivial_group() -> FiniteGroup:
 
 
 def _cyclic3_group() -> FiniteGroup:
-    omega = complex(np.exp(2j * np.pi / 3))
+    omega = cmath.exp(2j * pi / 3)
     gen = Matrix.from_rows([[omega]], exact=False)
     return _build_group("c3", [gen])
 
@@ -283,8 +266,8 @@ def _q8_group(name: str) -> FiniteGroup:
 
 def _spin_matrix(q: tuple[float, float, float, float]) -> Matrix:
     w, x, y, z = q
-    return Matrix.from_array(np.array(
-        [[w + x * 1j, y + z * 1j], [-y + z * 1j, w - x * 1j]]))
+    return Matrix.from_rows(
+        [[w + x * 1j, y + z * 1j], [-y + z * 1j, w - x * 1j]], exact=False)
 
 
 @cache
@@ -409,10 +392,10 @@ class Catalog:
                     f"dual labels {shown}/{other} disagree about "
                     f"self-duality")
             model, dual_model = entry.model, dual_entry.model
-            if model is not None and dual_model is not None and not (
-                    model.group is dual_model.group and _float_close(
-                        model.character[None],
-                        dual_model.character[None].conj())):
+            chis = [Matrix.from_rows([m.character], exact=False)
+                    for m in (model, dual_model) if m is not None]
+            if len(chis) == 2 and not (model.group is dual_model.group
+                                       and chis[0].equals(chis[1].conj())):
                 raise ConsistencyError(
                     f"dual labels {shown}/{other}: their models are "
                     f"not contragredient representations of one group")

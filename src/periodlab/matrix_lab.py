@@ -1,56 +1,20 @@
-"""Explicit linear algebra for the matrix oracles.
+"""The matrix oracle and the identities of ``verify-matrices``, on the
+matrices of :mod:`periodlab.linalg`.
 
-Two arithmetic paths coexist:
-
-* an exact path over the Gaussian rationals, used for everything built from
-  integers and fourth roots of unity — the J matrices, permutations, sl2
-  symmetric-power data, and integer-entry group models.  Identities on this
-  path hold with zero tolerance.
-* a float path over ``complex128`` with the one tolerance
-  ``FLOAT_TOL = 1e-9``, used as soon as a construction needs other roots of
-  unity or quaternion entries.
-
-A :class:`Matrix` records which path produced it; a solve runs exact
-exactly when every factor it reads is.  Each path has one comparison rule,
-:meth:`Matrix.equals`.  An exact matrix is stored only as its
-Gaussian-integer image ``(re, im, den)``: the matrix is ``(re + i*im)/den``
-with ``re`` and ``im`` object arrays of Python ints and ``den`` a positive
-int, reduced so that gcd(re, im, den) = 1.  The reduced image is unique, so
-equality compares integers, and products are integer matmuls.
-:class:`~periodlab.exactnum.QQi` scalars appear only at the edges: as input
-to :meth:`Matrix.from_rows` and as output of :meth:`Matrix.tolist`.
-The exact path has one elimination, :class:`_Rref`: a sparse reduced row
-echelon form kept fraction-free in Gaussian integers.  It gives the exact
-rank and every exact null space; the float path reads both off the SVD by
-one rank rule.  A square matrix is invertible, and so a form
-nondegenerate, when its rank is its size, on either path.  Each solve
-states its equations once, as :class:`Matrix` algebra: the rho side of
-L^T X R = X and of L X = X R by vec(A X B) = (A (x) B^T) vec(X) on the
-row-major vec, and the span of the invariant forms by their placed tiles
-and transposes; the arithmetic path picks only the elimination
-(:func:`_nullspace`, :func:`_row_basis`), exact when every matrix it
-reads is.  The S(k) side is never reduced: its pairings and intertwiners
-are read off the weights of the sl2 triple, on the at most min(k, k')
-unknowns the weights leave, and walked along the E chain in integers
-(:func:`_weight_solve`), the sl2 form included; the solver and
-:meth:`FactoredForm.verify` share one E/F check (:func:`_sl2_fixed`).
-The J forms have one entry +-1 in every row, so the conjugator
-identities are decided on these signed pairings, with no matrix placed.
-
-A realization is a direct sum of blocks rho_i (x) S(k_i), and each of its
-generators acts on every block as A_i (x) I or as I (x) U_i.
-:func:`realize` builds the blocks and these factors in one loop and
-returns them as one :class:`TensorFactors`, the one object a realized
-parameter is; a form on it (:class:`FactoredForm`) holds it, and
-:meth:`FactoredForm.verify` returns the :class:`VerifiedForm`.  Each
-distinct factor gets one small int id (:func:`_factor`), keyed on its
-shape and value, and each block class (rho factor ids, r, k) one id
-(:attr:`TensorFactors.class_ids`), once its factors are shown invertible.
-A block pair's forms are X (x) Y, X solved on the rho factors' ids, Y
-solved by the weights of (k, k').  The oracle reads ints and records
-cached once per process: a factor's :class:`BilinearForm`
-(:func:`_reading`), the pairing of two classes, dim Hom(D, C), and each
-tile's invariance and skewness, read by :meth:`FactoredForm.verify`.
+A realization (:func:`realize`) is one :class:`TensorFactors`: blocks
+rho_i (x) S(k_i), on which a generator acts as A_i (x) I or I (x) U_i,
+with one small int id per distinct factor (:func:`_factor`) and per block
+class (rho factor ids, r, k).  A block pair's forms are X (x) Y: X solved
+on the rho factors by vec(A X B) = (A (x) B^T) vec(X) on the row-major
+vec, ``linalg`` picking the elimination by the path; Y read off the sl2
+weights and walked along the E chain in integers (:func:`_weight_solve`).
+The skew form is built class by class (:func:`find_nondegenerate_skew`)
+and checked on its tiles (:meth:`FactoredForm.verify`), with the weight
+solve's one E/F check (:func:`_sl2_fixed`).  Per process the oracle caches
+a factor's :class:`BilinearForm` (:func:`_reading`), the pairing of two
+classes, dim Hom(D, C), and each tile's invariance and skewness.  The J
+forms have one entry +-1 in every row, so the conjugator identities are
+decided on these signed pairings, with no matrix placed.
 """
 
 from __future__ import annotations
@@ -61,10 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, gcd, lcm
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
-
-import numpy as np
+from math import comb, gcd
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import (
     ConjugatorNotFoundError,
@@ -75,421 +37,12 @@ from .errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
-from .exactnum import ZERO, QQi, qqi
+from .exactnum import ZERO
+from .linalg import Matrix, nullspace, row_basis, tensor_equal
 from .param_core import WDParameter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .group_models import Catalog
-
-FLOAT_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# dense matrices
-
-
-class Matrix:
-    """A dense matrix on either the exact or the float path.
-
-    On the exact path ``data`` is None and the matrix is
-    ``(re + i*im) / den``, reduced (see the module docstring); on the float
-    path ``data`` is the ``complex128`` array and the other slots are unset.
-    Instances are treated as immutable; all operations return new objects.
-    """
-
-    __slots__ = ("data", "re", "im", "den")
-
-    def __init__(self, data: np.ndarray | None, re: np.ndarray | None = None,
-                 im: np.ndarray | None = None, den: int = 1):
-        """Stores the slots as given; :meth:`gaussian` and
-        :meth:`from_array` are the checked ways in."""
-        self.data, self.re, self.im, self.den = data, re, im, den
-
-    # -- construction ---------------------------------------------------
-    @staticmethod
-    def gaussian(re: np.ndarray, im: np.ndarray | None = None,
-                 den: int = 1) -> "Matrix":
-        """The exact matrix ``(re + i*im) / den`` of Python-int object arrays
-        and a positive ``den``, reduced."""
-        if im is None:
-            im = np.zeros_like(re)
-        if den != 1:
-            g = gcd(den, *re.flat, *im.flat)
-            if g > 1:
-                re, im, den = re // g, im // g, den // g
-        return Matrix(None, re, im, den)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], exact: bool = True) -> "Matrix":
-        """A matrix from rows of ints, Fractions or QQi (or complex numbers
-        when not ``exact``)."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ShapeMismatchError("ragged rows")
-        if not exact:
-            return Matrix.from_array(
-                np.array(rows, dtype=complex).reshape(nrows, ncols))
-        vals = [qqi(v) for row in rows for v in row]
-        parts = [x for v in vals for x in (v.re, v.im)]
-        den = lcm(*(x.denominator for x in parts))
-        ints = np.array([x.numerator * (den // x.denominator) for x in parts],
-                        dtype=object).reshape(nrows, ncols, 2)
-        return Matrix.gaussian(ints[..., 0], ints[..., 1], den)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Matrix":
-        return Matrix(np.asarray(arr, dtype=complex))
-
-    @staticmethod
-    def zeros(rows: int, cols: int, exact: bool = True) -> "Matrix":
-        if exact:
-            return Matrix.gaussian(np.zeros((rows, cols), dtype=object))
-        return Matrix(np.zeros((rows, cols), dtype=complex))
-
-    @staticmethod
-    def identity(n: int, exact: bool = True) -> "Matrix":
-        if exact:
-            return Matrix.gaussian(np.eye(n, dtype=object))
-        return Matrix(np.eye(n, dtype=complex))
-
-    # -- basic shape ------------------------------------------------------
-    @property
-    def exact(self) -> bool:
-        return self.data is None
-
-    @property
-    def rows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.re.shape if self.data is None else self.data.shape
-
-    @property
-    def is_square(self) -> bool:
-        rows, cols = self.shape
-        return rows == cols
-
-    # -- conversions ------------------------------------------------------
-    def as_complex(self) -> np.ndarray:
-        """The entries as ``complex128``, each part correctly rounded."""
-        if not self.exact:
-            return self.data
-        out = np.empty(self.shape, dtype=complex)
-        out.real = self.re / self.den
-        out.imag = self.im / self.den
-        return out
-
-    def tolist(self) -> list[list]:
-        """The entries as nested lists: QQi on the exact path, complex on the
-        float path."""
-        if not self.exact:
-            return self.data.tolist()
-        d = self.den
-        return [[QQi(Fraction(a, d), Fraction(b, d)) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.re.tolist(), self.im.tolist())]
-
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Matrix":
-        """The matrix ``fn(self)`` for an ``fn`` that moves, stacks or adds
-        entries without scaling them (a slice, a transpose, a sum of
-        slices): on the exact path it is applied to ``re`` and ``im``."""
-        if self.exact:
-            return Matrix.gaussian(fn(self.re), fn(self.im), self.den)
-        return Matrix.from_array(fn(self.data))
-
-    # -- arithmetic -------------------------------------------------------
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ShapeMismatchError(
-                f"cannot multiply {self.shape} by {other.shape}")
-        if self.exact and other.exact:
-            return Matrix.gaussian(*_gaussian_matmul(
-                self.re, self.im, other.re, other.im), self.den * other.den)
-        return Matrix(self.as_complex() @ other.as_complex())
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"{self.shape} + {other.shape}")
-        if self.exact and other.exact:
-            den = lcm(self.den, other.den)
-            a, b = den // self.den, den // other.den
-            return Matrix.gaussian(self.re * a + other.re * b,
-                                   self.im * a + other.im * b, den)
-        return Matrix(self.as_complex() + other.as_complex())
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        if self.exact:
-            return Matrix(None, -self.re, -self.im, self.den)
-        return Matrix(-self.data)
-
-    def scale(self, s) -> "Matrix":
-        """``s`` times the matrix; exact when the matrix is and ``s`` is an
-        int, Fraction or QQi."""
-        if self.exact and isinstance(s, int):
-            return Matrix.gaussian(self.re * s, self.im * s, self.den)
-        if self.exact:
-            try:
-                s = qqi(s)
-            except TypeError:
-                pass
-            else:
-                d = lcm(s.re.denominator, s.im.denominator)
-                p, q = int(s.re * d), int(s.im * d)
-                return Matrix.gaussian(self.re * p - self.im * q,
-                                       self.re * q + self.im * p,
-                                       self.den * d)
-        return Matrix(self.as_complex() * complex(s))
-
-    @property
-    def T(self) -> "Matrix":
-        if self.exact:
-            return Matrix(None, self.re.T, self.im.T, self.den)
-        return Matrix(self.data.T.copy())
-
-    def conj(self) -> "Matrix":
-        if self.exact:
-            return Matrix(None, self.re, -self.im, self.den)
-        return Matrix(self.data.conj())
-
-    def trace(self):
-        """The trace: a QQi on the exact path, complex on the float path."""
-        if self.exact:
-            return QQi(Fraction(sum(self.re.diagonal()), self.den),
-                       Fraction(sum(self.im.diagonal()), self.den))
-        return sum(self.data.diagonal())
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        if self.exact and other.exact:
-            return Matrix.gaussian(*_gaussian_matmul(
-                self.re, self.im, other.re, other.im, _kron),
-                self.den * other.den)
-        return Matrix(_kron(self.as_complex(), other.as_complex()))
-
-    # -- predicates --------------------------------------------------------
-    def equals(self, other: "Matrix") -> bool:
-        """Exact equality when both matrices are exact, else
-        max|a - b| <= FLOAT_TOL * max(1, max|a|, max|b|), the rank rule's
-        scale."""
-        if self.shape != other.shape:
-            return False
-        if self.exact and other.exact:
-            return (self.den == other.den
-                    and np.array_equal(self.re, other.re)
-                    and np.array_equal(self.im, other.im))
-        return bool(_float_close(self.as_complex(), other.as_complex()))
-
-    def max_abs_diff(self, other: "Matrix") -> float:
-        d = self.as_complex() - other.as_complex()
-        return float(np.abs(d).max()) if d.size else 0.0
-
-    def is_identity(self) -> bool:
-        if not self.is_square:
-            return False
-        return self.equals(Matrix.identity(self.rows, self.exact))
-
-    def is_invertible(self) -> bool:
-        """Whether the matrix is square of full rank: :meth:`rank`, exact on
-        the exact path and by the SVD rank rule on the float path."""
-        return self.is_square and self.rank() == self.rows
-
-    def rank(self) -> int:
-        if self.exact:
-            return _Rref(self.cols, map(_sparse_row, self.re.tolist(),
-                                        self.im.tolist())).rank
-        if self.data.size == 0:
-            return 0
-        s = np.linalg.svd(self.data, compute_uv=False)
-        return int((s > _rank_cutoff(s)).sum())
-
-    def __repr__(self) -> str:
-        tag = "exact" if self.exact else "float"
-        return f"Matrix({self.rows}x{self.cols}, {tag})"
-
-
-def _float_close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max|a - b| <= FLOAT_TOL * max(1, max|a|, max|b|) over the last two
-    axes: the float rule of :meth:`Matrix.equals`, for each matrix of two
-    stacks."""
-    axes = (-2, -1)
-    scale = np.maximum(abs(a).max(axis=axes, initial=1.0),
-                       abs(b).max(axis=axes, initial=1.0))
-    return abs(a - b).max(axis=axes, initial=0.0) <= FLOAT_TOL * scale
-
-
-def _gaussian_matmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray,
-                     bi: np.ndarray, mul: Callable = np.matmul
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The product ``mul`` (a matmul, or :func:`_kron`) of ar + i*ai and
-    br + i*bi as its real and imaginary parts; the products of an imaginary
-    part that is zero are skipped."""
-    a_im, b_im = ai.any(), bi.any()
-    re = mul(ar, br) - mul(ai, bi) if a_im and b_im else mul(ar, br)
-    im = np.zeros(re.shape, dtype=object)
-    if b_im:
-        im = im + mul(ar, bi)
-    if a_im:
-        im = im + mul(ai, br)
-    return re, im
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two 2-d arrays as one broadcast product,
-    without numpy's shape handling (which dominates on small object
-    arrays)."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
-
-
-def blockdiag(blocks: Sequence[Matrix]) -> Matrix:
-    """Direct sum of square blocks; exact iff every block is."""
-    ends = list(accumulate(b.rows for b in blocks))
-    at = [slice(hi - b.rows, hi) for hi, b in zip(ends, blocks)]
-    return _placed(ends[-1] if ends else 0, list(zip(at, at, blocks)))
-
-
-def _placed(n: int, tiles: Sequence[tuple[slice, slice, Matrix]]) -> Matrix:
-    """The n x n matrix with each ``m`` of ``tiles`` (rows, cols, m) written
-    at ``[rows, cols]`` and zeros elsewhere; exact iff every tile is."""
-    exact = all(m.exact for *_, m in tiles)
-    den = lcm(*(m.den for *_, m in tiles)) if exact else 1
-    parts = ([np.zeros((n, n), dtype=object) for _ in range(2)] if exact
-             else [np.zeros((n, n), dtype=complex)])
-    for rows, cols, m in tiles:
-        values = ((m.re * (den // m.den), m.im * (den // m.den)) if exact
-                  else (m.as_complex(),))
-        for part, v in zip(parts, values):
-            part[rows, cols] = v
-    return Matrix.gaussian(*parts, den) if exact else Matrix(parts[0])
-
-
-# ---------------------------------------------------------------------------
-# null spaces
-
-
-def _sparse_row(re: Sequence[int], im: Sequence[int]) -> dict:
-    """The nonzero entries ``col -> (re, im)`` of one Gaussian-integer row."""
-    return {j: (a, b) for j, (a, b) in enumerate(zip(re, im)) if a or b}
-
-
-class _Rref:
-    """Incremental reduced row echelon form over the Gaussian rationals with
-    sparse rows.
-
-    Rows are Gaussian-integer dicts ``col -> (re, im)``, meaningful only up
-    to a nonzero scale: a row is inserted at any scale and divided by the
-    integer gcd of its parts after each update.  ``rows`` maps each pivot
-    column to its row, which stands for itself divided by its entry there.
-    The reduced row echelon form is unique, so it does not depend on how
-    the rows are scaled or ordered.
-    """
-
-    def __init__(self, ncols: int, rows: Iterable[dict] = ()):
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, tuple[int, int]]] = {}
-        for row in rows:
-            self.insert(row)
-
-    def insert(self, row: dict[int, tuple[int, int]]) -> None:
-        row = {c: v for c, v in row.items() if v[0] or v[1]}
-        # pivot rows vanish on every other pivot column, so one pass over
-        # the pivot columns of the row reduces it
-        for c in [c for c in row if c in self.rows]:
-            piv = self.rows[c]
-            row = _combine(piv[c], row, row[c], piv)
-        if not row:
-            return
-        lead = min(row)
-        for c, piv in self.rows.items():
-            if lead in piv:
-                self.rows[c] = _combine(row[lead], piv, piv[lead], row)
-        self.rows[lead] = row
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def nullspace(self) -> list[Matrix]:
-        """Basis of the solution space as exact 1 x ncols rows, one per free
-        column f: 1 at f and -x_f / x_c at the pivot column c of each pivot
-        row x."""
-        basis = []
-        for f in range(self.ncols):
-            if f in self.rows:
-                continue
-            hits = [(c, row[c], row[f]) for c, row in self.rows.items()
-                    if f in row]
-            den = lcm(*(gr * gr + gi * gi for _, (gr, gi), _ in hits))
-            re = np.zeros((1, self.ncols), dtype=object)
-            im = np.zeros((1, self.ncols), dtype=object)
-            re[0, f] = den
-            for c, (gr, gi), (xr, xi) in hits:
-                # -x / g = -x * conj(g) / |g|^2
-                s = den // (gr * gr + gi * gi)
-                re[0, c] = -(xr * gr + xi * gi) * s
-                im[0, c] = (xr * gi - xi * gr) * s
-            basis.append(Matrix.gaussian(re, im, den))
-        return basis
-
-
-def _combine(a, x, b, y) -> dict[int, tuple[int, int]]:
-    """The Gaussian-integer row a*x - b*y, divided by the gcd of its parts."""
-    (ar, ai), (br, bi) = a, b
-    out = {}
-    for c in x.keys() | y.keys():
-        xr, xi = x.get(c, (0, 0))
-        yr, yi = y.get(c, (0, 0))
-        re = ar * xr - ai * xi - br * yr + bi * yi
-        im = ar * xi + ai * xr - br * yi - bi * yr
-        if re or im:
-            out[c] = (re, im)
-    g = gcd(*(t for v in out.values() for t in v))
-    if g > 1:
-        out = {c: (re // g, im // g) for c, (re, im) in out.items()}
-    return out
-
-
-def nullspace_exact(rows: Sequence[dict], ncols: int) -> list[Matrix]:
-    """:meth:`_Rref.nullspace` of Gaussian-integer rows ``col -> (re, im)``,
-    zero entries and empty rows allowed."""
-    return _Rref(ncols, rows).nullspace()
-
-
-def _normalized(row: dict[int, tuple[int, int]], lead: int,
-                n: int) -> Matrix:
-    """The n x n matrix whose row-major entries are the sparse
-    Gaussian-integer ``row`` divided by its entry at ``lead``."""
-    gr, gi = row[lead]
-    re, im = np.zeros(n * n, dtype=object), np.zeros(n * n, dtype=object)
-    for c, (xr, xi) in row.items():
-        # x / g = x * conj(g) / |g|^2
-        re[c], im[c] = xr * gr + xi * gi, xi * gr - xr * gi
-    return Matrix.gaussian(re.reshape(n, n), im.reshape(n, n),
-                           gr * gr + gi * gi)
-
-
-def _rank_cutoff(s: np.ndarray) -> float:
-    """The float rank rule: singular values ``s`` above
-    ``FLOAT_TOL * max(1, largest)`` count."""
-    return FLOAT_TOL * s.max(initial=1.0)
-
-
-def nullspace_float(a: np.ndarray, ncols: int) -> np.ndarray:
-    """Columns spanning the null space of ``a``: an array of shape
-    ``(*, ncols)``, or a list of equally shaped such blocks, stacked."""
-    m = np.asarray(a, dtype=complex).reshape(-1, ncols)
-    if m.shape[0] == 0 or not np.any(np.abs(m) > 0):
-        return np.eye(ncols, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    rank = int((s > _rank_cutoff(s)).sum())
-    return vh[rank:].conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +83,16 @@ def symplectic_J(m: int) -> BilinearForm:
     """The standard skew form [[0, J], [-J, 0]] in even size m."""
     if m < 2 or m % 2:
         raise OddSizeError(f"symplectic form needs even size >= 2, got {m}")
-    h = m // 2
-    g = np.zeros((m, m), dtype=object)
-    for i in range(h):
-        g[i, m - 1 - i], g[m - 1 - i, i] = 1, -1
-    return BilinearForm(Matrix.gaussian(g), Symmetry.SKEW, True)
+    g = Matrix.from_entries((m, m), [((i, m - 1 - i), 1 if 2 * i < m else -1)
+                                     for i in range(m)])
+    return BilinearForm(g, Symmetry.SKEW, True)
+
+
+def blockdiag(blocks: Sequence[Matrix]) -> Matrix:
+    """Direct sum of square blocks; exact iff every block is."""
+    ends = list(accumulate(b.rows for b in blocks))
+    at = [slice(hi - b.rows, hi) for hi, b in zip(ends, blocks)]
+    return Matrix.placed(ends[-1] if ends else 0, list(zip(at, at, blocks)))
 
 
 def partition_J(partition: Sequence[int]) -> BilinearForm:
@@ -563,10 +121,8 @@ class PermutationMap:
 
     def matrix(self) -> Matrix:
         """Exact permutation matrix under the convention P[sigma(j), j] = 1."""
-        m = np.zeros((self.n, self.n), dtype=object)
-        for j, img in enumerate(self.images, start=1):
-            m[img - 1, j - 1] = 1
-        return Matrix.gaussian(m)
+        return Matrix.from_entries((self.n, self.n), (
+            ((img - 1, j), 1) for j, img in enumerate(self.images)))
 
 
 def w_plus(n: int) -> PermutationMap:
@@ -675,29 +231,21 @@ def _sl2_triple(k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def sl2_sym_power_action(k: int) -> Sl2Action:
     """E, F, H of :func:`_sl2_triple` as matrices; [E, F] = H holds
     exactly."""
-    mats = [np.zeros((k, k), dtype=object) for _ in range(3)]
-    for m, entries in zip(mats, _sl2_triple(k)):
-        for r, c, v in entries:
-            m[r, c] = v
-    return Sl2Action(k, *map(Matrix.gaussian, mats))
+    return Sl2Action(k, *(Matrix.from_entries((k, k), (
+        ((r, c), v) for r, c, v in entries)) for entries in _sl2_triple(k)))
 
 
 def sl2_exp_e(k: int) -> Matrix:
     """exp(E) on the k-dimensional symmetric power; integer entries."""
-    m = np.eye(k, dtype=object)
-    for j in range(k):
-        for t in range(1, j + 1):
-            m[j - t, j] = comb(j, t)
-    return Matrix.gaussian(m)
+    return Matrix.from_entries((k, k), (
+        ((j - t, j), comb(j, t)) for j in range(k) for t in range(j + 1)))
 
 
 def sl2_exp_f(k: int) -> Matrix:
     """exp(F) on the k-dimensional symmetric power; integer entries."""
-    m = np.eye(k, dtype=object)
-    for j in range(k):
-        for t in range(1, k - j):
-            m[j + t, j] = comb(k - 1 - j, t)
-    return Matrix.gaussian(m)
+    return Matrix.from_entries((k, k), (((j + t, j), comb(k - 1 - j, t))
+                                        for j in range(k)
+                                        for t in range(k - j)))
 
 
 def _weight_solve(k: int, k2: int,
@@ -746,9 +294,8 @@ def _weight_solve(k: int, k2: int,
     entries = list(zip(cell.items(), vec))
     if not cell or not _sl2_fixed(k, k2, entries, pairing):
         return cell, ()
-    y = np.zeros((k, k2), dtype=object)
-    y[list(cell), list(cell.values())] = vec
-    return cell, (Matrix.gaussian(y if vec[-1] > 0 else -y, den=abs(vec[-1])),)
+    y = Matrix.from_entries((k, k2), entries)
+    return cell, (y.scale(Fraction(1, vec[-1])),)
 
 
 def invariant_form_sl2(k: int) -> BilinearForm:
@@ -765,9 +312,7 @@ def invariant_form_sl2(k: int) -> BilinearForm:
         raise PeriodLabError(
             f"internal: no certified one-dimensional sl2 invariant-form "
             f"space (k={k})")
-    re = basis[0].re
-    c0 = re[0, k - 1]
-    form = classify_form(Matrix.gaussian(re if c0 > 0 else -re, den=abs(c0)))
+    form = classify_form(basis[0].normalized())
     if not form.nondegenerate or form.symmetry is Symmetry.NEITHER:
         raise PeriodLabError("internal: sl2 invariant form is not as expected")
     return form
@@ -822,24 +367,13 @@ def _factor_solve(ls: tuple, rs: tuple, a: int, b: int,
                   system: Callable) -> tuple[Matrix, ...]:
     """Basis of the a x b matrices X with ``system(L, R)`` vec(X) = 0, on
     the row-major vec, for every (L, R) in ``zip(ls, rs)``, by
-    :func:`_nullspace`.  A repeated pair adds no equation, and every X
-    satisfies the pair of identities, so neither is built."""
+    :func:`~periodlab.linalg.nullspace`.  A repeated pair adds no
+    equation, and every X satisfies the pair of identities, so neither is
+    built."""
     pairs = dict.fromkeys(zip(ls, rs))
     pairs.pop((_identity(a), _identity(b)), None)
     eqs = [system(_FACTORS[l], _FACTORS[r]) for l, r in pairs]
-    return tuple(v.apply(lambda m: m.reshape(a, b))
-                 for v in _nullspace(eqs, a * b))
-
-
-def _nullspace(eqs: Sequence[Matrix], ncols: int) -> list[Matrix]:
-    """Basis of the common null space of the matrices ``eqs``, each with
-    ``ncols`` columns, as 1 x ncols rows: :func:`nullspace_exact` of their
-    rows when every one is exact, else :func:`nullspace_float`."""
-    if all(m.exact for m in eqs):
-        return nullspace_exact([row for m in eqs for row in map(
-            _sparse_row, m.re.tolist(), m.im.tolist())], ncols)
-    return [Matrix.from_array(v[None]) for v in nullspace_float(
-        [m.as_complex() for m in eqs], ncols).T]
+    return tuple(v.reshape(a, b) for v in nullspace(eqs, a * b))
 
 
 @lru_cache(maxsize=512)
@@ -932,19 +466,13 @@ class TensorFactors:
         """Whether every generator is exact: every class's rho factors."""
         return all(_CLASSES[c][3] for c in self.classes)
 
-    def pair(self, i: int, j: int) -> tuple[tuple, tuple]:
-        """The solve arguments of block pair (i, j): of the rho side, its
-        factor ids and sizes; of the S(k) side, k and k'."""
-        (_, r, k), (_, r2, k2) = self.blocks[i], self.blocks[j]
-        return (self.rho[i], self.rho[j], r, r2), (k, k2)
-
     def dense(self) -> list[Matrix]:
         """The generators as n x n matrices, in generator order.  On a block
         (lo, r, k), A is placed on the diagonal of every k x k tile and U on
         every diagonal tile, so nothing is multiplied."""
         ks = [k for *_, k in self.blocks]
         sl2 = [_exp_factors(k) for k in ks] if max(ks) > 1 else [()] * len(ks)
-        return [_placed(self.n, [
+        return [Matrix.placed(self.n, [
             (at, at, _FACTORS[f[g]])
             for (lo, r, k), f in zip(self.blocks, side)
             for c in range(k if is_rho else r)
@@ -966,19 +494,12 @@ _TABLED: dict[int, int] = {}
 
 def _factor(m: Matrix) -> int:
     """The id of ``m`` as a factor of :class:`TensorFactors` or
-    :class:`FactoredForm`, on its own path.  Its key is its shape and its
-    reduced image ``(re, im, den)``, or on the float path its complex
-    entries; equal keys get equal ids, and a new key the next id, under
-    which ``_FACTORS`` keeps the matrix.  A matrix the table holds is
-    found by identity, without its key."""
+    :class:`FactoredForm`, by :attr:`Matrix.key`: a new key gets the next
+    id, under which ``_FACTORS`` keeps ``m``, found again by identity."""
     fid = _TABLED.get(id(m))
     if fid is not None:
         return fid
-    if m.exact:
-        key = m.shape, tuple(m.re.flat), tuple(m.im.flat), m.den
-    else:
-        key = m.shape, tuple(m.data.ravel().tolist())
-    fid = _FACTOR_IDS.setdefault(key, len(_FACTORS))
+    fid = _FACTOR_IDS.setdefault(m.key, len(_FACTORS))
     if fid == len(_FACTORS):
         _FACTORS.append(m)
         _SHAPES.append((m.shape, m.exact))
@@ -993,10 +514,14 @@ _CLASS_IDS: dict[tuple, int] = {}
 _CLASSES: list[tuple] = []
 
 
-def _class_pair(c: int, d: int) -> tuple[tuple, tuple]:
-    """:meth:`TensorFactors.pair` of a block of class c and one of d."""
+def _class_pair(c: int, d: int, pairing: bool = True) -> tuple[tuple, tuple]:
+    """The invariant pairings (or, not ``pairing``, the intertwiners) X of
+    the rho factors and Y of S(k), S(k') of block classes c and d, each a
+    basis; Y is solved only when there is an X."""
     (ls, r, k, _), (rs, r2, k2, _) = _CLASSES[c], _CLASSES[d]
-    return (ls, rs, r, r2), (k, k2)
+    xs = (invariant_pairings if pairing else intertwiners)(ls, rs, r, r2)
+    return xs, (sl2_pairings if pairing else sl2_intertwiners)(
+        k, k2) if xs else ()
 
 
 @lru_cache(maxsize=None)
@@ -1059,48 +584,22 @@ def invariant_forms(gens) -> list[BilinearForm]:
     (the realization's blocks, or one block for a bare list of generators):
     its forms there are X (x) Y placed on the rows of block i and the
     columns of block j, with X in :func:`invariant_pairings` of the A_i,
-    A_j and Y in :func:`sl2_pairings` of k_i, k_j.  Each part, F + F^T or
-    F - F^T of every such form F, is spanned by :func:`_row_basis`: exactly
-    when every X placed is exact, as every Y is.
+    A_j and Y in :func:`sl2_pairings` of k_i, k_j (:func:`_class_pair` of
+    their classes).  Each part, F + F^T or F - F^T of every such form F, is
+    spanned by :func:`~periodlab.linalg.row_basis`: exactly when every X
+    placed is exact, as every Y is.
     """
     tf = tensor_factors(gens)
-    n, size = tf.n, len(tf.blocks)
+    n, ids = tf.n, tf.class_ids
     at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
-    grams = []
-    for i in range(size):
-        for j in range(size):
-            rho_args, sl2_args = tf.pair(i, j)
-            xs = invariant_pairings(*rho_args)
-            ys = sl2_pairings(*sl2_args) if xs else ()
-            grams += [_placed(n, [(at[i], at[j], x.kron(y))])
-                      for x in xs for y in ys]
+    grams = [Matrix.placed(n, [(at[i], at[j], x.kron(y))])
+             for i, c in enumerate(ids) for j, d in enumerate(ids)
+             for xs, ys in [_class_pair(c, d)] for x in xs for y in ys]
     parts = [g + g.T for g in grams], [g - g.T for g in grams]
     return [BilinearForm(gram, symmetry, gram.is_invertible())
             for symmetry, part in zip((Symmetry.SYMMETRIC, Symmetry.SKEW),
                                       parts)
-            for gram in _row_basis(part, n)]
-
-
-def _row_basis(grams: Sequence[Matrix], n: int) -> list[Matrix]:
-    """A basis of the span of the n x n ``grams``, each normalized so its
-    first nonzero entry in row-major order is 1.  When every gram is exact,
-    the rows of their reduced row echelon form (:class:`_Rref`), unique
-    whatever the spanning grams; else the rows of the SVD's row space above
-    the float rank rule, each divided by its first entry above the
-    cutoff."""
-    if all(g.exact for g in grams):
-        rref = _Rref(n * n, (_sparse_row(g.re.flat, g.im.flat) for g in grams))
-        return [_normalized(row, c, n) for c, row in sorted(rref.rows.items())]
-    rows = np.array([g.as_complex().ravel() for g in grams])
-    if not np.any(np.abs(rows) > FLOAT_TOL):
-        return []
-    _, s, vh = np.linalg.svd(rows)
-    cutoff = _rank_cutoff(s)
-    out = []
-    for row in vh[:int((s > cutoff).sum())]:
-        idx = next(i for i, v in enumerate(row) if abs(v) > cutoff)
-        out.append(Matrix.from_array((row / row[idx]).reshape(n, n)))
-    return out
+            for gram in row_basis(part, n)]
 
 
 @lru_cache(maxsize=None)
@@ -1108,9 +607,7 @@ def _class_pairing(c: int, d: int) -> tuple | None:
     """The invariant pairing X (x) Y of a block of class c and one of d,
     from the solves of :func:`_class_pair`, as the factors (X, Y, X^T, Y^T)
     of a :class:`FactoredForm`, or None when there is none."""
-    rho_args, sl2_args = _class_pair(c, d)
-    xs = invariant_pairings(*rho_args)
-    ys = sl2_pairings(*sl2_args) if xs else ()
+    xs, ys = _class_pair(c, d)
     if len(xs) * len(ys) > 1:  # Schur's lemma fails: a block is reducible
         raise PeriodLabError(f"internal: a block pair has {len(xs) * len(ys)}"
                              f" independent invariant pairings, not 0 or 1")
@@ -1159,7 +656,7 @@ class FactoredForm:
         """The dense n x n form."""
         tf = self.factors
         at = [slice(lo, lo + r * k) for lo, r, k in tf.blocks]
-        return _placed(tf.n, [
+        return Matrix.placed(tf.n, [
             (at[i], at[j], _FACTORS[x].kron(_FACTORS[y]).scale(c))
             for i, j, c, x, y in self.tiles])
 
@@ -1227,10 +724,9 @@ def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
         if not moved.exact:
             worst = max(worst, moved.max_abs_diff(xm))
     ym = _FACTORS[y]
-    if not all(_sl2_fixed(k, k2, [(divmod(p, k2), v) for p, v in enumerate(
-            part.flat) if v]) for part in (ym.re, ym.im)):
+    if not all(_sl2_fixed(k, k2, part) for part in ym.numerator_entries()):
         return None
-    return worst * float(np.abs(ym.as_complex()).max(initial=0.0))
+    return worst * ym.max_abs()
 
 
 def _sl2_fixed(k: int, k2: int, entries: Sequence[tuple[tuple[int, int], int]],
@@ -1267,26 +763,8 @@ def _opposite_tiles(c, x: int, y: int, c2, x2: int, y2: int) -> bool:
     c' = 0 stands for no tile (X', Y' unread): c X (x) Y must vanish."""
     lhs = _FACTORS[x].T.scale(-c), _FACTORS[y].T
     if c2 == 0:
-        return any(map(_is_zero, lhs))
-    return _tensor_equal(*lhs, _FACTORS[x2].scale(c2), _FACTORS[y2])
-
-
-def _is_zero(m: Matrix) -> bool:
-    return m.equals(Matrix.zeros(m.rows, m.cols, m.exact))
-
-
-def _tensor_equal(a: Matrix, y: Matrix, b: Matrix, z: Matrix) -> bool:
-    """Whether a (x) y = b (x) z for exact y and z, without forming either:
-    y = u z for u = y / z at the first nonzero entry of z, and then
-    u a = b."""
-    if _is_zero(a) or _is_zero(y):
-        return _is_zero(b) or _is_zero(z)
-    if _is_zero(b) or _is_zero(z):
-        return False
-    p = next(p for p, v in enumerate(zip(z.re.flat, z.im.flat)) if any(v))
-    u = (QQi(y.re.flat[p], y.im.flat[p]) * z.den
-         / (QQi(z.re.flat[p], z.im.flat[p]) * y.den))
-    return z.scale(u).equals(y) and a.scale(u).equals(b)
+        return any(m.is_zero() for m in lhs)
+    return tensor_equal(*lhs, _FACTORS[x2].scale(c2), _FACTORS[y2])
 
 
 def _pairing_symmetry(x: int, y: int) -> Symmetry:

@@ -304,7 +304,8 @@ def test_criterion_6_indicator_ground_truth(emit):
     problems = []
 
     def gap_of(model):
-        raw = model.character[model.group.square_idx].sum() / model.group.order
+        chi = np.array(model.character)
+        raw = chi[list(model.group.square_idx)].sum() / model.group.order
         return abs(raw - round(raw.real))
 
     models = builtin_models()

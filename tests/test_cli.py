@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
@@ -644,6 +645,42 @@ def test_a_closed_output_pipe_keeps_the_report_exit_code(golden, argv):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (code, b"")
+
+
+# The resource contract of a hostile input, as the README's exit-code
+# section states it.  The largest of the three costs 0.35 s of CPU time
+# and writes 12.7 output bytes per input byte (10^4 segments, 2-vCPU Xeon
+# VM, Python 3.11.7): the limits leave a margin of about 8x in time and
+# 1.25x in output.
+HOSTILE_CPU_S = 3
+HOSTILE_BYTES_PER_INPUT_BYTE = 16
+HOSTILE_BYTES_EXTRA = 4096
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", " (+) ".join(["trivial"] * 10_000)], 1),
+    (["classify", "St(99999999,q8)", "--oracle"], 1),
+    (["classify", "(" * 5000 + "q8" + ")" * 5000], 2),
+], ids=["ten-thousand-segments", "huge-k-oracle", "deep-nesting"])
+def test_a_hostile_input_keeps_the_resource_contract(argv, code):
+    """Each input runs in a child process of its own, under a CPU-time
+    limit set in that child alone: it exits with its documented code,
+    writes no traceback, and its output is bounded by its input's size."""
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU,
+                           (HOSTILE_CPU_S, HOSTILE_CPU_S))
+
+    src = str(Path(periodlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "periodlab", *argv],
+        capture_output=True, timeout=60, preexec_fn=limit_cpu,
+        env={**os.environ, "PYTHONPATH": path})
+    size = sum(len(word.encode()) for word in argv)
+    assert result.returncode == code, result.stderr[-2000:]
+    assert b"Traceback" not in result.stderr
+    assert len(result.stdout) + len(result.stderr) <= (
+        HOSTILE_BYTES_PER_INPUT_BYTE * size + HOSTILE_BYTES_EXTRA)
 
 
 # catalog section bodies per label, with distinct models, that load on

@@ -52,7 +52,8 @@ from periodlab.errors import (
 )
 from periodlab.cli import main
 from periodlab.distinction import add_sp_checks
-from periodlab.matrix_lab import BilinearForm, Matrix
+from periodlab.linalg import Matrix
+from periodlab.matrix_lab import BilinearForm
 from periodlab.reporting import ERROR, FAIL, PASS, Report
 
 CAT = builtin_catalog()
@@ -316,8 +317,37 @@ def test_oracle_verdicts_checks_every_tile_on_its_factors(monkeypatch,
         raise AssertionError("a dense matrix was placed")
 
     monkeypatch.setattr(matrix_lab.TensorFactors, "dense", placed)
-    monkeypatch.setattr(matrix_lab, "_placed", placed)
+    monkeypatch.setattr(Matrix, "placed", placed)
     assert oracle_verdicts(p) == v
+
+
+def test_the_oracle_classes_and_partners_are_the_rules_on_every_pair():
+    """On every pair of built-in untwisted segments of dim <= 24, a segment
+    paired with itself included (7,260 pairs): the realization's class ids
+    split the blocks as ``multiplicities`` splits the segments, and
+    ``_class_pairing(c, d)`` finds a pairing exactly when d's segment is
+    the rules' dual key of c's (the dual label, the label itself when it
+    is self-dual, with the same k and the opposite twist).  Both paths are
+    read: every pair with a chi3 or chi3bar block is solved on floats."""
+    pool = [seg(name, k) for name in sorted(CAT.entries)
+            for k in range(1, 25) if CAT.label(name).dim * k <= 24]
+    pairs = list(itertools.combinations_with_replacement(pool, 2))
+    paths = Counter()
+    for pair in pairs:
+        p = param(*pair)
+        tf = matrix_lab.realize(p, CAT)
+        assert [[p.segments[i] for i in blocks]
+                for blocks in tf.classes.values()] == [
+                    [s] * m for s, m in multiplicities(p)], pair
+        keys = [(s.cuspidal.name, s.k, s.twist) for s in p.segments]
+        for i, c in enumerate(tf.class_ids):
+            s = p.segments[i]
+            dual = (s.cuspidal.dual_name, s.k, -s.twist)
+            for j, d in enumerate(tf.class_ids):
+                found = matrix_lab._class_pairing(c, d) is not None
+                assert found == (keys[j] == dual), (pair, i, j)
+        paths[tf.exact] += 1
+    assert (len(pairs), paths) == (7260, {True: 2628, False: 4632})
 
 
 def test_a_realization_with_no_generator_leaves_every_form_free():

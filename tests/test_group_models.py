@@ -51,17 +51,15 @@ from periodlab.errors import (
 from periodlab.group_models import _element_key
 from periodlab import matrix_lab
 from periodlab.cli import main
+from periodlab.linalg import _sparse_row, nullspace_exact, nullspace_float
 from periodlab.matrix_lab import (
     _FACTORS,
     TensorFactors,
     VerifiedForm,
     _class_pairing,
     _factor,
-    _sparse_row,
     intertwiners,
     invariant_pairings,
-    nullspace_exact,
-    nullspace_float,
     sl2_intertwiners,
     sl2_pairings,
     sym_power,
@@ -150,7 +148,8 @@ def test_fs_indicator_ground_truth():
 
 
 def test_a_character_far_from_an_integral_indicator_is_refused():
-    halved = replace(MODELS["q8"], character=MODELS["q8"].character / 2)
+    halved = replace(MODELS["q8"], character=tuple(
+        c / 2 for c in MODELS["q8"].character))
     with pytest.raises(NonIntegralIndicatorError,
                        match="indicator of q8 is .*not near an integer"):
         fs_indicator(halved)
@@ -159,7 +158,8 @@ def test_a_character_far_from_an_integral_indicator_is_refused():
 def test_an_indicator_just_off_an_integer_is_refused():
     # q8's indicator is -1; a character shifted by 1e-8 everywhere moves
     # the sum by 1e-8, ten times the one float tolerance
-    shifted = replace(MODELS["q8"], character=MODELS["q8"].character + 1e-8)
+    shifted = replace(MODELS["q8"], character=tuple(
+        c + 1e-8 for c in MODELS["q8"].character))
     with pytest.raises(NonIntegralIndicatorError,
                        match="indicator of q8 is .*not near an integer"):
         fs_indicator(shifted)
@@ -374,8 +374,8 @@ def test_validate_rejects_a_character_just_off_the_conjugate():
     # the shifts at a and a^2 cancel in chi(g^2) summed over C3, so the
     # indicator stays 0 and only the character comparison can refuse
     chi3bar = MODELS["chi3bar"]
-    shifted = replace(chi3bar,
-                      character=chi3bar.character + [0, 1e-8, -1e-8])
+    shifted = replace(chi3bar, character=tuple(
+        c + e for c, e in zip(chi3bar.character, [0, 1e-8, -1e-8])))
     assert fs_indicator(shifted) == 0
     cat = _dual_pair_catalog(MODELS["chi3"], shifted)
     with pytest.raises(ConsistencyError, match="not contragredient"):
@@ -506,6 +506,14 @@ def test_factored_oracle_matches_the_one_block_solve(p):
     assert commutant_dimension(gens) == commutant_dimension(one_block)
 
 
+def _block_pair(tf, i, j):
+    """The solve arguments of block pair (i, j), read off the blocks
+    rather than their class ids: of the rho side, its factor ids and
+    sizes; of the S(k) side, k and k'."""
+    (_, r, k), (_, r2, k2) = tf.blocks[i], tf.blocks[j]
+    return (tf.rho[i], tf.rho[j], r, r2), (k, k2)
+
+
 def _per_block_commutant(gens):
     """The reference commutant dimension: the sum over block pairs (i, j)
     of dim Hom(A_j, A_i) * dim Hom(U_j, U_i)."""
@@ -514,7 +522,7 @@ def _per_block_commutant(gens):
     return sum(len(intertwiners(*rho_args))
                * len(sl2_intertwiners(*sl2_args))
                for i in range(size) for j in range(size)
-               for rho_args, sl2_args in [tf.pair(i, j)])
+               for rho_args, sl2_args in [_block_pair(tf, i, j)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,7 +535,7 @@ def test_class_level_commutant_matches_the_per_block_sum(p):
 
 def _per_block_pairing(rho_args, sl2_args):
     """The reference pairing of a block pair: X (x) Y from the solves of
-    its factors (``TensorFactors.pair``), as the factors (X, Y, X^T, Y^T),
+    its factors (``_block_pair``), as the factors (X, Y, X^T, Y^T),
     or None when there is none."""
     xs, ys = invariant_pairings(*rho_args), sl2_pairings(*sl2_args)
     if not (xs and ys):
@@ -559,7 +567,7 @@ def test_class_caches_match_the_per_block_solves():
         for i, c in enumerate(ids):
             for j, d in enumerate(ids):
                 assert _class_pairing(c, d) == _per_block_pairing(
-                    *tf.pair(i, j))
+                    *_block_pair(tf, i, j))
         assert commutant_dimension(tf) == _per_block_commutant(tf)
     assert count == 5142
 
@@ -599,7 +607,7 @@ def test_the_rho_solves_match_the_full_kronecker_systems_to_dim_6():
         tf = realize(WDParameter.of(segments), CAT)
         for i in range(len(tf.blocks)):
             for j in range(len(tf.blocks)):
-                solves[tf.pair(i, j)[0]] = None
+                solves[_block_pair(tf, i, j)[0]] = None
     paths, skipped = Counter(), 0
     for ls, rs, a, b in solves:
         pairs = [(_FACTORS[l], _FACTORS[r]) for l, r in zip(ls, rs)]
@@ -616,7 +624,7 @@ def test_the_rho_solves_match_the_full_kronecker_systems_to_dim_6():
                 want = nullspace_exact([row for m in eqs
                                         for row in _kron_rows(m)], a * b)
                 assert len(got) == len(want), (solve, ls, rs)
-                assert all(x.equals(w.apply(lambda m: m.reshape(a, b)))
+                assert all(x.equals(w.reshape(a, b))
                            for x, w in zip(got, want)), (solve, ls, rs)
                 continue
             want = nullspace_float([m.as_complex() for m in eqs], a * b)
@@ -1054,6 +1062,7 @@ def test_a_cycle_of_tiles_is_not_skew():
 def test_character_orthogonality_within_groups():
     # distinct irreducibles of one group have orthogonal characters
     chi3, chi3bar = MODELS["chi3"], MODELS["chi3bar"]
-    inner = np.mean(chi3.character * chi3bar.character.conj())
+    chi, chibar = np.array(chi3.character), np.array(chi3bar.character)
+    inner = np.mean(chi * chibar.conj())
     assert abs(inner) < 1e-9
-    assert abs(np.mean(np.abs(chi3.character) ** 2) - 1) < 1e-9
+    assert abs(np.mean(np.abs(chi) ** 2) - 1) < 1e-9

@@ -43,18 +43,20 @@ from periodlab.errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
-from periodlab import matrix_lab
+from periodlab import linalg, matrix_lab
 from periodlab.group_models import _element_key
-from periodlab.matrix_lab import (
+from periodlab.linalg import (
     FLOAT_TOL,
-    TensorFactors,
-    _factor,
     _normalized,
     _sparse_row,
-    blockdiag,
-    check_conjugator,
     nullspace_exact,
     nullspace_float,
+)
+from periodlab.matrix_lab import (
+    TensorFactors,
+    _factor,
+    blockdiag,
+    check_conjugator,
     tensor_factors,
 )
 
@@ -313,6 +315,17 @@ def test_trace_and_transpose():
     assert m.trace() == QQi(5)
     assert m.T.tolist()[0][1] == QQi(3)
     assert m.conj().equals(m)
+
+
+def test_normalized_divides_by_the_first_nonzero_entry():
+    # a negative real leading entry, and a Gaussian one: (1 + i) / 2i is
+    # (1 - i)/2 and 3 / 2i is -3i/2
+    half = Fraction(1, 2)
+    real = Matrix.from_rows([[0, -2], [4, 1]]).normalized()
+    assert real.equals(Matrix.from_rows([[0, 1], [-2, -half]]))
+    gaussian = Matrix.from_rows([[0, QQi(0, 2)], [QQi(1, 1), 3]]).normalized()
+    assert gaussian.equals(Matrix.from_rows(
+        [[0, 1], [QQi(half, -half), QQi(0, -3 * half)]]))
 
 
 # -- null spaces -------------------------------------------------------------
@@ -765,8 +778,8 @@ def test_invariant_form_sl2_has_the_closed_form(monkeypatch):
     def no_reduction(*args):
         raise AssertionError("row reduction in invariant_form_sl2")
 
-    monkeypatch.setattr(matrix_lab, "nullspace_exact", no_reduction)
-    monkeypatch.setattr(matrix_lab, "_Rref", no_reduction)
+    monkeypatch.setattr(linalg, "nullspace_exact", no_reduction)
+    monkeypatch.setattr(linalg, "_Rref", no_reduction)
     for k in range(1, VERIFY_MAX_K + 1):
         gram = invariant_form_sl2(k).gram
         assert not gram.im.any()
@@ -1010,8 +1023,8 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
              (matrix_lab.sl2_intertwiners, _intertwining_system, False)]
     solved = {}
     with monkeypatch.context() as patched:
-        patched.setattr(matrix_lab, "nullspace_exact", no_reduction)
-        patched.setattr(matrix_lab, "_Rref", no_reduction)
+        patched.setattr(linalg, "nullspace_exact", no_reduction)
+        patched.setattr(linalg, "_Rref", no_reduction)
         for solve, _, pairing in kinds:
             solve.cache_clear()
             for k, k2 in sizes:
@@ -1138,7 +1151,8 @@ def _kron_quotient(b: Matrix, p: Matrix) -> Matrix:
     d = p.rows
     a, c = next((a, c) for a in range(d) for c in range(d)
                 if p.re[a, c] or p.im[a, c])
-    m = b.apply(lambda x: x[a::d, c::d]).scale(1 / p.tolist()[a][c])
+    m = Matrix.from_rows([row[c::d] for row in b.tolist()[a::d]],
+                         b.exact).scale(1 / p.tolist()[a][c])
     assert m.kron(p).equals(b)
     return m
 

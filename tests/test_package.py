@@ -114,8 +114,36 @@ def test_the_rules_meet_the_oracle_only_in_add_sp_checks():
              "sl2_duality_sign", "is_linear_distinguished", "validate_rds",
              "factors_through_sp_symbolic", "is_x_elliptic_symbolic",
              "centralizer_dimension_symbolic", "self_duality"}
-    for module in ("matrix_lab", "group_models"):
+    for module in ("linalg", "matrix_lab", "group_models"):
         assert rules.isdisjoint(_identifiers(trees[module])), module
+    # the matrices stand on the scalars alone: of the package, linalg
+    # imports errors and exactnum, relatively, and nothing else
+    imports = [node for node in ast.walk(trees["linalg"])
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {node.module for node in imports
+            if getattr(node, "level", 0)} <= {"errors", "exactnum"}
+    assert "periodlab" not in _imports(ast.Module(
+        [node for node in imports if not getattr(node, "level", 0)], []))
+
+
+def test_only_linalg_sees_the_matrix_representation():
+    """``linalg`` owns the representation: no other module imports numpy,
+    reads a matrix's ``re``, ``im``, ``den`` or ``data`` slot, or calls
+    ``as_complex``; ``exactnum`` reads the ``re`` and ``im`` of its own
+    ``QQi``."""
+    slots = {"re", "im", "den", "data", "as_complex"}
+    numpy, reads = [], {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "numpy" in _imports(tree):
+            numpy.append(path.stem)
+        attrs = {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+        if slots & attrs:
+            reads[path.stem] = sorted(slots & attrs)
+    assert numpy == ["linalg"]
+    reads.pop("linalg", None)
+    assert reads == {"exactnum": ["im", "re"]}
 
 
 def test_public_names_resolve():
