@@ -32,11 +32,12 @@ _PUBLIC = {
         "classify_form", "conjugator_for_partition",
         "find_nondegenerate_skew", "invariant_form_sl2", "invariant_forms",
         "is_in_sp", "partition_J", "realize", "sl2_exp_e", "sl2_exp_f",
-        "sl2_sym_power_action", "sym_power", "symplectic_J", "w_plus"],
+        "sl2_sym_power_action", "symplectic_J", "w_plus"],
     "group_models": [
         "SL2_SURROGATE_BOUND", "Catalog", "CatalogEntry", "builtin_catalog",
         "builtin_models", "centralizer_dimension", "commutant_dimension",
-        "fs_indicator", "invariant_isotropic_exists", "sl2_surrogate"],
+        "fs_indicator", "invariant_isotropic_exists", "sl2_surrogate",
+        "sym_power"],
     "distinction": [
         "RDSSpec", "centralizer_dimension_symbolic",
         "check_conjecture_instance", "factors_through_sp_symbolic",

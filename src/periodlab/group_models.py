@@ -3,10 +3,15 @@
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a multiplication table read off the closure of its
 generators (n * |gens| products, not n^2), and each model carries its
-generators' tensor factors and identity flags, built once.  A
-model is certified a homomorphism on the group's generators: rho(1) = I and
+generators' identity flags, built once.  A model is certified a
+homomorphism on the group's generators: rho(1) = I and
 rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
-every pair by induction on word length; no check is sampled.  The
+every pair by induction on word length; no check is sampled.  It is then
+certified irreducible by its character: <chi, chi> = 1 (Serre, *Linear
+Representations of Finite Groups*, section 2.3, theorem 5), exactly on an
+exact model.  So groups, models and the catalog are built without the
+oracle: only the oracle's functions below import ``matrix_lab``, on first
+use, and it interns a model's generators as its factors.  The
 ellipticity oracle reads the dimension of the centralizer of the image in
 sp(J) off a ``matrix_lab.VerifiedForm``, checked once on its tiles by
 ``FactoredForm.verify``, and reads the realization, a
@@ -20,7 +25,9 @@ pairing.  No label name, dense generator or dense form is read, nothing
 is solved, and no block length or multiplicity is refused.  The
 symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``)
 are a finite stand-in for S(k), irreducible exactly for k <= 6
-(``SL2_SURROGATE_BOUND``); the oracle does not use them.
+(``SL2_SURROGATE_BOUND``); ``sym_power`` gives the images of 2I's two
+generators, and every other element's is walked along the group table.
+The oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -35,8 +42,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import pi, sqrt
-from typing import Sequence
+from math import comb, pi, sqrt
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     CatalogError,
@@ -44,23 +51,17 @@ from .errors import (
     ConsistencyError,
     MissingModelError,
     NonIntegralIndicatorError,
-    PeriodLabError,
+    ShapeMismatchError,
     SurrogateBoundExceededError,
     quoted,
 )
 from .exactnum import I as QI
-from .exactnum import QQi
+from .exactnum import ZERO, QQi
 from .linalg import FLOAT_TOL, Matrix, follows_table
-from .matrix_lab import (
-    Symmetry,
-    VerifiedForm,
-    _class_pair,
-    _factor,
-    _pairing_symmetry,
-    sym_power,
-    tensor_factors,
-)
 from .param_core import CuspidalLabel, SelfDualityType
+
+if TYPE_CHECKING:  # pragma: no cover - the oracle is imported on first use
+    from .matrix_lab import VerifiedForm
 
 SL2_SURROGATE_BOUND = 6
 
@@ -157,10 +158,8 @@ class IrrepModel:
     ``matrices`` is indexed like ``group.elements``, and ``exact`` says
     whether every one of them is; ``character`` holds the traces as
     complex floats regardless of the arithmetic path.  Per generator of
-    the group (``group.generator_idxs``), ``factors`` holds the id of its
-    matrix as a factor of ``matrix_lab.TensorFactors``, on the matrix's
-    own path, and ``is_identity`` whether it is the identity; both are
-    built once, here.
+    the group (``group.generator_idxs``), ``is_identity`` says whether its
+    matrix is the identity, built once, here.
     """
 
     name: str
@@ -169,7 +168,6 @@ class IrrepModel:
     matrices: tuple[Matrix, ...]
     character: tuple[complex, ...]
     exact: bool
-    factors: tuple[int, ...]
     is_identity: tuple[bool, ...]
 
 
@@ -183,7 +181,10 @@ def commutant_dimension(gens) -> int:
     sum over pairs of classes of m_C * m_D * dim Hom(D, C), read once per
     pair of class ids (:func:`_class_hom`), exact when the factors are.
     """
-    classes = tensor_factors(gens).classes
+    classes = getattr(gens, "classes", None)
+    if classes is None:  # a bare list: the oracle's dense tensor_factors
+        from .matrix_lab import tensor_factors
+        classes = tensor_factors(gens).classes
     return sum(len(c) * len(d) * _class_hom(i, j)
                for i, c in classes.items() for j, d in classes.items())
 
@@ -193,6 +194,7 @@ def _class_hom(c: int, d: int) -> int:
     """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
     classes c and d, solved on one block of each, the U side from k alone
     (``matrix_lab._class_pair``)."""
+    from .matrix_lab import _class_pair
     xs, ys = _class_pair(c, d, pairing=False)
     return len(xs) * len(ys)
 
@@ -202,19 +204,22 @@ def _make_model(name: str, group: FiniteGroup,
     if len(matrices) != group.order:
         raise ConsistencyError(f"model {name}: need one matrix per element")
     dim, exact = matrices[0].rows, all(m.exact for m in matrices)
-    character = tuple(complex(m.trace()) for m in matrices)
+    traces = [m.trace() for m in matrices]
+    character = tuple(map(complex, traces))
     # the homomorphism certificate of the module docstring, nothing sampled
     gen_idxs = group.generator_idxs
     if not (follows_table(matrices, group.table, gen_idxs)
             and matrices[0].is_identity()):
         raise ConsistencyError(
             f"model {name}: matrices do not respect the group table")
-    gen_mats = [matrices[i] for i in gen_idxs]
-    if commutant_dimension(gen_mats or matrices[:1]) != 1:
+    # then the character certificate: irreducible iff <chi, chi> = 1,
+    # exactly on QQi traces, else within FLOAT_TOL as in fs_indicator
+    norm = sum(t * t.conjugate() for t in (traces if exact else character)
+               ) / group.order
+    if not (norm == 1 if exact else abs(norm - 1) <= FLOAT_TOL):
         raise ConsistencyError(f"model {name} is not irreducible")
     return IrrepModel(name, group, dim, tuple(matrices), character, exact,
-                      tuple(map(_factor, gen_mats)),
-                      tuple(m.is_identity() for m in gen_mats))
+                      tuple(matrices[i].is_identity() for i in gen_idxs))
 
 
 def fs_indicator(model: IrrepModel) -> int:
@@ -295,8 +300,61 @@ def sl2_surrogate(k: int) -> IrrepModel:
             f"SL(2) surrogate supports 1 <= k <= {SL2_SURROGATE_BOUND}, "
             f"got {k}")
     group = _icosian_group()
-    mats = [sym_power(m, k) for m in group.elements]
-    return _make_model(f"spin_sym{k - 1}", group, mats)
+    gens = [sym_power(group.elements[i], k) for i in group.generator_idxs]
+    return _make_model(f"spin_sym{k - 1}", group, _walk_table(group, gens))
+
+
+def _walk_table(group: FiniteGroup, images: Sequence[Matrix]) -> list[Matrix]:
+    """The image of every element of ``group``, from the float ``images``
+    of its generators: the identity, and then each element as its parent's
+    image times a generator's, met along ``group.table`` in the order the
+    closure found it.  :func:`_make_model` then checks every relation."""
+    mats = [Matrix.identity(images[0].rows, exact=False)]
+    mats += [None] * (group.order - 1)
+    for i, row in enumerate(group.table):
+        for g, image in zip(group.generator_idxs, images):
+            if mats[row[g]] is None:
+                mats[row[g]] = mats[i] @ image
+    return mats
+
+
+def sym_power(m: Matrix, k: int) -> Matrix:
+    """The action of a 2x2 matrix on the k-dimensional symmetric power.
+
+    Basis x^{k-1}, x^{k-2}y, ..., y^{k-1}; column j holds the coefficients
+    of (a x + c y)^{k-1-j} (b x + d y)^j for m = [[a, b], [c, d]].
+    """
+    if m.shape != (2, 2):
+        raise ShapeMismatchError("sym_power expects a 2x2 matrix")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    (a, b), (c, d) = m.tolist()
+    zero = ZERO if m.exact else 0j
+    cols = []
+    for j in range(k):
+        left = _binomial_poly(a, c, k - 1 - j, zero)
+        right = _binomial_poly(b, d, j, zero)
+        col = [zero] * k
+        for s, lv in enumerate(left):
+            if lv == zero:
+                continue
+            for t, rv in enumerate(right):
+                col[s + t] = col[s + t] + lv * rv
+        cols.append(col)
+    return Matrix.from_rows(list(zip(*cols)), m.exact)
+
+
+def _binomial_poly(x, y, power: int, zero):
+    """Coefficients of (x*X + y*Y)^power by Y-degree."""
+    coeffs = []
+    for s in range(power + 1):
+        term = zero + comb(power, s)
+        for _ in range(power - s):
+            term = term * x
+        for _ in range(s):
+            term = term * y
+        coeffs.append(term)
+    return coeffs
 
 
 @cache
@@ -462,11 +520,11 @@ def centralizer_dimension(verified: VerifiedForm) -> int:
     A^T s + s A' = 0 on x's blocks A, A' and the invertible matrix s of tile
     scalars.  A dual pair C != C' leaves A free: m^2.  For C = C',
     s^T = -+s as P^T = +-P, and A lies in so(m) when P is skew, in sp(m)
-    when it is symmetric: m(m -+ 1)/2.  P = X (x) Y of one tile is
-    symmetric when X and Y are alike (``matrix_lab._pairing_symmetry``); a
-    P of neither symmetry is an internal error.
+    when it is symmetric: m(m + s)/2 for P^T = sP, s read off one tile
+    (``FactoredForm.pairing_sign``).
     """
-    tf, rows = verified.form.factors, verified.form.rows
+    form = verified.form
+    tf, rows = form.factors, form.rows
     commutant = commutant_dimension(tf)
     expected = sum(len(blocks) ** 2 for blocks in tf.classes.values())
     if commutant != expected:
@@ -475,16 +533,9 @@ def centralizer_dimension(verified: VerifiedForm) -> int:
             f"{expected}")
     twice = 0  # a dual pair counts m^2 on each of its two classes
     for c, blocks in tf.classes.items():
-        m, (_, j, _, x, y) = len(blocks), rows[blocks[0]]
-        if tf.class_ids[j] != c:
-            twice += m * m
-            continue
-        sym = _pairing_symmetry(x, y)
-        if sym is Symmetry.NEITHER:
-            raise PeriodLabError(
-                "internal: the pairing of a self-paired class is neither "
-                "symmetric nor skew")
-        twice += m * (m + 1 if sym is Symmetry.SYMMETRIC else m - 1)
+        m, j = len(blocks), rows[blocks[0]][1]
+        twice += m * (m if tf.class_ids[j] != c
+                      else m + form.pairing_sign(blocks[0]))
     return twice // 2
 
 

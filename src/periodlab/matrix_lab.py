@@ -37,7 +37,6 @@ from .errors import (
     ShapeMismatchError,
     TwistedSegmentError,
 )
-from .exactnum import ZERO
 from .linalg import Matrix, nullspace, row_basis, tensor_equal
 from .param_core import WDParameter
 
@@ -301,11 +300,11 @@ def _weight_solve(k: int, k2: int,
 def invariant_form_sl2(k: int) -> BilinearForm:
     """The invariant form of the k-dimensional sl2 module, exactly: the
     pairing of S(k) with itself that :func:`_weight_solve` walks, read from
-    :func:`sl2_pairings`, with no row reduction.  Its cells are the
+    :func:`sl2_pairings` with no row reduction.  Its cells are the
     antidiagonal c_i = b_{i, k-1-i}; no pairing is a PeriodLabError here.
     The form, normalized to c_0 = 1, is classified by
-    :func:`classify_form`, which reads the antidiagonal off its pattern:
-    symmetric for k odd, skew for k even.
+    :func:`classify_form`: its symmetry against its transpose (symmetric
+    for k odd, skew for k even) and its nondegeneracy by one exact rank.
     """
     basis = sl2_pairings(k, k)
     if not basis:
@@ -697,6 +696,17 @@ class FactoredForm:
                 "the form must be invariant under the generators")
         return VerifiedForm(self, residue)
 
+    def pairing_sign(self, i: int) -> int:
+        """The sign s of P^T = s P for the pairing P = X (x) Y of block row
+        i's tile: 1 when :func:`_pairing_symmetry` reads P symmetric, -1
+        when skew; a P of neither symmetry is an internal error."""
+        sym = _pairing_symmetry(*self.rows[i][3:])
+        if sym is Symmetry.NEITHER:
+            raise PeriodLabError(
+                "internal: the pairing of a self-paired class is neither "
+                "symmetric nor skew")
+        return 1 if sym is Symmetry.SYMMETRIC else -1
+
 
 @dataclass(frozen=True)
 class VerifiedForm:
@@ -828,57 +838,15 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
 
 
 # ---------------------------------------------------------------------------
-# symmetric powers of 2x2 matrices (used by the finite SL(2) stand-in)
-
-
-def sym_power(m: Matrix, k: int) -> Matrix:
-    """The action of a 2x2 matrix on the k-dimensional symmetric power.
-
-    Basis x^{k-1}, x^{k-2}y, ..., y^{k-1}; column j holds the coefficients
-    of (a x + c y)^{k-1-j} (b x + d y)^j for m = [[a, b], [c, d]].
-    """
-    if m.shape != (2, 2):
-        raise ShapeMismatchError("sym_power expects a 2x2 matrix")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    (a, b), (c, d) = m.tolist()
-    zero = ZERO if m.exact else 0j
-    cols = []
-    for j in range(k):
-        left = _binomial_poly(a, c, k - 1 - j, zero)
-        right = _binomial_poly(b, d, j, zero)
-        col = [zero] * k
-        for s, lv in enumerate(left):
-            if lv == zero:
-                continue
-            for t, rv in enumerate(right):
-                col[s + t] = col[s + t] + lv * rv
-        cols.append(col)
-    return Matrix.from_rows(list(zip(*cols)), m.exact)
-
-
-def _binomial_poly(x, y, power: int, zero):
-    """Coefficients of (x*X + y*Y)^power by Y-degree."""
-    coeffs = []
-    for s in range(power + 1):
-        term = zero + comb(power, s)
-        for _ in range(power - s):
-            term = term * x
-        for _ in range(s):
-            term = term * y
-        coeffs.append(term)
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 # realizations of parameters
 
 
 @lru_cache(maxsize=1024)
 def _model_set(distinct: tuple) -> dict:
     """The rho factors of each model of a realization whose label models
-    are ``distinct``, in order of first appearance.  Models hash by
-    identity, so this is built once per model set of a catalog."""
+    are ``distinct``, in order of first appearance: the :func:`_factor`
+    ids of its generators' matrices.  Models hash by identity, so this is
+    built once per model set of a catalog."""
     groups: dict = {}
     for m in distinct:
         groups.setdefault(m.group, []).append(m)
@@ -887,7 +855,8 @@ def _model_set(distinct: tuple) -> dict:
                    if not all(m.is_identity[pos] for m in members)])
               for g, members in groups.items()]
     return {m: tuple(f for g, ps in moving for f in (
-        [m.factors[pos] for pos in ps] if m.group is g
+        [_factor(m.matrices[g.generator_idxs[pos]]) for pos in ps]
+        if m.group is g
         else [_identity(m.dim)] * len(ps))) for m in distinct}
 
 

@@ -661,7 +661,11 @@ HOSTILE_BYTES_EXTRA = 4096
     (["classify", " (+) ".join(["trivial"] * 10_000)], 1),
     (["classify", "St(99999999,q8)", "--oracle"], 1),
     (["classify", "(" * 5000 + "q8" + ")" * 5000], 2),
-], ids=["ten-thousand-segments", "huge-k-oracle", "deep-nesting"])
+    (["classify", "St(2,q8)*nu^1/12345678901234567890", "--oracle"], 1),
+    (["sweep", "--max-dim", "25"], 2),
+    (["verify-matrices", "--max-n", "13"], 2),
+], ids=["ten-thousand-segments", "huge-k-oracle", "deep-nesting",
+        "twenty-digit-twist-oracle", "sweep-over-cap", "verify-over-cap"])
 def test_a_hostile_input_keeps_the_resource_contract(argv, code):
     """Each input runs in a child process of its own, under a CPU-time
     limit set in that child alone: it exits with its documented code,

@@ -48,7 +48,7 @@ from periodlab.errors import (
     ShapeMismatchError,
     SurrogateBoundExceededError,
 )
-from periodlab.group_models import _element_key
+from periodlab.group_models import _element_key, sym_power
 from periodlab import matrix_lab
 from periodlab.cli import main
 from periodlab.linalg import _sparse_row, nullspace_exact, nullspace_float
@@ -62,7 +62,6 @@ from periodlab.matrix_lab import (
     invariant_pairings,
     sl2_intertwiners,
     sl2_pairings,
-    sym_power,
     tensor_factors,
 )
 
@@ -225,12 +224,25 @@ def test_group_tables_match_the_per_pair_reference(build, exact, monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, SL2_SURROGATE_BOUND + 1))
 def test_surrogate_characters_are_the_traces_of_symmetric_powers(k):
+    """The generators' images are their symmetric powers, bit for bit, and
+    every other image is its closure parent's times a generator's; so each
+    matrix is the symmetric power of its element under the float rule."""
     model = sl2_surrogate(k)
-    powers = [sym_power(m, k) for m in model.group.elements]
-    want = np.array([complex(m.trace()) for m in powers])
-    assert np.array_equal(model.character, want)
-    assert all(np.array_equal(m.as_complex(), p.as_complex())
-               for m, p in zip(model.matrices, powers))
+    group = model.group
+    for i in group.generator_idxs:
+        assert np.array_equal(model.matrices[i].as_complex(),
+                              sym_power(group.elements[i], k).as_complex())
+    walked = {0: Matrix.identity(k, exact=False)}
+    for i, row in enumerate(group.table):
+        for g in group.generator_idxs:
+            walked.setdefault(row[g], walked[i] @ model.matrices[g])
+    assert len(walked) == group.order
+    assert all(np.array_equal(m.as_complex(), walked[i].as_complex())
+               for i, m in enumerate(model.matrices))
+    powers = [sym_power(m, k) for m in group.elements]
+    assert all(m.equals(p) for m, p in zip(model.matrices, powers))
+    assert np.array_equal(model.character,
+                          [complex(m.trace()) for m in model.matrices])
 
 
 # -- the homomorphism certificate ----------------------------------------------
@@ -277,6 +289,52 @@ def test_certificate_refuses_a_perturbed_surrogate_element(i):
     mats[i] = Matrix.from_array(mats[i].as_complex() + 1e-6)
     with pytest.raises(ConsistencyError, match=_TABLE_MISMATCH):
         group_models._make_model("s", model.group, mats)
+
+
+# -- the character certificate -------------------------------------------------
+
+
+def _sum_of(*names):
+    """The block-diagonal sum of built-in models of one group, matrix by
+    matrix: a representation, but a reducible one."""
+    models = [MODELS[name] for name in names]
+    return models[0].group, [matrix_lab.blockdiag(list(mats))
+                             for mats in zip(*(m.matrices for m in models))]
+
+
+@pytest.mark.parametrize("names, exact", [
+    (("q8", "q8"), True), (("chi3", "chi3bar"), False)],
+    ids=["q8+q8-exact", "chi3+chi3bar-float"])
+def test_character_certificate_refuses_a_reducible_model(names, exact):
+    group, mats = _sum_of(*names)
+    assert {m.exact for m in mats} == {exact}
+    with pytest.raises(ConsistencyError, match="is not irreducible"):
+        group_models._make_model("sum", group, mats)
+
+
+def _character_norm(mats, order):
+    return round(sum(abs(complex(m.trace())) ** 2 for m in mats) / order)
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(MODELS), *(f"S({k})" for k in range(1, SL2_SURROGATE_BOUND + 1)),
+    "q8+q8", "chi3+chi3bar"])
+def test_character_norm_is_the_commutant_dimension(case):
+    """<chi, chi> is the dimension of the commutant of the generators
+    (sum m^2 over the irreducible constituents), so the character
+    certificate says "irreducible" exactly when the commutant does."""
+    if case in MODELS:
+        model = MODELS[case]
+        group, mats = model.group, model.matrices
+    elif case.startswith("S("):
+        model = sl2_surrogate(int(case[2:-1]))
+        group, mats = model.group, model.matrices
+    else:
+        group, mats = _sum_of(*case.split("+"))
+    gens = [mats[i] for i in group.generator_idxs] or mats[:1]
+    norm = _character_norm(mats, group.order)
+    assert norm == commutant_dimension(tensor_factors(gens))
+    assert (norm == 1) == (case in MODELS or case.startswith("S("))
 
 
 # -- catalogs -------------------------------------------------------------------

@@ -774,18 +774,28 @@ def test_invariant_form_sl2_matches_the_dense_solve():
 def test_invariant_form_sl2_has_the_closed_form(monkeypatch):
     """The antidiagonal c_j = b_{j, k-1-j} of the form is
     c_0 (-1)^j / C(k-1, j), for every k the verify-matrices cap allows, and
-    it is found without a row reduction."""
+    the weight solve behind it (``sl2_pairings(k, k)``, run past its cache)
+    takes no row reduction."""
     def no_reduction(*args):
-        raise AssertionError("row reduction in invariant_form_sl2")
+        raise AssertionError("row reduction in the sl2 weight solve")
 
-    monkeypatch.setattr(linalg, "nullspace_exact", no_reduction)
-    monkeypatch.setattr(linalg, "_Rref", no_reduction)
+    solved, solve = [], matrix_lab.sl2_pairings.__wrapped__
+
+    def weight_solve(k, k2):
+        solved.append((k, k2))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "nullspace_exact", no_reduction)
+            patch.setattr(linalg, "_Rref", no_reduction)
+            return solve(k, k2)
+
+    monkeypatch.setattr(matrix_lab, "sl2_pairings", weight_solve)
     for k in range(1, VERIFY_MAX_K + 1):
         gram = invariant_form_sl2(k).gram
         assert not gram.im.any()
         for j in range(k):
             c = Fraction(gram.re[j, k - 1 - j], gram.den)
             assert c == Fraction((-1) ** j, comb(k - 1, j)), (k, j)
+    assert solved == [(k, k) for k in range(1, VERIFY_MAX_K + 1)]
 
 
 def _broken_triple(monkeypatch, which, entry, value, one_side=False):
@@ -1347,7 +1357,8 @@ def test_tensor_factors_reject_singular_factors():
 
 def test_tensor_factors_have_their_classes_as_soon_as_they_are_built():
     ident = _factor(Matrix.identity(2))
-    q8 = CAT.model_for(CAT.label("q8")).factors
+    model = CAT.model_for(CAT.label("q8"))
+    q8 = matrix_lab._model_set((model,))[model]
     tf = TensorFactors(6, ((0, 2, 1), (2, 2, 1), (4, 2, 1)),
                        (q8, (ident,) * len(q8), q8))
     assert {"class_ids", "classes"} <= vars(tf).keys()

@@ -176,6 +176,16 @@ def test_a_bare_import_loads_no_submodule_and_no_numpy():
     assert result.stdout.split("\n")[:2] == ["True", "[]"]
 
 
+def test_the_catalog_and_models_are_built_without_the_oracle():
+    # group_models imports matrix_lab only inside the oracle's functions
+    result = _python("-c", "import sys, periodlab.group_models as g; "
+                           "g.builtin_catalog(); "
+                           "[g.sl2_surrogate(k) for k in range(1, 7)]; "
+                           "print('periodlab.matrix_lab' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_a_cold_start_does_not_import_configparser():
     # only catalog files need configparser; load_catalog imports it itself
     result = _python("-c", "import sys, periodlab; "
