@@ -305,76 +305,34 @@ def test_catalog_files_share_the_builtin_models(tmp_path):
     assert matrix_lab._model_set.cache_info().currsize == size
 
 
-def test_classify_golden_json(capsys):
-    assert main(["classify", "St(3,q8)", "--oracle", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data == {
-        "input": "St(3,q8)",
-        "checks": [
-            {"name": "parse", "verdict": "pass",
-             "theorem_tag": "rule:grammar",
-             "details": "1 segment(s); catalog: built-in"},
-            {"name": "dimension", "verdict": "pass",
-             "theorem_tag": "rule:rds-construction",
-             "details": "dim = 6"},
-            {"name": "tempered", "verdict": "pass",
-             "theorem_tag": "rule:tempered",
-             "details": "all twists zero"},
-            {"name": "segment[0]", "verdict": "pass",
-             "theorem_tag": "rule:linear-distinction",
-             "details": "St(3,q8): symplectic type; linearly distinguished"},
-            {"name": "sp-image", "verdict": "pass",
-             "theorem_tag": "rule:sp-image",
-             "details": "symplectic pairing exists"},
-            {"name": "x-elliptic", "verdict": "pass",
-             "theorem_tag": "rule:elliptic-multiplicity-free",
-             "details": "multiplicity-free symplectic-type decomposition"},
-            {"name": "oracle-form", "verdict": "pass",
-             "theorem_tag": "oracle:invariant-form",
-             "details": "nondegenerate skew form found; "
-                        "max |g^T J g - J| = 0.00e+00"},
-            {"name": "oracle-isotropy", "verdict": "pass",
-             "theorem_tag": "oracle:isotropy",
-             "details": "no invariant isotropic subspace"},
-        ],
-        "oracle_agreement": True,
-        "exit_code": 0,
-    }
+# -- goldens ------------------------------------------------------------------
+
+# one row per file under tests/golden: the argv that prints it, the exit
+# code and the stream it pins; tests/run_goldens.py runs the same rows
+# through the installed console script
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
-# classify --oracle --json byte for byte: key order, indentation, escaping
-CLASSIFY_GOLDENS = [
-    ("St(3,q8)", "classify_st3_q8.json", 0),
-    ("q8 (+) q8 (+) St(2,trivial)", "classify_repeated_q8.json", 1),
-    ("chi3 (+) chi3bar (+) St(3,d4)", "classify_chi3_pair_d4.json", 1),
-    ("chi3 (+) chi3 (+) chi3bar (+) chi3bar", "classify_repeated_chi3.json",
-     1),
-    ("St(2,trivial)*nu^1/2 (+) St(2,trivial)*nu^-1/2",
-     "classify_twisted_pair.json", 1),
-    ("St(13,q8)", "classify_above_the_bound.json", 1),
-    ("St(22,trivial) (+) St(2,trivial)", "classify_long_block.json", 0),
-    ("0", "classify_empty.json", 1),
-    ('q8 (+) "q8b"', "classify_quote.json", 2),
-    ("St(٣,q8)", "classify_arabic_indic_digit.json", 2),
-    ("St(2,tr²)", "classify_unknown_label_superscript.json", 3),
-]
+def test_the_manifest_names_each_golden_once():
+    assert sorted(row["golden"] for row in MANIFEST) == sorted(
+        path.name for path in GOLDEN.iterdir() if path.name != "manifest.json")
 
 
-@pytest.mark.parametrize("expr, name, code", CLASSIFY_GOLDENS)
-def test_classify_json_matches_golden(capsys, expr, name, code):
-    golden = Path(__file__).parent / "golden" / name
-    assert main(["classify", expr, "--oracle", "--json"]) == code
-    assert capsys.readouterr().out == golden.read_text(encoding="ascii")
-
-
-def test_an_unrecognized_argument_matches_the_usage_golden(capsys):
-    """The top-level usage line and the error, on standard error only."""
-    golden = (Path(__file__).parent / "golden"
-              / "usage_unrecognized_argument.txt")
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "trivial", "--foo"])
-    assert exc.value.code == 2
-    assert capsys.readouterr() == ("", golden.read_text(encoding="ascii"))
+@pytest.mark.parametrize("row", MANIFEST,
+                         ids=lambda row: Path(row["golden"]).stem)
+def test_each_golden_matches_its_command(capsys, row):
+    """Byte for byte: key order, indentation, escaping; the other stream
+    stays empty, and the exit code is the row's."""
+    try:
+        code = main(row["argv"])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    want = {"stdout": b"", "stderr": b"",
+            row["stream"]: (GOLDEN / row["golden"]).read_bytes()}
+    assert (code, {"stdout": out.encode(), "stderr": err.encode()}) == (
+        row["exit"], want)
 
 
 # runs each command with its standard output captured, before and after a
@@ -399,28 +357,26 @@ print(json.dumps([first, outputs(commands)]))
 
 
 def test_outputs_do_not_depend_on_what_ran_earlier_in_the_process():
-    """The classify goldens' expressions and a dim-8 sweep, first in a
-    fresh process and again after a dim-16 sweep in it, give byte-identical
+    """The classify goldens' commands and a dim-8 sweep, first in a fresh
+    process and again after a dim-16 sweep in it, give byte-identical
     output, equal to the goldens: the process-wide factor, class and
     model-set tables change no verdict and no figure."""
-    commands = [["classify", expr, "--oracle", "--json"]
-                for expr, _, _ in CLASSIFY_GOLDENS]
-    commands.append(["sweep", "--max-dim", "8", "--json"])
+    rows = [row for row in MANIFEST
+            if row["golden"].startswith("classify_")
+            or row["golden"] == "sweep_max_dim_8.json"]
     src = str(Path(periodlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _TWO_ROUNDS, json.dumps(commands)],
+        [sys.executable, "-c", _TWO_ROUNDS,
+         json.dumps([row["argv"] for row in rows])],
         capture_output=True, text=True, encoding="utf-8", timeout=300,
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     first, again = json.loads(result.stdout)
     assert again == first
-    golden = Path(__file__).parent / "golden"
-    want = [[code, (golden / name).read_text(encoding="ascii")]
-            for _, name, code in CLASSIFY_GOLDENS]
-    want.append([0, (golden / "sweep_max_dim_8.json").read_text(
-        encoding="utf-8")])
-    assert first == want
+    assert first == [
+        [row["exit"], (GOLDEN / row["golden"]).read_text(encoding="utf-8")]
+        for row in rows]
 
 
 def test_classify_exact_residue_is_exactly_zero(capsys):
@@ -635,7 +591,7 @@ def test_the_benchmark_argv_shapes_never_call_argparse(monkeypatch, argv):
 def test_a_closed_output_pipe_keeps_the_report_exit_code(golden, argv):
     """A reader that closes the pipe early, as ``| head -c 10`` does, leaves
     the command its report's exit code and standard error empty."""
-    code = json.loads((Path(__file__).parent / "golden" / golden)
+    code = json.loads((GOLDEN / golden)
                       .read_text(encoding="ascii"))["exit_code"]
     src = str(Path(periodlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -648,11 +604,17 @@ def test_a_closed_output_pipe_keeps_the_report_exit_code(golden, argv):
 
 
 # The resource contract of a hostile input, as the README's exit-code
-# section states it.  The largest of the three costs 0.35 s of CPU time
-# and writes 12.7 output bytes per input byte (10^4 segments, 2-vCPU Xeon
-# VM, Python 3.11.7): the limits leave a margin of about 8x in time and
-# 1.25x in output.
+# section states it.  The largest of the six costs 0.35 s of CPU time and
+# writes 12.7 output bytes per input byte (10^4 segments, 2-vCPU Xeon VM,
+# Python 3.11.7): the limits leave a margin of about 8x in time and 1.25x
+# in output.  With one BLAS thread the six peak at 102-112 MiB of address
+# space (VmPeak; numpy's import reserves most of it, the 10^4 segments
+# are the highest), so the 256 MiB limit leaves a margin of about 2.3x.
+# Each OpenBLAS thread reserves its own buffers, so the child is pinned to
+# one: unpinned on 2 vCPUs the peaks were 142-152 MiB, and they grow with
+# the core count.
 HOSTILE_CPU_S = 3
+HOSTILE_AS_BYTES = 256 * 2**20
 HOSTILE_BYTES_PER_INPUT_BYTE = 16
 HOSTILE_BYTES_EXTRA = 4096
 
@@ -667,21 +629,28 @@ HOSTILE_BYTES_EXTRA = 4096
 ], ids=["ten-thousand-segments", "huge-k-oracle", "deep-nesting",
         "twenty-digit-twist-oracle", "sweep-over-cap", "verify-over-cap"])
 def test_a_hostile_input_keeps_the_resource_contract(argv, code):
-    """Each input runs in a child process of its own, under a CPU-time
-    limit set in that child alone: it exits with its documented code,
-    writes no traceback, and its output is bounded by its input's size."""
-    def limit_cpu():
+    """Each input runs in a child process of its own, under CPU-time and
+    address-space limits set in that child alone: it exits with its
+    documented code, writes no traceback, and its output is bounded by its
+    input's size."""
+    def limit_child():
         resource.setrlimit(resource.RLIMIT_CPU,
                            (HOSTILE_CPU_S, HOSTILE_CPU_S))
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (HOSTILE_AS_BYTES, HOSTILE_AS_BYTES))
 
     src = str(Path(periodlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-W", "error", "-m", "periodlab", *argv],
-        capture_output=True, timeout=60, preexec_fn=limit_cpu,
-        env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, timeout=60, preexec_fn=limit_child,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
     size = sum(len(word.encode()) for word in argv)
     assert result.returncode == code, result.stderr[-2000:]
+    # the code is the report's or the usage error's, not that of a library
+    # that ran out of address space and exited on its own
+    assert (result.stdout.endswith(b"exit code: %d\n" % code)
+            or result.stderr.startswith(b"periodlab: ")), result.stderr
     assert b"Traceback" not in result.stderr
     assert len(result.stdout) + len(result.stderr) <= (
         HOSTILE_BYTES_PER_INPUT_BYTE * size + HOSTILE_BYTES_EXTRA)
@@ -790,18 +759,6 @@ def test_verify_matrices_default_counts():
     assert "n = 1 .. 6" in by_name["w-plus"].details
 
 
-@pytest.mark.parametrize("name, bounds", [
-    pytest.param("default", [], id="default"),
-    pytest.param("n8_k12", ["--max-n", "8", "--max-k", "12"], id="n8_k12"),
-    pytest.param("n12_k24", ["--max-n", "12", "--max-k", "24"],
-                 id="n12_k24"),
-])
-def test_verify_matrices_json_matches_golden(capsys, name, bounds):
-    golden = Path(__file__).parent / "golden" / f"verify_matrices_{name}.json"
-    assert main(["verify-matrices", *bounds, "--json"]) == 0
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
-
-
 def test_verify_matrices_rejects_bad_bounds(capsys):
     assert main(["verify-matrices", "--max-n", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
@@ -848,13 +805,6 @@ def test_sweep_small_cap():
         "control duplicate-blocks", "control dimension-mismatch",
         "control duplicate-parameter", "control dual-pair-parameter"}
     assert all(c.verdict == PASS for c in controls)
-
-
-@pytest.mark.parametrize("max_dim", [6, 8, 10, 12, 16, 20, 24])
-def test_sweep_json_matches_golden(capsys, max_dim):
-    golden = Path(__file__).parent / "golden" / f"sweep_max_dim_{max_dim}.json"
-    assert main(["sweep", "--max-dim", str(max_dim), "--json"]) == 0
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("max_dim, count", [(4, 9), (8, 46), (12, 161)])
