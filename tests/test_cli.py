@@ -305,6 +305,45 @@ def test_catalog_files_share_the_builtin_models(tmp_path):
     assert matrix_lab._model_set.cache_info().currsize == size
 
 
+def test_classify_golden_json(capsys):
+    """The report's content, written out by hand: a golden regenerated from
+    a faulty run would still match its own command, but not this."""
+    assert main(["classify", "St(3,q8)", "--oracle", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "input": "St(3,q8)",
+        "checks": [
+            {"name": "parse", "verdict": "pass",
+             "theorem_tag": "rule:grammar",
+             "details": "1 segment(s); catalog: built-in"},
+            {"name": "dimension", "verdict": "pass",
+             "theorem_tag": "rule:rds-construction",
+             "details": "dim = 6"},
+            {"name": "tempered", "verdict": "pass",
+             "theorem_tag": "rule:tempered",
+             "details": "all twists zero"},
+            {"name": "segment[0]", "verdict": "pass",
+             "theorem_tag": "rule:linear-distinction",
+             "details": "St(3,q8): symplectic type; linearly distinguished"},
+            {"name": "sp-image", "verdict": "pass",
+             "theorem_tag": "rule:sp-image",
+             "details": "symplectic pairing exists"},
+            {"name": "x-elliptic", "verdict": "pass",
+             "theorem_tag": "rule:elliptic-multiplicity-free",
+             "details": "multiplicity-free symplectic-type decomposition"},
+            {"name": "oracle-form", "verdict": "pass",
+             "theorem_tag": "oracle:invariant-form",
+             "details": "nondegenerate skew form found; "
+                        "max |g^T J g - J| = 0.00e+00"},
+            {"name": "oracle-isotropy", "verdict": "pass",
+             "theorem_tag": "oracle:isotropy",
+             "details": "no invariant isotropic subspace"},
+        ],
+        "oracle_agreement": True,
+        "exit_code": 0,
+    }
+
+
 # -- goldens ------------------------------------------------------------------
 
 # one row per file under tests/golden: the argv that prints it, the exit
