@@ -28,16 +28,15 @@ _PUBLIC = {
     "linalg": ["FLOAT_TOL", "Matrix"],
     "matrix_lab": [
         "BilinearForm", "FactoredForm", "PermutationMap", "Symmetry",
-        "TensorFactors", "VerifiedForm",
-        "classify_form", "conjugator_for_partition",
+        "TensorFactors", "VerifiedForm", "centralizer_dimension",
+        "classify_form", "commutant_dimension", "conjugator_for_partition",
         "find_nondegenerate_skew", "invariant_form_sl2", "invariant_forms",
-        "is_in_sp", "partition_J", "realize", "sl2_exp_e", "sl2_exp_f",
-        "sl2_sym_power_action", "symplectic_J", "w_plus"],
+        "invariant_isotropic_exists", "is_in_sp", "partition_J", "realize",
+        "sl2_exp_e", "sl2_exp_f", "sl2_sym_power_action", "symplectic_J",
+        "w_plus"],
     "group_models": [
         "SL2_SURROGATE_BOUND", "Catalog", "CatalogEntry", "builtin_catalog",
-        "builtin_models", "centralizer_dimension", "commutant_dimension",
-        "fs_indicator", "invariant_isotropic_exists", "sl2_surrogate",
-        "sym_power"],
+        "builtin_models", "fs_indicator", "sl2_surrogate", "sym_power"],
     "distinction": [
         "RDSSpec", "centralizer_dimension_symbolic",
         "check_conjecture_instance", "factors_through_sp_symbolic",

@@ -28,10 +28,11 @@ from .errors import (
     OddDimensionError,
     PeriodLabError,
 )
-from .group_models import Catalog, builtin_catalog, centralizer_dimension
+from .group_models import Catalog, builtin_catalog
 from .matrix_lab import (
     FactoredForm,
     TensorFactors,
+    centralizer_dimension,
     find_nondegenerate_skew,
     is_in_sp,  # noqa: F401  the dense reference, read here by periodbench
     realize,

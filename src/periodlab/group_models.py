@@ -1,4 +1,4 @@
-"""Finite-group stand-ins for cuspidal labels, and the ellipticity oracle.
+"""Finite-group stand-ins for cuspidal labels, and the catalog of them.
 
 Every label with a model is backed by a concrete finite group given as
 explicit matrices with a multiplication table read off the closure of its
@@ -9,25 +9,14 @@ rho(x) rho(g) = rho(xg) for every element x and generator g, which covers
 every pair by induction on word length; no check is sampled.  It is then
 certified irreducible by its character: <chi, chi> = 1 (Serre, *Linear
 Representations of Finite Groups*, section 2.3, theorem 5), exactly on an
-exact model.  So groups, models and the catalog are built without the
-oracle: only the oracle's functions below import ``matrix_lab``, on first
-use, and it interns a model's generators as its factors.  The
-ellipticity oracle reads the dimension of the centralizer of the image in
-sp(J) off a ``matrix_lab.VerifiedForm``, checked once on its tiles by
-``FactoredForm.verify``, and reads the realization, a
-``matrix_lab.TensorFactors``, off the form it holds.  The classes of
-blocks with equal factors (keyed by class id) are certified to be the
-isotypic components by the commutant dimension, the sum over pairs of
-classes C, D of m_C * m_D * dim Hom(D, C), cached per pair of class ids
-and exact when the classes' factors are; the centralizer's dimension is
-then a closed form in each class's multiplicity and the symmetry of its
-pairing.  No label name, dense generator or dense form is read, nothing
-is solved, and no block length or multiplicity is refused.  The
-symmetric powers of the binary icosahedral group 2I (``sl2_surrogate``)
-are a finite stand-in for S(k), irreducible exactly for k <= 6
-(``SL2_SURROGATE_BOUND``); ``sym_power`` gives the images of 2I's two
-generators, and every other element's is walked along the group table.
-The oracle does not use them.
+exact model.  This module holds no oracle code: the isotropy stage,
+commutant and centralizer dimensions included, lives in ``matrix_lab``,
+which interns a model's generators as its factors, so groups, models and
+the catalog are built without loading it.  The symmetric powers of the
+binary icosahedral group 2I (``sl2_surrogate``) are a finite stand-in for
+S(k), irreducible exactly for k <= 6 (``SL2_SURROGATE_BOUND``);
+``sym_power`` gives the images of 2I's two generators, and every other
+element's is walked along the group table.  The oracle does not use them.
 
 Built-in labels: ``trivial`` (dim 1, orthogonal), the dual character pair
 ``chi3``/``chi3bar`` on a shared cyclic group (dim 1, not self-dual), the
@@ -43,11 +32,10 @@ import cmath
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, pi, sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     CatalogError,
-    CommutantMismatchError,
     ConsistencyError,
     MissingModelError,
     NonIntegralIndicatorError,
@@ -59,9 +47,6 @@ from .exactnum import I as QI
 from .exactnum import ZERO, QQi
 from .linalg import FLOAT_TOL, Matrix, follows_table
 from .param_core import CuspidalLabel, SelfDualityType
-
-if TYPE_CHECKING:  # pragma: no cover - the oracle is imported on first use
-    from .matrix_lab import VerifiedForm
 
 SL2_SURROGATE_BOUND = 6
 
@@ -169,34 +154,6 @@ class IrrepModel:
     character: tuple[complex, ...]
     exact: bool
     is_identity: tuple[bool, ...]
-
-
-def commutant_dimension(gens) -> int:
-    """Dimension of {X : Xg = gX for every generator g} of a realization
-    (:class:`~periodlab.matrix_lab.TensorFactors`) or a bare list of
-    generators.
-
-    The blocks of :func:`tensor_factors` with equal factors form a class C
-    of multiplicity m_C (``TensorFactors.classes``).  The dimension is the
-    sum over pairs of classes of m_C * m_D * dim Hom(D, C), read once per
-    pair of class ids (:func:`_class_hom`), exact when the factors are.
-    """
-    classes = getattr(gens, "classes", None)
-    if classes is None:  # a bare list: the oracle's dense tensor_factors
-        from .matrix_lab import tensor_factors
-        classes = tensor_factors(gens).classes
-    return sum(len(c) * len(d) * _class_hom(i, j)
-               for i, c in classes.items() for j, d in classes.items())
-
-
-@lru_cache(maxsize=None)
-def _class_hom(c: int, d: int) -> int:
-    """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
-    classes c and d, solved on one block of each, the U side from k alone
-    (``matrix_lab._class_pair``)."""
-    from .matrix_lab import _class_pair
-    xs, ys = _class_pair(c, d, pairing=False)
-    return len(xs) * len(ys)
 
 
 def _make_model(name: str, group: FiniteGroup,
@@ -421,10 +378,11 @@ class Catalog:
         return [e.label for e in self.entries.values()]
 
     def validate(self) -> None:
-        """Check duality mutuality and model consistency, the models of dual
-        labels being contragredient (one group object, and characters that
-        are complex conjugate under the float rule of :meth:`Matrix.equals`);
-        raise on failure."""
+        """Check duality mutuality and model consistency, dual labels
+        agreeing in dimension, self-duality and unitarity and their models
+        being contragredient (one group object, and characters complex
+        conjugate under the float rule of :meth:`Matrix.equals`); raise on
+        failure."""
         seen_models: dict[int, str] = {}
         for name, entry in self.entries.items():
             label, shown = entry.label, quoted(name)
@@ -449,6 +407,9 @@ class Catalog:
                 raise ConsistencyError(
                     f"dual labels {shown}/{other} disagree about "
                     f"self-duality")
+            if label.unitary != dual.unitary:
+                raise ConsistencyError(
+                    f"dual labels {shown}/{other} disagree about unitarity")
             model, dual_model = entry.model, dual_entry.model
             chis = [Matrix.from_rows([m.character], exact=False)
                     for m in (model, dual_model) if m is not None]
@@ -501,52 +462,12 @@ def builtin_catalog() -> Catalog:
     return catalog
 
 
-# ---------------------------------------------------------------------------
-# the centralizer of a realized parameter in Sp
-
-
-def centralizer_dimension(verified: VerifiedForm) -> int:
-    """Dimension of the centralizer of the image in sp(J), J the verified
-    form: of {x : xg = gx for every generator g, x^T J + J x = 0}.  The
-    parameter is X-elliptic exactly when it is 0 (Sakellaridis-Venkatesh).
-
-    Each block rho (x) S(k) is irreducible (label models are checked so,
-    and exp E, exp F are Zariski-dense in SL(2)), so the commutant,
-    sum m_C m_D dim Hom(D, C) over the classes of equal blocks, is at least
-    sum m_C^2, with equality, checked here, exactly when it is (+)_C gl(m_C)
-    on the copies of each class.  The verified tiles pair the copies of C
-    with those of one class C' (``FactoredForm.rows``), each a multiple of
-    one pairing P by Schur's lemma, so x^T J + J x = 0 reads
-    A^T s + s A' = 0 on x's blocks A, A' and the invertible matrix s of tile
-    scalars.  A dual pair C != C' leaves A free: m^2.  For C = C',
-    s^T = -+s as P^T = +-P, and A lies in so(m) when P is skew, in sp(m)
-    when it is symmetric: m(m + s)/2 for P^T = sP, s read off one tile
-    (``FactoredForm.pairing_sign``).
-    """
-    form = verified.form
-    tf, rows = form.factors, form.rows
-    commutant = commutant_dimension(tf)
-    expected = sum(len(blocks) ** 2 for blocks in tf.classes.values())
-    if commutant != expected:
-        raise CommutantMismatchError(
-            f"commutant dimension {commutant} disagrees with block count "
-            f"{expected}")
-    twice = 0  # a dual pair counts m^2 on each of its two classes
-    for c, blocks in tf.classes.items():
-        m, j = len(blocks), rows[blocks[0]][1]
-        twice += m * (m if tf.class_ids[j] != c
-                      else m + form.pairing_sign(blocks[0]))
-    return twice // 2
-
-
-def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
-    """Whether a nonzero invariant subspace is isotropic for the form:
-    exactly when :func:`centralizer_dimension` is positive.
-
-    The image is completely reducible, so a centralizer of positive
-    dimension is reductive and holds a torus, whose weight spaces of
-    positive weight span an invariant isotropic subspace; an invariant
-    isotropic W has an invariant isotropic W' paired with it, and t on W,
-    1/t on W' and 1 on (W + W')^perp is such a torus.
-    """
-    return centralizer_dimension(verified) > 0
+def __getattr__(name: str):
+    """The two oracle functions ``periodbench/tracing.py`` still looks up
+    here, forwarded to ``matrix_lab``, so the tracer patches their real
+    bindings.  ROADMAP item 1a, which retraces the oracle's layers, deletes
+    this forward."""
+    if name in ("commutant_dimension", "invariant_isotropic_exists"):
+        from . import matrix_lab
+        return getattr(matrix_lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

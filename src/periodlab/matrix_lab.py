@@ -10,11 +10,16 @@ vec, ``linalg`` picking the elimination by the path; Y read off the sl2
 weights and walked along the E chain in integers (:func:`_weight_solve`).
 The skew form is built class by class (:func:`find_nondegenerate_skew`)
 and checked on its tiles (:meth:`FactoredForm.verify`), with the weight
-solve's one E/F check (:func:`_sl2_fixed`).  Per process the oracle caches
-a factor's :class:`BilinearForm` (:func:`_reading`), the pairing of two
-classes, dim Hom(D, C), and each tile's invariance and skewness.  The J
-forms have one entry +-1 in every row, so the conjugator identities are
-decided on these signed pairings, with no matrix placed.
+solve's one E/F check (:func:`_sl2_fixed`).  The isotropy stage reads the
+dimension of the centralizer of the image in sp(J) off the verified form
+(:func:`centralizer_dimension`): the commutant dimension certifies the
+classes of equal blocks as the isotypic components, and the centralizer
+is then a closed form in each class's multiplicity and the symmetry of
+its pairing.  Per process the oracle caches a factor's
+:class:`BilinearForm` (:func:`_reading`), the pairing of two classes,
+dim Hom(D, C), and each tile's invariance and skewness.  The J forms have
+one entry +-1 in every row, so the conjugator identities are decided on
+these signed pairings, with no matrix placed.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from math import comb, gcd
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import (
+    CommutantMismatchError,
     ConjugatorNotFoundError,
     FormVerificationError,
     OddPartError,
@@ -555,7 +561,7 @@ def _exp_factors(k: int) -> tuple[int, int]:
 def tensor_factors(gens) -> TensorFactors:
     """``gens`` itself when it is a :class:`TensorFactors`; a bare list of
     generators is one block with r = n and k = 1, on which every generator
-    is its own A.  So :func:`invariant_forms` and ``commutant_dimension``
+    is its own A.  So :func:`invariant_forms` and :func:`commutant_dimension`
     row-reduce a bare ``[sl2_exp_e(k), sl2_exp_f(k)]`` densely (0.2-0.4 s at
     k = 12, 1-2 s at k = 16, 2-vCPU Xeon), where :func:`realize` hands S(k)
     to its weight solve and takes milliseconds."""
@@ -696,17 +702,6 @@ class FactoredForm:
                 "the form must be invariant under the generators")
         return VerifiedForm(self, residue)
 
-    def pairing_sign(self, i: int) -> int:
-        """The sign s of P^T = s P for the pairing P = X (x) Y of block row
-        i's tile: 1 when :func:`_pairing_symmetry` reads P symmetric, -1
-        when skew; a P of neither symmetry is an internal error."""
-        sym = _pairing_symmetry(*self.rows[i][3:])
-        if sym is Symmetry.NEITHER:
-            raise PeriodLabError(
-                "internal: the pairing of a self-paired class is neither "
-                "symmetric nor skew")
-        return 1 if sym is Symmetry.SYMMETRIC else -1
-
 
 @dataclass(frozen=True)
 class VerifiedForm:
@@ -835,6 +830,89 @@ def find_nondegenerate_skew(gens) -> FactoredForm | None:
             if i != j:
                 tiles.append((j, i, -1, xt, yt))
     return FactoredForm(tf, tuple(tiles))
+
+
+# ---------------------------------------------------------------------------
+# the centralizer of a realized parameter in Sp
+
+
+def commutant_dimension(gens) -> int:
+    """Dimension of {X : Xg = gX for every generator g} of a realization
+    or a bare list of generators (:func:`tensor_factors`).
+
+    The blocks with equal factors form a class C of multiplicity m_C
+    (:attr:`TensorFactors.classes`).  The dimension is the sum over pairs
+    of classes of m_C * m_D * dim Hom(D, C), read once per pair of class
+    ids (:func:`_class_hom`), exact when the factors are.
+    """
+    classes = tensor_factors(gens).classes
+    return sum(len(c) * len(d) * _class_hom(i, j)
+               for i, c in classes.items() for j, d in classes.items())
+
+
+@lru_cache(maxsize=None)
+def _class_hom(c: int, d: int) -> int:
+    """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
+    classes c and d, solved on one block of each, the U side from k alone
+    (:func:`_class_pair`)."""
+    xs, ys = _class_pair(c, d, pairing=False)
+    return len(xs) * len(ys)
+
+
+def centralizer_dimension(verified: VerifiedForm) -> int:
+    """Dimension of the centralizer of the image in sp(J), J the verified
+    form: of {x : xg = gx for every generator g, x^T J + J x = 0}.  The
+    parameter is X-elliptic exactly when it is 0 (Sakellaridis-Venkatesh).
+
+    Each block rho (x) S(k) is irreducible (label models are checked so,
+    and exp E, exp F are Zariski-dense in SL(2)), so the commutant,
+    sum m_C m_D dim Hom(D, C) over the classes of equal blocks, is at least
+    sum m_C^2, with equality, checked here, exactly when it is (+)_C gl(m_C)
+    on the copies of each class.  The verified tiles pair the copies of C
+    with those of one class C' (``FactoredForm.rows``), each a multiple of
+    one pairing P by Schur's lemma, so x^T J + J x = 0 reads
+    A^T s + s A' = 0 on x's blocks A, A' and the invertible matrix s of tile
+    scalars.  A dual pair C != C' leaves A free: m^2.  For C = C',
+    s^T = -+s as P^T = +-P, and A lies in so(m) when P is skew, in sp(m)
+    when it is symmetric: m(m + s)/2 for P^T = sP, s read off one tile by
+    :func:`_pairing_symmetry`; a P of neither symmetry is an internal error.
+    No label name, dense generator or dense form is read, nothing is
+    solved, and no block length or multiplicity is refused.
+    """
+    form = verified.form
+    tf, rows = form.factors, form.rows
+    commutant = commutant_dimension(tf)
+    expected = sum(len(blocks) ** 2 for blocks in tf.classes.values())
+    if commutant != expected:
+        raise CommutantMismatchError(
+            f"commutant dimension {commutant} disagrees with block count "
+            f"{expected}")
+    twice = 0  # a dual pair counts m^2 on each of its two classes
+    for c, blocks in tf.classes.items():
+        m, (_, j, _, x, y) = len(blocks), rows[blocks[0]]
+        if tf.class_ids[j] != c:
+            twice += m * m
+            continue
+        sym = _pairing_symmetry(x, y)
+        if sym is Symmetry.NEITHER:
+            raise PeriodLabError(
+                "internal: the pairing of a self-paired class is neither "
+                "symmetric nor skew")
+        twice += m * (m + (1 if sym is Symmetry.SYMMETRIC else -1))
+    return twice // 2
+
+
+def invariant_isotropic_exists(verified: VerifiedForm) -> bool:
+    """Whether a nonzero invariant subspace is isotropic for the form:
+    exactly when :func:`centralizer_dimension` is positive.
+
+    The image is completely reducible, so a centralizer of positive
+    dimension is reductive and holds a torus, whose weight spaces of
+    positive weight span an invariant isotropic subspace; an invariant
+    isotropic W has an invariant isotropic W' paired with it, and t on W,
+    1/t on W' and 1 on (W + W')^perp is such a torus.
+    """
+    return centralizer_dimension(verified) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,30 @@ def test_classify_catalog_with_non_dual_models_exits_three(tmp_path, capsys):
     assert "not contragredient" in capsys.readouterr().out
 
 
+def test_dual_labels_that_disagree_about_unitarity_exit_three(tmp_path,
+                                                              capsys):
+    # a catalog error, not a pair that fails as "non-unitary labels: b"
+    path = tmp_path / "user.ini"
+    path.write_text(textwrap.dedent("""\
+        [cuspidal.a]
+        dim = 1
+        type = none
+        dual = b
+        model = chi3
+
+        [cuspidal.b]
+        dim = 1
+        type = none
+        dual = a
+        model = chi3bar
+        unitary = false
+        """), encoding="utf-8")
+    assert main(["classify", "a (+) b", "--catalog", str(path),
+                 "--oracle"]) == 3
+    assert ("dual labels 'a'/'b' disagree about unitarity"
+            in capsys.readouterr().out)
+
+
 def test_a_catalog_dim_of_arabic_indic_digits_exits_three(tmp_path, capsys):
     # the expression St(\u0663,q8) exits 2 (its golden); a catalog's dim
     # keeps to the same ASCII digits
@@ -643,12 +667,14 @@ def test_a_closed_output_pipe_keeps_the_report_exit_code(golden, argv):
 
 
 # The resource contract of a hostile input, as the README's exit-code
-# section states it.  The largest of the six costs 0.35 s of CPU time and
-# writes 12.7 output bytes per input byte (10^4 segments, 2-vCPU Xeon VM,
-# Python 3.11.7): the limits leave a margin of about 8x in time and 1.25x
-# in output.  With one BLAS thread the six peak at 102-112 MiB of address
-# space (VmPeak; numpy's import reserves most of it, the 10^4 segments
-# are the highest), so the 256 MiB limit leaves a margin of about 2.3x.
+# section states it: ten inputs, six argvs and four catalog files, whose
+# bytes count in the input's size.  The 5,000-label catalog costs the
+# most CPU time, 0.4-0.6 s, and the 10^4 segments write the most, 12.7
+# output bytes per input byte in 0.35 s (2-vCPU Xeon VM, Python 3.11.7):
+# the limits leave a margin of about 5x in time and 1.25x in output.  With
+# one BLAS thread the ten peak at 102-113 MiB of address space (VmPeak;
+# numpy's import reserves most of it, the 5,000 labels and the 10^4
+# segments are the highest), so the 256 MiB limit leaves about 2.3x.
 # Each OpenBLAS thread reserves its own buffers, so the child is pinned to
 # one: unpinned on 2 vCPUs the peaks were 142-152 MiB, and they grow with
 # the core count.
@@ -658,33 +684,52 @@ HOSTILE_BYTES_PER_INPUT_BYTE = 16
 HOSTILE_BYTES_EXTRA = 4096
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["classify", " (+) ".join(["trivial"] * 10_000)], 1),
-    (["classify", "St(99999999,q8)", "--oracle"], 1),
-    (["classify", "(" * 5000 + "q8" + ")" * 5000], 2),
-    (["classify", "St(2,q8)*nu^1/12345678901234567890", "--oracle"], 1),
-    (["sweep", "--max-dim", "25"], 2),
-    (["verify-matrices", "--max-n", "13"], 2),
+FIVE_THOUSAND_LABELS = b"".join(
+    b"[cuspidal.l%d]\ndim = 1\ntype = orthogonal\n" % i
+    for i in range(1, 5001))
+
+
+@pytest.mark.parametrize("argv, code, catalog", [
+    (["classify", " (+) ".join(["trivial"] * 10_000)], 1, None),
+    (["classify", "St(99999999,q8)", "--oracle"], 1, None),
+    (["classify", "(" * 5000 + "q8" + ")" * 5000], 2, None),
+    (["classify", "St(2,q8)*nu^1/12345678901234567890", "--oracle"], 1, None),
+    (["sweep", "--max-dim", "25"], 2, None),
+    (["verify-matrices", "--max-n", "13"], 2, None),
+    (["classify", "t"], 3,
+     b"[cuspidal.t]\ndim = 1\ntype = orthogonal\n# \xff\n"),
+    (["classify", "t"], 3, b"[cuspidal.t]\ndim = 1\ntype = " + b"x" * 10**5),
+    (["classify", "t"], 3,
+     b"[cuspidal.t]\ndim = " + b"2" * 10**5 + b"\ntype = orthogonal\n"),
+    (["classify", "l1 (+) l2"], 1, FIVE_THOUSAND_LABELS),
 ], ids=["ten-thousand-segments", "huge-k-oracle", "deep-nesting",
-        "twenty-digit-twist-oracle", "sweep-over-cap", "verify-over-cap"])
-def test_a_hostile_input_keeps_the_resource_contract(argv, code):
-    """Each input runs in a child process of its own, under CPU-time and
-    address-space limits set in that child alone: it exits with its
-    documented code, writes no traceback, and its output is bounded by its
-    input's size."""
+        "twenty-digit-twist-oracle", "sweep-over-cap", "verify-over-cap",
+        "non-utf8-catalog", "long-type-catalog", "long-dim-catalog",
+        "five-thousand-label-catalog"])
+def test_a_hostile_input_keeps_the_resource_contract(tmp_path, argv, code,
+                                                      catalog):
+    """Each input, an argv and, for some, a catalog file, runs in a child
+    process of its own, under CPU-time and address-space limits set in
+    that child alone: it exits with its documented code, writes no
+    traceback, and its output is bounded by its input's size, the catalog
+    file's bytes included."""
     def limit_child():
         resource.setrlimit(resource.RLIMIT_CPU,
                            (HOSTILE_CPU_S, HOSTILE_CPU_S))
         resource.setrlimit(resource.RLIMIT_AS,
                            (HOSTILE_AS_BYTES, HOSTILE_AS_BYTES))
 
+    size = sum(len(word.encode()) for word in argv) + len(catalog or b"")
+    if catalog is not None:
+        ini = tmp_path / "hostile.ini"
+        ini.write_bytes(catalog)
+        argv = [*argv, "--catalog", str(ini)]
     src = str(Path(periodlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-W", "error", "-m", "periodlab", *argv],
         capture_output=True, timeout=60, preexec_fn=limit_child,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
-    size = sum(len(word.encode()) for word in argv)
     assert result.returncode == code, result.stderr[-2000:]
     # the code is the report's or the usage error's, not that of a library
     # that ran out of address space and exited on its own

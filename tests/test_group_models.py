@@ -440,6 +440,16 @@ def test_validate_rejects_a_character_just_off_the_conjugate():
         cat.validate()
 
 
+def test_validate_rejects_dual_labels_that_disagree_about_unitarity():
+    # the contragredient of a unitary representation is unitary
+    cat = _dual_pair_catalog(MODELS["chi3"], MODELS["chi3bar"])
+    bar = replace(cat.entries["chi3bar"].label, unitary=False)
+    cat.entries["chi3bar"] = CatalogEntry(bar, MODELS["chi3bar"])
+    with pytest.raises(ConsistencyError, match="'chi3'/'chi3bar' disagree "
+                       "about unitarity"):
+        cat.validate()
+
+
 def test_validate_rejects_model_dim_mismatch():
     label = CuspidalLabel("wide", 4, SelfDualityType.ORTHOGONAL, model="s3")
     with pytest.raises(ConsistencyError):

@@ -126,6 +126,51 @@ def test_the_rules_meet_the_oracle_only_in_add_sp_checks():
         [node for node in imports if not getattr(node, "level", 0)], []))
 
 
+def _package_imports(tree):
+    """(module, name, innermost enclosing function or None) for every name
+    imported from the package, relatively or as ``periodlab``: ``from .a
+    import b`` gives ("a", "b"), ``from . import a`` gives ("", "a")."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and (
+                    child.level or (child.module or "").startswith(
+                        "periodlab")):
+                module = (child.module or "").removeprefix("periodlab")
+                found.extend((module.lstrip("."), alias.name, scope)
+                             for alias in child.names)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert [(module, f"{source}.{name}")
+            for module, tree in trees.items()
+            for source, name, _ in _package_imports(tree)
+            if name.startswith("_") and source != module] == []
+
+
+def test_group_models_imports_the_oracle_only_to_forward_two_names():
+    """The catalog module holds no oracle code: it imports ``matrix_lab``
+    only in its module ``__getattr__``, which forwards exactly the two
+    names the benchmark's tracer looks up there."""
+    from periodlab import group_models, matrix_lab
+    tree = ast.parse((PACKAGE / "group_models.py").read_text(encoding="utf-8"))
+    assert {scope for source, name, scope in _package_imports(tree)
+            if "matrix_lab" in (source, name)} == {"__getattr__"}
+    assert {"commutant_dimension", "_class_hom", "centralizer_dimension",
+            "invariant_isotropic_exists"}.isdisjoint(vars(group_models))
+    for name in ("commutant_dimension", "invariant_isotropic_exists"):
+        assert getattr(group_models, name) is getattr(matrix_lab, name)
+    assert not hasattr(group_models, "centralizer_dimension")
+
+
 def test_only_linalg_sees_the_matrix_representation():
     """``linalg`` owns the representation: no other module imports numpy,
     reads a matrix's ``re``, ``im``, ``den`` or ``data`` slot, or calls
@@ -177,7 +222,8 @@ def test_a_bare_import_loads_no_submodule_and_no_numpy():
 
 
 def test_the_catalog_and_models_are_built_without_the_oracle():
-    # group_models imports matrix_lab only inside the oracle's functions
+    # group_models holds no oracle code and imports matrix_lab only to
+    # forward two names
     result = _python("-c", "import sys, periodlab.group_models as g; "
                            "g.builtin_catalog(); "
                            "[g.sl2_surrogate(k) for k in range(1, 7)]; "
