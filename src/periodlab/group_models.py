@@ -385,55 +385,58 @@ class Catalog:
         failure."""
         seen_models: dict[int, str] = {}
         for name, entry in self.entries.items():
-            label, shown = entry.label, quoted(name)
+            label = entry.label
             if label.name != name:
-                raise ConsistencyError(f"entry key {shown} does not match "
-                                       f"label {quoted(label.name)}")
+                raise ConsistencyError(f"entry key {quoted(name)} does not "
+                                       f"match label {quoted(label.name)}")
             dual_entry = self.entries.get(label.dual_name)
             if dual_entry is None:
                 raise ConsistencyError(
-                    f"label {shown} declares unknown dual "
+                    f"label {quoted(name)} declares unknown dual "
                     f"{quoted(label.dual_name)}")
             dual = dual_entry.label
-            other = quoted(dual.name)
             if dual.dual_name != name:
                 raise ConsistencyError(
-                    f"labels {shown} and {other} are not mutually dual")
+                    f"labels {quoted(name)} and {quoted(dual.name)} are not "
+                    f"mutually dual")
             if dual.dim != label.dim:
                 raise ConsistencyError(
-                    f"dual labels {shown}/{other} differ in dimension")
+                    f"dual labels {quoted(name)}/{quoted(dual.name)} differ "
+                    f"in dimension")
             if (label.sd_type is SelfDualityType.NOT_SELF_DUAL) != (
                     dual.sd_type is SelfDualityType.NOT_SELF_DUAL):
                 raise ConsistencyError(
-                    f"dual labels {shown}/{other} disagree about "
-                    f"self-duality")
+                    f"dual labels {quoted(name)}/{quoted(dual.name)} disagree "
+                    f"about self-duality")
             if label.unitary != dual.unitary:
                 raise ConsistencyError(
-                    f"dual labels {shown}/{other} disagree about unitarity")
+                    f"dual labels {quoted(name)}/{quoted(dual.name)} disagree "
+                    f"about unitarity")
             model, dual_model = entry.model, dual_entry.model
             chis = [Matrix.from_rows([m.character], exact=False)
                     for m in (model, dual_model) if m is not None]
             if len(chis) == 2 and not (model.group is dual_model.group
                                        and chis[0].equals(chis[1].conj())):
                 raise ConsistencyError(
-                    f"dual labels {shown}/{other}: their models are "
-                    f"not contragredient representations of one group")
+                    f"dual labels {quoted(name)}/{quoted(dual.name)}: their "
+                    f"models are not contragredient representations of one "
+                    f"group")
             if entry.model is not None:
                 if entry.model.dim != label.dim:
                     raise ConsistencyError(
-                        f"label {shown} has dim {label.dim} but its model "
-                        f"has dim {entry.model.dim}")
+                        f"label {quoted(name)} has dim {label.dim} but its "
+                        f"model has dim {entry.model.dim}")
                 indicator = fs_indicator(entry.model)
                 if indicator != label.sd_type.sign:
                     raise ConsistencyError(
-                        f"label {shown}: declared type {label.sd_type.value} "
-                        f"(sign {label.sd_type.sign}) but the model indicator "
-                        f"is {indicator}")
+                        f"label {quoted(name)}: declared type "
+                        f"{label.sd_type.value} (sign {label.sd_type.sign}) "
+                        f"but the model indicator is {indicator}")
                 owner = seen_models.get(id(entry.model))
                 if owner is not None:
                     raise ConsistencyError(
-                        f"labels {quoted(owner)} and {shown} share one model; "
-                        f"distinct labels need distinct models")
+                        f"labels {quoted(owner)} and {quoted(name)} share one "
+                        f"model; distinct labels need distinct models")
                 seen_models[id(entry.model)] = name
 
 

@@ -15,11 +15,16 @@ dimension of the centralizer of the image in sp(J) off the verified form
 (:func:`centralizer_dimension`): the commutant dimension certifies the
 classes of equal blocks as the isotypic components, and the centralizer
 is then a closed form in each class's multiplicity and the symmetry of
-its pairing.  Per process the oracle caches a factor's
-:class:`BilinearForm` (:func:`_reading`), the pairing of two classes,
-dim Hom(D, C), and each tile's invariance and skewness.  The J forms have
-one entry +-1 in every row, so the conjugator identities are decided on
-these signed pairings, with no matrix placed.
+its pairing.  The J forms have one entry +-1 in every row, so the
+conjugator identities are decided on these signed pairings, with no matrix
+placed.
+
+The factor and class tables and every cache are the oracle's per-process
+state, which :func:`clear` empties and :func:`sizes` reads.  A cache keyed
+on interned ids or on k is unbounded, as it cannot outgrow the tables or
+the oracle's size bounds; one keyed on caller objects (:func:`_model_set`)
+keeps 1,024 entries, so that it does not keep every catalog ever loaded
+alive.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from math import comb, gcd
 from typing import TYPE_CHECKING, Callable, Sequence, Union
@@ -218,7 +223,7 @@ class Sl2Action:
     h: Matrix
 
 
-@lru_cache(maxsize=512)
+@cache
 def _sl2_triple(k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The entries (row, col, value) of E, F and H on the basis
     x^{k-1}, x^{k-2}y, ..., y^{k-1}, zeros left out of E and F.
@@ -381,7 +386,7 @@ def _factor_solve(ls: tuple, rs: tuple, a: int, b: int,
     return tuple(v.reshape(a, b) for v in nullspace(eqs, a * b))
 
 
-@lru_cache(maxsize=512)
+@cache
 def invariant_pairings(ls: tuple, rs: tuple, a: int,
                        b: int) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L^T X R = X for every (L, R) in
@@ -402,7 +407,7 @@ def invariant_pairings(ls: tuple, rs: tuple, a: int,
     return _factor_solve(ls, rs, a, b, lambda l, r: l.T.kron(r.T) - i)
 
 
-@lru_cache(maxsize=512)
+@cache
 def intertwiners(ls: tuple, rs: tuple, a: int,
                  b: int) -> tuple[Matrix, ...]:
     """Basis of {X (a x b) : L X = X R for every (L, R) in ``zip(ls, rs)``},
@@ -414,7 +419,7 @@ def intertwiners(ls: tuple, rs: tuple, a: int,
                          lambda l, r: l.kron(ib) - ia.kron(r.T))
 
 
-@lru_cache(maxsize=512)
+@cache
 def sl2_pairings(k: int, k2: int) -> tuple[Matrix, ...]:
     """Basis of {Y (k x k') : U^T Y U' = Y} for (U, U') = (exp E, exp E')
     and (exp F, exp F') of S(k) and S(k'): the S(k) side of a block pair,
@@ -422,7 +427,7 @@ def sl2_pairings(k: int, k2: int) -> tuple[Matrix, ...]:
     return _weight_solve(k, k2, True)[1]
 
 
-@lru_cache(maxsize=512)
+@cache
 def sl2_intertwiners(k: int, k2: int) -> tuple[Matrix, ...]:
     """Basis of {Y (k x k') : U Y = Y U'}, as for :func:`sl2_pairings`."""
     return _weight_solve(k, k2, False)[1]
@@ -460,7 +465,7 @@ class TensorFactors:
                 if not all(_reading(f).nondegenerate for f in a):
                     raise ValueError("generators must be invertible")
                 c = _CLASS_IDS[key] = len(_CLASSES)
-                _CLASSES.append((*key, all(_SHAPES[f][1] for f in a)))
+                _CLASSES.append((*key, all(_FACTORS[f].exact for f in a)))
             ids.append(c)
             classes.setdefault(c, []).append(i)
         object.__setattr__(self, "class_ids", tuple(ids))
@@ -488,12 +493,11 @@ class TensorFactors:
 
 
 # The factor table: the id of every distinct factor, keyed on its shape and
-# value, and in order of the ids each matrix and its (shape, exact).  It
-# grows only with new factors, and keeps every matrix it holds alive, so the
-# ``id`` of one names it for the life of the process (``_TABLED``).
+# value, and each matrix in order of the ids.  It grows only with new
+# factors, and keeps every matrix it holds alive, so the ``id`` of one names
+# it until :func:`clear` (``_TABLED``).
 _FACTOR_IDS: dict[tuple, int] = {}
 _FACTORS: list[Matrix] = []
-_SHAPES: list[tuple[tuple[int, int], bool]] = []
 _TABLED: dict[int, int] = {}
 
 
@@ -507,7 +511,6 @@ def _factor(m: Matrix) -> int:
     fid = _FACTOR_IDS.setdefault(m.key, len(_FACTORS))
     if fid == len(_FACTORS):
         _FACTORS.append(m)
-        _SHAPES.append((m.shape, m.exact))
         _TABLED[id(m)] = fid
     return fid
 
@@ -529,7 +532,7 @@ def _class_pair(c: int, d: int, pairing: bool = True) -> tuple[tuple, tuple]:
         k, k2) if xs else ()
 
 
-@lru_cache(maxsize=None)
+@cache
 def _reading(factor: int) -> BilinearForm:
     """A factor as a form, once per id: the symmetry by
     :meth:`Matrix.equals` against its transpose, invertibility by
@@ -546,13 +549,13 @@ def _reading(factor: int) -> BilinearForm:
     return BilinearForm(m, sym, m.is_invertible())
 
 
-@lru_cache(maxsize=None)
+@cache
 def _identity(size: int) -> int:
     """The factor of the exact size x size identity, built once."""
     return _factor(Matrix.identity(size))
 
 
-@lru_cache(maxsize=512)
+@cache
 def _exp_factors(k: int) -> tuple[int, int]:
     """The factors of ``sl2_exp_e(k)`` and ``sl2_exp_f(k)``, built once."""
     return _factor(sl2_exp_e(k)), _factor(sl2_exp_f(k))
@@ -607,7 +610,7 @@ def invariant_forms(gens) -> list[BilinearForm]:
             for gram in row_basis(part, n)]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _class_pairing(c: int, d: int) -> tuple | None:
     """The invariant pairing X (x) Y of a block of class c and one of d,
     from the solves of :func:`_class_pair`, as the factors (X, Y, X^T, Y^T)
@@ -648,7 +651,9 @@ class FactoredForm:
                     f"tile ({i}, {j}) lies off the {size} blocks")
             (_, r, k), (_, r2, k2) = blocks[i], blocks[j]
             exact = _CLASSES[ids[i]][3] and _CLASSES[ids[j]][3]
-            if _SHAPES[x] != ((r, r2), exact) or _SHAPES[y] != ((k, k2), True):
+            fx, fy = _FACTORS[x], _FACTORS[y]
+            if (fx.shape, fx.exact, fy.shape, fy.exact) != (
+                    (r, r2), exact, (k, k2), True):
                 raise ShapeMismatchError(
                     f"tile ({i}, {j}) does not fit its blocks")
             if rows[i]:
@@ -714,7 +719,7 @@ class VerifiedForm:
     residue: float
 
 
-@lru_cache(maxsize=None)
+@cache
 def _tile_residue(c: int, d: int, x: int, y: int) -> float | None:
     """Whether L^T X R = X for the rho generators (L, R) of block classes c
     and d (by :meth:`Matrix.equals`) and U^T Y U' = Y for exp E and exp F
@@ -761,7 +766,7 @@ def _sl2_fixed(k: int, k2: int, entries: Sequence[tuple[tuple[int, int], int]],
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def _opposite_tiles(c, x: int, y: int, c2, x2: int, y2: int) -> bool:
     """Whether the tile c' X' (x) Y' = (c2, x2, y2) at block pair (j, i) is
     minus the transpose of c X (x) Y at (i, j), X and Y given as factors.
@@ -850,7 +855,7 @@ def commutant_dimension(gens) -> int:
                for i, c in classes.items() for j, d in classes.items())
 
 
-@lru_cache(maxsize=None)
+@cache
 def _class_hom(c: int, d: int) -> int:
     """dim Hom(D, C) = dim Hom(A_D, A_C) * dim Hom(U_D, U_C) of the block
     classes c and d, solved on one block of each, the U side from k alone
@@ -968,3 +973,29 @@ def realize(p: WDParameter, catalog: "Catalog") -> TensorFactors:
     rho_of = _model_set(tuple(dict.fromkeys(models)))
     return TensorFactors(lo, tuple(blocks),
                          tuple(map(rho_of.__getitem__, models)))
+
+
+# ---------------------------------------------------------------------------
+# the per-process state: every table and ``functools`` cache, by name,
+# collected after the last of them is defined
+
+_STATE: dict[str, object] = dict(
+    factor_ids=_FACTOR_IDS, factors=_FACTORS, tabled=_TABLED,
+    class_ids=_CLASS_IDS, classes=_CLASSES, **{
+        name.lstrip("_"): held for name, held in globals().items()
+        if hasattr(held, "cache_clear")})
+
+
+def clear() -> None:
+    """Empty every table and cache of the oracle in place, returning it to
+    its import-time state.  Ids are not stable across this: a
+    :class:`TensorFactors`, :class:`FactoredForm`, :class:`VerifiedForm`
+    or factor id obtained before ``clear()`` is invalid after it."""
+    for held in _STATE.values():
+        (held.cache_clear if hasattr(held, "cache_clear") else held.clear)()
+
+
+def sizes() -> dict[str, int]:
+    """The length of each table and the size of each cache, by name."""
+    return {name: held.cache_info().currsize if hasattr(held, "cache_info")
+            else len(held) for name, held in _STATE.items()}

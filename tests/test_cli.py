@@ -323,10 +323,10 @@ def test_catalog_files_share_the_builtin_models(tmp_path):
     argv = ["classify", "tau (+) St(2,one)", "--catalog", str(path),
             "--oracle"]
     assert main(argv) == 0
-    size = matrix_lab._model_set.cache_info().currsize
+    size = matrix_lab.sizes()["model_set"]
     for _ in range(4):
         assert main(argv) == 0
-    assert matrix_lab._model_set.cache_info().currsize == size
+    assert matrix_lab.sizes()["model_set"] == size
 
 
 def test_classify_golden_json(capsys):
@@ -396,6 +396,29 @@ def test_each_golden_matches_its_command(capsys, row):
             row["stream"]: (GOLDEN / row["golden"]).read_bytes()}
     assert (code, {"stdout": out.encode(), "stderr": err.encode()}) == (
         row["exit"], want)
+
+
+def _run_manifest(capsys):
+    """Each manifest row's exit code and captured streams, in process."""
+    results = []
+    for row in MANIFEST:
+        try:
+            code = main(row["argv"])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        results.append((code, capsys.readouterr()))
+    return results
+
+
+def test_clear_returns_the_oracle_to_its_import_time_state(capsys):
+    """Every manifest row, then ``matrix_lab.clear()``, which leaves every
+    table and cache empty, then every row again: the second pass prints
+    byte for byte what the first did."""
+    first = _run_manifest(capsys)
+    assert any(matrix_lab.sizes().values())
+    matrix_lab.clear()
+    assert set(matrix_lab.sizes().values()) == {0}
+    assert _run_manifest(capsys) == first
 
 
 # runs each command with its standard output captured, before and after a
@@ -794,13 +817,13 @@ def test_classify_exits_with_a_documented_code_on_any_catalog(
 
 
 # 19 distinct classes, dim 380: one S(k) x S(k') solve per pair of classes
-MANY_CLASSES = " (+) ".join(f"St({2 * j},trivial)" for j in range(1, 20))
+DISTINCT_KS = " (+) ".join(f"St({2 * j},trivial)" for j in range(1, 20))
 
 
 @pytest.mark.parametrize("label, copies", [
     ("trivial", 48), ("q8", 24), ("trivial", 1000), ("q8", 200),
     ("St(48,trivial)", 1), ("St(40,chi3) (+) St(40,chi3bar)", 1),
-    pytest.param(MANY_CLASSES, 1, id="St(2j,trivial)-j=1..19")])
+    pytest.param(DISTINCT_KS, 1, id="St(2j,trivial)-j=1..19")])
 def test_high_multiplicity_oracle_stays_fast_above_the_bound(
         monkeypatch, capsys, label, copies):
     # the costliest families known above the bound: the oracle works per
@@ -817,7 +840,7 @@ def test_high_multiplicity_oracle_stays_fast_above_the_bound(
     data = json.loads(capsys.readouterr().out)
     # distinct symplectic blocks are elliptic; the rest factor through Sp,
     # but are not elliptic
-    assert code == (0 if label in ("St(48,trivial)", MANY_CLASSES)
+    assert code == (0 if label in ("St(48,trivial)", DISTINCT_KS)
                     else 1), data
     assert data["oracle_agreement"] is True, data
     assert all(c["verdict"] != "error" for c in data["checks"]), data

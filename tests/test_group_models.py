@@ -53,7 +53,6 @@ from periodlab import matrix_lab
 from periodlab.cli import main
 from periodlab.linalg import _sparse_row, nullspace_exact, nullspace_float
 from periodlab.matrix_lab import (
-    _FACTORS,
     TensorFactors,
     VerifiedForm,
     _class_pairing,
@@ -67,6 +66,11 @@ from periodlab.matrix_lab import (
 
 CAT = builtin_catalog()
 MODELS = builtin_models()
+
+
+def _matrix(f):
+    """The matrix of factor id ``f``, as its reading holds it."""
+    return matrix_lab._reading(f).gram
 
 
 def seg(name, k=1):
@@ -409,6 +413,20 @@ def test_validate_accepts_contragredient_models():
         cat.validate()
 
 
+def test_validating_a_valid_catalog_quotes_no_label_name(monkeypatch):
+    """Label names are formatted only on the way to an error: validating
+    the built-in catalog makes no ``quoted`` call, and refusing a catalog
+    does."""
+    calls = []
+    monkeypatch.setattr(group_models, "quoted",
+                        lambda text: calls.append(text) or repr(text))
+    builtin_catalog().validate()
+    assert calls == []
+    with pytest.raises(ConsistencyError, match="not contragredient"):
+        _dual_pair_catalog(MODELS["chi3"], MODELS["chi3"]).validate()
+    assert calls == ["chi3", "chi3bar"]
+
+
 @pytest.mark.parametrize("case", ["two-groups", "same-character"])
 def test_validate_rejects_dual_labels_whose_models_are_not_dual(case):
     # two copies of C3: chi3bar's character on its own group is still the
@@ -678,7 +696,7 @@ def test_the_rho_solves_match_the_full_kronecker_systems_to_dim_6():
                 solves[_block_pair(tf, i, j)[0]] = None
     paths, skipped = Counter(), 0
     for ls, rs, a, b in solves:
-        pairs = [(_FACTORS[l], _FACTORS[r]) for l, r in zip(ls, rs)]
+        pairs = [(_matrix(l), _matrix(r)) for l, r in zip(ls, rs)]
         exact = all(m.exact for pair in pairs for m in pair)
         paths[exact] += 1
         skipped += len(set(zip(ls, rs))) < len(pairs) or any(
@@ -718,10 +736,11 @@ def test_exact_classes_keep_exact_tiles_next_to_a_float_label():
         if paths != {True, False} or j is None:
             continue
         mixed += 1
-        classes = [matrix_lab._CLASSES[c] for c in j.factors.class_ids]
+        exact_blocks = [all(_matrix(f).exact for f in a)
+                        for a in j.factors.rho]
         for i, k, _, x, _ in j.tiles:
-            exact = classes[i][3] and classes[k][3]
-            assert _FACTORS[x].exact == exact, segments
+            exact = exact_blocks[i] and exact_blocks[k]
+            assert _matrix(x).exact == exact, segments
             exact_tiles += exact
     assert (mixed, exact_tiles) == (113, 259)
 
@@ -730,10 +749,10 @@ def test_a_second_sweep_adds_no_class_or_factor_id(capsys):
     argv = ["sweep", "--max-dim", "24", "--json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    sizes = len(matrix_lab._CLASSES), len(_FACTORS)
+    sizes = matrix_lab.sizes()
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert (len(matrix_lab._CLASSES), len(_FACTORS)) == sizes
+    assert matrix_lab.sizes() == sizes
 
 
 @settings(max_examples=40, deadline=None)
@@ -777,7 +796,7 @@ def _perturbed(form, tile, part, entry, delta):
     if part == "c":
         c += delta
     else:
-        m = _FACTORS[x if part == "x" else y]
+        m = _matrix(x if part == "x" else y)
         bump = np.zeros(m.shape, dtype=object)
         bump.flat[entry % bump.size] = 1
         new = _factor(m + Matrix.gaussian(bump).scale(delta))
@@ -1080,9 +1099,9 @@ def test_a_float_x_on_exact_classes_is_refused_next_to_a_float_label():
     tiles = find_nondegenerate_skew(tf).tiles
     (q8,) = [i for i, (_, r, _) in enumerate(tf.blocks) if r == 2]
     (_, _, c, x, y), = [t for t in tiles if t[0] == q8]
-    assert _FACTORS[x].exact
-    assert not any(_FACTORS[t[3]].exact for t in tiles if t[0] != q8)
-    twin = _factor(on_path(_FACTORS[x], False))
+    assert _matrix(x).exact
+    assert not any(_matrix(t[3]).exact for t in tiles if t[0] != q8)
+    twin = _factor(on_path(_matrix(x), False))
     with pytest.raises(ShapeMismatchError, match="does not fit"):
         FactoredForm(tf, (*(t for t in tiles if t[0] != q8),
                           (q8, q8, c, twin, y)))

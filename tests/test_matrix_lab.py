@@ -555,7 +555,7 @@ def test_float_classify_form_matches_the_uncached_rule(drawn):
     rank (A^T P C P A with P a rank-r projection): classify_form reads
     them, and the same gram with one entry moved, as the uncached rule
     does, first with the cache the earlier examples left, then with a
-    cleared one."""
+    cleared oracle."""
     n, ints, sign, rank = drawn
     parts = np.array(ints, dtype=float).reshape(2, 2, n, n) / 7
     x, a = parts[:, 0] + 1j * parts[:, 1]
@@ -566,7 +566,7 @@ def test_float_classify_form_matches_the_uncached_rule(drawn):
     bumped[-1, 0] += 1  # one entry apart: a cache key must see all of them
     for clear in (False, True):
         if clear:
-            matrix_lab._reading.cache_clear()
+            matrix_lab.clear()
         for gram in map(Matrix.from_array, (dense, bumped)):
             form = classify_form(gram)
             assert form.gram is gram
@@ -814,20 +814,6 @@ def _broken_triple(monkeypatch, which, entry, value, one_side=False):
     monkeypatch.setattr(matrix_lab, "_sl2_triple", triple)
 
 
-@pytest.fixture
-def fresh_sl2_solves():
-    """Empty ``sl2_pairings`` and ``sl2_intertwiners`` caches, emptied
-    again afterwards: a test that breaks the sl2 triple neither reads a
-    solve cached before it nor leaves one behind."""
-    solves = matrix_lab.sl2_pairings, matrix_lab.sl2_intertwiners
-    for solve in solves:
-        solve.cache_clear()
-    yield
-    for solve in solves:
-        solve.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
 def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
     """A zero E entry removes a link of the chain: no form is returned, even
@@ -837,7 +823,6 @@ def test_invariant_form_sl2_refuses_a_broken_e_chain(monkeypatch, k, entry):
         invariant_form_sl2(k)
 
 
-@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
 def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
     """The E chain alone fixes the candidate; a changed F entry makes an F
@@ -847,7 +832,6 @@ def test_invariant_form_sl2_checks_every_f_row(monkeypatch, k, entry):
         invariant_form_sl2(k)
 
 
-@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(2, 0), (5, 0), (5, 2), (8, 6)])
 def test_sl2_intertwiners_refuse_a_broken_e_chain(monkeypatch, k, entry):
     """A zero E entry removes a link of the intertwiners' chain too."""
@@ -856,7 +840,6 @@ def test_sl2_intertwiners_refuse_a_broken_e_chain(monkeypatch, k, entry):
         matrix_lab.sl2_intertwiners(k, k)
 
 
-@pytest.mark.usefixtures("fresh_sl2_solves")
 @pytest.mark.parametrize("k, entry", [(3, 0), (5, 0), (5, 3), (8, 4)])
 def test_sl2_intertwiners_check_every_f_row(monkeypatch, k, entry):
     """The E chain alone fixes the candidate, the identity.  It intertwines
@@ -866,7 +849,7 @@ def test_sl2_intertwiners_check_every_f_row(monkeypatch, k, entry):
         _broken_triple(patched, 1, entry, k + 1)
         (y,) = matrix_lab.sl2_intertwiners(k, k)
         assert y.is_identity()
-    matrix_lab.sl2_intertwiners.cache_clear()
+    matrix_lab.clear()
     _broken_triple(monkeypatch, 1, entry, k + 1, one_side=True)
     assert matrix_lab.sl2_intertwiners(k, k) == ()
 
@@ -1036,7 +1019,6 @@ def test_the_sl2_weight_solve_matches_the_dense_reference(monkeypatch):
         patched.setattr(linalg, "nullspace_exact", no_reduction)
         patched.setattr(linalg, "_Rref", no_reduction)
         for solve, _, pairing in kinds:
-            solve.cache_clear()
             for k, k2 in sizes:
                 cells, _ = matrix_lab._weight_solve(k, k2, pairing)
                 solved[pairing, k, k2] = cells, solve(k, k2)
@@ -1313,8 +1295,8 @@ _FLOAT_LABELS = sorted(set(CAT.entries) - set(_EXACT_LABELS))
 def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
                                                                  data):
     """Multisets of built-in segments, realized one after another, so that
-    later ones may reuse the model sets of earlier ones, give the factors
-    that each gives with the model-set cache cleared.  On
+    later ones may reuse the model sets of earlier ones, give the blocks,
+    classes and dense generators that each gives in a cleared oracle.  On
     the float path each multiset holds one or two float segments, shuffled
     in among the others."""
     def segments(labels, least, most):
@@ -1327,12 +1309,19 @@ def test_realize_is_the_same_with_a_cold_or_warm_model_set_cache(exact,
     params = [WDParameter.of([seg(name, k) for name, k in segs])
               for segs in data.draw(st.lists(multiset, min_size=1,
                                              max_size=4))]
-    warm = [realize(p, CAT) for p in params]
+    warm = [_realized(realize(p, CAT)) for p in params]
     for p, gens in zip(params, warm):
-        matrix_lab._model_set.cache_clear()
+        matrix_lab.clear()
         cold = realize(p, CAT)
         assert cold.exact == exact
-        assert cold == gens
+        assert _realized(cold) == gens
+
+
+def _realized(tf):
+    """A realization's blocks, classes and dense generators, with no factor
+    or class id, so that it compares across ``matrix_lab.clear()``."""
+    return (tf.n, tf.blocks, list(tf.classes.values()),
+            [(g.exact, g.key) for g in tf.dense()])
 
 
 def test_tensor_factors_reject_singular_factors():
@@ -1340,7 +1329,7 @@ def test_tensor_factors_reject_singular_factors():
     table, on both paths, so building it again is refused again."""
     ident = _factor(Matrix.identity(2))
     TensorFactors(2, ((0, 2, 1),), ((ident,),))
-    classes = len(matrix_lab._CLASSES)
+    classes = matrix_lab.sizes()["classes"]
     singular = Matrix.from_rows([[1, 1], [1, 1]])
     for _ in range(2):
         for m in (singular, Matrix.from_array(singular.as_complex())):
@@ -1352,7 +1341,7 @@ def test_tensor_factors_reject_singular_factors():
     # first is in the table already
     with pytest.raises(ValueError, match="generators must be invertible"):
         TensorFactors(4, ((0, 2, 1), (2, 2, 1)), ((ident,), (bad,)))
-    assert len(matrix_lab._CLASSES) == classes
+    assert matrix_lab.sizes()["classes"] == classes
 
 
 def test_tensor_factors_have_their_classes_as_soon_as_they_are_built():
@@ -1393,6 +1382,11 @@ def _value(m):
     return m.shape, m.exact, tuple(map(tuple, m.tolist()))
 
 
+def _matrix(f):
+    """The matrix of factor id ``f``, as its reading holds it."""
+    return matrix_lab._reading(f).gram
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
 def test_the_factor_table_keeps_each_matrix_with_its_shape_and_path(
@@ -1411,24 +1405,24 @@ def test_the_factor_table_keeps_each_matrix_with_its_shape_and_path(
     mats = [m, m.T, Matrix.identity(2, exact),
             Matrix.from_rows([[1, 0, 0, 1]], exact)]
     ids = [_factor(x) for x in mats]
-    size = len(matrix_lab._FACTORS)
+    size = matrix_lab.sizes()["factors"]
     again = [_factor(Matrix.from_rows(x.tolist(), exact)) for x in mats]
-    assert again == ids and len(matrix_lab._FACTORS) == size
+    assert again == ids and matrix_lab.sizes()["factors"] == size
     for f, x in zip(ids, mats):
-        assert _value(matrix_lab._FACTORS[f]) == _value(x)
+        assert _value(_matrix(f)) == _value(x)
     assert (ids[0] == ids[1]) == (m.T.tolist() == m.tolist())
     assert ids[2] != ids[3]
     if exact:  # the same entries on the float path are another factor
         f = _factor(Matrix.from_array(m.as_complex()))
-        assert f != ids[0] and not matrix_lab._FACTORS[f].exact
+        assert f != ids[0] and not _matrix(f).exact
 
 
-def test_the_shape_table_follows_the_factor_table(capsys):
+def test_the_factor_tables_grow_together(capsys):
+    """Each factor has one key, one matrix and one identity entry."""
     assert main(["sweep", "--max-dim", "16", "--json"]) == 0
     capsys.readouterr()
-    assert len(matrix_lab._SHAPES) == len(matrix_lab._FACTORS)
-    for f, m in enumerate(matrix_lab._FACTORS):
-        assert matrix_lab._SHAPES[f] == (m.shape, m.exact)
+    sizes = matrix_lab.sizes()
+    assert sizes["factor_ids"] == sizes["factors"] == sizes["tabled"] > 0
 
 
 _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
@@ -1441,9 +1435,10 @@ _BUILTIN_SEGMENTS = st.tuples(st.sampled_from(sorted(CAT.entries)),
 def test_factor_ids_follow_the_factor_values(drawn):
     """Multisets of built-in segments, exact and float labels alike: the
     classes are the blocks grouped by the rho factor values behind the ids
-    and by (r, k), each block's class id names its rho factors, sizes and
-    whether those factors are exact, and realizing and searching again
-    gives the same ids and adds nothing to the id tables."""
+    and by (r, k), the blocks of one class have the same rho factor ids,
+    a realization is exact when its rho factors are, and realizing and
+    searching again gives the same ids and adds nothing to any table or
+    cache."""
     params = [WDParameter.of([seg(name, k) for name, k in segments])
               for segments in drawn]
 
@@ -1456,16 +1451,29 @@ def test_factor_ids_follow_the_factor_values(drawn):
         return out
 
     first = passes()
-    sizes = len(matrix_lab._FACTORS), len(matrix_lab._CLASSES)
+    sizes = matrix_lab.sizes()
     again = passes()
-    assert (len(matrix_lab._FACTORS), len(matrix_lab._CLASSES)) == sizes
+    assert matrix_lab.sizes() == sizes
     for tf, tf2 in zip(first, again):
         assert (tf.rho, tf.class_ids) == (tf2.rho, tf2.class_ids)
         reference: dict[tuple, list[int]] = {}
         for i, (a, (_, r, k)) in enumerate(zip(tf.rho, tf.blocks)):
-            values = tuple(_value(matrix_lab._FACTORS[f]) for f in a)
+            values = tuple(_value(_matrix(f)) for f in a)
             reference.setdefault((values, r, k), []).append(i)
         assert list(tf.classes.values()) == list(reference.values())
-        assert all(matrix_lab._CLASSES[c] == (
-            a, r, k, all(matrix_lab._FACTORS[f].exact for f in a))
-            for c, a, (_, r, k) in zip(tf.class_ids, tf.rho, tf.blocks))
+        assert all(len({tf.rho[i] for i in blocks}) == 1
+                   for blocks in tf.classes.values())
+        assert tf.exact == all(_matrix(f).exact for a in tf.rho for f in a)
+
+
+def test_every_table_and_cache_of_the_oracle_is_registered():
+    """Each module-level table and ``functools`` cache of ``matrix_lab``
+    is in ``sizes()``, by its name without the underscore, and so emptied
+    by ``clear()``: one added later cannot escape it."""
+    cache = type(lru_cache()(abs))
+    held = {name.lstrip("_").lower()
+            for name, value in vars(matrix_lab).items()
+            if not name.startswith("__") and name != "_STATE"
+            and (isinstance(value, cache) or type(value) in (dict, list))}
+    assert held == set(matrix_lab.sizes())
+    assert len(held) == 18

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import periodlab
 
 PACKAGE = Path(periodlab.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _bound_names(tree, lines):
@@ -189,6 +191,15 @@ def test_only_linalg_sees_the_matrix_representation():
     assert numpy == ["linalg"]
     reads.pop("linalg", None)
     assert reads == {"exactnum": ["im", "re"]}
+
+
+def test_the_readme_names_no_private_identifier():
+    """The README documents the public surface: no name in its code, inline
+    or fenced, starts with an underscore, alone or after a dot."""
+    text = README.read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    assert sorted({name for span in code
+                   for name in re.findall(r"(?<!\w)_\w+", span)}) == []
 
 
 def test_public_names_resolve():
